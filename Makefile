@@ -141,11 +141,14 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/experiments -full all
 
-# Short fuzzing passes over the CSV loader and partition invariants.
+# Short fuzzing passes over the CSV loader, partition invariants, and the
+# contingency-table objective and distinct-row lower bound against the pair
+# scans.
 fuzz:
 	$(GO) test -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
 	$(GO) test -run FuzzNormalize -fuzz FuzzNormalize -fuzztime 30s ./internal/partition/
 	$(GO) test -run FuzzDistance -fuzz FuzzDistance -fuzztime 30s ./internal/partition/
+	$(GO) test -run FuzzObjectiveExact -fuzz FuzzObjectiveExact -fuzztime 30s ./internal/core/
 
 clean:
 	$(GO) clean ./...

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"clusteragg/internal/corrclust"
+	"clusteragg/internal/dataset"
 	"clusteragg/internal/partition"
 )
 
@@ -246,4 +247,31 @@ func BenchmarkSampleHuge(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkObjective evaluates Disagreement and LowerBound on the Census
+// stand-in at 16,000 rows — the objective calls AggregateCSV and the CLI
+// make after solving. The candidate is the first input completed.
+func BenchmarkObjective(b *testing.B) {
+	cols, err := dataset.SyntheticCensus(1, 16000).Clusterings()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := NewProblem(cols, ProblemOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cand := completeMissing(cols[0])
+	b.Run("disagreement", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.Disagreement(cand)
+		}
+	})
+	b.Run("lowerbound", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			p.LowerBound()
+		}
+	})
 }

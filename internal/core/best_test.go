@@ -3,18 +3,22 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"clusteragg/internal/corrclust"
 	"clusteragg/internal/partition"
 )
 
-// slowBest is the reference O(m²·n²) implementation.
-func slowBest(p *Problem) (partition.Labels, int, float64) {
+// scanBest is BESTCLUSTERING by the O(m·n²) pair scan: every completed
+// input scored by corrclust.Cost on the label kernel, ties to the lower
+// index.
+func scanBest(p *Problem) (partition.Labels, int, float64) {
 	bestIdx, bestD := -1, 0.0
 	var best partition.Labels
-	for i, c := range p.clusterings {
+	for i, c := range p.Clusterings() {
 		cand := completeMissing(c)
-		d := p.Disagreement(cand)
+		d := p.totalWeight * corrclust.Cost(p.kernel(), cand)
 		if bestIdx == -1 || d < bestD {
 			bestIdx, bestD, best = i, d, cand
 		}
@@ -22,19 +26,22 @@ func slowBest(p *Problem) (partition.Labels, int, float64) {
 	return best, bestIdx, bestD
 }
 
+// closeRel reports whether a and b agree within 1e-9 relative.
+func closeRel(a, b float64) bool {
+	return math.Abs(a-b) <= 1e-9*math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
+}
+
+// TestBestClusteringFastMatchesSlow: BESTCLUSTERING's (labels, index,
+// disagreement) through the contingency-table objective equals the argmin
+// by the O(m·n²) pair scan, with and without missing values, weighted and
+// uniform, on packed and unpacked problems. The index may differ only
+// between candidates the scan scores equal within float tolerance.
 func TestBestClusteringFastMatchesSlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
-	for trial := 0; trial < 40; trial++ {
-		n := 2 + rng.Intn(15)
+	for trial := 0; trial < 80; trial++ {
+		n := 2 + rng.Intn(25)
 		m := 2 + rng.Intn(6)
-		cs := make([]partition.Labels, m)
-		for i := range cs {
-			c := make(partition.Labels, n)
-			for j := range c {
-				c[j] = rng.Intn(4)
-			}
-			cs[i] = c
-		}
+		missing := []float64{0, 0.15, 0.4}[trial%3]
 		var opts ProblemOptions
 		if trial%2 == 1 {
 			w := make([]float64, m)
@@ -43,32 +50,40 @@ func TestBestClusteringFastMatchesSlow(t *testing.T) {
 			}
 			opts.Weights = w
 		}
-		p, err := NewProblem(cs, opts)
-		if err != nil {
-			t.Fatal(err)
+		if trial%5 == 4 {
+			opts.MissingTogether = 0.3
 		}
-		if !p.fastBestApplicable() {
-			t.Fatal("fast path should apply to missing-free inputs")
-		}
-		fastL, fastI, fastD := p.BestClustering()
-		slowL, slowI, slowD := slowBest(p)
-		if math.Abs(fastD-slowD) > 1e-6 {
-			t.Fatalf("trial %d: fast D %v != slow D %v", trial, fastD, slowD)
-		}
-		// Indices may differ only on exact ties.
-		if fastI != slowI {
-			dFast := p.Disagreement(p.clusterings[fastI].Normalize())
-			dSlow := p.Disagreement(p.clusterings[slowI].Normalize())
-			if math.Abs(dFast-dSlow) > 1e-6 {
-				t.Fatalf("trial %d: fast picked %d (%v), slow %d (%v)", trial, fastI, dFast, slowI, dSlow)
+		p := randMixedProblem(t, rng, n, m, missing, opts)
+		for _, prob := range []*Problem{p, packedTwin(t, p, trial%4 < 2)} {
+			gotL, gotI, gotD := prob.BestClustering()
+			wantL, wantI, wantD := scanBest(prob)
+			if !closeRel(gotD, wantD) {
+				t.Fatalf("trial %d: disagreement %v, scan %v", trial, gotD, wantD)
 			}
-		}
-		if len(fastL) != len(slowL) {
-			t.Fatalf("trial %d: label lengths differ", trial)
+			if gotD != prob.Disagreement(gotL) {
+				t.Fatalf("trial %d: returned %v but Disagreement of the labels is %v", trial, gotD, prob.Disagreement(gotL))
+			}
+			if gotI != wantI {
+				scanGot := prob.totalWeight * corrclust.Cost(prob.kernel(), completeMissing(prob.Clusterings()[gotI]))
+				if !closeRel(scanGot, wantD) {
+					t.Fatalf("trial %d: picked %d (scan %v), scan argmin %d (%v)", trial, gotI, scanGot, wantI, wantD)
+				}
+				continue
+			}
+			if !slices.Equal(gotL, wantL) {
+				t.Fatalf("trial %d: labels %v, scan %v", trial, gotL, wantL)
+			}
+			for _, l := range gotL {
+				if l == partition.Missing {
+					t.Fatalf("trial %d: missing label leaked into result", trial)
+				}
+			}
 		}
 	}
 }
 
+// TestBestClusteringMissingUsesSlowPath: on an input with a missing label
+// the completed winner carries no partition.Missing and is the scan argmin.
 func TestBestClusteringMissingUsesSlowPath(t *testing.T) {
 	p, err := NewProblem([]partition.Labels{
 		{0, 0, partition.Missing},
@@ -77,18 +92,19 @@ func TestBestClusteringMissingUsesSlowPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.fastBestApplicable() {
-		t.Fatal("fast path must not apply with missing values")
-	}
-	labels, _, _ := p.BestClustering()
+	labels, idx, d := p.BestClustering()
 	for _, l := range labels {
 		if l == partition.Missing {
 			t.Fatal("missing label leaked into result")
 		}
 	}
+	wantL, wantI, wantD := scanBest(p)
+	if idx != wantI || !closeRel(d, wantD) || !slices.Equal(labels, wantL) {
+		t.Fatalf("BestClustering picked (%d, %v, %v), scan (%d, %v, %v)", idx, d, labels, wantI, wantD, wantL)
+	}
 }
 
-func BenchmarkBestClusteringFast(b *testing.B) {
+func BenchmarkBestClustering(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n, m := 2000, 12
 	cs := make([]partition.Labels, m)
@@ -109,23 +125,14 @@ func BenchmarkBestClusteringFast(b *testing.B) {
 	}
 }
 
-// TestBestClusteringWorkersIdentical: the parallel pairwise-distance table
-// in bestClusteringFast must yield the same labels, index, and disagreement
-// for every worker count — the reduction runs sequentially in input order,
-// preserving tie-breaking by index.
+// TestBestClusteringWorkersIdentical: Aggregate(MethodBest) returns the
+// scan-based argmin's labels at every Workers count, with and without
+// missing values, weighted and uniform.
 func TestBestClusteringWorkersIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
-	for trial := 0; trial < 4; trial++ {
+	for trial := 0; trial < 8; trial++ {
 		n := 50 + rng.Intn(100)
 		m := 8 + rng.Intn(8)
-		cs := make([]partition.Labels, m)
-		for i := range cs {
-			c := make(partition.Labels, n)
-			for j := range c {
-				c[j] = rng.Intn(5)
-			}
-			cs[i] = c
-		}
 		var opts ProblemOptions
 		if trial%2 == 1 {
 			w := make([]float64, m)
@@ -134,35 +141,19 @@ func TestBestClusteringWorkersIdentical(t *testing.T) {
 			}
 			opts.Weights = w
 		}
-		p, err := NewProblem(cs, opts)
-		if err != nil {
-			t.Fatal(err)
+		p := randMixedProblem(t, rng, n, m, []float64{0, 0.2}[trial/2%2], opts)
+		wantL, wantI, wantD := scanBest(p)
+		gotL, gotI, gotD := p.BestClustering()
+		if gotI != wantI || !closeRel(gotD, wantD) || !slices.Equal(gotL, wantL) {
+			t.Fatalf("trial %d: BestClustering picked (%d, %v), scan (%d, %v)", trial, gotI, gotD, wantI, wantD)
 		}
-		baseL, baseI, baseD := p.bestClustering(nil, 0)
-		for _, workers := range []int{1, 2, 3, 8} {
-			l, i, d := p.bestClustering(nil, workers)
-			if i != baseI || d != baseD {
-				t.Fatalf("trial %d: Workers=%d picked (%d, %v), Workers=0 picked (%d, %v)",
-					trial, workers, i, d, baseI, baseD)
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			agg, err := p.Aggregate(MethodBest, AggregateOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
 			}
-			for j := range l {
-				if l[j] != baseL[j] {
-					t.Fatalf("trial %d: Workers=%d labels diverge at %d", trial, workers, j)
-				}
-			}
-		}
-		// The aggregation entry point must thread Workers through too.
-		aggBase, err := p.Aggregate(MethodBest, AggregateOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		agg8, err := p.Aggregate(MethodBest, AggregateOptions{Workers: 8})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := range agg8 {
-			if agg8[j] != aggBase[j] {
-				t.Fatalf("trial %d: Aggregate(MethodBest) diverges at %d with Workers=8", trial, j)
+			if !slices.Equal(agg, wantL) {
+				t.Fatalf("trial %d: Aggregate(MethodBest) with Workers=%d diverges from the scan argmin", trial, workers)
 			}
 		}
 	}

@@ -19,10 +19,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"strconv"
 	"sync"
 
-	"clusteragg/internal/corrclust"
 	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
@@ -179,8 +177,8 @@ func (p *Problem) M() int {
 // labelViews returns per-clustering []int label views of the inputs: the
 // clusterings themselves when the problem holds them unpacked, or a
 // lazily-unpacked (once, cached) materialization of the packed block. The
-// kernel path never calls this; only the contingency-table BestClustering,
-// matrix materialization of small subproblems, and Clusterings() do.
+// kernel path never calls this; only matrix materialization of small
+// subproblems and Clusterings() do.
 func (p *Problem) labelViews() []partition.Labels {
 	if p.packed == nil {
 		return p.clusterings
@@ -254,19 +252,23 @@ func (p *Problem) distAverage(u, v int) float64 {
 // is the objective of Problem 1 on the unordered-pair scale; the paper's
 // ordered-pair figure is exactly twice this value.
 //
-// The O(n²) pair scan runs over the columnar label kernel — bit-identical
-// distances evaluated as contiguous label compares instead of per-pair
-// interface probes — so evaluating a solution never materializes a matrix.
+// Under the coin model it costs O(n·m): one contingency-table pass per
+// input over the packed label block (see objective.go), with the
+// missing-label pairs counted per candidate cluster. Under MissingAverage
+// with missing labels present it is an O(n²·m) pair scan over the label
+// kernel. labels must have one entry per object; partition.Missing counts
+// as one more cluster.
 func (p *Problem) Disagreement(labels partition.Labels) float64 {
-	return p.totalWeight * corrclust.Cost(p.kernel(), labels)
+	return p.kernel().disagreement(labels)
 }
 
 // LowerBound returns m · Σ_{u<v} min(X_uv, 1−X_uv), a lower bound on the
 // disagreement of every possible clustering (the "Lower bound" rows of
-// Tables 2 and 3). Like Disagreement, it scans pairs through the columnar
-// label kernel, matrix-free.
+// Tables 2 and 3). It sweeps the G(G+1)/2 pairs of the G distinct label
+// rows instead of all object pairs, O(n·m + G²·m), on GOMAXPROCS workers;
+// the result does not depend on the worker count.
 func (p *Problem) LowerBound() float64 {
-	return p.totalWeight * corrclust.LowerBound(p.kernel())
+	return p.kernel().lowerBound(0)
 }
 
 // completeMissing returns labels with every Missing entry replaced by a
@@ -295,129 +297,28 @@ func completeMissing(labels partition.Labels) partition.Labels {
 // completed as singleton clusters. The result is a 2(1−1/m)-approximation of
 // the optimal aggregation.
 //
-// On inputs without missing values (and uniform weights under the coin
-// model's expectations not being needed), the disagreements are computed
-// through pairwise contingency tables in O(m²·(n + k²)) — the near-linear
-// regime the paper attributes to the Barthélemy–Leclerc data structures —
-// instead of the O(m²·n²) pair scan. The m(m−1)/2 pairwise Mirkin
-// distances are integers computed independently, so the table fills on
-// worker goroutines (GOMAXPROCS here; AggregateOptions.Workers through
-// Aggregate) and the reduction runs sequentially in index order — the
-// result is identical for every worker count.
+// Each candidate is scored by Disagreement, so under the coin model — with
+// or without missing values, weighted or not — the whole search costs
+// O(m²·n) contingency-table passes. Ties go to the lower index.
 func (p *Problem) BestClustering() (labels partition.Labels, index int, disagreement float64) {
-	return p.bestClustering(nil, 0)
+	return p.bestClustering(nil)
 }
 
-// bestClustering is BestClustering with instrumentation and a worker cap
-// (0 = GOMAXPROCS): rec (may be nil) receives bestclustering.candidates,
-// bestclustering.fast_path, and — on the pairwise-scan path —
-// bestclustering.dist_probes.
-func (p *Problem) bestClustering(rec *obs.Recorder, workers int) (labels partition.Labels, index int, disagreement float64) {
-	rec.Add("bestclustering.candidates", int64(p.M()))
-	if p.fastBestApplicable() {
-		rec.Add("bestclustering.fast_path", 1)
-		return p.bestClusteringFast(workers)
-	}
-	var inst corrclust.Instance = p.kernel()
-	if rec != nil {
-		inst = obs.Count(inst, rec.Counter("bestclustering.dist_probes"))
-	}
+// bestClustering is BestClustering with instrumentation: rec (may be nil)
+// receives bestclustering.candidates.
+func (p *Problem) bestClustering(rec *obs.Recorder) (labels partition.Labels, index int, disagreement float64) {
+	m := p.M()
+	rec.Add("bestclustering.candidates", int64(m))
+	lk := p.kernel()
+	col := make(partition.Labels, p.n)
 	bestIdx, bestD := -1, 0.0
 	var best partition.Labels
-	for i, c := range p.labelViews() {
-		cand := completeMissing(c)
-		d := p.totalWeight * corrclust.Cost(inst, cand)
-		if bestIdx == -1 || d < bestD {
+	for i := 0; i < m; i++ {
+		lk.column(i, col)
+		cand := completeMissing(col)
+		if d := lk.disagreement(cand); bestIdx == -1 || d < bestD {
 			bestIdx, bestD, best = i, d, cand
 		}
 	}
 	return best, bestIdx, bestD
-}
-
-// fastBestApplicable reports whether the contingency-table shortcut computes
-// exactly the same objective as the pairwise scan: no missing values (the
-// coin model's expected disagreements have no contingency analogue).
-// Weights are fine — they scale each pairwise distance.
-func (p *Problem) fastBestApplicable() bool {
-	if p.packed != nil {
-		// The builder tracked missing labels exactly; no scan needed.
-		return !p.packed.anyMiss
-	}
-	for _, c := range p.clusterings {
-		for _, l := range c {
-			if l == partition.Missing {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// bestClusteringFast evaluates D(C_i) = Σ_j w_j·d_V(C_j, C_i) with Mirkin
-// distances from contingency tables. The distance table is symmetric, so
-// only the m(m−1)/2 pairs i<j are computed — striped over worker
-// goroutines, each pair an independent integer — and the weighted
-// reduction then runs sequentially over j in index order for each i, with
-// ties broken toward the lower index: the same additions and comparisons
-// as a fully sequential run, so every worker count returns the same
-// (labels, index, disagreement).
-func (p *Problem) bestClusteringFast(workers int) (partition.Labels, int, float64) {
-	cs := p.labelViews()
-	m := len(cs)
-	np := m * (m - 1) / 2
-	dist := make([]int, m*m)
-	fillPair := func(i, j int) {
-		dij, err := partition.Distance(cs[i], cs[j])
-		if err != nil {
-			// Unreachable: lengths were validated at construction.
-			panic(err)
-		}
-		dist[i*m+j], dist[j*m+i] = dij, dij
-	}
-	workers = effectiveWorkers(workers)
-	if workers > np {
-		workers = np
-	}
-	if workers <= 1 {
-		for i := 0; i < m; i++ {
-			for j := i + 1; j < m; j++ {
-				fillPair(i, j)
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(stripe int) {
-				defer wg.Done()
-				obs.Do(obs.ProfLabels{Phase: "bestclustering", Worker: strconv.Itoa(stripe)}, func() {
-					pi := 0
-					for i := 0; i < m; i++ {
-						for j := i + 1; j < m; j++ {
-							if pi%workers == stripe {
-								fillPair(i, j)
-							}
-							pi++
-						}
-					}
-				})
-			}(w)
-		}
-		wg.Wait()
-	}
-
-	bestIdx, bestD := -1, 0.0
-	for i := 0; i < m; i++ {
-		var d float64
-		for j := 0; j < m; j++ {
-			if i == j {
-				continue
-			}
-			d += p.weight(j) * float64(dist[i*m+j])
-		}
-		if bestIdx == -1 || d < bestD {
-			bestIdx, bestD = i, d
-		}
-	}
-	return cs[bestIdx].Normalize(), bestIdx, bestD
 }

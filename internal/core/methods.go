@@ -198,7 +198,7 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 	var labels partition.Labels
 	switch method {
 	case MethodBest:
-		labels, _, _ = p.bestClustering(rec, opts.Workers)
+		labels, _, _ = p.bestClustering(rec)
 	case MethodBalls:
 		alpha := corrclust.DefaultBallsAlpha
 		if opts.BallsAlpha != nil {

@@ -430,7 +430,7 @@ func unpackColumn[W labelWord](lab []W, i, m int, dst partition.Labels) {
 }
 
 // unpackAll materializes every clustering — the compatibility escape hatch
-// behind Problem.Clusterings and the contingency-table BestClustering path.
+// behind Problem.Clusterings and small-subproblem matrix materialization.
 // It allocates m·n ints; packed problems only pay it on those paths.
 func (pc *PackedClusterings) unpackAll() []partition.Labels {
 	out := make([]partition.Labels, pc.m)
@@ -484,10 +484,10 @@ func (pc *PackedClusterings) kernelFrom(p *Problem, force int) *labelKernel {
 
 // NewProblemPacked builds an aggregation problem directly over a packed
 // label block: the kernel path (Sample, matrix-free Aggregate, Disagreement,
-// LowerBound) aliases the block's storage and never materializes []int
-// labels. Paths that need per-clustering []int views (matrix
-// materialization of small subproblems, the contingency-table
-// BestClustering, Clusterings()) unpack on demand. Distances, and therefore
+// LowerBound, BestClustering) aliases the block's storage and never
+// materializes []int labels. Paths that need per-clustering []int views
+// (matrix materialization of small subproblems, Clusterings()) unpack on
+// demand. Distances, and therefore
 // results, are identical to NewProblem over the unpacked labels —
 // TestPackedProblemEquivalence pins this bit for bit.
 func NewProblemPacked(pc *PackedClusterings, opts ProblemOptions) (*Problem, error) {

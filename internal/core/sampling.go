@@ -815,9 +815,10 @@ func (p *Problem) reclusterSingletons(labels partition.Labels, method Method, ag
 	}
 	if rec := aggOpts.Recorder; rec != nil && len(singles) <= reclusterCap {
 		// Post-recluster quality: the disagreement cost of the re-aggregated
-		// singleton subset on its own sub-problem. Instrumentation-only and
-		// capped at reclusterCap objects, so the O(|singles|²) scan never
-		// touches the near-linear main path.
+		// singleton subset on its own sub-problem. Instrumentation-only: an
+		// O(|singles|·m) contingency pass. The reclusterCap guard keeps the
+		// series to the materialized reclusters, whose points benchdiff
+		// compares against the committed reports.
 		rec.Series("sample.recluster.cost").Append(int64(len(singles)), sub.Disagreement(subLabels))
 	}
 

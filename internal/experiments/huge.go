@@ -26,7 +26,8 @@ import (
 //
 // Nothing in the sweep may touch an O(n²) path: quality is measured as the
 // Rand index against the planted truth (contingency-table based, O(n)),
-// never by Disagreement or LowerBound.
+// never by LowerBound, whose sweep is quadratic in the number of distinct
+// label rows.
 
 // DefaultHugeSizes is the "huge" artifact's object-count ladder — the
 // measured n-scaling table in docs/PERFORMANCE.md comes from exactly this
@@ -51,7 +52,7 @@ type HugePoint struct {
 	Reps   int
 	KFound int
 	// Rand is the Rand index against the planted truth — the O(n) quality
-	// proxy (Disagreement is O(n²) and must never run at these sizes).
+	// proxy.
 	Rand     float64
 	Duration time.Duration
 	// PerObject is the end-to-end time per object; flat values across the
@@ -91,7 +92,7 @@ type HugeCSVPoint struct {
 	Shards int
 	KFound int
 	// Rand is the Rand index against the planted truth from the class
-	// column (O(n); Disagreement is O(n²) and must never run here).
+	// column (O(n)).
 	Rand         float64
 	SeqDuration  time.Duration
 	PipeDuration time.Duration
