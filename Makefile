@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint race test-race check cover bench bench-all bench-short bench-mem bench-ingest bench-obs bench-huge benchdiff experiments experiments-full fuzz fuzz-localsearch fuzz-kernel fuzz-widths fuzz-ingest clean
+.PHONY: all build test vet lint race test-race check cover perfbench bench bench-all bench-short bench-mem bench-ingest bench-obs bench-huge benchdiff experiments experiments-full fuzz fuzz-localsearch fuzz-kernel fuzz-widths fuzz-ingest clean
 
 all: build test
 
@@ -31,11 +31,17 @@ test-race:
 	$(GO) test -race ./...
 
 # The full gate: compile, vet + gofmt, tests, the race detector, the obs
-# coverage floor, the allocation pins, one pass of the distance-kernel
-# benchmarks (a smoke test that they still run), the ingest benchmark suite,
-# the obs-overhead cost sheet, and the bench-report regression diff against
-# the committed baseline.
-check: build lint test test-race cover bench-mem bench-short bench-ingest bench-obs benchdiff
+# coverage floor, the benchmark module's vet + tests, the allocation pins,
+# one pass of the distance-kernel benchmarks (a smoke test that they still
+# run), the ingest benchmark suite, the obs-overhead cost sheet, and the
+# bench-report regression diff against the committed baseline.
+check: build lint test test-race cover perfbench bench-mem bench-short bench-ingest bench-obs benchdiff
+
+# perfbench/ is a Go module of its own, so `go build ./...` and
+# `go test ./...` at the root never compile it: vet and test it here, so an
+# internal API change cannot break the benchmark without failing the gate.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # Regression gate: regenerate the bench report and diff it against the
 # committed BENCH_experiments.json (counters exact, cost to float tolerance,
@@ -85,7 +91,7 @@ bench-mem:
 # The ingest suite: sequential vs chunked-parallel CSV reader throughput
 # (internal/dataset, full benchtime with -benchmem) plus one smoke pass of
 # the end-to-end CSV→labels facade benchmarks (the "ingest" artifact and
-# the pipelined AggregateCSV path). Part of `make check`.
+# the streamed AggregateCSV path). Part of `make check`.
 bench-ingest:
 	$(GO) test -run xxx -bench 'BenchmarkReadCSV$$|BenchmarkReadCSVParallel$$' -benchmem ./internal/dataset/
 	$(GO) test -run xxx -bench 'BenchmarkIngestThroughput$$|BenchmarkAggregateCSV$$' -benchtime 1x -benchmem .
@@ -99,10 +105,11 @@ bench-obs:
 	$(GO) test -run xxx -bench 'BenchmarkObsOverhead' -benchmem ./internal/obs/
 
 # The n=10M artifact, opt-in (never part of bench, bench-short, or check —
-# the top rung runs for tens of seconds and allocates gigabytes): one pass of
-# BenchmarkSampleHuge, then the experiments "huge" scaling ladder diffed
-# against the committed BENCH_huge.json baseline (counters and cluster counts
-# exact, Rand index toleranced, wall time ratio-budgeted).
+# the 200k → 10M ladder runs for tens of seconds and the top rung allocates
+# most of a gigabyte): one pass of BenchmarkSampleHuge, then the experiments
+# "huge" scaling ladder diffed against the committed BENCH_huge.json
+# baseline (counters and cluster counts exact, Rand index toleranced, wall
+# time ratio-budgeted).
 bench-huge:
 	$(GO) test -run xxx -bench 'BenchmarkSampleHuge$$' -benchtime 1x -benchmem ./internal/core/
 	@tmp=$$(mktemp /tmp/benchhuge.XXXXXX.json); \

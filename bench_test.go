@@ -14,7 +14,6 @@ import (
 	"testing"
 
 	"clusteragg"
-	"clusteragg/internal/core"
 	"clusteragg/internal/experiments"
 )
 
@@ -241,7 +240,7 @@ func BenchmarkMissingValueSweep(b *testing.B) {
 
 // BenchmarkIngestThroughput runs the "ingest" artifact: CSV bytes →
 // aggregate labels in the three ingest modes (sequential one-pass reader,
-// chunked parallel reader, pipelined with the sharded sampling tree), with
+// chunked parallel reader, streamed into the packed label block), with
 // the runner verifying the modes agree label for label. Metrics: per-mode
 // MB/s. On a single-core machine the parallel modes mostly measure
 // coordination overhead — see docs/PERFORMANCE.md's Ingest section.
@@ -258,25 +257,23 @@ func BenchmarkIngestThroughput(b *testing.B) {
 			mb := float64(res.Bytes) / (1 << 20)
 			b.ReportMetric(mb/res.Seq.Seconds(), "seq-MB/s")
 			b.ReportMetric(mb/res.Parallel.Seconds(), "parallel-MB/s")
-			b.ReportMetric(mb/res.Pipelined.Seconds(), "pipelined-MB/s")
+			b.ReportMetric(mb/res.Streamed.Seconds(), "streamed-MB/s")
 		}
 	}
 }
 
 // BenchmarkAggregateCSV measures the public facade end to end — CSV bytes
-// in, labels plus objective out — sequential vs pipelined ingest. The shard
-// target is shrunk so the pipeline genuinely engages at benchmark scale;
-// labels are identical across modes (pinned by
-// TestAggregateCSVPipelinedEquiv), so the delta is pure ingest and overlap.
+// in, labels plus objective out — sequential vs streamed ingest. Labels are
+// identical across modes (pinned by TestAggregateCSVPipelinedEquiv), so the
+// delta is pure ingest.
 func BenchmarkAggregateCSV(b *testing.B) {
-	defer core.SetShardTarget(2048)()
 	data := pipelineCSV(8000)
 	for _, bc := range []struct {
 		name    string
 		workers int
 	}{
 		{"sequential", 0},
-		{"pipelined", 8},
+		{"streamed", 8},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))

@@ -9,6 +9,7 @@ package clusteragg
 //	labels, _ := problem.Aggregate(clusteragg.MethodAgglomerative, clusteragg.AggregateOptions{})
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -142,26 +143,24 @@ type CSVOptions struct {
 	// Options tunes the aggregation.
 	Options AggregateOptions
 	// SampleSize, when positive, switches to the SAMPLING algorithm with
-	// this sample size.
+	// this sample size. Negative values are rejected (ErrNegativeOption).
 	SampleSize int
-	// Shards, when positive, switches to sharded hierarchical SAMPLING
-	// with this many shards (1 = classic single-level SAMPLING); see
-	// SamplingOptions.Shards. It implies SAMPLING even when SampleSize is
-	// zero (each level auto-sizes its sample).
-	Shards int
 	// SampleSeed seeds the SAMPLING randomness (0 = seed 1, matching
 	// SamplingOptions.Rand's default). Ignored outside SAMPLING.
 	SampleSeed int64
 	// IngestWorkers switches ingest to the parallel chunked CSV reader
 	// with this many concurrent chunk parsers (0 = the sequential one-pass
-	// reader, 1 = a single chunked parser). The parsed table is
-	// bit-identical at every setting. When SAMPLING is active, ingest is
-	// additionally pipelined with the sharded aggregation tree: row
-	// segments are handed to shard consumers as soon as they are parsed,
-	// so shard aggregation overlaps the parsing of later rows — still
-	// bit-identical to reading everything first.
+	// reader, 1 = a single chunked parser; negative values are rejected
+	// with ErrNegativeOption). The parsed table is bit-identical at every
+	// setting. When SAMPLING is active, the parsed rows additionally stream
+	// straight into the width-packed label block instead of a materialized
+	// table — still bit-identical to reading everything first.
 	IngestWorkers int
 }
+
+// ErrNegativeOption is returned, wrapped with the offending field, when a
+// CSVOptions count that must be non-negative is negative.
+var ErrNegativeOption = errors.New("clusteragg: negative option")
 
 // CSVResult is the outcome of AggregateCSV.
 type CSVResult struct {
@@ -186,9 +185,15 @@ type CSVResult struct {
 // aggregate is computed with the chosen method. Numeric columns are ignored;
 // "?" and empty cells are missing values.
 func AggregateCSV(r io.Reader, opts CSVOptions) (*CSVResult, error) {
-	sampling := opts.SampleSize > 0 || opts.Shards > 0
+	if opts.SampleSize < 0 {
+		return nil, fmt.Errorf("%w: SampleSize %d", ErrNegativeOption, opts.SampleSize)
+	}
+	if opts.IngestWorkers < 0 {
+		return nil, fmt.Errorf("%w: IngestWorkers %d", ErrNegativeOption, opts.IngestWorkers)
+	}
+	sampling := opts.SampleSize > 0
 	if opts.IngestWorkers > 0 && sampling {
-		return aggregateCSVPipelined(r, opts)
+		return aggregateCSVStreamed(r, opts)
 	}
 	dopts := dataset.CSVOptions{
 		HasHeader:   opts.HasHeader,
@@ -236,7 +241,6 @@ func AggregateCSV(r io.Reader, opts CSVOptions) (*CSVResult, error) {
 	if sampling {
 		labels, err = problem.Sample(opts.Method, opts.Options, core.SamplingOptions{
 			SampleSize: opts.SampleSize,
-			Shards:     opts.Shards,
 			Rand:       sampleRand(opts.SampleSeed),
 		})
 	} else {
@@ -269,34 +273,25 @@ func sampleRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// csvFeedSink bridges the chunked CSV reader's row stream into a SampleFeed:
-// Schema sizes the feed off the settled categorical columns, Rows pushes
-// each merged batch (the raw per-column value ids — first-occurrence
-// interning makes them identical to Column.Clustering()'s normalized
-// labels) and accumulates the class column. It also keeps the
-// ingest-throughput series fed.
+// csvFeedSink packs the chunked CSV reader's row stream straight into a
+// row-mode PackedBuilder: Schema sizes the builder off the settled
+// categorical columns, Rows appends each merged batch (the raw per-column
+// value ids — first-occurrence interning makes them identical to
+// Column.Clustering()'s normalized labels) and accumulates the class
+// column. It also keeps the ingest-throughput series fed.
 type csvFeedSink struct {
-	method  Method
-	aggOpts AggregateOptions
-	sOpts   core.SamplingOptions
-
-	feed  *core.SampleFeed
+	b     *core.PackedBuilder
 	class Labels
 
-	ingest *obs.Span // lane under the pipeline span; ingest overlaps compute
-	tp     *obs.Series
-	start  time.Time
+	tp    *obs.Series
+	start time.Time
 }
 
 func (s *csvFeedSink) Schema(cats []string, hasClass bool) error {
 	if len(cats) == 0 {
 		return fmt.Errorf("clusteragg: dataset: table %q has no categorical columns", "")
 	}
-	f, err := core.NewSampleFeed(len(cats), core.ProblemOptions{}, s.method, s.aggOpts, s.sOpts)
-	if err != nil {
-		return err
-	}
-	s.feed = f
+	s.b = core.NewPackedBuilder(len(cats))
 	return nil
 }
 
@@ -304,7 +299,7 @@ func (s *csvFeedSink) Rows(lo, hi int, cats [][]int, class []int) error {
 	if class != nil {
 		s.class = append(s.class, class...)
 	}
-	if err := s.feed.PushRows(cats); err != nil {
+	if err := s.b.AppendRows(cats); err != nil {
 		return err
 	}
 	// Cumulative ingest rate (rows/s) stepped by the row high-water mark.
@@ -315,46 +310,45 @@ func (s *csvFeedSink) Rows(lo, hi int, cats [][]int, class []int) error {
 	return nil
 }
 
-// aggregateCSVPipelined is the SAMPLING ingest/compute pipeline: the
-// parallel chunked reader streams merged rows into a SampleFeed, which
-// seals fixed-size row segments and aggregates them as shards while later
-// chunks are still being parsed. Labels are bit-identical to the
-// read-everything-first path at every IngestWorkers / Workers / Shards
-// setting; the span tree gains a pipeline span whose ingest lane overlaps
-// the sample span's shard lanes (visible in Chrome traces).
-func aggregateCSVPipelined(r io.Reader, opts CSVOptions) (*CSVResult, error) {
+// aggregateCSVStreamed is the SAMPLING path under parallel ingest: the
+// chunked reader streams merged rows into the packed label block, so no
+// Table and no per-attribute []int clusterings ever materialize, then the
+// packed problem is sampled. Labels are bit-identical to the
+// read-everything-first path at every IngestWorkers / Workers setting; the
+// span tree gains a pipeline span holding the ingest lane, the sample span,
+// and the objective evaluation.
+func aggregateCSVStreamed(r io.Reader, opts CSVOptions) (*CSVResult, error) {
 	rec := opts.Options.Recorder
 	pipe := rec.Start("pipeline")
-	sink := &csvFeedSink{
-		method:  opts.Method,
-		aggOpts: opts.Options,
-		sOpts: core.SamplingOptions{
-			SampleSize: opts.SampleSize,
-			Shards:     opts.Shards,
-			Rand:       sampleRand(opts.SampleSeed),
-		},
-		ingest: pipe.StartChild("ingest"),
-		tp:     rec.Series("ingest.throughput"),
-		start:  time.Now(),
-	}
+	defer pipe.End()
+	sink := &csvFeedSink{tp: rec.Series("ingest.throughput"), start: time.Now()}
+	ingest := pipe.StartChild("ingest")
 	st, err := dataset.ReadCSVStream(r, dataset.CSVOptions{
 		HasHeader:   opts.HasHeader,
 		ClassColumn: opts.ClassColumn,
 		Workers:     opts.IngestWorkers,
 	}, sink)
-	sink.ingest.End()
+	ingest.End()
 	if err != nil {
-		pipe.End()
 		return nil, err
 	}
 	rec.Add("ingest.rows", int64(st.Rows))
 	rec.Add("ingest.bytes", st.Bytes)
-	labels, err := sink.feed.Finish()
-	pipe.End()
+	pc, err := sink.b.Build()
 	if err != nil {
 		return nil, err
 	}
-	problem := sink.feed.Problem()
+	problem, err := core.NewProblemPacked(pc, core.ProblemOptions{})
+	if err != nil {
+		return nil, err
+	}
+	labels, err := problem.Sample(opts.Method, opts.Options, core.SamplingOptions{
+		SampleSize: opts.SampleSize,
+		Rand:       sampleRand(opts.SampleSeed),
+	})
+	if err != nil {
+		return nil, err
+	}
 	res := &CSVResult{
 		Labels:       labels,
 		Disagreement: problem.Disagreement(labels),

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"clusteragg/internal/core"
 	"clusteragg/internal/obs"
 )
 
@@ -26,11 +25,10 @@ func ingestCSV(rows int) string {
 }
 
 // TestRunPipelinedIngestEquiv: -ingest-workers must not change any
-// deterministic report field — result shape, costs, or the sharding and
-// ingest counters — whether ingest is sequential, chunked, or pipelined
-// with shard aggregation.
+// deterministic report field — result shape, costs, or the sampling and
+// ingest counters — whether ingest is sequential or streamed into the
+// packed label block.
 func TestRunPipelinedIngestEquiv(t *testing.T) {
-	defer core.SetShardTarget(64)()
 	csv := ingestCSV(300)
 	path := writeCSV(t, csv)
 	report := func(ingest int) obs.RunReport {
@@ -58,8 +56,8 @@ func TestRunPipelinedIngestEquiv(t *testing.T) {
 		t.Fatalf("sequential ingest counters = %d rows / %d bytes, want 300 / %d",
 			want.Counters["ingest.rows"], want.Counters["ingest.bytes"], len(csv))
 	}
-	if want.Counters["sample.shards"] != 5 { // ceil(300/64)
-		t.Fatalf("sample.shards = %d, want 5", want.Counters["sample.shards"])
+	if want.Counters["sample.size"] != 25 {
+		t.Fatalf("sample.size = %d, want 25", want.Counters["sample.size"])
 	}
 	for _, workers := range []int{1, 2} {
 		got := report(workers)
@@ -69,7 +67,7 @@ func TestRunPipelinedIngestEquiv(t *testing.T) {
 				workers, got.N, got.M, got.Clusters, got.Cost, got.LowerBound,
 				want.N, want.M, want.Clusters, want.Cost, want.LowerBound)
 		}
-		for _, name := range []string{"ingest.rows", "ingest.bytes", "sample.shards", "sample.shard.reps", "sample.assigned"} {
+		for _, name := range []string{"ingest.rows", "ingest.bytes", "sample.size", "sample.assigned", "sample.fresh_singletons"} {
 			if got.Counters[name] != want.Counters[name] {
 				t.Errorf("ingest-workers=%d: counter %s = %d, want %d", workers, name, got.Counters[name], want.Counters[name])
 			}
@@ -81,7 +79,6 @@ func TestRunPipelinedIngestEquiv(t *testing.T) {
 // table, so it must take the drain-then-compute path even with
 // -ingest-workers set — and still work.
 func TestRunPipelinedDescribeFallsBack(t *testing.T) {
-	defer core.SetShardTarget(64)()
 	path := writeCSV(t, ingestCSV(150))
 	cfg := base()
 	cfg.header = true

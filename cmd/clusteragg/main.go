@@ -26,19 +26,17 @@
 //	-refine        post-process with LOCALSEARCH
 //	-header        treat the first CSV record as column names
 //	-class NAME    column holding class labels (reported, not clustered on)
-//	-sample N      use SAMPLING with a sample of N rows (0 = exact)
-//	-shards N      shard the objects and aggregate hierarchically (implies
-//	               SAMPLING; -1 = auto-size by n, 0 = off, N = explicit
-//	               shard count — see SamplingOptions.Shards)
+//	-sample N      use SAMPLING with a sample of N rows (0 = exact;
+//	               negative is an error)
 //	-seed N        random seed for sampling (default 1)
 //	-workers N     cap worker goroutines for the parallel stages
 //	               (0 = GOMAXPROCS, 1 = sequential; results are identical
 //	               for every value)
 //	-ingest-workers N
 //	               parse the CSV with N concurrent chunk parsers
-//	               (0 = sequential reader); with -sample/-shards, ingest is
-//	               additionally pipelined with shard aggregation — results
-//	               are identical for every value
+//	               (0 = sequential reader; negative is an error); with
+//	               -sample, parsed rows stream straight into the packed
+//	               label block — results are identical for every value
 //	-summary       print cluster sizes instead of per-row assignments
 //	-describe      print each cluster's dominant attribute values
 //	-trace         print a span tree and algorithm counters on stderr
@@ -90,7 +88,6 @@ type cliConfig struct {
 	header        bool
 	class         string
 	sample        int
-	shards        int
 	seed          int64
 	workers       int
 	ingestWorkers int
@@ -133,10 +130,9 @@ func main() {
 	flag.BoolVar(&cfg.header, "header", false, "first CSV record is a header")
 	flag.StringVar(&cfg.class, "class", "", "class column name (requires -header)")
 	flag.IntVar(&cfg.sample, "sample", 0, "SAMPLING sample size (0 = exact algorithm)")
-	flag.IntVar(&cfg.shards, "shards", 0, "sharded hierarchical SAMPLING: shard count (-1 = auto-size by n, 0 = off)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for sampling and randomized methods")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for parallel stages (0 = GOMAXPROCS, 1 = sequential)")
-	flag.IntVar(&cfg.ingestWorkers, "ingest-workers", 0, "concurrent CSV chunk parsers (0 = sequential reader); with -sample/-shards, pipelines ingest with shard aggregation")
+	flag.IntVar(&cfg.ingestWorkers, "ingest-workers", 0, "concurrent CSV chunk parsers (0 = sequential reader); with -sample, streams rows straight into the packed label block")
 	flag.BoolVar(&cfg.summary, "summary", false, "print cluster sizes instead of assignments")
 	flag.BoolVar(&cfg.describe, "describe", false, "print each cluster's dominant attribute values")
 	flag.BoolVar(&cfg.trace, "trace", false, "print a span tree and algorithm counters on stderr")
@@ -160,6 +156,12 @@ func main() {
 }
 
 func run(path string, cfg cliConfig) error {
+	if cfg.sample < 0 {
+		return fmt.Errorf("-sample %d: %w", cfg.sample, clusteragg.ErrNegativeOption)
+	}
+	if cfg.ingestWorkers < 0 {
+		return fmt.Errorf("-ingest-workers %d: %w", cfg.ingestWorkers, clusteragg.ErrNegativeOption)
+	}
 	if cfg.cpuprofile != "" {
 		f, err := os.Create(cfg.cpuprofile)
 		if err != nil {
@@ -270,30 +272,23 @@ func run(path string, cfg cliConfig) error {
 		Recorder:   rec,
 		Progress:   progress,
 	}
-	shards := cfg.shards
-	if shards < 0 {
-		shards = 0 // -shards -1: auto-size by n
-	}
-
 	methodName := cfg.method
 	var labels, classLabels partition.Labels
 	var tab *dataset.Table
 	var n, mAttrs int
 	var disagreement, lowerBound float64
-	sampling := cfg.sample > 0 || cfg.shards != 0
+	sampling := cfg.sample > 0
 	rec.Event("run.start", "method", cfg.method, "sampling", sampling, "workers", cfg.workers)
 	if cfg.ingestWorkers > 0 && sampling && !cfg.describe {
-		// Pipelined ingest: the chunked parallel reader streams rows
-		// straight into the sharded sampling tree, so shard aggregation
-		// overlaps the parsing of later chunks. -describe is excluded — it
-		// needs the materialized table.
+		// Streamed ingest: the chunked parallel reader packs rows straight
+		// into the label block, so no table materializes. -describe is
+		// excluded — it needs the table.
 		res, err := clusteragg.AggregateCSV(in, clusteragg.CSVOptions{
 			HasHeader:     cfg.header,
 			ClassColumn:   cfg.class,
 			Method:        method,
 			Options:       opts,
 			SampleSize:    cfg.sample,
-			Shards:        shards,
 			SampleSeed:    cfg.seed,
 			IngestWorkers: cfg.ingestWorkers,
 		})
@@ -332,7 +327,6 @@ func run(path string, cfg cliConfig) error {
 		case sampling:
 			labels, err = problem.Sample(method, opts, core.SamplingOptions{
 				SampleSize: cfg.sample,
-				Shards:     shards,
 				Rand:       rand.New(rand.NewSource(cfg.seed)),
 			})
 		case bestOf:

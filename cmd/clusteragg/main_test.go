@@ -1,10 +1,12 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"clusteragg"
 	"clusteragg/internal/core"
 )
 
@@ -89,33 +91,6 @@ func TestRunWithSampling(t *testing.T) {
 	}
 }
 
-func TestRunWithShards(t *testing.T) {
-	rows := "a,b\n"
-	for i := 0; i < 80; i++ {
-		if i%2 == 0 {
-			rows += "x,p\n"
-		} else {
-			rows += "y,q\n"
-		}
-	}
-	path := writeCSV(t, rows)
-	// Explicit shard count implies SAMPLING even without -sample.
-	cfg := base()
-	cfg.method = "furthest"
-	cfg.header = true
-	cfg.shards = 3
-	cfg.summary = true
-	if err := run(path, cfg); err != nil {
-		t.Fatal(err)
-	}
-	// -shards -1 auto-sizes (single-level at this n) and combines with -sample.
-	cfg.shards = -1
-	cfg.sample = 20
-	if err := run(path, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestRunDescribe(t *testing.T) {
 	path := writeCSV(t, "a,b\nx,p\nx,p\ny,q\ny,q\n")
 	cfg := base()
@@ -154,6 +129,20 @@ func TestRunErrors(t *testing.T) {
 	ncfg.header = true
 	if err := run(numeric, ncfg); err == nil {
 		t.Error("numeric-only table accepted")
+	}
+	// Negative counts are usage errors, not silent fallbacks to the exact
+	// algorithm or the sequential reader.
+	for _, mod := range []func(*cliConfig){
+		func(c *cliConfig) { c.sample = -5 },
+		func(c *cliConfig) { c.ingestWorkers = -3 },
+		func(c *cliConfig) { c.sample = 10; c.ingestWorkers = -3 },
+	} {
+		ncfg := base()
+		mod(&ncfg)
+		if err := run(path, ncfg); !errors.Is(err, clusteragg.ErrNegativeOption) {
+			t.Errorf("sample %d / ingest-workers %d: error %v, want ErrNegativeOption",
+				ncfg.sample, ncfg.ingestWorkers, err)
+		}
 	}
 }
 

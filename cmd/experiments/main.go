@@ -11,10 +11,11 @@
 // together; the "ensembles" (related-work consensus methods) and "missing"
 // (missing-value robustness) artifacts extend the paper's own evaluation —
 // see EXPERIMENTS.md. The "ingest" artifact measures CSV → labels end to
-// end in three ingest modes (sequential, chunked parallel, pipelined with
-// the sharded sampling tree) and verifies they produce identical labels.
-// The "huge" artifact is the sharded-SAMPLING scaling ladder (200k → 1M →
-// 10M synthetic objects) plus a 1M-row CSV-on-disk end-to-end rung; it is
+// end in three ingest modes (sequential, chunked parallel, and streamed
+// straight into the packed label block) and verifies they produce
+// identical labels. The "huge" artifact is the SAMPLING scaling ladder
+// (200k → 1M → 2M → 5M → 10M synthetic objects) plus a 1M-row
+// CSV-on-disk end-to-end rung; it is
 // deliberately NOT part of "all" — run it explicitly or via
 // `make bench-huge`, and diff its report against BENCH_huge.json.
 //
@@ -23,8 +24,6 @@
 //	-seed N        random seed (default 1)
 //	-workers N     cap worker goroutines for the parallel stages
 //	               (0 = GOMAXPROCS, 1 = sequential; results are identical)
-//	-shards N      sharded hierarchical SAMPLING for the sampling-based
-//	               artifacts (0 = auto-size by n, 1 = force single-level)
 //	-full          run the paper's original sizes (slower)
 //	-mushrooms N   override the Mushrooms subsample size
 //	-census N      override the Census size
@@ -66,7 +65,6 @@ func main() {
 		mushrooms = flag.Int("mushrooms", 0, "Mushrooms subsample size (0 = default)")
 		census    = flag.Int("census", 0, "Census size (0 = default)")
 		workers   = flag.Int("workers", 0, "worker goroutines for parallel stages (0 = GOMAXPROCS, 1 = sequential)")
-		shards    = flag.Int("shards", 0, "shard count for sharded hierarchical SAMPLING (0 = auto-size by n, 1 = single-level)")
 		plot      = flag.Bool("plot", false, "render ASCII scatter plots for fig3/fig4")
 		asJSON    = flag.Bool("json", false, "emit results as JSON instead of text tables")
 		report    = flag.String("report", "", "write a JSON bench report to this file (\"-\" = stdout)")
@@ -91,7 +89,6 @@ func main() {
 		MushroomsRows: *mushrooms,
 		CensusRows:    *census,
 		Workers:       *workers,
-		Shards:        *shards,
 	}
 	if *logFormat != "" && *logFormat != "text" && *logFormat != "json" {
 		fmt.Fprintf(os.Stderr, "experiments: -log: unknown format %q (want text or json)\n", *logFormat)
@@ -129,8 +126,8 @@ func main() {
 	if rep.enabled {
 		bench := obs.BenchReport{
 			SchemaVersion: obs.ReportSchemaVersion,
-			Config: fmt.Sprintf("seed=%d full=%v mushrooms=%d census=%d workers=%d shards=%d",
-				*seed, *full, *mushrooms, *census, *workers, *shards),
+			Config: fmt.Sprintf("seed=%d full=%v mushrooms=%d census=%d workers=%d",
+				*seed, *full, *mushrooms, *census, *workers),
 			Artifacts: rep.reports,
 		}
 		if err := obs.WriteJSON(*report, bench); err != nil {
@@ -187,7 +184,7 @@ func (r *reporter) begin(artifact string, cfg experiments.Config) (experiments.C
 		rec.Events().Attach(h)
 	}
 	rec.Event("artifact.start", "artifact", artifact,
-		"workers", cfg.Workers, "shards", cfg.Shards, "seed", cfg.Seed)
+		"workers", cfg.Workers, "seed", cfg.Seed)
 	// Per-artifact allocation telemetry: TotalAlloc/Mallocs deltas plus a
 	// background-sampled peak heap, reported in the alloc section and
 	// ratio-gated by benchdiff. The runtime sampler rides the same stop
@@ -444,19 +441,18 @@ func runArtifact(artifact string, cfg experiments.Config, plot, asJSON bool, rep
 		// Deterministic rows are gated (counts exact, rand_index toleranced);
 		// everything timing-bearing carries a benchdiff-ignored suffix.
 		m := map[string]float64{
-			"rows":              float64(res.Rows),
-			"bytes":             float64(res.Bytes),
-			"attrs":             float64(res.Attrs),
-			"shards":            float64(res.Shards),
-			"clusters":          float64(res.Clusters),
-			"rand_index":        res.Rand,
-			"seq_seconds":       res.Seq.Seconds(),
-			"parallel_seconds":  res.Parallel.Seconds(),
-			"pipelined_seconds": res.Pipelined.Seconds(),
+			"rows":             float64(res.Rows),
+			"bytes":            float64(res.Bytes),
+			"attrs":            float64(res.Attrs),
+			"clusters":         float64(res.Clusters),
+			"rand_index":       res.Rand,
+			"seq_seconds":      res.Seq.Seconds(),
+			"parallel_seconds": res.Parallel.Seconds(),
+			"streamed_seconds": res.Streamed.Seconds(),
 		}
-		if res.Pipelined > 0 {
-			m["pipeline_time_ratio"] = res.Seq.Seconds() / res.Pipelined.Seconds()
-			m["ingest_throughput"] = float64(res.Rows) / res.Pipelined.Seconds()
+		if res.Streamed > 0 {
+			m["stream_time_ratio"] = res.Seq.Seconds() / res.Streamed.Seconds()
+			m["ingest_throughput"] = float64(res.Rows) / res.Streamed.Seconds()
 		}
 		done(m)
 		if err := emit(res); err != nil {
@@ -472,8 +468,6 @@ func runArtifact(artifact string, cfg experiments.Config, plot, asJSON bool, rep
 		for _, p := range res.Points {
 			prefix := fmt.Sprintf("n%d:", p.N)
 			m[prefix+"seconds"] = p.Duration.Seconds()
-			m[prefix+"shards"] = float64(p.Shards)
-			m[prefix+"reps"] = float64(p.Reps)
 			m[prefix+"clusters"] = float64(p.KFound)
 			m[prefix+"rand_index"] = p.Rand
 			// Ratio-gated by benchdiff (the *alloc_bytes suffix), not
@@ -491,13 +485,12 @@ func runArtifact(artifact string, cfg experiments.Config, plot, asJSON bool, rep
 		if c := res.CSV; c != nil {
 			m["csv:rows"] = float64(c.N)
 			m["csv:bytes"] = float64(c.Bytes)
-			m["csv:shards"] = float64(c.Shards)
 			m["csv:clusters"] = float64(c.KFound)
 			m["csv:rand_index"] = c.Rand
 			m["csv:seq_seconds"] = c.SeqDuration.Seconds()
-			m["csv:pipelined_seconds"] = c.PipeDuration.Seconds()
-			if c.PipeDuration > 0 {
-				m["csv:pipeline_time_ratio"] = c.SeqDuration.Seconds() / c.PipeDuration.Seconds()
+			m["csv:streamed_seconds"] = c.StreamDuration.Seconds()
+			if c.StreamDuration > 0 {
+				m["csv:stream_time_ratio"] = c.SeqDuration.Seconds() / c.StreamDuration.Seconds()
 			}
 			// Ratio-gated by benchdiff like the in-memory rungs.
 			m["csv:alloc_bytes"] = float64(c.AllocBytes)

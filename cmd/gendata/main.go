@@ -25,7 +25,7 @@
 // at their sizes but not at millions of rows. It emits -attrs noisy copies
 // of a planted -k-group clustering (the same recipe as the core package's
 // scaling benchmarks) plus the planted group as the class column, ready
-// for `clusteragg -header -class class -shards -1`.
+// for `clusteragg -header -class class -sample 500`.
 //
 // The consuming side is symmetric: clusteragg streams the CSV through
 // dataset.ReadCSV's interning reader and packs each attribute straight

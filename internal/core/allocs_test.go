@@ -98,9 +98,4 @@ func TestPackedUnpackAllocs(t *testing.T) {
 	pinAllocs(t, "unpackInto", 0, func() {
 		pc.unpackInto(100, dst)
 	})
-	// A view allocates exactly its header — never a label copy, whose
-	// count would scale with the range.
-	pinAllocs(t, "view", 1, func() {
-		_ = pc.view(64, 192)
-	})
 }

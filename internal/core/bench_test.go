@@ -222,17 +222,16 @@ func BenchmarkSampleLarge(b *testing.B) {
 	}
 }
 
-// BenchmarkSampleHuge is the opt-in n=10M run behind `make bench-huge`: the
-// sharded hierarchical pipeline (auto-sized to ten 2^20-object shards) over
-// uint8-packed labels, ingested through the packed column builder so the
-// only label storage alive during the run is the 60 MB uint8 arena — []int
-// inputs never materialize. It is deliberately excluded from the
-// bench/bench-short regexes — one iteration runs for tens of seconds — and
-// exists so the top of the scaling ladder has a `go test -bench`-shaped
-// entry point next to the experiments "huge" artifact. The workers sweep
-// pins that the parallel shard pool neither changes labels (the pipeline is
-// worker-count-deterministic) nor multiplies allocations (scratch comes
-// from the shared pool, shard subproblems are zero-copy views).
+// BenchmarkSampleHuge is the opt-in n=10M run behind `make bench-huge`:
+// single-level SAMPLING over uint8-packed labels, ingested through the
+// packed column builder so the only label storage alive during the run is
+// the 60 MB uint8 arena — []int inputs never materialize. It is
+// deliberately excluded from the bench/bench-short regexes — one iteration
+// runs for seconds and allocates most of a gigabyte — and exists so the top
+// of the scaling ladder has a `go test -bench`-shaped entry point next to
+// the experiments "huge" artifact. The workers sweep pins that the striped
+// assignment neither changes labels nor multiplies allocations (scratch
+// comes from the shared pool).
 func BenchmarkSampleHuge(b *testing.B) {
 	p := benchProblemPacked(b, 10_000_000, 6, 32)
 	for _, workers := range []int{1, 0} {

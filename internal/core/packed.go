@@ -14,14 +14,11 @@ import (
 // ≤255 labels, that is 6 bytes per object instead of 48, and the kernel
 // build becomes a zero-copy alias instead of an O(n·m) repack.
 //
-// Contiguous object ranges of a packed block alias as sub-views (view):
-// the sharded SAMPLING tree cuts its per-shard subproblems out of the
-// parent without copying a single label. Arbitrary index subsets (gather)
-// copy rows into one fresh arena at the parent's width. Views share the
-// parent's per-clustering label bounds — a looser bound only adds all-zero
-// co-label histogram rows, which change no float arithmetic (see
-// buildColabelHistW), so view kernels stay bit-identical to kernels built
-// from a tight rescan.
+// SAMPLING's subproblems (gather) copy the selected rows into one fresh
+// arena at the parent's width. They share the parent's per-clustering
+// label bounds — a looser bound only adds all-zero co-label histogram rows,
+// which change no float arithmetic (see buildColabelHistW), so gathered
+// kernels stay bit-identical to kernels built from a tight rescan.
 
 // PackedClusterings is m input clusterings over n objects in the label
 // kernel's storage format: object v's labels live at lab[v*m : v*m+m] at
@@ -74,7 +71,7 @@ type PackedBuilder struct {
 }
 
 // NewPackedBuilder returns a row-streaming builder for m clusterings: call
-// AppendRow once per object, then Build.
+// AppendRow once per object (or AppendRows once per batch), then Build.
 func NewPackedBuilder(m int) *PackedBuilder {
 	if m < 1 {
 		panic("core: PackedBuilder needs at least one clustering")
@@ -142,6 +139,31 @@ func (b *PackedBuilder) AppendRow(row []int) error {
 	b.hasMiss = append(b.hasMiss, miss)
 	b.anyMiss = b.anyMiss || miss
 	b.n++
+	return nil
+}
+
+// AppendRows appends a batch of objects delivered column-major — cols[i][r]
+// is object r's label in clustering i, the batch shape a streaming CSV sink
+// receives — one AppendRow per object, so any batching of the same rows
+// builds the same block.
+func (b *PackedBuilder) AppendRows(cols [][]int) error {
+	if len(cols) != b.m {
+		return fmt.Errorf("core: batch has %d clusterings, want %d", len(cols), b.m)
+	}
+	for i, col := range cols {
+		if len(col) != len(cols[0]) {
+			return fmt.Errorf("core: ragged batch: clustering %d has %d rows, want %d", i, len(col), len(cols[0]))
+		}
+	}
+	row := make([]int, b.m)
+	for r := range cols[0] {
+		for i, col := range cols {
+			row[i] = col[r]
+		}
+		if err := b.AppendRow(row); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 
@@ -267,106 +289,6 @@ func widenWords[S, D labelWord](src []S) []D {
 		}
 	}
 	return dst
-}
-
-// appendWidened appends src to dst re-encoded at dst's (wider) width, the
-// source sentinel mapped to the destination's.
-func appendWidened[S, D labelWord](dst []D, src []S) []D {
-	sm, dm := missingWord[S](), missingWord[D]()
-	for _, v := range src {
-		if v == sm {
-			dst = append(dst, dm)
-		} else {
-			dst = append(dst, D(v))
-		}
-	}
-	return dst
-}
-
-// stitchPacked concatenates sealed row segments into one contiguous block
-// at the widest segment width. The result is bit-identical — label words,
-// per-clustering bounds, missing flags — to the block a single row-mode
-// builder over the same rows would produce: widths and bounds are maxima
-// over segments of per-segment maxima, and widening maps sentinel to
-// sentinel exactly like the builder's in-place widen.
-func stitchPacked(segs []*PackedClusterings, m int) *PackedClusterings {
-	n, width := 0, width8
-	for _, s := range segs {
-		n += s.n
-		if s.width > width {
-			width = s.width
-		}
-	}
-	out := &PackedClusterings{
-		n: n, m: m, width: width,
-		maxLab:  make([]int32, m),
-		hasMiss: make([]bool, 0, n),
-	}
-	switch width {
-	case width8:
-		out.lab8 = make([]uint8, 0, n*m)
-	case width16:
-		out.lab16 = make([]uint16, 0, n*m)
-	default:
-		out.lab32 = make([]int32, 0, n*m)
-	}
-	for _, s := range segs {
-		for ci, b := range s.maxLab {
-			if b > out.maxLab[ci] {
-				out.maxLab[ci] = b
-			}
-		}
-		out.hasMiss = append(out.hasMiss, s.hasMiss...)
-		out.anyMiss = out.anyMiss || s.anyMiss
-		switch width {
-		case width8:
-			out.lab8 = append(out.lab8, s.lab8...)
-		case width16:
-			if s.width == width8 {
-				out.lab16 = appendWidened[uint8, uint16](out.lab16, s.lab8)
-			} else {
-				out.lab16 = append(out.lab16, s.lab16...)
-			}
-		default:
-			switch s.width {
-			case width8:
-				out.lab32 = appendWidened[uint8, int32](out.lab32, s.lab8)
-			case width16:
-				out.lab32 = appendWidened[uint16, int32](out.lab32, s.lab16)
-			default:
-				out.lab32 = append(out.lab32, s.lab32...)
-			}
-		}
-	}
-	return out
-}
-
-// view aliases the contiguous object range [lo, hi): the label rows,
-// missing flags, and label bounds are shared with the parent — no copies.
-// anyMiss is recomputed over the range so the MissingAverage row-route
-// decision matches a freshly-scanned kernel exactly.
-func (pc *PackedClusterings) view(lo, hi int) *PackedClusterings {
-	m := pc.m
-	v := &PackedClusterings{
-		n: hi - lo, m: m, width: pc.width,
-		maxLab:  pc.maxLab,
-		hasMiss: pc.hasMiss[lo:hi],
-	}
-	switch pc.width {
-	case width8:
-		v.lab8 = pc.lab8[lo*m : hi*m]
-	case width16:
-		v.lab16 = pc.lab16[lo*m : hi*m]
-	default:
-		v.lab32 = pc.lab32[lo*m : hi*m]
-	}
-	for _, hm := range v.hasMiss {
-		if hm {
-			v.anyMiss = true
-			break
-		}
-	}
-	return v
 }
 
 // gather copies the given object rows into one fresh arena at the parent's

@@ -9,7 +9,8 @@ import (
 )
 
 // packedTwin builds a packed Problem over the same labels as p, via the
-// requested builder mode, sharing p's options.
+// requested builder mode, sharing p's options. Row mode streams the objects
+// in uneven column-major batches (AppendRows), the shape a CSV sink sees.
 func packedTwin(t testing.TB, p *Problem, colMode bool) *Problem {
 	t.Helper()
 	opts := ProblemOptions{
@@ -28,12 +29,12 @@ func packedTwin(t testing.TB, p *Problem, colMode bool) *Problem {
 		}
 	} else {
 		b = NewPackedBuilder(m)
-		row := make([]int, m)
-		for v := 0; v < n; v++ {
+		batch := make([][]int, m)
+		for lo := 0; lo < n; lo += 37 {
 			for i, c := range p.clusterings {
-				row[i] = c[v]
+				batch[i] = c[lo:min(lo+37, n)]
 			}
-			if err := b.AppendRow(row); err != nil {
+			if err := b.AppendRows(batch); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -51,9 +52,8 @@ func packedTwin(t testing.TB, p *Problem, colMode bool) *Problem {
 
 // TestPackedProblemEquivalence: a packed problem must be observationally
 // identical to the unpacked one over the same labels — bit-identical
-// distances, objective values, aggregation results, and sampled labels
-// (single-level and sharded), via both builder modes, across missing modes
-// and weights.
+// distances, objective values, aggregation results, and sampled labels,
+// via both builder modes, across missing modes and weights.
 func TestPackedProblemEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(443))
 	for trial := 0; trial < 8; trial++ {
@@ -114,24 +114,21 @@ func TestPackedProblemEquivalence(t *testing.T) {
 					t.Fatalf("trial %d: BestClustering labels diverge at %d", trial, i)
 				}
 			}
-			for _, shards := range []int{1, 3} {
-				got, err := pp.Sample(MethodFurthest, AggregateOptions{}, SamplingOptions{
-					SampleSize: 40, Shards: shards, Rand: rand.New(rand.NewSource(int64(trial))),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				want, err := p.Sample(MethodFurthest, AggregateOptions{}, SamplingOptions{
-					SampleSize: 40, Shards: shards, Rand: rand.New(rand.NewSource(int64(trial))),
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Fatalf("trial %d: packed Sample(shards=%d) diverges at object %d (colMode=%v)",
-							trial, shards, i, colMode)
-					}
+			got, err := pp.Sample(MethodFurthest, AggregateOptions{}, SamplingOptions{
+				SampleSize: 40, Rand: rand.New(rand.NewSource(int64(trial))),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := p.Sample(MethodFurthest, AggregateOptions{}, SamplingOptions{
+				SampleSize: 40, Rand: rand.New(rand.NewSource(int64(trial))),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d: packed Sample diverges at object %d (colMode=%v)", trial, i, colMode)
 				}
 			}
 		}
@@ -222,6 +219,13 @@ func TestPackedBuilderValidation(t *testing.T) {
 	if err := NewPackedBuilder(1).AppendRow([]int{-2}); err == nil {
 		t.Error("invalid label accepted in row mode")
 	}
+	if err := NewPackedBuilder(2).AppendRows([][]int{{0}}); err == nil {
+		t.Error("batch with too few clusterings accepted")
+	}
+	if err := NewPackedBuilder(2).AppendRows([][]int{{0, 1}, {0}}); err == nil ||
+		!strings.Contains(err.Error(), "ragged") {
+		t.Errorf("ragged batch: %v", err)
+	}
 	if err := NewPackedBuilder(1).AppendColumn([]int{0}); err == nil ||
 		!strings.Contains(err.Error(), "row-mode") {
 		t.Errorf("AppendColumn on a row builder: %v", err)
@@ -278,69 +282,6 @@ func (b *PackedBuilder) buildWith(t testing.TB, col []int) (*PackedClusterings, 
 	return b.Build()
 }
 
-// TestSubProblemRangeAliases pins the zero-copy shard-view satellite: a
-// contiguous range subproblem must alias the parent's storage — label
-// slices on the unpacked path, the packed block's rows on the packed path —
-// and cost O(m) header allocations, never O(range) label copies.
-func TestSubProblemRangeAliases(t *testing.T) {
-	rng := rand.New(rand.NewSource(449))
-	p := randMixedProblem(t, rng, 400, 4, 0.1, ProblemOptions{MissingTogether: 0.5})
-	lo, hi := 100, 300
-
-	sub := p.subProblemRange(lo, hi)
-	if sub.N() != hi-lo {
-		t.Fatalf("range subproblem n = %d, want %d", sub.N(), hi-lo)
-	}
-	for ci := range p.clusterings {
-		if &sub.clusterings[ci][0] != &p.clusterings[ci][lo] {
-			t.Fatalf("clustering %d: range subproblem copied instead of aliasing", ci)
-		}
-	}
-
-	pp := packedTwin(t, p, true)
-	psub := pp.subProblemRange(lo, hi)
-	if &psub.packed.lab8[0] != &pp.packed.lab8[lo*pp.M()] {
-		t.Fatal("packed range subproblem copied the label block instead of aliasing")
-	}
-	if &psub.packed.hasMiss[0] != &pp.packed.hasMiss[lo] {
-		t.Fatal("packed range subproblem copied the missing flags instead of aliasing")
-	}
-
-	// No per-shard label allocation: the allocation count must not scale
-	// with the range size (headers only — a handful of allocs, not 2·10⁵
-	// copied labels).
-	allocs := testing.AllocsPerRun(20, func() {
-		_ = p.subProblemRange(0, 400)
-	})
-	if allocs > 8 {
-		t.Errorf("unpacked subProblemRange allocates %v objects, want a constant handful", allocs)
-	}
-	pAllocs := testing.AllocsPerRun(20, func() {
-		_ = pp.subProblemRange(0, 400)
-	})
-	if pAllocs > 8 {
-		t.Errorf("packed subProblemRange allocates %v objects, want a constant handful", pAllocs)
-	}
-
-	// And the views must behave identically to the copying subProblem.
-	idx := make([]int, hi-lo)
-	for i := range idx {
-		idx[i] = lo + i
-	}
-	copied := p.subProblem(idx)
-	for v := 0; v < sub.N(); v += 3 {
-		for u := 0; u < sub.N(); u += 7 {
-			want := copied.Dist(u, v)
-			if got := sub.Dist(u, v); got != want {
-				t.Fatalf("unpacked view Dist(%d,%d) = %v, copied = %v", u, v, got, want)
-			}
-			if got := psub.Dist(u, v); got != want {
-				t.Fatalf("packed view Dist(%d,%d) = %v, copied = %v", u, v, got, want)
-			}
-		}
-	}
-}
-
 // TestPackedGatherEquivalence: the packed subProblem gather must agree with
 // the unpacked copying subProblem on an arbitrary index subset.
 func TestPackedGatherEquivalence(t *testing.T) {
@@ -367,6 +308,27 @@ func TestPackedGatherEquivalence(t *testing.T) {
 	}
 	if got.packed.anyMiss != want.kernel().anyMiss {
 		t.Errorf("gathered anyMiss = %v, want %v", got.packed.anyMiss, want.kernel().anyMiss)
+	}
+
+	// anyMiss is recomputed over the gathered rows, never inherited: a
+	// clean subset of a parent with missing labels keeps the
+	// MissingAverage histogram route open.
+	b := NewPackedColumns(6, 1)
+	if err := b.AppendColumn([]int{0, partition.Missing, 0, 1, 1, 0}); err != nil {
+		t.Fatal(err)
+	}
+	pc, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !pc.anyMiss {
+		t.Fatal("parent anyMiss false with a missing label present")
+	}
+	if g := pc.gather([]int{2, 3, 5}); g.anyMiss {
+		t.Error("clean gather inherited anyMiss")
+	}
+	if g := pc.gather([]int{0, 1}); !g.anyMiss {
+		t.Error("missing gather lost anyMiss")
 	}
 }
 
@@ -422,30 +384,4 @@ func TestKernelCacheIdentity(t *testing.T) {
 		}
 	}()
 	widePP.kernelWidth(width8)
-}
-
-// TestPackedViewAnyMissRecomputed: a view's anyMiss must reflect its own
-// range, not the parent's, so the MissingAverage row-route decision inside
-// a shard matches a freshly-built subproblem exactly.
-func TestPackedViewAnyMissRecomputed(t *testing.T) {
-	b := NewPackedColumns(6, 1)
-	if err := b.AppendColumn([]int{0, partition.Missing, 0, 1, 1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	pc, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !pc.anyMiss {
-		t.Fatal("parent anyMiss false with a missing label present")
-	}
-	if v := pc.view(2, 6); v.anyMiss {
-		t.Error("clean-range view inherited the parent's anyMiss")
-	}
-	if v := pc.view(0, 3); !v.anyMiss {
-		t.Error("missing-range view lost anyMiss")
-	}
-	if g := pc.gather([]int{2, 3, 5}); g.anyMiss {
-		t.Error("clean gather inherited anyMiss")
-	}
 }

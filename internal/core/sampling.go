@@ -22,10 +22,9 @@ import (
 // per-object evaluation work.
 const assignBatchSize = 8192
 
-// reclusterCap bounds the subsets the sampling post-passes aggregate
-// exactly (materialized): the singleton recluster and the sharded tree's
-// representative level both fall back to a recursive single-level Sample
-// past it, keeping the whole pipeline near-linear.
+// reclusterCap bounds the singleton subset the recluster post-pass
+// aggregates exactly (materialized): past it the recluster falls back to a
+// recursive Sample, keeping the whole pipeline near-linear.
 const reclusterCap = 4096
 
 // SamplingOptions configures the SAMPLING wrapper of Section 4.1.
@@ -34,27 +33,6 @@ type SamplingOptions struct {
 	// an automatic size of ceil(20·ln n) (a constant multiple of the
 	// O(log n) the paper derives from Chernoff bounds), capped at n.
 	SampleSize int
-	// Shards generalizes SAMPLING's one-level shape into a two-level tree
-	// for very large n: objects are partitioned into contiguous shards,
-	// each shard is aggregated independently by a full SAMPLING pass on the
-	// non-materialized kernel path (in parallel over the Workers pool,
-	// deterministically seeded), the shard cluster representatives are
-	// aggregated once more, and every object is routed through the final
-	// histogram assignment against the representative clusters.
-	//
-	// Zero selects an automatic shard count of ceil(n / 2^20) — so inputs
-	// up to ~1M objects keep the classic single-level pass, and larger ones
-	// get ~1M-object shards. Auto shards are fixed-size 2^20-row segments
-	// (remainder in the last shard), so shard i's boundaries are known
-	// before n is — the property that lets SampleFeed aggregate a shard
-	// while later rows are still being ingested. One forces single-level
-	// sampling at any n. Explicit counts keep the balanced i*n/shards split
-	// and are clamped to n/2 so every shard holds at least two objects;
-	// negative values are an error. For a fixed shard count the result is
-	// bit-identical across Workers settings and kernel widths; different
-	// shard counts build different trees and generally produce (comparably
-	// good) different clusterings.
-	Shards int
 	// Rand is the randomness source for drawing the sample. Nil means a
 	// deterministic source seeded with 1.
 	Rand *rand.Rand
@@ -100,18 +78,12 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	if s < 0 {
 		return nil, fmt.Errorf("core: negative sample size %d", s)
 	}
-	if sOpts.Shards < 0 {
-		return nil, fmt.Errorf("core: negative shard count %d", sOpts.Shards)
-	}
 	if s >= n {
 		return p.Aggregate(method, aggOpts)
 	}
 	rng := sOpts.Rand
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
-	}
-	if shards := resolveShards(sOpts.Shards, n); shards > 1 {
-		return p.sampleSharded(method, aggOpts, sOpts, rng, shards)
 	}
 	span := rec.Start("sample")
 	defer span.End()
@@ -127,16 +99,6 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	if err != nil {
 		return nil, err
 	}
-	return p.finishSample(rec, method, aggOpts, sOpts, rng, sample, sampleLabels)
-}
-
-// finishSample is the shared back half of both sampling shapes: given the
-// exactly-aggregated sample (original object indices plus their normalized
-// cluster labels), it assigns every remaining object, re-aggregates
-// singletons, and normalizes. rng seeds the recursive Sample inside the
-// singleton recluster.
-func (p *Problem) finishSample(rec *obs.Recorder, method Method, aggOpts AggregateOptions, sOpts SamplingOptions, rng *rand.Rand, sample []int, sampleLabels partition.Labels) (partition.Labels, error) {
-	n, s := p.n, len(sample)
 
 	// Clusters of the sample, holding original object indices.
 	k := sampleLabels.K()
@@ -458,238 +420,6 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 	return assigned, fresh
 }
 
-// shardTarget is the auto-sizing granularity for SamplingOptions.Shards:
-// with Shards == 0, the shard count is ceil(n / shardTarget) and shard i is
-// the fixed row range [i·shardTarget, min((i+1)·shardTarget, n)), so
-// sharding engages only past ~1M objects and each shard's boundaries are
-// independent of n. The value depends only on n — never on GOMAXPROCS or
-// Workers — so auto shard counts (and every counter derived from them) are
-// machine- and worker-count-independent. It is a variable only so tests can
-// shrink it to exercise the sharded and pipelined paths at test-sized n;
-// keep it ≥ 4 so resolveShards' n/2 clamp can never disagree with the
-// fixed-size segmentation (for target T ≥ 4 and n > T, ceil(n/T) ≤ n/2).
-var shardTarget = 1 << 20
-
-// SetShardTarget overrides the auto-shard segment size and returns a
-// restore func. It exists so tests outside this package (facade, CLI) and
-// the experiments "ingest" artifact can exercise the sharded and pipelined
-// paths at reduced n; keep targets ≥ 8 per the shardTarget invariant, and
-// never call it on a production serving path.
-func SetShardTarget(target int) (restore func()) {
-	old := shardTarget
-	shardTarget = target
-	return func() { shardTarget = old }
-}
-
-// shardRange returns shard i's contiguous object range. Auto-sized shards
-// (requested count 0) are fixed shardTarget-row segments with the remainder
-// in the last shard; explicit counts keep the balanced i*n/shards split.
-func shardRange(i, n, shards int, auto bool) (lo, hi int) {
-	if auto {
-		lo = i * shardTarget
-		return lo, min(lo+shardTarget, n)
-	}
-	return i * n / shards, (i + 1) * n / shards
-}
-
-// shardSample aggregates one shard subproblem: a full single-level Sample,
-// single-threaded (parallelism lives across shards) and unrecorded (its
-// scheduling is nondeterministic), seeded from the shard's pre-drawn seed.
-// Both the drain-then-compute path (sampleSharded) and the pipelined one
-// (SampleFeed) go through here, so a shard's labels depend only on its rows
-// and seed — never on which driver ran it.
-func shardSample(sp *Problem, method Method, aggOpts AggregateOptions, sOpts SamplingOptions, seed int64) (partition.Labels, error) {
-	inner := aggOpts
-	inner.Workers = 1
-	inner.Recorder = nil
-	inner.Progress = nil
-	return sp.Sample(method, inner, SamplingOptions{
-		SampleSize:      sOpts.SampleSize,
-		Rand:            rand.New(rand.NewSource(seed)),
-		ReferenceAssign: sOpts.ReferenceAssign,
-		Shards:          1,
-	})
-}
-
-// shardReps extracts a shard's representatives from its normalized labels:
-// the first member of every non-singleton cluster, offset by the shard's
-// global base row lo (all firsts when every cluster is a singleton, so the
-// representative set never comes up empty). labels is normalized, so
-// cluster c's first occurrence appears before cluster c+1's and the
-// representatives come out ascending.
-func shardReps(labels partition.Labels, lo int) []int {
-	firsts := make([]int, 0, labels.K())
-	for j, c := range labels {
-		if c == len(firsts) {
-			firsts = append(firsts, lo+j)
-		}
-	}
-	sizes := make([]int, len(firsts))
-	for _, c := range labels {
-		sizes[c]++
-	}
-	reps := make([]int, 0, len(firsts))
-	for c, f := range firsts {
-		if sizes[c] > 1 {
-			reps = append(reps, f)
-		}
-	}
-	if len(reps) == 0 {
-		reps = firsts
-	}
-	return reps
-}
-
-// resolveShards maps the requested shard count to the effective one: 0
-// auto-sizes by n, explicit counts are clamped so every contiguous shard
-// holds at least two objects. Negative counts were rejected earlier.
-func resolveShards(requested, n int) int {
-	s := requested
-	if s == 0 {
-		s = (n + shardTarget - 1) / shardTarget
-	}
-	if s > n/2 {
-		s = n / 2
-	}
-	if s < 1 {
-		s = 1
-	}
-	return s
-}
-
-// sampleSharded is the two-level SAMPLING tree (SamplingOptions.Shards):
-//
-//  1. partition the objects into `shards` contiguous ranges;
-//  2. aggregate each shard independently with a full single-level Sample on
-//     the non-materialized kernel path — shards run in parallel on the
-//     Workers pool, each single-threaded and seeded from a pre-drawn
-//     per-shard seed, so the shard clusterings are bit-identical for every
-//     worker count;
-//  3. take the first member of each non-singleton shard cluster as its
-//     representative (singleton shard clusters are noise the top-level
-//     recluster pass handles; promoting them would scale the representative
-//     set with the noise rate) and aggregate the representatives (exactly,
-//     or by a recursive single-level Sample when there are many);
-//  4. route every object through the shared assignment/recluster back half
-//     against the representative clusters — the same O(m·k)-per-object
-//     histogram pass as single-level SAMPLING, now with k the number of
-//     representative clusters.
-//
-// Telemetry: sample.shards and sample.shard.reps counters, sample:shards /
-// sample:reps spans, a sample.shard.k series (per-shard representative
-// counts in shard order), and per-completed-shard progress events. Inner shard
-// aggregations run unrecorded (their scheduling is nondeterministic); all
-// shard telemetry is appended after the parallel section, in shard order,
-// so reports are deterministic.
-func (p *Problem) sampleSharded(method Method, aggOpts AggregateOptions, sOpts SamplingOptions, rng *rand.Rand, shards int) (partition.Labels, error) {
-	rec := aggOpts.Recorder
-	n := p.n
-	span := rec.Start("sample")
-	defer span.End()
-	rec.Add("sample.shards", int64(shards))
-	// Auto-sizing decision, narrated: requested 0 means the count came from
-	// the fixed shardTarget segmentation.
-	rec.Event("sample.shards", "shards", shards, "n", n, "auto", sOpts.Shards == 0)
-
-	// Pre-draw the per-shard seeds plus the representative-level seed in
-	// shard order, before anything runs: the randomness each level consumes
-	// is then independent of scheduling.
-	seeds := make([]int64, shards)
-	for i := range seeds {
-		seeds[i] = rng.Int63()
-	}
-	repRng := rand.New(rand.NewSource(rng.Int63()))
-
-	shardSpan := rec.Start("sample:shards")
-	type shardOut struct {
-		reps []int // first member of each shard cluster, ascending
-		err  error
-	}
-	outs := make([]shardOut, shards)
-	workers := effectiveWorkers(aggOpts.Workers)
-	if workers > shards {
-		workers = shards
-	}
-	var done atomic.Int64
-	auto := sOpts.Shards == 0
-	runShard := func(i int) {
-		lo, hi := shardRange(i, n, shards, auto)
-		// Contiguous ranges alias the parent's labels (subProblemRange) —
-		// a shard subproblem costs a Problem header, not a copy of its
-		// share of the inputs. Only clusters with at least two members send
-		// a representative up — a shard-level singleton is an object the
-		// shard could not cluster, and promoting every one would grow the
-		// representative set (and the O(m·k)-per-object cost of the final
-		// assignment) with the noise rate instead of the cluster structure.
-		// Skipped objects are not lost: they re-enter at the final
-		// assignment like every other non-sample object and fall to the
-		// singleton recluster if they still fit nowhere.
-		labels, err := shardSample(p.subProblemRange(lo, hi), method, aggOpts, sOpts, seeds[i])
-		if err != nil {
-			outs[i].err = err
-			return
-		}
-		outs[i].reps = shardReps(labels, lo)
-		aggOpts.Progress.Emit(obs.ProgressEvent{
-			Stage: "sample:shards", Done: done.Add(1), Total: int64(shards),
-		})
-	}
-	if workers <= 1 {
-		for i := 0; i < shards; i++ {
-			runShard(i)
-		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i := 0; i < shards; i++ {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				obs.Do(obs.ProfLabels{Phase: "sample:shards", Worker: strconv.Itoa(i)}, func() {
-					runShard(i)
-				})
-				<-sem
-			}(i)
-		}
-		wg.Wait()
-	}
-	kSeries := rec.Series("sample.shard.k")
-	var reps []int
-	for i := range outs {
-		if outs[i].err != nil {
-			return nil, fmt.Errorf("core: shard %d/%d: %w", i, shards, outs[i].err)
-		}
-		kSeries.Append(int64(i), float64(len(outs[i].reps)))
-		reps = append(reps, outs[i].reps...) // shard ranges are ordered, so reps stay sorted
-	}
-	rec.Add("sample.shard.reps", int64(len(reps)))
-	rec.Event("sample.shard.reps", "reps", len(reps), "shards", shards)
-	shardSpan.End()
-
-	// Aggregate the representatives: exactly when they fit the materialized
-	// core, by a recursive single-level Sample otherwise (same cap as the
-	// singleton recluster).
-	repSpan := rec.Start("sample:reps")
-	repProblem := p.subProblem(reps)
-	var repLabels partition.Labels
-	var err error
-	if len(reps) > reclusterCap {
-		repLabels, err = repProblem.Sample(method, aggOpts, SamplingOptions{
-			Rand:            repRng,
-			ReferenceAssign: sOpts.ReferenceAssign,
-			Shards:          1,
-		})
-	} else {
-		repLabels, err = repProblem.Aggregate(method, withMaterialize(aggOpts))
-	}
-	repSpan.End()
-	if err != nil {
-		return nil, err
-	}
-	return p.finishSample(rec, method, aggOpts, sOpts, repRng, reps, repLabels)
-}
-
 // autoSampleSize returns ceil(20·ln n), clamped to [1, n].
 func autoSampleSize(n int) int {
 	if n <= 1 {
@@ -709,24 +439,18 @@ func withMaterialize(o AggregateOptions) AggregateOptions {
 	return o
 }
 
-// subHeader returns a Problem sharing p's option-derived fields, with the
-// inputs left for the caller to fill.
-func (p *Problem) subHeader(n int) *Problem {
-	return &Problem{
-		n:           n,
-		missingP:    p.missingP,
-		missingMode: p.missingMode,
-		weights:     p.weights,
-		totalWeight: p.totalWeight,
-	}
-}
-
 // subProblem restricts the inputs to the given (sorted) object indices:
 // packed problems gather the selected label rows into one fresh arena at
 // the parent's width (m·width bytes per object instead of 8·m), unpacked
 // ones copy the selected labels per clustering.
 func (p *Problem) subProblem(idx []int) *Problem {
-	s := p.subHeader(len(idx))
+	s := &Problem{
+		n:           len(idx),
+		missingP:    p.missingP,
+		missingMode: p.missingMode,
+		weights:     p.weights,
+		totalWeight: p.totalWeight,
+	}
 	if p.packed != nil {
 		s.packed = p.packed.gather(idx)
 		return s
@@ -738,28 +462,6 @@ func (p *Problem) subProblem(idx []int) *Problem {
 			sc[i] = c[obj]
 		}
 		sub[ci] = sc
-	}
-	s.clusterings = sub
-	return s
-}
-
-// subProblemRange restricts the inputs to the contiguous object range
-// [lo, hi) without copying any labels: packed problems alias a view of the
-// label block, unpacked ones reslice each clustering in place. Sub-kernels
-// built from a packed view share the parent's per-clustering label bounds;
-// a looser bound only adds all-zero co-label histogram rows, which change
-// no float arithmetic, so results are bit-identical to the copying
-// subProblem over the same range (TestSubProblemRangeAliases pins both the
-// aliasing and the equivalence).
-func (p *Problem) subProblemRange(lo, hi int) *Problem {
-	s := p.subHeader(hi - lo)
-	if p.packed != nil {
-		s.packed = p.packed.view(lo, hi)
-		return s
-	}
-	sub := make([]partition.Labels, len(p.clusterings))
-	for ci, c := range p.clusterings {
-		sub[ci] = c[lo:hi]
 	}
 	s.clusterings = sub
 	return s

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"clusteragg/internal/partition"
@@ -193,39 +194,58 @@ func TestAutoSampleSize(t *testing.T) {
 // workers, but every object's decision is independent of scheduling, so the
 // returned clustering must be bit-identical for every worker count — on
 // instances with missing values and non-uniform weights, under both missing
-// modes and both assignment paths.
+// modes and both assignment paths. Each instance is also rebuilt with its
+// labels injectively widened past the uint8 and uint16 packings: the kernel
+// width changes no distance, so the clustering must not change either.
 func TestSampleWorkersIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(127))
-	for trial := 0; trial < 6; trial++ {
-		m := 3 + rng.Intn(6)
-		opts := ProblemOptions{MissingTogether: 0.25 + 0.5*rng.Float64()}
-		if trial%2 == 1 {
-			opts.MissingMode = MissingAverage
-		}
-		w := make([]float64, m)
-		for i := range w {
-			w[i] = 0.25 + rng.Float64()*3
-		}
-		opts.Weights = w
-		p := randMixedProblem(t, rng, 300+rng.Intn(200), m, 0.25, opts)
-
-		for _, ref := range []bool{false, true} {
-			var base partition.Labels
-			for _, workers := range []int{0, 1, 2, 3, 8} {
+	for _, fam := range []struct {
+		seed       int64
+		trials     int
+		missRate   float64
+		sampleSize int
+		missingP   float64 // 0: drawn per trial from [0.25, 0.75)
+	}{
+		{seed: 127, trials: 6, missRate: 0.25, sampleSize: 60},
+		{seed: 419, trials: 4, missRate: 0.2, sampleSize: 50, missingP: 0.5},
+	} {
+		rng := rand.New(rand.NewSource(fam.seed))
+		for trial := 0; trial < fam.trials; trial++ {
+			m := 3 + rng.Intn(6)
+			opts := ProblemOptions{MissingTogether: fam.missingP}
+			if opts.MissingTogether == 0 {
+				opts.MissingTogether = 0.25 + 0.5*rng.Float64()
+			}
+			if trial%2 == 1 {
+				opts.MissingMode = MissingAverage
+			}
+			w := make([]float64, m)
+			for i := range w {
+				w[i] = 0.25 + rng.Float64()*3
+			}
+			opts.Weights = w
+			p := randMixedProblem(t, rng, 300+rng.Intn(200), m, fam.missRate, opts)
+			sample := func(p *Problem, workers int, ref bool) partition.Labels {
 				labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers}, SamplingOptions{
-					SampleSize: 60, Rand: rand.New(rand.NewSource(int64(trial))), ReferenceAssign: ref,
+					SampleSize: fam.sampleSize, Rand: rand.New(rand.NewSource(int64(trial))), ReferenceAssign: ref,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if base == nil {
-					base = labels
-					continue
+				return labels
+			}
+
+			for _, ref := range []bool{false, true} {
+				base := sample(p, 0, ref)
+				for _, workers := range []int{1, 2, 3, 8} {
+					if !slices.Equal(sample(p, workers, ref), base) {
+						t.Fatalf("seed %d trial %d (ref=%v): Workers=%d diverges from Workers=0",
+							fam.seed, trial, ref, workers)
+					}
 				}
-				for i := range labels {
-					if labels[i] != base[i] {
-						t.Fatalf("trial %d (ref=%v): Workers=%d diverges from Workers=0 at object %d",
-							trial, ref, workers, i)
+				for _, factor := range []int{300, 70000} {
+					if !slices.Equal(sample(widenLabels(t, p, factor), 0, ref), base) {
+						t.Fatalf("seed %d trial %d (ref=%v): labels widened by %d diverge",
+							fam.seed, trial, ref, factor)
 					}
 				}
 			}

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"testing"
 
-	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
 
@@ -305,209 +304,4 @@ func FuzzLabelKernelWidths(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestSampleShardsWorkersIdentical: for every fixed shard count the sharded
-// tree must return bit-identical labels at every worker count — shard seeds
-// are pre-drawn, shards run single-threaded, and the final assignment is
-// scheduling-independent. Shards = 0 must auto-resolve to the single-level
-// pass below the shardTarget threshold, and both assignment paths must hold
-// the property.
-func TestSampleShardsWorkersIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(419))
-	for trial := 0; trial < 4; trial++ {
-		m := 3 + rng.Intn(5)
-		opts := ProblemOptions{MissingTogether: 0.5}
-		if trial%2 == 1 {
-			opts.MissingMode = MissingAverage
-		}
-		w := make([]float64, m)
-		for i := range w {
-			w[i] = 0.25 + rng.Float64()*3
-		}
-		opts.Weights = w
-		p := randMixedProblem(t, rng, 300+rng.Intn(200), m, 0.2, opts)
-
-		var singleLevel partition.Labels
-		for _, shards := range []int{0, 1, 2, 7} {
-			for _, ref := range []bool{false, true} {
-				var base partition.Labels
-				for _, workers := range []int{0, 1, 8} {
-					labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers}, SamplingOptions{
-						SampleSize: 50, Shards: shards, ReferenceAssign: ref,
-						Rand: rand.New(rand.NewSource(int64(trial))),
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if base == nil {
-						base = labels
-					}
-					for i := range labels {
-						if labels[i] != base[i] {
-							t.Fatalf("trial %d: Shards=%d ref=%v Workers=%d diverges at object %d",
-								trial, shards, ref, workers, i)
-						}
-					}
-				}
-				if shards == 0 && !ref {
-					singleLevel = base
-				}
-				// Below shardTarget, auto sharding must be the single-level
-				// pass (and the kernel/reference paths agree only on exact
-				// instances, so compare within the same path).
-				if shards == 1 && !ref {
-					for i := range base {
-						if base[i] != singleLevel[i] {
-							t.Fatalf("trial %d: Shards=1 differs from auto Shards=0 at object %d", trial, i)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestSampleShardedWidthInvariant: an injective relabeling of the inputs
-// changes the packed width (uint8 → uint16/int32) but no distance, so the
-// sharded pipeline must return the identical clustering — the end-to-end
-// "labels bit-identical across packed widths" check.
-func TestSampleShardedWidthInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(421))
-	p := randMixedProblem(t, rng, 600, 6, 0.2, ProblemOptions{MissingTogether: 0.5})
-	sOpts := func() SamplingOptions {
-		return SamplingOptions{SampleSize: 40, Shards: 3, Rand: rand.New(rand.NewSource(9))}
-	}
-	want, err := p.Sample(MethodAgglomerative, AggregateOptions{}, sOpts())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, factor := range []int{300, 70000} {
-		got, err := widenLabels(t, p, factor).Sample(MethodAgglomerative, AggregateOptions{}, sOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("factor %d: sharded labels diverge at object %d: %d != %d", factor, i, got[i], want[i])
-			}
-		}
-	}
-}
-
-// TestSampleShardedValidAndClose: the sharded tree must return a valid
-// normalized full labeling that recovers planted structure about as well as
-// the single-level pass.
-func TestSampleShardedValidAndClose(t *testing.T) {
-	rng := rand.New(rand.NewSource(431))
-	p, truth := plantedProblem(t, rng, 2000, 4, 7, 0.12)
-	labels, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
-		SampleSize: 80, Shards: 4, Rand: rand.New(rand.NewSource(17)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(labels) != p.N() {
-		t.Fatalf("%d labels, want %d", len(labels), p.N())
-	}
-	if err := labels.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if !labels.IsNormalized() {
-		t.Fatal("sharded labels not normalized")
-	}
-	for i, v := range labels {
-		if v == partition.Missing {
-			t.Fatalf("object %d unassigned", i)
-		}
-	}
-	ri, err := partition.RandIndex(labels, truth)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri < 0.95 {
-		t.Errorf("sharded aggregation Rand index %v, want >= 0.95 (k found %d)", ri, labels.K())
-	}
-}
-
-// TestSampleShardedTelemetry pins the sharded tree's observability
-// contract: shard/rep counters, the per-shard cluster-count series in shard
-// order, and the per-level spans.
-func TestSampleShardedTelemetry(t *testing.T) {
-	rng := rand.New(rand.NewSource(433))
-	p, _ := plantedProblem(t, rng, 1200, 3, 5, 0.1)
-	rec := obs.New()
-	labels, err := p.Sample(MethodFurthest, AggregateOptions{}, SamplingOptions{
-		SampleSize: 60, Shards: 4, Rand: rand.New(rand.NewSource(19)), Recorder: rec,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := rec.Counters()
-	if c["sample.shards"] != 4 {
-		t.Errorf("sample.shards = %d, want 4", c["sample.shards"])
-	}
-	if c["sample.shard.reps"] < int64(labels.K()) || c["sample.shard.reps"] > 1200 {
-		t.Errorf("sample.shard.reps = %d out of range [k=%d, n]", c["sample.shard.reps"], labels.K())
-	}
-	if c["sample.assigned"]+c["sample.fresh_singletons"] != int64(1200-int(c["sample.shard.reps"])) {
-		t.Errorf("assigned %d + fresh %d != n - reps %d",
-			c["sample.assigned"], c["sample.fresh_singletons"], 1200-int(c["sample.shard.reps"]))
-	}
-	ks, ok := rec.AllSeries()["sample.shard.k"]
-	if !ok {
-		t.Fatal("sample.shard.k series missing")
-	}
-	var repSum float64
-	for _, pt := range ks.Points {
-		repSum += pt.Value
-	}
-	if int64(repSum) != c["sample.shard.reps"] {
-		t.Errorf("sample.shard.k sums to %v, reps counter %d", repSum, c["sample.shard.reps"])
-	}
-	names := map[string]bool{}
-	var walk func([]obs.SpanSnapshot)
-	walk = func(spans []obs.SpanSnapshot) {
-		for _, s := range spans {
-			names[s.Name] = true
-			walk(s.Children)
-		}
-	}
-	walk(rec.Spans())
-	for _, want := range []string{"sample", "sample:shards", "sample:reps", "sample:assign"} {
-		if !names[want] {
-			t.Errorf("span %q missing (have %v)", want, names)
-		}
-	}
-}
-
-// TestSampleShardOptionValidation: negative shard counts are rejected;
-// over-large explicit counts are clamped rather than starving shards.
-func TestSampleShardOptionValidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(439))
-	p, _ := plantedProblem(t, rng, 100, 3, 4, 0.1)
-	if _, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{SampleSize: 20, Shards: -2}); err == nil {
-		t.Error("negative shard count accepted")
-	}
-	labels, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{
-		SampleSize: 10, Shards: 500, Rand: rand.New(rand.NewSource(3)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(labels) != 100 {
-		t.Fatalf("clamped sharding returned %d labels", len(labels))
-	}
-	if got := resolveShards(500, 100); got != 50 {
-		t.Errorf("resolveShards(500, 100) = %d, want 50", got)
-	}
-	if got := resolveShards(0, 100); got != 1 {
-		t.Errorf("resolveShards(0, 100) = %d, want 1", got)
-	}
-	if got := resolveShards(0, 10*shardTarget); got != 10 {
-		t.Errorf("resolveShards(0, 10M) = %d, want 10", got)
-	}
-	if got := resolveShards(0, shardTarget+1); got != 2 {
-		t.Errorf("resolveShards(0, shardTarget+1) = %d, want 2", got)
-	}
 }

@@ -37,8 +37,8 @@ func ReadCSVParallel(r io.Reader, opts CSVOptions) (*Table, error) {
 
 // CSVSink consumes the merged output of a chunked CSV read incrementally, in
 // row order, while later chunks are still being parsed. This is the
-// ingest/compute pipelining seam: a packed-column builder implementing
-// CSVSink can seal row ranges for shard consumers long before EOF.
+// streaming seam: a sink can pack each row batch straight into its final
+// storage, so no Table ever materializes.
 //
 // Schema is called exactly once, as soon as every inferred column has
 // settled (a column settles categorical at its first unparseable value;
@@ -73,8 +73,8 @@ type CSVStream struct {
 }
 
 // ReadCSVStream runs the chunked parallel reader but hands the merged rows
-// to sink instead of materializing a Table, so downstream packing and shard
-// aggregation overlap with parsing. Ids, row order and errors are identical
+// to sink instead of materializing a Table, so downstream packing overlaps
+// with parsing. Ids, row order and errors are identical
 // to ReadCSV/ReadCSVParallel; numeric column data is not delivered (force
 // columns numeric via NumericColumns to keep them out of the schema without
 // delaying it).

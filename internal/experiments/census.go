@@ -53,7 +53,6 @@ func CensusSampling(cfg Config) (*CensusResult, error) {
 		labels, err := problem.Sample(core.MethodFurthest, core.AggregateOptions{Workers: cfg.Workers, Recorder: cfg.Recorder},
 			core.SamplingOptions{
 				SampleSize: sampleSize,
-				Shards:     cfg.Shards,
 				Rand:       rand.New(rand.NewSource(cfg.seed())),
 			})
 		if err != nil {

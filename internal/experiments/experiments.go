@@ -42,17 +42,11 @@ type Config struct {
 	SampleSizes []int
 	// ScalabilitySizes overrides the Figure 5 right dataset-size sweep.
 	ScalabilitySizes []int
-	// Shards is passed through to SamplingOptions.Shards by every
-	// sampling-based runner (census, fig5 sampling/scalability, huge):
-	// 0 auto-sizes the shard count by n (single-level below ~1M objects),
-	// 1 forces the classic single-level pass, larger values shard
-	// explicitly.
-	Shards int
 	// HugeSizes overrides the "huge" artifact's object-count sweep.
 	// Zero means 200k → 1M → 10M.
 	HugeSizes []int
 	// HugeCSVRows sizes the "huge" artifact's CSV end-to-end row (planted
-	// CSV on disk → aggregate labels, sequential vs pipelined ingest).
+	// CSV on disk → aggregate labels, sequential vs streamed ingest).
 	// Zero runs the default 1M rows when the default ladder runs, and skips
 	// the row when HugeSizes is overridden (tests use small ladders);
 	// negative always skips.

@@ -299,50 +299,34 @@ func TestMissingValueSweep(t *testing.T) {
 	}
 }
 
+// TestIngestThroughput runs the artifact at two sizes; the label-equality
+// check across the sequential, parallel, and streamed modes inside
+// IngestThroughput is the real assertion.
 func TestIngestThroughput(t *testing.T) {
-	cfg := fastCfg()
-	cfg.IngestRows = 3000
-	res, err := IngestThroughput(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Rows != 3000 || res.Attrs != 6 {
-		t.Errorf("rows/attrs = %d/%d, want 3000/6", res.Rows, res.Attrs)
-	}
-	if res.Shards != 1 { // 3000 rows under one 8192-row shard target
-		t.Errorf("shards = %d, want 1", res.Shards)
-	}
-	if res.Bytes <= 0 {
-		t.Error("no bytes measured")
-	}
-	if res.Clusters < 2 {
-		t.Errorf("clusters = %d", res.Clusters)
-	}
-	// 10% noise over a strong planted structure: the aggregate should all
-	// but recover the truth.
-	if res.Rand < 0.9 {
-		t.Errorf("Rand index vs planted truth = %v", res.Rand)
-	}
-	if !strings.Contains(res.String(), "pipelined") {
-		t.Error("missing mode row in output")
-	}
-}
-
-// TestIngestThroughputSharded crosses the (shrunken) shard target so the
-// sequential, parallel, and pipelined modes all run the sharded tree — the
-// label-equality check inside IngestThroughput is the real assertion.
-func TestIngestThroughputSharded(t *testing.T) {
-	cfg := fastCfg()
-	cfg.IngestRows = 20_000 // 3 shards at the artifact's 8192-row target
-	res, err := IngestThroughput(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Shards != 3 {
-		t.Errorf("shards = %d, want 3", res.Shards)
-	}
-	if res.Rand < 0.9 {
-		t.Errorf("Rand index vs planted truth = %v", res.Rand)
+	for _, rows := range []int{3000, 20_000} {
+		cfg := fastCfg()
+		cfg.IngestRows = rows
+		res, err := IngestThroughput(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Rows != rows || res.Attrs != 6 {
+			t.Errorf("rows/attrs = %d/%d, want %d/6", res.Rows, res.Attrs, rows)
+		}
+		if res.Bytes <= 0 {
+			t.Error("no bytes measured")
+		}
+		if res.Clusters < 2 {
+			t.Errorf("clusters = %d", res.Clusters)
+		}
+		// 10% noise over a strong planted structure: the aggregate should
+		// all but recover the truth.
+		if res.Rand < 0.9 {
+			t.Errorf("n=%d: Rand index vs planted truth = %v", rows, res.Rand)
+		}
+		if !strings.Contains(res.String(), "streamed") {
+			t.Error("missing mode row in output")
+		}
 	}
 }
 
@@ -360,9 +344,6 @@ func TestHugeCSVPoint(t *testing.T) {
 	}
 	if c.N != 4000 || c.Bytes <= 0 {
 		t.Errorf("csv point n/bytes = %d/%d", c.N, c.Bytes)
-	}
-	if c.Shards != 1 { // 4000 rows, production shard target: single-level
-		t.Errorf("csv shards = %d, want 1", c.Shards)
 	}
 	if c.Rand < 0.9 {
 		t.Errorf("csv Rand index = %v", c.Rand)

@@ -73,7 +73,6 @@ func Fig5Sampling(cfg Config) (*Fig5SamplingResult, error) {
 			labels, err := problem.Sample(core.MethodAgglomerative, core.AggregateOptions{Workers: cfg.Workers, Recorder: cfg.Recorder},
 				core.SamplingOptions{
 					SampleSize: s,
-					Shards:     cfg.Shards,
 					Rand:       rand.New(rand.NewSource(cfg.seed() + int64(s))),
 				})
 			if err != nil {
@@ -157,7 +156,6 @@ func Fig5Scalability(cfg Config) (*Fig5ScalabilityResult, error) {
 			labels, err := problem.Sample(core.MethodFurthest, core.AggregateOptions{Workers: cfg.Workers, Recorder: cfg.Recorder},
 				core.SamplingOptions{
 					SampleSize: res.SampleSize,
-					Shards:     cfg.Shards,
 					Rand:       rand.New(rand.NewSource(cfg.seed())),
 				})
 			if err != nil {

@@ -15,14 +15,14 @@ import (
 	"clusteragg/internal/partition"
 )
 
-// This file is the "huge" artifact: the n=10M scaling sweep behind the
-// bit-packed label kernel + sharded hierarchical SAMPLING work (ROADMAP
-// #2). It is opt-in — `experiments huge`, `make bench-huge` — and excluded
-// from "all", because the top size runs for tens of seconds and allocates
-// gigabytes. The committed BENCH_huge.json baseline turns the sweep into a
-// benchdiff-gated regression artifact: counters (shard counts,
-// representative counts, assignment tallies) are exact, the Rand-index
-// quality metrics are toleranced, and total wall time is ratio-budgeted.
+// This file is the "huge" artifact: the n=10M scaling sweep of single-level
+// SAMPLING over the bit-packed label kernel. It is opt-in — `experiments
+// huge`, `make bench-huge` — and excluded from "all", because the top size
+// runs for seconds and allocates most of a gigabyte. The committed
+// BENCH_huge.json baseline turns the sweep into a benchdiff-gated
+// regression artifact: counters (sample sizes, assignment tallies, recluster
+// sizes) are exact, the Rand-index quality metrics are toleranced, and
+// total wall time is ratio-budgeted.
 //
 // Nothing in the sweep may touch an O(n²) path: quality is measured as the
 // Rand index against the planted truth (contingency-table based, O(n)),
@@ -32,7 +32,7 @@ import (
 // DefaultHugeSizes is the "huge" artifact's object-count ladder — the
 // measured n-scaling table in docs/PERFORMANCE.md comes from exactly this
 // sweep.
-var DefaultHugeSizes = []int{200_000, 1_000_000, 10_000_000}
+var DefaultHugeSizes = []int{200_000, 1_000_000, 2_000_000, 5_000_000, 10_000_000}
 
 // hugeM and hugeK shape the synthetic workload: m input clusterings over k
 // planted groups with 10% noise — the same recipe as the core package's
@@ -44,12 +44,7 @@ const (
 
 // HugePoint is one dataset size of the huge sweep.
 type HugePoint struct {
-	N int
-	// Shards and Reps record the resolved tree shape: how many shards the
-	// auto-sizing (or cfg.Shards) chose, and how many shard-cluster
-	// representatives the final level aggregated.
-	Shards int
-	Reps   int
+	N      int
 	KFound int
 	// Rand is the Rand index against the planted truth — the O(n) quality
 	// proxy.
@@ -65,7 +60,7 @@ type HugePoint struct {
 	AllocBytes uint64
 }
 
-// HugeResult is the scaling sweep of the sharded SAMPLING pipeline.
+// HugeResult is the scaling sweep of the SAMPLING pipeline.
 type HugeResult struct {
 	M      int
 	Points []HugePoint
@@ -80,23 +75,22 @@ const hugeCSVRows = 1_000_000
 // HugeCSVPoint is the CSV end-to-end row of the huge artifact: a planted
 // CSV written to a temp file, then clustered twice — once through the
 // sequential one-pass reader (read everything, then sample) and once
-// through the pipelined chunked reader (8 parsers streaming rows into the
-// sampling tree). The two runs must produce identical labels; the gated
-// facts are the deterministic ones (rows, bytes, shard count, cluster
-// count, Rand index) plus the ratio-budgeted pipelined-run allocation.
+// through the streamed chunked reader (8 parsers packing rows straight into
+// the label block). The two runs must produce identical labels; the gated
+// facts are the deterministic ones (rows, bytes, cluster count, Rand index)
+// plus the ratio-budgeted streamed-run allocation.
 // Wall times carry benchdiff-ignored suffixes: on a single-core runner the
 // parallel modes cannot beat sequential, so timing is recorded, not gated.
 type HugeCSVPoint struct {
 	N      int
 	Bytes  int64
-	Shards int
 	KFound int
 	// Rand is the Rand index against the planted truth from the class
 	// column (O(n)).
-	Rand         float64
-	SeqDuration  time.Duration
-	PipeDuration time.Duration
-	// AllocBytes is the heap allocated across the pipelined run (TotalAlloc
+	Rand           float64
+	SeqDuration    time.Duration
+	StreamDuration time.Duration
+	// AllocBytes is the heap allocated across the streamed run (TotalAlloc
 	// delta); benchdiff ratio-gates it as csv:alloc_bytes.
 	AllocBytes uint64
 }
@@ -139,12 +133,9 @@ func hugeProblem(n int, seed int64) (*core.Problem, partition.Labels, error) {
 	return p, truth, nil
 }
 
-// HugeScaling runs sharded SAMPLING over FURTHEST across the size ladder
-// (cfg.HugeSizes or DefaultHugeSizes) and reports the tree shape, quality,
-// and per-object time at each n. cfg.Shards passes through to
-// SamplingOptions.Shards — the default 0 auto-sizes, so the 200k and 1M
-// rows run single-level (their telemetry has no shard counters) and the
-// 10M row gets a 10-shard tree.
+// HugeScaling runs SAMPLING over FURTHEST across the size ladder
+// (cfg.HugeSizes or DefaultHugeSizes) and reports quality, allocation, and
+// per-object time at each n.
 func HugeScaling(cfg Config) (*HugeResult, error) {
 	sizes := cfg.HugeSizes
 	if len(sizes) == 0 {
@@ -159,19 +150,11 @@ func HugeScaling(cfg Config) (*HugeResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		rec := cfg.Recorder
-		var before map[string]int64
-		if rec != nil {
-			before = rec.Counters() // one recorder spans the ladder; diff per point
-		}
 		p := HugePoint{N: n}
 		p.Duration, err = timeIt(func() error {
 			labels, err := problem.Sample(core.MethodFurthest,
-				core.AggregateOptions{Workers: cfg.Workers, Recorder: rec, Progress: nil},
-				core.SamplingOptions{
-					Shards: cfg.Shards,
-					Rand:   rand.New(rand.NewSource(cfg.seed())),
-				})
+				core.AggregateOptions{Workers: cfg.Workers, Recorder: cfg.Recorder},
+				core.SamplingOptions{Rand: rand.New(rand.NewSource(cfg.seed()))})
 			if err != nil {
 				return err
 			}
@@ -185,19 +168,10 @@ func HugeScaling(cfg Config) (*HugeResult, error) {
 		p.PerObject = p.Duration / time.Duration(n)
 		runtime.ReadMemStats(&ms)
 		p.AllocBytes = ms.TotalAlloc - allocStart
-		if rec != nil {
-			c := rec.Counters()
-			p.Shards = int(c["sample.shards"] - before["sample.shards"])
-			p.Reps = int(c["sample.shard.reps"] - before["sample.shard.reps"])
-		}
-		if p.Shards == 0 {
-			p.Shards = 1 // single-level: no shard counters recorded
-		}
 		res.Points = append(res.Points, p)
 		if !cfg.Quiet {
-			fmt.Printf("  huge: n=%d done in %.2fs (shards=%d k=%d rand=%.4f alloc=%.1fMB)\n",
-				n, p.Duration.Seconds(), p.Shards, p.KFound, p.Rand,
-				float64(p.AllocBytes)/(1<<20))
+			fmt.Printf("  huge: n=%d done in %.2fs (k=%d rand=%.4f alloc=%.1fMB)\n",
+				n, p.Duration.Seconds(), p.KFound, p.Rand, float64(p.AllocBytes)/(1<<20))
 		}
 	}
 	csvRows := cfg.HugeCSVRows
@@ -211,8 +185,8 @@ func HugeScaling(cfg Config) (*HugeResult, error) {
 		}
 		res.CSV = p
 		if !cfg.Quiet {
-			fmt.Printf("  huge: csv n=%d done in %.2fs sequential / %.2fs pipelined (shards=%d k=%d rand=%.4f alloc=%.1fMB)\n",
-				p.N, p.SeqDuration.Seconds(), p.PipeDuration.Seconds(), p.Shards, p.KFound, p.Rand,
+			fmt.Printf("  huge: csv n=%d done in %.2fs sequential / %.2fs streamed (k=%d rand=%.4f alloc=%.1fMB)\n",
+				p.N, p.SeqDuration.Seconds(), p.StreamDuration.Seconds(), p.KFound, p.Rand,
 				float64(p.AllocBytes)/(1<<20))
 		}
 	}
@@ -220,10 +194,10 @@ func HugeScaling(cfg Config) (*HugeResult, error) {
 }
 
 // hugeCSV runs the CSV end-to-end row: stream a planted CSV to a temp file,
-// cluster it through the sequential and the pipelined ingest paths, verify
-// the labels agree, and measure the pipelined run's allocation. Only the
-// pipelined run records into cfg.Recorder, so the artifact's ingest and
-// shard counters describe one pipelined pass.
+// cluster it through the sequential and the streamed ingest paths, verify
+// the labels agree, and measure the streamed run's allocation. Only the
+// streamed run records into cfg.Recorder, so the artifact's ingest and
+// sample counters describe one streamed pass.
 func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 	f, err := os.CreateTemp("", "clusteragg-huge-*.csv")
 	if err != nil {
@@ -249,7 +223,7 @@ func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 	}
 	p := &HugeCSVPoint{N: rows, Bytes: fi.Size()}
 	sOpts := func() core.SamplingOptions {
-		return core.SamplingOptions{Shards: cfg.Shards, Rand: rand.New(rand.NewSource(cfg.seed()))}
+		return core.SamplingOptions{Rand: rand.New(rand.NewSource(cfg.seed()))}
 	}
 	runFrom := func(fn func(io.Reader) error) error {
 		in, err := os.Open(f.Name())
@@ -272,18 +246,14 @@ func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 	}
 
 	rec := cfg.Recorder
-	var before map[string]int64
-	if rec != nil {
-		before = rec.Counters()
-	}
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	allocStart := ms.TotalAlloc
-	var pipeLabels, class partition.Labels
-	var pipeBytes int64
-	p.PipeDuration, err = timeIt(func() error {
+	var streamLabels, class partition.Labels
+	var streamBytes int64
+	p.StreamDuration, err = timeIt(func() error {
 		return runFrom(func(r io.Reader) (e error) {
-			pipeLabels, class, pipeBytes, e = ingestPipeline(r, ingestWorkersN,
+			streamLabels, class, streamBytes, e = ingestStreamed(r, ingestWorkersN,
 				core.AggregateOptions{Workers: cfg.Workers, Recorder: rec}, sOpts())
 			return e
 		})
@@ -294,22 +264,15 @@ func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 	runtime.ReadMemStats(&ms)
 	p.AllocBytes = ms.TotalAlloc - allocStart
 	rec.Add("ingest.rows", int64(rows))
-	rec.Add("ingest.bytes", pipeBytes)
-	if rec != nil {
-		c := rec.Counters()
-		p.Shards = int(c["sample.shards"] - before["sample.shards"])
+	rec.Add("ingest.bytes", streamBytes)
+	if !slices.Equal(seqLabels, streamLabels) {
+		return nil, fmt.Errorf("huge: csv labels diverge between sequential and streamed ingest")
 	}
-	if p.Shards == 0 {
-		p.Shards = 1 // single-level: no shard counters recorded
+	if streamBytes != p.Bytes {
+		return nil, fmt.Errorf("huge: streamed ingest consumed %d bytes, want %d", streamBytes, p.Bytes)
 	}
-	if !slices.Equal(seqLabels, pipeLabels) {
-		return nil, fmt.Errorf("huge: csv labels diverge between sequential and pipelined ingest")
-	}
-	if pipeBytes != p.Bytes {
-		return nil, fmt.Errorf("huge: pipelined ingest consumed %d bytes, want %d", pipeBytes, p.Bytes)
-	}
-	p.KFound = pipeLabels.K()
-	if p.Rand, err = partition.RandIndex(pipeLabels, class); err != nil {
+	p.KFound = streamLabels.K()
+	if p.Rand, err = partition.RandIndex(streamLabels, class); err != nil {
 		return nil, err
 	}
 	return p, nil
@@ -318,18 +281,18 @@ func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 // String prints the scaling ladder.
 func (r *HugeResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Huge — sharded SAMPLING scaling, m=%d inputs, packed label kernel\n", r.M)
-	fmt.Fprintf(&b, "%12s %8s %6s %8s %10s %14s %10s %8s\n",
-		"n", "shards", "reps", "k", "time(s)", "ns-per-object", "alloc(MB)", "RI")
+	fmt.Fprintf(&b, "Huge — SAMPLING scaling, m=%d inputs, packed label kernel\n", r.M)
+	fmt.Fprintf(&b, "%12s %8s %10s %14s %10s %8s\n",
+		"n", "k", "time(s)", "ns-per-object", "alloc(MB)", "RI")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%12d %8d %6d %8d %10.2f %14d %10.1f %8.4f\n",
-			p.N, p.Shards, p.Reps, p.KFound, p.Duration.Seconds(), p.PerObject.Nanoseconds(),
+		fmt.Fprintf(&b, "%12d %8d %10.2f %14d %10.1f %8.4f\n",
+			p.N, p.KFound, p.Duration.Seconds(), p.PerObject.Nanoseconds(),
 			float64(p.AllocBytes)/(1<<20), p.Rand)
 	}
 	if c := r.CSV; c != nil {
-		fmt.Fprintf(&b, "CSV end-to-end n=%d (%.1f MB): sequential %.2fs, pipelined×%d %.2fs, shards=%d, k=%d, alloc=%.1fMB, RI=%.4f\n",
+		fmt.Fprintf(&b, "CSV end-to-end n=%d (%.1f MB): sequential %.2fs, streamed×%d %.2fs, k=%d, alloc=%.1fMB, RI=%.4f\n",
 			c.N, float64(c.Bytes)/(1<<20), c.SeqDuration.Seconds(), ingestWorkersN,
-			c.PipeDuration.Seconds(), c.Shards, c.KFound, float64(c.AllocBytes)/(1<<20), c.Rand)
+			c.StreamDuration.Seconds(), c.KFound, float64(c.AllocBytes)/(1<<20), c.Rand)
 	}
 	return b.String()
 }

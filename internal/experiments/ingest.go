@@ -14,45 +14,37 @@ import (
 	"clusteragg/internal/partition"
 )
 
-// This file is the "ingest" artifact: the parallel chunked CSV reader and
-// the ingest/compute pipeline measured end to end (CSV bytes → aggregate
-// labels) in three modes — sequential one-pass read, chunked parallel read,
-// and the pipelined path where shard aggregation starts while later chunks
-// are still being parsed. The three modes must produce identical labels
-// (the run errors out otherwise), so the artifact's gated rows are the
-// deterministic facts: row/byte counts, the resolved shard count, the
+// This file is the "ingest" artifact: the parallel chunked CSV reader
+// measured end to end (CSV bytes → aggregate labels) in three modes —
+// sequential one-pass read, chunked parallel read into a Table, and the
+// streamed path where the chunked reader packs rows straight into the label
+// block, so no Table or []int clustering ever materializes. The three modes
+// must produce identical labels (the run errors out otherwise), so the
+// artifact's gated rows are the deterministic facts: row/byte counts, the
 // cluster count, and the Rand index against the planted truth. All wall
 // times carry benchdiff-ignored suffixes (seconds, time_ratio, throughput):
 // they are recorded for the PERFORMANCE.md table, not gated — single-core
 // CI machines cannot hold a parallelism ratio.
 
-// ingestWorkersN is the chunk-parser count of the parallel and pipelined
+// ingestWorkersN is the chunk-parser count of the parallel and streamed
 // modes; the sequential mode is the workers=0 historical reader.
 const ingestWorkersN = 8
 
-// ingestShardTarget shrinks the auto-shard row target for this artifact so
-// the sharded pipeline genuinely engages at artifact scale (the production
-// 2^20-row target would run everything single-level); all three modes run
-// under the same target, so equivalence is still exercised end to end.
-const ingestShardTarget = 8192
-
-// ingestSampleSize is the per-level SAMPLING size; explicit so the artifact
-// is deterministic and cheap.
+// ingestSampleSize is the SAMPLING size; explicit so the artifact is
+// deterministic and cheap.
 const ingestSampleSize = 500
 
 // IngestResult is the "ingest" artifact's outcome.
 type IngestResult struct {
-	Rows  int
-	Attrs int
-	Bytes int64
-	// Shards is the resolved auto-shard count (ceil(Rows/ingestShardTarget)).
-	Shards   int
+	Rows     int
+	Attrs    int
+	Bytes    int64
 	Clusters int
 	// Rand is the Rand index of the aggregate against the planted truth
 	// carried by the class column.
 	Rand float64
 	// Per-mode end-to-end wall times (CSV bytes → labels).
-	Seq, Parallel, Pipelined time.Duration
+	Seq, Parallel, Streamed time.Duration
 }
 
 // plantedCSVTo streams the huge recipe as CSV: a header row, then n rows of
@@ -99,7 +91,7 @@ func plantedCSVTo(w io.Writer, n int, seed int64) error {
 
 // ingestDrain is the drain-then-compute path: read the whole CSV (the
 // sequential one-pass reader at workers=0, the chunked parallel reader
-// otherwise), pack the categorical columns, and run sharded SAMPLING.
+// otherwise), pack the categorical columns, and run SAMPLING.
 func ingestDrain(r io.Reader, workers int, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, partition.Labels, error) {
 	dopts := dataset.CSVOptions{Name: "ingest", HasHeader: true, ClassColumn: "class", Workers: workers}
 	var t *dataset.Table
@@ -127,79 +119,79 @@ func ingestDrain(r io.Reader, workers int, aggOpts core.AggregateOptions, sOpts 
 	if err != nil {
 		return nil, nil, err
 	}
-	p, err := core.NewProblemPacked(pc, core.ProblemOptions{})
-	if err != nil {
-		return nil, nil, err
-	}
-	labels, err := p.Sample(core.MethodFurthest, aggOpts, sOpts)
+	labels, err := samplePacked(pc, aggOpts, sOpts)
 	return labels, t.Class, err
 }
 
-// ingestFeedSink bridges the chunked reader's row stream into a SampleFeed
-// (the internal twin of the root facade's sink, without the facade's
-// telemetry trimmings).
-type ingestFeedSink struct {
-	aggOpts core.AggregateOptions
-	sOpts   core.SamplingOptions
-	feed    *core.SampleFeed
-	class   partition.Labels
+// samplePacked runs the artifact's SAMPLING (over FURTHEST) on a packed
+// label block — the compute half every ingest mode shares.
+func samplePacked(pc *core.PackedClusterings, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, error) {
+	p, err := core.NewProblemPacked(pc, core.ProblemOptions{})
+	if err != nil {
+		return nil, err
+	}
+	return p.Sample(core.MethodFurthest, aggOpts, sOpts)
 }
 
-func (s *ingestFeedSink) Schema(cats []string, hasClass bool) error {
-	f, err := core.NewSampleFeed(len(cats), core.ProblemOptions{}, core.MethodFurthest, s.aggOpts, s.sOpts)
-	if err != nil {
-		return err
-	}
-	s.feed = f
+// ingestSink packs the chunked reader's row stream straight into a
+// row-mode PackedBuilder (the internal twin of the root facade's sink,
+// without the facade's telemetry trimmings).
+type ingestSink struct {
+	b     *core.PackedBuilder
+	class partition.Labels
+}
+
+func (s *ingestSink) Schema(cats []string, hasClass bool) error {
+	s.b = core.NewPackedBuilder(len(cats))
 	return nil
 }
 
-func (s *ingestFeedSink) Rows(lo, hi int, cats [][]int, class []int) error {
+func (s *ingestSink) Rows(lo, hi int, cats [][]int, class []int) error {
 	if class != nil {
 		s.class = append(s.class, class...)
 	}
-	return s.feed.PushRows(cats)
+	return s.b.AppendRows(cats)
 }
 
-// ingestPipeline is the pipelined path: chunk-parsed rows stream straight
-// into the sharded sampling tree, so shard aggregation overlaps the parsing
-// of later chunks.
-func ingestPipeline(r io.Reader, workers int, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, partition.Labels, int64, error) {
-	sink := &ingestFeedSink{aggOpts: aggOpts, sOpts: sOpts}
+// ingestStreamed is the streamed path: chunk-parsed rows pack straight into
+// the label block, which is then sampled like the drained one.
+func ingestStreamed(r io.Reader, workers int, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, partition.Labels, int64, error) {
+	sink := &ingestSink{}
 	st, err := dataset.ReadCSVStream(r, dataset.CSVOptions{
 		Name: "ingest", HasHeader: true, ClassColumn: "class", Workers: workers,
 	}, sink)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	labels, err := sink.feed.Finish()
+	pc, err := sink.b.Build()
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	labels, err := samplePacked(pc, aggOpts, sOpts)
 	return labels, sink.class, st.Bytes, err
 }
 
 // IngestThroughput runs the three ingest modes over the same in-memory CSV
-// and verifies they agree label for label. Only the pipelined run records
-// into cfg.Recorder, so the artifact's counters describe one pipelined pass
-// (ingest.rows / ingest.bytes / sample.shards...), not a triple-counted sum.
+// and verifies they agree label for label. Only the streamed run records
+// into cfg.Recorder, so the artifact's counters describe one streamed pass
+// (ingest.rows / ingest.bytes / sample.*), not a triple-counted sum.
 func IngestThroughput(cfg Config) (*IngestResult, error) {
 	n := cfg.ingestRows()
-	restore := core.SetShardTarget(ingestShardTarget)
-	defer restore()
 	var buf bytes.Buffer
 	if err := plantedCSVTo(&buf, n, cfg.seed()); err != nil {
 		return nil, err
 	}
 	data := buf.Bytes()
 	res := &IngestResult{
-		Rows:   n,
-		Attrs:  hugeM,
-		Bytes:  int64(len(data)),
-		Shards: (n + ingestShardTarget - 1) / ingestShardTarget,
+		Rows:  n,
+		Attrs: hugeM,
+		Bytes: int64(len(data)),
 	}
 	sOpts := func() core.SamplingOptions {
 		return core.SamplingOptions{SampleSize: ingestSampleSize, Rand: rand.New(rand.NewSource(cfg.seed()))}
 	}
 
-	var seqLabels, parLabels, pipeLabels, class partition.Labels
+	var seqLabels, parLabels, streamLabels, class partition.Labels
 	var err error
 	res.Seq, err = timeIt(func() (e error) {
 		seqLabels, class, e = ingestDrain(bytes.NewReader(data), 0, core.AggregateOptions{Workers: cfg.Workers}, sOpts())
@@ -215,9 +207,9 @@ func IngestThroughput(cfg Config) (*IngestResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	var pipeBytes int64
-	res.Pipelined, err = timeIt(func() (e error) {
-		pipeLabels, _, pipeBytes, e = ingestPipeline(bytes.NewReader(data), ingestWorkersN,
+	var streamBytes int64
+	res.Streamed, err = timeIt(func() (e error) {
+		streamLabels, _, streamBytes, e = ingestStreamed(bytes.NewReader(data), ingestWorkersN,
 			core.AggregateOptions{Workers: cfg.Workers, Recorder: cfg.Recorder}, sOpts())
 		return e
 	})
@@ -225,16 +217,16 @@ func IngestThroughput(cfg Config) (*IngestResult, error) {
 		return nil, err
 	}
 	cfg.Recorder.Add("ingest.rows", int64(n))
-	cfg.Recorder.Add("ingest.bytes", pipeBytes)
+	cfg.Recorder.Add("ingest.bytes", streamBytes)
 
-	if !slices.Equal(seqLabels, parLabels) || !slices.Equal(seqLabels, pipeLabels) {
-		return nil, fmt.Errorf("ingest: labels diverge across ingest modes (seq/parallel/pipelined)")
+	if !slices.Equal(seqLabels, parLabels) || !slices.Equal(seqLabels, streamLabels) {
+		return nil, fmt.Errorf("ingest: labels diverge across ingest modes (seq/parallel/streamed)")
 	}
-	if pipeBytes != res.Bytes {
-		return nil, fmt.Errorf("ingest: pipelined path consumed %d bytes, want %d", pipeBytes, res.Bytes)
+	if streamBytes != res.Bytes {
+		return nil, fmt.Errorf("ingest: streamed path consumed %d bytes, want %d", streamBytes, res.Bytes)
 	}
-	res.Clusters = pipeLabels.K()
-	if res.Rand, err = partition.RandIndex(pipeLabels, class); err != nil {
+	res.Clusters = streamLabels.K()
+	if res.Rand, err = partition.RandIndex(streamLabels, class); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -243,8 +235,8 @@ func IngestThroughput(cfg Config) (*IngestResult, error) {
 // String prints the mode table.
 func (r *IngestResult) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Ingest — CSV → labels end to end, n=%d, m=%d attributes, %.1f MB, %d shards\n",
-		r.Rows, r.Attrs, float64(r.Bytes)/(1<<20), r.Shards)
+	fmt.Fprintf(&b, "Ingest — CSV → labels end to end, n=%d, m=%d attributes, %.1f MB\n",
+		r.Rows, r.Attrs, float64(r.Bytes)/(1<<20))
 	fmt.Fprintf(&b, "%14s %10s %10s\n", "mode", "time(s)", "MB/s")
 	mbps := func(d time.Duration) float64 {
 		if d <= 0 {
@@ -254,7 +246,7 @@ func (r *IngestResult) String() string {
 	}
 	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", "sequential", r.Seq.Seconds(), mbps(r.Seq))
 	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", fmt.Sprintf("parallel×%d", ingestWorkersN), r.Parallel.Seconds(), mbps(r.Parallel))
-	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", fmt.Sprintf("pipelined×%d", ingestWorkersN), r.Pipelined.Seconds(), mbps(r.Pipelined))
+	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", fmt.Sprintf("streamed×%d", ingestWorkersN), r.Streamed.Seconds(), mbps(r.Streamed))
 	fmt.Fprintf(&b, "labels identical across modes; clusters=%d, Rand index vs planted truth=%.4f\n",
 		r.Clusters, r.Rand)
 	return b.String()

@@ -11,7 +11,7 @@ import (
 
 // This file is the narrative side of the run telemetry: a bounded,
 // concurrency-safe ring of structured events — job and phase lifecycle,
-// refresh-guard triggers, shard seals, width/shard auto-sizing decisions —
+// refresh-guard triggers, width and sample-size decisions —
 // beside the numeric counters and series. Events carry deterministic
 // attributes only (sizes, counts, decisions), never timings, so the event
 // *content* of a run at a fixed seed is reproducible and cmd/benchdiff can

@@ -332,14 +332,14 @@ func ProfileLabelsEnabled() bool { return profLabelsOn.Load() }
 // Empty fields are omitted from the label set.
 type ProfLabels struct {
 	// Phase is the top-level stage: "aggregate", "materialize",
-	// "sample:assign", "sample:shards", "ingest", ...
+	// "sample:assign", "ingest", ...
 	Phase string
 	// Method is the aggregation method slug for method-scoped work.
 	Method string
 	// Artifact is the experiments artifact name.
 	Artifact string
 	// Worker identifies the worker goroutine within a parallel stage
-	// (usually the stripe/shard index as a string).
+	// (usually the stripe index as a string).
 	Worker string
 }
 

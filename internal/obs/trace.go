@@ -18,8 +18,8 @@ import (
 // sibling there. A process's series render as counter ("C") events after
 // its spans, so convergence trajectories plot as counter tracks alongside
 // the span lanes, and its structured events render as instant ("i") marks
-// on lane 0, so a refresh-guard trigger or shard seal pins to the moment it
-// happened in the span timeline.
+// on lane 0, so a refresh-guard trigger or sampling plan pins to the moment
+// it happened in the span timeline.
 
 // traceEvent is one trace_event entry. Ph "X" is a complete event with a
 // duration; Ph "M" is metadata (process/thread names); Ph "C" is a counter

@@ -1,6 +1,7 @@
 package clusteragg_test
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -8,7 +9,6 @@ import (
 	"testing"
 
 	"clusteragg"
-	"clusteragg/internal/core"
 	"clusteragg/internal/obs"
 )
 
@@ -60,21 +60,18 @@ func sameResult(t *testing.T, name string, got, want *clusteragg.CSVResult) {
 	}
 }
 
-// TestAggregateCSVPipelinedEquiv: the pipelined ingest path (parallel
-// chunked reader streaming into the sharded sampling tree) must reproduce
-// the read-everything-first path bit for bit — labels, class column, costs,
-// and byte counts — at every ingest worker count, in the auto-sharded,
-// explicit-shard, and seeded configurations.
+// TestAggregateCSVPipelinedEquiv: the streamed ingest path (parallel
+// chunked reader packing rows straight into the label block) must
+// reproduce the read-everything-first path bit for bit — labels, class
+// column, costs, and byte counts — at every ingest worker count, in the
+// default-seed and seeded configurations.
 func TestAggregateCSVPipelinedEquiv(t *testing.T) {
-	defer core.SetShardTarget(64)()
 	csv := pipelineCSV(500)
 	cases := []struct {
 		name string
 		mod  func(*clusteragg.CSVOptions)
 	}{
-		{"auto-shards", func(o *clusteragg.CSVOptions) { o.SampleSize = 30 }},
-		{"explicit-shards", func(o *clusteragg.CSVOptions) { o.SampleSize = 25; o.Shards = 3 }},
-		{"shards-only", func(o *clusteragg.CSVOptions) { o.Shards = 2 }},
+		{"sampled", func(o *clusteragg.CSVOptions) { o.SampleSize = 30 }},
 		{"seeded", func(o *clusteragg.CSVOptions) { o.SampleSize = 30; o.SampleSeed = 7 }},
 	}
 	for _, tc := range cases {
@@ -116,12 +113,10 @@ func TestAggregateCSVParallelIngestExact(t *testing.T) {
 	sameResult(t, "exact ingest-workers=3", runCSV(t, csv, mk(3)), want)
 }
 
-// TestAggregateCSVPipelineTelemetry: the pipelined run must record ingest
-// counters matching the byte/row ground truth, an ingest lane under the
-// pipeline span overlapping the sample span, and an ingest-throughput
-// series.
+// TestAggregateCSVPipelineTelemetry: the streamed run must record ingest
+// counters matching the byte/row ground truth, an ingest lane and the
+// sample span under the pipeline span, and an ingest-throughput series.
 func TestAggregateCSVPipelineTelemetry(t *testing.T) {
-	defer core.SetShardTarget(64)()
 	csv := pipelineCSV(300)
 	rec := clusteragg.NewRecorder()
 	res := runCSV(t, csv, clusteragg.CSVOptions{
@@ -139,8 +134,8 @@ func TestAggregateCSVPipelineTelemetry(t *testing.T) {
 	if c["ingest.bytes"] != res.BytesRead || int(c["ingest.bytes"]) != len(csv) {
 		t.Errorf("ingest.bytes = %d, want %d", c["ingest.bytes"], len(csv))
 	}
-	if c["sample.shards"] != 5 { // ceil(300/64)
-		t.Errorf("sample.shards = %d, want 5", c["sample.shards"])
+	if c["sample.size"] != 25 {
+		t.Errorf("sample.size = %d, want 25", c["sample.size"])
 	}
 	if _, ok := rec.AllSeries()["ingest.throughput"]; !ok {
 		t.Error("ingest.throughput series missing")
@@ -167,7 +162,7 @@ func TestAggregateCSVPipelineTelemetry(t *testing.T) {
 }
 
 // TestAggregateCSVPipelinedErrors: error cases must surface through the
-// pipelined path exactly as through the sequential one.
+// streamed path exactly as through the sequential one.
 func TestAggregateCSVPipelinedErrors(t *testing.T) {
 	for _, tc := range []struct{ name, csv string }{
 		{"empty", ""},
@@ -183,7 +178,29 @@ func TestAggregateCSVPipelinedErrors(t *testing.T) {
 			continue
 		}
 		if seqErr.Error() != pipeErr.Error() {
-			t.Errorf("%s: pipelined error %q, sequential %q", tc.name, pipeErr, seqErr)
+			t.Errorf("%s: streamed error %q, sequential %q", tc.name, pipeErr, seqErr)
+		}
+	}
+}
+
+// TestAggregateCSVNegativeOptions: negative counts are rejected with
+// ErrNegativeOption on the sequential and the streamed path alike, instead
+// of silently selecting the exact aggregation or the sequential reader.
+func TestAggregateCSVNegativeOptions(t *testing.T) {
+	csv := pipelineCSV(40)
+	for _, tc := range []struct {
+		name string
+		opts clusteragg.CSVOptions
+	}{
+		{"sample/sequential", clusteragg.CSVOptions{SampleSize: -5}},
+		{"sample/streamed", clusteragg.CSVOptions{SampleSize: -5, IngestWorkers: 2}},
+		{"ingest-workers/exact", clusteragg.CSVOptions{IngestWorkers: -3}},
+		{"ingest-workers/sampled", clusteragg.CSVOptions{SampleSize: 10, IngestWorkers: -3}},
+	} {
+		tc.opts.HasHeader = true
+		_, err := clusteragg.AggregateCSV(strings.NewReader(csv), tc.opts)
+		if !errors.Is(err, clusteragg.ErrNegativeOption) {
+			t.Errorf("%s: error %v, want ErrNegativeOption", tc.name, err)
 		}
 	}
 }
