@@ -148,15 +148,16 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/experiments -full all
 
-# Short fuzzing passes over the CSV loader, partition invariants, and the
+# Short fuzzing passes over the CSV loader, partition invariants, the
 # contingency-table objective and distinct-row lower bound against the pair
-# scans.
+# scans, and incremental FURTHEST against its full-Cost reference.
 fuzz:
 	$(GO) test -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
 	$(GO) test -run FuzzNormalize -fuzz FuzzNormalize -fuzztime 30s ./internal/partition/
 	$(GO) test -run FuzzDistance -fuzz FuzzDistance -fuzztime 30s ./internal/partition/
 	$(GO) test -run FuzzObjectiveExact -fuzz FuzzObjectiveExact -fuzztime 30s ./internal/core/
+	$(GO) test -run FuzzFurthestIncremental -fuzz FuzzFurthestIncremental -fuzztime 30s ./internal/corrclust/
 
 clean:
 	$(GO) clean ./...
-	rm -rf internal/dataset/testdata/fuzz internal/partition/testdata/fuzz internal/core/testdata/fuzz
+	rm -rf internal/dataset/testdata/fuzz internal/partition/testdata/fuzz internal/core/testdata/fuzz internal/corrclust/testdata/fuzz

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"clusteragg/internal/corrclust"
 	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
@@ -101,6 +102,39 @@ func TestLabelKernelDistBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestFurthestKernelRowPathBitIdentical: FURTHEST over the label kernel
+// runs its center scans and captured-object reads through DistRowTo; hidden
+// behind plain Dist calls the same kernel must yield the same labels and
+// cost, bit for bit, with and without missing values and a cluster count.
+func TestFurthestKernelRowPathBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(307))
+	for trial := 0; trial < 16; trial++ {
+		m := []int{1, 3, 4, 6}[trial%4]
+		pMiss := []float64{0, 0.2}[trial/4%2]
+		p := randMixedProblem(t, rng, 20+rng.Intn(120), m, pMiss, ProblemOptions{})
+		k := p.kernel()
+		for _, K := range []int{0, 3} {
+			want, wantCost := corrclust.FurthestK(hideKernel{k}, K)
+			got, gotCost := corrclust.FurthestK(k, K)
+			if gotCost != wantCost {
+				t.Fatalf("trial %d K=%d: row-path cost %v, generic %v", trial, K, gotCost, wantCost)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("trial %d K=%d: row-path labels %v, generic %v", trial, K, got, want)
+				}
+			}
+		}
+	}
+}
+
+// hideKernel exposes the label kernel through Dist only, so corrclust takes
+// its generic per-pair paths.
+type hideKernel struct{ k *labelKernel }
+
+func (h hideKernel) N() int                { return h.k.N() }
+func (h hideKernel) Dist(u, v int) float64 { return h.k.Dist(u, v) }
 
 // TestColabelHistAffinities: the histogram evaluation of M(v, C_c) must
 // match the probing sum Σ_{u∈C_c} Dist(v,u) — exactly on dyadic instances,

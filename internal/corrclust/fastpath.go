@@ -94,6 +94,77 @@ func rowFast(inst Instance) (RowDistancer, func(int64)) {
 	}
 }
 
+// rowReader evaluates one object against many through the cheapest path an
+// instance offers: matrix storage (a contiguous RowTo for full rows), one
+// bulk DistRowTo on a matrix-free row oracle (both bulk-charged to any
+// counting layers), or one Dist call per pair otherwise. Every path fills
+// the same values and charges the same number of reads, so a consumer's
+// arithmetic and its dist_probes totals do not depend on the path.
+type rowReader struct {
+	inst   Instance
+	mx     *Matrix
+	rd     RowDistancer // matrix-free bulk row oracle (nil without one)
+	rdIDs  []int        // identity targets for rd gathers
+	charge func(int64)
+}
+
+func newRowReader(inst Instance) rowReader {
+	r := rowReader{inst: inst}
+	if r.mx, r.charge = matrixFast(inst); r.mx != nil {
+		return r
+	}
+	if r.rd, r.charge = rowFast(inst); r.rd != nil {
+		r.rdIDs = identity(inst.N())
+		return r
+	}
+	r.charge = func(int64) {}
+	return r
+}
+
+// readRowInto fills buf[:n] with X_v· and returns it. Safe for concurrent
+// use with distinct buffers.
+func (r rowReader) readRowInto(v int, buf []float64) []float64 {
+	n := r.inst.N()
+	switch {
+	case r.mx != nil:
+		r.mx.RowTo(v, buf)
+		r.charge(int64(n - 1))
+	case r.rd != nil:
+		r.rd.DistRowTo(v, r.rdIDs, buf)
+		r.charge(int64(n - 1))
+	default:
+		for u := 0; u < n; u++ {
+			if u == v {
+				buf[u] = 0
+				continue
+			}
+			buf[u] = r.inst.Dist(v, u)
+		}
+	}
+	return buf[:n]
+}
+
+// readTargetsInto fills buf[j] with X_{v,targets[j]} for targets that
+// exclude v, charging len(targets) reads, and returns buf[:len(targets)].
+func (r rowReader) readTargetsInto(v int, targets []int, buf []float64) []float64 {
+	buf = buf[:len(targets)]
+	switch {
+	case r.mx != nil:
+		for j, u := range targets {
+			buf[j] = r.mx.Dist(v, u)
+		}
+		r.charge(int64(len(targets)))
+	case r.rd != nil:
+		r.rd.DistRowTo(v, targets, buf)
+		r.charge(int64(len(targets)))
+	default:
+		for j, u := range targets {
+			buf[j] = r.inst.Dist(v, u)
+		}
+	}
+	return buf
+}
+
 // identity returns the target list [0, 1, ..., n); row consumers slice it
 // to address contiguous object ranges without per-row allocations.
 func identity(n int) []int {

@@ -1,0 +1,288 @@
+package corrclust
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"clusteragg/internal/obs"
+	"clusteragg/internal/partition"
+)
+
+// furthestReference is FURTHEST with the objective re-evaluated from scratch:
+// after every new center it reassigns against the running nearest-center
+// minimum, computes the full O(n²) Cost of the new labels, and keeps going
+// while that improves. It is the oracle the incremental cost change of
+// FurthestWithOptions is checked against.
+func furthestReference(inst Instance, k int) (partition.Labels, float64) {
+	n := inst.N()
+	if n == 0 {
+		return partition.Labels{}, 0
+	}
+	if k > n {
+		k = n
+	}
+	best := partition.Single(n)
+	bestCost := Cost(inst, best)
+	if k == 1 {
+		return best, bestCost
+	}
+
+	minDist := make([]float64, n)
+	labels := make(partition.Labels, n)
+	centers := 0
+	addCenter := func(c int) {
+		idx := centers
+		centers++
+		for v := 0; v < n; v++ {
+			if d := inst.Dist(c, v); idx == 0 || d < minDist[v] {
+				minDist[v] = d
+				labels[v] = idx
+			}
+		}
+	}
+
+	u0, v0 := furthestPair(inst)
+	addCenter(u0)
+	for {
+		if centers == 1 {
+			addCenter(v0)
+		} else {
+			next, nextDist := -1, -1.0
+			for v := 0; v < n; v++ {
+				if minDist[v] > nextDist {
+					next, nextDist = v, minDist[v]
+				}
+			}
+			if nextDist == 0 {
+				break
+			}
+			addCenter(next)
+		}
+
+		cost := Cost(inst, labels)
+		switch {
+		case k == 0 && cost >= bestCost:
+			return best.Normalize(), bestCost
+		case cost < bestCost || k > 0:
+			best, bestCost = labels.Clone(), cost
+		}
+		if (k > 0 && centers >= k) || centers == n {
+			return best.Normalize(), bestCost
+		}
+	}
+	return best.Normalize(), bestCost
+}
+
+// rowOracle exposes a Matrix only through Dist and DistRowTo, the shape of
+// the core package's matrix-free label kernel, so the RowDistancer paths run.
+type rowOracle struct{ m *Matrix }
+
+func (r rowOracle) N() int                { return r.m.N() }
+func (r rowOracle) Dist(u, v int) float64 { return r.m.Dist(u, v) }
+func (r rowOracle) DistRowTo(u int, targets []int, dst []float64) {
+	for j, v := range targets {
+		dst[j] = r.m.Dist(u, v)
+	}
+}
+
+// coinInstance is aggInstance for clusterings that may carry
+// partition.Missing labels, under the coin model with p = ½: a clustering
+// missing either object of a pair separates it with probability ½. With m a
+// power of two every distance is a dyadic rational.
+func coinInstance(clusterings []partition.Labels) *Matrix {
+	n := len(clusterings[0])
+	m := NewMatrix(n)
+	for u := 0; u < n; u++ {
+		row := m.Row(u)
+		for j := range row {
+			v := u + 1 + j
+			var sep float64
+			for _, c := range clusterings {
+				switch {
+				case c[u] == partition.Missing || c[v] == partition.Missing:
+					sep += 0.5
+				case c[u] != c[v]:
+					sep++
+				}
+			}
+			row[j] = sep / float64(len(clusterings))
+		}
+	}
+	return m
+}
+
+// dyadicCoinInstance draws m clusterings of n objects with at most k
+// clusters each, blanking a fraction missing of the labels.
+func dyadicCoinInstance(rng *rand.Rand, m, n, k int, missing float64) *Matrix {
+	cs := randClusterings(rng, m, n, k)
+	for _, c := range cs {
+		for i := range c {
+			if rng.Float64() < missing {
+				c[i] = partition.Missing
+			}
+		}
+	}
+	return coinInstance(cs)
+}
+
+// checkFurthestMatchesReference runs FurthestK with K = 0 and K = 3 on every
+// given view of one instance and compares it against the reference on the
+// first view: labels must be identical, and the returned cost equal to it
+// within tol (tol = 0 demands the same float).
+func checkFurthestMatchesReference(t *testing.T, name string, tol float64, views ...Instance) {
+	t.Helper()
+	for _, k := range []int{0, 3} {
+		want, wantCost := furthestReference(views[0], k)
+		for vi, inst := range views {
+			got, gotCost := FurthestK(inst, k)
+			if !equalLabelSlices(got, want) {
+				t.Fatalf("%s K=%d view %d: labels %v, reference %v", name, k, vi, got, want)
+			}
+			if math.Abs(gotCost-wantCost) > tol {
+				t.Fatalf("%s K=%d view %d: cost %v, reference %v", name, k, vi, gotCost, wantCost)
+			}
+		}
+	}
+}
+
+// TestFurthestIncrementalMatchesReference pins the incremental objective to
+// the full-Cost oracle in two tiers. On dyadic instances (m ∈ {1, 2, 4, 8},
+// with and without missing labels) every float sum is exact, so labels and
+// costs must be bit-identical on the matrix, generic and row paths alike.
+// On the continuous and non-dyadic instances the running cost drifts from
+// the fresh sums by a few ulps: labels must still agree and costs to 1e-9.
+func TestFurthestIncrementalMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	for trial := 0; trial < 48; trial++ {
+		m := []int{1, 2, 4, 8}[trial%4]
+		missing := 0.0
+		if trial%8 >= 4 {
+			missing = 0.2
+		}
+		n := 2 + rng.Intn(60)
+		mx := dyadicCoinInstance(rng, m, n, 1+rng.Intn(6), missing)
+		name := fmt.Sprintf("dyadic m=%d missing=%v", m, missing)
+		checkFurthestMatchesReference(t, name, 0, mx, opaque{mx}, rowOracle{mx})
+	}
+
+	for seed := int64(0); seed < 6; seed++ {
+		mx := randomMatrix(70, 400+seed)
+		checkFurthestMatchesReference(t, "continuous", 1e-9, mx, opaque{mx}, rowOracle{mx})
+	}
+	for trial := 0; trial < 12; trial++ {
+		m := []int{3, 5, 6}[trial%3]
+		mx := aggInstance(t, randClusterings(rng, m, 20+rng.Intn(60), 2+rng.Intn(6))...)
+		checkFurthestMatchesReference(t, "non-dyadic", 1e-9, mx, opaque{mx}, rowOracle{mx})
+	}
+}
+
+// TestFurthestRowPathProbes: the RowDistancer path charges the counting
+// layers exactly what the generic path's Dist calls count.
+func TestFurthestRowPathProbes(t *testing.T) {
+	mx := randomMatrix(50, 5)
+	count := func(in Instance) int64 {
+		rec := obs.New()
+		Furthest(obs.Count(in, rec.Counter("probes")))
+		return rec.Counters()["probes"]
+	}
+	if rows, generic := count(rowOracle{mx}), count(opaque{mx}); rows != generic {
+		t.Errorf("%d probes charged on the row path, %d on the generic", rows, generic)
+	}
+}
+
+// FuzzFurthestIncremental decodes a small dyadic instance from the fuzzer's
+// bytes — the number of clusterings, the cluster-count mode, and one label
+// per (clustering, object), 0xff meaning missing — and demands the
+// reference's labels and cost, bit for bit.
+func FuzzFurthestIncremental(f *testing.F) {
+	f.Add([]byte{0x01, 0, 1, 0, 1, 2, 2, 0, 1, 0, 1, 2, 3, 0, 1, 0, 1, 2, 2})
+	f.Add([]byte{0x12, 0, 0, 1, 1, 0xff, 2, 1, 0, 1, 0, 2, 2})
+	f.Add([]byte{0x23, 3, 3, 3, 3, 3, 3, 3, 3})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		m := 1 << (data[0] & 3) // 1, 2, 4, 8 clusterings: dyadic distances
+		k := int(data[0]>>2) % 4
+		body := data[1:]
+		n := len(body) / m
+		if n == 0 {
+			return
+		}
+		if n > 40 {
+			n = 40
+		}
+		cs := make([]partition.Labels, m)
+		for i := range cs {
+			c := make(partition.Labels, n)
+			for j := range c {
+				if b := body[i*n+j]; b == 0xff {
+					c[j] = partition.Missing
+				} else {
+					c[j] = int(b % 8)
+				}
+			}
+			cs[i] = c
+		}
+		inst := coinInstance(cs)
+		want, wantCost := furthestReference(inst, k)
+		got, gotCost := FurthestK(inst, k)
+		if !equalLabelSlices(got, want) || gotCost != wantCost {
+			t.Fatalf("m=%d n=%d K=%d: (%v, %v), reference (%v, %v)", m, n, k, got, gotCost, want, wantCost)
+		}
+	})
+}
+
+// reclusterShapedMatrix mimics the singleton recluster SAMPLING hands to
+// FURTHEST: m = 6 clusterings of n objects from 32 planted groups, where
+// each label is noise (uniform over 34 ids) with probability ½, so few
+// objects share a row and the clustering ends with hundreds of clusters.
+func reclusterShapedMatrix(n int, seed int64) *Matrix {
+	const m, groups = 6, 32
+	rng := rand.New(rand.NewSource(seed))
+	cs := make([][]uint8, m)
+	for i := range cs {
+		c := make([]uint8, n)
+		for v := range c {
+			if rng.Float64() < 0.5 {
+				c[v] = uint8(rng.Intn(groups + 2))
+			} else {
+				c[v] = uint8(v % groups)
+			}
+		}
+		cs[i] = c
+	}
+	mx := NewMatrix(n)
+	for u := 0; u < n; u++ {
+		row := mx.Row(u)
+		for j := range row {
+			sep := 0
+			for _, c := range cs {
+				if c[u] != c[u+1+j] {
+					sep++
+				}
+			}
+			row[j] = float64(sep) / m
+		}
+	}
+	return mx
+}
+
+// BenchmarkFurthest runs parameter-free FURTHEST on a recluster-shaped
+// instance (3,000 mostly-noise objects, m = 6) and reports the distance
+// reads per run through a counting wrapper.
+func BenchmarkFurthest(b *testing.B) {
+	mx := reclusterShapedMatrix(3000, 1)
+	rec := obs.New()
+	inst := obs.Count(mx, rec.Counter("probes"))
+	b.ReportAllocs()
+	b.ResetTimer()
+	var k int
+	for i := 0; i < b.N; i++ {
+		k = Furthest(inst).K()
+	}
+	b.ReportMetric(float64(rec.Counters()["probes"])/float64(b.N), "probes/op")
+	b.ReportMetric(float64(k), "clusters")
+}

@@ -63,11 +63,7 @@ import (
 
 // lsKernel is the incremental LOCALSEARCH state.
 type lsKernel struct {
-	inst    Instance
-	mx      *Matrix
-	rd      RowDistancer // matrix-free bulk row oracle (nil without one)
-	rdIDs   []int        // identity targets for rd gathers
-	charge  func(int64)
+	rowReader
 	n       int
 	rowBuf  []float64
 	rowFor  int       // object whose row rowBuf currently holds, -1 if none
@@ -112,32 +108,6 @@ func tableWidthFor(n int) int {
 	return w
 }
 
-// readRowInto gathers X_v· into buf: a contiguous RowTo on the matrix fast
-// path, one bulk DistRowTo on a matrix-free row oracle (both bulk-charged
-// to any counting layers), n−1 Dist calls otherwise. All three fill the
-// same values with a zero diagonal. Safe for concurrent use with distinct
-// buffers.
-func (k *lsKernel) readRowInto(v int, buf []float64) []float64 {
-	if k.mx != nil {
-		k.mx.RowTo(v, buf)
-		k.charge(int64(k.n - 1))
-		return buf
-	}
-	if k.rd != nil {
-		k.rd.DistRowTo(v, k.rdIDs, buf)
-		k.charge(int64(k.n - 1))
-		return buf
-	}
-	for u := 0; u < k.n; u++ {
-		if u == v {
-			buf[u] = 0
-			continue
-		}
-		buf[u] = k.inst.Dist(v, u)
-	}
-	return buf
-}
-
 // readRow is readRowInto against the kernel's own buffer, memoized on the
 // last object gathered: an evaluation followed by the move's column updates
 // reads v's row once, not twice. Rows never change, so the cache needs no
@@ -156,23 +126,9 @@ func (k *lsKernel) readRow(v int) []float64 {
 // boundary where the cluster count has collapsed under tableWidth.
 func newLSKernel(inst Instance, labels partition.Labels, eps float64, refreshEvery int) *lsKernel {
 	n := inst.N()
-	mx, charge := matrixFast(inst)
-	var rd RowDistancer
-	var rdIDs []int
-	if mx == nil {
-		if rd, charge = rowFast(inst); rd != nil {
-			rdIDs = identity(n)
-		} else {
-			charge = func(int64) {}
-		}
-	}
 	slots := labels.K()
 	k := &lsKernel{
-		inst:         inst,
-		mx:           mx,
-		rd:           rd,
-		rdIDs:        rdIDs,
-		charge:       charge,
+		rowReader:    newRowReader(inst),
 		n:            n,
 		rowBuf:       make([]float64, n),
 		rowFor:       -1,
