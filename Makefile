@@ -71,8 +71,8 @@ cover:
 # The distance-kernel suite: block materialization vs the naive build,
 # LOCALSEARCH row fast path vs generic, the incremental LOCALSEARCH kernel
 # vs the reference sweep, BestOf racing, and the label-kernel sampling
-# assignment vs the probing reference (see docs/PERFORMANCE.md for how
-# to read the numbers).
+# assignment vs the test-only probing reference (see docs/PERFORMANCE.md
+# for how to read the numbers).
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$' -benchmem ./internal/core/
 
@@ -121,7 +121,8 @@ bench-huge:
 fuzz-localsearch:
 	$(GO) test -run FuzzLocalSearchIncremental -fuzz FuzzLocalSearchIncremental -fuzztime 30s ./internal/corrclust/
 
-# Fuzz the columnar label kernel's DistRowTo against Problem.Dist.
+# Fuzz the columnar label kernel's DistRowTo and Dist against the test-only
+# []int pair loop (refDist in internal/core/reference_test.go).
 fuzz-kernel:
 	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/
 
@@ -148,13 +149,15 @@ experiments:
 experiments-full:
 	$(GO) run ./cmd/experiments -full all
 
-# Short fuzzing passes over the CSV loader, partition invariants, the
-# contingency-table objective and distinct-row lower bound against the pair
-# scans, and incremental FURTHEST against its full-Cost reference.
+# Short fuzzing passes over the CSV loader, partition invariants, the label
+# kernel against the []int pair loop, the contingency-table objective and
+# distinct-row lower bound against the pair scans, and incremental FURTHEST
+# against its full-Cost reference.
 fuzz:
 	$(GO) test -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
 	$(GO) test -run FuzzNormalize -fuzz FuzzNormalize -fuzztime 30s ./internal/partition/
 	$(GO) test -run FuzzDistance -fuzz FuzzDistance -fuzztime 30s ./internal/partition/
+	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzObjectiveExact -fuzz FuzzObjectiveExact -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzFurthestIncremental -fuzz FuzzFurthestIncremental -fuzztime 30s ./internal/corrclust/
 

@@ -43,7 +43,8 @@ type Problem = core.Problem
 type ProblemOptions = core.ProblemOptions
 
 // NewProblem validates the input clusterings and builds an aggregation
-// problem.
+// problem. The labels are packed into the same block NewProblemPacked takes
+// (so they must lie below 2³¹−1) and the slices are not retained.
 func NewProblem(clusterings []Labels, opts ProblemOptions) (*Problem, error) {
 	return core.NewProblem(clusterings, opts)
 }

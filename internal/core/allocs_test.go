@@ -72,9 +72,10 @@ func TestKernelDistAllocs(t *testing.T) {
 	})
 }
 
-// TestPackedUnpackAllocs pins the packed row accessor: unpacking one
-// object's labels into a caller buffer allocates nothing, so packed
-// problems can feed row-oriented consumers without per-object garbage.
+// TestPackedUnpackAllocs pins the packed column accessor: unpacking one
+// clustering's labels out of the packed block into a caller buffer
+// allocates nothing, so materialization reads every clustering through one
+// scratch column.
 func TestPackedUnpackAllocs(t *testing.T) {
 	b := NewPackedColumns(256, 3)
 	col := make([]int, 256)
@@ -94,8 +95,13 @@ func TestPackedUnpackAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make(partition.Labels, 3)
-	pinAllocs(t, "unpackInto", 0, func() {
-		pc.unpackInto(100, dst)
+	p, err := NewProblemPacked(pc, ProblemOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk := p.kernel()
+	dst := make(partition.Labels, 256)
+	pinAllocs(t, "column", 0, func() {
+		lk.column(1, dst)
 	})
 }

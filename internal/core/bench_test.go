@@ -176,7 +176,7 @@ func BenchmarkSampleAssign(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{
-					Rand: rand.New(rand.NewSource(7)), NoSingletonRecluster: true, ReferenceAssign: ref,
+					Rand: rand.New(rand.NewSource(7)), NoSingletonRecluster: true, assign: assignWith(ref),
 				}); err != nil {
 					b.Fatal(err)
 				}
@@ -189,7 +189,7 @@ func BenchmarkSampleAssign(b *testing.B) {
 	// m=16 with uniform weights is dyadic, so the two paths must agree
 	// bit for bit; pin that once outside the timed loops.
 	want, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{
-		Rand: rand.New(rand.NewSource(7)), NoSingletonRecluster: true, ReferenceAssign: true,
+		Rand: rand.New(rand.NewSource(7)), NoSingletonRecluster: true, assign: assignReference,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -34,8 +34,9 @@ func closeRel(a, b float64) bool {
 // TestBestClusteringFastMatchesSlow: BESTCLUSTERING's (labels, index,
 // disagreement) through the contingency-table objective equals the argmin
 // by the O(m·n²) pair scan, with and without missing values, weighted and
-// uniform, on packed and unpacked problems. The index may differ only
-// between candidates the scan scores equal within float tolerance.
+// uniform, on problems from NewProblem and from either builder mode. The
+// index may differ only between candidates the scan scores equal within
+// float tolerance.
 func TestBestClusteringFastMatchesSlow(t *testing.T) {
 	rng := rand.New(rand.NewSource(201))
 	for trial := 0; trial < 80; trial++ {

@@ -53,23 +53,22 @@ const (
 // any correlation-clustering algorithm. Construct with NewProblem.
 type Problem struct {
 	n           int
-	clusterings []partition.Labels
 	missingP    float64
 	missingMode MissingMode
 	weights     []float64 // nil means uniform
 	totalWeight float64
 
-	// packed, when non-nil, holds the inputs as a width-packed label block
-	// instead of clusterings (exactly one of the two is set — see
-	// NewProblemPacked). The kernel path aliases it zero-copy; []int views
-	// are unpacked lazily into unpacked for the few paths that need them.
+	// packed holds the inputs as a width-packed label block (see
+	// packed.go), whichever constructor built the Problem. The kernel
+	// aliases it zero-copy; []int views are unpacked lazily into unpacked
+	// for Clusterings only.
 	packed     *PackedClusterings
 	unpackOnce sync.Once
 	unpacked   []partition.Labels
 
 	// kernelOnce caches the auto-width label kernel: every Problem builds it
-	// at most once, so repeated Disagreement/LowerBound/Sample calls (and
-	// the Dist delegation of packed problems) stop re-packing O(n·m) labels.
+	// at most once, so repeated Dist/Disagreement/LowerBound/Sample calls
+	// share one set of premultiplied weights over the packed block.
 	kernelOnce   sync.Once
 	kernelCached *labelKernel
 }
@@ -94,35 +93,30 @@ type ProblemOptions struct {
 var ErrNoClusterings = errors.New("core: no input clusterings")
 
 // NewProblem validates the inputs and builds an aggregation problem. All
-// clusterings must have the same length and contain only valid labels.
+// clusterings must have the same length and contain only valid labels
+// (non-negative and below math.MaxInt32, or partition.Missing). The labels
+// are packed column by column into the width-packed block NewProblemPacked
+// takes, so the caller's slices are not retained.
 func NewProblem(clusterings []partition.Labels, opts ProblemOptions) (*Problem, error) {
 	if len(clusterings) == 0 {
 		return nil, ErrNoClusterings
 	}
-	n := len(clusterings[0])
-	for i, c := range clusterings {
-		if len(c) != n {
-			return nil, fmt.Errorf("core: clustering %d has %d objects, want %d: %w",
-				i, len(c), n, partition.ErrLengthMismatch)
-		}
-		if err := c.Validate(); err != nil {
-			return nil, fmt.Errorf("core: clustering %d: %w", i, err)
+	b := NewPackedColumns(len(clusterings[0]), len(clusterings))
+	for _, c := range clusterings {
+		if err := b.AppendColumn(c); err != nil {
+			return nil, err
 		}
 	}
-	prob, err := problemOptionsOf(len(clusterings), opts)
+	pc, err := b.Build()
 	if err != nil {
 		return nil, err
 	}
-	prob.n = n
-	prob.clusterings = clusterings
-	return prob, nil
+	return NewProblemPacked(pc, opts)
 }
 
 // problemOptionsOf validates the options against m input clusterings and
 // returns a Problem with the option-derived fields (missing model, weights,
-// total weight) set; the caller fills in the inputs themselves. Shared by
-// NewProblem and NewProblemPacked so both constructors enforce identical
-// rules.
+// total weight) set; NewProblemPacked fills in the inputs themselves.
 func problemOptionsOf(m int, opts ProblemOptions) (*Problem, error) {
 	p := opts.MissingTogether
 	if p == 0 {
@@ -167,85 +161,33 @@ func (p *Problem) weight(i int) float64 {
 func (p *Problem) N() int { return p.n }
 
 // M returns the number of input clusterings.
-func (p *Problem) M() int {
-	if p.packed != nil {
-		return p.packed.m
-	}
-	return len(p.clusterings)
-}
+func (p *Problem) M() int { return p.packed.m }
 
-// labelViews returns per-clustering []int label views of the inputs: the
-// clusterings themselves when the problem holds them unpacked, or a
-// lazily-unpacked (once, cached) materialization of the packed block. The
-// kernel path never calls this; only matrix materialization of small
-// subproblems and Clusterings() do.
-func (p *Problem) labelViews() []partition.Labels {
-	if p.packed == nil {
-		return p.clusterings
-	}
-	p.unpackOnce.Do(func() { p.unpacked = p.packed.unpackAll() })
+// Clusterings returns the input clusterings as []int label views, unpacked
+// from the packed block on the first call and cached on the Problem (m·n
+// ints, allocated once). They are not the slices passed to NewProblem;
+// callers must not modify them.
+func (p *Problem) Clusterings() []partition.Labels {
+	p.unpackOnce.Do(func() {
+		lk := p.kernel()
+		p.unpacked = make([]partition.Labels, lk.m)
+		for i := range p.unpacked {
+			p.unpacked[i] = make(partition.Labels, p.n)
+			lk.column(i, p.unpacked[i])
+		}
+	})
 	return p.unpacked
 }
 
-// Clusterings returns the input clusterings (not a copy; callers must not
-// modify them). On a packed problem this materializes []int views of the
-// label block, allocated once per Problem.
-func (p *Problem) Clusterings() []partition.Labels { return p.labelViews() }
-
 // Dist returns X_uv: the (expected) fraction of input clusterings that place
 // u and v in different clusters. Dist satisfies corrclust.Instance and obeys
-// the triangle inequality.
-func (p *Problem) Dist(u, v int) float64 {
-	if u == v {
-		return 0
-	}
-	if p.packed != nil {
-		// The kernel's pair evaluation is bit-identical to the loops below
-		// and reads the packed labels in place.
-		return p.kernel().Dist(u, v)
-	}
-	if p.missingMode == MissingAverage {
-		return p.distAverage(u, v)
-	}
-	var x float64
-	for i, c := range p.clusterings {
-		lu, lv := c[u], c[v]
-		switch {
-		case lu == partition.Missing || lv == partition.Missing:
-			x += (1 - p.missingP) * p.weight(i)
-		case lu != lv:
-			x += p.weight(i)
-		}
-	}
-	return x / p.totalWeight
-}
-
-// distAverage is Dist under MissingAverage: only clusterings with values on
-// both objects vote; a pair with no votes at all is maximally uncertain
-// (distance 1/2).
-//
-// Note that unlike the coin model, the averaged distances need not obey the
-// triangle inequality (different pairs average over different clusterings),
-// so the BALLS approximation guarantee does not formally carry over; the
-// algorithms still apply as heuristics.
-func (p *Problem) distAverage(u, v int) float64 {
-	var x, votes float64
-	for i, c := range p.clusterings {
-		lu, lv := c[u], c[v]
-		if lu == partition.Missing || lv == partition.Missing {
-			continue
-		}
-		w := p.weight(i)
-		votes += w
-		if lu != lv {
-			x += w
-		}
-	}
-	if votes == 0 {
-		return 0.5
-	}
-	return x / votes
-}
+// the triangle inequality under the coin model. Under MissingAverage only
+// clusterings with values on both objects vote, and a pair with no votes at
+// all is maximally uncertain (distance 1/2); those averaged distances need
+// not obey the triangle inequality (different pairs average over different
+// clusterings), so the BALLS guarantee does not formally carry over and the
+// algorithms apply as heuristics.
+func (p *Problem) Dist(u, v int) float64 { return p.kernel().Dist(u, v) }
 
 // Disagreement returns the (expected) total number of unordered-pair
 // disagreements D(C) = Σ_i d_V(C_i, C) between labels and the inputs. This

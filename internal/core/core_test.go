@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"clusteragg/internal/corrclust"
@@ -32,6 +34,12 @@ func TestNewProblemValidation(t *testing.T) {
 	}
 	if _, err := NewProblem([]partition.Labels{{0, -5}}, ProblemOptions{}); err == nil {
 		t.Error("invalid label accepted")
+	}
+	// A label whose exclusive bound overflows int32 (it would collide with
+	// the packed missing sentinel) is rejected, naming clustering and label.
+	if _, err := NewProblem([]partition.Labels{{0, 1}, {math.MaxInt32, 0}}, ProblemOptions{}); err == nil ||
+		!strings.Contains(err.Error(), fmt.Sprintf("clustering 1: label %d", math.MaxInt32)) {
+		t.Errorf("label MaxInt32: %v", err)
 	}
 	if _, err := NewProblem([]partition.Labels{{0, 1}}, ProblemOptions{MissingTogether: 1.5}); err == nil {
 		t.Error("out-of-range MissingTogether accepted")

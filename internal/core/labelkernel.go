@@ -1,35 +1,31 @@
 package core
 
-import (
-	"clusteragg/internal/partition"
-)
-
 // This file is the columnar label kernel: the m input clusterings packed
 // into one row-major per-object block of labels, so that distance
 // evaluation becomes a tight contiguous label-compare loop instead of a
 // per-pair interface probe through a slice of slices.
 //
-// Problem.Dist walks p.clusterings — m separate []int slices — with a
-// branchy switch per clustering, behind a corrclust.Instance interface call
-// per pair. The kernel stores object v's labels as lab[v*m : v*m+m],
-// per-clustering weights and the coin-model missing contribution
-// premultiplied, and a per-object has-missing flag. One-against-many
-// evaluation (DistRowTo) then streams two contiguous label blocks per pair;
+// The kernel stores object v's labels as lab[v*m : v*m+m] (the packed
+// block every Problem holds, aliased zero-copy), per-clustering weights and
+// the coin-model missing contribution premultiplied, and a per-object
+// has-missing flag. Problem.Dist is the kernel's Dist; one-against-many
+// evaluation (DistRowTo) streams two contiguous label blocks per pair, and
 // pairs where neither side has a missing label and the weights are uniform
 // collapse to an integer label-mismatch count. Every loop performs the same
-// float operations in the same order as Problem.Dist (premultiplied
-// products round identically to the inline ones), so kernel distances are
-// bit-identical to Dist's — not merely close — which the equivalence tests
-// and FuzzLabelKernelEquiv pin exactly.
+// float operations in the same order as the textbook per-clustering []int
+// pair loop (premultiplied products round identically to the inline ones),
+// so kernel distances are bit-identical to it — not merely close. The
+// equivalence tests and FuzzLabelKernelEquiv pin that against a test-only
+// copy of the loop.
 //
 // Width packing: labels are stored at the minimum width that fits the
-// kernel's label bound — uint8, uint16, or int32 — selected once at build
-// time from the same bound scan that sizes the co-label histograms. The
-// working assumption (and the common case by far) is k ≤ 256 clusters per
-// input clustering: then every label block packs to one byte per
-// clustering, quartering the memory traffic of the O(n·m) assignment scan
-// relative to the int32 layout and keeping the per-clustering co-label
-// histograms cache-resident. Missing labels take the width's all-ones
+// kernel's label bound — uint8, uint16, or int32 — selected by PackedBuilder
+// as labels arrive, from the same per-clustering bounds that size the
+// co-label histograms. The working assumption (and the common case by far)
+// is k ≤ 256 clusters per input clustering: then every label block packs
+// to one byte per clustering, quartering the memory traffic of the O(n·m)
+// assignment scan relative to the int32 layout and keeping the
+// per-clustering co-label histograms cache-resident. Missing labels take the width's all-ones
 // sentinel (0xFF / 0xFFFF / −1), one past the largest storable label, so
 // uint8 holds labels 0..254, uint16 labels 0..65534, and int32 everything
 // else. Every inner loop (pairDist, DistRowTo, histogram build and
@@ -81,8 +77,8 @@ func widthFor(bound int32) int {
 
 // labelKernel is the packed columnar view of a Problem's input clusterings.
 // It implements corrclust.Instance and corrclust.RowDistancer; distances
-// are bit-identical to Problem.Dist at every storage width. The kernel is
-// immutable after construction and safe for concurrent use.
+// are bit-identical at every storage width. The kernel is immutable after
+// construction and safe for concurrent use.
 type labelKernel struct {
 	n, m int
 	// width is the storage width in bytes per label (width8/width16/width32);
@@ -94,9 +90,9 @@ type labelKernel struct {
 	lab16 []uint16
 	lab32 []int32
 	// maxLab[i] is the exclusive upper bound on clustering i's present
-	// labels (0 when every label is missing), computed by the build's single
-	// bound scan and reused both for width selection and as the co-label
-	// histograms' default label bound (see buildColabelHist).
+	// labels (0 when every label is missing), computed by PackedBuilder and
+	// reused both for width selection and as the co-label histograms'
+	// default label bound (see buildColabelHist).
 	maxLab []int32
 	// w[i] is clustering i's weight (all 1 under uniform weights); missW[i]
 	// is the premultiplied coin-model missing contribution (1−missingP)·w[i].
@@ -109,16 +105,15 @@ type labelKernel struct {
 	anyMiss bool
 	uniform bool
 
-	average     bool // MissingAverage arithmetic (mirrors Problem.distAverage)
+	average     bool // MissingAverage arithmetic (see Problem.Dist)
 	totalWeight float64
 }
 
-// kernel returns the problem's labelKernel at the minimum width, built at
-// most once per Problem (cached under kernelOnce): evaluate + sample +
-// lower-bound sequences stop paying the O(n·m) pack repeatedly, and packed
-// problems alias their ingest block with no pack at all.
+// kernel returns the problem's labelKernel at the stored (minimum) width,
+// built at most once per Problem (cached under kernelOnce). It aliases the
+// packed block, so building it costs only the O(m) weight premultiply.
 func (p *Problem) kernel() *labelKernel {
-	p.kernelOnce.Do(func() { p.kernelCached = p.buildLabelKernel(0) })
+	p.kernelOnce.Do(func() { p.kernelCached = p.packed.kernelFrom(p, 0) })
 	return p.kernelCached
 }
 
@@ -131,89 +126,13 @@ func (p *Problem) kernelWidth(force int) *labelKernel {
 	if force == 0 {
 		return p.kernel()
 	}
-	return p.buildLabelKernel(force)
-}
-
-// buildLabelKernel constructs the kernel: zero-copy from the packed ingest
-// block when the problem is packed, otherwise a fresh O(n·m) pack of the
-// []int clusterings.
-func (p *Problem) buildLabelKernel(force int) *labelKernel {
-	if p.packed != nil {
-		return p.packed.kernelFrom(p, force)
-	}
-	n, m := p.n, len(p.clusterings)
-	lk := &labelKernel{
-		n:           n,
-		m:           m,
-		maxLab:      make([]int32, m),
-		w:           make([]float64, m),
-		missW:       make([]float64, m),
-		hasMiss:     make([]bool, n),
-		uniform:     p.weights == nil,
-		average:     p.missingMode == MissingAverage,
-		totalWeight: p.totalWeight,
-	}
-	// Single bound scan: per-clustering label bounds (for width selection
-	// here and the co-label histograms later) and the missing flags, before
-	// any labels are packed.
-	var bound int32
-	for i, c := range p.clusterings {
-		wi := p.weight(i)
-		lk.w[i] = wi
-		lk.missW[i] = (1 - p.missingP) * wi
-		var bi int32
-		for v, l := range c {
-			if l == partition.Missing {
-				lk.hasMiss[v] = true
-				lk.anyMiss = true
-			} else if l32 := int32(l); l32 >= bi {
-				bi = l32 + 1
-			}
-		}
-		lk.maxLab[i] = bi
-		if bi > bound {
-			bound = bi
-		}
-	}
-	lk.width = widthFor(bound)
-	if force != 0 {
-		if force < lk.width {
-			panic("core: forced kernel width below the label bound")
-		}
-		lk.width = force
-	}
-	switch lk.width {
-	case width8:
-		lk.lab8 = packLabels[uint8](p, n, m)
-	case width16:
-		lk.lab16 = packLabels[uint16](p, n, m)
-	default:
-		lk.lab32 = packLabels[int32](p, n, m)
-	}
-	return lk
-}
-
-// packLabels fills the row-major label block at width W, mapping missing
-// labels to the width's sentinel.
-func packLabels[W labelWord](p *Problem, n, m int) []W {
-	lab := make([]W, n*m)
-	miss := missingWord[W]()
-	for i, c := range p.clusterings {
-		for v, l := range c {
-			if l == partition.Missing {
-				lab[v*m+i] = miss
-			} else {
-				lab[v*m+i] = W(l)
-			}
-		}
-	}
-	return lab
+	return p.packed.kernelFrom(p, force)
 }
 
 // N returns the number of objects.
 func (lk *labelKernel) N() int { return lk.n }
 
-// Dist returns the distance X_uv, bit-identical to Problem.Dist.
+// Dist returns the distance X_uv (Problem.Dist delegates here).
 func (lk *labelKernel) Dist(u, v int) float64 {
 	if u == v {
 		return 0
@@ -233,15 +152,15 @@ func (lk *labelKernel) Dist(u, v int) float64 {
 // pairDist evaluates one pair from its label blocks, generic over the
 // storage width. miss gates the missing-label arithmetic: clean pairs take
 // label-compare-only loops (an integer count under uniform weights), and
-// either loop performs exactly the additions Problem.Dist would, in the
-// same order — the width never touches a float, so all widths agree bit
-// for bit.
+// either loop performs exactly the additions the per-clustering []int pair
+// loop would, in the same order — the width never touches a float, so all
+// widths agree bit for bit.
 func pairDist[W labelWord](lk *labelKernel, bu, bv []W, miss bool) float64 {
 	if !miss {
 		// No missing labels on either side: both modes reduce to the
-		// weighted separating fraction over the total weight (distAverage's
-		// vote accumulation sums all weights in index order, which is
-		// exactly how NewProblem computed totalWeight).
+		// weighted separating fraction over the total weight (the average
+		// loop's vote accumulation sums all weights in index order, which is
+		// exactly how problemOptionsOf computes totalWeight).
 		if lk.uniform {
 			cnt := 0
 			for i, lu := range bu {
@@ -322,7 +241,7 @@ func distRowTo[W labelWord](lk *labelKernel, lab []W, v int, targets []int, dst 
 
 // histBoundCap bounds the per-clustering label range the co-label
 // histograms size themselves by without rescanning the sample: when a
-// clustering's global label bound (from the kernel build's bound scan) is
+// clustering's global label bound (maxLab, from the packing) is
 // at most this, the histogram reuses it directly — under the k ≤ 256
 // assumption that is every clustering, and the cnt rows stay
 // cache-resident. A wider clustering (e.g. an all-singletons input) falls
@@ -374,8 +293,8 @@ type colabelHist struct {
 // buildColabelHist builds the histograms for the given sample clusters
 // (members holds original object indices per sample cluster) in
 // O(s·m + m·L·k) time and O(m·L·k) space, L the per-clustering label
-// bound. The bound comes for free from the kernel build's bound scan
-// (maxLab) for clusterings within histBoundCap; wider ones are tightened
+// bound. The bound comes for free from the packed block (maxLab) for
+// clusterings within histBoundCap; wider ones are tightened
 // to the sample-observed bound by one extra row-major pass over the
 // members. A label's absent histogram row is all zeros, so the larger
 // default bound changes no arithmetic — base − 0 and base are the same

@@ -10,11 +10,20 @@ import (
 	"clusteragg/internal/partition"
 )
 
-// randMixedProblem builds a random aggregation instance: m clusterings of n
-// objects over up to 5 planted labels, each label missing with probability
-// pMiss, under the given options.
+// randMixedProblem builds a random aggregation instance over
+// randMixedInputs under the given options.
 func randMixedProblem(t testing.TB, rng *rand.Rand, n, m int, pMiss float64, opts ProblemOptions) *Problem {
 	t.Helper()
+	p, err := NewProblem(randMixedInputs(rng, n, m, pMiss), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// randMixedInputs draws m clusterings of n objects over up to 5 planted
+// labels, each label missing with probability pMiss.
+func randMixedInputs(rng *rand.Rand, n, m int, pMiss float64) []partition.Labels {
 	cs := make([]partition.Labels, m)
 	for i := range cs {
 		c := make(partition.Labels, n)
@@ -27,11 +36,7 @@ func randMixedProblem(t testing.TB, rng *rand.Rand, n, m int, pMiss float64, opt
 		}
 		cs[i] = c
 	}
-	p, err := NewProblem(cs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return cs
 }
 
 // dyadicWeights returns canned weight vectors whose entries are multiples
@@ -51,11 +56,12 @@ func dyadicWeights(m int) []float64 {
 	}
 }
 
-// TestLabelKernelDistBitIdentical: the kernel's Dist and DistRowTo must
-// reproduce Problem.Dist bit for bit — not approximately — on every pair,
-// across both missing modes, weighted and uniform problems, and several
-// missing probabilities. The kernel mirrors Dist's float operations in
-// Dist's order, so this holds on arbitrary (non-dyadic) instances too.
+// TestLabelKernelDistBitIdentical: the kernel's Dist and DistRowTo (and
+// Problem.Dist, which delegates to the kernel) must reproduce the reference
+// []int pair loop bit for bit — not approximately — on every pair, across
+// both missing modes, weighted and uniform problems, and several missing
+// probabilities. The kernel mirrors the loop's float operations in the
+// loop's order, so this holds on arbitrary (non-dyadic) instances too.
 func TestLabelKernelDistBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	for trial := 0; trial < 60; trial++ {
@@ -74,7 +80,12 @@ func TestLabelKernelDistBitIdentical(t *testing.T) {
 		}
 		opts.MissingTogether = []float64{0, 0.25, 0.5, 0.37, 0.75}[trial%5]
 		pMiss := []float64{0, 0.2, 0.6}[trial%3]
-		p := randMixedProblem(t, rng, n, m, pMiss, opts)
+		cs := randMixedInputs(rng, n, m, pMiss)
+		p, err := NewProblem(cs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefDist(cs, opts)
 		lk := p.kernel()
 
 		if lk.N() != n {
@@ -82,9 +93,12 @@ func TestLabelKernelDistBitIdentical(t *testing.T) {
 		}
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				want := p.Dist(u, v)
+				want := ref.Dist(u, v)
 				if got := lk.Dist(u, v); got != want {
-					t.Fatalf("trial %d: kernel Dist(%d,%d) = %v, Problem.Dist = %v", trial, u, v, got, want)
+					t.Fatalf("trial %d: kernel Dist(%d,%d) = %v, reference = %v", trial, u, v, got, want)
+				}
+				if got := p.Dist(u, v); got != want {
+					t.Fatalf("trial %d: Problem.Dist(%d,%d) = %v, reference = %v", trial, u, v, got, want)
 				}
 			}
 		}
@@ -95,7 +109,7 @@ func TestLabelKernelDistBitIdentical(t *testing.T) {
 		for v := 0; v < n; v++ {
 			lk.DistRowTo(v, targets, dst)
 			for j, u := range targets {
-				if want := p.Dist(v, u); dst[j] != want {
+				if want := ref.Dist(v, u); dst[j] != want {
 					t.Fatalf("trial %d: DistRowTo(%d)[%d->%d] = %v, want %v", trial, v, j, u, dst[j], want)
 				}
 			}
@@ -224,7 +238,7 @@ func TestSampleKernelMatchesReferenceDyadic(t *testing.T) {
 		s := 30 + rng.Intn(40)
 
 		want, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
-			SampleSize: s, Rand: rand.New(rand.NewSource(int64(trial))), ReferenceAssign: true,
+			SampleSize: s, Rand: rand.New(rand.NewSource(int64(trial))), assign: assignReference,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -260,7 +274,7 @@ func TestSampleKernelMatchesReferenceAverageMissing(t *testing.T) {
 		p := randMixedProblem(t, rng, 200+rng.Intn(100), m, 0.3,
 			ProblemOptions{MissingMode: MissingAverage, Weights: w})
 		want, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{
-			SampleSize: 40, Rand: rand.New(rand.NewSource(int64(trial))), ReferenceAssign: true,
+			SampleSize: 40, Rand: rand.New(rand.NewSource(int64(trial))), assign: assignReference,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -377,7 +391,7 @@ func TestSampleAssignCounters(t *testing.T) {
 		_, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
 			SampleSize: s, Rand: rand.New(rand.NewSource(5)),
 			NoSingletonRecluster: true, // keep one assignment pass, no recursion
-			ReferenceAssign:      ref,
+			assign:               assignWith(ref),
 			Recorder:             rec,
 		})
 		if err != nil {
@@ -421,9 +435,10 @@ func TestSampleAssignCounters(t *testing.T) {
 	}
 }
 
-// FuzzLabelKernelEquiv drives DistRowTo against Problem.Dist on
-// fuzzer-chosen instances — both missing modes, weighted and uniform,
-// arbitrary missing probabilities — requiring bit-for-bit equality.
+// FuzzLabelKernelEquiv drives the kernel's DistRowTo and Dist against the
+// reference []int pair loop on fuzzer-chosen instances — both missing
+// modes, weighted and uniform, arbitrary missing probabilities — requiring
+// bit-for-bit equality.
 func FuzzLabelKernelEquiv(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint8(2), false)
 	f.Add(int64(2), uint8(50), uint8(7), uint8(1), uint8(0), true)
@@ -447,7 +462,12 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 			}
 			opts.Weights = w
 		}
-		p := randMixedProblem(t, rng, n, m, 0.3, opts)
+		cs := randMixedInputs(rng, n, m, 0.3)
+		p, err := NewProblem(cs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefDist(cs, opts)
 		lk := p.kernel()
 
 		targets := rng.Perm(n)
@@ -455,13 +475,13 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 		for v := 0; v < n; v++ {
 			lk.DistRowTo(v, targets, dst)
 			for j, u := range targets {
-				want := p.Dist(v, u)
+				want := ref.Dist(v, u)
 				if dst[j] != want {
-					t.Fatalf("DistRowTo(%d)[->%d] = %v, Problem.Dist = %v (n=%d m=%d mode=%d)",
+					t.Fatalf("DistRowTo(%d)[->%d] = %v, reference = %v (n=%d m=%d mode=%d)",
 						v, u, dst[j], want, n, m, opts.MissingMode)
 				}
 				if got := lk.Dist(v, u); got != want {
-					t.Fatalf("kernel Dist(%d,%d) = %v, Problem.Dist = %v", v, u, got, want)
+					t.Fatalf("kernel Dist(%d,%d) = %v, reference = %v", v, u, got, want)
 				}
 			}
 		}

@@ -53,13 +53,14 @@ type clusteringBlocks struct {
 }
 
 // blocksOf reshapes the input clusterings into per-cluster member lists and
-// missing sets. Packed problems unpack []int views first (cached on the
-// Problem) — materialization is only ever applied to small subproblems on
-// the sampling path, so the views stay proportional to the sample, not n.
+// missing sets, reading one clustering at a time out of the packed block
+// into a single scratch column.
 func (p *Problem) blocksOf() []clusteringBlocks {
-	cs := p.labelViews()
-	blocks := make([]clusteringBlocks, len(cs))
-	for i, c := range cs {
+	lk := p.kernel()
+	c := make(partition.Labels, p.n)
+	blocks := make([]clusteringBlocks, lk.m)
+	for i := range blocks {
+		lk.column(i, c)
 		b := clusteringBlocks{weight: p.weight(i)}
 		k := 0
 		for _, l := range c {

@@ -9,12 +9,21 @@ import (
 	"clusteragg/internal/partition"
 )
 
-// genProblem builds a seeded random problem. missFrac > 0 injects missing
-// labels; weights selects uniform (0), dyadic (1: multiples of 1/4), or
-// arbitrary float (2) clustering weights; missingP must be left 0 for the
-// default 1/2.
+// genProblem builds a seeded random problem over genInputs.
 func genProblem(t testing.TB, seed int64, n, m int, missFrac float64, weights int, mode MissingMode, missingP float64) *Problem {
 	t.Helper()
+	p, err := NewProblem(genInputs(seed, n, m, missFrac, weights, mode, missingP))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// genInputs draws seeded random clusterings and their options. missFrac > 0
+// injects missing labels; weights selects uniform (0), dyadic (1: multiples
+// of 1/4), or arbitrary float (2) clustering weights; missingP must be left
+// 0 for the default 1/2.
+func genInputs(seed int64, n, m int, missFrac float64, weights int, mode MissingMode, missingP float64) ([]partition.Labels, ProblemOptions) {
 	rng := rand.New(rand.NewSource(seed))
 	cs := make([]partition.Labels, m)
 	for i := range cs {
@@ -44,11 +53,7 @@ func genProblem(t testing.TB, seed int64, n, m int, missFrac float64, weights in
 		}
 		opts.Weights = w
 	}
-	p, err := NewProblem(cs, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
+	return cs, opts
 }
 
 // naiveMatrix is the reference build: one Dist probe per pair.
@@ -123,11 +128,15 @@ func TestMaterializeArbitraryWeights(t *testing.T) {
 // partitions, not on how their clusters happen to be numbered.
 func TestMaterializeLabelPermutationInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	p := genProblem(t, 7, 50, 4, 0.15, 0, MissingCoin, 0)
+	cs, opts := genInputs(7, 50, 4, 0.15, 0, MissingCoin, 0)
+	p, err := NewProblem(cs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
 	base := p.Matrix()
 
-	perm := make([]partition.Labels, len(p.clusterings))
-	for i, c := range p.clusterings {
+	perm := make([]partition.Labels, len(cs))
+	for i, c := range cs {
 		k := 0
 		for _, l := range c {
 			if l >= k {

@@ -13,7 +13,8 @@ import (
 // FuzzObjectiveExact pins the contingency-table Disagreement and the
 // distinct-row LowerBound to the O(n²) pair scans in corrclust, across
 // both missing modes, p ∈ {0, 0.3, ½, 1}, uniform and random weights,
-// packed and unpacked problems, and kernels at widths 8, 16 and 32:
+// problems from NewProblem and from either builder mode, and kernels at
+// widths 8, 16 and 32:
 //   - Disagreement = corrclust.Cost(kernel, ·)·W within 1e-9 relative, and
 //     bit-identical across widths;
 //   - LowerBound = corrclust.LowerBound(kernel)·W within 1e-9 relative;

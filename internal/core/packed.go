@@ -2,17 +2,19 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"clusteragg/internal/partition"
 )
 
-// This file is the packed ingest side of the allocation diet: input
-// clusterings stream directly into the width-packed row-major label block
-// the label kernel uses (labelkernel.go — uint8/uint16/int32, the width's
-// all-ones missing sentinel), so a Problem built from a PackedClusterings
-// never materializes []int labels on the kernel path. At m=6 clusterings of
-// ≤255 labels, that is 6 bytes per object instead of 48, and the kernel
-// build becomes a zero-copy alias instead of an O(n·m) repack.
+// This file is the Problem's input storage: clusterings stream into the
+// width-packed row-major label block the label kernel uses (labelkernel.go
+// — uint8/uint16/int32, the width's all-ones missing sentinel). Every
+// Problem holds its inputs this way — NewProblem packs its []int
+// clusterings through the column-mode builder — so no path materializes
+// []int labels except Clusterings(). At m=6 clusterings of ≤255 labels,
+// that is 6 bytes per object instead of 48, and the kernel is a zero-copy
+// alias of the block.
 //
 // SAMPLING's subproblems (gather) copy the selected rows into one fresh
 // arena at the parent's width. They share the parent's per-clustering
@@ -23,7 +25,7 @@ import (
 // PackedClusterings is m input clusterings over n objects in the label
 // kernel's storage format: object v's labels live at lab[v*m : v*m+m] at
 // the narrowest width that fits, missing entries mapped to the width's
-// sentinel. Build one with PackedBuilder (row streaming) or
+// sentinel. Build one with NewPackedBuilder (row streaming) or
 // NewPackedColumns (column-at-a-time), then wrap it with NewProblemPacked.
 // Immutable after Build and safe for concurrent use.
 type PackedClusterings struct {
@@ -98,8 +100,8 @@ func NewPackedColumns(n, m int) *PackedBuilder {
 }
 
 // AppendRow appends one object's labels across the m clusterings (row
-// mode). Labels must be non-negative or partition.Missing; row length must
-// be m.
+// mode). Labels must be partition.Missing or in [0, math.MaxInt32); row
+// length must be m.
 func (b *PackedBuilder) AppendRow(row []int) error {
 	if b.colMode || b.built {
 		return fmt.Errorf("core: AppendRow on a %s builder", b.state())
@@ -112,8 +114,8 @@ func (b *PackedBuilder) AppendRow(row []int) error {
 		if l == partition.Missing {
 			continue
 		}
-		if l < 0 {
-			return fmt.Errorf("core: clustering %d: partition: invalid label %d", i, l)
+		if l < 0 || l >= math.MaxInt32 {
+			return labelError(i, l)
 		}
 		if l32 := int32(l) + 1; l32 > bound {
 			bound = l32
@@ -168,7 +170,7 @@ func (b *PackedBuilder) AppendRows(cols [][]int) error {
 }
 
 // AppendColumn appends one whole clustering (column mode). Labels must be
-// non-negative or partition.Missing; the column length must be n.
+// partition.Missing or in [0, math.MaxInt32); the column length must be n.
 func (b *PackedBuilder) AppendColumn(col []int) error {
 	if !b.colMode || b.built {
 		return fmt.Errorf("core: AppendColumn on a %s builder", b.state())
@@ -186,8 +188,8 @@ func (b *PackedBuilder) AppendColumn(col []int) error {
 		if l == partition.Missing {
 			continue
 		}
-		if l < 0 {
-			return fmt.Errorf("core: clustering %d: partition: invalid label %d", ci, l)
+		if l < 0 || l >= math.MaxInt32 {
+			return labelError(ci, l)
 		}
 		if l32 := int32(l) + 1; l32 > bound {
 			bound = l32
@@ -237,6 +239,16 @@ func (b *PackedBuilder) Build() (*PackedClusterings, error) {
 	}, nil
 }
 
+// labelError reports a present label clustering i cannot store: a negative
+// label, or one ≥ math.MaxInt32, whose exclusive bound (label+1) would
+// overflow the int32 width.
+func labelError(i, l int) error {
+	if l < 0 {
+		return fmt.Errorf("core: clustering %d: partition: invalid label %d", i, l)
+	}
+	return fmt.Errorf("core: clustering %d: label %d exceeds the largest storable label %d", i, l, math.MaxInt32-1)
+}
+
 // state names the builder's mode for error messages.
 func (b *PackedBuilder) state() string {
 	switch {
@@ -267,7 +279,7 @@ func (b *PackedBuilder) widen(to int) {
 }
 
 // packWord encodes one label at width W (partition.Missing to the
-// sentinel). The label was validated non-negative by the caller.
+// sentinel). The caller has range-checked the label.
 func packWord[W labelWord](l int) W {
 	if l == partition.Missing {
 		return missingWord[W]()
@@ -292,8 +304,7 @@ func widenWords[S, D labelWord](src []S) []D {
 }
 
 // gather copies the given object rows into one fresh arena at the parent's
-// width — the packed analogue of the []int-copying subProblem, m bytes·width
-// per object instead of 8·m.
+// width, m·width bytes per object.
 func (pc *PackedClusterings) gather(idx []int) *PackedClusterings {
 	m := pc.m
 	g := &PackedClusterings{
@@ -327,19 +338,8 @@ func gatherRows[W labelWord](src []W, idx []int, m int) []W {
 	return dst
 }
 
-// unpackInto materializes clustering i as []int labels into dst (len n).
-func (pc *PackedClusterings) unpackInto(i int, dst partition.Labels) {
-	switch pc.width {
-	case width8:
-		unpackColumn(pc.lab8, i, pc.m, dst)
-	case width16:
-		unpackColumn(pc.lab16, i, pc.m, dst)
-	default:
-		unpackColumn(pc.lab32, i, pc.m, dst)
-	}
-}
-
-// unpackColumn is the width-specialized strided column read.
+// unpackColumn is the width-specialized strided column read of clustering
+// i into dst (len n), mapping the sentinel to partition.Missing.
 func unpackColumn[W labelWord](lab []W, i, m int, dst partition.Labels) {
 	sentinel := missingWord[W]()
 	for v := range dst {
@@ -349,19 +349,6 @@ func unpackColumn[W labelWord](lab []W, i, m int, dst partition.Labels) {
 			dst[v] = int(l)
 		}
 	}
-}
-
-// unpackAll materializes every clustering — the compatibility escape hatch
-// behind Problem.Clusterings and small-subproblem matrix materialization.
-// It allocates m·n ints; packed problems only pay it on those paths.
-func (pc *PackedClusterings) unpackAll() []partition.Labels {
-	out := make([]partition.Labels, pc.m)
-	for i := range out {
-		c := make(partition.Labels, pc.n)
-		pc.unpackInto(i, c)
-		out[i] = c
-	}
-	return out
 }
 
 // kernelFrom aliases the packed block as a labelKernel for p — zero-copy at
@@ -405,13 +392,9 @@ func (pc *PackedClusterings) kernelFrom(p *Problem, force int) *labelKernel {
 }
 
 // NewProblemPacked builds an aggregation problem directly over a packed
-// label block: the kernel path (Sample, matrix-free Aggregate, Disagreement,
-// LowerBound, BestClustering) aliases the block's storage and never
-// materializes []int labels. Paths that need per-clustering []int views
-// (matrix materialization of small subproblems, Clusterings()) unpack on
-// demand. Distances, and therefore
-// results, are identical to NewProblem over the unpacked labels —
-// TestPackedProblemEquivalence pins this bit for bit.
+// label block; the Problem keeps pc as its only input storage (NewProblem
+// ends here too, after packing its []int clusterings), and the kernel
+// aliases the block without copying.
 func NewProblemPacked(pc *PackedClusterings, opts ProblemOptions) (*Problem, error) {
 	if pc == nil || pc.m == 0 {
 		return nil, ErrNoClusterings

@@ -1,16 +1,20 @@
 package core
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"clusteragg/internal/partition"
 )
 
-// packedTwin builds a packed Problem over the same labels as p, via the
-// requested builder mode, sharing p's options. Row mode streams the objects
-// in uneven column-major batches (AppendRows), the shape a CSV sink sees.
+// packedTwin rebuilds p over the same labels through NewProblemPacked, via
+// the requested builder mode, sharing p's options. Row mode streams the
+// objects in uneven column-major batches (AppendRows), the shape a CSV sink
+// sees.
 func packedTwin(t testing.TB, p *Problem, colMode bool) *Problem {
 	t.Helper()
 	opts := ProblemOptions{
@@ -18,11 +22,18 @@ func packedTwin(t testing.TB, p *Problem, colMode bool) *Problem {
 		MissingMode:     p.missingMode,
 		MissingTogether: p.missingP,
 	}
-	n, m := p.N(), p.M()
+	return packedFrom(t, p.Clusterings(), opts, colMode)
+}
+
+// packedFrom builds a Problem over cs through NewProblemPacked, via the
+// requested builder mode.
+func packedFrom(t testing.TB, cs []partition.Labels, opts ProblemOptions, colMode bool) *Problem {
+	t.Helper()
+	n, m := len(cs[0]), len(cs)
 	var b *PackedBuilder
 	if colMode {
 		b = NewPackedColumns(n, m)
-		for _, c := range p.clusterings {
+		for _, c := range cs {
 			if err := b.AppendColumn(c); err != nil {
 				t.Fatal(err)
 			}
@@ -31,7 +42,7 @@ func packedTwin(t testing.TB, p *Problem, colMode bool) *Problem {
 		b = NewPackedBuilder(m)
 		batch := make([][]int, m)
 		for lo := 0; lo < n; lo += 37 {
-			for i, c := range p.clusterings {
+			for i, c := range cs {
 				batch[i] = c[lo:min(lo+37, n)]
 			}
 			if err := b.AppendRows(batch); err != nil {
@@ -50,10 +61,12 @@ func packedTwin(t testing.TB, p *Problem, colMode bool) *Problem {
 	return pp
 }
 
-// TestPackedProblemEquivalence: a packed problem must be observationally
-// identical to the unpacked one over the same labels — bit-identical
-// distances, objective values, aggregation results, and sampled labels,
-// via both builder modes, across missing modes and weights.
+// TestPackedProblemEquivalence: a problem built through either builder mode
+// must be observationally identical to NewProblem over the same labels —
+// distances bit-identical to the reference []int pair loop, the caller's
+// labels back from Clusterings, and identical objective values,
+// aggregation results and sampled labels — across missing modes and
+// weights.
 func TestPackedProblemEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(443))
 	for trial := 0; trial < 8; trial++ {
@@ -74,40 +87,41 @@ func TestPackedProblemEquivalence(t *testing.T) {
 		if trial%2 == 0 {
 			pMiss = 0.2
 		}
-		p := randMixedProblem(t, rng, 150+rng.Intn(150), m, pMiss, opts)
-		n := p.N()
+		n := 150 + rng.Intn(150)
+		cs := randMixedInputs(rng, n, m, pMiss)
+		p, err := NewProblem(cs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newRefDist(cs, opts)
 		for _, colMode := range []bool{false, true} {
-			pp := packedTwin(t, p, colMode)
+			pp := packedFrom(t, cs, opts, colMode)
 			if pp.N() != n || pp.M() != m {
 				t.Fatalf("trial %d: packed shape (%d,%d), want (%d,%d)", trial, pp.N(), pp.M(), n, m)
 			}
 			for v := 0; v < n; v += 7 {
 				for u := 0; u < n; u += 5 {
-					if got, want := pp.Dist(u, v), p.Dist(u, v); got != want {
-						t.Fatalf("trial %d: packed Dist(%d,%d) = %v, unpacked = %v", trial, u, v, got, want)
+					if got, want := pp.Dist(u, v), ref.Dist(u, v); got != want {
+						t.Fatalf("trial %d: packed Dist(%d,%d) = %v, reference = %v", trial, u, v, got, want)
 					}
 				}
 			}
-			cs := pp.Clusterings()
-			for i := range cs {
-				for v := range cs[i] {
-					if cs[i][v] != p.clusterings[i][v] {
-						t.Fatalf("trial %d: unpacked view [%d][%d] = %d, want %d",
-							trial, i, v, cs[i][v], p.clusterings[i][v])
-					}
+			for i, c := range pp.Clusterings() {
+				if !slices.Equal(c, cs[i]) {
+					t.Fatalf("trial %d: unpacked view %d = %v, want %v", trial, i, c, cs[i])
 				}
 			}
-			someLabels := p.clusterings[0]
+			someLabels := cs[0]
 			if got, want := pp.Disagreement(completeMissing(someLabels)), p.Disagreement(completeMissing(someLabels)); got != want {
-				t.Fatalf("trial %d: packed Disagreement %v, unpacked %v", trial, got, want)
+				t.Fatalf("trial %d: packed Disagreement %v, NewProblem %v", trial, got, want)
 			}
 			if got, want := pp.LowerBound(), p.LowerBound(); got != want {
-				t.Fatalf("trial %d: packed LowerBound %v, unpacked %v", trial, got, want)
+				t.Fatalf("trial %d: packed LowerBound %v, NewProblem %v", trial, got, want)
 			}
 			bl, bi, bd := pp.BestClustering()
 			wl, wi, wd := p.BestClustering()
 			if bi != wi || bd != wd {
-				t.Fatalf("trial %d: packed BestClustering (%d,%v), unpacked (%d,%v)", trial, bi, bd, wi, wd)
+				t.Fatalf("trial %d: packed BestClustering (%d,%v), NewProblem (%d,%v)", trial, bi, bd, wi, wd)
 			}
 			for i := range bl {
 				if bl[i] != wl[i] {
@@ -164,8 +178,7 @@ func TestPackedBuilderWidening(t *testing.T) {
 		if pc.width != c.want {
 			t.Errorf("labels %v: width %d, want %d", c.labels, pc.width, c.want)
 		}
-		got := make(partition.Labels, len(c.labels))
-		pc.unpackInto(0, got)
+		got := columnOf(t, pc, 0)
 		for i, l := range c.labels {
 			if got[i] != l {
 				t.Errorf("labels %v: round-trip[%d] = %d, want %d", c.labels, i, got[i], l)
@@ -190,13 +203,22 @@ func TestPackedBuilderWidening(t *testing.T) {
 	if pc.width != width32 {
 		t.Fatalf("column widen: width %d, want %d", pc.width, width32)
 	}
-	col0 := make(partition.Labels, 3)
-	pc.unpackInto(0, col0)
+	col0 := columnOf(t, pc, 0)
 	for i, want := range []int{0, 254, partition.Missing} {
 		if col0[i] != want {
 			t.Errorf("column widen: col0[%d] = %d, want %d", i, col0[i], want)
 		}
 	}
+}
+
+// columnOf unpacks clustering i of pc through a Problem's Clusterings.
+func columnOf(t testing.TB, pc *PackedClusterings, i int) partition.Labels {
+	t.Helper()
+	p, err := NewProblemPacked(pc, ProblemOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p.Clusterings()[i]
 }
 
 func maxPresent(labels []int) int {
@@ -218,6 +240,25 @@ func TestPackedBuilderValidation(t *testing.T) {
 	}
 	if err := NewPackedBuilder(1).AppendRow([]int{-2}); err == nil {
 		t.Error("invalid label accepted in row mode")
+	}
+	// Labels whose exclusive bound does not fit int32: 2³¹−1 would land on
+	// the int32 missing sentinel, 2³² would truncate to label 0. Both are
+	// rejected in either mode, naming the clustering and the label.
+	for _, l := range []int{math.MaxInt32, 1 << 32} {
+		want := fmt.Sprintf("clustering 1: label %d", l)
+		if err := NewPackedBuilder(2).AppendRow([]int{0, l}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("row mode, label %d: %v, want an error containing %q", l, err, want)
+		}
+		b := NewPackedColumns(2, 2)
+		if err := b.AppendColumn([]int{0, 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.AppendColumn([]int{l, 0}); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("column mode, label %d: %v, want an error containing %q", l, err, want)
+		}
+	}
+	if err := NewPackedBuilder(1).AppendRow([]int{math.MaxInt32 - 1}); err != nil {
+		t.Errorf("largest storable label rejected: %v", err)
 	}
 	if err := NewPackedBuilder(2).AppendRows([][]int{{0}}); err == nil {
 		t.Error("batch with too few clusterings accepted")
@@ -282,32 +323,36 @@ func (b *PackedBuilder) buildWith(t testing.TB, col []int) (*PackedClusterings, 
 	return b.Build()
 }
 
-// TestPackedGatherEquivalence: the packed subProblem gather must agree with
-// the unpacked copying subProblem on an arbitrary index subset.
+// TestPackedGatherEquivalence: the subProblem gather must agree with the
+// reference pair loop over the selected labels, copied out of the caller's
+// slices, on an arbitrary index subset.
 func TestPackedGatherEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(457))
-	p := randMixedProblem(t, rng, 300, 3, 0.15, ProblemOptions{MissingTogether: 0.5})
-	pp := packedTwin(t, p, false)
+	opts := ProblemOptions{MissingTogether: 0.5}
+	cs := randMixedInputs(rng, 300, 3, 0.15)
+	pp := packedFrom(t, cs, opts, false)
 	idx := rng.Perm(300)[:80]
-	for i := 1; i < len(idx); i++ { // subProblem wants sorted indices
-		for j := i; j > 0 && idx[j] < idx[j-1]; j-- {
-			idx[j], idx[j-1] = idx[j-1], idx[j]
+	slices.Sort(idx) // subProblem wants sorted indices
+	sub := make([]partition.Labels, len(cs))
+	anyMiss := false
+	for i, c := range cs {
+		sub[i] = make(partition.Labels, len(idx))
+		for j, obj := range idx {
+			sub[i][j] = c[obj]
+			anyMiss = anyMiss || c[obj] == partition.Missing
 		}
 	}
-	want := p.subProblem(idx)
+	want := newRefDist(sub, opts)
 	got := pp.subProblem(idx)
-	if got.packed == nil {
-		t.Fatal("packed subProblem fell back to unpacked labels")
-	}
 	for v := 0; v < len(idx); v++ {
 		for u := 0; u < len(idx); u++ {
 			if g, w := got.Dist(u, v), want.Dist(u, v); g != w {
-				t.Fatalf("gathered Dist(%d,%d) = %v, copied = %v", u, v, g, w)
+				t.Fatalf("gathered Dist(%d,%d) = %v, reference = %v", u, v, g, w)
 			}
 		}
 	}
-	if got.packed.anyMiss != want.kernel().anyMiss {
-		t.Errorf("gathered anyMiss = %v, want %v", got.packed.anyMiss, want.kernel().anyMiss)
+	if got.packed.anyMiss != anyMiss {
+		t.Errorf("gathered anyMiss = %v, want %v", got.packed.anyMiss, anyMiss)
 	}
 
 	// anyMiss is recomputed over the gathered rows, never inherited: a
@@ -334,7 +379,7 @@ func TestPackedGatherEquivalence(t *testing.T) {
 
 // TestKernelCacheIdentity pins the kernel cache: the auto-width kernel is
 // built once per Problem and shared, forced-width kernels bypass the cache,
-// and a packed problem's kernel aliases the ingest block's storage.
+// and the kernel aliases the Problem's packed block.
 func TestKernelCacheIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(461))
 	p := randMixedProblem(t, rng, 100, 3, 0.1, ProblemOptions{MissingTogether: 0.5})
@@ -353,19 +398,18 @@ func TestKernelCacheIdentity(t *testing.T) {
 			forced.width, width32, p.kernel().width, width8)
 	}
 
-	pp := packedTwin(t, p, true)
-	lk := pp.kernel()
-	if &lk.lab8[0] != &pp.packed.lab8[0] {
-		t.Error("packed kernel copied the label block instead of aliasing")
+	lk := p.kernel()
+	if &lk.lab8[0] != &p.packed.lab8[0] {
+		t.Error("kernel copied the label block instead of aliasing")
 	}
-	if &lk.maxLab[0] != &pp.packed.maxLab[0] || &lk.hasMiss[0] != &pp.packed.hasMiss[0] {
-		t.Error("packed kernel copied bound/missing metadata instead of aliasing")
+	if &lk.maxLab[0] != &p.packed.maxLab[0] || &lk.hasMiss[0] != &p.packed.hasMiss[0] {
+		t.Error("kernel copied bound/missing metadata instead of aliasing")
 	}
-	f16 := pp.kernelWidth(width16)
+	f16 := p.kernelWidth(width16)
 	if f16.lab16 == nil || f16.width != width16 {
 		t.Errorf("forced width16 on a packed problem: width %d, lab16 nil=%v", f16.width, f16.lab16 == nil)
 	}
-	// Forcing below the packed width panics like the unpacked builder.
+	// Forcing below the packed width panics.
 	wideB := NewPackedColumns(2, 1)
 	if err := wideB.AppendColumn([]int{0, 300}); err != nil {
 		t.Fatal(err)

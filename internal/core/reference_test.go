@@ -1,0 +1,143 @@
+package core
+
+import (
+	"clusteragg/internal/corrclust"
+	"clusteragg/internal/obs"
+	"clusteragg/internal/partition"
+)
+
+// This file holds the test-only references the production kernels are
+// pinned against: the textbook per-clustering []int pair loop for X_uv, and
+// SAMPLING's probing assignment pass.
+
+// refDist is the reference X_uv over the unpacked input clusterings: one
+// branchy pass over the m []int label slices per pair, under the coin model
+// or MissingAverage, uniform or weighted. It implements corrclust.Instance.
+// The label kernel performs the same float operations in the same order, so
+// the two must agree bit for bit.
+type refDist struct {
+	cs       []partition.Labels
+	missingP float64
+	average  bool
+	weights  []float64 // nil means uniform
+	total    float64
+}
+
+// newRefDist resolves opts the way NewProblem documents them (MissingTogether
+// 0 means 1/2; the total weight is m, or the weights summed in index order)
+// over the caller's own label slices.
+func newRefDist(cs []partition.Labels, opts ProblemOptions) *refDist {
+	r := &refDist{
+		cs:       cs,
+		missingP: opts.MissingTogether,
+		average:  opts.MissingMode == MissingAverage,
+		weights:  opts.Weights,
+		total:    float64(len(cs)),
+	}
+	if r.missingP == 0 {
+		r.missingP = DefaultMissingTogether
+	}
+	if r.weights != nil {
+		r.total = 0
+		for _, w := range r.weights {
+			r.total += w
+		}
+	}
+	return r
+}
+
+func (r *refDist) N() int { return len(r.cs[0]) }
+
+func (r *refDist) weight(i int) float64 {
+	if r.weights == nil {
+		return 1
+	}
+	return r.weights[i]
+}
+
+func (r *refDist) Dist(u, v int) float64 {
+	if u == v {
+		return 0
+	}
+	if r.average {
+		// Only clusterings with values on both objects vote; a pair with no
+		// votes at all is maximally uncertain.
+		var x, votes float64
+		for i, c := range r.cs {
+			lu, lv := c[u], c[v]
+			if lu == partition.Missing || lv == partition.Missing {
+				continue
+			}
+			w := r.weight(i)
+			votes += w
+			if lu != lv {
+				x += w
+			}
+		}
+		if votes == 0 {
+			return 0.5
+		}
+		return x / votes
+	}
+	var x float64
+	for i, c := range r.cs {
+		lu, lv := c[u], c[v]
+		switch {
+		case lu == partition.Missing || lv == partition.Missing:
+			x += (1 - r.missingP) * r.weight(i)
+		case lu != lv:
+			x += r.weight(i)
+		}
+	}
+	return x / r.total
+}
+
+// assignReference is the probing assignment pass, an assignFunc: every
+// non-sampled object evaluates each sample member through one Problem.Dist
+// interface call (O(m·s) per object), sequentially whatever workers says.
+// rec counts each probe individually under sample.assign.dist_probes.
+func assignReference(p *Problem, rec *obs.Recorder, _ *obs.Progress, labels partition.Labels, members [][]int, _ int) (assigned, fresh int64) {
+	k := len(members)
+	var oracle corrclust.Instance = p
+	if rec != nil {
+		oracle = obs.Count(p, rec.Counter("sample.assign.dist_probes"))
+	}
+	m := make([]float64, k)
+	for v := range labels {
+		if labels[v] != partition.Missing {
+			continue
+		}
+		var totalAway float64
+		for ci := range members {
+			m[ci] = 0
+			for _, u := range members[ci] {
+				m[ci] += oracle.Dist(v, u)
+			}
+			totalAway += float64(len(members[ci])) - m[ci]
+		}
+		bestC, bestCost := -1, totalAway // -1 = fresh singleton
+		for ci := range members {
+			d := m[ci] + totalAway - (float64(len(members[ci])) - m[ci])
+			if d < bestCost {
+				bestC, bestCost = ci, d
+			}
+		}
+		if bestC == -1 {
+			labels[v] = k + v
+			fresh++
+		} else {
+			labels[v] = bestC
+			assigned++
+		}
+	}
+	return assigned, fresh
+}
+
+// assignWith returns the SamplingOptions.assign hook: the probing reference
+// when ref is set, nil (the kernel pass) otherwise.
+func assignWith(ref bool) assignFunc {
+	if ref {
+		return assignReference
+	}
+	return nil
+}

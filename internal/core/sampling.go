@@ -10,7 +10,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"clusteragg/internal/corrclust"
 	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
@@ -40,23 +39,21 @@ type SamplingOptions struct {
 	// all singleton clusters and aggregates them again (enabled by default,
 	// as in the paper).
 	NoSingletonRecluster bool
-	// ReferenceAssign forces the assignment phase onto the reference
-	// probing path: one Problem.Dist interface call per (object, sample
-	// member) pair, O(m·s) per object. The default is the columnar label
-	// kernel's histogram assignment, O(m·k) per object (see
-	// internal/core/labelkernel.go and docs/PERFORMANCE.md); the two paths
-	// produce the same clustering — bit-identical where the distance
-	// arithmetic is exact (dyadic instances, and always under
-	// MissingAverage with missing values, where the kernel keeps per-pair
-	// evaluation) and within float drift otherwise — and the equivalence
-	// tests pin it. The reference is kept for validation and benchmarking.
-	ReferenceAssign bool
 	// Recorder, when non-nil, receives the sampling spans (sample:core,
 	// sample:assign, sample:recluster) and sample.* counters, splitting the
 	// exact-core work from the linear assignment pass. Nil falls back to
 	// the AggregateOptions' Recorder; results never depend on it.
 	Recorder *obs.Recorder
+
+	// assign, when non-nil, replaces the assignment pass (assignKernel).
+	// Tests plug in the probing reference to pin the kernel against it.
+	assign assignFunc
 }
+
+// assignFunc is the assignment pass's signature: it labels every object
+// still Missing in labels from the sample clusters' members, on up to
+// workers goroutines, and returns the assigned and fresh-singleton counts.
+type assignFunc func(p *Problem, rec *obs.Recorder, progress *obs.Progress, labels partition.Labels, members [][]int, workers int) (assigned, fresh int64)
 
 // Sample runs the SAMPLING algorithm on top of the given aggregation method:
 // it aggregates a uniform random sample exactly, assigns every remaining
@@ -126,10 +123,9 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	// label k+v, unique per object regardless of scheduling, and the final
 	// Normalize maps every worker count's labeling to the same clustering.
 	//
-	// The default path is the columnar label kernel's histogram assignment
-	// — O(m·k) per object with O(n·m + m·L·k) total memory, no O(n²)
-	// anything (see labelkernel.go); sOpts.ReferenceAssign keeps the
-	// original probing pass, O(m·s) interface calls per object.
+	// The pass is the columnar label kernel's histogram assignment — O(m·k)
+	// per object with O(n·m + m·L·k) total memory, no O(n²) anything (see
+	// labelkernel.go).
 	// Sample membership needs no side table: labels was initialized to
 	// Missing everywhere and then set exactly on the sample positions, so
 	// labels[v] != Missing identifies the sample — one fewer O(n)
@@ -142,12 +138,11 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	if n-s < materializeMinParallel {
 		workers = 1
 	}
-	var assigned, fresh int64
-	if sOpts.ReferenceAssign {
-		assigned, fresh = p.assignReference(rec, aggOpts.Progress, labels, members, workers)
-	} else {
-		assigned, fresh = p.assignKernel(rec, aggOpts.Progress, labels, members, workers)
+	assign := sOpts.assign
+	if assign == nil {
+		assign = (*Problem).assignKernel
 	}
+	assigned, fresh := assign(p, rec, aggOpts.Progress, labels, members, workers)
 	rec.Add("sample.assigned", assigned)
 	rec.Add("sample.fresh_singletons", fresh)
 	// Completion event (always delivered): every object has been scanned.
@@ -165,120 +160,21 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	return labels.Normalize(), nil
 }
 
-// assignReference is the probing assignment pass: every non-sampled object
-// evaluates each sample member through one Problem.Dist interface call
-// (O(m·s) per object), on modulo worker stripes. Kept as the reference the
-// kernel path is pinned against; rec counts each probe individually under
-// sample.assign.dist_probes. Each stripe observes its batch latencies in the
-// sample.assign.batch.seconds histogram and advances the shared progress
-// counter (Done = objects scanned so far across all stripes, Total = n).
-func (p *Problem) assignReference(rec *obs.Recorder, progress *obs.Progress, labels partition.Labels, members [][]int, workers int) (assigned, fresh int64) {
-	n, k := p.n, len(members)
-	var oracle corrclust.Instance = p
-	var batchHist *obs.Histogram
-	var tpSeries *obs.Series
-	if rec != nil {
-		oracle = obs.Count(p, rec.Counter("sample.assign.dist_probes"))
-		batchHist = rec.Histogram("sample.assign.batch.seconds", nil)
-		tpSeries = rec.Series("sample.assign.throughput")
-	}
-	var done atomic.Int64
-	counts := make([][2]int64, workers) // assigned, fresh per stripe
-	assignStripe := func(stripe int) {
-		mPtr, m := getF64(k)
-		defer putF64(mPtr)
-		inBatch := 0
-		var batchStart time.Time
-		if batchHist != nil {
-			batchStart = time.Now()
-		}
-		flush := func() {
-			if inBatch == 0 {
-				return
-			}
-			d := done.Add(int64(inBatch))
-			if batchHist != nil {
-				sec := time.Since(batchStart).Seconds()
-				batchHist.Observe(sec)
-				// Per-batch throughput (objects/s), stepped by the shared
-				// scan position. Timing-bearing, so benchdiff ignores it.
-				if sec > 0 {
-					tpSeries.Append(d, float64(inBatch)/sec)
-				}
-				batchStart = time.Now()
-			}
-			progress.Emit(obs.ProgressEvent{
-				Stage: "sample:assign", Done: d, Total: int64(n),
-			})
-			inBatch = 0
-		}
-		for v := stripe; v < n; v += workers {
-			if labels[v] == partition.Missing {
-				var totalAway float64
-				for ci := range members {
-					m[ci] = 0
-					for _, u := range members[ci] {
-						m[ci] += oracle.Dist(v, u)
-					}
-					totalAway += float64(len(members[ci])) - m[ci]
-				}
-				bestC, bestCost := -1, totalAway // -1 = fresh singleton
-				for ci := range members {
-					d := m[ci] + totalAway - (float64(len(members[ci])) - m[ci])
-					if d < bestCost {
-						bestC, bestCost = ci, d
-					}
-				}
-				if bestC == -1 {
-					labels[v] = k + v
-					counts[stripe][1]++
-				} else {
-					labels[v] = bestC
-					counts[stripe][0]++
-				}
-			}
-			inBatch++
-			if inBatch == assignBatchSize {
-				flush()
-			}
-		}
-		flush()
-	}
-	if workers <= 1 {
-		assignStripe(0)
-	} else {
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func(stripe int) {
-				defer wg.Done()
-				obs.Do(obs.ProfLabels{Phase: "sample:assign", Worker: strconv.Itoa(stripe)}, func() {
-					assignStripe(stripe)
-				})
-			}(w)
-		}
-		wg.Wait()
-	}
-	for _, c := range counts {
-		assigned += c[0]
-		fresh += c[1]
-	}
-	return assigned, fresh
-}
-
 // assignKernel is the columnar label-kernel assignment pass. The default
 // route evaluates M(v, C_c) for all k sample clusters through the co-label
 // histograms in one O(m·k) pass per object; under MissingAverage with
 // missing labels present — where per-pair vote denominators do not
 // decompose per clustering — it evaluates the sample members through the
 // kernel's bulk row path instead (still O(m·s) per object, but tight label
-// compares rather than interface probes, and bit-identical to the
-// reference unconditionally). Objects stream on contiguous chunk stripes;
-// the selection loop is the reference's, so the same affinities produce
-// the same labels.
+// compares rather than interface probes, and bit-identical to per-pair
+// probing unconditionally). Objects stream on contiguous chunk stripes.
+// The tests pin both routes against a probing reference pass (one Dist
+// call per object/member pair, plugged in through SamplingOptions.assign)
+// that runs the same selection loop, so the same affinities produce the
+// same labels.
 //
-// Counters: sample.assign.dist_probes is bulk-charged with the
-// (n−s)·s probes the reference path would make (the kernel evaluates the
+// Counters: sample.assign.dist_probes is bulk-charged with the (n−s)·s
+// probes a per-pair probing pass would make (the kernel evaluates the
 // same object/member pairs, just not one Dist call at a time);
 // sample.assign.kernel_cols records the n packed label columns and
 // sample.assign.hist_builds the per-clustering histogram builds (0 on the
@@ -439,32 +335,18 @@ func withMaterialize(o AggregateOptions) AggregateOptions {
 	return o
 }
 
-// subProblem restricts the inputs to the given (sorted) object indices:
-// packed problems gather the selected label rows into one fresh arena at
-// the parent's width (m·width bytes per object instead of 8·m), unpacked
-// ones copy the selected labels per clustering.
+// subProblem restricts the inputs to the given (sorted) object indices,
+// gathering the selected label rows into one fresh arena at the parent's
+// width.
 func (p *Problem) subProblem(idx []int) *Problem {
-	s := &Problem{
+	return &Problem{
 		n:           len(idx),
 		missingP:    p.missingP,
 		missingMode: p.missingMode,
 		weights:     p.weights,
 		totalWeight: p.totalWeight,
+		packed:      p.packed.gather(idx),
 	}
-	if p.packed != nil {
-		s.packed = p.packed.gather(idx)
-		return s
-	}
-	sub := make([]partition.Labels, len(p.clusterings))
-	for ci, c := range p.clusterings {
-		sc := make(partition.Labels, len(idx))
-		for i, obj := range idx {
-			sc[i] = c[obj]
-		}
-		sub[ci] = sc
-	}
-	s.clusterings = sub
-	return s
 }
 
 // reclusterSingletons gathers every object currently in a singleton cluster

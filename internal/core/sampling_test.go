@@ -226,7 +226,7 @@ func TestSampleWorkersIdentical(t *testing.T) {
 			p := randMixedProblem(t, rng, 300+rng.Intn(200), m, fam.missRate, opts)
 			sample := func(p *Problem, workers int, ref bool) partition.Labels {
 				labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers}, SamplingOptions{
-					SampleSize: fam.sampleSize, Rand: rand.New(rand.NewSource(int64(trial))), ReferenceAssign: ref,
+					SampleSize: fam.sampleSize, Rand: rand.New(rand.NewSource(int64(trial))), assign: assignWith(ref),
 				})
 				if err != nil {
 					t.Fatal(err)

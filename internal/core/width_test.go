@@ -15,8 +15,8 @@ import (
 // sample-observed histogram bound rescan).
 func widenLabels(t testing.TB, p *Problem, factor int) *Problem {
 	t.Helper()
-	cs := make([]partition.Labels, len(p.clusterings))
-	for i, c := range p.clusterings {
+	cs := make([]partition.Labels, p.M())
+	for i, c := range p.Clusterings() {
 		wc := make(partition.Labels, len(c))
 		for j, l := range c {
 			if l == partition.Missing {
