@@ -82,11 +82,12 @@ bench-short:
 
 # The allocation-pin suite: testing.AllocsPerRun assertions that the hot
 # paths (pooled assignment scratch, kernel distance rows, packed label
-# accessors, CSV interning) hold their zero-/constant-allocation steady
-# state. Part of `make check`; any new per-object allocation fails here
-# before it shows up as a benchdiff alloc regression.
+# accessors, CSV interning, the AGGLOMERATIVE merge loop) hold their
+# zero-/constant-allocation steady state. Part of `make check`; any new
+# per-object or per-merge allocation fails here before it shows up as a
+# benchdiff alloc regression.
 bench-mem:
-	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/dataset/ ./internal/obs/
+	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/corrclust/ ./internal/dataset/ ./internal/obs/
 
 # The ingest suite: sequential vs chunked-parallel CSV reader throughput
 # (internal/dataset, full benchtime with -benchmem) plus one smoke pass of
@@ -151,8 +152,9 @@ experiments-full:
 
 # Short fuzzing passes over the CSV loader, partition invariants, the label
 # kernel against the []int pair loop, the contingency-table objective and
-# distinct-row lower bound against the pair scans, and incremental FURTHEST
-# against its full-Cost reference.
+# distinct-row lower bound against the pair scans, incremental FURTHEST
+# against its full-Cost reference, and AGGLOMERATIVE's cached-neighbor loop
+# against its lazy-heap reference.
 fuzz:
 	$(GO) test -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
 	$(GO) test -run FuzzNormalize -fuzz FuzzNormalize -fuzztime 30s ./internal/partition/
@@ -160,6 +162,7 @@ fuzz:
 	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzObjectiveExact -fuzz FuzzObjectiveExact -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzFurthestIncremental -fuzz FuzzFurthestIncremental -fuzztime 30s ./internal/corrclust/
+	$(GO) test -run FuzzAgglomerative -fuzz FuzzAgglomerative -fuzztime 30s ./internal/corrclust/
 
 clean:
 	$(GO) clean ./...

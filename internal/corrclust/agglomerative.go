@@ -1,7 +1,7 @@
 package corrclust
 
 import (
-	"container/heap"
+	"math"
 
 	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
@@ -10,19 +10,23 @@ import (
 // AgglomerativeOptions configures AgglomerativeWithOptions.
 type AgglomerativeOptions struct {
 	// K, when positive, keeps merging the closest pair (even past the 1/2
-	// threshold) until exactly K clusters remain. Zero applies the paper's
-	// parameter-free stopping rule.
+	// threshold) until exactly K clusters remain. Zero or negative applies
+	// the paper's parameter-free stopping rule.
 	K int
-	// Recorder, when non-nil, receives the agglomerative.* counters (heap
-	// pushes, pops, merges, stale pops) and the agglomerative.merge_loss
-	// series (the accepted candidate's average distance, one point per
-	// merge). Nil records nothing and costs nothing.
+	// Recorder, when non-nil, receives the agglomerative.* counters —
+	// heap_pops (examinations of the cluster queue's minimum), stale_pops
+	// (examinations that found a lower-bound key and rescanned its row)
+	// and merges — and the agglomerative.merge_loss series (the merged
+	// pair's average distance, one point per merge). Nil records nothing
+	// and costs nothing.
 	Recorder *obs.Recorder
 	// Progress, when non-nil, receives throttled events as merges apply:
 	// Done is the merge count so far, Total the n−1 merges a run to a single
-	// cluster would take (the parameter-free rule usually stops earlier). A
-	// final completion event with Total = Done = total merges is always
-	// delivered. Results are identical with and without it.
+	// cluster would take (the parameter-free rule usually stops earlier).
+	// After at least one merge a final completion event with Total = Done =
+	// total merges is delivered; a run without merges sends none, since
+	// Progress drops events with Total = 0. Results are identical with and
+	// without it.
 	Progress *obs.Progress
 }
 
@@ -35,9 +39,15 @@ type AgglomerativeOptions struct {
 // pair distance at most 1/2.
 //
 // The implementation keeps the total inter-cluster edge weight for each
-// cluster pair (the average-linkage Lance–Williams update) and a lazy
-// min-heap of candidate merges, for O(n² log n) time and O(n²) space after
-// the O(n²) distance scan.
+// cluster pair (the average-linkage Lance–Williams update) and Müllner's
+// "generic" linkage loop: each cluster caches its nearest larger-index
+// partner, and an indexed min-heap of the n clusters orders them by that
+// distance. A merge rescans the survivor's row and patches the caches of
+// the clusters it touches; a cache invalidated by a merge keeps a lower
+// bound and is rescanned only if it reaches the top of the heap. Pairs merge
+// in (average, smaller index, larger index) order. The cost is O(n²) space
+// and, after the O(n²) distance scan, O(n) work per merge plus one O(n) row
+// scan per repaired cache.
 func Agglomerative(inst Instance) partition.Labels {
 	return AgglomerativeK(inst, 0)
 }
@@ -52,107 +62,66 @@ func AgglomerativeK(inst Instance, k int) partition.Labels {
 }
 
 // AgglomerativeWithOptions is AgglomerativeK with instrumentation: when
-// opts.Recorder is set, the algorithm's heap and merge activity is counted.
+// opts.Recorder is set, the algorithm's queue and merge activity is counted.
 func AgglomerativeWithOptions(inst Instance, opts AgglomerativeOptions) partition.Labels {
-	n, k := inst.N(), opts.K
+	n, k := inst.N(), max(opts.K, 0)
 	if n == 0 {
 		return partition.Labels{}
 	}
-	if k > n {
-		k = n
-	}
+	k = min(k, n)
 
-	state := &mergeState{
-		n:       n,
-		size:    make([]int, n),
-		version: make([]int, n),
-		alive:   make([]bool, n),
-		total:   make([]float64, n*(n-1)/2),
-	}
-	for i := 0; i < n; i++ {
-		state.size[i] = 1
-		state.alive[i] = true
-	}
-
-	// Preallocating the heap to the initial push count removes the
-	// append-growth reallocations during the O(n²)-push seeding phase (the
-	// bound is exact for the initial scan; the later per-merge pushes reuse
-	// the freed capacity of popped candidates).
-	h := &mergeHeap{}
-	if bound := initialPushBound(inst, n, k); bound > 0 {
-		*h = make(mergeHeap, 0, bound)
-	}
-	push := func(u, v int, x float64) {
-		state.total[state.index(u, v)] = x
-		// Pairs at distance >= 1/2 cannot trigger a merge while both
-		// endpoints are untouched; fresh candidates are pushed whenever a
-		// cluster changes, so skipping them here loses nothing.
-		if k > 0 || x < 0.5 {
-			heap.Push(h, mergeCand{a: u, b: v, avg: x})
-			state.pushes++
-		}
-	}
+	g := newAgglomerator(n)
 	// Matrix fast path for the initial O(n²) distance scan: contiguous row
 	// reads instead of per-pair interface calls, bulk-charged to any
 	// counting layers.
 	if mx, charge := matrixFast(inst); mx != nil {
 		for u := 0; u < n; u++ {
-			for j, x := range mx.Row(u) {
-				push(u, u+1+j, x)
-			}
+			copy(g.total[g.index(u, u+1):], mx.Row(u))
 		}
 		charge(pairs(n))
 	} else {
 		for u := 0; u < n; u++ {
 			for v := u + 1; v < n; v++ {
-				push(u, v, inst.Dist(u, v))
+				g.total[g.index(u, v)] = inst.Dist(u, v)
 			}
 		}
 	}
+	g.init()
 
-	// members[c] lists the objects of cluster c, so a merge relabels only
-	// the absorbed cluster's members — O(|C_b|) instead of the O(n)
-	// full-label rewrite per merge.
-	members := make([][]int, n)
-	for i := 0; i < n; i++ {
-		members[i] = []int{i}
-	}
-
-	var pops, stale, merges int64
-	// Merge-loss trajectory: the accepted candidate's average distance is
-	// exactly the per-pair cost the merge trades for, so the series is the
-	// greedy "loss per merge" curve rising toward the 0.5 stopping
-	// threshold. A nil recorder yields a nil series and the append no-ops.
-	lossSeries := opts.Recorder.Series("agglomerative.merge_loss")
+	// labels[c] is c's merge parent while the loop runs: a merge folds b
+	// into a < b, so each object points at a smaller index and the final
+	// pass resolves every object to its cluster in one ascending sweep.
 	labels := partition.Singletons(n)
-	clusters := n
-	for h.Len() > 0 && clusters > 1 {
-		if k > 0 && clusters <= k {
-			break // exact-k request satisfied
-		}
-		cand := heap.Pop(h).(mergeCand)
+	var pops, stale, merges int64
+	// Merge-loss trajectory: the merged pair's average distance is exactly
+	// the per-pair cost the merge trades for, so the series is the greedy
+	// "loss per merge" curve rising toward the 0.5 stopping threshold. A nil
+	// recorder yields a nil series and the append no-ops.
+	lossSeries := opts.Recorder.Series("agglomerative.merge_loss")
+	for clusters := n; clusters > 1 && (k == 0 || clusters > k); {
+		a := g.queue[0]
 		pops++
-		if !state.alive[cand.a] || !state.alive[cand.b] ||
-			state.version[cand.a] != cand.verA || state.version[cand.b] != cand.verB {
+		if !g.exact[a] {
 			stale++
+			g.rescan(a)
+			g.down(0)
 			continue
 		}
-		if k == 0 && cand.avg >= 0.5 {
-			break // parameter-free stop: no pair below the threshold remains
+		avg := g.mind[a]
+		if k == 0 && avg >= 0.5 || math.IsInf(avg, 1) {
+			// Parameter-free stop: no pair below the threshold remains.
+			// +Inf means no comparable pair is left at all (NaN distances).
+			break
 		}
-		state.merge(cand.a, cand.b, h, k)
+		b := g.nbr[a]
+		g.merge(a, b)
+		labels[b] = a
 		merges++
-		lossSeries.Append(merges, cand.avg)
-		for _, i := range members[cand.b] {
-			labels[i] = cand.a
-		}
-		members[cand.a] = append(members[cand.a], members[cand.b]...)
-		members[cand.b] = nil
 		clusters--
+		lossSeries.Append(merges, avg)
 		opts.Progress.Emit(obs.ProgressEvent{Stage: "agglomerative", Done: merges, Total: int64(n - 1)})
 	}
 	if rec := opts.Recorder; rec != nil {
-		rec.Add("agglomerative.heap_pushes", state.pushes)
 		rec.Add("agglomerative.heap_pops", pops)
 		rec.Add("agglomerative.stale_pops", stale)
 		rec.Add("agglomerative.merges", merges)
@@ -160,96 +129,196 @@ func AgglomerativeWithOptions(inst Instance, opts AgglomerativeOptions) partitio
 	if merges > 0 {
 		opts.Progress.Emit(obs.ProgressEvent{Stage: "agglomerative", Done: merges, Total: merges})
 	}
-	return labels.Normalize()
-}
 
-// initialPushBound returns the exact number of initial heap pushes when it
-// is cheap to know: every pair with k > 0, and the count of pairs under the
-// 1/2 merge threshold on matrix-backed instances (free contiguous array
-// reads — no distance semantics, so nothing is charged to counting layers).
-// It returns 0 ("unknown, let append grow") for generic instances with the
-// parameter-free rule, where counting would double the interface-call scan.
-func initialPushBound(inst Instance, n, k int) int {
-	if k > 0 {
-		return int(pairs(n))
-	}
-	mx, _ := matrixFast(inst)
-	if mx == nil {
-		return 0
-	}
-	count := 0
-	for u := 0; u < n; u++ {
-		for _, x := range mx.Row(u) {
-			if x < 0.5 {
-				count++
-			}
+	// Resolve parents to normalized ids: a cluster's surviving index is its
+	// smallest member, so clusters first appear in survivor order and
+	// numbering survivors as they are met is exactly Normalize.
+	next := 0
+	for i, p := range labels {
+		if p == i {
+			labels[i] = next
+			next++
+		} else {
+			labels[i] = labels[p]
 		}
 	}
-	return count
+	return labels
 }
 
-type mergeCand struct {
-	a, b       int
-	verA, verB int
-	avg        float64
+// agglomerator is the state of Müllner's generic average-linkage loop. A
+// cluster is live while its size is nonzero. For every live cluster a with a
+// live partner c > a it caches nbr[a], the
+// smallest-index c attaining the row minimum of avg(a, c), and mind[a]:
+// that minimum when exact[a], otherwise a lower bound on it. queue is a
+// binary min-heap of the live clusters ordered by (mind, index), so once
+// its top is exact the top's cached pair is the global (avg, a, b) minimum.
+type agglomerator struct {
+	n     int
+	total []float64 // condensed pairwise total inter-cluster weight
+	size  []int     // 0 once the cluster has been merged away
+	nbr   []int
+	mind  []float64
+	exact []bool
+	queue []int // heap of live cluster ids
+	pos   []int // pos[a]: a's slot in queue
 }
 
-type mergeHeap []mergeCand
-
-func (h mergeHeap) Len() int      { return len(h) }
-func (h mergeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h mergeHeap) Less(i, j int) bool {
-	if h[i].avg != h[j].avg {
-		return h[i].avg < h[j].avg
+func newAgglomerator(n int) *agglomerator {
+	return &agglomerator{
+		n:     n,
+		total: make([]float64, n*(n-1)/2),
+		size:  make([]int, n),
+		nbr:   make([]int, n),
+		mind:  make([]float64, n),
+		exact: make([]bool, n),
+		queue: make([]int, n),
+		pos:   make([]int, n),
 	}
-	if h[i].a != h[j].a {
-		return h[i].a < h[j].a
-	}
-	return h[i].b < h[j].b
-}
-func (h *mergeHeap) Push(x any) { *h = append(*h, x.(mergeCand)) }
-func (h *mergeHeap) Pop() any {
-	old := *h
-	x := old[len(old)-1]
-	*h = old[:len(old)-1]
-	return x
 }
 
-type mergeState struct {
-	n       int
-	size    []int
-	version []int
-	alive   []bool
-	total   []float64 // condensed pairwise total inter-cluster weight
-	pushes  int64     // heap pushes, for the agglomerative.heap_pushes counter
-}
-
-func (s *mergeState) index(u, v int) int {
+func (g *agglomerator) index(u, v int) int {
 	if u > v {
 		u, v = v, u
 	}
-	return u*(2*s.n-u-1)/2 + (v - u - 1)
+	return u*(2*g.n-u-1)/2 + (v - u - 1)
 }
 
-// merge folds cluster b into cluster a and pushes refreshed candidates for
-// every surviving cluster against a.
-func (s *mergeState) merge(a, b int, h *mergeHeap, k int) {
-	s.alive[b] = false
-	s.size[a] += s.size[b]
-	s.version[a]++
-	for c := 0; c < s.n; c++ {
-		if !s.alive[c] || c == a {
+// init makes every object a singleton cluster with an exact cache and
+// heapifies the queue.
+func (g *agglomerator) init() {
+	for i := range g.size {
+		g.size[i] = 1
+	}
+	for i := 0; i < g.n; i++ {
+		g.rescan(i)
+		g.queue[i], g.pos[i] = i, i
+	}
+	for i := g.n/2 - 1; i >= 0; i-- {
+		g.down(i)
+	}
+}
+
+// rescan recomputes a's cache exactly from its row of live partners c > a;
+// ties keep the smaller index. A cluster with no such partner gets +Inf. For
+// two singletons the average is the input distance itself (x/1 is exact).
+func (g *agglomerator) rescan(a int) {
+	best, bestAvg := -1, math.Inf(1)
+	if a+1 < g.n {
+		row := g.total[g.index(a, a+1):][:g.n-a-1] // row[j] is the (a, a+1+j) total
+		for j, t := range row {
+			c := a + 1 + j
+			if g.size[c] == 0 {
+				continue
+			}
+			if x := t / float64(g.size[a]*g.size[c]); x < bestAvg {
+				best, bestAvg = c, x
+			}
+		}
+	}
+	g.nbr[a], g.mind[a], g.exact[a] = best, bestAvg, true
+}
+
+// merge folds cluster b into cluster a (a < b) and repairs the caches the
+// merge can invalidate: a's own row is rescanned, a cluster c < a sees its
+// pair (c, a) change and (c, b) vanish, and a cluster a < c < b loses its
+// pair (c, b). Clusters above b keep their rows untouched.
+func (g *agglomerator) merge(a, b int) {
+	g.remove(b)
+	g.size[a] += g.size[b]
+	g.size[b] = 0
+	for c := 0; c < g.n; c++ {
+		if g.size[c] == 0 || c == a {
 			continue
 		}
-		s.total[s.index(a, c)] += s.total[s.index(b, c)]
-		avg := s.total[s.index(a, c)] / float64(s.size[a]*s.size[c])
-		if k > 0 || avg < 0.5 {
-			heap.Push(h, mergeCand{
-				a: min(a, c), b: max(a, c),
-				verA: s.version[min(a, c)], verB: s.version[max(a, c)],
-				avg: avg,
-			})
-			s.pushes++
+		ac := g.index(a, c)
+		g.total[ac] += g.total[g.index(b, c)]
+		switch {
+		case c < a:
+			g.updateBelow(c, a, b, g.total[ac]/float64(g.size[a]*g.size[c]))
+		case c < b && g.exact[c] && g.nbr[c] == b:
+			// The row minimum vanished; what remains is no smaller.
+			g.exact[c] = false
 		}
+	}
+	g.rescan(a)
+	g.fix(g.pos[a])
+}
+
+// updateBelow patches the cache of c < a after b merged into a, given the
+// new average x of (c, a). Every other pair of c's row is unchanged, and
+// was no smaller than mind[c] (lex-after (mind[c], nbr[c]) when exact).
+func (g *agglomerator) updateBelow(c, a, b int, x float64) {
+	if g.exact[c] && g.nbr[c] != a && g.nbr[c] != b {
+		// The minimum survives; (c, a) replaces it only if lex-smaller.
+		if x < g.mind[c] || x == g.mind[c] && a < g.nbr[c] {
+			g.nbr[c], g.mind[c] = a, x
+			g.up(g.pos[c])
+		}
+		return
+	}
+	// The cached minimum changed or vanished, or was only a bound: keep a
+	// lower bound, lowered to x when rounding puts the merged average under it.
+	g.exact[c] = false
+	if x < g.mind[c] {
+		g.mind[c] = x
+		g.up(g.pos[c])
+	}
+}
+
+func (g *agglomerator) less(i, j int) bool {
+	a, b := g.queue[i], g.queue[j]
+	return g.mind[a] < g.mind[b] || g.mind[a] == g.mind[b] && a < b
+}
+
+func (g *agglomerator) swap(i, j int) {
+	q := g.queue
+	q[i], q[j] = q[j], q[i]
+	g.pos[q[i]], g.pos[q[j]] = i, j
+}
+
+// up sifts slot i toward the root and reports whether it moved.
+func (g *agglomerator) up(i int) bool {
+	moved := false
+	for i > 0 {
+		p := (i - 1) / 2
+		if !g.less(i, p) {
+			break
+		}
+		g.swap(i, p)
+		i, moved = p, true
+	}
+	return moved
+}
+
+func (g *agglomerator) down(i int) {
+	for {
+		l := 2*i + 1
+		if l >= len(g.queue) {
+			return
+		}
+		if r := l + 1; r < len(g.queue) && g.less(r, l) {
+			l = r
+		}
+		if !g.less(l, i) {
+			return
+		}
+		g.swap(i, l)
+		i = l
+	}
+}
+
+func (g *agglomerator) fix(i int) {
+	if !g.up(i) {
+		g.down(i)
+	}
+}
+
+// remove drops cluster b from the queue.
+func (g *agglomerator) remove(b int) {
+	i, last := g.pos[b], len(g.queue)-1
+	g.swap(i, last)
+	g.queue = g.queue[:last]
+	if i < last {
+		g.fix(i)
 	}
 }

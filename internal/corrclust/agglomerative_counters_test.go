@@ -6,64 +6,39 @@ import (
 	"clusteragg/internal/obs"
 )
 
-// TestAgglomerativeHeapPushesUnchanged pins agglomerative.heap_pushes on
-// fixed instances: preallocating the heap to initialPushBound is a capacity
-// hint only and must not change how many candidates are pushed (golden
-// values captured before the preallocation change).
-func TestAgglomerativeHeapPushesUnchanged(t *testing.T) {
+// TestAgglomerativeQueueCounters pins the cluster-queue counters on fixed
+// instances — heap_pops (examinations of the queue minimum) and stale_pops
+// (examinations that rescanned a lower-bound row) — and demands the merge
+// count of the lazy-heap reference. A change to the cache-repair rules shows
+// up here before it shows up in a benchdiff.
+func TestAgglomerativeQueueCounters(t *testing.T) {
 	goldens := []struct {
-		seed       int64
-		free, kEq4 int64 // parameter-free and K=4 push counts
+		seed        int64
+		k           int
+		pops, stale int64
 	}{
-		{100, 786, 3478},
-		{101, 786, 3478},
-		{102, 798, 3478},
+		{100, 0, 100, 43},
+		{100, 4, 98, 42},
+		{101, 0, 108, 51},
+		{101, 4, 106, 50},
+		{102, 0, 99, 42},
+		{102, 4, 97, 41},
 	}
 	for _, g := range goldens {
 		m := randomMatrix(60, g.seed)
-
-		rec := obs.New()
-		AgglomerativeWithOptions(m, AgglomerativeOptions{Recorder: rec})
-		if got := rec.Counters()["agglomerative.heap_pushes"]; got != g.free {
-			t.Errorf("seed %d parameter-free: heap_pushes = %d, want %d", g.seed, got, g.free)
+		rec, ref := obs.New(), obs.New()
+		AgglomerativeWithOptions(m, AgglomerativeOptions{K: g.k, Recorder: rec})
+		agglomerativeReference(m, AgglomerativeOptions{K: g.k, Recorder: ref})
+		c := rec.Counters()
+		if c["agglomerative.heap_pops"] != g.pops || c["agglomerative.stale_pops"] != g.stale {
+			t.Errorf("seed %d K=%d: heap_pops %d, stale_pops %d; want %d, %d",
+				g.seed, g.k, c["agglomerative.heap_pops"], c["agglomerative.stale_pops"], g.pops, g.stale)
 		}
-
-		recK := obs.New()
-		AgglomerativeWithOptions(m, AgglomerativeOptions{K: 4, Recorder: recK})
-		if got := recK.Counters()["agglomerative.heap_pushes"]; got != g.kEq4 {
-			t.Errorf("seed %d K=4: heap_pushes = %d, want %d", g.seed, got, g.kEq4)
+		if got, want := c["agglomerative.merges"], ref.Counters()["agglomerative.merges"]; got != want {
+			t.Errorf("seed %d K=%d: %d merges, reference %d", g.seed, g.k, got, want)
 		}
-	}
-}
-
-// TestInitialPushBoundCoversInitialPushes: the preallocation bound must be at
-// least the number of pushes the seeding scan performs (exact for K > 0 and
-// for matrix-backed parameter-free runs), and zero only for generic
-// parameter-free instances where counting would double the interface calls.
-func TestInitialPushBoundCoversInitialPushes(t *testing.T) {
-	m := randomMatrix(40, 9)
-	n := m.N()
-
-	if got, want := initialPushBound(m, n, 3), int(pairs(n)); got != want {
-		t.Errorf("K>0 bound = %d, want all pairs %d", got, want)
-	}
-
-	under := 0
-	for u := 0; u < n; u++ {
-		for _, x := range m.Row(u) {
-			if x < 0.5 {
-				under++
-			}
+		if _, ok := c["agglomerative.heap_pushes"]; ok {
+			t.Errorf("seed %d K=%d: retired counter agglomerative.heap_pushes recorded", g.seed, g.k)
 		}
-	}
-	if got := initialPushBound(m, n, 0); got != under {
-		t.Errorf("matrix parameter-free bound = %d, want %d pairs under 1/2", got, under)
-	}
-
-	if got := initialPushBound(opaque{m}, n, 0); got != 0 {
-		t.Errorf("generic parameter-free bound = %d, want 0 (unknown)", got)
-	}
-	if got, want := initialPushBound(opaque{m}, n, 2), int(pairs(n)); got != want {
-		t.Errorf("generic K>0 bound = %d, want %d", got, want)
 	}
 }
