@@ -69,16 +69,21 @@ cover:
 		{ echo "cover: internal/obs coverage $$total% is below the $(OBS_COVER_FLOOR)% floor"; exit 1; }
 
 # The distance-kernel suite: block materialization vs the naive build,
-# LOCALSEARCH row fast path vs generic, the incremental LOCALSEARCH kernel
-# vs the reference sweep, BestOf racing, and the label-kernel sampling
-# assignment vs the test-only probing reference (see docs/PERFORMANCE.md
-# for how to read the numbers).
+# LOCALSEARCH on matrix rows vs generic calls, the incremental LOCALSEARCH
+# kernel sequential vs parallel, BestOf racing, and the label-kernel
+# sampling assignment vs the test-only probing reference; then the
+# corrclust algorithms against their test-only oracles (AGGLOMERATIVE vs
+# the lazy-heap loop, FURTHEST's reads per run, the incremental LOCALSEARCH
+# kernel vs the reference sweep). See docs/PERFORMANCE.md for how to read
+# the numbers.
 bench:
 	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$' -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkAgglomerative$$|BenchmarkFurthest$$|BenchmarkLocalSearch$$' -benchmem ./internal/corrclust/
 
-# One iteration of the kernel suite, as a fast correctness smoke test.
+# One iteration of both suites, as a fast correctness smoke test.
 bench-short:
 	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkAgglomerative$$|BenchmarkFurthest$$|BenchmarkLocalSearch$$' -benchtime 1x -benchmem ./internal/corrclust/
 
 # The allocation-pin suite: testing.AllocsPerRun assertions that the hot
 # paths (pooled assignment scratch, kernel distance rows, packed label

@@ -27,8 +27,7 @@ import (
 // scan on top of removing the per-pair interface call. See
 // docs/PERFORMANCE.md for the derivation and equivalence argument.
 //
-// Work is split across row-stripe workers exactly like
-// corrclust.MatrixFromInstanceParallel: worker w owns rows u ≡ w (mod
+// Work is split across row-stripe workers: worker w owns rows u ≡ w (mod
 // workers), every pair {u,v} belongs to row min(u,v), and each worker
 // applies the per-clustering updates to its own rows in the same order a
 // sequential build would, so the result is bit-identical for every worker

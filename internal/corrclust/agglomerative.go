@@ -71,20 +71,12 @@ func AgglomerativeWithOptions(inst Instance, opts AgglomerativeOptions) partitio
 	k = min(k, n)
 
 	g := newAgglomerator(n)
-	// Matrix fast path for the initial O(n²) distance scan: contiguous row
-	// reads instead of per-pair interface calls, bulk-charged to any
-	// counting layers.
-	if mx, charge := matrixFast(inst); mx != nil {
-		for u := 0; u < n; u++ {
-			copy(g.total[g.index(u, u+1):], mx.Row(u))
-		}
-		charge(pairs(n))
-	} else {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				g.total[g.index(u, v)] = inst.Dist(u, v)
-			}
-		}
+	// The initial O(n²) distance scan reads each row tail straight into
+	// the totals.
+	r := newRowReader(inst)
+	for u := 0; u < n; u++ {
+		row := g.row(u)
+		copy(row, r.readTail(u, row))
 	}
 	g.init()
 
@@ -183,6 +175,11 @@ func (g *agglomerator) index(u, v int) int {
 	return u*(2*g.n-u-1)/2 + (v - u - 1)
 }
 
+// row returns a's condensed tail: row[j] is the (a, a+1+j) total.
+func (g *agglomerator) row(a int) []float64 {
+	return g.total[g.index(a, a+1):][:g.n-a-1]
+}
+
 // init makes every object a singleton cluster with an exact cache and
 // heapifies the queue.
 func (g *agglomerator) init() {
@@ -203,16 +200,13 @@ func (g *agglomerator) init() {
 // two singletons the average is the input distance itself (x/1 is exact).
 func (g *agglomerator) rescan(a int) {
 	best, bestAvg := -1, math.Inf(1)
-	if a+1 < g.n {
-		row := g.total[g.index(a, a+1):][:g.n-a-1] // row[j] is the (a, a+1+j) total
-		for j, t := range row {
-			c := a + 1 + j
-			if g.size[c] == 0 {
-				continue
-			}
-			if x := t / float64(g.size[a]*g.size[c]); x < bestAvg {
-				best, bestAvg = c, x
-			}
+	for j, t := range g.row(a) {
+		c := a + 1 + j
+		if g.size[c] == 0 {
+			continue
+		}
+		if x := t / float64(g.size[a]*g.size[c]); x < bestAvg {
+			best, bestAvg = c, x
 		}
 	}
 	g.nbr[a], g.mind[a], g.exact[a] = best, bestAvg, true

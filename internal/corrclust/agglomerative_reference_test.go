@@ -49,18 +49,11 @@ func agglomerativeReference(inst Instance, opts AgglomerativeOptions) partition.
 			state.pushes++
 		}
 	}
-	if mx, charge := matrixFast(inst); mx != nil {
-		for u := 0; u < n; u++ {
-			for j, x := range mx.Row(u) {
-				push(u, u+1+j, x)
-			}
-		}
-		charge(pairs(n))
-	} else {
-		for u := 0; u < n; u++ {
-			for v := u + 1; v < n; v++ {
-				push(u, v, inst.Dist(u, v))
-			}
+	r := newRowReader(inst)
+	buf := r.tailBuf()
+	for u := 0; u < n; u++ {
+		for j, x := range r.readTail(u, buf) {
+			push(u, u+1+j, x)
 		}
 	}
 

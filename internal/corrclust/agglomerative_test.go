@@ -155,7 +155,7 @@ func FuzzAgglomerative(f *testing.F) {
 			n++
 		}
 		mx := NewMatrix(n)
-		for p := 0; p < int(pairs(n)); p++ {
+		for p := range mx.data {
 			mx.data[p] = float64(int(body[p])%(m+1)) / float64(m)
 		}
 		k := agglomerativeKs(n)[int(data[0]>>4)%6]

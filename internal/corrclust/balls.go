@@ -60,36 +60,22 @@ func BallsWithOptions(inst Instance, opts BallsOptions) (partition.Labels, error
 		return nil, fmt.Errorf("corrclust: balls alpha %v outside [0, 0.5]", alpha)
 	}
 	n := inst.N()
-	// Matrix fast path: the weight ordering and ball construction read
-	// contiguous rows instead of probing the Instance per pair; the scan
-	// order and values match the generic loops, so the result is
-	// bit-identical. Reads are bulk-charged to any counting layers.
-	mx, charge := matrixFast(inst)
-	var rowBuf []float64
-	if mx != nil {
-		rowBuf = make([]float64, n)
-	}
+	// The weight ordering reads row tails through the row reader, and ball
+	// construction reads the unclustered vertices as one target list; the
+	// reader yields the same values and charges on every path, so the
+	// result is bit-identical.
+	r := newRowReader(inst)
 	order := opts.Order
 	if order == nil {
 		// Sort vertices by increasing total incident weight (the paper's
 		// heuristic ordering). Ties break by index for determinism.
 		weight := make([]float64, n)
-		if mx != nil {
-			for u := 0; u < n; u++ {
-				rest := weight[u+1:]
-				for j, x := range mx.Row(u) {
-					weight[u] += x
-					rest[j] += x
-				}
-			}
-			charge(pairs(n))
-		} else {
-			for u := 0; u < n; u++ {
-				for v := u + 1; v < n; v++ {
-					x := inst.Dist(u, v)
-					weight[u] += x
-					weight[v] += x
-				}
+		buf := r.tailBuf()
+		for u := 0; u < n; u++ {
+			rest := weight[u+1:]
+			for j, x := range r.readTail(u, buf) {
+				weight[u] += x
+				rest[j] += x
 			}
 		}
 		order = make([]int, n)
@@ -121,35 +107,24 @@ func BallsWithOptions(inst Instance, opts BallsOptions) (partition.Labels, error
 	next := 0
 	var singletons, members, maxBall int64
 	ball := make([]int, 0, n)
+	targets := make([]int, 0, n)
+	dists := make([]float64, n)
 	for _, u := range order {
 		if labels[u] != partition.Missing {
 			continue
 		}
+		targets = targets[:0]
+		for v := 0; v < n; v++ {
+			if v != u && labels[v] == partition.Missing {
+				targets = append(targets, v)
+			}
+		}
 		ball = ball[:0]
 		var total float64
-		if mx != nil {
-			mx.RowTo(u, rowBuf)
-			var probes int64
-			for v := 0; v < n; v++ {
-				if v == u || labels[v] != partition.Missing {
-					continue
-				}
-				probes++
-				if x := rowBuf[v]; x <= 0.5 {
-					ball = append(ball, v)
-					total += x
-				}
-			}
-			charge(probes)
-		} else {
-			for v := 0; v < n; v++ {
-				if v == u || labels[v] != partition.Missing {
-					continue
-				}
-				if x := inst.Dist(u, v); x <= 0.5 {
-					ball = append(ball, v)
-					total += x
-				}
+		for j, x := range r.readTargetsInto(u, targets, dists) {
+			if x <= 0.5 {
+				ball = append(ball, targets[j])
+				total += x
 			}
 		}
 		labels[u] = next

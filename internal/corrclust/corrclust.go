@@ -35,20 +35,14 @@ type Instance interface {
 // summed over unordered pairs: co-clustered pairs pay X_uv and separated
 // pairs pay 1-X_uv.
 func Cost(inst Instance, labels partition.Labels) float64 {
-	n := inst.N()
-	if m, charge := matrixFast(inst); m != nil {
-		charge(pairs(n))
-		return costMatrix(m, labels)
-	}
-	if rd, charge := rowFast(inst); rd != nil {
-		charge(pairs(n))
-		return costRows(rd, labels)
-	}
+	n, r := inst.N(), newRowReader(inst)
+	buf := r.tailBuf()
 	var cost float64
 	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			x := inst.Dist(u, v)
-			if labels[u] == labels[v] {
+		lu := labels[u]
+		rest := labels[u+1:]
+		for j, x := range r.readTail(u, buf) {
+			if lu == rest[j] {
 				cost += x
 			} else {
 				cost += 1 - x
@@ -61,19 +55,11 @@ func Cost(inst Instance, labels partition.Labels) float64 {
 // LowerBound returns Σ_{u<v} min(X_uv, 1−X_uv), a lower bound on the cost of
 // every partition: each pair pays at least the cheaper of its two options.
 func LowerBound(inst Instance) float64 {
-	n := inst.N()
-	if m, charge := matrixFast(inst); m != nil {
-		charge(pairs(n))
-		return lowerBoundMatrix(m)
-	}
-	if rd, charge := rowFast(inst); rd != nil {
-		charge(pairs(n))
-		return lowerBoundRows(rd)
-	}
+	n, r := inst.N(), newRowReader(inst)
+	buf := r.tailBuf()
 	var lb float64
 	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			x := inst.Dist(u, v)
+		for _, x := range r.readTail(u, buf) {
 			lb += math.Min(x, 1-x)
 		}
 	}
@@ -97,31 +83,15 @@ func NewMatrix(n int) *Matrix {
 }
 
 // MatrixFromInstance materializes any Instance into a Matrix. Useful when an
-// on-the-fly instance will be probed many times. A source that is itself
-// matrix-backed (possibly under counting layers) is copied condensed-storage
-// to condensed-storage in one pass instead of n(n−1)/2 interface calls, with
-// the reads bulk-charged to any counting layers.
+// on-the-fly instance will be probed many times. Each row tail is read
+// straight into the new matrix's storage (copied from a matrix-backed
+// source), with the reads bulk-charged to any counting layers.
 func MatrixFromInstance(inst Instance) *Matrix {
-	n := inst.N()
-	m := NewMatrix(n)
-	if src, charge := matrixFast(inst); src != nil {
-		copy(m.data, src.data)
-		charge(pairs(n))
-		return m
-	}
-	if rd, charge := rowFast(inst); rd != nil {
-		ids := identity(n)
-		for u := 0; u < n; u++ {
-			rd.DistRowTo(u, ids[u+1:], m.Row(u))
-		}
-		charge(pairs(n))
-		return m
-	}
-	for u := 0; u < n; u++ {
+	r := newRowReader(inst)
+	m := NewMatrix(inst.N())
+	for u := 0; u < m.n; u++ {
 		row := m.Row(u)
-		for j := range row {
-			row[j] = inst.Dist(u, u+1+j)
-		}
+		copy(row, r.readTail(u, row))
 	}
 	return m
 }
@@ -222,21 +192,4 @@ func (m *Matrix) Validate(checkTriangle bool) error {
 		}
 	}
 	return nil
-}
-
-// Sub returns the sub-instance of inst induced by the given object indices:
-// object i of the result corresponds to idx[i] of inst.
-func Sub(inst Instance, idx []int) Instance {
-	return &subInstance{parent: inst, idx: idx}
-}
-
-type subInstance struct {
-	parent Instance
-	idx    []int
-}
-
-func (s *subInstance) N() int { return len(s.idx) }
-
-func (s *subInstance) Dist(u, v int) float64 {
-	return s.parent.Dist(s.idx[u], s.idx[v])
 }

@@ -197,20 +197,6 @@ func TestMatrixFromInstance(t *testing.T) {
 	}
 }
 
-func TestSubInstance(t *testing.T) {
-	m := figure2Instance(t)
-	sub := Sub(m, []int{0, 2, 4})
-	if sub.N() != 3 {
-		t.Fatalf("sub.N() = %d", sub.N())
-	}
-	if got, want := sub.Dist(0, 1), m.Dist(0, 2); got != want {
-		t.Errorf("sub.Dist(0,1) = %v, want %v", got, want)
-	}
-	if got, want := sub.Dist(1, 2), m.Dist(2, 4); got != want {
-		t.Errorf("sub.Dist(1,2) = %v, want %v", got, want)
-	}
-}
-
 func TestCostExtremes(t *testing.T) {
 	n := 5
 	m := NewMatrix(n) // all-zero distances: everything together is free

@@ -81,8 +81,8 @@ func FurthestWithOptions(inst Instance, opts FurthestOptions) (partition.Labels,
 	// The first two centers are the furthest-apart pair. minDist[v] is the
 	// distance from v to its nearest center, labels[v] indexes that center;
 	// the first center's row seeds it under the single-cluster labels.
-	u0, v0 := furthestPair(inst)
 	rows := newRowReader(inst)
+	u0, v0 := furthestPair(rows)
 	minDist := rows.readRowInto(u0, make([]float64, n))
 	centers := 1
 	centerPicks++
@@ -217,25 +217,13 @@ func (l *memberLists) move(v, a, b int) {
 
 // furthestPair returns the pair of objects with the largest distance,
 // breaking ties toward smaller indices.
-func furthestPair(inst Instance) (int, int) {
-	n := inst.N()
+func furthestPair(r rowReader) (int, int) {
+	n, buf := r.inst.N(), r.tailBuf()
 	bu, bv, bd := 0, 0, -1.0
-	if mx, charge := matrixFast(inst); mx != nil {
-		for u := 0; u < n; u++ {
-			rest := mx.Row(u)
-			for j, d := range rest {
-				if d > bd {
-					bu, bv, bd = u, u+1+j, d
-				}
-			}
-		}
-		charge(pairs(n))
-		return bu, bv
-	}
 	for u := 0; u < n; u++ {
-		for v := u + 1; v < n; v++ {
-			if d := inst.Dist(u, v); d > bd {
-				bu, bv, bd = u, v, d
+		for j, d := range r.readTail(u, buf) {
+			if d > bd {
+				bu, bv, bd = u, u+1+j, d
 			}
 		}
 	}

@@ -43,7 +43,7 @@ func furthestReference(inst Instance, k int) (partition.Labels, float64) {
 		}
 	}
 
-	u0, v0 := furthestPair(inst)
+	u0, v0 := furthestPair(newRowReader(inst))
 	addCenter(u0)
 	for {
 		if centers == 1 {
@@ -73,18 +73,6 @@ func furthestReference(inst Instance, k int) (partition.Labels, float64) {
 		}
 	}
 	return best.Normalize(), bestCost
-}
-
-// rowOracle exposes a Matrix only through Dist and DistRowTo, the shape of
-// the core package's matrix-free label kernel, so the RowDistancer paths run.
-type rowOracle struct{ m *Matrix }
-
-func (r rowOracle) N() int                { return r.m.N() }
-func (r rowOracle) Dist(u, v int) float64 { return r.m.Dist(u, v) }
-func (r rowOracle) DistRowTo(u int, targets []int, dst []float64) {
-	for j, v := range targets {
-		dst[j] = r.m.Dist(u, v)
-	}
 }
 
 // coinInstance is aggInstance for clusterings that may carry

@@ -89,11 +89,11 @@ const localSearchMinParallel = 256
 // (n−1) − Σ_u X_vu, so once the cluster count has collapsed, evaluating an
 // object costs O(k) table reads instead of an O(n) distance scan — a sweep
 // is O(n·k + moves·n) rather than O(n²). See localsearch_incremental.go for
-// the three sweep modes and when each engages. LocalSearchReference keeps
-// the per-object rebuild as the reference implementation; on instances whose
-// distance arithmetic is exact (dyadic values) the two produce identical
-// labels, and otherwise they agree to float-drift noise bounded by the
-// periodic column refresh (see docs/PERFORMANCE.md).
+// the three sweep modes and when each engages. The package tests keep the
+// per-object rebuild as the reference sweep; on instances whose distance
+// arithmetic is exact (dyadic values) the two produce identical labels, and
+// otherwise they agree to float-drift noise bounded by the periodic column
+// refresh (see docs/PERFORMANCE.md).
 func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 	n := inst.N()
 	if n == 0 {
@@ -220,147 +220,4 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 		Moves: ker.moves, Improved: ker.improvement,
 	})
 	return ker.labels.Normalize()
-}
-
-// LocalSearchReference is the pre-incremental LOCALSEARCH sweep: M(v, C_i)
-// is rebuilt from a full distance row for every object visited, making each
-// pass O(n²). It makes exactly the decisions LocalSearch makes (same
-// ascending-slot iteration, strict-< tie-breaks, same epsilon guard), only
-// with per-evaluation instead of delta-maintained float accumulation, and is
-// kept as the reference implementation the incremental kernel's equivalence
-// tests and benchmarks run against. opts.Workers, opts.RefreshEvery, and the
-// move hook are ignored.
-func LocalSearchReference(inst Instance, opts LocalSearchOptions) partition.Labels {
-	n := inst.N()
-	if n == 0 {
-		return partition.Labels{}
-	}
-	maxPasses := opts.MaxPasses
-	if maxPasses <= 0 {
-		maxPasses = DefaultLocalSearchPasses
-	}
-	eps := opts.Epsilon
-	if eps <= 0 {
-		eps = 1e-9
-	}
-
-	var labels partition.Labels
-	if opts.Init != nil {
-		labels = opts.Init.Normalize()
-	} else {
-		labels = partition.Singletons(n)
-	}
-
-	// size[c] = cluster size; free = recycled cluster ids for fresh
-	// singletons. k tracks the number of allocated cluster slots.
-	k := labels.K()
-	size := make([]int, k, k+1)
-	for _, c := range labels {
-		size[c]++
-	}
-	var free []int
-
-	// Matrix fast path: M(v,·) accumulates from a gathered contiguous row
-	// instead of n-1 interface calls; the add order and values match the
-	// generic loop, so results are bit-identical. Reads are bulk-charged to
-	// any counting layers.
-	mx, charge := matrixFast(inst)
-	var rowBuf []float64
-	if mx != nil {
-		rowBuf = make([]float64, n)
-	}
-
-	var sweeps, moves int64
-	converged := false
-	m := make([]float64, len(size), cap(size)) // M(v, C_i), rebuilt per object
-	for pass := 0; pass < maxPasses; pass++ {
-		sweeps++
-		improved := false
-		for v := 0; v < n; v++ {
-			if cap(m) < len(size) {
-				m = make([]float64, len(size))
-			} else {
-				m = m[:len(size)]
-			}
-			for i := range m {
-				m[i] = 0
-			}
-			if mx != nil {
-				mx.RowTo(v, rowBuf)
-				for u, x := range rowBuf {
-					if u != v {
-						m[labels[u]] += x
-					}
-				}
-				charge(int64(n - 1))
-			} else {
-				for u := 0; u < n; u++ {
-					if u != v {
-						m[labels[u]] += inst.Dist(v, u)
-					}
-				}
-			}
-			// totalAway = Σ_j (|C_j| − M(v,C_j)) over all clusters, with v
-			// itself excluded from its own cluster's size.
-			var totalAway float64
-			for i := range m {
-				sz := size[i]
-				if i == labels[v] {
-					sz--
-				}
-				totalAway += float64(sz) - m[i]
-			}
-			// d(v, C_i) = M(v,C_i) + (totalAway − (|C_i| − M(v,C_i))).
-			// d(v, singleton) = totalAway.
-			cur := labels[v]
-			bestCluster, bestCost := -1, totalAway // -1 = fresh singleton
-			curCost := totalAway
-			for i := range m {
-				sz := size[i]
-				if i == cur {
-					sz--
-				}
-				d := m[i] + totalAway - (float64(sz) - m[i])
-				if i == cur {
-					curCost = d
-				}
-				if d < bestCost {
-					bestCluster, bestCost = i, d
-				}
-			}
-			if bestCost >= curCost-eps || bestCluster == cur {
-				continue
-			}
-			// Apply the move.
-			improved = true
-			moves++
-			size[cur]--
-			if size[cur] == 0 {
-				free = append(free, cur)
-			}
-			if bestCluster == -1 {
-				if len(free) > 0 {
-					bestCluster = free[len(free)-1]
-					free = free[:len(free)-1]
-				} else {
-					bestCluster = len(size)
-					size = append(size, 0)
-				}
-			}
-			size[bestCluster]++
-			labels[v] = bestCluster
-		}
-		if !improved {
-			converged = true
-			break
-		}
-	}
-	if rec := opts.Recorder; rec != nil {
-		rec.Add("localsearch.sweeps", sweeps)
-		rec.Add("localsearch.moves", moves)
-		if converged {
-			rec.Add("localsearch.converged_early", 1)
-		}
-	}
-	return labels.Normalize()
 }

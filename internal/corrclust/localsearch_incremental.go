@@ -7,9 +7,10 @@ import (
 )
 
 // This file is the incremental LOCALSEARCH kernel. The reference sweep
-// (LocalSearchReference) rebuilds M(v, C_i) = Σ_{u∈C_i} X_vu from a full
-// distance row for every object it visits, so each pass costs O(n²). The
-// kernel instead keeps the whole affinity table alive across the run:
+// (localSearchReference, a test oracle) rebuilds M(v, C_i) = Σ_{u∈C_i} X_vu
+// from a full distance row for every object it visits, so each pass costs
+// O(n²). The kernel instead keeps the whole affinity table alive across the
+// run:
 //
 //   - cols[c][u] = M(u, C_c), one n-float column per materialized cluster
 //     slot, maintained under moves: when v changes cluster, row X_v· is
@@ -55,11 +56,11 @@ import (
 // absorbs it at accept/reject decisions and refreshColumn rebuilds a column
 // exactly after refreshEvery deltas, bounding it globally.
 //
-// All distance reads go through readRowInto, which gathers a contiguous
-// matrix row on the fast path and makes the same n−1 Dist calls on the
-// generic path — both paths run the identical kernel arithmetic in the
-// identical order, so fast and generic results are bit-identical and the
-// bulk charges equal the generic call counts.
+// All distance reads go through the row reader's readRowInto, which gathers
+// a contiguous matrix row, makes one DistRowTo call on a row oracle, or
+// makes the same n−1 Dist calls on any other instance — every path feeds
+// the identical kernel arithmetic in the identical order, so results are
+// bit-identical and the bulk charges equal the per-call counts.
 
 // lsKernel is the incremental LOCALSEARCH state.
 type lsKernel struct {

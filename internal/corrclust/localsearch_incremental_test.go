@@ -48,7 +48,7 @@ func TestLocalSearchIncrementalMatchesReferenceExact(t *testing.T) {
 				init[i] = rng.Intn(4)
 			}
 		}
-		want := LocalSearchReference(inst, LocalSearchOptions{Init: init})
+		want := localSearchReference(inst, LocalSearchOptions{Init: init})
 		got := LocalSearch(inst, LocalSearchOptions{Init: init})
 		if !equalLabelSlices(got, want) {
 			t.Fatalf("trial %d (m=%d n=%d): incremental %v != reference %v", trial, m, n, got, want)
@@ -66,7 +66,7 @@ func TestLocalSearchIncrementalMatchesReferenceExact(t *testing.T) {
 func TestLocalSearchIncrementalMatchesReferenceContinuous(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		m := randomMatrix(70, 200+seed)
-		want := LocalSearchReference(m, LocalSearchOptions{})
+		want := localSearchReference(m, LocalSearchOptions{})
 		got := LocalSearch(m, LocalSearchOptions{})
 		if !equalLabelSlices(got, want) {
 			t.Fatalf("seed %d: incremental %v != reference %v", seed, got, want)
@@ -95,7 +95,7 @@ func TestLocalSearchWorkersIdentical(t *testing.T) {
 			}
 		}
 		// And the parallel path agrees with the reference on exact instances.
-		ref := LocalSearchReference(inst, LocalSearchOptions{})
+		ref := localSearchReference(inst, LocalSearchOptions{})
 		if !equalLabelSlices(want, ref) {
 			t.Fatalf("n=%d: incremental %v != reference %v", n, want, ref)
 		}
@@ -197,7 +197,7 @@ func TestLocalSearchReferenceStillLocalOptimum(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		n := 3 + rng.Intn(8)
 		inst := dyadicInstance(t, rng, 4, n, 1+rng.Intn(4))
-		labels := LocalSearchReference(inst, LocalSearchOptions{})
+		labels := localSearchReference(inst, LocalSearchOptions{})
 		base := Cost(inst, labels)
 		for v := 0; v < n; v++ {
 			orig := labels[v]
@@ -232,7 +232,7 @@ func FuzzLocalSearchIncremental(f *testing.F) {
 				init[i] = rng.Intn(3)
 			}
 		}
-		want := LocalSearchReference(inst, LocalSearchOptions{Init: init})
+		want := localSearchReference(inst, LocalSearchOptions{Init: init})
 		got := LocalSearch(inst, LocalSearchOptions{Init: init, Workers: workers})
 		if !equalLabelSlices(got, want) {
 			t.Fatalf("n=%d m=%d workers=%d: incremental %v != reference %v", n, m, workers, got, want)
@@ -241,4 +241,46 @@ func FuzzLocalSearchIncremental(f *testing.F) {
 			t.Fatalf("costs differ: %v vs %v", gc, wc)
 		}
 	})
+}
+
+// BenchmarkLocalSearch runs LOCALSEARCH from singletons on a 2,000-object
+// dyadic instance — m = 16 clusterings, each a copy of 8 planted groups with
+// 10% of labels redrawn, the paper's k ≪ n shape — with the O(n²)-per-sweep
+// reference sweep alongside for comparison. Every run is checked against
+// the reference labels, so a single pass under bench-short doubles as the
+// n = 2,000 equivalence gate on this shape.
+func BenchmarkLocalSearch(b *testing.B) {
+	const n, m, k = 2000, 16, 8
+	rng := rand.New(rand.NewSource(1))
+	inputs := make([]partition.Labels, m)
+	for ci := range inputs {
+		c := make(partition.Labels, n)
+		for i := range c {
+			if rng.Float64() < 0.1 {
+				c[i] = rng.Intn(k + 2)
+			} else {
+				c[i] = i % k
+			}
+		}
+		inputs[ci] = c
+	}
+	mx := aggInstance(b, inputs...)
+	want := localSearchReference(mx, LocalSearchOptions{})
+	for _, bc := range []struct {
+		name string
+		run  func(Instance, LocalSearchOptions) partition.Labels
+	}{
+		{"new", LocalSearch},
+		{"reference", localSearchReference},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if got := bc.run(mx, LocalSearchOptions{}); !equalLabelSlices(got, want) {
+					b.Fatal("labels diverge from the reference sweep")
+				}
+			}
+			b.ReportMetric(float64(want.K()), "clusters")
+		})
+	}
 }

@@ -1,145 +1,11 @@
 package corrclust
 
 import (
-	"runtime"
 	"strconv"
 	"sync"
 
 	"clusteragg/internal/obs"
-	"clusteragg/internal/partition"
 )
-
-// MatrixFromInstanceParallel materializes an Instance into a Matrix using
-// the given number of worker goroutines (0 means GOMAXPROCS). Instance.Dist
-// must be safe for concurrent use, which holds for every Instance in this
-// repository. Materialization is O(m·n²) work for aggregation problems and
-// dominates full-size runs, so it parallelizes almost perfectly.
-// Matrix-backed sources (including counting-wrapped ones) skip the workers
-// entirely: MatrixFromInstance copies the condensed storage directly.
-func MatrixFromInstanceParallel(inst Instance, workers int) *Matrix {
-	n := inst.N()
-	if mx, _ := matrixFast(inst); mx != nil {
-		return MatrixFromInstance(inst) // one condensed copy beats any fan-out
-	}
-	m := NewMatrix(n)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 256 {
-		return MatrixFromInstance(inst)
-	}
-
-	// Static row interleaving: row u costs n-1-u entries, so contiguous
-	// blocks would be badly imbalanced; striding by worker count balances
-	// to within one row. A row-capable oracle fills each row in one bulk
-	// call (concurrency-safe by the RowDistancer contract), with the reads
-	// charged to any counting layers afterwards in one lump equal to the
-	// per-call count.
-	rd, charge := rowFast(inst)
-	var ids []int
-	if rd != nil {
-		ids = identity(n)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(start int) {
-			defer wg.Done()
-			obs.Do(obs.ProfLabels{Phase: "materialize", Worker: strconv.Itoa(start)}, func() {
-				for u := start; u < n; u += workers {
-					row := m.Row(u)
-					if rd != nil {
-						rd.DistRowTo(u, ids[u+1:], row)
-						continue
-					}
-					for j := range row {
-						row[j] = inst.Dist(u, u+1+j)
-					}
-				}
-			})
-		}(w)
-	}
-	wg.Wait()
-	if rd != nil {
-		charge(pairs(n))
-	}
-	return m
-}
-
-// CostParallel computes Cost with the given number of worker goroutines
-// (0 means GOMAXPROCS). Useful for evaluating candidate clusterings on
-// full-size instances where the O(n²) pair scan dominates.
-func CostParallel(inst Instance, labels partition.Labels, workers int) float64 {
-	n := inst.N()
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 || n < 256 {
-		return Cost(inst, labels)
-	}
-	rd, charge := rowFast(inst)
-	var ids []int
-	if rd != nil {
-		ids = identity(n)
-	}
-	partial := make([]float64, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(idx int) {
-			defer wg.Done()
-			obs.Do(obs.ProfLabels{Phase: "cost", Worker: strconv.Itoa(idx)}, func() {
-				var sum float64
-				var buf []float64
-				if rd != nil {
-					buf = make([]float64, n)
-				}
-				for u := idx; u < n; u += workers {
-					lu := labels[u]
-					if rd != nil {
-						// Bulk-evaluate the tail; same values and addition
-						// order as the per-pair loop below.
-						row := buf[:n-1-u]
-						rd.DistRowTo(u, ids[u+1:], row)
-						tail := labels[u+1:]
-						for j, x := range row {
-							if lu == tail[j] {
-								sum += x
-							} else {
-								sum += 1 - x
-							}
-						}
-						continue
-					}
-					for v := u + 1; v < n; v++ {
-						x := inst.Dist(u, v)
-						if lu == labels[v] {
-							sum += x
-						} else {
-							sum += 1 - x
-						}
-					}
-				}
-				partial[idx] = sum
-			})
-		}(w)
-	}
-	wg.Wait()
-	if rd != nil {
-		charge(pairs(n))
-	}
-	var total float64
-	for _, s := range partial {
-		total += s
-	}
-	return total
-}
 
 // lsNoMove marks an object whose proposal found no improving move.
 const lsNoMove = -2
