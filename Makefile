@@ -158,8 +158,9 @@ experiments-full:
 # Short fuzzing passes over the CSV loader, partition invariants, the label
 # kernel against the []int pair loop, the contingency-table objective and
 # distinct-row lower bound against the pair scans, incremental FURTHEST
-# against its full-Cost reference, and AGGLOMERATIVE's cached-neighbor loop
-# against its lazy-heap reference.
+# against its full-Cost reference, AGGLOMERATIVE's cached-neighbor loop
+# against its lazy-heap reference, and SAMPLING's twin-memoized assignment
+# against the probing reference.
 fuzz:
 	$(GO) test -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
 	$(GO) test -run FuzzNormalize -fuzz FuzzNormalize -fuzztime 30s ./internal/partition/
@@ -168,6 +169,7 @@ fuzz:
 	$(GO) test -run FuzzObjectiveExact -fuzz FuzzObjectiveExact -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzFurthestIncremental -fuzz FuzzFurthestIncremental -fuzztime 30s ./internal/corrclust/
 	$(GO) test -run FuzzAgglomerative -fuzz FuzzAgglomerative -fuzztime 30s ./internal/corrclust/
+	$(GO) test -run FuzzSampleAssignMemo -fuzz FuzzSampleAssignMemo -fuzztime 30s ./internal/core/
 
 clean:
 	$(GO) clean ./...

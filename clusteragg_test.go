@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,6 +103,132 @@ func TestAggregateCSVErrors(t *testing.T) {
 	}
 	if _, err := clusteragg.AggregateCSV(strings.NewReader("1\n2\n"), clusteragg.CSVOptions{}); err == nil {
 		t.Error("numeric-only input accepted")
+	}
+}
+
+// validLabeling fails the test unless labels is a normalized clustering of
+// n objects with no missing label.
+func validLabeling(t *testing.T, labels clusteragg.Labels, n int) {
+	t.Helper()
+	if len(labels) != n {
+		t.Fatalf("%d labels for %d objects", len(labels), n)
+	}
+	if err := labels.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if slices.Contains(labels, clusteragg.Missing) || !labels.IsNormalized() {
+		t.Fatalf("labels %v not a normalized complete clustering", labels)
+	}
+}
+
+// TestAggregateCSVDegenerateInputs pins the facade's contract on
+// degenerate inputs: each yields a defined error or a valid labeling —
+// never a panic. CSV inputs run exact and sampled, each at IngestWorkers
+// 0 (sequential reader) and 2 (chunked reader; streamed into the packed
+// block when sampling), and every ingest mode must give the same error
+// text or the same labels. The NewProblem cases run every method and
+// SAMPLING on the problem when it is accepted.
+func TestAggregateCSVDegenerateInputs(t *testing.T) {
+	noPanic := func(t *testing.T, f func()) {
+		t.Helper()
+		defer func() {
+			if r := recover(); r != nil {
+				t.Fatalf("panic: %v", r)
+			}
+		}()
+		f()
+	}
+	for _, tc := range []struct {
+		name    string
+		csv     string
+		rows    int    // data rows, when the input is accepted
+		wantErr string // part of the defined error, when it is not
+	}{
+		{name: "empty", csv: "", wantErr: "empty csv input"},
+		{name: "header-only", csv: "a,b\n", wantErr: "no data rows"},
+		{name: "one-row", csv: "a,b\nx,y\n", rows: 1},
+		{name: "one-column", csv: "a\nx\ny\nx\n", rows: 3},
+		{name: "all-missing", csv: "a,b\n?,?\n?,\n,?\n", rows: 3},
+		{name: "ragged", csv: "a,b\nx,y\nz\n", wantErr: "wrong number of fields"},
+		{name: "bad-quote", csv: "a,b\nx\"q,y\nz,w\n", wantErr: `bare "`},
+		{name: "unterminated-quote", csv: "a,b\n\"x,y\nz,w\n", wantErr: `extraneous or missing "`},
+	} {
+		for _, sampleSize := range []int{0, 2} {
+			t.Run(fmt.Sprintf("csv/%s/sample=%d", tc.name, sampleSize), func(t *testing.T) {
+				var outcomes []string
+				for _, ingest := range []int{0, 2} {
+					var res *clusteragg.CSVResult
+					var err error
+					noPanic(t, func() {
+						res, err = clusteragg.AggregateCSV(strings.NewReader(tc.csv), clusteragg.CSVOptions{
+							HasHeader: true, Method: clusteragg.MethodFurthest,
+							SampleSize: sampleSize, IngestWorkers: ingest,
+						})
+					})
+					if tc.wantErr != "" {
+						if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+							t.Fatalf("IngestWorkers=%d: error %v, want one containing %q", ingest, err, tc.wantErr)
+						}
+						outcomes = append(outcomes, err.Error())
+						continue
+					}
+					if err != nil {
+						t.Fatalf("IngestWorkers=%d: %v", ingest, err)
+					}
+					if res.Rows != tc.rows {
+						t.Fatalf("IngestWorkers=%d: %d rows, want %d", ingest, res.Rows, tc.rows)
+					}
+					validLabeling(t, res.Labels, tc.rows)
+					outcomes = append(outcomes, fmt.Sprint(res.Labels, res.Disagreement, res.LowerBound))
+				}
+				if outcomes[0] != outcomes[1] {
+					t.Fatalf("ingest modes differ: %q vs %q", outcomes[0], outcomes[1])
+				}
+			})
+		}
+	}
+
+	m := clusteragg.Missing
+	for _, tc := range []struct {
+		name    string
+		inputs  []clusteragg.Labels
+		wantErr string
+	}{
+		{name: "no-clusterings", wantErr: "no input clusterings"},
+		{name: "n=0", inputs: []clusteragg.Labels{{}, {}}},
+		{name: "n=1", inputs: []clusteragg.Labels{{0}, {m}}},
+		{name: "all-missing", inputs: []clusteragg.Labels{{m, m, m}, {m, m, m}}},
+	} {
+		t.Run("problem/"+tc.name, func(t *testing.T) {
+			noPanic(t, func() {
+				p, err := clusteragg.NewProblem(tc.inputs, clusteragg.ProblemOptions{})
+				if tc.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				n := len(tc.inputs[0])
+				for _, method := range append(clusteragg.Methods(), clusteragg.ExtensionMethods()...) {
+					labels, err := p.Aggregate(method, clusteragg.AggregateOptions{})
+					if err != nil {
+						t.Fatalf("%v: %v", method, err)
+					}
+					validLabeling(t, labels, n)
+				}
+				labels, err := p.Sample(clusteragg.MethodFurthest, clusteragg.AggregateOptions{}, clusteragg.SamplingOptions{SampleSize: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				validLabeling(t, labels, n)
+				if d, lb := p.Disagreement(labels), p.LowerBound(); lb > d {
+					t.Fatalf("lower bound %v above disagreement %v", lb, d)
+				}
+			})
+		})
 	}
 }
 

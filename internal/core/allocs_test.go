@@ -72,6 +72,26 @@ func TestKernelDistAllocs(t *testing.T) {
 	})
 }
 
+// TestAssignMemoAllocs pins the twin memo's per-object steady state at
+// zero allocations: one lookup of the object's label row plus, on a miss,
+// one store. The table itself is allocated once per assignment stripe.
+func TestAssignMemoAllocs(t *testing.T) {
+	rng := rand.New(rand.NewSource(983))
+	p, err := NewProblem(twinInputs(rng, 512, 4, 3, 0.1), ProblemOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk := p.kernel()
+	memo := newTwinMemo(lk.n)
+	v := 0
+	pinAllocs(t, "memo lookup+store", 0, func() {
+		if slot, _, hit := memoFind(&memo, lk.lab8, lk.m, v); !hit {
+			memo.store(slot, v, int32(v%5)-1)
+		}
+		v = (v + 1) % lk.n
+	})
+}
+
 // TestPackedUnpackAllocs pins the packed column accessor: unpacking one
 // clustering's labels out of the packed block into a caller buffer
 // allocates nothing, so materialization reads every clustering through one

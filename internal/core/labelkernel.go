@@ -37,8 +37,11 @@ package core
 // its O(m·s) per-object probing with O(m·k) co-label histograms: for each
 // clustering, the count of sample members per (input label, sample cluster)
 // is precomputed once, and M(v, C_c) for all k sample clusters falls out of
-// one pass over v's label block. See colabelHist below and
-// docs/PERFORMANCE.md for the arithmetic and the equivalence contract.
+// one pass over v's label block. That pass reads nothing of v but its
+// label row, so each assignment stripe memoizes the decision per distinct
+// row (twinMemo in sampling.go) and evaluates a repeated row only once.
+// See colabelHist below and docs/PERFORMANCE.md for the arithmetic and the
+// equivalence contract.
 
 // labelWord is a storage width for packed labels. The missing sentinel is
 // the type's all-ones value (see missingWord), so the usable label range is

@@ -258,11 +258,7 @@ func groupRows[W labelWord](lk *labelKernel, lab []W) rowGroups {
 	g := rowGroups{rep: make([]int32, 0, n/2), count: make([]int32, 0, n/2)}
 	for v := 0; v < n; v++ {
 		row := lab[v*m : v*m+m]
-		h := uint64(14695981039346656037)
-		for _, x := range row {
-			h = (h ^ uint64(x)) * 1099511628211
-		}
-		for j := (h ^ h>>32) & mask; ; j = (j + 1) & mask {
+		for j := rowHash(row) & mask; ; j = (j + 1) & mask {
 			s := slots[j]
 			if s == 0 {
 				slots[j] = int32(len(g.count)) + 1
@@ -277,6 +273,16 @@ func groupRows[W labelWord](lk *labelKernel, lab []W) rowGroups {
 		}
 	}
 	return g
+}
+
+// rowHash is the FNV-1a hash of a packed label row, high half folded into
+// the low bits that index a power-of-two table.
+func rowHash[W labelWord](row []W) uint64 {
+	h := uint64(14695981039346656037)
+	for _, x := range row {
+		h = (h ^ uint64(x)) * 1099511628211
+	}
+	return h ^ h>>32
 }
 
 func equalRows[W labelWord](a, b []W) bool {

@@ -168,121 +168,64 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 // kernel's bulk row path instead (still O(m·s) per object, but tight label
 // compares rather than interface probes, and bit-identical to per-pair
 // probing unconditionally). Objects stream on contiguous chunk stripes.
-// The tests pin both routes against a probing reference pass (one Dist
-// call per object/member pair, plugged in through SamplingOptions.assign)
-// that runs the same selection loop, so the same affinities produce the
-// same labels.
+//
+// Either route reads nothing of v but its packed label row, and the sample
+// clusters are fixed, so twins — objects with equal rows — always get the
+// same decision. Each stripe therefore keeps a bounded twin memo (see
+// twinMemo): a repeated row broadcasts its stored decision after O(m)
+// hashing and comparing instead of the O(m·k) evaluation. Labels do not
+// depend on which rows the memo holds, so they stay bit-identical at every
+// worker count, width and missing mode. The tests pin both routes against
+// a probing reference pass (one Dist call per object/member pair, plugged
+// in through SamplingOptions.assign) that runs the same selection loop, so
+// the same affinities produce the same labels.
 //
 // Counters: sample.assign.dist_probes is bulk-charged with the (n−s)·s
 // probes a per-pair probing pass would make (the kernel evaluates the
-// same object/member pairs, just not one Dist call at a time);
-// sample.assign.kernel_cols records the n packed label columns and
-// sample.assign.hist_builds the per-clustering histogram builds (0 on the
-// row route). Batch latencies land in sample.assign.batch.seconds and the
-// shared progress counter ticks once per batch (Done = objects scanned so
-// far across all chunks, Total = n).
+// same object/member pairs, just not one Dist call at a time — and a twin
+// not even that; the charge stays analytic so it does not depend on the
+// stripe layout); sample.assign.kernel_cols records the n packed label
+// columns and sample.assign.hist_builds the per-clustering histogram
+// builds (0 on the row route). Batch latencies land in
+// sample.assign.batch.seconds and the shared progress counter ticks once
+// per batch (Done = objects scanned so far across all chunks, Total = n).
 func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels partition.Labels, members [][]int, workers int) (assigned, fresh int64) {
 	n, k := p.n, len(members)
 	lk := p.kernel()
 	rec.Add("sample.assign.kernel_cols", int64(n))
 
-	var hist *colabelHist
-	var flat []int // row route: sample members flattened in cluster order
-	var ends []int // per-cluster segment ends into flat
+	a := &assignPass{lk: lk, labels: labels, members: members, progress: progress}
 	sampleSize := 0
 	for _, mem := range members {
 		sampleSize += len(mem)
 	}
 	if lk.average && lk.anyMiss {
-		flat = make([]int, 0, sampleSize)
-		ends = make([]int, 0, k)
+		a.flat = make([]int, 0, sampleSize)
+		a.ends = make([]int, 0, k)
 		for _, mem := range members {
-			flat = append(flat, mem...)
-			ends = append(ends, len(flat))
+			a.flat = append(a.flat, mem...)
+			a.ends = append(a.ends, len(a.flat))
 		}
 		rec.Add("sample.assign.hist_builds", 0)
 	} else {
-		hist = lk.buildColabelHist(members)
+		a.hist = lk.buildColabelHist(members)
 		rec.Add("sample.assign.hist_builds", int64(lk.m))
 	}
 	rec.Add("sample.assign.dist_probes", int64(n-sampleSize)*int64(sampleSize))
-	var batchHist *obs.Histogram
-	var tpSeries *obs.Series
 	if rec != nil {
-		batchHist = rec.Histogram("sample.assign.batch.seconds", nil)
-		tpSeries = rec.Series("sample.assign.throughput")
+		a.batchHist = rec.Histogram("sample.assign.batch.seconds", nil)
+		a.tpSeries = rec.Series("sample.assign.throughput")
 	}
-	var done atomic.Int64
 
-	counts := make([][2]int64, workers) // assigned, fresh per stripe
+	a.counts = make([][2]int64, workers) // assigned, fresh per stripe
 	assignChunk := func(stripe, lo, hi int) {
-		mPtr, m := getF64(k)
-		defer putF64(mPtr)
-		var buf []float64
-		if hist == nil {
-			bufPtr, b := getF64(len(flat))
-			defer putF64(bufPtr)
-			buf = b
-		}
-		for bLo := lo; bLo < hi; bLo += assignBatchSize {
-			bHi := bLo + assignBatchSize
-			if bHi > hi {
-				bHi = hi
-			}
-			var batchStart time.Time
-			if batchHist != nil {
-				batchStart = time.Now()
-			}
-			for v := bLo; v < bHi; v++ {
-				if labels[v] != partition.Missing {
-					continue
-				}
-				if hist != nil {
-					hist.affinities(lk, v, m)
-				} else {
-					lk.DistRowTo(v, flat, buf)
-					start := 0
-					for ci, end := range ends {
-						var s float64
-						for _, x := range buf[start:end] {
-							s += x
-						}
-						m[ci] = s
-						start = end
-					}
-				}
-				var totalAway float64
-				for ci := range members {
-					totalAway += float64(len(members[ci])) - m[ci]
-				}
-				bestC, bestCost := -1, totalAway // -1 = fresh singleton
-				for ci := range members {
-					d := m[ci] + totalAway - (float64(len(members[ci])) - m[ci])
-					if d < bestCost {
-						bestC, bestCost = ci, d
-					}
-				}
-				if bestC == -1 {
-					labels[v] = k + v
-					counts[stripe][1]++
-				} else {
-					labels[v] = bestC
-					counts[stripe][0]++
-				}
-			}
-			d := done.Add(int64(bHi - bLo))
-			if batchHist != nil {
-				sec := time.Since(batchStart).Seconds()
-				batchHist.Observe(sec)
-				// Per-batch throughput (objects/s), stepped by the shared
-				// scan position. Timing-bearing, so benchdiff ignores it.
-				if sec > 0 {
-					tpSeries.Append(d, float64(bHi-bLo)/sec)
-				}
-			}
-			progress.Emit(obs.ProgressEvent{
-				Stage: "sample:assign", Done: d, Total: int64(n),
-			})
+		switch lk.width {
+		case width8:
+			assignStripe(a, lk.lab8, stripe, lo, hi)
+		case width16:
+			assignStripe(a, lk.lab16, stripe, lo, hi)
+		default:
+			assignStripe(a, lk.lab32, stripe, lo, hi)
 		}
 	}
 	if workers <= 1 {
@@ -309,11 +252,178 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 		}
 		wg.Wait()
 	}
-	for _, c := range counts {
+	for _, c := range a.counts {
 		assigned += c[0]
 		fresh += c[1]
 	}
 	return assigned, fresh
+}
+
+// assignPass is the state one assignKernel call shares across its stripes.
+// Exactly one of hist (histogram route) and flat/ends (row route: sample
+// members flattened in cluster order, per-cluster segment ends) is set.
+type assignPass struct {
+	lk         *labelKernel
+	labels     partition.Labels
+	members    [][]int
+	hist       *colabelHist
+	flat, ends []int
+	counts     [][2]int64 // assigned, fresh per stripe
+	batchHist  *obs.Histogram
+	tpSeries   *obs.Series
+	progress   *obs.Progress
+	done       atomic.Int64
+}
+
+// assignStripe assigns the unsampled objects in [lo, hi) with the stripe's
+// own twin memo, generic over the storage width of lab.
+func assignStripe[W labelWord](a *assignPass, lab []W, stripe, lo, hi int) {
+	n, m, k := a.lk.n, a.lk.m, len(a.members)
+	affPtr, aff := getF64(k)
+	defer putF64(affPtr)
+	var buf []float64
+	if a.hist == nil {
+		bufPtr, b := getF64(len(a.flat))
+		defer putF64(bufPtr)
+		buf = b
+	}
+	memo := newTwinMemo(hi - lo)
+	for bLo := lo; bLo < hi; bLo += assignBatchSize {
+		bHi := min(bLo+assignBatchSize, hi)
+		var batchStart time.Time
+		if a.batchHist != nil {
+			batchStart = time.Now()
+		}
+		for v := bLo; v < bHi; v++ {
+			if a.labels[v] != partition.Missing {
+				continue
+			}
+			slot, c, hit := memoFind(&memo, lab, m, v)
+			if !hit {
+				c = assignDecide(a, lab, v, aff, buf)
+				memo.store(slot, v, c)
+			}
+			if c < 0 {
+				a.labels[v] = k + v
+				a.counts[stripe][1]++
+			} else {
+				a.labels[v] = int(c)
+				a.counts[stripe][0]++
+			}
+		}
+		d := a.done.Add(int64(bHi - bLo))
+		if a.batchHist != nil {
+			sec := time.Since(batchStart).Seconds()
+			a.batchHist.Observe(sec)
+			// Per-batch throughput (objects/s), stepped by the shared
+			// scan position. Timing-bearing, so benchdiff ignores it.
+			if sec > 0 {
+				a.tpSeries.Append(d, float64(bHi-bLo)/sec)
+			}
+		}
+		a.progress.Emit(obs.ProgressEvent{
+			Stage: "sample:assign", Done: d, Total: int64(n),
+		})
+	}
+}
+
+// assignDecide evaluates object v against the sample clusters: it returns
+// the cluster minimizing d(v, C_i) = M(v,C_i) + Σ_{j≠i}(|C_j| − M(v,C_j)),
+// or −1 when a fresh singleton (cost Σ_j (|C_j| − M(v,C_j))) is strictly
+// cheaper. aff (length k) and, on the row route, buf (length s) are
+// scratch.
+func assignDecide[W labelWord](a *assignPass, lab []W, v int, aff, buf []float64) int32 {
+	if a.hist != nil {
+		affinitiesW(a.hist, a.lk, lab, v, aff)
+	} else {
+		distRowTo(a.lk, lab, v, a.flat, buf)
+		start := 0
+		for ci, end := range a.ends {
+			var s float64
+			for _, x := range buf[start:end] {
+				s += x
+			}
+			aff[ci] = s
+			start = end
+		}
+	}
+	var totalAway float64
+	for ci := range a.members {
+		totalAway += float64(len(a.members[ci])) - aff[ci]
+	}
+	best, bestCost := int32(-1), totalAway // -1 = fresh singleton
+	for ci := range a.members {
+		d := aff[ci] + totalAway - (float64(len(a.members[ci])) - aff[ci])
+		if d < bestCost {
+			best, bestCost = int32(ci), d
+		}
+	}
+	return best
+}
+
+// assignMemoCap caps one stripe's twin memo, in slots (a power of two):
+// 2¹⁴ slots are 128 KiB. A 2¹⁶-slot memo bought only a few percent more
+// speed on the 3M-object ladder rung for 1.5 MiB more allocation (see
+// docs/PERFORMANCE.md). A variable only so tests can shrink it to reach
+// the stop-inserting path.
+var assignMemoCap = 1 << 14
+
+// twinMemo is one assignment stripe's memo of decided label rows: an
+// open-addressing table keyed by the packed row, hashed and compared in
+// place (rowHash, equalRows — the same keying as groupRows), holding a
+// representative object and its decision (sample cluster index, or −1 for
+// a fresh singleton) per slot. The table has min(assignMemoCap,
+// nextPow2(2·stripe objects)) slots, and inserts stop once half of them
+// are taken: probe runs stay short, memory stays fixed, and rows decided
+// after that are simply evaluated. A hit only replays a decision that
+// evaluating the row would reproduce, so which rows the memo holds never
+// changes a label.
+type twinMemo struct {
+	slots []memoSlot
+	mask  uint64
+	free  int // inserts left before the table stops growing
+}
+
+// memoSlot is one twin-memo entry; rep == 0 marks an empty slot.
+type memoSlot struct {
+	rep int32 // representative object + 1
+	dec int32
+}
+
+// newTwinMemo sizes a memo for a stripe of the given number of objects.
+func newTwinMemo(objects int) twinMemo {
+	size := 1
+	for size < 2*objects && size < assignMemoCap {
+		size <<= 1
+	}
+	return twinMemo{slots: make([]memoSlot, size), mask: uint64(size - 1), free: size / 2}
+}
+
+// memoFind looks up the row of object v. On a hit it returns the decision
+// stored for an earlier twin; on a miss it returns the empty slot where
+// store may record v's decision. At least half the slots stay empty, so
+// the probe always ends.
+func memoFind[W labelWord](t *twinMemo, lab []W, m, v int) (slot uint64, dec int32, hit bool) {
+	row := lab[v*m : v*m+m]
+	for j := rowHash(row) & t.mask; ; j = (j + 1) & t.mask {
+		e := t.slots[j]
+		if e.rep == 0 {
+			return j, 0, false
+		}
+		if r := int(e.rep - 1); equalRows(lab[r*m:r*m+m], row) {
+			return j, e.dec, true
+		}
+	}
+}
+
+// store records v's decision in the empty slot memoFind returned for it,
+// unless the memo has stopped inserting.
+func (t *twinMemo) store(slot uint64, v int, dec int32) {
+	if t.free == 0 {
+		return
+	}
+	t.free--
+	t.slots[slot] = memoSlot{rep: int32(v) + 1, dec: dec}
 }
 
 // autoSampleSize returns ceil(20·ln n), clamped to [1, n].

@@ -34,6 +34,30 @@ func plantedProblem(t testing.TB, rng *rand.Rand, n, kTrue, m int, noise float64
 	return p, truth
 }
 
+// twinInputs draws a duplicate-heavy instance: m noisy copies of a planted
+// clustering over k labels, each label reassigned at random with
+// probability 0.2 and missing with probability pMiss. With small k and m
+// most label rows repeat many times — the twins the assignment pass's memo
+// decides once.
+func twinInputs(rng *rand.Rand, n, m, k int, pMiss float64) []partition.Labels {
+	cs := make([]partition.Labels, m)
+	for i := range cs {
+		c := make(partition.Labels, n)
+		for j := range c {
+			switch {
+			case rng.Float64() < pMiss:
+				c[j] = partition.Missing
+			case rng.Float64() < 0.2:
+				c[j] = rng.Intn(k)
+			default:
+				c[j] = j % k
+			}
+		}
+		cs[i] = c
+	}
+	return cs
+}
+
 func TestSampleValidOutput(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	p, _ := plantedProblem(t, rng, 300, 4, 7, 0.15)
@@ -196,7 +220,9 @@ func TestAutoSampleSize(t *testing.T) {
 // instances with missing values and non-uniform weights, under both missing
 // modes and both assignment paths. Each instance is also rebuilt with its
 // labels injectively widened past the uint8 and uint16 packings: the kernel
-// width changes no distance, so the clustering must not change either.
+// width changes no distance, so the clustering must not change either. The
+// duplicate-heavy family makes most rows twins, so the twin memo must also
+// hash and compare rows consistently at every width.
 func TestSampleWorkersIdentical(t *testing.T) {
 	for _, fam := range []struct {
 		seed       int64
@@ -204,13 +230,18 @@ func TestSampleWorkersIdentical(t *testing.T) {
 		missRate   float64
 		sampleSize int
 		missingP   float64 // 0: drawn per trial from [0.25, 0.75)
+		twins      bool    // duplicate-heavy rows (twinInputs, k=3, m ≤ 4)
 	}{
 		{seed: 127, trials: 6, missRate: 0.25, sampleSize: 60},
 		{seed: 419, trials: 4, missRate: 0.2, sampleSize: 50, missingP: 0.5},
+		{seed: 421, trials: 4, missRate: 0.1, sampleSize: 50, twins: true},
 	} {
 		rng := rand.New(rand.NewSource(fam.seed))
 		for trial := 0; trial < fam.trials; trial++ {
 			m := 3 + rng.Intn(6)
+			if fam.twins {
+				m = 2 + m%3
+			}
 			opts := ProblemOptions{MissingTogether: fam.missingP}
 			if opts.MissingTogether == 0 {
 				opts.MissingTogether = 0.25 + 0.5*rng.Float64()
@@ -223,7 +254,15 @@ func TestSampleWorkersIdentical(t *testing.T) {
 				w[i] = 0.25 + rng.Float64()*3
 			}
 			opts.Weights = w
-			p := randMixedProblem(t, rng, 300+rng.Intn(200), m, fam.missRate, opts)
+			var p *Problem
+			if fam.twins {
+				var err error
+				if p, err = NewProblem(twinInputs(rng, 300+rng.Intn(200), m, 3, fam.missRate), opts); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				p = randMixedProblem(t, rng, 300+rng.Intn(200), m, fam.missRate, opts)
+			}
 			sample := func(p *Problem, workers int, ref bool) partition.Labels {
 				labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers}, SamplingOptions{
 					SampleSize: fam.sampleSize, Rand: rand.New(rand.NewSource(int64(trial))), assign: assignWith(ref),
@@ -251,4 +290,148 @@ func TestSampleWorkersIdentical(t *testing.T) {
 			}
 		}
 	}
+}
+
+// distinctRows returns the number of distinct label rows of p.
+func distinctRows(p *Problem) int {
+	lk := p.kernel()
+	switch lk.width {
+	case width8:
+		return len(groupRows(lk, lk.lab8).count)
+	case width16:
+		return len(groupRows(lk, lk.lab16).count)
+	default:
+		return len(groupRows(lk, lk.lab32).count)
+	}
+}
+
+// TestSampleAssignMemoMatchesReference: the twin memo replays one decision
+// for every object with an already-decided label row, so on a
+// duplicate-heavy instance the kernel pass must still reproduce the
+// probing reference bit for bit at every worker count — on the histogram
+// route (coin model, dyadic weights) and on the row route (MissingAverage
+// with missing values). The "full" cases shrink the memo below the
+// instance's distinct-row count, so the stripes stop inserting and
+// evaluate the remaining rows without it.
+func TestSampleAssignMemoMatchesReference(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		opts    ProblemOptions
+		memoCap int // 0 keeps assignMemoCap
+	}{
+		{name: "histogram", opts: ProblemOptions{Weights: dyadicWeights(4)}},
+		{name: "row", opts: ProblemOptions{MissingMode: MissingAverage, Weights: dyadicWeights(4)}},
+		{name: "histogram/full", opts: ProblemOptions{Weights: dyadicWeights(4)}, memoCap: 16},
+		{name: "row/full", opts: ProblemOptions{MissingMode: MissingAverage, Weights: dyadicWeights(4)}, memoCap: 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.memoCap != 0 {
+				defer func(c int) { assignMemoCap = c }(assignMemoCap)
+				assignMemoCap = tc.memoCap
+			}
+			rng := rand.New(rand.NewSource(431))
+			n := 2000
+			p, err := NewProblem(twinInputs(rng, n, 4, 3, 0.1), tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rows := distinctRows(p)
+			if rows > n/8 {
+				t.Fatalf("%d distinct rows in %d objects: not duplicate-heavy", rows, n)
+			}
+			if tc.memoCap != 0 && rows <= tc.memoCap/2 {
+				t.Fatalf("%d distinct rows fit the %d-slot memo", rows, tc.memoCap)
+			}
+			if lk := p.kernel(); (lk.average && lk.anyMiss) != (tc.opts.MissingMode == MissingAverage) {
+				t.Fatalf("instance does not take the %s route", tc.name)
+			}
+			sample := func(workers int, ref bool) partition.Labels {
+				labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers}, SamplingOptions{
+					SampleSize: 60, Rand: rand.New(rand.NewSource(5)), assign: assignWith(ref),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return labels
+			}
+			want := sample(0, true)
+			for _, workers := range []int{0, 1, 2, 3, 8} {
+				if got := sample(workers, false); !slices.Equal(got, want) {
+					t.Fatalf("Workers=%d: memoized assignment diverges from the reference", workers)
+				}
+			}
+		})
+	}
+}
+
+// FuzzSampleAssignMemo decodes a small instance with forced twin rows from
+// the fuzzer's bytes — up to 8 prototype rows over m ∈ {1, 2, 4} inputs
+// (uniform or dyadic weights, the coin model at a dyadic p or
+// MissingAverage), copied onto every object — and asserts that SAMPLING's
+// memoized kernel pass labels it exactly as the probing reference does.
+// One bit of the header shrinks the memo to 4 slots, so the
+// stop-inserting path is fuzzed too.
+func FuzzSampleAssignMemo(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 120, 10, 1, 2, 3, 4, 5, 6, 7, 8})
+	f.Add([]byte{2, 4, 7, 200, 30, 0, 1, 1, 0, 4, 4, 2, 3, 0, 1, 2, 2})
+	f.Add([]byte{1, 11, 3, 255, 5, 4, 4, 0, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 6 {
+			return
+		}
+		m := []int{1, 2, 4}[data[0]%3]
+		var opts ProblemOptions
+		if data[1]&1 == 1 {
+			opts.Weights = dyadicWeights(m)
+		}
+		if mode := (data[1] >> 1) % 5; mode == 4 {
+			opts.MissingMode = MissingAverage
+		} else {
+			opts.MissingTogether = []float64{0.25, 0.5, 0.75, 1}[mode]
+		}
+		workers := int(data[2] % 4)
+		if data[2]&4 != 0 {
+			defer func(c int) { assignMemoCap = c }(assignMemoCap)
+			assignMemoCap = 4
+		}
+		n := 40 + 2*int(data[3])
+		s := 4 + int(data[4])%40
+		protos := data[5:]
+		nProto := min(8, max(1, len(protos)/m))
+		cs := make([]partition.Labels, m)
+		for i := range cs {
+			cs[i] = make(partition.Labels, n)
+		}
+		rng := rand.New(rand.NewSource(int64(len(data))*131 + int64(data[3])))
+		for v := 0; v < n; v++ {
+			pr := rng.Intn(nProto)
+			for i := range cs {
+				l := 0
+				if j := pr*m + i; j < len(protos) {
+					l = int(protos[j] % 5)
+				}
+				if l == 4 {
+					l = partition.Missing
+				}
+				cs[i][v] = l
+			}
+		}
+		p, err := NewProblem(cs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sample := func(ref bool) partition.Labels {
+			labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers}, SamplingOptions{
+				SampleSize: s, Rand: rand.New(rand.NewSource(int64(data[4]))), assign: assignWith(ref),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return labels
+		}
+		if got, want := sample(false), sample(true); !slices.Equal(got, want) {
+			t.Fatalf("memoized assignment diverges from the reference (n=%d m=%d s=%d workers=%d opts=%+v)",
+				n, m, s, workers, opts)
+		}
+	})
 }
