@@ -159,8 +159,9 @@ experiments-full:
 # kernel against the []int pair loop, the contingency-table objective and
 # distinct-row lower bound against the pair scans, incremental FURTHEST
 # against its full-Cost reference, AGGLOMERATIVE's cached-neighbor loop
-# against its lazy-heap reference, and SAMPLING's twin-memoized assignment
-# against the probing reference.
+# against its lazy-heap reference, SAMPLING's twin-memoized assignment
+# against the probing reference, and AggregateCSV from raw bytes (a defined
+# error or the same valid labeling at every Workers/IngestWorkers setting).
 fuzz:
 	$(GO) test -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
 	$(GO) test -run FuzzNormalize -fuzz FuzzNormalize -fuzztime 30s ./internal/partition/
@@ -170,7 +171,8 @@ fuzz:
 	$(GO) test -run FuzzFurthestIncremental -fuzz FuzzFurthestIncremental -fuzztime 30s ./internal/corrclust/
 	$(GO) test -run FuzzAgglomerative -fuzz FuzzAgglomerative -fuzztime 30s ./internal/corrclust/
 	$(GO) test -run FuzzSampleAssignMemo -fuzz FuzzSampleAssignMemo -fuzztime 30s ./internal/core/
+	$(GO) test -run FuzzAggregateCSV -fuzz FuzzAggregateCSV -fuzztime 30s .
 
 clean:
 	$(GO) clean ./...
-	rm -rf internal/dataset/testdata/fuzz internal/partition/testdata/fuzz internal/core/testdata/fuzz internal/corrclust/testdata/fuzz
+	rm -rf testdata/fuzz internal/dataset/testdata/fuzz internal/partition/testdata/fuzz internal/core/testdata/fuzz internal/corrclust/testdata/fuzz

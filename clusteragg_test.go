@@ -1,6 +1,7 @@
 package clusteragg_test
 
 import (
+	"bytes"
 	"fmt"
 	"log"
 	"math"
@@ -121,6 +122,24 @@ func validLabeling(t *testing.T, labels clusteragg.Labels, n int) {
 	}
 }
 
+// degenerateCSV is the degenerate-CSV table TestAggregateCSVDegenerateInputs
+// runs and FuzzAggregateCSV seeds its corpus with.
+var degenerateCSV = []struct {
+	name    string
+	csv     string
+	rows    int    // data rows, when the input is accepted
+	wantErr string // part of the defined error, when it is not
+}{
+	{name: "empty", csv: "", wantErr: "empty csv input"},
+	{name: "header-only", csv: "a,b\n", wantErr: "no data rows"},
+	{name: "one-row", csv: "a,b\nx,y\n", rows: 1},
+	{name: "one-column", csv: "a\nx\ny\nx\n", rows: 3},
+	{name: "all-missing", csv: "a,b\n?,?\n?,\n,?\n", rows: 3},
+	{name: "ragged", csv: "a,b\nx,y\nz\n", wantErr: "wrong number of fields"},
+	{name: "bad-quote", csv: "a,b\nx\"q,y\nz,w\n", wantErr: `bare "`},
+	{name: "unterminated-quote", csv: "a,b\n\"x,y\nz,w\n", wantErr: `extraneous or missing "`},
+}
+
 // TestAggregateCSVDegenerateInputs pins the facade's contract on
 // degenerate inputs: each yields a defined error or a valid labeling —
 // never a panic. CSV inputs run exact and sampled, each at IngestWorkers
@@ -138,21 +157,7 @@ func TestAggregateCSVDegenerateInputs(t *testing.T) {
 		}()
 		f()
 	}
-	for _, tc := range []struct {
-		name    string
-		csv     string
-		rows    int    // data rows, when the input is accepted
-		wantErr string // part of the defined error, when it is not
-	}{
-		{name: "empty", csv: "", wantErr: "empty csv input"},
-		{name: "header-only", csv: "a,b\n", wantErr: "no data rows"},
-		{name: "one-row", csv: "a,b\nx,y\n", rows: 1},
-		{name: "one-column", csv: "a\nx\ny\nx\n", rows: 3},
-		{name: "all-missing", csv: "a,b\n?,?\n?,\n,?\n", rows: 3},
-		{name: "ragged", csv: "a,b\nx,y\nz\n", wantErr: "wrong number of fields"},
-		{name: "bad-quote", csv: "a,b\nx\"q,y\nz,w\n", wantErr: `bare "`},
-		{name: "unterminated-quote", csv: "a,b\n\"x,y\nz,w\n", wantErr: `extraneous or missing "`},
-	} {
+	for _, tc := range degenerateCSV {
 		for _, sampleSize := range []int{0, 2} {
 			t.Run(fmt.Sprintf("csv/%s/sample=%d", tc.name, sampleSize), func(t *testing.T) {
 				var outcomes []string
@@ -230,6 +235,51 @@ func TestAggregateCSVDegenerateInputs(t *testing.T) {
 			})
 		})
 	}
+}
+
+// FuzzAggregateCSV feeds arbitrary bytes to AggregateCSV, exact and
+// sampled, at Workers 1 and 2 and IngestWorkers 0 (sequential reader) and
+// 2 (chunked reader; streamed into the packed block when sampling). It
+// must never panic, and every setting must return the same defined error
+// or the same valid normalized labeling: the worker counts and the ingest
+// mode are not allowed to steer the result.
+func FuzzAggregateCSV(f *testing.F) {
+	for _, tc := range degenerateCSV {
+		f.Add([]byte(tc.csv), true)
+	}
+	f.Add([]byte("x,y\nx,z\ny,y\n?,z\n"), false)
+	f.Add([]byte("\n\""), false) // bad first record after a blank line
+	f.Fuzz(func(t *testing.T, data []byte, header bool) {
+		if len(data) > 1<<11 {
+			// Up to ~1 000 rows: the exact run materializes an n² matrix.
+			t.Skip("input too large for one fuzz iteration")
+		}
+		for _, sampleSize := range []int{0, 2} {
+			var want string
+			for _, workers := range []int{1, 2} {
+				for _, ingest := range []int{0, 2} {
+					res, err := clusteragg.AggregateCSV(bytes.NewReader(data), clusteragg.CSVOptions{
+						HasHeader: header, Method: clusteragg.MethodFurthest,
+						Options:    clusteragg.AggregateOptions{Workers: workers},
+						SampleSize: sampleSize, IngestWorkers: ingest,
+					})
+					var got string
+					if err != nil {
+						got = "error: " + err.Error()
+					} else {
+						validLabeling(t, res.Labels, res.Rows)
+						got = fmt.Sprint(res.Labels)
+					}
+					if workers == 1 && ingest == 0 {
+						want = got
+					} else if got != want {
+						t.Fatalf("sample=%d Workers=%d IngestWorkers=%d: %q, want %q as at Workers=1 IngestWorkers=0",
+							sampleSize, workers, ingest, got, want)
+					}
+				}
+			}
+		}
+	})
 }
 
 // The package-level example shown in godoc.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"clusteragg/internal/partition"
@@ -124,4 +125,39 @@ func TestPackedUnpackAllocs(t *testing.T) {
 	pinAllocs(t, "column", 0, func() {
 		lk.column(1, dst)
 	})
+}
+
+// sampleDriverBytesPerObject is the pin TestSampleDriverAllocs holds one
+// Sample call to: 10.04 bytes allocated per object measured, plus 10%
+// headroom.
+const sampleDriverBytesPerObject = 11.0
+
+// TestSampleDriverAllocs pins the bytes one Sample call allocates per
+// object on the huge-ladder recipe (m = 6, 32 planted groups, uint8
+// labels) at n = 2¹⁸, on one worker so the stripe layout is fixed. The
+// singleton recluster is off: its materialized |singles|² matrix would
+// swamp the per-object figure. What is left that scales with n is the
+// 8-byte output label per object; the rest is the exact core on the
+// sample, the histograms and one twin memo. An n-sized Perm for the sample
+// draw, or a renumbering that copies the labels or keeps a table entry per
+// provisional label, adds 4–8 bytes per object and fails the pin.
+func TestSampleDriverAllocs(t *testing.T) {
+	const n = 1 << 18
+	p := benchProblemPacked(t, n, 6, 32)
+	run := func() {
+		if _, err := p.Sample(MethodFurthest, AggregateOptions{Workers: 1}, SamplingOptions{
+			Rand: rand.New(rand.NewSource(7)), NoSingletonRecluster: true,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // warm the kernel cache and the scratch pools
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	run()
+	runtime.ReadMemStats(&after)
+	perObject := float64(after.TotalAlloc-before.TotalAlloc) / n
+	if perObject > sampleDriverBytesPerObject {
+		t.Errorf("Sample allocates %.2f bytes per object, want ≤ %v", perObject, sampleDriverBytesPerObject)
+	}
 }

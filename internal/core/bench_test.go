@@ -40,8 +40,8 @@ func benchProblem(b *testing.B, n, m, k int) *Problem {
 // same), but streamed column-by-column into a PackedClusterings block so
 // the []int inputs never persist. At n=10M, m=6 that is the difference
 // between ~480 MB of resident label slices and a 60 MB uint8 arena.
-func benchProblemPacked(b *testing.B, n, m, k int) *Problem {
-	b.Helper()
+func benchProblemPacked(tb testing.TB, n, m, k int) *Problem {
+	tb.Helper()
 	rng := rand.New(rand.NewSource(1))
 	pb := NewPackedColumns(n, m)
 	col := make([]int, n)
@@ -54,16 +54,16 @@ func benchProblemPacked(b *testing.B, n, m, k int) *Problem {
 			}
 		}
 		if err := pb.AppendColumn(col); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
 	pc, err := pb.Build()
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p, err := NewProblemPacked(pc, ProblemOptions{})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return p
 }

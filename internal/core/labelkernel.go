@@ -281,14 +281,15 @@ const histBoundCap = 1024
 type colabelHist struct {
 	k     int
 	sizes []int // |C_c| for each sample cluster
-	// Per input clustering i: labBound[i] bounds the labels with histogram
-	// rows (labels ≥ labBound[i] have all-zero counts and take the base row
-	// as is — the kernel's global bound by default, the sample-observed
-	// bound for clusterings wider than histBoundCap),
-	// cnt[i][ℓ*k+c] = w_i·(members of C_c labeled ℓ in clustering i),
-	// base[i][c] and missAll[i][c] as derived above.
+	// Per input clustering i: labBound[i] bounds the labels with term rows
+	// (labels ≥ labBound[i] have no sample member carrying them and take
+	// the base row as is — the kernel's global bound by default, the
+	// sample-observed bound for clusterings wider than histBoundCap),
+	// term[i][ℓ*k+c] = base[i][c] − w_i·cnt_i[ℓ][c], the whole contribution
+	// of a present label ℓ, and base[i][c] and missAll[i][c] as derived
+	// above.
 	labBound []int32
-	cnt      [][]float64
+	term     [][]float64
 	base     [][]float64
 	missAll  [][]float64
 }
@@ -299,9 +300,9 @@ type colabelHist struct {
 // bound. The bound comes for free from the packed block (maxLab) for
 // clusterings within histBoundCap; wider ones are tightened
 // to the sample-observed bound by one extra row-major pass over the
-// members. A label's absent histogram row is all zeros, so the larger
-// default bound changes no arithmetic — base − 0 and base are the same
-// float — and the paths stay bit-identical.
+// members. A label no member carries has the term row base − w·0, which
+// is base, so the larger default bound changes no arithmetic and the paths
+// stay bit-identical.
 func (lk *labelKernel) buildColabelHist(members [][]int) *colabelHist {
 	switch lk.width {
 	case width8:
@@ -320,7 +321,7 @@ func buildColabelHistW[W labelWord](lk *labelKernel, lab []W, members [][]int) *
 		k:        k,
 		sizes:    make([]int, k),
 		labBound: make([]int32, m),
-		cnt:      make([][]float64, m),
+		term:     make([][]float64, m),
 		base:     make([][]float64, m),
 		missAll:  make([][]float64, m),
 	}
@@ -362,11 +363,11 @@ func buildColabelHistW[W labelWord](lk *labelKernel, lab []W, members [][]int) *
 		}
 	}
 	// Counts: one row-major pass over the members fills every clustering's
-	// histogram (raw integer counts and per-cluster missing tallies;
-	// premultiplied below).
+	// histogram (raw integer counts and per-cluster missing tallies; turned
+	// into term rows below).
 	miss := make([]int, m*k)
 	for i := 0; i < m; i++ {
-		h.cnt[i] = make([]float64, int(h.labBound[i])*k)
+		h.term[i] = make([]float64, int(h.labBound[i])*k)
 	}
 	for c, mem := range members {
 		for _, u := range mem {
@@ -375,7 +376,7 @@ func buildColabelHistW[W labelWord](lk *labelKernel, lab []W, members [][]int) *
 				if l == sentinel {
 					miss[i*k+c]++
 				} else {
-					h.cnt[i][int(l)*k+c]++
+					h.term[i][int(l)*k+c]++
 				}
 			}
 		}
@@ -389,9 +390,15 @@ func buildColabelHistW[W labelWord](lk *labelKernel, lab []W, members [][]int) *
 			base[c] = w*float64(pres) + missW*float64(miss[i*k+c])
 			missAll[c] = missW * float64(h.sizes[c])
 		}
-		cnt := h.cnt[i]
-		for idx := range cnt {
-			cnt[idx] *= w
+		// term = base − w·count. The explicit conversion rounds the
+		// product on its own, so no fused multiply-subtract can change a
+		// term: each is the per-clustering term derived above, to the bit.
+		term := h.term[i]
+		for off := 0; off < len(term); off += k {
+			row := term[off : off+k]
+			for c, cnt := range row {
+				row[c] = base[c] - float64(w*cnt)
+			}
 		}
 		h.base[i] = base
 		h.missAll[i] = missAll
@@ -428,16 +435,14 @@ func affinitiesW[W labelWord](h *colabelHist, lk *labelKernel, lab []W, v int, d
 			}
 			continue
 		}
-		base := h.base[i]
 		if int32(lv) >= h.labBound[i] {
-			for c, b := range base {
+			for c, b := range h.base[i] {
 				dst[c] += b
 			}
 			continue
 		}
-		cnt := h.cnt[i][int(lv)*k : int(lv+1)*k]
-		for c, b := range base {
-			dst[c] += b - cnt[c]
+		for c, t := range h.term[i][int(lv)*k : int(lv+1)*k] {
+			dst[c] += t
 		}
 	}
 	for c := range dst {

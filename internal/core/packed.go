@@ -18,9 +18,10 @@ import (
 //
 // SAMPLING's subproblems (gather) copy the selected rows into one fresh
 // arena at the parent's width. They share the parent's per-clustering
-// label bounds — a looser bound only adds all-zero co-label histogram rows,
-// which change no float arithmetic (see buildColabelHistW), so gathered
-// kernels stay bit-identical to kernels built from a tight rescan.
+// label bounds — a looser bound only adds co-label term rows for labels no
+// sample member carries, each equal to the base row, which change no float
+// arithmetic (see buildColabelHistW), so gathered kernels stay
+// bit-identical to kernels built from a tight rescan.
 
 // PackedClusterings is m input clusterings over n objects in the label
 // kernel's storage format: object v's labels live at lab[v*m : v*m+m] at
@@ -184,8 +185,10 @@ func (b *PackedBuilder) AppendColumn(col []int) error {
 	}
 	ci := b.cols
 	var bound int32
+	colMiss := false
 	for _, l := range col {
 		if l == partition.Missing {
+			colMiss = true
 			continue
 		}
 		if l < 0 || l >= math.MaxInt32 {
@@ -212,10 +215,12 @@ func (b *PackedBuilder) AppendColumn(col []int) error {
 			b.lab32[v*m+ci] = packWord[int32](l)
 		}
 	}
-	for v, l := range col {
-		if l == partition.Missing {
-			b.hasMiss[v] = true
-			b.anyMiss = true
+	if colMiss {
+		b.anyMiss = true
+		for v, l := range col {
+			if l == partition.Missing {
+				b.hasMiss[v] = true
+			}
 		}
 	}
 	b.cols++

@@ -211,6 +211,81 @@ func TestPackedBuilderWidening(t *testing.T) {
 	}
 }
 
+// TestAppendColumnMissingFlags: column mode sets the per-object hasMiss
+// flags and anyMiss only for columns that have a Missing label, so after
+// every append both must equal a per-object recomputation over the columns
+// appended so far — across complete, partly missing and all-missing
+// columns and a width promotion mid-stream — and a column the label check
+// rejects must leave both untouched.
+func TestAppendColumnMissingFlags(t *testing.T) {
+	const n = 40
+	M := partition.Missing
+	cols := make([][]int, 5)
+	for ci := range cols {
+		cols[ci] = make([]int, n)
+	}
+	for v := 0; v < n; v++ {
+		cols[0][v] = v % 7 // complete
+		cols[1][v] = v % 3 // complete
+		cols[2][v] = M     // all missing
+		cols[3][v] = v % 5 // partly missing, and promotes to uint16
+		if v%6 == 0 {
+			cols[3][v] = M
+		}
+		if v == n-1 {
+			cols[3][v] = 300
+		}
+		cols[4][v] = v % 4 // partly missing
+		if v%9 == 4 {
+			cols[4][v] = M
+		}
+	}
+	// Complete columns first, so anyMiss starts false and is set mid-way.
+	order := []int{0, 1, 3, 2, 4}
+	b := NewPackedColumns(n, len(order))
+	check := func(what string, appended []int) {
+		t.Helper()
+		anyMiss := false
+		for v := 0; v < n; v++ {
+			want := false
+			for _, ci := range appended {
+				if cols[ci][v] == M {
+					want = true
+				}
+			}
+			if b.hasMiss[v] != want {
+				t.Fatalf("%s: hasMiss[%d] = %v, want %v", what, v, b.hasMiss[v], want)
+			}
+			anyMiss = anyMiss || want
+		}
+		if b.anyMiss != anyMiss {
+			t.Fatalf("%s: anyMiss = %v, want %v", what, b.anyMiss, anyMiss)
+		}
+	}
+	check("empty", nil)
+	for i, ci := range order {
+		// A rejected column with a Missing ahead of its invalid label
+		// must change neither flag.
+		bad := slices.Clone(cols[2])
+		bad[n/2] = -3
+		if err := b.AppendColumn(bad); err == nil {
+			t.Fatal("column with label -3 accepted")
+		}
+		check(fmt.Sprintf("rejected before column %d", ci), order[:i])
+		if err := b.AppendColumn(cols[ci]); err != nil {
+			t.Fatal(err)
+		}
+		check(fmt.Sprintf("after column %d", ci), order[:i+1])
+	}
+	pc, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pc.width != width16 {
+		t.Errorf("width %d, want %d after the promotion", pc.width, width16)
+	}
+}
+
 // columnOf unpacks clustering i of pc through a Problem's Clusterings.
 func columnOf(t testing.TB, pc *PackedClusterings, i int) partition.Labels {
 	t.Helper()

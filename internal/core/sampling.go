@@ -60,7 +60,10 @@ type assignFunc func(p *Problem, rec *obs.Recorder, progress *obs.Progress, labe
 // object to the sampled cluster (or to a fresh singleton) that minimizes the
 // LOCALSEARCH assignment cost, and finally gathers all singleton clusters
 // and aggregates them again. Pre- and post-processing are linear in n for a
-// fixed sample size.
+// fixed sample size, and besides the returned labels they keep no n-sized
+// scratch: the sample is drawn in O(s) memory (permPrefix, the same draw
+// and rng stream as rand.Perm), and the result is renumbered in place
+// through a table of the sample's and the recluster's clusters (renumber).
 func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts SamplingOptions) (partition.Labels, error) {
 	rec := sOpts.Recorder
 	if rec == nil {
@@ -87,7 +90,7 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	rec.Add("sample.size", int64(s))
 	rec.Event("sample.plan", "size", s, "n", n, "auto", sOpts.SampleSize == 0)
 
-	sample := rng.Perm(n)[:s]
+	sample := permPrefix(rng, n, s)
 	sort.Ints(sample)
 
 	coreSpan := rec.Start("sample:core")
@@ -121,7 +124,7 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	// independent, so the pass streams them on chunked worker stripes
 	// (capped by aggOpts.Workers); a fresh singleton takes the provisional
 	// label k+v, unique per object regardless of scheduling, and the final
-	// Normalize maps every worker count's labeling to the same clustering.
+	// renumbering maps every worker count's labeling to the same clustering.
 	//
 	// The pass is the columnar label kernel's histogram assignment — O(m·k)
 	// per object with O(n·m + m·L·k) total memory, no O(n²) anything (see
@@ -149,15 +152,66 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	aggOpts.Progress.Emit(obs.ProgressEvent{Stage: "sample:assign", Done: int64(n), Total: int64(n)})
 	assignSpan.End()
 
+	bound := k // labels ≥ k are fresh singletons, one object each
 	if !sOpts.NoSingletonRecluster {
 		rs := rec.Start("sample:recluster")
-		err := p.reclusterSingletons(labels, method, aggOpts, rng)
+		var err error
+		bound, err = p.reclusterSingletons(labels, k, method, aggOpts, rng)
 		rs.End()
 		if err != nil {
 			return nil, err
 		}
 	}
-	return labels.Normalize(), nil
+	renumber(labels, bound)
+	return labels, nil
+}
+
+// permPrefix returns rng.Perm(n)[:s] in O(s) memory. It replays Perm's
+// inside-out shuffle — for i < n, j := rng.Intn(i+1); m[i] = m[j]; m[j] = i
+// — storing only the first s slots. For i ≥ s the move m[i] = m[j] only
+// writes a slot past the prefix, and a value never moves back into the
+// prefix (it only moves to the current slot i), so the prefix changes only
+// through m[j] = i with j < s. Every Intn call is made, in Perm's order, so
+// rng ends in the same state as after Perm(n) and the recursive recluster
+// Sample that draws from it next sees the same stream.
+func permPrefix(rng *rand.Rand, n, s int) []int {
+	m := make([]int, s)
+	for i := 0; i < s; i++ {
+		j := rng.Intn(i + 1)
+		m[i] = m[j]
+		m[j] = i
+	}
+	for i := s; i < n; i++ {
+		if j := rng.Intn(i + 1); j < s {
+			m[j] = i
+		}
+	}
+	return m
+}
+
+// renumber rewrites labels in place to 0..k−1 in order of first
+// appearance — what partition.Labels.Normalize returns, without its copy
+// and its map. Labels below bound go through a dense table, 4 bytes per
+// label value; a label ≥ bound must be carried by one object alone, so it
+// is always first seen where it stands and takes the next id without a
+// lookup. Sample's fresh singletons k+v are such labels, which keeps the
+// table at the sample's k clusters plus the recluster's, not at n.
+func renumber(labels partition.Labels, bound int) {
+	ids := make([]int32, bound) // label → new label + 1; 0 = unseen
+	next := 0
+	for i, c := range labels {
+		switch {
+		case c >= bound:
+			labels[i] = next
+			next++
+		case ids[c] == 0:
+			ids[c] = int32(next) + 1
+			labels[i] = next
+			next++
+		default:
+			labels[i] = int(ids[c]) - 1
+		}
+	}
 }
 
 // assignKernel is the columnar label-kernel assignment pass. The default
@@ -461,36 +515,37 @@ func (p *Problem) subProblem(idx []int) *Problem {
 
 // reclusterSingletons gathers every object currently in a singleton cluster
 // and aggregates that subset again, splicing the result back into labels.
-// Very large singleton sets are handled by a recursive Sample call so the
-// post-processing stays near-linear.
-func (p *Problem) reclusterSingletons(labels partition.Labels, method Method, aggOpts AggregateOptions, rng *rand.Rand) error {
-	// Every object carries a label here (provisional singletons got k+v), so
-	// cluster sizes fit a flat array indexed by label — one bound scan plus
-	// 4 bytes per provisional label, instead of the map[int]int whose
-	// buckets dominated this pass's allocations at large n. The bound
-	// doubles as the splice base below.
-	base := 0
+// labels is Sample's provisional labeling: sample clusters 0..k−1 and
+// fresh singletons k+v, each carried by object v alone. Very large
+// singleton sets are handled by a recursive Sample call so the
+// post-processing stays near-linear. The recluster's labels are spliced in
+// at k + label: the singletons they replace held every label ≥ k, so the
+// range is free. It returns the bound renumber needs: every label below it
+// may repeat, every label at or above it is one object's alone.
+func (p *Problem) reclusterSingletons(labels partition.Labels, k int, method Method, aggOpts AggregateOptions, rng *rand.Rand) (bound int, err error) {
+	// Fresh singletons are singletons by construction, so only the k
+	// sample clusters need a size count: a flat k-entry array, not one
+	// entry per provisional label.
+	counts := make([]int32, k)
+	nSingle := 0
 	for _, c := range labels {
-		if c >= base {
-			base = c + 1
+		if c < k {
+			counts[c]++
+		} else {
+			nSingle++
 		}
 	}
-	counts := make([]int32, base)
-	for _, c := range labels {
-		counts[c]++
-	}
-	nSingle := 0
 	for _, c := range counts {
 		if c == 1 {
 			nSingle++
 		}
 	}
 	if nSingle < 2 {
-		return nil
+		return k, nil
 	}
 	singles := make([]int, 0, nSingle)
 	for i, c := range labels {
-		if counts[c] == 1 {
+		if c >= k || counts[c] == 1 {
 			singles = append(singles, i)
 		}
 	}
@@ -498,14 +553,13 @@ func (p *Problem) reclusterSingletons(labels partition.Labels, method Method, ag
 
 	sub := p.subProblem(singles)
 	var subLabels partition.Labels
-	var err error
 	if len(singles) > reclusterCap {
 		subLabels, err = sub.Sample(method, aggOpts, SamplingOptions{Rand: rng, NoSingletonRecluster: true})
 	} else {
 		subLabels, err = sub.Aggregate(method, withMaterialize(aggOpts))
 	}
 	if err != nil {
-		return err
+		return 0, err
 	}
 	if rec := aggOpts.Recorder; rec != nil && len(singles) <= reclusterCap {
 		// Post-recluster quality: the disagreement cost of the re-aggregated
@@ -516,8 +570,11 @@ func (p *Problem) reclusterSingletons(labels partition.Labels, method Method, ag
 		rec.Series("sample.recluster.cost").Append(int64(len(singles)), sub.Disagreement(subLabels))
 	}
 
+	bound = k
 	for i, obj := range singles {
-		labels[obj] = base + subLabels[i]
+		c := k + subLabels[i]
+		labels[obj] = c
+		bound = max(bound, c+1)
 	}
-	return nil
+	return bound, nil
 }

@@ -181,6 +181,89 @@ func TestSampleNoSingletonRecluster(t *testing.T) {
 	}
 }
 
+// TestPermPrefixMatchesPerm: the O(s) sample draw must return exactly
+// rand.Perm(n)[:s] and leave the source where Perm leaves it, since the
+// recursive recluster Sample draws from the same source next.
+func TestPermPrefixMatchesPerm(t *testing.T) {
+	for _, n := range []int{0, 1, 2, 17, 1000, 100_000} {
+		for _, s := range []int{0, 1, n / 2, n - 1, n} {
+			if s < 0 || s > n {
+				continue
+			}
+			for seed := int64(1); seed <= 5; seed++ {
+				want := rand.New(rand.NewSource(seed))
+				got := rand.New(rand.NewSource(seed))
+				wantPrefix := want.Perm(n)[:s]
+				prefix := permPrefix(got, n, s)
+				if len(prefix) != s {
+					t.Fatalf("n=%d s=%d seed=%d: prefix length %d", n, s, seed, len(prefix))
+				}
+				for i, v := range wantPrefix {
+					if prefix[i] != v {
+						t.Fatalf("n=%d s=%d seed=%d: prefix[%d] = %d, want %d", n, s, seed, i, prefix[i], v)
+					}
+				}
+				for d := 0; d < 3; d++ {
+					if g, w := got.Int63(), want.Int63(); g != w {
+						t.Fatalf("n=%d s=%d seed=%d: draw %d after the prefix is %d, want %d", n, s, seed, d, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRenumberMatchesNormalize: Sample's in-place renumbering must equal
+// partition.Labels.Normalize on the two labelings it sees — the
+// provisional one (sample clusters below k, a fresh singleton k+v per
+// object, bound k) and the one after a recluster splice (every singleton
+// moved to k + its recluster label, bound k + the recluster's k).
+func TestRenumberMatchesNormalize(t *testing.T) {
+	rng := rand.New(rand.NewSource(131))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(300)
+		k := 1 + rng.Intn(12)
+		pFresh := rng.Float64()
+		labels := make(partition.Labels, n)
+		for v := range labels {
+			if rng.Float64() < pFresh {
+				labels[v] = k + v
+			} else {
+				labels[v] = rng.Intn(k)
+			}
+		}
+		check := func(what string, labels partition.Labels, bound int) {
+			t.Helper()
+			want := labels.Normalize()
+			got := labels.Clone()
+			renumber(got, bound)
+			if !slices.Equal(got, want) {
+				t.Fatalf("trial %d, %s: renumber %v, want %v (input %v, bound %d)", trial, what, got, want, labels, bound)
+			}
+		}
+		check("provisional", labels, k)
+
+		// The splice: singletons are the fresh objects and the members of
+		// one-object sample clusters.
+		counts := make([]int, k)
+		for _, c := range labels {
+			if c < k {
+				counts[c]++
+			}
+		}
+		subK := 1 + rng.Intn(8)
+		spliced := labels.Clone()
+		bound := k
+		for v, c := range labels {
+			if c >= k || counts[c] == 1 {
+				spliced[v] = k + rng.Intn(subK)
+				bound = max(bound, spliced[v]+1)
+			}
+		}
+		check("spliced", spliced, bound)
+	}
+}
+
 func TestAutoSampleSize(t *testing.T) {
 	tests := []struct {
 		n    int

@@ -658,7 +658,9 @@ func readCSVChunked(r io.Reader, opts CSVOptions, chunkSize int, sink CSVSink) (
 		return nil, nil, fmt.Errorf("dataset: empty csv input")
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("dataset: reading csv: %w", err)
+		// The prefix starts after the skipped blank lines: rebase the
+		// parse error's line numbers onto the input's.
+		return nil, nil, fmt.Errorf("dataset: reading csv: %w", remapChunkErr(err, ck.line))
 	}
 	header := make([]string, len(first))
 	if opts.HasHeader {

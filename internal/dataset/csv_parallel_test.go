@@ -382,6 +382,7 @@ func FuzzReadCSVParallelEquiv(f *testing.F) {
 	}
 	f.Add([]byte("a,b\nx,\"1\n2\",\ny,3\n"), uint8(3), uint16(7), uint8(7))
 	f.Add([]byte("\"\n\"\"\n,x\r\n?,"), uint8(8), uint16(1), uint8(0))
+	f.Add([]byte("\n\""), uint8(2), uint16(64), uint8(0)) // bad first record after a blank line
 	f.Fuzz(func(t *testing.T, data []byte, workers uint8, chunk uint16, cfg uint8) {
 		opts := CSVOptions{Name: "fz"}
 		opts.HasHeader = cfg&1 != 0
