@@ -10,8 +10,9 @@
 //
 // Both inputs may be a BenchReport (cmd/experiments -report: one RunReport
 // per artifact) or a single RunReport (clusteragg -report). Schema versions
-// 1 through 5 all parse; sections a version lacks (gauges, histograms,
-// series, alloc, events) are diffed only when present on both sides.
+// 1 through 6 all parse; sections a version lacks (gauges, series, alloc,
+// events) are diffed only when present on both sides, and the histograms
+// section of versions 2–5 is not read.
 //
 // What is compared, per artifact matched by name:
 //
@@ -51,8 +52,7 @@
 // the known machine-dependent series: *.workers counters (resolved
 // GOMAXPROCS), localsearch.proposals (scales with the worker count),
 // every timing-derived metric (seconds, time_ratio, linearity_ratio,
-// throughput suffixes — including histogram-backed *.seconds series and
-// the timing-bearing convergence series), and the runtime.* gauges from
+// throughput suffixes — including the timing-bearing convergence series), and the runtime.* gauges from
 // the RuntimeSampler (heap, goroutines, GC — all runtime-state-dependent).
 // The same pattern is applied to event msg names.
 //

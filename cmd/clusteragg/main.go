@@ -45,10 +45,9 @@
 //	-tracefile F   write the span tree as Chrome trace_event JSON ("-" =
 //	               stdout); load in Perfetto or chrome://tracing
 //	-progress      print throttled progress events on stderr while running
-//	-listen ADDR   serve /metrics (Prometheus text), /series, /runtime,
-//	               /logs, the live /dashboard HTML console, /debug/vars,
-//	               and /debug/pprof on ADDR (e.g. ":9090") for the duration
-//	               of the run
+//	-listen ADDR   serve /metrics (Prometheus text), /series, /logs, and
+//	               /debug/pprof on ADDR (e.g. ":9090") for the duration of
+//	               the run
 //	-log FORMAT    stream the structured event log to stderr as "text" or
 //	               "json" lines (slog format); the retained tail also lands
 //	               in the -report events section and on /logs
@@ -139,7 +138,7 @@ func main() {
 	flag.StringVar(&cfg.report, "report", "", "write a JSON run report to this file (\"-\" = stdout)")
 	flag.StringVar(&cfg.tracefile, "tracefile", "", "write a Chrome trace_event JSON trace to this file (\"-\" = stdout)")
 	flag.BoolVar(&cfg.progress, "progress", false, "print throttled progress events on stderr")
-	flag.StringVar(&cfg.listen, "listen", "", "serve /metrics, /dashboard, /debug/vars, and /debug/pprof on this address during the run")
+	flag.StringVar(&cfg.listen, "listen", "", "serve /metrics, /series, /logs, and /debug/pprof on this address during the run")
 	flag.StringVar(&cfg.logFormat, "log", "", "stream the structured event log to stderr as \"text\" or \"json\" lines")
 	flag.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&cfg.memprofile, "memprofile", "", "write a pprof heap profile to this file")
@@ -209,23 +208,24 @@ func run(path string, cfg cliConfig) error {
 			return fmt.Errorf("listen: %w", err)
 		}
 		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "# metrics: http://%s/metrics  dashboard: http://%s/dashboard\n", srv.Addr(), srv.Addr())
+		fmt.Fprintf(os.Stderr, "# metrics: http://%s/metrics\n", srv.Addr())
 	}
 	// Allocation telemetry: TotalAlloc/Mallocs deltas over the whole run,
-	// with the peak heap sampled from the progress ticker (and exposed live
-	// on /metrics via the gauge when -listen is up). Costs two ReadMemStats
-	// when no progress events fire.
+	// with the peak heap sampled from the progress ticker, at the end of
+	// the run, and — under -listen — from a background ticker, so the
+	// alloc.peak_heap_bytes gauge on /metrics stays current.
 	tracker := obs.StartAllocTracker(rec.Gauge("alloc.peak_heap_bytes"))
 	// Runtime telemetry (nil and free when rec is): goroutines, heap, GC
-	// pauses, scheduler latency, total CPU, polled from runtime/metrics. It
-	// piggybacks on the progress tick like the alloc tracker; under -listen
-	// a background ticker keeps /runtime and the dashboard live between
+	// cycles, total CPU, polled from runtime/metrics. It piggybacks on the
+	// progress tick like the alloc tracker; under -listen the same
+	// background ticker keeps the runtime.* gauges on /metrics live between
 	// progress events.
 	sampler := obs.NewRuntimeSampler(rec)
 	if cfg.listen != "" {
-		stopSampler := make(chan struct{})
-		sampler.SampleEvery(250*time.Millisecond, stopSampler)
-		defer close(stopSampler)
+		stopSampling := make(chan struct{})
+		tracker.SampleEvery(250*time.Millisecond, stopSampling)
+		sampler.SampleEvery(250*time.Millisecond, stopSampling)
+		defer close(stopSampling)
 	}
 	var progress *obs.Progress
 	if cfg.progress {
@@ -353,7 +353,10 @@ func run(path string, cfg cliConfig) error {
 		rec.Series("cost_over_lower_bound").Append(0, disagreement/lowerBound)
 	}
 	rec.Event("run.done", "n", n, "m", mAttrs, "clusters", labels.K(), "cost", disagreement)
-	sampler.Sample() // final runtime poll so the report's runtime.* gauges are fresh
+	// Final polls, so the report's and /metrics' runtime.* and peak-heap
+	// gauges are fresh.
+	tracker.Sample()
+	sampler.Sample()
 	fmt.Printf("# n=%d attributes=%d clusters=%d disagreement=%.0f lower-bound=%.0f\n",
 		n, mAttrs, labels.K(), disagreement, lowerBound)
 	if classLabels != nil {

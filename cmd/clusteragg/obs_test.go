@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -100,8 +103,8 @@ func TestRunReportSchema(t *testing.T) {
 	sort.Strings(got)
 	want := []string{
 		"alloc", "clusters", "cost", "counters", "events", "gauges",
-		"histograms", "lower_bound", "m", "method", "n", "schema_version",
-		"series", "spans", "wall_ns", "workers",
+		"lower_bound", "m", "method", "n", "schema_version", "series",
+		"spans", "wall_ns", "workers",
 	}
 	if strings.Join(got, ",") != strings.Join(want, ",") {
 		t.Errorf("report keys = %v, want %v", got, want)
@@ -146,11 +149,10 @@ func TestRunReportSchema(t *testing.T) {
 			t.Errorf("counter %s missing from report", key)
 		}
 	}
-	// Schema v2 additions: per-stage latency histograms and live gauges.
-	for _, key := range []string{"materialize.seconds", "localsearch.sweep.seconds"} {
-		if rep.Histograms[key].Count <= 0 {
-			t.Errorf("histogram %s missing or empty in report", key)
-		}
+	// Per-stage timing is the span tree: the shared matrix build has its
+	// own span. Schema v2 added the live gauges.
+	if !hasSpan(rep.Spans, "materialize") {
+		t.Error("materialize span missing from report")
 	}
 	if _, ok := rep.Gauges["localsearch.clusters"]; !ok {
 		t.Error("gauge localsearch.clusters missing from report")
@@ -184,13 +186,37 @@ func TestRunReportSchema(t *testing.T) {
 	}
 }
 
+// listenCSV is large enough that the run's heap ends several MB above the
+// heap it started from: 60 000 rows of four planted attributes.
+func listenCSV(t *testing.T) string {
+	t.Helper()
+	var b strings.Builder
+	b.WriteString("a,b,c,d\n")
+	for i := 0; i < 60000; i++ {
+		fmt.Fprintf(&b, "x%d,y%d,z%d,w%d\n", i%3, i%5, (i/3)%4, i%7)
+	}
+	return writeCSV(t, b.String())
+}
+
+// hasSpan reports whether a span named name occurs anywhere in the forest.
+func hasSpan(spans []obs.SpanSnapshot, name string) bool {
+	for _, s := range spans {
+		if s.Name == name || hasSpan(s.Children, name) {
+			return true
+		}
+	}
+	return false
+}
+
 // TestRunListenServesMetrics is the acceptance criterion for the exposition
 // endpoint: during a -listen run, GET /metrics returns Prometheus text with
-// the run's live counters and histograms.
+// the run's live counters and gauges, and the peak-heap gauge is current —
+// sampled through the run, not frozen at the heap the run started from.
 func TestRunListenServesMetrics(t *testing.T) {
-	path := bestofCSV(t)
+	path := listenCSV(t)
 	cfg := base()
-	cfg.method = "bestof"
+	cfg.method = "localsearch"
+	cfg.sample = 300
 	cfg.header = true
 	cfg.summary = true
 	cfg.listen = "127.0.0.1:0"
@@ -210,20 +236,42 @@ func TestRunListenServesMetrics(t *testing.T) {
 		}
 		body = string(raw)
 	}
+	runtime.GC() // start the run from this test's own small live heap
 	if err := run(path, cfg); err != nil {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
 		"# TYPE clusteragg_localsearch_sweeps_total counter",
 		"# TYPE clusteragg_localsearch_clusters gauge",
-		"# TYPE clusteragg_materialize_seconds histogram",
-		`clusteragg_materialize_seconds_bucket{le="+Inf"} 1`,
-		"clusteragg_localsearch_sweep_seconds_count",
+		"# TYPE clusteragg_alloc_peak_heap_bytes gauge",
+		"# TYPE clusteragg_runtime_heap_bytes gauge",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
 	}
+	peak := promValue(t, body, "clusteragg_alloc_peak_heap_bytes")
+	heap := promValue(t, body, "clusteragg_runtime_heap_bytes")
+	if peak < heap/2 {
+		t.Errorf("alloc.peak_heap_bytes = %.0f is below half the current heap %.0f: the peak is stale", peak, heap)
+	}
+}
+
+// promValue returns the sample value of an unlabeled metric in Prometheus
+// text.
+func promValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no sample for %s:\n%s", name, body)
+	return 0
 }
 
 // TestRunProgressOutput checks the -progress ticker: at least the guaranteed

@@ -37,11 +37,11 @@
 //	-progress      print throttled per-artifact progress on stderr
 //	-log FORMAT    mirror each artifact's structured events to stderr as
 //	               they happen ("text" or "json", via log/slog)
-//	-listen ADDR   serve /metrics (Prometheus text), /runtime, /logs,
-//	               /dashboard, /debug/vars, and /debug/pprof on ADDR; the
-//	               scrape follows the artifact currently running, and CPU
-//	               profiles taken from /debug/pprof carry phase/artifact/
-//	               worker labels (pprof -tagfocus)
+//	-listen ADDR   serve /metrics (Prometheus text), /series, /logs, and
+//	               /debug/pprof on ADDR; the scrape follows the artifact
+//	               currently running, and CPU profiles taken from
+//	               /debug/pprof carry phase/artifact/worker labels (pprof
+//	               -tagfocus)
 package main
 
 import (
@@ -71,7 +71,7 @@ func main() {
 		tracefile = flag.String("tracefile", "", "write a Chrome trace_event JSON trace to this file, one process per artifact (\"-\" = stdout)")
 		progress  = flag.Bool("progress", false, "print throttled per-artifact progress on stderr")
 		logFormat = flag.String("log", "", "mirror structured events to stderr as \"text\" or \"json\"")
-		listen    = flag.String("listen", "", "serve /metrics, /runtime, /logs, /dashboard, /debug/vars, and /debug/pprof on this address during the run")
+		listen    = flag.String("listen", "", "serve /metrics, /series, /logs, and /debug/pprof on this address during the run")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: experiments [flags] <fig3|fig4|table1|table2|table3|census|fig5left|fig5middle|fig5right|ensembles|missing|ingest|huge|all>\n")
@@ -107,7 +107,6 @@ func main() {
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "# metrics: http://%s/metrics\n", srv.Addr())
-		fmt.Fprintf(os.Stderr, "# dashboard: http://%s/dashboard\n", srv.Addr())
 		rep.server = srv
 		// Profiles scraped from /debug/pprof should attribute CPU to the
 		// artifact and phase currently running.

@@ -4,7 +4,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"time"
 
 	"clusteragg/internal/corrclust"
 	"clusteragg/internal/obs"
@@ -119,17 +118,9 @@ func (p *Problem) MatrixWorkers(workers int) *corrclust.Matrix {
 // the materialize.* counters: cells (stored pairs), block_adds (per-pair
 // block updates), workers (effective stripe count), and dist_probes —
 // registered at zero because the kernel makes no Dist calls, so trajectory
-// diffs against the probing build show the drop explicitly. Each build's
-// wall time lands in the materialize.seconds latency histogram (SAMPLING
-// materializes repeatedly — the core, the recluster, recursive calls — so
-// the distribution is worth more than one number).
+// diffs against the probing build show the drop explicitly. Each recorded
+// build's wall time is its enclosing materialize span.
 func (p *Problem) materialize(rec *obs.Recorder, workers int) *corrclust.Matrix {
-	if rec != nil {
-		start := time.Now()
-		defer func() {
-			rec.Observe("materialize.seconds", time.Since(start).Seconds())
-		}()
-	}
 	n := p.n
 	mx := corrclust.NewMatrix(n)
 	if workers <= 0 {

@@ -225,7 +225,7 @@ func TestProgressSampleEquivalence(t *testing.T) {
 
 // TestConcurrentMetricWrites drives the parallel assignment and local-search
 // paths with Workers=8 while a second goroutine continuously snapshots the
-// registry, so `go test -race` covers concurrent histogram/gauge writes
+// registry, so `go test -race` covers concurrent gauge and series writes
 // against scrapes (the situation a live -listen server creates).
 func TestConcurrentMetricWrites(t *testing.T) {
 	p := recorderProblem(t, 600, 4, 29)
@@ -241,7 +241,7 @@ func TestConcurrentMetricWrites(t *testing.T) {
 			default:
 				rec.Counters()
 				rec.Gauges()
-				rec.Histograms()
+				rec.AllSeries()
 				runtime.Gosched()
 			}
 		}
@@ -255,15 +255,53 @@ func TestConcurrentMetricWrites(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hists := rec.Histograms()
-	if hists["sample.assign.batch.seconds"].Count == 0 {
+	series := rec.AllSeries()
+	if series["sample.assign.throughput"].Count == 0 {
 		t.Error("no assignment batches observed")
 	}
-	if hists["localsearch.sweep.seconds"].Count == 0 {
+	if series["localsearch.cost"].Count < 2 {
 		t.Error("no local-search sweeps observed")
 	}
 	if _, ok := rec.Gauges()["localsearch.clusters"]; !ok {
 		t.Error("localsearch.clusters gauge missing")
+	}
+}
+
+// TestSampleAssignThroughputSeries pins sample.assign.throughput: every
+// assignment batch of every stripe appends one positive objects-per-second
+// point, so the series count is the number of batches the stripe layout
+// makes, at one worker and at two.
+func TestSampleAssignThroughputSeries(t *testing.T) {
+	n := 3*assignBatchSize + 1000
+	p := recorderProblem(t, n, 4, 37)
+	for _, workers := range []int{1, 2} {
+		rec := obs.New()
+		_, err := p.Sample(MethodAgglomerative,
+			AggregateOptions{Workers: workers, Recorder: rec},
+			SamplingOptions{SampleSize: 200, Rand: rand.New(rand.NewSource(3))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A recursive recluster would run a second assignment pass into
+		// the same series.
+		if r := rec.Counters()["sample.recluster.objects"]; r > reclusterCap {
+			t.Fatalf("workers=%d: recluster of %d objects recurses", workers, r)
+		}
+		chunk := (n + workers - 1) / workers
+		batches := 0
+		for lo := 0; lo < n; lo += chunk {
+			batches += (min(lo+chunk, n) - lo + assignBatchSize - 1) / assignBatchSize
+		}
+		ss := rec.AllSeries()["sample.assign.throughput"]
+		if ss.Count != int64(batches) || len(ss.Points) != batches {
+			t.Errorf("workers=%d: %d appends, %d points, want %d batches",
+				workers, ss.Count, len(ss.Points), batches)
+		}
+		for i, pt := range ss.Points {
+			if pt.Value <= 0 {
+				t.Errorf("workers=%d: point %d = %g objects/s, want > 0", workers, i, pt.Value)
+			}
+		}
 	}
 }
 

@@ -15,10 +15,10 @@ import (
 )
 
 // assignBatchSize is the number of objects one assignment batch covers: each
-// batch lands one observation in the sample.assign.batch.seconds histogram
-// and advances the shared progress counter once, so the instrumentation cost
-// is amortized across thousands of objects and stays invisible next to the
-// per-object evaluation work.
+// batch appends one sample.assign.throughput point and advances the shared
+// progress counter once, so the instrumentation cost is amortized across
+// thousands of objects and stays invisible next to the per-object
+// evaluation work.
 const assignBatchSize = 8192
 
 // reclusterCap bounds the singleton subset the recluster post-pass
@@ -240,9 +240,10 @@ func renumber(labels partition.Labels, bound int) {
 // not even that; the charge stays analytic so it does not depend on the
 // stripe layout); sample.assign.kernel_cols records the n packed label
 // columns and sample.assign.hist_builds the per-clustering histogram
-// builds (0 on the row route). Batch latencies land in
-// sample.assign.batch.seconds and the shared progress counter ticks once
-// per batch (Done = objects scanned so far across all chunks, Total = n).
+// builds (0 on the row route). Each batch appends its objects per second
+// to the sample.assign.throughput series, and the shared progress counter
+// ticks once per batch (Done = objects scanned so far across all chunks,
+// Total = n).
 func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels partition.Labels, members [][]int, workers int) (assigned, fresh int64) {
 	n, k := p.n, len(members)
 	lk := p.kernel()
@@ -266,10 +267,7 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 		rec.Add("sample.assign.hist_builds", int64(lk.m))
 	}
 	rec.Add("sample.assign.dist_probes", int64(n-sampleSize)*int64(sampleSize))
-	if rec != nil {
-		a.batchHist = rec.Histogram("sample.assign.batch.seconds", nil)
-		a.tpSeries = rec.Series("sample.assign.throughput")
-	}
+	a.tpSeries = rec.Series("sample.assign.throughput")
 
 	a.counts = make([][2]int64, workers) // assigned, fresh per stripe
 	assignChunk := func(stripe, lo, hi int) {
@@ -323,7 +321,6 @@ type assignPass struct {
 	hist       *colabelHist
 	flat, ends []int
 	counts     [][2]int64 // assigned, fresh per stripe
-	batchHist  *obs.Histogram
 	tpSeries   *obs.Series
 	progress   *obs.Progress
 	done       atomic.Int64
@@ -345,7 +342,7 @@ func assignStripe[W labelWord](a *assignPass, lab []W, stripe, lo, hi int) {
 	for bLo := lo; bLo < hi; bLo += assignBatchSize {
 		bHi := min(bLo+assignBatchSize, hi)
 		var batchStart time.Time
-		if a.batchHist != nil {
+		if a.tpSeries != nil {
 			batchStart = time.Now()
 		}
 		for v := bLo; v < bHi; v++ {
@@ -366,12 +363,10 @@ func assignStripe[W labelWord](a *assignPass, lab []W, stripe, lo, hi int) {
 			}
 		}
 		d := a.done.Add(int64(bHi - bLo))
-		if a.batchHist != nil {
-			sec := time.Since(batchStart).Seconds()
-			a.batchHist.Observe(sec)
+		if a.tpSeries != nil {
 			// Per-batch throughput (objects/s), stepped by the shared
 			// scan position. Timing-bearing, so benchdiff ignores it.
-			if sec > 0 {
+			if sec := time.Since(batchStart).Seconds(); sec > 0 {
 				a.tpSeries.Append(d, float64(bHi-bLo)/sec)
 			}
 		}

@@ -2,7 +2,6 @@ package corrclust
 
 import (
 	"runtime"
-	"time"
 
 	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
@@ -37,13 +36,13 @@ type LocalSearchOptions struct {
 	RefreshEvery int
 	// Recorder, when non-nil, receives the localsearch.* counters (sweeps,
 	// accepted moves, early convergence, delta updates, column refreshes,
-	// parallel proposals), the localsearch.sweep.seconds latency histogram
-	// (one observation per pass), the localsearch.clusters /
+	// parallel proposals), the localsearch.clusters /
 	// localsearch.improvement gauges updated at every sweep boundary, and
 	// the localsearch.{cost,moves,refreshes} convergence series with one
 	// point per sweep (cost additionally gets a step-0 point for the
-	// starting clustering, anchored by a one-time O(n²) scan). Nil records
-	// nothing and costs nothing.
+	// starting clustering, anchored by a one-time O(n²) scan); the wall_ns
+	// deltas between cost points are the sweep times. Nil records nothing
+	// and costs nothing.
 	Recorder *obs.Recorder
 	// Progress, when non-nil, receives one throttled event per sweep: Done
 	// is the sweep number, Total the pass cap, Moves the accepted moves so
@@ -138,17 +137,16 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 		gains = make([]float64, n)
 	}
 
-	// Per-sweep observability: a latency histogram plus live gauges,
+	// Per-sweep observability: live gauges and convergence series,
 	// refreshed at sweep boundaries so a /metrics scrape mid-run shows the
-	// sweep cadence, the collapsing cluster count, and the accumulated
-	// improvement. All of it is observational and guarded on rec/Progress,
-	// so an uninstrumented run pays only nil checks.
+	// collapsing cluster count and the accumulated improvement, and the
+	// cost series' wall_ns deltas give the sweep times. All of it is
+	// observational and guarded on rec/Progress, so an uninstrumented run
+	// pays only nil checks.
 	rec := opts.Recorder
-	var sweepHist *obs.Histogram
 	var costSeries, movesSeries, refreshSeries *obs.Series
 	var initialCost float64
 	if rec != nil {
-		sweepHist = rec.Histogram("localsearch.sweep.seconds", nil)
 		// Convergence series: the disagreement cost after every sweep, plus
 		// the accepted-move and delta-refresh cadence. The kernel maintains
 		// the cumulative improvement exactly, so one O(n²) scan of the
@@ -167,10 +165,6 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 	converged := false
 	for pass := 0; pass < maxPasses; pass++ {
 		sweeps++
-		var sweepStart time.Time
-		if rec != nil {
-			sweepStart = time.Now()
-		}
 		var improved bool
 		if workers > 1 {
 			improved = ker.sweepParallel(props, gains, workers, opts.onMove)
@@ -178,7 +172,6 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 			improved = ker.sweepSequential(opts.onMove)
 		}
 		if rec != nil {
-			sweepHist.Observe(time.Since(sweepStart).Seconds())
 			rec.SetGauge("localsearch.clusters", float64(len(ker.live)))
 			rec.SetGauge("localsearch.improvement", ker.improvement)
 			costSeries.Append(sweeps, initialCost-ker.improvement)

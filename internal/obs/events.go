@@ -16,10 +16,10 @@ import (
 // attributes only (sizes, counts, decisions), never timings, so the event
 // *content* of a run at a fixed seed is reproducible and cmd/benchdiff can
 // gate it; the wall-clock timestamp rides along for operators and is never
-// compared. The ring doubles as a log/slog sink (Handler/Logger) and can
-// tee every event to an attached slog.Handler, which is how the CLIs' -log
-// flag streams text or JSON lines to stderr while the ring keeps the tail
-// for the report's events section and the /logs endpoint.
+// compared. The ring can tee every event to an attached slog.Handler, which
+// is how the CLIs' -log flag streams text or JSON lines to stderr while the
+// ring keeps the tail for the report's events section and the /logs
+// endpoint.
 
 // DefaultEventsCap bounds the event ring, like DefaultSeriesCap bounds a
 // series: a long run keeps the most recent events (plus the total count),
@@ -108,23 +108,11 @@ func (l *EventLog) Log(level slog.Level, msg string, kv ...any) {
 			attrs[k] = v
 		}
 	}
-	l.append(time.Now().UnixNano(), level, msg, attrs)
-}
-
-// Info appends an info-level event (the common case for lifecycle events).
-func (l *EventLog) Info(msg string, kv ...any) {
-	if l == nil {
-		return
-	}
-	l.Log(slog.LevelInfo, msg, kv...)
-}
-
-func (l *EventLog) append(wallNS int64, level slog.Level, msg string, attrs map[string]string) {
+	wallNS := time.Now().UnixNano()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.seq++
-	e := Event{Seq: l.seq, WallNS: wallNS, Level: level.String(), Msg: msg, Attrs: attrs}
-	l.ring[l.next] = e
+	l.ring[l.next] = Event{Seq: l.seq, WallNS: wallNS, Level: level.String(), Msg: msg, Attrs: attrs}
 	l.next = (l.next + 1) % len(l.ring)
 	if l.n < len(l.ring) {
 		l.n++
@@ -136,6 +124,14 @@ func (l *EventLog) append(wallNS int64, level slog.Level, msg string, attrs map[
 		}
 		l.sink.Handle(context.Background(), r) //nolint:errcheck // a failing stderr write has no recovery
 	}
+}
+
+// Info appends an info-level event (the common case for lifecycle events).
+func (l *EventLog) Info(msg string, kv ...any) {
+	if l == nil {
+		return
+	}
+	l.Log(slog.LevelInfo, msg, kv...)
 }
 
 // Snapshot copies the retained tail, oldest first.
@@ -158,71 +154,6 @@ func (l *EventLog) Snapshot() EventsSnapshot {
 		s.Entries = append(s.Entries, l.ring[(start+i)%len(l.ring)])
 	}
 	return s
-}
-
-// Handler returns a slog.Handler that records into the ring, so external
-// code holding a *slog.Logger (the future daemon's request log) lands in
-// the same bounded tail as the package's own lifecycle events. A nil
-// receiver yields a discard handler.
-func (l *EventLog) Handler() slog.Handler {
-	return eventLogHandler{log: l}
-}
-
-// Logger returns a *slog.Logger writing into the ring.
-func (l *EventLog) Logger() *slog.Logger {
-	return slog.New(l.Handler())
-}
-
-// eventLogHandler adapts an EventLog to the slog.Handler contract.
-// WithAttrs pre-bound attributes and WithGroup prefixes are folded into
-// each record's attribute map.
-type eventLogHandler struct {
-	log    *EventLog
-	prefix string      // accumulated group prefix ("grp.")
-	bound  []slog.Attr // attrs bound via WithAttrs, already prefixed
-}
-
-func (h eventLogHandler) Enabled(context.Context, slog.Level) bool { return h.log != nil }
-
-func (h eventLogHandler) Handle(_ context.Context, r slog.Record) error {
-	if h.log == nil {
-		return nil
-	}
-	var attrs map[string]string
-	add := func(a slog.Attr) {
-		if attrs == nil {
-			attrs = make(map[string]string, r.NumAttrs()+len(h.bound))
-		}
-		attrs[h.prefix+a.Key] = a.Value.String()
-	}
-	for _, a := range h.bound {
-		if attrs == nil {
-			attrs = make(map[string]string, r.NumAttrs()+len(h.bound))
-		}
-		attrs[a.Key] = a.Value.String()
-	}
-	r.Attrs(func(a slog.Attr) bool { add(a); return true })
-	wall := r.Time.UnixNano()
-	if r.Time.IsZero() {
-		wall = time.Now().UnixNano()
-	}
-	h.log.append(wall, r.Level, r.Message, attrs)
-	return nil
-}
-
-func (h eventLogHandler) WithAttrs(attrs []slog.Attr) slog.Handler {
-	bound := append([]slog.Attr(nil), h.bound...)
-	for _, a := range attrs {
-		bound = append(bound, slog.String(h.prefix+a.Key, a.Value.String()))
-	}
-	return eventLogHandler{log: h.log, prefix: h.prefix, bound: bound}
-}
-
-func (h eventLogHandler) WithGroup(name string) slog.Handler {
-	if name == "" {
-		return h
-	}
-	return eventLogHandler{log: h.log, prefix: h.prefix + name + ".", bound: h.bound}
 }
 
 // attrString renders an attribute deterministically: integers and bools via

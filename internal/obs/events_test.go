@@ -49,10 +49,6 @@ func TestEventLogNil(t *testing.T) {
 	if s.Count != 0 || len(s.Entries) != 0 {
 		t.Errorf("nil log snapshot = %+v, want zero", s)
 	}
-	if l.Handler().Enabled(nil, slog.LevelInfo) {
-		t.Error("nil log's handler reports Enabled")
-	}
-	l.Logger().Info("z") // discard path must not panic
 }
 
 func TestEventLogAttachTee(t *testing.T) {
@@ -75,30 +71,6 @@ func TestEventLogAttachTee(t *testing.T) {
 	}
 	if s := l.Snapshot(); s.Count != 2 {
 		t.Errorf("Count = %d, want 2", s.Count)
-	}
-}
-
-func TestEventLogHandlerWithAttrsAndGroups(t *testing.T) {
-	l := NewEventLog(8)
-	l.Logger().With("a", 1).WithGroup("g").Info("m", "b", 2)
-	s := l.Snapshot()
-	if len(s.Entries) != 1 {
-		t.Fatalf("retained %d entries, want 1", len(s.Entries))
-	}
-	e := s.Entries[0]
-	if e.Msg != "m" || e.Level != "INFO" {
-		t.Errorf("entry = %s %q, want INFO \"m\"", e.Level, e.Msg)
-	}
-	if e.Attrs["a"] != "1" {
-		t.Errorf("bound attr a = %q, want \"1\"", e.Attrs["a"])
-	}
-	if e.Attrs["g.b"] != "2" {
-		t.Errorf("grouped attr g.b = %q, want \"2\"", e.Attrs["g.b"])
-	}
-	// Empty group name is a no-op prefix.
-	h := l.Handler().WithGroup("")
-	if h == nil {
-		t.Fatal("WithGroup(\"\") returned nil")
 	}
 }
 

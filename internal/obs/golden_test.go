@@ -18,10 +18,6 @@ func populate(r *Recorder, order []string) {
 			r.SetGauge("alpha", -2)
 		case "z":
 			r.SetGauge("z", 1.5)
-		case "lat":
-			h := r.Histogram("lat", []float64{1, 2})
-			h.Observe(1)
-			h.Observe(3)
 		case "cost":
 			s := r.Series("localsearch.cost")
 			s.Append(0, 9)
@@ -43,8 +39,6 @@ func TestWriteTextGolden(t *testing.T) {
 gauges:
   alpha           -2
   z              1.5
-histograms:
-  lat count=2 sum=4 mean=2
 series:
   localsearch.cost points=2 count=2 last=5
 events (2 total, 2 retained):
@@ -52,8 +46,8 @@ events (2 total, 2 retained):
   INFO  ls.refresh sweep=1
 `
 	a, b := New(), New()
-	populate(a, []string{"moves", "merges", "alpha", "z", "lat", "cost", "events"})
-	populate(b, []string{"events", "cost", "lat", "z", "alpha", "merges", "moves"})
+	populate(a, []string{"moves", "merges", "alpha", "z", "cost", "events"})
+	populate(b, []string{"events", "cost", "z", "alpha", "merges", "moves"})
 	var outA, outB strings.Builder
 	if err := a.WriteText(&outA); err != nil {
 		t.Fatal(err)
@@ -70,15 +64,14 @@ events (2 total, 2 retained):
 }
 
 // TestRunReportJSONGolden pins the report encoding byte-for-byte: map keys
-// marshal sorted, histogram snapshots keep their field order, and the same
-// metric values always produce the same bytes regardless of how the
+// marshal sorted, series and event snapshots keep their field order, and
+// the same metric values always produce the same bytes regardless of how the
 // recorder was populated.
 func TestRunReportJSONGolden(t *testing.T) {
-	const want = `{"schema_version":5,"n":4,"cost":9,"wall_ns":0,` +
+	const want = `{"schema_version":6,"n":4,"cost":9,"wall_ns":0,` +
 		`"alloc":{"bytes":4096,"mallocs":17,"peak_heap_bytes":65536},` +
 		`"counters":{"agglomerative.merges":3,"localsearch.moves":12},` +
 		`"gauges":{"alpha":-2,"z":1.5},` +
-		`"histograms":{"lat":{"bounds":[1,2],"counts":[1,0,1],"count":2,"sum":4}},` +
 		`"series":{"localsearch.cost":{"points":` +
 		`[{"step":0,"wall_ns":0,"value":9},{"step":1,"wall_ns":0,"value":5}],` +
 		`"count":2,"stride":1}},` +
@@ -88,8 +81,8 @@ func TestRunReportJSONGolden(t *testing.T) {
 		`{"seq":2,"wall_ns":0,"level":"INFO","msg":"ls.refresh",` +
 		`"attrs":{"sweep":"1"}}]}}`
 	for _, order := range [][]string{
-		{"moves", "merges", "alpha", "z", "lat", "cost", "events"},
-		{"events", "cost", "lat", "z", "alpha", "merges", "moves"},
+		{"moves", "merges", "alpha", "z", "cost", "events"},
+		{"events", "cost", "z", "alpha", "merges", "moves"},
 	} {
 		r := New()
 		populate(r, order)
@@ -118,7 +111,9 @@ func TestRunReportJSONGolden(t *testing.T) {
 }
 
 // TestReportBackCompat pins that schema-1 through -4 report bytes still
-// decode: sections those versions predate come back as their zero values.
+// decode: sections those versions predate come back as their zero values,
+// and the histograms section that versions 2–5 carry (dropped in version 6)
+// is skipped without error.
 func TestReportBackCompat(t *testing.T) {
 	const v1 = `{"schema_version":1,"n":4,"cost":9,"wall_ns":7,` +
 		`"counters":{"localsearch.moves":12},` +
@@ -140,6 +135,9 @@ func TestReportBackCompat(t *testing.T) {
 		}
 		if r.N != 4 || r.Cost != 9 || r.Counters["localsearch.moves"] != 12 {
 			t.Errorf("%s report lost fields: %+v", name, r)
+		}
+		if name == "v2" && r.Gauges["alpha"] != -2 {
+			t.Errorf("v2 report lost the gauges beside its histograms section: %+v", r.Gauges)
 		}
 		if name != "v3" && r.Series != nil {
 			t.Errorf("%s report grew a series section from nowhere: %+v", name, r.Series)

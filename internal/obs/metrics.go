@@ -5,17 +5,16 @@ import (
 	"sync/atomic"
 )
 
-// This file is the live half of the metric registry: gauges and fixed-bucket
-// histograms beside the monotonic Counter. All three share the same design
-// rules — stdlib-only, lock-free atomic writes, nil-receiver no-ops — so the
-// hot paths of instrumented algorithms pay one nil check when recording is
+// This file is the live half of the metric registry: the settable Gauge
+// beside the monotonic Counter. Both share the same design rules —
+// stdlib-only, lock-free atomic writes, nil-receiver no-ops — so the hot
+// paths of instrumented algorithms pay one nil check when recording is
 // disabled and one atomic op when it is enabled. The HTTP exposition
-// (serve.go) and the RunReport (report.go, schema_version 2) snapshot them
-// through Gauges and Histograms.
+// (serve.go) and the RunReport (report.go) snapshot gauges through Gauges.
 
 // Gauge is a settable float64 metric, safe for concurrent use. Unlike a
 // Counter it can go down (current cluster count, objects in flight). A nil
-// *Gauge ignores Set/Add and reports 0.
+// *Gauge ignores Set and reports 0.
 type Gauge struct {
 	bits uint64 // float64 bits, accessed atomically
 }
@@ -26,21 +25,6 @@ func (g *Gauge) Set(v float64) {
 		return
 	}
 	atomic.StoreUint64(&g.bits, math.Float64bits(v))
-}
-
-// Add increments the gauge by delta (negative deltas decrement). It is a
-// compare-and-swap loop, so concurrent Adds never lose updates.
-func (g *Gauge) Add(delta float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := atomic.LoadUint64(&g.bits)
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if atomic.CompareAndSwapUint64(&g.bits, old, next) {
-			return
-		}
-	}
 }
 
 // Value returns the gauge's current value.
@@ -88,168 +72,6 @@ func (r *Recorder) Gauges() map[string]float64 {
 	out := make(map[string]float64, len(r.gauges))
 	for name, g := range r.gauges {
 		out[name] = g.Value()
-	}
-	return out
-}
-
-// DefaultLatencyBuckets are the upper bounds, in seconds, of the stage
-// latency histograms (materialize, LOCALSEARCH sweeps, SAMPLING assign
-// batches): half-decade steps from 10µs to 30s. An implicit +Inf bucket
-// catches everything beyond the last bound.
-var DefaultLatencyBuckets = []float64{
-	1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3, 0.01, 0.03, 0.1, 0.3, 1, 3, 10, 30,
-}
-
-// Histogram is a fixed-bucket histogram of float64 observations, safe for
-// concurrent use: each Observe is two atomic adds plus a CAS loop for the
-// sum, with no locking. Bucket bounds are fixed at creation (Prometheus
-// "le" semantics: observation v lands in the first bucket with v <= bound,
-// or the implicit +Inf bucket). A nil *Histogram ignores Observe.
-type Histogram struct {
-	bounds []float64 // ascending upper bounds; +Inf implicit
-	counts []int64   // len(bounds)+1, final slot is the +Inf bucket
-	count  int64     // total observations
-	sumBit uint64    // float64 bits of the running sum
-}
-
-// newHistogram copies bounds so callers cannot mutate the registry's view.
-func newHistogram(bounds []float64) *Histogram {
-	b := append([]float64(nil), bounds...)
-	return &Histogram{bounds: b, counts: make([]int64, len(b)+1)}
-}
-
-// Observe records one observation.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	atomic.AddInt64(&h.counts[i], 1)
-	atomic.AddInt64(&h.count, 1)
-	for {
-		old := atomic.LoadUint64(&h.sumBit)
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if atomic.CompareAndSwapUint64(&h.sumBit, old, next) {
-			return
-		}
-	}
-}
-
-// ObserveN records n observations of value v in one update — the bulk path
-// the RuntimeSampler uses to fold runtime/metrics histogram deltas in
-// without n separate bucket walks. n ≤ 0 is a no-op.
-func (h *Histogram) ObserveN(v float64, n int64) {
-	if h == nil || n <= 0 {
-		return
-	}
-	i := 0
-	for i < len(h.bounds) && v > h.bounds[i] {
-		i++
-	}
-	atomic.AddInt64(&h.counts[i], n)
-	atomic.AddInt64(&h.count, n)
-	for {
-		old := atomic.LoadUint64(&h.sumBit)
-		next := math.Float64bits(math.Float64frombits(old) + v*float64(n))
-		if atomic.CompareAndSwapUint64(&h.sumBit, old, next) {
-			return
-		}
-	}
-}
-
-// Count returns the total number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return atomic.LoadInt64(&h.count)
-}
-
-// Sum returns the sum of all observed values.
-func (h *Histogram) Sum() float64 {
-	if h == nil {
-		return 0
-	}
-	return math.Float64frombits(atomic.LoadUint64(&h.sumBit))
-}
-
-// HistogramSnapshot is an immutable copy of a histogram for reporting.
-// Counts are per-bucket (not cumulative); Counts[len(Bounds)] is the +Inf
-// bucket. The exposition layer derives Prometheus's cumulative form.
-type HistogramSnapshot struct {
-	Bounds []float64 `json:"bounds"`
-	Counts []int64   `json:"counts"`
-	Count  int64     `json:"count"`
-	Sum    float64   `json:"sum"`
-}
-
-// Snapshot returns an immutable copy of the histogram's current state. The
-// per-bucket reads are individually atomic; a snapshot taken concurrently
-// with Observes is a valid histogram (every observation is either fully in
-// or fully out of Counts) though Count may momentarily run ahead of the
-// bucket sums.
-func (h *Histogram) Snapshot() HistogramSnapshot {
-	if h == nil {
-		return HistogramSnapshot{}
-	}
-	s := HistogramSnapshot{
-		Bounds: h.bounds, // immutable after creation
-		Counts: make([]int64, len(h.counts)),
-		Count:  atomic.LoadInt64(&h.count),
-		Sum:    h.Sum(),
-	}
-	for i := range h.counts {
-		s.Counts[i] = atomic.LoadInt64(&h.counts[i])
-	}
-	return s
-}
-
-// Histogram returns the named histogram, creating it with the given bucket
-// bounds on first use (nil bounds mean DefaultLatencyBuckets). Later calls
-// return the existing histogram regardless of bounds, so call sites can pass
-// their preferred buckets unconditionally. It returns nil on a nil Recorder.
-func (r *Recorder) Histogram(name string, bounds []float64) *Histogram {
-	if r == nil {
-		return nil
-	}
-	if bounds == nil {
-		bounds = DefaultLatencyBuckets
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.histograms[name]
-	if !ok {
-		h = newHistogram(bounds)
-		r.histograms[name] = h
-	}
-	return h
-}
-
-// Observe records v into the named histogram (DefaultLatencyBuckets on first
-// use). Call sites that observe repeatedly should hold the *Histogram.
-func (r *Recorder) Observe(name string, v float64) {
-	if r == nil {
-		return
-	}
-	r.Histogram(name, nil).Observe(v)
-}
-
-// Histograms returns a snapshot of all histograms by name.
-func (r *Recorder) Histograms() map[string]HistogramSnapshot {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.histograms) == 0 {
-		return nil
-	}
-	out := make(map[string]HistogramSnapshot, len(r.histograms))
-	for name, h := range r.histograms {
-		out[name] = h.Snapshot()
 	}
 	return out
 }

@@ -1,12 +1,8 @@
 package obs
 
-import (
-	"math"
-	"sync"
-	"testing"
-)
+import "testing"
 
-func TestGaugeSetAddValue(t *testing.T) {
+func TestGaugeSetValue(t *testing.T) {
 	r := New()
 	g := r.Gauge("clusters")
 	if g.Value() != 0 {
@@ -15,10 +11,6 @@ func TestGaugeSetAddValue(t *testing.T) {
 	g.Set(42.5)
 	if g.Value() != 42.5 {
 		t.Fatalf("after Set: %v", g.Value())
-	}
-	g.Add(-2.5)
-	if g.Value() != 40 {
-		t.Fatalf("after Add(-2.5): %v", g.Value())
 	}
 	r.SetGauge("clusters", 7)
 	if got := r.Gauges()["clusters"]; got != 7 {
@@ -29,130 +21,25 @@ func TestGaugeSetAddValue(t *testing.T) {
 	}
 }
 
-func TestGaugeConcurrentAdds(t *testing.T) {
-	r := New()
-	g := r.Gauge("inflight")
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				g.Add(1)
-				g.Add(-1)
-				g.Add(0.5)
-			}
-		}()
-	}
-	wg.Wait()
-	// The CAS loop loses no updates: 8*1000 net +0.5 increments.
-	if got := g.Value(); got != 4000 {
-		t.Errorf("concurrent adds lost updates: %v, want 4000", got)
-	}
-}
-
-func TestHistogramBuckets(t *testing.T) {
-	r := New()
-	h := r.Histogram("lat", []float64{1, 10, 100})
-	// le semantics: v lands in the first bucket with v <= bound.
-	for _, v := range []float64{0.5, 1, 1.5, 10, 99, 100, 1e6} {
-		h.Observe(v)
-	}
-	s := h.Snapshot()
-	wantCounts := []int64{2, 2, 2, 1} // (-inf,1], (1,10], (10,100], (100,+inf)
-	if len(s.Counts) != 4 {
-		t.Fatalf("counts len = %d", len(s.Counts))
-	}
-	for i, want := range wantCounts {
-		if s.Counts[i] != want {
-			t.Errorf("bucket %d = %d, want %d", i, s.Counts[i], want)
-		}
-	}
-	if s.Count != 7 || h.Count() != 7 {
-		t.Errorf("count = %d/%d, want 7", s.Count, h.Count())
-	}
-	wantSum := 0.5 + 1 + 1.5 + 10 + 99 + 100 + 1e6
-	if s.Sum != wantSum || h.Sum() != wantSum {
-		t.Errorf("sum = %v, want %v", s.Sum, wantSum)
-	}
-}
-
-func TestHistogramRegistry(t *testing.T) {
-	r := New()
-	h := r.Histogram("lat", nil)
-	if len(h.bounds) != len(DefaultLatencyBuckets) {
-		t.Fatalf("nil bounds: got %d buckets, want default %d", len(h.bounds), len(DefaultLatencyBuckets))
-	}
-	// Later calls return the existing histogram regardless of bounds.
-	if r.Histogram("lat", []float64{1}) != h {
-		t.Error("second Histogram call returned a different instance")
-	}
-	r.Observe("lat", 0.02)
-	if h.Count() != 1 {
-		t.Errorf("Observe by name missed the histogram: count=%d", h.Count())
-	}
-	// Creation copies the bounds so callers cannot mutate the registry view.
-	bounds := []float64{1, 2}
-	h2 := r.Histogram("other", bounds)
-	bounds[0] = 99
-	if h2.bounds[0] != 1 {
-		t.Error("histogram aliases caller's bounds slice")
-	}
-}
-
-func TestHistogramConcurrentObserve(t *testing.T) {
-	r := New()
-	h := r.Histogram("lat", []float64{0.5})
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 1000; i++ {
-				h.Observe(0.25)
-				h.Observe(0.75)
-			}
-		}()
-	}
-	wg.Wait()
-	s := h.Snapshot()
-	if s.Count != 16000 || s.Counts[0] != 8000 || s.Counts[1] != 8000 {
-		t.Errorf("lost observations: %+v", s)
-	}
-	if math.Abs(s.Sum-8000) > 1e-9 {
-		t.Errorf("sum = %v, want 8000", s.Sum)
-	}
-}
-
 func TestNilMetricsAreNoOps(t *testing.T) {
 	var r *Recorder
-	if r.Gauge("g") != nil || r.Histogram("h", nil) != nil {
-		t.Error("nil recorder returned non-nil metric")
+	if r.Gauge("g") != nil {
+		t.Error("nil recorder returned non-nil gauge")
 	}
 	r.SetGauge("g", 1)
-	r.Observe("h", 1)
-	if r.Gauges() != nil || r.Histograms() != nil {
-		t.Error("nil recorder snapshots not nil")
+	if r.Gauges() != nil {
+		t.Error("nil recorder gauge snapshot not nil")
 	}
 	var g *Gauge
 	g.Set(1)
-	g.Add(1)
 	if g.Value() != 0 {
 		t.Error("nil gauge has a value")
-	}
-	var h *Histogram
-	h.Observe(1)
-	if h.Count() != 0 || h.Sum() != 0 {
-		t.Error("nil histogram has observations")
-	}
-	if s := h.Snapshot(); s.Count != 0 || s.Counts != nil {
-		t.Error("nil histogram snapshot not empty")
 	}
 }
 
 func TestEmptySnapshotsAreNil(t *testing.T) {
 	r := New()
-	if r.Gauges() != nil || r.Histograms() != nil {
-		t.Error("recorder with no gauges/histograms should snapshot nil (omitted from reports)")
+	if r.Gauges() != nil {
+		t.Error("recorder with no gauges should snapshot nil (omitted from reports)")
 	}
 }

@@ -31,16 +31,14 @@ import (
 // for the sequential phase structure of a run (concurrent Start/End calls
 // are safe but the nesting then reflects interleaving order).
 type Recorder struct {
-	mu         sync.Mutex
-	epoch      time.Time // construction time; span starts are relative to it
-	roots      []*Span
-	stack      []*Span
-	counters   map[string]*Counter
-	names      []string // counter names in first-registration order
-	gauges     map[string]*Gauge
-	histograms map[string]*Histogram
-	series     map[string]*Series
-	events     *EventLog // lazily created on first Events/Event call
+	mu       sync.Mutex
+	epoch    time.Time // construction time; span starts are relative to it
+	roots    []*Span
+	stack    []*Span
+	counters map[string]*Counter
+	gauges   map[string]*Gauge
+	series   map[string]*Series
+	events   *EventLog // lazily created on first Events/Event call
 }
 
 // New returns an empty Recorder. Its construction time is the epoch all span
@@ -48,11 +46,10 @@ type Recorder struct {
 // measured from.
 func New() *Recorder {
 	return &Recorder{
-		epoch:      time.Now(),
-		counters:   make(map[string]*Counter),
-		gauges:     make(map[string]*Gauge),
-		histograms: make(map[string]*Histogram),
-		series:     make(map[string]*Series),
+		epoch:    time.Now(),
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+		series:   make(map[string]*Series),
 	}
 }
 
@@ -162,7 +159,6 @@ func (r *Recorder) Counter(name string) *Counter {
 	if !ok {
 		c = &Counter{}
 		r.counters[name] = c
-		r.names = append(r.names, name)
 	}
 	return c
 }
@@ -176,7 +172,7 @@ func (r *Recorder) Add(name string, delta int64) {
 	r.Counter(name).Add(delta)
 }
 
-// Counters returns a snapshot of all counters, sorted by name.
+// Counters returns a snapshot of all counters by name.
 func (r *Recorder) Counters() map[string]int64 {
 	if r == nil {
 		return nil
@@ -292,7 +288,7 @@ func snapshotSpans(spans []*Span, epoch time.Time) []SpanSnapshot {
 }
 
 // WriteText writes a human-readable span tree (total and exclusive self
-// time per span) followed by the counters, gauges, histograms, and series,
+// time per span) followed by the counters, gauges, series, and events,
 // each section sorted by name. Every section's iteration order is deterministic,
 // so two recorders holding the same metric values produce byte-identical
 // output (the golden test in text_golden_test.go pins this). It is what the
@@ -304,7 +300,6 @@ func (r *Recorder) WriteText(w io.Writer) error {
 	spans := r.Spans()
 	counters := r.Counters()
 	gauges := r.Gauges()
-	histograms := r.Histograms()
 	series := r.AllSeries()
 	events := r.EventsSnapshot()
 	if len(spans) > 0 {
@@ -331,22 +326,6 @@ func (r *Recorder) WriteText(w io.Writer) error {
 		}
 		for _, name := range sortedKeys(gauges) {
 			if _, err := fmt.Fprintf(w, "  %-*s %12g\n", keyWidth(gauges), name, gauges[name]); err != nil {
-				return err
-			}
-		}
-	}
-	if len(histograms) > 0 {
-		if _, err := fmt.Fprintln(w, "histograms:"); err != nil {
-			return err
-		}
-		for _, name := range sortedKeys(histograms) {
-			h := histograms[name]
-			mean := 0.0
-			if h.Count > 0 {
-				mean = h.Sum / float64(h.Count)
-			}
-			if _, err := fmt.Fprintf(w, "  %-*s count=%d sum=%g mean=%g\n",
-				keyWidth(histograms), name, h.Count, h.Sum, mean); err != nil {
 				return err
 			}
 		}

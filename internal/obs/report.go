@@ -28,7 +28,10 @@ import (
 //	    see EventsSnapshot). Versions 1–4 remain readable: events decodes
 //	    to nil and consumers treat that as "no event log". cmd/benchdiff
 //	    compares event content but never the wall_ns timestamps.
-const ReportSchemaVersion = 5
+//	6 — drops the histograms section: every latency histogram repeated a
+//	    span or a series. Versions 1–5 remain readable: encoding/json
+//	    ignores a histograms key, and no consumer read it.
+const ReportSchemaVersion = 6
 
 // RunReport is the machine-readable record of one run: problem shape,
 // method, objective values, wall time, and everything the Recorder
@@ -62,13 +65,11 @@ type RunReport struct {
 	// (schema_version ≥ 4; nil on older reports and untracked runs).
 	// cmd/benchdiff gates Alloc.Bytes under a ratio budget like wall time.
 	Alloc *AllocStats `json:"alloc,omitempty"`
-	// Counters, Gauges, Histograms, Series, and Spans are the Recorder's
-	// snapshots (gauges and histograms since schema_version 2, series since
-	// schema_version 3).
-	Counters   map[string]int64             `json:"counters,omitempty"`
-	Gauges     map[string]float64           `json:"gauges,omitempty"`
-	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
-	Series     map[string]SeriesSnapshot    `json:"series,omitempty"`
+	// Counters, Gauges, Series, and Spans are the Recorder's snapshots
+	// (gauges since schema_version 2, series since schema_version 3).
+	Counters map[string]int64          `json:"counters,omitempty"`
+	Gauges   map[string]float64        `json:"gauges,omitempty"`
+	Series   map[string]SeriesSnapshot `json:"series,omitempty"`
 	// Events is the structured event log's retained tail (schema_version
 	// ≥ 5; nil on older reports and runs that emitted no events). Event
 	// attributes are deterministic at a fixed seed; wall_ns is not and is
@@ -77,13 +78,12 @@ type RunReport struct {
 	Spans  []SpanSnapshot  `json:"spans,omitempty"`
 }
 
-// FillFrom copies the recorder's counters, gauges, histograms, series,
-// events, and spans into the report.
+// FillFrom copies the recorder's counters, gauges, series, events, and
+// spans into the report.
 func (r *RunReport) FillFrom(rec *Recorder) {
 	r.SchemaVersion = ReportSchemaVersion
 	r.Counters = rec.Counters()
 	r.Gauges = rec.Gauges()
-	r.Histograms = rec.Histograms()
 	r.Series = rec.AllSeries()
 	r.Events = rec.EventsSnapshot()
 	r.Spans = rec.Spans()

@@ -4,9 +4,7 @@ import (
 	"bytes"
 	"compress/gzip"
 	"io"
-	"math"
 	"runtime"
-	"runtime/metrics"
 	"runtime/pprof"
 	"sync"
 	"testing"
@@ -41,24 +39,12 @@ func TestRuntimeSampler(t *testing.T) {
 		t.Errorf("runtime.heap_bytes = %v, want > 0", gauges[runtimeHeapBytes])
 	}
 
-	// A GC cycle between samples must show up in the gc_cycles gauge and
-	// feed the pause histogram via the cumulative-delta path.
+	// A GC cycle between samples must show up in the gc_cycles gauge.
 	runtime.GC()
 	runtime.GC()
 	s.Sample()
 	if g := rec.Gauges()[runtimeGCCycles]; g < 2 {
 		t.Errorf("runtime.gc_cycles = %v after two forced GCs, want >= 2", g)
-	}
-	hists := rec.Histograms()
-	h, ok := hists[runtimeGCPause]
-	if !ok {
-		t.Fatalf("histogram %s not registered", runtimeGCPause)
-	}
-	if h.Count <= 0 {
-		t.Errorf("histogram %s count = %d after forced GCs, want > 0", runtimeGCPause, h.Count)
-	}
-	if _, ok := hists[runtimeSchedLatency]; !ok {
-		t.Errorf("histogram %s not registered", runtimeSchedLatency)
 	}
 
 	// Both samples appended to the goroutine/heap series.
@@ -114,94 +100,6 @@ func TestRuntimeSamplerSampleEvery(t *testing.T) {
 	close(stop)
 }
 
-func TestReadRuntimeStats(t *testing.T) {
-	runtime.GC()
-	st := ReadRuntimeStats()
-	if st.Goroutines < 1 {
-		t.Errorf("Goroutines = %d, want >= 1", st.Goroutines)
-	}
-	if st.HeapBytes == 0 {
-		t.Error("HeapBytes = 0, want > 0")
-	}
-	if st.HeapObjects == 0 {
-		t.Error("HeapObjects = 0, want > 0")
-	}
-	if st.GCCycles == 0 {
-		t.Error("GCCycles = 0 after a forced GC, want > 0")
-	}
-	if st.CPUTotalSeconds <= 0 {
-		t.Errorf("CPUTotalSeconds = %v, want > 0", st.CPUTotalSeconds)
-	}
-	if st.GCPauseP99 < st.GCPauseP50 {
-		t.Errorf("GCPauseP99 %v < GCPauseP50 %v", st.GCPauseP99, st.GCPauseP50)
-	}
-}
-
-func TestObserveHistogramDelta(t *testing.T) {
-	rec := New()
-	h := rec.Histogram("t.delta", runtimeLatencyBuckets)
-	cur := &metrics.Float64Histogram{
-		Counts:  []uint64{2, 3},
-		Buckets: []float64{0, 1e-6, 1e-3},
-	}
-	prev := observeHistogramDelta(h, cur, nil)
-	if got := rec.Histograms()["t.delta"].Count; got != 5 {
-		t.Errorf("after first delta: count = %d, want 5", got)
-	}
-	// Same cumulative counts again: no growth, nothing observed.
-	prev = observeHistogramDelta(h, cur, prev)
-	if got := rec.Histograms()["t.delta"].Count; got != 5 {
-		t.Errorf("after no-op delta: count = %d, want 5", got)
-	}
-	// Growth in one bucket: only the delta lands.
-	cur.Counts = []uint64{2, 10}
-	prev = observeHistogramDelta(h, cur, prev)
-	if got := rec.Histograms()["t.delta"].Count; got != 12 {
-		t.Errorf("after +7 delta: count = %d, want 12", got)
-	}
-	// ±Inf sentinel edges: the +Inf tail uses its finite lower edge, and a
-	// degenerate (-Inf, +Inf) bucket is skipped.
-	inf := &metrics.Float64Histogram{
-		Counts:  []uint64{1, 1},
-		Buckets: []float64{math.Inf(-1), 1e-6, math.Inf(1)},
-	}
-	observeHistogramDelta(h, inf, nil)
-	if got := rec.Histograms()["t.delta"].Count; got != 14 {
-		t.Errorf("after inf-edged delta: count = %d, want 14", got)
-	}
-	degenerate := &metrics.Float64Histogram{
-		Counts:  []uint64{1},
-		Buckets: []float64{math.Inf(-1), math.Inf(1)},
-	}
-	observeHistogramDelta(h, degenerate, nil)
-	if got := rec.Histograms()["t.delta"].Count; got != 14 {
-		t.Errorf("degenerate (-Inf,+Inf) bucket observed: count = %d, want 14", got)
-	}
-	if observeHistogramDelta(h, nil, prev) == nil {
-		t.Error("nil histogram should return prev unchanged")
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := &metrics.Float64Histogram{
-		Counts:  []uint64{90, 9, 1},
-		Buckets: []float64{0, 1e-5, 1e-4, 1e-3},
-	}
-	if q := histogramQuantile(h, 0.50); q != 1e-5 {
-		t.Errorf("p50 = %v, want 1e-5", q)
-	}
-	if q := histogramQuantile(h, 0.99); q != 1e-3 {
-		t.Errorf("p99 = %v, want 1e-3", q)
-	}
-	if q := histogramQuantile(nil, 0.5); q != 0 {
-		t.Errorf("nil histogram quantile = %v, want 0", q)
-	}
-	empty := &metrics.Float64Histogram{Counts: []uint64{0}, Buckets: []float64{0, 1}}
-	if q := histogramQuantile(empty, 0.5); q != 0 {
-		t.Errorf("empty histogram quantile = %v, want 0", q)
-	}
-}
-
 // TestDoProfileLabels pins the CPU-attribution contract end to end: with
 // labeling enabled, work wrapped in Do shows up in a CPU profile under its
 // phase/method labels (the gunzipped proto's string table carries the label
@@ -215,8 +113,8 @@ func TestDoProfileLabels(t *testing.T) {
 
 	EnableProfileLabels(true)
 	defer EnableProfileLabels(false)
-	if !ProfileLabelsEnabled() {
-		t.Fatal("ProfileLabelsEnabled() = false after EnableProfileLabels(true)")
+	if !profLabelsOn.Load() {
+		t.Fatal("profiling labels off after EnableProfileLabels(true)")
 	}
 
 	var buf bytes.Buffer

@@ -85,16 +85,6 @@ func (s *Series) Append(step int64, value float64) {
 	s.points = append(s.points, p)
 }
 
-// Last returns the most recently appended point and whether one exists.
-func (s *Series) Last() (SeriesPoint, bool) {
-	if s == nil {
-		return SeriesPoint{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.last, s.n > 0
-}
-
 // SeriesSnapshot is an immutable copy of a series for reporting. Points are
 // the retained (possibly decimated) observations in append order; Count is
 // the total number of appends offered, and Stride the final decimation

@@ -28,10 +28,6 @@ func TestSeriesAppendAndSnapshot(t *testing.T) {
 			t.Errorf("point %d wall offset %d < 0", i, p.WallNS)
 		}
 	}
-	if last, ok := s.Last(); !ok || last.Value != 42 {
-		t.Errorf("Last = %+v %v, want value 42", last, ok)
-	}
-
 	all := r.AllSeries()
 	if len(all) != 1 || all["localsearch.cost"].Count != 3 {
 		t.Errorf("AllSeries = %+v", all)
@@ -113,9 +109,6 @@ func TestSeriesEndpointAlwaysPresent(t *testing.T) {
 func TestSeriesNilAndEmpty(t *testing.T) {
 	var s *Series
 	s.Append(1, 2) // must not panic
-	if _, ok := s.Last(); ok {
-		t.Error("nil series has a last point")
-	}
 	if snap := s.Snapshot(); snap.Count != 0 || len(snap.Points) != 0 {
 		t.Errorf("nil snapshot = %+v", snap)
 	}

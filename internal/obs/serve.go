@@ -3,25 +3,21 @@ package obs
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
-	"runtime/debug"
-	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
 // This file is the opt-in HTTP exposition of a Recorder: Prometheus text on
-// /metrics, the process's expvar JSON on /debug/vars, and the runtime/pprof
-// handlers on /debug/pprof/. Nothing here runs unless Serve is called (the
+// /metrics, the convergence series on /series, the event tail on /logs, and
+// the runtime/pprof handlers on /debug/pprof/. Each observation has exactly
+// one exposition here; nothing here runs unless Serve is called (the
 // CLIs' -listen flag), so a run without it pays nothing. A scrape locks the
 // registry only against concurrent metric *registration* — metric writes
 // are plain atomic ops that take no lock and are never blocked by a scrape
@@ -42,33 +38,16 @@ type MetricsServer struct {
 	scrapeDelay atomic.Pointer[func()]
 }
 
-// expvarOnce guards the process-global expvar publication: expvar.Publish
-// panics on duplicate names, and tests start several servers.
-var (
-	expvarOnce sync.Once
-	// expvarServer is the most recently started server; the published
-	// expvar Func snapshots its current recorder.
-	expvarServer atomic.Pointer[MetricsServer]
-)
-
 // Serve starts an HTTP server on addr (host:port; ":0" picks a free port)
 // exposing rec. Endpoints:
 //
-//	/metrics      Prometheus text: counters (…_total), gauges, histograms
+//	/metrics      Prometheus text: counters (…_total) and gauges, the
+//	              runtime.* gauges of a RuntimeSampler among them
 //	/series       JSON convergence time-series of the bound recorder
 //	              ({"series": {name: {points, count, stride}}}); safe to
 //	              scrape while the run is appending
-//	/runtime      JSON point-in-time runtime health (goroutines, heap, GC
-//	              cycles and pause quantiles, total CPU); reads
-//	              runtime/metrics directly, so it works with a nil recorder
 //	/logs         JSON structured event log ({"events": {count, entries}});
 //	              safe to scrape while the run is emitting
-//	/dashboard    self-contained live HTML console polling /series,
-//	              /runtime, and /logs (no external assets)
-//	/healthz      liveness: 200 with {"status", "uptime_seconds"}
-//	/buildinfo    Go version, module path, and VCS revision of the binary
-//	/debug/vars   expvar JSON (cmdline, memstats, and a "clusteragg" var
-//	              holding the recorder's counters and gauges)
 //	/debug/pprof/ the standard runtime profiling handlers
 //
 // It returns once the listener is bound; requests are served on a
@@ -81,7 +60,6 @@ func Serve(addr string, rec *Recorder) (*MetricsServer, error) {
 	}
 	s := &MetricsServer{ln: ln}
 	s.rec.Store(rec)
-	start := time.Now()
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
@@ -99,10 +77,6 @@ func Serve(addr string, rec *Recorder) (*MetricsServer, error) {
 		}
 		writeJSONBody(w, map[string]any{"series": all})
 	})
-	mux.HandleFunc("/runtime", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		writeJSONBody(w, ReadRuntimeStats())
-	})
 	mux.HandleFunc("/logs", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		ev := s.Recorder().EventsSnapshot()
@@ -111,42 +85,11 @@ func Serve(addr string, rec *Recorder) (*MetricsServer, error) {
 		}
 		writeJSONBody(w, map[string]any{"events": ev})
 	})
-	mux.HandleFunc("/dashboard", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "text/html; charset=utf-8")
-		io.WriteString(w, dashboardHTML) //nolint:errcheck // dropped connection, no recovery
-	})
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		writeJSONBody(w, map[string]any{
-			"status":         "ok",
-			"uptime_seconds": time.Since(start).Seconds(),
-		})
-	})
-	mux.HandleFunc("/buildinfo", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		writeJSONBody(w, buildInfo())
-	})
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-
-	expvarServer.Store(s)
-	expvarOnce.Do(func() {
-		expvar.Publish("clusteragg", expvar.Func(func() any {
-			srv := expvarServer.Load()
-			if srv == nil {
-				return nil
-			}
-			rec := srv.Recorder()
-			return map[string]any{
-				"counters": rec.Counters(),
-				"gauges":   rec.Gauges(),
-			}
-		}))
-	})
 
 	s.srv = &http.Server{Handler: mux}
 	go s.srv.Serve(ln) //nolint:errcheck // Close's ErrServerClosed is expected
@@ -178,7 +121,7 @@ func (s *MetricsServer) SetRecorder(rec *Recorder) {
 }
 
 // closeDrainTimeout bounds how long Close waits for in-flight scrapes: long
-// enough for any real /metrics or /dashboard response, short enough that a
+// enough for any real /metrics or /series response, short enough that a
 // CLI's deferred Close never hangs noticeably on a stuck client.
 const closeDrainTimeout = 2 * time.Second
 
@@ -207,37 +150,6 @@ func writeJSONBody(w io.Writer, v any) {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
 	enc.Encode(v) //nolint:errcheck
-}
-
-// buildInfo summarizes the running binary: Go version, main module path,
-// and the VCS stamp (revision/time/modified) when the binary was built from
-// a checkout. Fields absent from the build record are omitted.
-func buildInfo() map[string]any {
-	info := map[string]any{"go_version": runtime.Version()}
-	bi, ok := debug.ReadBuildInfo()
-	if !ok {
-		return info
-	}
-	if bi.GoVersion != "" {
-		info["go_version"] = bi.GoVersion
-	}
-	if bi.Path != "" {
-		info["path"] = bi.Path
-	}
-	if bi.Main.Version != "" {
-		info["main_version"] = bi.Main.Version
-	}
-	for _, s := range bi.Settings {
-		switch s.Key {
-		case "vcs.revision":
-			info["vcs_revision"] = s.Value
-		case "vcs.time":
-			info["vcs_time"] = s.Value
-		case "vcs.modified":
-			info["vcs_modified"] = s.Value
-		}
-	}
-	return info
 }
 
 // promName maps a registry name to a valid Prometheus metric name:
@@ -269,9 +181,8 @@ func promFloat(v float64) string {
 }
 
 // WritePrometheus writes the recorder's metrics in the Prometheus text
-// exposition format (version 0.0.4): every counter as a _total counter,
-// every gauge as a gauge, every histogram with cumulative _bucket series
-// plus _sum and _count. Families are sorted by name, so output order is
+// exposition format (version 0.0.4): every counter as a _total counter and
+// every gauge as a gauge. Families are sorted by name, so output order is
 // deterministic. A nil recorder writes nothing.
 func WritePrometheus(w io.Writer, rec *Recorder) {
 	if rec == nil {
@@ -286,25 +197,5 @@ func WritePrometheus(w io.Writer, rec *Recorder) {
 	for _, name := range sortedKeys(gauges) {
 		pn := promName(name)
 		fmt.Fprintf(w, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(gauges[name]))
-	}
-	histograms := rec.Histograms()
-	names := make([]string, 0, len(histograms))
-	for name := range histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		h := histograms[name]
-		pn := promName(name)
-		fmt.Fprintf(w, "# TYPE %s histogram\n", pn)
-		var cum int64
-		for i, bound := range h.Bounds {
-			cum += h.Counts[i]
-			fmt.Fprintf(w, "%s_bucket{le=%q} %d\n", pn, promFloat(bound), cum)
-		}
-		cum += h.Counts[len(h.Bounds)]
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d\n", pn, cum)
-		fmt.Fprintf(w, "%s_sum %s\n", pn, promFloat(h.Sum))
-		fmt.Fprintf(w, "%s_count %d\n", pn, cum)
 	}
 }

@@ -23,14 +23,47 @@ func get(t *testing.T, s *MetricsServer, path string) (int, string) {
 	return resp.StatusCode, string(body)
 }
 
+// TestServeRoutes pins the exposition surface in one place: each
+// observation has one route, and the retired duplicates stay gone.
+func TestServeRoutes(t *testing.T) {
+	s, err := Serve("127.0.0.1:0", New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	for _, tc := range []struct {
+		path        string
+		code        int
+		contentType string // prefix; empty for a 404
+	}{
+		{"/metrics", http.StatusOK, "text/plain; version=0.0.4"},
+		{"/series", http.StatusOK, "application/json"},
+		{"/logs", http.StatusOK, "application/json"},
+		{"/debug/pprof/", http.StatusOK, "text/html"},
+		{"/dashboard", http.StatusNotFound, ""},
+		{"/debug/vars", http.StatusNotFound, ""},
+		{"/runtime", http.StatusNotFound, ""},
+		{"/healthz", http.StatusNotFound, ""},
+		{"/buildinfo", http.StatusNotFound, ""},
+	} {
+		resp, err := http.Get("http://" + s.Addr() + tc.path)
+		if err != nil {
+			t.Fatalf("GET %s: %v", tc.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.code {
+			t.Errorf("GET %s: status %d, want %d", tc.path, resp.StatusCode, tc.code)
+		}
+		if ct := resp.Header.Get("Content-Type"); tc.contentType != "" && !strings.HasPrefix(ct, tc.contentType) {
+			t.Errorf("GET %s: content type %q, want prefix %q", tc.path, ct, tc.contentType)
+		}
+	}
+}
+
 func TestServeMetricsEndpoint(t *testing.T) {
 	rec := New()
 	rec.Add("localsearch.sweeps", 7)
 	rec.SetGauge("localsearch.clusters", 3)
-	h := rec.Histogram("materialize.seconds", []float64{0.01, 0.1})
-	h.Observe(0.005)
-	h.Observe(0.05)
-	h.Observe(5)
 
 	s, err := Serve("127.0.0.1:0", rec)
 	if err != nil {
@@ -47,44 +80,10 @@ func TestServeMetricsEndpoint(t *testing.T) {
 		"clusteragg_localsearch_sweeps_total 7",
 		"# TYPE clusteragg_localsearch_clusters gauge",
 		"clusteragg_localsearch_clusters 3",
-		"# TYPE clusteragg_materialize_seconds histogram",
-		`clusteragg_materialize_seconds_bucket{le="0.01"} 1`,
-		`clusteragg_materialize_seconds_bucket{le="0.1"} 2`,
-		`clusteragg_materialize_seconds_bucket{le="+Inf"} 3`,
-		"clusteragg_materialize_seconds_sum 5.055",
-		"clusteragg_materialize_seconds_count 3",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q:\n%s", want, body)
 		}
-	}
-}
-
-func TestServeDebugVars(t *testing.T) {
-	rec := New()
-	rec.Add("sample.size", 42)
-	rec.SetGauge("live", 1.5)
-	s, err := Serve("127.0.0.1:0", rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	code, body := get(t, s, "/debug/vars")
-	if code != http.StatusOK {
-		t.Fatalf("/debug/vars status %d", code)
-	}
-	var vars struct {
-		Clusteragg struct {
-			Counters map[string]int64   `json:"counters"`
-			Gauges   map[string]float64 `json:"gauges"`
-		} `json:"clusteragg"`
-	}
-	if err := json.Unmarshal([]byte(body), &vars); err != nil {
-		t.Fatalf("/debug/vars is not JSON: %v", err)
-	}
-	if vars.Clusteragg.Counters["sample.size"] != 42 || vars.Clusteragg.Gauges["live"] != 1.5 {
-		t.Errorf("clusteragg expvar = %+v", vars.Clusteragg)
 	}
 }
 
@@ -154,53 +153,6 @@ func TestServeSeriesEndpoint(t *testing.T) {
 	payload.Series = nil
 	if err := json.Unmarshal([]byte(body), &payload); err != nil || len(payload.Series) != 0 {
 		t.Errorf("nil recorder /series = %q (err %v)", body, err)
-	}
-}
-
-func TestServeHealthz(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	code, body := get(t, srv, "/healthz")
-	if code != http.StatusOK {
-		t.Fatalf("/healthz status %d", code)
-	}
-	var h struct {
-		Status        string  `json:"status"`
-		UptimeSeconds float64 `json:"uptime_seconds"`
-	}
-	if err := json.Unmarshal([]byte(body), &h); err != nil {
-		t.Fatalf("/healthz not JSON: %v\n%s", err, body)
-	}
-	if h.Status != "ok" || h.UptimeSeconds < 0 {
-		t.Errorf("/healthz = %+v", h)
-	}
-}
-
-func TestServeBuildinfo(t *testing.T) {
-	srv, err := Serve("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	code, body := get(t, srv, "/buildinfo")
-	if code != http.StatusOK {
-		t.Fatalf("/buildinfo status %d", code)
-	}
-	var info map[string]any
-	if err := json.Unmarshal([]byte(body), &info); err != nil {
-		t.Fatalf("/buildinfo not JSON: %v\n%s", err, body)
-	}
-	gv, ok := info["go_version"].(string)
-	if !ok || !strings.HasPrefix(gv, "go") {
-		t.Errorf("/buildinfo go_version = %v", info["go_version"])
-	}
-	// Test binaries carry a build record with the module path; VCS stamps
-	// are only present for real builds from a checkout, so not asserted.
-	if _, ok := info["path"]; !ok {
-		t.Errorf("/buildinfo missing module path: %v", info)
 	}
 }
 

@@ -91,12 +91,6 @@ func (l *laneLayout) place(s SpanSnapshot, pid, lane int) {
 	}
 }
 
-// WriteTrace writes one process's span forest as Chrome trace_event JSON.
-// name labels the process in the viewer (the run's method or file name).
-func WriteTrace(w io.Writer, name string, spans []SpanSnapshot) error {
-	return writeTraceProcesses(w, []TraceProcess{{Name: name, Spans: spans}})
-}
-
 // TraceProcess is one named timeline in a multi-process trace export —
 // cmd/experiments exports each artifact as its own process so Perfetto
 // shows them stacked. Series (if any) render as counter tracks on the same
@@ -129,12 +123,8 @@ func (r *Recorder) TraceProcess(name string) TraceProcess {
 	return p
 }
 
-// WriteTraceProcesses writes several span forests as one trace, one process
-// (pid) per entry.
-func WriteTraceProcesses(w io.Writer, procs []TraceProcess) error {
-	return writeTraceProcesses(w, procs)
-}
-
+// writeTraceProcesses writes several span forests as one trace, one
+// process (pid) per entry.
 func writeTraceProcesses(w io.Writer, procs []TraceProcess) error {
 	var events []traceEvent
 	for i, p := range procs {
@@ -197,19 +187,9 @@ func writeTraceProcesses(w io.Writer, procs []TraceProcess) error {
 	return enc.Encode(traceFile{TraceEvents: events, DisplayTimeUnit: "ms"})
 }
 
-// WriteTraceFile writes a single-process trace to path ("-" means stdout).
-// It is the -tracefile flag's implementation.
-func WriteTraceFile(path, name string, spans []SpanSnapshot) error {
-	return writeTraceFileProcs(path, []TraceProcess{{Name: name, Spans: spans}})
-}
-
 // WriteTraceFileProcesses writes a multi-process trace to path ("-" means
-// stdout).
+// stdout). It is the -tracefile flag's implementation in both CLIs.
 func WriteTraceFileProcesses(path string, procs []TraceProcess) error {
-	return writeTraceFileProcs(path, procs)
-}
-
-func writeTraceFileProcs(path string, procs []TraceProcess) error {
 	var w io.Writer = os.Stdout
 	if path != "-" {
 		f, err := os.Create(path)

@@ -43,7 +43,7 @@ func TestWriteTraceStructure(t *testing.T) {
 		{Name: "evaluate", StartNS: 12_000, DurationNS: 1_000, SelfNS: 1_000},
 	}
 	var b bytes.Buffer
-	if err := WriteTrace(&b, "run", spans); err != nil {
+	if err := writeTraceProcesses(&b, []TraceProcess{{Name: "run", Spans: spans}}); err != nil {
 		t.Fatal(err)
 	}
 	events := decodeTrace(t, b.Bytes())
@@ -84,7 +84,7 @@ func TestWriteTraceWorkerLanes(t *testing.T) {
 		},
 	}
 	var b bytes.Buffer
-	if err := WriteTrace(&b, "run", spans); err != nil {
+	if err := writeTraceProcesses(&b, []TraceProcess{{Name: "run", Spans: spans}}); err != nil {
 		t.Fatal(err)
 	}
 	byName := eventsByName(decodeTrace(t, b.Bytes()))
@@ -112,7 +112,7 @@ func TestWriteTraceProcesses(t *testing.T) {
 		{Name: "fig4", Spans: []SpanSnapshot{{Name: "b", DurationNS: 20}}},
 	}
 	var b bytes.Buffer
-	if err := WriteTraceProcesses(&b, procs); err != nil {
+	if err := writeTraceProcesses(&b, procs); err != nil {
 		t.Fatal(err)
 	}
 	events := decodeTrace(t, b.Bytes())
@@ -147,7 +147,7 @@ func TestWriteTraceZeroDurationSpan(t *testing.T) {
 		},
 	}
 	var b bytes.Buffer
-	if err := WriteTrace(&b, "run", spans); err != nil {
+	if err := writeTraceProcesses(&b, []TraceProcess{{Name: "run", Spans: spans}}); err != nil {
 		t.Fatal(err)
 	}
 	raw := b.String()
@@ -185,7 +185,7 @@ func TestWriteTraceCounterEvents(t *testing.T) {
 		},
 	}}
 	var b bytes.Buffer
-	if err := WriteTraceProcesses(&b, procs); err != nil {
+	if err := writeTraceProcesses(&b, procs); err != nil {
 		t.Fatal(err)
 	}
 
@@ -217,7 +217,7 @@ func TestWriteTraceCounterEvents(t *testing.T) {
 	// The export is deterministic to the byte for fixed inputs: two writes
 	// must agree, pinning JSON field and event ordering.
 	var b2 bytes.Buffer
-	if err := WriteTraceProcesses(&b2, procs); err != nil {
+	if err := writeTraceProcesses(&b2, procs); err != nil {
 		t.Fatal(err)
 	}
 	if b.String() != b2.String() {
@@ -236,7 +236,7 @@ func TestTraceFromRecorder(t *testing.T) {
 	w1.End()
 	root.End()
 	var b bytes.Buffer
-	if err := WriteTrace(&b, "run", r.Spans()); err != nil {
+	if err := writeTraceProcesses(&b, []TraceProcess{r.TraceProcess("run")}); err != nil {
 		t.Fatal(err)
 	}
 	byName := eventsByName(decodeTrace(t, b.Bytes()))
