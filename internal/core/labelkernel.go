@@ -1,5 +1,7 @@
 package core
 
+import "sync"
+
 // This file is the columnar label kernel: the m input clusterings packed
 // into one row-major per-object block of labels, so that distance
 // evaluation becomes a tight contiguous label-compare loop instead of a
@@ -11,12 +13,13 @@ package core
 // has-missing flag. Problem.Dist is the kernel's Dist; one-against-many
 // evaluation (DistRowTo) streams two contiguous label blocks per pair, and
 // pairs where neither side has a missing label and the weights are uniform
-// collapse to an integer label-mismatch count. Every loop performs the same
-// float operations in the same order as the textbook per-clustering []int
-// pair loop (premultiplied products round identically to the inline ones),
-// so kernel distances are bit-identical to it — not merely close. The
-// equivalence tests and FuzzLabelKernelEquiv pin that against a test-only
-// copy of the loop.
+// collapse to an integer label-mismatch count (in DistRowTo, a popcount
+// over lane-packed rows). Every loop performs the same float operations in
+// the same order as the textbook per-clustering []int pair loop
+// (premultiplied products round identically to the inline ones), so kernel
+// distances are bit-identical to it — not merely close. The equivalence
+// tests and FuzzLabelKernelEquiv pin that against a test-only copy of the
+// loop.
 //
 // Width packing: labels are stored at the minimum width that fits the
 // kernel's label bound — uint8, uint16, or int32 — selected by PackedBuilder
@@ -81,7 +84,7 @@ func widthFor(bound int32) int {
 // labelKernel is the packed columnar view of a Problem's input clusterings.
 // It implements corrclust.Instance and corrclust.RowDistancer; distances
 // are bit-identical at every storage width. The kernel is immutable after
-// construction and safe for concurrent use.
+// construction (its lanes are built once, on demand) and concurrency-safe.
 type labelKernel struct {
 	n, m int
 	// width is the storage width in bytes per label (width8/width16/width32);
@@ -110,6 +113,12 @@ type labelKernel struct {
 
 	average     bool // MissingAverage arithmetic (see Problem.Dist)
 	totalWeight float64
+
+	// rows and sepDist[c] = c / totalWeight serve DistRowTo's clean pairs,
+	// built on the first row read that takes them (rowsOnce).
+	rowsOnce sync.Once
+	rows     *lanes
+	sepDist  []float64
 }
 
 // kernel returns the problem's labelKernel at the stored (minimum) width,
@@ -220,19 +229,43 @@ func pairDist[W labelWord](lk *labelKernel, bu, bv []W, miss bool) float64 {
 func (lk *labelKernel) DistRowTo(v int, targets []int, dst []float64) {
 	switch lk.width {
 	case width8:
-		distRowTo(lk, lk.lab8, v, targets, dst)
+		distRowTo(lk, lk.lab8, true, v, targets, dst)
 	case width16:
-		distRowTo(lk, lk.lab16, v, targets, dst)
+		distRowTo(lk, lk.lab16, true, v, targets, dst)
 	default:
-		distRowTo(lk, lk.lab32, v, targets, dst)
+		distRowTo(lk, lk.lab32, true, v, targets, dst)
 	}
 }
 
-// distRowTo is the width-specialized DistRowTo loop.
-func distRowTo[W labelWord](lk *labelKernel, lab []W, v int, targets []int, dst []float64) {
+// distRowTo is the width-specialized DistRowTo loop. With useLanes (not on
+// SAMPLING's n-object assignment) a clean v under uniform weights reads
+// clean partners from lanes: the nonzero lanes of their XOR are pairDist's
+// mismatch count, and sepDist divides it by the same weight, bit-identically.
+func distRowTo[W labelWord](lk *labelKernel, lab []W, useLanes bool, v int, targets []int, dst []float64) {
 	m := lk.m
 	bv := lab[v*m : v*m+m]
 	missV := lk.hasMiss[v]
+	if useLanes && lk.uniform && !missV {
+		lk.rowsOnce.Do(func() {
+			lk.rows = newLanes(m, lk.width, lk.n)
+			for u := 0; u < lk.n; u++ {
+				packRow(lk.rows, u, lab[u*m:u*m+m])
+			}
+			lk.sepDist = make([]float64, m+1)
+			for c := range lk.sepDist {
+				lk.sepDist[c] = float64(c) / lk.totalWeight
+			}
+		})
+		lk.rows.sepRowTo(v, targets, lk.sepDist, dst)
+		if lk.anyMiss { // partners with a missing label take the byte loop
+			for j, u := range targets {
+				if lk.hasMiss[u] {
+					dst[j] = pairDist(lk, lab[u*m:u*m+m], bv, true)
+				}
+			}
+		}
+		return
+	}
 	for j, u := range targets {
 		if u == v {
 			dst[j] = 0

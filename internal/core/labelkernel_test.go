@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"clusteragg/internal/corrclust"
@@ -56,65 +58,141 @@ func dyadicWeights(m int) []float64 {
 	}
 }
 
-// TestLabelKernelDistBitIdentical: the kernel's Dist and DistRowTo (and
-// Problem.Dist, which delegates to the kernel) must reproduce the reference
-// []int pair loop bit for bit — not approximately — on every pair, across
-// both missing modes, weighted and uniform problems, and several missing
-// probabilities. The kernel mirrors the loop's float operations in the
-// loop's order, so this holds on arbitrary (non-dyadic) instances too.
-func TestLabelKernelDistBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(301))
-	for trial := 0; trial < 60; trial++ {
-		n := 2 + rng.Intn(40)
-		m := 1 + rng.Intn(9)
-		var opts ProblemOptions
-		if trial%3 == 1 {
-			w := make([]float64, m)
-			for i := range w {
-				w[i] = 0.25 + rng.Float64()*3
-			}
-			opts.Weights = w
-		}
-		if trial%2 == 1 {
-			opts.MissingMode = MissingAverage
-		}
-		opts.MissingTogether = []float64{0, 0.25, 0.5, 0.37, 0.75}[trial%5]
-		pMiss := []float64{0, 0.2, 0.6}[trial%3]
-		cs := randMixedInputs(rng, n, m, pMiss)
-		p, err := NewProblem(cs, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := newRefDist(cs, opts)
-		lk := p.kernel()
+// kernelShapes are the clustering counts the kernel equivalence tests
+// cover: every m up to 9, and m = 16, 17, 22, whose rows span two or more
+// 64-bit lane words at every width (and 22 is the Mushrooms width).
+var kernelShapes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 22}
 
-		if lk.N() != n {
-			t.Fatalf("trial %d: kernel N %d, want %d", trial, lk.N(), n)
-		}
-		for u := 0; u < n; u++ {
-			for v := 0; v < n; v++ {
-				want := ref.Dist(u, v)
-				if got := lk.Dist(u, v); got != want {
-					t.Fatalf("trial %d: kernel Dist(%d,%d) = %v, reference = %v", trial, u, v, got, want)
-				}
-				if got := p.Dist(u, v); got != want {
-					t.Fatalf("trial %d: Problem.Dist(%d,%d) = %v, reference = %v", trial, u, v, got, want)
-				}
-			}
-		}
-
-		// DistRowTo on a shuffled target list with diagonal hits included.
-		targets := rng.Perm(n)
-		dst := make([]float64, n)
-		for v := 0; v < n; v++ {
-			lk.DistRowTo(v, targets, dst)
-			for j, u := range targets {
-				if want := ref.Dist(v, u); dst[j] != want {
-					t.Fatalf("trial %d: DistRowTo(%d)[%d->%d] = %v, want %v", trial, v, j, u, dst[j], want)
-				}
+// scaleLabels multiplies every present label by scale in place: 256 moves
+// the labels into the high byte of a 16-bit lane, 65536 into the upper
+// half of a 32-bit one, so the packed width grows and labels differ only
+// in the lane bits the narrower width lacks.
+func scaleLabels(cs []partition.Labels, scale int) {
+	for _, c := range cs {
+		for j, l := range c {
+			if l != partition.Missing {
+				c[j] = l * scale
 			}
 		}
 	}
+}
+
+// widthsFrom returns the storage widths at or above the problem's own.
+func widthsFrom(p *Problem) []int {
+	all := []int{width8, width16, width32}
+	for i, w := range all {
+		if w == p.kernel().width {
+			return all[i:]
+		}
+	}
+	panic("unknown width")
+}
+
+// checkKernelDist requires the kernel's Dist and DistRowTo to reproduce the
+// reference []int pair loop bit for bit on every pair; DistRowTo runs on a
+// shuffled target list with the diagonal included.
+func checkKernelDist(t *testing.T, name string, lk *labelKernel, ref *refDist, targets []int) {
+	t.Helper()
+	n := lk.N()
+	if n != ref.N() {
+		t.Fatalf("%s: kernel N %d, want %d", name, n, ref.N())
+	}
+	dst := make([]float64, len(targets))
+	for v := 0; v < n; v++ {
+		for u := 0; u < n; u++ {
+			if got, want := lk.Dist(v, u), ref.Dist(v, u); got != want {
+				t.Fatalf("%s: Dist(%d,%d) = %v, reference = %v", name, v, u, got, want)
+			}
+		}
+		lk.DistRowTo(v, targets, dst)
+		for j, u := range targets {
+			if want := ref.Dist(v, u); dst[j] != want {
+				t.Fatalf("%s: DistRowTo(%d)[->%d] = %v, reference = %v", name, v, u, dst[j], want)
+			}
+		}
+	}
+}
+
+// TestLabelKernelDistBitIdentical: the kernel's Dist and DistRowTo (and
+// Problem.Dist, which delegates to the kernel) must reproduce the reference
+// []int pair loop bit for bit — not approximately — on every pair, at every
+// storage width (with labels scaled into each width's high lane bits), for
+// every m in kernelShapes, across both missing modes,
+// weighted and uniform problems, and several missing probabilities. The
+// kernel mirrors the loop's float operations in the loop's order, and its
+// lane path for clean pairs under uniform weights counts the same integer
+// and divides it by the same total weight, so this holds on arbitrary
+// (non-dyadic) instances too.
+func TestLabelKernelDistBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(301))
+	for _, m := range kernelShapes {
+		for trial := 0; trial < 6; trial++ {
+			n := 2 + rng.Intn(40)
+			var opts ProblemOptions
+			if trial%2 == 1 {
+				w := make([]float64, m)
+				for i := range w {
+					w[i] = 0.25 + rng.Float64()*3
+				}
+				opts.Weights = w
+			}
+			if trial%4 >= 2 {
+				opts.MissingMode = MissingAverage
+			}
+			opts.MissingTogether = []float64{0, 0.25, 0.5, 0.37, 0.75}[rng.Intn(5)]
+			pMiss := []float64{0, 0.2, 0.6}[trial%3]
+			cs := randMixedInputs(rng, n, m, pMiss)
+			scaleLabels(cs, []int{1, 256, 65536}[trial/2])
+			p, err := NewProblem(cs, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := newRefDist(cs, opts)
+			for u := 0; u < n; u++ {
+				for v := 0; v < n; v++ {
+					if got, want := p.Dist(u, v), ref.Dist(u, v); got != want {
+						t.Fatalf("m=%d trial %d: Problem.Dist(%d,%d) = %v, reference = %v", m, trial, u, v, got, want)
+					}
+				}
+			}
+			targets := rng.Perm(n)
+			for _, width := range widthsFrom(p) {
+				name := fmt.Sprintf("m=%d trial %d width %d", m, trial, width)
+				checkKernelDist(t, name, p.kernelWidth(width), ref, targets)
+			}
+		}
+	}
+}
+
+// TestKernelLanesConcurrentBuild: the kernel packs its lanes on the first
+// row read, and LOCALSEARCH's parallel proposals can make that read from
+// several goroutines at once. Every reader must see the finished packing
+// (run under -race) and the reference distances.
+func TestKernelLanesConcurrentBuild(t *testing.T) {
+	rng := rand.New(rand.NewSource(311))
+	cs := randMixedInputs(rng, 300, 9, 0.05)
+	p, err := NewProblem(cs, ProblemOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lk, ref := p.kernel(), newRefDist(cs, ProblemOptions{})
+	targets := rng.Perm(lk.N())
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(v int) {
+			defer wg.Done()
+			dst := make([]float64, len(targets))
+			lk.DistRowTo(v, targets, dst)
+			for j, u := range targets {
+				if want := ref.Dist(v, u); dst[j] != want {
+					t.Errorf("DistRowTo(%d)[->%d] = %v, reference = %v", v, u, dst[j], want)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 // TestFurthestKernelRowPathBitIdentical: FURTHEST over the label kernel
@@ -436,16 +514,24 @@ func TestSampleAssignCounters(t *testing.T) {
 }
 
 // FuzzLabelKernelEquiv drives the kernel's DistRowTo and Dist against the
-// reference []int pair loop on fuzzer-chosen instances — both missing
-// modes, weighted and uniform, arbitrary missing probabilities — requiring
-// bit-for-bit equality.
+// reference []int pair loop on fuzzer-chosen instances — every m in
+// kernelShapes, all three storage widths (forced or reached by scaled
+// labels), both missing modes, weighted and uniform, with and without
+// missing labels, arbitrary missing probabilities — requiring bit-for-bit
+// equality.
 func FuzzLabelKernelEquiv(f *testing.F) {
-	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint8(2), false)
-	f.Add(int64(2), uint8(50), uint8(7), uint8(1), uint8(0), true)
-	f.Add(int64(3), uint8(5), uint8(1), uint8(0), uint8(4), false)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw, pSel uint8, weighted bool) {
+	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint8(2), uint8(0), false)
+	f.Add(int64(2), uint8(50), uint8(7), uint8(1), uint8(0), uint8(4), true)
+	f.Add(int64(3), uint8(5), uint8(1), uint8(0), uint8(4), uint8(2), false)
+	f.Add(int64(4), uint8(60), uint8(11), uint8(0), uint8(1), uint8(5), false)
+	f.Add(int64(5), uint8(30), uint8(9), uint8(1), uint8(2), uint8(9), false)
+	f.Add(int64(6), uint8(40), uint8(10), uint8(0), uint8(3), uint8(15), true)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw, pSel, shape uint8, weighted bool) {
 		n := 2 + int(nRaw)%80
-		m := 1 + int(mRaw)%10
+		m := kernelShapes[int(mRaw)%len(kernelShapes)]
+		width := []int{width8, width16, width32}[shape%3]
+		pMiss := []float64{0.3, 0}[shape/3%2]
+		scale := []int{1, 256, 65536}[shape/6%3]
 		rng := rand.New(rand.NewSource(seed))
 		var opts ProblemOptions
 		if modeRaw%2 == 1 {
@@ -462,28 +548,14 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 			}
 			opts.Weights = w
 		}
-		cs := randMixedInputs(rng, n, m, 0.3)
+		cs := randMixedInputs(rng, n, m, pMiss)
+		scaleLabels(cs, scale)
 		p, err := NewProblem(cs, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref := newRefDist(cs, opts)
-		lk := p.kernel()
-
-		targets := rng.Perm(n)
-		dst := make([]float64, n)
-		for v := 0; v < n; v++ {
-			lk.DistRowTo(v, targets, dst)
-			for j, u := range targets {
-				want := ref.Dist(v, u)
-				if dst[j] != want {
-					t.Fatalf("DistRowTo(%d)[->%d] = %v, reference = %v (n=%d m=%d mode=%d)",
-						v, u, dst[j], want, n, m, opts.MissingMode)
-				}
-				if got := lk.Dist(v, u); got != want {
-					t.Fatalf("kernel Dist(%d,%d) = %v, reference = %v", v, u, got, want)
-				}
-			}
-		}
+		width = max(width, p.kernel().width)
+		name := fmt.Sprintf("n=%d m=%d width=%d scale=%d mode=%d", n, m, width, scale, opts.MissingMode)
+		checkKernelDist(t, name, p.kernelWidth(width), newRefDist(cs, opts), rng.Perm(n))
 	})
 }

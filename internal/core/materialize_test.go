@@ -1,8 +1,10 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"clusteragg/internal/corrclust"
@@ -261,5 +263,66 @@ func TestSampleParallelMatchesSequential(t *testing.T) {
 	seq := run(1)
 	for _, workers := range []int{0, 3, 8} {
 		sameLabels(t, "sample-parallel", seq, run(workers))
+	}
+}
+
+// TestAggregateMaterializeEquivalence: SAMPLING aggregates its sample and
+// its singleton recluster on the gathered sub-problem's label kernel, not
+// on a materialized matrix. Where the block matrix's arithmetic is exact
+// (uniform or dyadic weights, dyadic missing probabilities, both missing
+// modes) it holds the kernel's distances bit for bit, so every method must
+// return the same labels either way. With arbitrary float weights the
+// block matrix re-associates additions; there each run's cost over its own
+// oracle must agree to 1e-9 relative (docs/PERFORMANCE.md,
+// "Equivalence"). Every other case adds the Refine pass.
+func TestAggregateMaterializeEquivalence(t *testing.T) {
+	methods := append(Methods(), ExtensionMethods()...)
+	cases := []struct {
+		name     string
+		missFrac float64
+		weights  int
+		mode     MissingMode
+		missingP float64
+	}{
+		{"complete/uniform", 0, 0, MissingCoin, 0},
+		{"complete/dyadic-weights", 0, 1, MissingCoin, 0},
+		{"missing/coin-half", 0.2, 0, MissingCoin, 0},
+		{"missing/coin-quarter-dyadic-weights", 0.2, 1, MissingCoin, 0.25},
+		{"missing/average", 0.2, 0, MissingAverage, 0},
+		{"missing/arbitrary-weights", 0.2, 2, MissingCoin, 0},
+		{"complete/arbitrary-weights", 0, 2, MissingAverage, 0},
+	}
+	for ci, tc := range cases {
+		rng := rand.New(rand.NewSource(int64(ci)))
+		p := genProblem(t, 300+int64(ci), 240, 1+ci%6, tc.missFrac, tc.weights, tc.mode, tc.missingP)
+		gathered := permPrefix(rng, p.N(), 36)
+		sort.Ints(gathered)
+		sub := p.subProblem(gathered)
+		mx := sub.Matrix()
+		for _, method := range methods {
+			refine := ci%2 == 1
+			run := func(materialize bool) (partition.Labels, float64) {
+				labels, err := sub.Aggregate(method, AggregateOptions{
+					Materialize: materialize, Refine: refine, Rand: rand.New(rand.NewSource(5)),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if materialize {
+					return labels, corrclust.Cost(mx, labels)
+				}
+				return labels, corrclust.Cost(sub.kernel(), labels)
+			}
+			name := fmt.Sprintf("%s %v refine=%v", tc.name, method, refine)
+			matLabels, matCost := run(true)
+			kerLabels, kerCost := run(false)
+			if tc.weights == 2 {
+				if math.Abs(matCost-kerCost) > 1e-9*math.Max(1, matCost) {
+					t.Errorf("%s: cost %v on the matrix, %v on the kernel", name, matCost, kerCost)
+				}
+				continue
+			}
+			sameLabels(t, name, matLabels, kerLabels)
+		}
 	}
 }

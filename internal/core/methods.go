@@ -97,10 +97,10 @@ type AggregateOptions struct {
 	// output (Section 4 suggests LOCALSEARCH "can be used ... as a
 	// postprocessing step, to improve upon an existing solution").
 	Refine bool
-	// Materialize precomputes the dense distance matrix before running the
-	// algorithm. Recommended whenever n is small enough for O(n²) memory;
-	// it turns each O(m) distance probe into an array read and lets the
-	// algorithms' contiguous-row fast paths engage.
+	// Materialize precomputes the dense O(n²) distance matrix before
+	// running the algorithm, turning each distance probe into an array
+	// read; unset, the algorithms read the label kernel. Sample passes it
+	// on to its exact core and singleton recluster.
 	Materialize bool
 	// Workers caps the worker goroutines used by the parallel stages
 	// (cluster-block materialization, BestOf method racing, SAMPLING's

@@ -362,44 +362,56 @@ func stripes(workers int, work func(stripe int)) {
 	wg.Wait()
 }
 
-// lanes holds distinct label rows packed into 64-bit words, one label per
-// lane of the storage width (8 lanes of 8 bits, 4 of 16 or 2 of 32), so
-// one pair of rows compares a word at a time. Unused lanes of a row's last
-// word are zero in every row: equal and never all-ones, they count neither
-// as a separation nor as a missing label. The missing sentinel is the
-// all-ones lane at every width. Rows without a missing label come first.
+// lanes holds label rows packed into 64-bit words, one label per lane of
+// the storage width (8 lanes of 8 bits, 4 of 16 or 2 of 32), so one pair of
+// rows compares a word at a time. Unused lanes of a row's last word are
+// zero in every row: equal and never all-ones, they count neither as a
+// separation nor as a missing label. The missing sentinel is the all-ones
+// lane at every width. laneRows packs distinct rows, clean ones first.
 type lanes struct {
 	words []uint64 // row g is words[g*per : g*per+per]
 	count []int64  // objects carrying row g
 	clean int      // rows [0, clean) have no missing label
 	per   int      // words per row
 	m     int
+	bits  int    // bits per lane
 	low   uint64 // the low bits of every lane (0x7F7F…)
 	high  uint64 // the high bit of every lane (0x8080…)
 }
 
-// laneRows packs the distinct rows of g, read from the kernel's label block
-// lab, into lanes of the kernel's width, clean rows first.
-func laneRows[W labelWord](lk *labelKernel, lab []W, g rowGroups) *lanes {
-	m, laneBits := lk.m, 8*lk.width
-	perWord := 64 / laneBits
-	groups := len(g.count)
-	l := &lanes{per: (m + perWord - 1) / perWord, m: m, count: make([]int64, 0, groups)}
-	lane := uint64(1)<<laneBits - 1
+// newLanes returns zeroed lanes for rows rows of m labels of width bytes.
+func newLanes(m, width, rows int) *lanes {
+	l := &lanes{m: m, bits: 8 * width}
+	perWord := 64 / l.bits
+	l.per = (m + perWord - 1) / perWord
 	for i := 0; i < perWord; i++ {
-		l.high |= 1 << (laneBits*i + laneBits - 1)
+		l.high |= 1 << (l.bits*i + l.bits - 1)
 	}
 	l.low = l.high ^ ^uint64(0)
-	l.words = make([]uint64, groups*l.per)
+	l.words = make([]uint64, rows*l.per)
+	return l
+}
+
+// packRow packs a label row into row slot g of l.
+func packRow[W labelWord](l *lanes, g int, row []W) {
+	perWord, lane := 64/l.bits, uint64(1)<<l.bits-1
+	out := l.words[g*l.per : (g+1)*l.per]
+	for j, x := range row {
+		out[j/perWord] |= (uint64(x) & lane) << (l.bits * (j % perWord))
+	}
+}
+
+// laneRows packs the distinct rows of g, read from the kernel's label block
+// lab, clean rows first.
+func laneRows[W labelWord](lk *labelKernel, lab []W, g rowGroups) *lanes {
+	l := newLanes(lk.m, lk.width, len(g.count))
+	l.count = make([]int64, 0, len(g.count))
 	for _, missing := range []bool{false, true} {
 		for src, r := range g.rep {
 			if lk.hasMiss[r] != missing {
 				continue
 			}
-			out := l.words[len(l.count)*l.per : (len(l.count)+1)*l.per]
-			for j, x := range lab[int(r)*m : int(r)*m+m] {
-				out[j/perWord] |= (uint64(x) & lane) << (laneBits * (j % perWord))
-			}
+			packRow(l, len(l.count), lab[int(r)*lk.m:][:lk.m])
 			l.count = append(l.count, int64(g.count[src]))
 		}
 		if !missing {
@@ -412,6 +424,28 @@ func laneRows[W labelWord](lk *labelKernel, lab []W, g rowGroups) *lanes {
 // nonzero returns the high bit of every nonzero lane of x.
 func (l *lanes) nonzero(x uint64) uint64 {
 	return ((x&l.low + l.low) | x) & l.high
+}
+
+// sepRowTo sets dst[j] = sep[c], c the lanes where rows v, targets[j] differ.
+func (l *lanes) sepRowTo(v int, targets []int, sep, dst []float64) {
+	words, per, low, high := l.words, l.per, l.low, l.high
+	if per == 1 {
+		x := words[v]
+		for j, u := range targets {
+			d := words[u] ^ x
+			dst[j] = sep[bits.OnesCount64((d&low+low|d)&high)]
+		}
+		return
+	}
+	rv := words[v*per : v*per+per]
+	for j, u := range targets {
+		c := 0
+		for k, x := range words[u*per : u*per+per] {
+			d := x ^ rv[k]
+			c += bits.OnesCount64((d&low + low | d) & high)
+		}
+		dst[j] = sep[c]
+	}
 }
 
 // missing returns the high bit of every all-ones (missing) lane of x.

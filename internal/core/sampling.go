@@ -22,8 +22,8 @@ import (
 const assignBatchSize = 8192
 
 // reclusterCap bounds the singleton subset the recluster post-pass
-// aggregates exactly (materialized): past it the recluster falls back to a
-// recursive Sample, keeping the whole pipeline near-linear.
+// aggregates exactly, on its label kernel: past it the recluster recurses
+// through Sample, keeping the whole pipeline near-linear.
 const reclusterCap = 4096
 
 // SamplingOptions configures the SAMPLING wrapper of Section 4.1.
@@ -94,7 +94,7 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	sort.Ints(sample)
 
 	coreSpan := rec.Start("sample:core")
-	sampleLabels, err := p.subProblem(sample).Aggregate(method, withMaterialize(aggOpts))
+	sampleLabels, err := p.subProblem(sample).Aggregate(method, aggOpts)
 	coreSpan.End()
 	if err != nil {
 		return nil, err
@@ -385,7 +385,7 @@ func assignDecide[W labelWord](a *assignPass, lab []W, v int, aff, buf []float64
 	if a.hist != nil {
 		affinitiesW(a.hist, a.lk, lab, v, aff)
 	} else {
-		distRowTo(a.lk, lab, v, a.flat, buf)
+		distRowTo(a.lk, lab, false, v, a.flat, buf)
 		start := 0
 		for ci, end := range a.ends {
 			var s float64
@@ -487,13 +487,6 @@ func autoSampleSize(n int) int {
 	return s
 }
 
-// withMaterialize forces matrix materialization, which is always worthwhile
-// on a small sample.
-func withMaterialize(o AggregateOptions) AggregateOptions {
-	o.Materialize = true
-	return o
-}
-
 // subProblem restricts the inputs to the given (sorted) object indices,
 // gathering the selected label rows into one fresh arena at the parent's
 // width.
@@ -551,7 +544,7 @@ func (p *Problem) reclusterSingletons(labels partition.Labels, k int, method Met
 	if len(singles) > reclusterCap {
 		subLabels, err = sub.Sample(method, aggOpts, SamplingOptions{Rand: rng, NoSingletonRecluster: true})
 	} else {
-		subLabels, err = sub.Aggregate(method, withMaterialize(aggOpts))
+		subLabels, err = sub.Aggregate(method, aggOpts)
 	}
 	if err != nil {
 		return 0, err
@@ -560,8 +553,8 @@ func (p *Problem) reclusterSingletons(labels partition.Labels, k int, method Met
 		// Post-recluster quality: the disagreement cost of the re-aggregated
 		// singleton subset on its own sub-problem. Instrumentation-only: an
 		// O(|singles|·m) contingency pass. The reclusterCap guard keeps the
-		// series to the materialized reclusters, whose points benchdiff
-		// compares against the committed reports.
+		// series to the exact reclusters, whose points benchdiff compares
+		// against the committed reports.
 		rec.Series("sample.recluster.cost").Append(int64(len(singles)), sub.Disagreement(subLabels))
 	}
 

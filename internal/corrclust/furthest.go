@@ -72,17 +72,15 @@ func FurthestWithOptions(inst Instance, opts FurthestOptions) (partition.Labels,
 		k = n
 	}
 
+	// The first two centers are the furthest-apart pair, found by the scan
+	// that sums the single cluster's cost. minDist[v] is the distance from v
+	// to its nearest center, labels[v] indexes that center.
 	labels := partition.Single(n)
-	cost := Cost(inst, labels)
+	rows := newRowReader(inst)
+	u0, v0, cost := furthestPair(rows)
 	if k == 1 {
 		return labels, cost
 	}
-
-	// The first two centers are the furthest-apart pair. minDist[v] is the
-	// distance from v to its nearest center, labels[v] indexes that center;
-	// the first center's row seeds it under the single-cluster labels.
-	rows := newRowReader(inst)
-	u0, v0 := furthestPair(rows)
 	minDist := rows.readRowInto(u0, make([]float64, n))
 	centers := 1
 	centerPicks++
@@ -216,16 +214,18 @@ func (l *memberLists) move(v, a, b int) {
 }
 
 // furthestPair returns the pair of objects with the largest distance,
-// breaking ties toward smaller indices.
-func furthestPair(r rowReader) (int, int) {
+// breaking ties toward smaller indices, and Σ_{u<v} X_uv: the cost of the
+// single cluster, summed in Cost's order, so it equals Cost bit for bit.
+func furthestPair(r rowReader) (u0, v0 int, sum float64) {
 	n, buf := r.inst.N(), r.tailBuf()
-	bu, bv, bd := 0, 0, -1.0
+	bd := -1.0
 	for u := 0; u < n; u++ {
 		for j, d := range r.readTail(u, buf) {
+			sum += d
 			if d > bd {
-				bu, bv, bd = u, u+1+j, d
+				u0, v0, bd = u, u+1+j, d
 			}
 		}
 	}
-	return bu, bv
+	return u0, v0, sum
 }

@@ -43,7 +43,7 @@ func furthestReference(inst Instance, k int) (partition.Labels, float64) {
 		}
 	}
 
-	u0, v0 := furthestPair(newRowReader(inst))
+	u0, v0, _ := furthestPair(newRowReader(inst))
 	addCenter(u0)
 	for {
 		if centers == 1 {

@@ -68,9 +68,9 @@ type EventLog struct {
 	sink slog.Handler
 }
 
-// NewEventLog returns an event log retaining the most recent capacity
+// newEventLog returns an event log retaining the most recent capacity
 // events (DefaultEventsCap when capacity ≤ 0).
-func NewEventLog(capacity int) *EventLog {
+func newEventLog(capacity int) *EventLog {
 	if capacity <= 0 {
 		capacity = DefaultEventsCap
 	}
@@ -89,10 +89,10 @@ func (l *EventLog) Attach(h slog.Handler) {
 	l.sink = h
 }
 
-// Log appends one event. kv is alternating key/value pairs; values are
+// log appends one event. kv is alternating key/value pairs; values are
 // rendered with attrString (integers, floats, bools, and strings all format
 // deterministically). A trailing key without a value is paired with "".
-func (l *EventLog) Log(level slog.Level, msg string, kv ...any) {
+func (l *EventLog) log(level slog.Level, msg string, kv ...any) {
 	if l == nil {
 		return
 	}
@@ -131,7 +131,7 @@ func (l *EventLog) Info(msg string, kv ...any) {
 	if l == nil {
 		return
 	}
-	l.Log(slog.LevelInfo, msg, kv...)
+	l.log(slog.LevelInfo, msg, kv...)
 }
 
 // Snapshot copies the retained tail, oldest first.

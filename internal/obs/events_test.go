@@ -9,7 +9,7 @@ import (
 )
 
 func TestEventLogRingWrap(t *testing.T) {
-	l := NewEventLog(4)
+	l := newEventLog(4)
 	for i := 1; i <= 10; i++ {
 		l.Info("e", "i", i)
 	}
@@ -43,7 +43,7 @@ func TestEventLogRingWrap(t *testing.T) {
 func TestEventLogNil(t *testing.T) {
 	var l *EventLog
 	l.Info("x", "k", 1) // must not panic
-	l.Log(slog.LevelWarn, "y")
+	l.log(slog.LevelWarn, "y")
 	l.Attach(slog.NewTextHandler(&strings.Builder{}, nil))
 	s := l.Snapshot()
 	if s.Count != 0 || len(s.Entries) != 0 {
@@ -52,7 +52,7 @@ func TestEventLogNil(t *testing.T) {
 }
 
 func TestEventLogAttachTee(t *testing.T) {
-	l := NewEventLog(8)
+	l := newEventLog(8)
 	var buf strings.Builder
 	l.Attach(slog.NewTextHandler(&buf, nil))
 	l.Info("seal", "shard", 3)
@@ -96,7 +96,7 @@ func TestAttrString(t *testing.T) {
 }
 
 func TestEventLogTrailingKey(t *testing.T) {
-	l := NewEventLog(4)
+	l := newEventLog(4)
 	l.Info("odd", "k") // trailing key pairs with ""
 	e := l.Snapshot().Entries[0]
 	if v, ok := e.Attrs["k"]; !ok || v != "" {
@@ -131,7 +131,7 @@ func TestRecorderEventsLazy(t *testing.T) {
 // TestEventLogConcurrent drives emitters against snapshotters; the -race run
 // is the assertion, plus seq accounting must stay exact.
 func TestEventLogConcurrent(t *testing.T) {
-	l := NewEventLog(16)
+	l := newEventLog(16)
 	var wg sync.WaitGroup
 	const emitters, each = 8, 50
 	for w := 0; w < emitters; w++ {

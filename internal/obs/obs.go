@@ -196,7 +196,7 @@ func (r *Recorder) Events() *EventLog {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.events == nil {
-		r.events = NewEventLog(DefaultEventsCap)
+		r.events = newEventLog(DefaultEventsCap)
 	}
 	return r.events
 }

@@ -67,11 +67,11 @@ func Serve(addr string, rec *Recorder) (*MetricsServer, error) {
 			(*delay)()
 		}
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		WritePrometheus(w, s.Recorder())
+		WritePrometheus(w, s.recorder())
 	})
 	mux.HandleFunc("/series", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		all := s.Recorder().AllSeries()
+		all := s.recorder().AllSeries()
 		if all == nil {
 			all = map[string]SeriesSnapshot{}
 		}
@@ -79,7 +79,7 @@ func Serve(addr string, rec *Recorder) (*MetricsServer, error) {
 	})
 	mux.HandleFunc("/logs", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		ev := s.Recorder().EventsSnapshot()
+		ev := s.recorder().EventsSnapshot()
 		if ev == nil {
 			ev = &EventsSnapshot{}
 		}
@@ -104,8 +104,8 @@ func (s *MetricsServer) Addr() string {
 	return s.ln.Addr().String()
 }
 
-// Recorder returns the currently bound recorder (possibly nil).
-func (s *MetricsServer) Recorder() *Recorder {
+// recorder returns the currently bound recorder (possibly nil).
+func (s *MetricsServer) recorder() *Recorder {
 	if s == nil {
 		return nil
 	}

@@ -164,7 +164,7 @@ func TestServeSetRecorder(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Recorder() != first {
+	if s.recorder() != first {
 		t.Fatal("Recorder() != bound recorder")
 	}
 
@@ -186,7 +186,7 @@ func TestServeSetRecorder(t *testing.T) {
 
 func TestServeNilReceivers(t *testing.T) {
 	var s *MetricsServer
-	if s.Addr() != "" || s.Recorder() != nil {
+	if s.Addr() != "" || s.recorder() != nil {
 		t.Error("nil server exposes state")
 	}
 	s.SetRecorder(New())
