@@ -117,48 +117,50 @@ func checkKernelDist(t *testing.T, name string, lk *labelKernel, ref *refDist, t
 // Problem.Dist, which delegates to the kernel) must reproduce the reference
 // []int pair loop bit for bit — not approximately — on every pair, at every
 // storage width (with labels scaled into each width's high lane bits), for
-// every m in kernelShapes, across both missing modes,
-// weighted and uniform problems, and several missing probabilities. The
-// kernel mirrors the loop's float operations in the loop's order, and its
-// lane path for clean pairs under uniform weights counts the same integer
-// and divides it by the same total weight, so this holds on arbitrary
-// (non-dyadic) instances too.
+// every m in kernelShapes and every combination of uniform or weighted
+// inputs, missing mode and missing probability. The kernel mirrors the
+// loop's float operations in the loop's order, and its lane path for clean
+// pairs under uniform weights counts the same integer and divides it by
+// the same total weight, so this holds on arbitrary (non-dyadic) instances
+// too.
 func TestLabelKernelDistBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	for _, m := range kernelShapes {
-		for trial := 0; trial < 6; trial++ {
-			n := 2 + rng.Intn(40)
-			var opts ProblemOptions
-			if trial%2 == 1 {
-				w := make([]float64, m)
-				for i := range w {
-					w[i] = 0.25 + rng.Float64()*3
-				}
-				opts.Weights = w
-			}
-			if trial%4 >= 2 {
-				opts.MissingMode = MissingAverage
-			}
-			opts.MissingTogether = []float64{0, 0.25, 0.5, 0.37, 0.75}[rng.Intn(5)]
-			pMiss := []float64{0, 0.2, 0.6}[trial%3]
-			cs := randMixedInputs(rng, n, m, pMiss)
-			scaleLabels(cs, []int{1, 256, 65536}[trial/2])
-			p, err := NewProblem(cs, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ref := newRefDist(cs, opts)
-			for u := 0; u < n; u++ {
-				for v := 0; v < n; v++ {
-					if got, want := p.Dist(u, v), ref.Dist(u, v); got != want {
-						t.Fatalf("m=%d trial %d: Problem.Dist(%d,%d) = %v, reference = %v", m, trial, u, v, got, want)
+		for _, weighted := range []bool{false, true} {
+			for _, mode := range []MissingMode{MissingCoin, MissingAverage} {
+				for _, pMiss := range []float64{0, 0.2, 0.6} {
+					for _, scale := range []int{1, 256, 65536} {
+						n := 2 + rng.Intn(40)
+						opts := ProblemOptions{MissingMode: mode}
+						if weighted {
+							w := make([]float64, m)
+							for i := range w {
+								w[i] = 0.25 + rng.Float64()*3
+							}
+							opts.Weights = w
+						}
+						opts.MissingTogether = []float64{0, 0.25, 0.5, 0.37, 0.75}[rng.Intn(5)]
+						cs := randMixedInputs(rng, n, m, pMiss)
+						scaleLabels(cs, scale)
+						p, err := NewProblem(cs, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						name := fmt.Sprintf("m=%d weighted=%v mode=%d pMiss=%v scale=%d", m, weighted, mode, pMiss, scale)
+						ref := newRefDist(cs, opts)
+						for u := 0; u < n; u++ {
+							for v := 0; v < n; v++ {
+								if got, want := p.Dist(u, v), ref.Dist(u, v); got != want {
+									t.Fatalf("%s: Problem.Dist(%d,%d) = %v, reference = %v", name, u, v, got, want)
+								}
+							}
+						}
+						targets := rng.Perm(n)
+						for _, width := range widthsFrom(p) {
+							checkKernelDist(t, fmt.Sprintf("%s width %d", name, width), p.kernelWidth(width), ref, targets)
+						}
 					}
 				}
-			}
-			targets := rng.Perm(n)
-			for _, width := range widthsFrom(p) {
-				name := fmt.Sprintf("m=%d trial %d width %d", m, trial, width)
-				checkKernelDist(t, name, p.kernelWidth(width), ref, targets)
 			}
 		}
 	}
@@ -521,11 +523,13 @@ func TestSampleAssignCounters(t *testing.T) {
 // equality.
 func FuzzLabelKernelEquiv(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint8(2), uint8(0), false)
-	f.Add(int64(2), uint8(50), uint8(7), uint8(1), uint8(0), uint8(4), true)
+	f.Add(int64(2), uint8(50), uint8(7), uint8(1), uint8(0), uint8(1), true)
 	f.Add(int64(3), uint8(5), uint8(1), uint8(0), uint8(4), uint8(2), false)
 	f.Add(int64(4), uint8(60), uint8(11), uint8(0), uint8(1), uint8(5), false)
 	f.Add(int64(5), uint8(30), uint8(9), uint8(1), uint8(2), uint8(9), false)
 	f.Add(int64(6), uint8(40), uint8(10), uint8(0), uint8(3), uint8(15), true)
+	f.Add(int64(7), uint8(45), uint8(3), uint8(0), uint8(1), uint8(2), true)
+	f.Add(int64(8), uint8(35), uint8(8), uint8(1), uint8(4), uint8(7), false)
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw, pSel, shape uint8, weighted bool) {
 		n := 2 + int(nRaw)%80
 		m := kernelShapes[int(mRaw)%len(kernelShapes)]

@@ -99,8 +99,9 @@ type AggregateOptions struct {
 	Refine bool
 	// Materialize precomputes the dense O(n²) distance matrix before
 	// running the algorithm, turning each distance probe into an array
-	// read; unset, the algorithms read the label kernel. Sample passes it
-	// on to its exact core and singleton recluster.
+	// read; unset, the algorithms read the label kernel. Sample ignores it
+	// whenever it samples (a sample size below n): its exact core and
+	// singleton recluster always run on the label kernel.
 	Materialize bool
 	// Workers caps the worker goroutines used by the parallel stages
 	// (cluster-block materialization, BestOf method racing, SAMPLING's

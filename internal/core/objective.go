@@ -426,25 +426,28 @@ func (l *lanes) nonzero(x uint64) uint64 {
 	return ((x&l.low + l.low) | x) & l.high
 }
 
+// sep counts the lanes where rows a and b differ.
+func (l *lanes) sep(a, b []uint64) int {
+	c := 0
+	for k, x := range a {
+		c += bits.OnesCount64(l.nonzero(x ^ b[k]))
+	}
+	return c
+}
+
 // sepRowTo sets dst[j] = sep[c], c the lanes where rows v, targets[j] differ.
 func (l *lanes) sepRowTo(v int, targets []int, sep, dst []float64) {
-	words, per, low, high := l.words, l.per, l.low, l.high
+	words, per := l.words, l.per
 	if per == 1 {
 		x := words[v]
 		for j, u := range targets {
-			d := words[u] ^ x
-			dst[j] = sep[bits.OnesCount64((d&low+low|d)&high)]
+			dst[j] = sep[bits.OnesCount64(l.nonzero(words[u]^x))]
 		}
 		return
 	}
 	rv := words[v*per : v*per+per]
 	for j, u := range targets {
-		c := 0
-		for k, x := range words[u*per : u*per+per] {
-			d := x ^ rv[k]
-			c += bits.OnesCount64((d&low + low | d) & high)
-		}
-		dst[j] = sep[c]
+		dst[j] = sep[l.sep(words[u*per:u*per+per], rv)]
 	}
 }
 
@@ -480,13 +483,7 @@ func (l *lanes) histogram(workers int) []int64 {
 					}
 				} else {
 					for j := range partners {
-						rb := words[(a+1+j)*per : (a+2+j)*per]
-						s := 0
-						for k, x := range ra {
-							d := x ^ rb[k]
-							s += bits.OnesCount64((d&low + low | d) & high)
-						}
-						bySep[s] += partners[j]
+						bySep[l.sep(ra, words[(a+1+j)*per:(a+2+j)*per])] += partners[j]
 					}
 				}
 				for s, c := range bySep {

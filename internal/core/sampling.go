@@ -81,6 +81,7 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	if s >= n {
 		return p.Aggregate(method, aggOpts)
 	}
+	aggOpts.Materialize = false // the exact stages below read the sub-problem's kernel
 	rng := sOpts.Rand
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))

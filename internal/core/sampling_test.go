@@ -3,8 +3,10 @@ package core
 import (
 	"math/rand"
 	"slices"
+	"strings"
 	"testing"
 
+	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
 
@@ -178,6 +180,36 @@ func TestSampleNoSingletonRecluster(t *testing.T) {
 	}
 	if len(labels) != p.N() {
 		t.Fatalf("%d labels, want %d", len(labels), p.N())
+	}
+}
+
+// TestSampleIgnoresMaterialize: Sample runs its exact core and singleton
+// recluster on the label kernel whatever Materialize says, so the option
+// builds no matrix and leaves the labels as they are.
+func TestSampleIgnoresMaterialize(t *testing.T) {
+	rng := rand.New(rand.NewSource(127))
+	p, _ := plantedProblem(t, rng, 600, 4, 6, 0.35)
+	run := func(materialize bool) (partition.Labels, map[string]int64) {
+		rec := obs.New()
+		labels, err := p.Sample(MethodFurthest, AggregateOptions{Materialize: materialize, Recorder: rec},
+			SamplingOptions{SampleSize: 60, Rand: rand.New(rand.NewSource(29))})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return labels, rec.Counters()
+	}
+	want, _ := run(false)
+	got, counters := run(true)
+	if !slices.Equal(got, want) {
+		t.Errorf("Materialize changed Sample's labels:\n got %v\nwant %v", got, want)
+	}
+	if counters["sample.recluster.objects"] < 2 {
+		t.Fatalf("recluster gathered %d objects; the test needs a recluster", counters["sample.recluster.objects"])
+	}
+	for name := range counters {
+		if strings.HasPrefix(name, "materialize.") {
+			t.Errorf("Sample with Materialize recorded %s: a matrix was built", name)
+		}
 	}
 }
 
