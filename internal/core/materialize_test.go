@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"clusteragg/internal/corrclust"
+	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
 
@@ -245,6 +246,28 @@ func TestBestOfParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestBestOfRacersRunSequential: a race on two or more goroutines runs
+// each racer with Workers 1, so LOCALSEARCH never reaches its parallel
+// proposal phase (localsearch.proposals stays zero); a race of one method
+// keeps the caller's Workers, and the parallel phase runs.
+func TestBestOfRacersRunSequential(t *testing.T) {
+	p := recorderProblem(t, 300, 4, 29)
+	proposals := func(methods []Method) int64 {
+		t.Helper()
+		rec := obs.New()
+		if _, _, err := p.BestOf(methods, AggregateOptions{Workers: 2, Recorder: rec}); err != nil {
+			t.Fatal(err)
+		}
+		return rec.Counters()["localsearch.proposals"]
+	}
+	if got := proposals([]Method{MethodFurthest, MethodLocalSearch}); got != 0 {
+		t.Errorf("racing two methods: %d parallel LOCALSEARCH proposals, want 0", got)
+	}
+	if got := proposals([]Method{MethodLocalSearch}); got == 0 {
+		t.Error("racing LOCALSEARCH alone at Workers 2: no parallel proposals")
+	}
+}
+
 // TestSampleParallelMatchesSequential: the striped assignment pass must
 // reproduce the sequential labeling exactly. n clears the parallel gate so
 // the goroutine path actually runs.
@@ -295,7 +318,7 @@ func TestAggregateMaterializeEquivalence(t *testing.T) {
 	for ci, tc := range cases {
 		rng := rand.New(rand.NewSource(int64(ci)))
 		p := genProblem(t, 300+int64(ci), 240, 1+ci%6, tc.missFrac, tc.weights, tc.mode, tc.missingP)
-		gathered := permPrefix(rng, p.N(), 36)
+		gathered := permPrefix(rng, p.N(), 50)
 		sort.Ints(gathered)
 		sub := p.subProblem(gathered)
 		mx := sub.Matrix()

@@ -105,9 +105,12 @@ type AggregateOptions struct {
 	Materialize bool
 	// Workers caps the worker goroutines used by the parallel stages
 	// (cluster-block materialization, BestOf method racing, SAMPLING's
-	// assignment pass, LOCALSEARCH's move-proposal phase — standalone and as
-	// the Refine pass). Zero means GOMAXPROCS; 1 forces sequential
-	// execution. Results are identical for every value.
+	// assignment pass, FURTHEST's pair scan and capture reads, LOCALSEARCH's
+	// move-proposal phase — standalone and as the Refine pass). Zero means
+	// GOMAXPROCS; 1 forces sequential execution. When BestOf races methods
+	// on two or more goroutines, each racer runs on one goroutine, so the
+	// per-method stages do not start workers of their own. Results are
+	// identical for every value.
 	Workers int
 	// Rand supplies randomness to the randomized methods (MethodPivot,
 	// MethodAnneal). Nil means a deterministic source seeded with 1. The
@@ -212,7 +215,7 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 	case MethodAgglomerative:
 		labels = corrclust.AgglomerativeWithOptions(algInst, corrclust.AgglomerativeOptions{K: opts.K, Recorder: rec, Progress: opts.Progress})
 	case MethodFurthest:
-		labels, _ = corrclust.FurthestWithOptions(algInst, corrclust.FurthestOptions{K: opts.K, Recorder: rec})
+		labels, _ = corrclust.FurthestWithOptions(algInst, corrclust.FurthestOptions{K: opts.K, Workers: opts.Workers, Recorder: rec})
 	case MethodLocalSearch:
 		labels = corrclust.LocalSearch(algInst, corrclust.LocalSearchOptions{Recorder: rec, Workers: opts.Workers, Progress: opts.Progress})
 	case MethodPivot:
@@ -246,12 +249,15 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 // once and shared.
 //
 // The race runs the methods concurrently over the shared oracle, bounded by
-// opts.Workers (GOMAXPROCS when zero; 1 forces sequential execution). The
-// outcome does not depend on scheduling: the winner is selected by cost
-// with ties broken in method order, and the randomized extension methods
-// each draw an independent deterministic seed, in method order, from
-// opts.Rand before the race starts. Every worker count returns the same
-// (labels, method).
+// opts.Workers (GOMAXPROCS when zero; 1 forces sequential execution). A
+// race on two or more goroutines runs each racer with Workers 1: the
+// methods are the parallelism, and FURTHEST's parallel reads or
+// LOCALSEARCH's parallel sweep inside a racer would only compete with the
+// other racers for the same cores. The outcome does not depend on
+// scheduling: the winner is selected by cost with ties broken in method
+// order, and the randomized extension methods each draw an independent
+// deterministic seed, in method order, from opts.Rand before the race
+// starts. Every worker count returns the same (labels, method).
 func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Labels, Method, error) {
 	if len(methods) == 0 {
 		methods = Methods()
@@ -295,6 +301,14 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 		err     error
 	}
 	results := make([]raced, len(methods))
+	workers := effectiveWorkers(opts.Workers)
+	if workers > len(methods) {
+		workers = len(methods)
+	}
+	racerWorkers := opts.Workers
+	if workers > 1 {
+		racerWorkers = 1
+	}
 	run := func(i int, method Method) {
 		// Each racer re-labels itself (phase + method): pprof.Do replaces
 		// rather than merges, and the goroutine otherwise inherits only the
@@ -302,6 +316,7 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 		obs.Do(obs.ProfLabels{Phase: "bestof", Method: method.Slug(), Worker: strconv.Itoa(i)}, func() {
 			mopts := opts
 			mopts.Rand = rngs[i] // nil for the deterministic methods, which ignore it
+			mopts.Workers = racerWorkers
 			start := time.Now()
 			msp := span.StartChild("method:" + method.Slug())
 			defer msp.End()
@@ -317,10 +332,6 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 		})
 	}
 
-	workers := effectiveWorkers(opts.Workers)
-	if workers > len(methods) {
-		workers = len(methods)
-	}
 	if workers <= 1 {
 		for i, method := range methods {
 			run(i, method)

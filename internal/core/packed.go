@@ -184,37 +184,25 @@ func (b *PackedBuilder) AppendColumn(col []int) error {
 			b.cols, len(col), b.n, partition.ErrLengthMismatch)
 	}
 	ci := b.cols
-	var bound int32
-	colMiss := false
-	for _, l := range col {
-		if l == partition.Missing {
-			colMiss = true
-			continue
+	// One pass validates and stores at the current width. A label that does
+	// not fit stops it: the rest of the column is validated first, so a
+	// rejected column leaves the width as it was, then the storage widens
+	// and the column is stored again from the start.
+	bound, colMiss, stop := b.storeColumn(col, ci)
+	if stop < len(col) {
+		for _, l := range col[stop:] {
+			if l == partition.Missing {
+				continue
+			}
+			if l < 0 || l >= math.MaxInt32 {
+				return labelError(ci, l)
+			}
+			bound = max(bound, int32(l)+1)
 		}
-		if l < 0 || l >= math.MaxInt32 {
-			return labelError(ci, l)
-		}
-		if l32 := int32(l) + 1; l32 > bound {
-			bound = l32
-		}
+		b.widen(widthFor(bound))
+		bound, colMiss, _ = b.storeColumn(col, ci)
 	}
-	b.widen(widthFor(bound))
 	b.maxLab[ci] = bound
-	m := b.m
-	switch b.width {
-	case width8:
-		for v, l := range col {
-			b.lab8[v*m+ci] = packWord[uint8](l)
-		}
-	case width16:
-		for v, l := range col {
-			b.lab16[v*m+ci] = packWord[uint16](l)
-		}
-	default:
-		for v, l := range col {
-			b.lab32[v*m+ci] = packWord[int32](l)
-		}
-	}
 	if colMiss {
 		b.anyMiss = true
 		for v, l := range col {
@@ -225,6 +213,45 @@ func (b *PackedBuilder) AppendColumn(col []int) error {
 	}
 	b.cols++
 	return nil
+}
+
+// storeColumn stores col as clustering ci at the current width and returns
+// the column's exclusive label bound, whether it has a missing label, and
+// the index of the first label the width cannot hold (len(col) when it
+// holds them all). Labels from that index on are neither stored nor
+// counted.
+func (b *PackedBuilder) storeColumn(col []int, ci int) (bound int32, miss bool, stop int) {
+	switch b.width {
+	case width8:
+		return storeColumnAt(b.lab8, col, ci, b.m)
+	case width16:
+		return storeColumnAt(b.lab16, col, ci, b.m)
+	default:
+		return storeColumnAt(b.lab32, col, ci, b.m)
+	}
+}
+
+// storeColumnAt is storeColumn at width W, whose largest label is one below
+// its all-ones missing sentinel.
+func storeColumnAt[W labelWord](lab []W, col []int, ci, m int) (bound int32, miss bool, stop int) {
+	sentinel := missingWord[W]()
+	limit := uint64(sentinel) // labels 0..limit−1 fit
+	if limit > math.MaxInt32 {
+		limit = math.MaxInt32 // int32: the bound label+1 must fit too
+	}
+	for v, l := range col {
+		switch {
+		case uint64(l) < limit:
+			lab[v*m+ci] = W(l)
+			bound = max(bound, int32(l)+1)
+		case l == partition.Missing:
+			lab[v*m+ci] = sentinel
+			miss = true
+		default:
+			return bound, miss, v
+		}
+	}
+	return bound, miss, len(col)
 }
 
 // Build finalizes the block. A column-mode builder must have received all m

@@ -211,6 +211,85 @@ func TestPackedBuilderWidening(t *testing.T) {
 	}
 }
 
+// TestAppendColumnWidensMidColumn: a column whose labels outgrow the
+// width partway through restarts at the wider width, so the labels stored
+// before the widening label, the labels after it, and every column
+// appended earlier all read back, with the column's bound and missing
+// flags; a second widening in a later column does the same again.
+func TestAppendColumnWidensMidColumn(t *testing.T) {
+	M := partition.Missing
+	cols := [][]int{
+		{3, M, 254, 0, 1, 2, M},
+		{0, 1, M, 300, 4, 5, 6},       // uint8 -> uint16 at index 3
+		{7, 8, 9, 65534, M, 70000, 1}, // uint16 -> int32 at index 5
+	}
+	b := NewPackedColumns(len(cols[0]), len(cols))
+	for ci, col := range cols {
+		if err := b.AppendColumn(col); err != nil {
+			t.Fatal(err)
+		}
+		if want := []int{width8, width16, width32}[ci]; b.width != want {
+			t.Fatalf("after column %d: width %d, want %d", ci, b.width, want)
+		}
+	}
+	pc, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, col := range cols {
+		if got := columnOf(t, pc, ci); !slices.Equal(got, col) {
+			t.Errorf("column %d reads back %v, want %v", ci, got, col)
+		}
+		if pc.maxLab[ci] != int32(maxPresent(col))+1 {
+			t.Errorf("column %d: maxLab %d, want %d", ci, pc.maxLab[ci], maxPresent(col)+1)
+		}
+	}
+	for v := range cols[0] {
+		want := cols[0][v] == M || cols[1][v] == M || cols[2][v] == M
+		if pc.hasMiss[v] != want {
+			t.Errorf("hasMiss[%d] = %v, want %v", v, pc.hasMiss[v], want)
+		}
+	}
+}
+
+// TestAppendColumnInvalidAfterWidening: an invalid label that comes after
+// a label needing a wider width rejects the column with the invalid
+// label's error, and leaves the width, the missing flags and the earlier
+// columns as they were; the builder then takes a valid column.
+func TestAppendColumnInvalidAfterWidening(t *testing.T) {
+	M := partition.Missing
+	b := NewPackedColumns(4, 2)
+	first := []int{1, M, 2, 3}
+	if err := b.AppendColumn(first); err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range [][]int{{0, 300, M, -3}, {M, 70000, 1, math.MaxInt32}} {
+		err := b.AppendColumn(bad)
+		if want := labelError(1, bad[3]); err == nil || err.Error() != want.Error() {
+			t.Fatalf("column %v: error %v, want %v", bad, err, want)
+		}
+		if b.width != width8 {
+			t.Fatalf("column %v: rejected column widened the builder to %d", bad, b.width)
+		}
+		if !slices.Equal(b.hasMiss, []bool{false, true, false, false}) {
+			t.Fatalf("column %v: rejected column changed hasMiss to %v", bad, b.hasMiss)
+		}
+	}
+	second := []int{0, 1, 2, M}
+	if err := b.AppendColumn(second); err != nil {
+		t.Fatal(err)
+	}
+	pc, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ci, col := range [][]int{first, second} {
+		if got := columnOf(t, pc, ci); !slices.Equal(got, col) {
+			t.Errorf("column %d reads back %v, want %v", ci, got, col)
+		}
+	}
+}
+
 // TestAppendColumnMissingFlags: column mode sets the per-object hasMiss
 // flags and anyMiss only for columns that have a Missing label, so after
 // every append both must equal a per-object recomputation over the columns

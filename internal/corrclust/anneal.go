@@ -88,18 +88,20 @@ func Anneal(inst Instance, opts AnnealOptions) partition.Labels {
 	bestCost := cost
 
 	// delta computes the cost change of moving node v to cluster target
-	// (target == freshCluster means a new singleton).
+	// (target == freshCluster means a new singleton), over v's row read in
+	// one bulk call where the instance offers one.
+	rows := newRowReader(inst)
+	row := make([]float64, n)
 	delta := func(v, target int) float64 {
 		cur := labels[v]
 		if target == cur {
 			return 0
 		}
 		var d float64
-		for u := 0; u < n; u++ {
+		for u, x := range rows.readRowInto(v, row) {
 			if u == v {
 				continue
 			}
-			x := inst.Dist(v, u)
 			switch labels[u] {
 			case cur:
 				d += (1 - x) - x // pair leaves v's old cluster

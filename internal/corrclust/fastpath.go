@@ -89,19 +89,25 @@ func (r rowReader) tailBuf() []float64 {
 // is unused, so callers must not write through the result; otherwise it
 // fills and returns buf[:n−1−u], so buf may be the tail's destination.
 func (r rowReader) readTail(u int, buf []float64) []float64 {
-	n := r.inst.N()
+	return r.readSpan(u, u+1, r.inst.N(), buf)
+}
+
+// readSpan is readTail over the columns lo ≤ v < hi of the tail only
+// (u < lo ≤ hi ≤ n), charging hi−lo reads, so a scan can walk a long tail
+// through a short buffer.
+func (r rowReader) readSpan(u, lo, hi int, buf []float64) []float64 {
 	switch {
 	case r.mx != nil:
-		r.charge(int64(n - 1 - u))
-		return r.mx.Row(u)
+		r.charge(int64(hi - lo))
+		return r.mx.Row(u)[lo-u-1 : hi-u-1]
 	case r.rd != nil:
-		buf = buf[:n-1-u]
-		r.rd.DistRowTo(u, r.rdIDs[u+1:], buf)
+		buf = buf[:hi-lo]
+		r.rd.DistRowTo(u, r.rdIDs[lo:hi], buf)
 		r.charge(int64(len(buf)))
 	default:
-		buf = buf[:n-1-u]
+		buf = buf[:hi-lo]
 		for j := range buf {
-			buf[j] = r.inst.Dist(u, u+1+j)
+			buf[j] = r.inst.Dist(u, lo+j)
 		}
 	}
 	return buf

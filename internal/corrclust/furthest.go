@@ -1,6 +1,9 @@
 package corrclust
 
 import (
+	"runtime"
+	"sync"
+
 	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
@@ -31,12 +34,31 @@ type FurthestOptions struct {
 	// K, when positive, forces exactly K centers; zero applies the paper's
 	// parameter-free stopping rule.
 	K int
+	// Workers caps the goroutines FURTHEST's two read phases run on: the
+	// furthest-pair scan and each round's reads of the objects the new
+	// center captures (0 = GOMAXPROCS, 1 = sequential). Partial sums are
+	// combined in an order fixed by the instance alone, so labels and the
+	// returned cost are bit-identical for every value. A phase of fewer
+	// than 16K reads stays on one goroutine whatever the value.
+	Workers int
 	// Recorder, when non-nil, receives the furthest.* counters (center
 	// picks, reassignment rounds). Nil records nothing and costs nothing.
 	Recorder *obs.Recorder
 }
 
-// FurthestWithOptions is FurthestK with instrumentation.
+// furthestMinParallel is the number of distance reads below which a read
+// phase of FURTHEST stays on the calling goroutine: under it, starting and
+// joining the workers costs more than the reads they would share. Set by
+// measurement on the label kernel, 150 to 1,200 objects on a 2-vCPU host:
+// with every phase parallel, two workers lost to one up to 600 objects;
+// from 16K reads up, they tied at 150–600 objects and won at 1,200.
+const furthestMinParallel = 1 << 14
+
+// furthestBlock is the number of partners a worker reads per bulk call, so
+// each worker's scratch is a few kilobytes whatever n is.
+const furthestBlock = 256
+
+// FurthestWithOptions is FurthestK with instrumentation and parallel reads.
 //
 // Both the assignments and the objective are maintained incrementally. Each
 // object tracks its nearest center, and a new center only competes against
@@ -50,13 +72,27 @@ type FurthestOptions struct {
 //
 // where C' is the labeling before the round: pairs split off an old cluster
 // turn from co-clustered to separated, and pairs from different old
-// clusters are joined. Per-cluster member lists hand each captured object
-// exactly those partners, so a round costs an O(n) center scan plus at most
-// O(|S|·n) reads instead of the O(n²) of re-evaluating Cost. The stopping
-// rule compares the running cost, which equals Cost of the current labels
-// exactly whenever the distance arithmetic is exact (dyadic distances) and
-// to a few ulps otherwise.
+// clusters are joined. After the capture pass, the members each old
+// cluster keeps are listed once per round, and every captured object reads
+// its split-off partners from that list; so a round costs an O(n) center
+// scan plus at most O(|S|·n) reads instead of the O(n²) of re-evaluating
+// Cost.
+//
+// The furthest-pair scan and each round's reads run on opts.Workers
+// goroutines. Every sum has a fixed shape: the single cluster's cost is the
+// sum of its row-tail sums in row order, and Δ the sum of the captured
+// objects' own terms in capture order, so the returned cost does not depend
+// on the worker count. The stopping rule compares the running cost, which
+// equals Cost of the current labels exactly whenever the distance
+// arithmetic is exact (dyadic distances) and to a few ulps otherwise.
 func FurthestWithOptions(inst Instance, opts FurthestOptions) (partition.Labels, float64) {
+	return furthest(inst, opts, furthestMinParallel)
+}
+
+// furthest is FurthestWithOptions with the parallel threshold as a
+// parameter, so tests can send instances of any size down the parallel
+// path.
+func furthest(inst Instance, opts FurthestOptions, minParallel int) (partition.Labels, float64) {
 	n, k := inst.N(), opts.K
 	var centerPicks, rounds int64
 	defer func() {
@@ -71,28 +107,50 @@ func FurthestWithOptions(inst Instance, opts FurthestOptions) (partition.Labels,
 	if k > n {
 		k = n
 	}
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = min(workers, n)
 
-	// The first two centers are the furthest-apart pair, found by the scan
-	// that sums the single cluster's cost. minDist[v] is the distance from v
-	// to its nearest center, labels[v] indexes that center.
+	// minDist[v] is the distance from v to its nearest center, labels[v]
+	// indexes that center. centerRow holds the pair scan's row sums before
+	// the first center exists, and the captured objects' cost terms after
+	// each capture pass.
 	labels := partition.Single(n)
 	rows := newRowReader(inst)
-	u0, v0, cost := furthestPair(rows)
+	minDist := make([]float64, n)
+	centerRow := make([]float64, n)
+	// Each worker reads through a scratch block of its own. spreadOver
+	// returns the workers a phase of the given reads runs on, all of them
+	// from minParallel reads up, and allocates their blocks on first use.
+	block := min(n, furthestBlock)
+	scratch := []furthestScratch{newFurthestScratch(block)}
+	spreadOver := func(reads int) []furthestScratch {
+		if reads < minParallel {
+			return scratch[:1]
+		}
+		for len(scratch) < workers {
+			scratch = append(scratch, newFurthestScratch(block))
+		}
+		return scratch
+	}
+
+	// The first two centers are the furthest-apart pair, found by the scan
+	// that sums the single cluster's cost.
+	u0, v0, cost := furthestPair(rows, spreadOver(n*(n-1)/2), centerRow)
 	if k == 1 {
 		return labels, cost
 	}
-	minDist := rows.readRowInto(u0, make([]float64, n))
+	rows.readRowInto(u0, minDist)
 	centers := 1
 	centerPicks++
 
-	// Per-round scratch, reused: the new center's row, the captured objects
-	// and the clusters they came from, and one captured object's partners
-	// with their distances.
-	centerRow := make([]float64, n)
-	moved := make([]int, 0, n)
-	from := make([]int, n)
-	partners := make([]int, 0, n)
-	dist := make([]float64, n)
+	// Per-round scratch, reused: the captured objects, the clusters they
+	// came from, and the per-cluster member lists. Object and cluster ids
+	// are int32 here, as in the lists, to halve the n-sized buffers.
+	moved := make([]int32, 0, n)
+	from := make([]int32, n)
 	members := newMemberLists(n)
 
 	// addCenter promotes c to center of a new cluster, moves every object
@@ -111,31 +169,25 @@ func FurthestWithOptions(inst Instance, opts FurthestOptions) (partition.Labels,
 		for v, d := range centerRow {
 			if d < minDist[v] {
 				minDist[v] = d
-				from[v] = labels[v]
+				from[v] = int32(labels[v])
 				labels[v] = idx
-				members.move(v, from[v], idx)
-				moved = append(moved, v)
+				members.move(v, int(from[v]), idx)
+				moved = append(moved, int32(v))
 			}
 		}
+		reads := members.snapshot(moved, from) + len(moved)*(len(moved)-1)/2
 		var delta float64
-		for i, v := range moved {
-			fv := from[v]
-			partners = partners[:0]
-			for u := members.head[fv]; u >= 0; u = members.next[u] {
-				partners = append(partners, u)
+		if sc := spreadOver(reads); len(sc) > 1 {
+			terms := centerRow[:len(moved)]
+			spread(len(sc), len(moved), func(w, i int) {
+				terms[i] = sc[w].capturedTerms(rows, members, moved, from, i)
+			})
+			for _, s := range terms {
+				delta += s
 			}
-			split := len(partners)
-			for _, u := range moved[:i] {
-				if from[u] != fv {
-					partners = append(partners, u)
-				}
-			}
-			for j, x := range rows.readTargetsInto(v, partners, dist) {
-				if j < split {
-					delta += 1 - 2*x // split off
-				} else {
-					delta += 2*x - 1 // joined
-				}
+		} else {
+			for i := range moved {
+				delta += scratch[0].capturedTerms(rows, members, moved, from, i)
 			}
 		}
 		return delta
@@ -163,7 +215,7 @@ func FurthestWithOptions(inst Instance, opts FurthestOptions) (partition.Labels,
 			// Cost stopped improving: undo the round and return the
 			// solution preceding it.
 			for _, v := range moved {
-				labels[v] = from[v]
+				labels[v] = int(from[v])
 			}
 			break
 		}
@@ -175,57 +227,208 @@ func FurthestWithOptions(inst Instance, opts FurthestOptions) (partition.Labels,
 	return labels.Normalize(), cost
 }
 
+// furthestScratch is one worker's read buffers: a block of partner ids and
+// their distances.
+type furthestScratch struct {
+	ids  []int
+	dist []float64
+}
+
+func newFurthestScratch(block int) furthestScratch {
+	return furthestScratch{ids: make([]int, 0, block), dist: make([]float64, block)}
+}
+
+// capturedTerms returns the terms of Δ that captured object v = moved[i]
+// owns: 1 − 2X_uv for each clustermate u its old cluster kept, in list
+// order, then 2X_uv − 1 for each u captured before it from another
+// cluster, in capture order. It reads the partners in blocks of sc's size
+// and writes nothing but sc.
+func (sc *furthestScratch) capturedTerms(rows rowReader, members *memberLists, moved, from []int32, i int) float64 {
+	v := int(moved[i])
+	fv := from[v]
+	var s float64
+	split, block := members.rest(int(fv)), len(sc.dist)
+	for lo := 0; lo < len(split); lo += block {
+		for _, x := range rows.readTargetsInto(v, split[lo:min(lo+block, len(split))], sc.dist) {
+			s += 1 - 2*x
+		}
+	}
+	joined := sc.ids[:0]
+	for _, u := range moved[:i] {
+		if from[u] == fv {
+			continue
+		}
+		if joined = append(joined, int(u)); len(joined) == block {
+			s = sc.addJoined(rows, v, joined, s)
+			joined = joined[:0]
+		}
+	}
+	return sc.addJoined(rows, v, joined, s)
+}
+
+// addJoined adds 2X_uv − 1 for each u in joined to s, in order.
+func (sc *furthestScratch) addJoined(rows rowReader, v int, joined []int, s float64) float64 {
+	for _, x := range rows.readTargetsInto(v, joined, sc.dist) {
+		s += 2*x - 1
+	}
+	return s
+}
+
+// spread runs body(w, i) for every i in [0, count), worker w taking the
+// interleaved stripe i ≡ w (mod workers) on a goroutine of its own; the
+// calling goroutine is worker 0.
+func spread(workers, count int, body func(w, i int)) {
+	var wg sync.WaitGroup
+	for w := 1; w < workers && w < count; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < count; i += workers {
+				body(w, i)
+			}
+		}(w)
+	}
+	for i := 0; i < count; i += workers {
+		body(0, i)
+	}
+	wg.Wait()
+}
+
 // memberLists keeps each cluster's members as an intrusive doubly-linked
 // list, so FURTHEST enumerates the clustermates a captured object left
-// behind without scanning all n labels.
+// behind without scanning all n labels. snapshot flattens the lists a
+// round needs once, so each captured object reads them as a slice.
 type memberLists struct {
-	head       []int // head[c] = first member of cluster c, -1 when empty
-	next, prev []int // neighbors in the object's cluster, -1 at the ends
+	next, prev []int32      // neighbors in the object's cluster, -1 at the ends
+	clusters   []memberList // one per cluster
+	spans      []memberSpan // the last snapshot's lists, one per cluster listed
+	flat       []int        // the members those lists hold, back to back
 }
+
+// memberList is one cluster's list head and the index of its span in the
+// last snapshot, which is current only when that span names the cluster.
+type memberList struct{ head, span int32 }
+
+// memberSpan is cluster c's list in a snapshot: flat[lo:hi].
+type memberSpan struct{ c, lo, hi int32 }
 
 // newMemberLists places all n objects in cluster 0.
 func newMemberLists(n int) *memberLists {
-	l := &memberLists{head: []int{0}, next: make([]int, n), prev: make([]int, n)}
+	l := &memberLists{
+		next: make([]int32, n), prev: make([]int32, n),
+		clusters: []memberList{{}}, flat: make([]int, 0, n),
+	}
 	for v := range l.next {
-		l.next[v], l.prev[v] = v+1, v-1
+		l.next[v], l.prev[v] = int32(v+1), int32(v-1)
 	}
 	l.next[n-1] = -1
 	return l
 }
 
 // add opens a new, empty cluster.
-func (l *memberLists) add() { l.head = append(l.head, -1) }
+func (l *memberLists) add() { l.clusters = append(l.clusters, memberList{head: -1}) }
 
 // move unlinks v from cluster a and pushes it onto cluster b.
 func (l *memberLists) move(v, a, b int) {
 	if p := l.prev[v]; p >= 0 {
 		l.next[p] = l.next[v]
 	} else {
-		l.head[a] = l.next[v]
+		l.clusters[a].head = l.next[v]
 	}
 	if nx := l.next[v]; nx >= 0 {
 		l.prev[nx] = l.prev[v]
 	}
-	l.prev[v], l.next[v] = -1, l.head[b]
-	if l.head[b] >= 0 {
-		l.prev[l.head[b]] = v
+	hb := &l.clusters[b].head
+	l.prev[v], l.next[v] = -1, *hb
+	if *hb >= 0 {
+		l.prev[*hb] = int32(v)
 	}
-	l.head[b] = v
+	*hb = int32(v)
+}
+
+// snapshot lists, in link order, the members left in each cluster from[v]
+// of a moved object v, each cluster once, and returns the number of reads
+// those lists hand the moved objects (the sum of their old clusters'
+// remaining sizes). The lists of distinct clusters are disjoint, so they
+// fit in flat's n slots together.
+func (l *memberLists) snapshot(moved, from []int32) (reads int) {
+	l.flat, l.spans = l.flat[:0], l.spans[:0]
+	for _, v := range moved {
+		c := &l.clusters[from[v]]
+		if int(c.span) >= len(l.spans) || l.spans[c.span].c != from[v] {
+			lo := len(l.flat)
+			for u := c.head; u >= 0; u = l.next[u] {
+				l.flat = append(l.flat, int(u))
+			}
+			c.span = int32(len(l.spans))
+			l.spans = append(l.spans, memberSpan{c: from[v], lo: int32(lo), hi: int32(len(l.flat))})
+		}
+		s := l.spans[c.span]
+		reads += int(s.hi - s.lo)
+	}
+	return reads
+}
+
+// rest returns the members cluster c kept at the last snapshot.
+func (l *memberLists) rest(c int) []int {
+	s := l.spans[l.clusters[c].span]
+	return l.flat[s.lo:s.hi]
 }
 
 // furthestPair returns the pair of objects with the largest distance,
-// breaking ties toward smaller indices, and Σ_{u<v} X_uv: the cost of the
-// single cluster, summed in Cost's order, so it equals Cost bit for bit.
-func furthestPair(r rowReader) (u0, v0 int, sum float64) {
-	n, buf := r.inst.N(), r.tailBuf()
-	bd := -1.0
-	for u := 0; u < n; u++ {
-		for j, d := range r.readTail(u, buf) {
+// breaking ties toward smaller indices, and Σ_{u<v} X_uv, the cost of the
+// single cluster: the sum of the row-tail sums Σ_{v>u} X_uv, added in row
+// order. With more than one worker's scratch, the rows are dealt to the
+// workers in interleaved stripes; each keeps its stripe's furthest pair
+// under the same tie rule and writes its row sums to rowSums, so the pair
+// and the sum are those of the one-goroutine scan, bit for bit.
+func furthestPair(r rowReader, scratch []furthestScratch, rowSums []float64) (u0, v0 int, sum float64) {
+	n := r.inst.N()
+	if len(scratch) == 1 {
+		best := furthestRow{d: -1}
+		for u := 0; u < n; u++ {
+			sum += best.scan(r, u, scratch[0].dist)
+		}
+		return best.u, best.v, sum
+	}
+	stripes := make([]furthestRow, len(scratch))
+	for w := range stripes {
+		stripes[w].d = -1
+	}
+	spread(len(scratch), n, func(w, u int) {
+		rowSums[u] = stripes[w].scan(r, u, scratch[w].dist)
+	})
+	for _, s := range rowSums {
+		sum += s
+	}
+	best := stripes[0]
+	for _, st := range stripes[1:] {
+		if st.d > best.d || (st.d == best.d && st.u < best.u) {
+			best = st
+		}
+	}
+	return best.u, best.v, sum
+}
+
+// furthestRow is a running furthest pair (u, v) at distance d, d = −1
+// before any pair.
+type furthestRow struct {
+	u, v int
+	d    float64
+}
+
+// scan reads row u's tail through buf, returns its sum, and keeps the
+// tail's furthest pair when it is strictly further than the running one,
+// so ties go to the earlier row, then the earlier column.
+func (b *furthestRow) scan(r rowReader, u int, buf []float64) (sum float64) {
+	n := r.inst.N()
+	for lo := u + 1; lo < n; lo += len(buf) {
+		for j, d := range r.readSpan(u, lo, min(lo+len(buf), n), buf) {
 			sum += d
-			if d > bd {
-				u0, v0, bd = u, u+1+j, d
+			if d > b.d {
+				b.u, b.v, b.d = u, lo+j, d
 			}
 		}
 	}
-	return u0, v0, sum
+	return sum
 }

@@ -43,7 +43,16 @@ func furthestReference(inst Instance, k int) (partition.Labels, float64) {
 		}
 	}
 
-	u0, v0, _ := furthestPair(newRowReader(inst))
+	// The first two centers: the furthest-apart pair, ties toward the
+	// smaller u, then the smaller v.
+	u0, v0, bd := 0, 0, -1.0
+	for u := 0; u < n; u++ {
+		for v := u + 1; v < n; v++ {
+			if d := inst.Dist(u, v); d > bd {
+				u0, v0, bd = u, v, d
+			}
+		}
+	}
 	addCenter(u0)
 	for {
 		if centers == 1 {
@@ -115,21 +124,33 @@ func dyadicCoinInstance(rng *rand.Rand, m, n, k int, missing float64) *Matrix {
 	return coinInstance(cs)
 }
 
-// checkFurthestMatchesReference runs FurthestK with K = 0 and K = 3 on every
-// given view of one instance and compares it against the reference on the
-// first view: labels must be identical, and the returned cost equal to it
-// within tol (tol = 0 demands the same float).
+// furthestWorkers are the worker counts the FURTHEST tests run at.
+var furthestWorkers = []int{1, 2, 3, 8}
+
+// checkFurthestMatchesReference runs FURTHEST with K = 0 and K = 3 on every
+// given view of one instance, at every count in furthestWorkers and with
+// the parallel threshold at zero, so even tiny instances take the parallel
+// path. Labels must equal the reference's on the first view, and the cost
+// must be within tol of it (tol = 0 demands the same float); every view
+// and worker count must return the cost of the one-worker run on the
+// first view, bit for bit.
 func checkFurthestMatchesReference(t *testing.T, name string, tol float64, views ...Instance) {
 	t.Helper()
 	for _, k := range []int{0, 3} {
 		want, wantCost := furthestReference(views[0], k)
+		_, seqCost := furthest(views[0], FurthestOptions{K: k, Workers: 1}, 0)
 		for vi, inst := range views {
-			got, gotCost := FurthestK(inst, k)
-			if !equalLabelSlices(got, want) {
-				t.Fatalf("%s K=%d view %d: labels %v, reference %v", name, k, vi, got, want)
-			}
-			if math.Abs(gotCost-wantCost) > tol {
-				t.Fatalf("%s K=%d view %d: cost %v, reference %v", name, k, vi, gotCost, wantCost)
+			for _, w := range furthestWorkers {
+				got, gotCost := furthest(inst, FurthestOptions{K: k, Workers: w}, 0)
+				if !equalLabelSlices(got, want) {
+					t.Fatalf("%s K=%d view %d workers=%d: labels %v, reference %v", name, k, vi, w, got, want)
+				}
+				if math.Abs(gotCost-wantCost) > tol {
+					t.Fatalf("%s K=%d view %d workers=%d: cost %v, reference %v", name, k, vi, w, gotCost, wantCost)
+				}
+				if gotCost != seqCost {
+					t.Fatalf("%s K=%d view %d workers=%d: cost %v, one worker %v", name, k, vi, w, gotCost, seqCost)
+				}
 			}
 		}
 	}
@@ -167,16 +188,23 @@ func TestFurthestIncrementalMatchesReference(t *testing.T) {
 }
 
 // TestFurthestRowPathProbes: the RowDistancer path charges the counting
-// layers exactly what the generic path's Dist calls count.
+// layers exactly what the generic path's Dist calls count, and parallel
+// reads charge what one worker charges.
 func TestFurthestRowPathProbes(t *testing.T) {
 	mx := randomMatrix(50, 5)
-	count := func(in Instance) int64 {
+	count := func(in Instance, workers int) int64 {
 		rec := obs.New()
-		Furthest(obs.Count(in, rec.Counter("probes")))
+		furthest(obs.Count(in, rec.Counter("probes")), FurthestOptions{Workers: workers}, 0)
 		return rec.Counters()["probes"]
 	}
-	if rows, generic := count(rowOracle{mx}), count(opaque{mx}); rows != generic {
+	generic := count(opaque{mx}, 1)
+	if rows := count(rowOracle{mx}, 1); rows != generic {
 		t.Errorf("%d probes charged on the row path, %d on the generic", rows, generic)
+	}
+	for _, in := range []Instance{mx, opaque{mx}, rowOracle{mx}} {
+		if par := count(in, 2); par != generic {
+			t.Errorf("%T: %d probes charged at Workers 2, %d at Workers 1", in, par, generic)
+		}
 	}
 }
 
@@ -220,6 +248,10 @@ func FuzzFurthestIncremental(f *testing.F) {
 		if !equalLabelSlices(got, want) || gotCost != wantCost {
 			t.Fatalf("m=%d n=%d K=%d: (%v, %v), reference (%v, %v)", m, n, k, got, gotCost, want, wantCost)
 		}
+		got, gotCost = furthest(inst, FurthestOptions{K: k, Workers: 2}, 0)
+		if !equalLabelSlices(got, want) || gotCost != wantCost {
+			t.Fatalf("m=%d n=%d K=%d workers=2: (%v, %v), reference (%v, %v)", m, n, k, got, gotCost, want, wantCost)
+		}
 	})
 }
 
@@ -260,17 +292,24 @@ func reclusterShapedMatrix(n int, seed int64) *Matrix {
 
 // BenchmarkFurthest runs parameter-free FURTHEST on a recluster-shaped
 // instance (3,000 mostly-noise objects, m = 6) and reports the distance
-// reads per run through a counting wrapper.
+// reads per run through a counting wrapper, on one worker and on
+// GOMAXPROCS workers.
 func BenchmarkFurthest(b *testing.B) {
 	mx := reclusterShapedMatrix(3000, 1)
-	rec := obs.New()
-	inst := obs.Count(mx, rec.Counter("probes"))
-	b.ReportAllocs()
-	b.ResetTimer()
-	var k int
-	for i := 0; i < b.N; i++ {
-		k = Furthest(inst).K()
+	for _, workers := range []int{1, 0} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			rec := obs.New()
+			inst := obs.Count(mx, rec.Counter("probes"))
+			opts := FurthestOptions{Workers: workers}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var k int
+			for i := 0; i < b.N; i++ {
+				labels, _ := FurthestWithOptions(inst, opts)
+				k = labels.K()
+			}
+			b.ReportMetric(float64(rec.Counters()["probes"])/float64(b.N), "probes/op")
+			b.ReportMetric(float64(k), "clusters")
+		})
 	}
-	b.ReportMetric(float64(rec.Counters()["probes"])/float64(b.N), "probes/op")
-	b.ReportMetric(float64(k), "clusters")
 }
