@@ -70,7 +70,7 @@ cover:
 
 # The distance-kernel suite: block materialization vs the naive build,
 # LOCALSEARCH on matrix rows vs generic calls, the incremental LOCALSEARCH
-# kernel sequential vs parallel, BestOf racing, and the label-kernel
+# kernel, BestOf racing, and the label-kernel
 # sampling assignment vs the test-only probing reference; then the
 # corrclust algorithms against their test-only oracles (AGGLOMERATIVE vs
 # the lazy-heap loop, FURTHEST's reads per run, the incremental LOCALSEARCH

@@ -50,10 +50,10 @@
 //
 // Names matching -ignore are skipped entirely. The default pattern drops
 // the known machine-dependent series: *.workers counters (resolved
-// GOMAXPROCS), localsearch.proposals (scales with the worker count),
-// every timing-derived metric (seconds, time_ratio, linearity_ratio,
-// throughput suffixes — including the timing-bearing convergence series), and the runtime.* gauges from
-// the RuntimeSampler (heap, goroutines, GC — all runtime-state-dependent).
+// GOMAXPROCS), every timing-derived metric (seconds, time_ratio,
+// linearity_ratio, throughput suffixes — including the timing-bearing
+// convergence series), and the runtime.* gauges from the RuntimeSampler
+// (heap, goroutines, GC — all runtime-state-dependent).
 // The same pattern is applied to event msg names.
 //
 // Exit status: 0 clean, 1 regression, 2 usage or unreadable input.
@@ -76,7 +76,7 @@ import (
 // machine (worker count, timing, GC pacing) rather than on the algorithms.
 // The live peak-heap gauge is here because peak heap rides GC timing; the
 // alloc *section* (total bytes) is gated separately by -alloc-ratio.
-const defaultIgnore = `\.workers$|^localsearch\.proposals$|seconds$|time_ratio$|linearity_ratio$|throughput$|^alloc\.peak_heap_bytes$|^runtime\.`
+const defaultIgnore = `\.workers$|seconds$|time_ratio$|linearity_ratio$|throughput$|^alloc\.peak_heap_bytes$|^runtime\.`
 
 // defaultWallRatio is deliberately generous: the baseline may come from a
 // different machine, and wall time is the one compared axis that legitimately

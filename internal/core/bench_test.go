@@ -106,27 +106,17 @@ func BenchmarkLocalSearchMatrix(b *testing.B) {
 }
 
 // BenchmarkLocalSearchIncremental runs the delta-maintained incremental
-// LOCALSEARCH kernel, sequential and parallel, on a materialized n=2000,
-// m=16 problem (dyadic distances, so both variants must land on identical
-// labels). corrclust's BenchmarkLocalSearch times it against the
-// O(n²)-per-sweep reference sweep it replaced.
+// LOCALSEARCH kernel on a materialized n=2000, m=16 problem.
+// corrclust's BenchmarkLocalSearch times it against the O(n²)-per-sweep
+// reference sweep it replaced.
 func BenchmarkLocalSearchIncremental(b *testing.B) {
 	p := benchProblem(b, 2000, 16, 8)
 	mx := p.Matrix()
-	want := corrclust.LocalSearch(mx, corrclust.LocalSearchOptions{Workers: 1})
-	b.Run("incremental/sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			corrclust.LocalSearch(mx, corrclust.LocalSearchOptions{Workers: 1})
-		}
-	})
-	b.Run("incremental/parallel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			got := corrclust.LocalSearch(mx, corrclust.LocalSearchOptions{})
-			if !equalLabels(got, want) {
-				b.Fatal("parallel labels diverge from sequential")
-			}
-		}
-	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		corrclust.LocalSearch(mx, corrclust.LocalSearchOptions{})
+	}
 }
 
 // hideMatrix forces the generic interface-call paths in benchmarks.

@@ -167,7 +167,7 @@ func TestLabelKernelDistBitIdentical(t *testing.T) {
 }
 
 // TestKernelLanesConcurrentBuild: the kernel packs its lanes on the first
-// row read, and LOCALSEARCH's parallel proposals can make that read from
+// row read, and FURTHEST's parallel pair scan can make that read from
 // several goroutines at once. Every reader must see the finished packing
 // (run under -race) and the reference distances.
 func TestKernelLanesConcurrentBuild(t *testing.T) {

@@ -247,24 +247,23 @@ func TestBestOfParallelMatchesSequential(t *testing.T) {
 }
 
 // TestBestOfRacersRunSequential: a race on two or more goroutines runs
-// each racer with Workers 1, so LOCALSEARCH never reaches its parallel
-// proposal phase (localsearch.proposals stays zero); a race of one method
-// keeps the caller's Workers, and the parallel phase runs.
+// each racer with Workers 1, so FURTHEST resolves one worker; a race of one
+// method keeps the caller's Workers, and FURTHEST resolves two.
 func TestBestOfRacersRunSequential(t *testing.T) {
 	p := recorderProblem(t, 300, 4, 29)
-	proposals := func(methods []Method) int64 {
+	furthestWorkers := func(methods []Method) int64 {
 		t.Helper()
 		rec := obs.New()
 		if _, _, err := p.BestOf(methods, AggregateOptions{Workers: 2, Recorder: rec}); err != nil {
 			t.Fatal(err)
 		}
-		return rec.Counters()["localsearch.proposals"]
+		return rec.Counters()["furthest.workers"]
 	}
-	if got := proposals([]Method{MethodFurthest, MethodLocalSearch}); got != 0 {
-		t.Errorf("racing two methods: %d parallel LOCALSEARCH proposals, want 0", got)
+	if got := furthestWorkers([]Method{MethodFurthest, MethodLocalSearch}); got != 1 {
+		t.Errorf("racing two methods: FURTHEST ran on %d workers, want 1", got)
 	}
-	if got := proposals([]Method{MethodLocalSearch}); got == 0 {
-		t.Error("racing LOCALSEARCH alone at Workers 2: no parallel proposals")
+	if got := furthestWorkers([]Method{MethodFurthest}); got != 2 {
+		t.Errorf("racing FURTHEST alone at Workers 2: %d workers, want 2", got)
 	}
 }
 

@@ -105,12 +105,12 @@ type AggregateOptions struct {
 	Materialize bool
 	// Workers caps the worker goroutines used by the parallel stages
 	// (cluster-block materialization, BestOf method racing, SAMPLING's
-	// assignment pass, FURTHEST's pair scan and capture reads, LOCALSEARCH's
-	// move-proposal phase — standalone and as the Refine pass). Zero means
-	// GOMAXPROCS; 1 forces sequential execution. When BestOf races methods
-	// on two or more goroutines, each racer runs on one goroutine, so the
-	// per-method stages do not start workers of their own. Results are
-	// identical for every value.
+	// assignment pass, FURTHEST's pair scan and capture reads). LOCALSEARCH,
+	// standalone and as the Refine pass, always sweeps on one goroutine.
+	// Zero means GOMAXPROCS; 1 forces sequential execution. When BestOf
+	// races methods on two or more goroutines, each racer runs on one
+	// goroutine, so the per-method stages do not start workers of their
+	// own. Results are identical for every value.
 	Workers int
 	// Rand supplies randomness to the randomized methods (MethodPivot,
 	// MethodAnneal). Nil means a deterministic source seeded with 1. The
@@ -157,8 +157,6 @@ func EffectiveWorkers(w int) int {
 	}
 	return w
 }
-
-func effectiveWorkers(w int) int { return EffectiveWorkers(w) }
 
 // Aggregate runs the chosen aggregation method on the problem and returns
 // the aggregate clustering with normalized labels. The whole run carries
@@ -217,7 +215,7 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 	case MethodFurthest:
 		labels, _ = corrclust.FurthestWithOptions(algInst, corrclust.FurthestOptions{K: opts.K, Workers: opts.Workers, Recorder: rec})
 	case MethodLocalSearch:
-		labels = corrclust.LocalSearch(algInst, corrclust.LocalSearchOptions{Recorder: rec, Workers: opts.Workers, Progress: opts.Progress})
+		labels = corrclust.LocalSearch(algInst, corrclust.LocalSearchOptions{Recorder: rec, Progress: opts.Progress})
 	case MethodPivot:
 		rounds := opts.PivotRounds
 		if rounds <= 0 {
@@ -234,7 +232,7 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 		if parent == nil {
 			rs = rec.Start("refine")
 		}
-		labels = corrclust.LocalSearch(counting(inst, rec, "refine.dist_probes"), corrclust.LocalSearchOptions{Init: labels, Recorder: rec, Workers: opts.Workers, Progress: opts.Progress})
+		labels = corrclust.LocalSearch(counting(inst, rec, "refine.dist_probes"), corrclust.LocalSearchOptions{Init: labels, Recorder: rec, Progress: opts.Progress})
 		rs.End()
 	}
 	return labels.Normalize(), nil
@@ -251,13 +249,12 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 // The race runs the methods concurrently over the shared oracle, bounded by
 // opts.Workers (GOMAXPROCS when zero; 1 forces sequential execution). A
 // race on two or more goroutines runs each racer with Workers 1: the
-// methods are the parallelism, and FURTHEST's parallel reads or
-// LOCALSEARCH's parallel sweep inside a racer would only compete with the
-// other racers for the same cores. The outcome does not depend on
-// scheduling: the winner is selected by cost with ties broken in method
-// order, and the randomized extension methods each draw an independent
-// deterministic seed, in method order, from opts.Rand before the race
-// starts. Every worker count returns the same (labels, method).
+// methods are the parallelism, and FURTHEST's parallel reads inside a
+// racer would only compete with the other racers for the same cores. The
+// outcome does not depend on scheduling: the winner is selected by cost
+// with ties broken in method order, and the randomized extension methods
+// each draw an independent deterministic seed, in method order, from
+// opts.Rand before the race starts. Every worker count returns the same (labels, method).
 func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Labels, Method, error) {
 	if len(methods) == 0 {
 		methods = Methods()
@@ -301,7 +298,7 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 		err     error
 	}
 	results := make([]raced, len(methods))
-	workers := effectiveWorkers(opts.Workers)
+	workers := EffectiveWorkers(opts.Workers)
 	if workers > len(methods) {
 		workers = len(methods)
 	}

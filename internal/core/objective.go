@@ -301,7 +301,7 @@ func lowerBoundW[W labelWord](lk *labelKernel, lab []W, workers int) float64 {
 	}
 	g := groupRows(lk, lab)
 	groups := len(g.count)
-	workers = min(effectiveWorkers(workers), groups)
+	workers = min(EffectiveWorkers(workers), groups)
 	m := lk.m
 	average := lk.average && lk.anyMiss
 

@@ -120,12 +120,12 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	// cluster minimizing d(v, C_i) = M(v,C_i) + Σ_{j≠i}(|C_j| − M(v,C_j)),
 	// or into a fresh singleton when that is cheaper — the LOCALSEARCH
 	// assignment cost; the refinement passes inside the exact core and the
-	// singleton recluster run the incremental LOCALSEARCH kernel with the
-	// same aggOpts.Workers cap (see corrclust.LocalSearch). Objects are
-	// independent, so the pass streams them on chunked worker stripes
-	// (capped by aggOpts.Workers); a fresh singleton takes the provisional
-	// label k+v, unique per object regardless of scheduling, and the final
-	// renumbering maps every worker count's labeling to the same clustering.
+	// singleton recluster run the incremental LOCALSEARCH kernel (see
+	// corrclust.LocalSearch). Objects are independent, so the pass streams
+	// them on chunked worker stripes (capped by aggOpts.Workers); a fresh
+	// singleton takes the provisional label k+v, unique per object
+	// regardless of scheduling, and the final renumbering maps every worker
+	// count's labeling to the same clustering.
 	//
 	// The pass is the columnar label kernel's histogram assignment — O(m·k)
 	// per object with O(n·m + m·L·k) total memory, no O(n²) anything (see
@@ -135,7 +135,7 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	// labels[v] != Missing identifies the sample — one fewer O(n)
 	// allocation, and each assignment stripe only reads positions it owns.
 	assignSpan := rec.Start("sample:assign")
-	workers := effectiveWorkers(aggOpts.Workers)
+	workers := EffectiveWorkers(aggOpts.Workers)
 	if workers > n {
 		workers = n
 	}

@@ -42,7 +42,8 @@ type FurthestOptions struct {
 	// than 16K reads stays on one goroutine whatever the value.
 	Workers int
 	// Recorder, when non-nil, receives the furthest.* counters (center
-	// picks, reassignment rounds). Nil records nothing and costs nothing.
+	// picks, reassignment rounds, resolved worker count). Nil records
+	// nothing and costs nothing.
 	Recorder *obs.Recorder
 }
 
@@ -112,6 +113,7 @@ func furthest(inst Instance, opts FurthestOptions, minParallel int) (partition.L
 		workers = runtime.GOMAXPROCS(0)
 	}
 	workers = min(workers, n)
+	opts.Recorder.Add("furthest.workers", int64(workers))
 
 	// minDist[v] is the distance from v to its nearest center, labels[v]
 	// indexes that center. centerRow holds the pair scan's row sums before

@@ -1,8 +1,6 @@
 package corrclust
 
 import (
-	"runtime"
-
 	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
@@ -16,18 +14,6 @@ type LocalSearchOptions struct {
 	// the package default (DefaultLocalSearchPasses). The algorithm always
 	// stops as soon as a pass makes no improving move.
 	MaxPasses int
-	// Epsilon is the minimum cost improvement required to accept a move,
-	// guarding against non-termination from floating-point noise. Zero means
-	// the package default of 1e-9.
-	Epsilon float64
-	// Workers caps the goroutines used by the parallel move-proposal phase
-	// (0 = GOMAXPROCS, 1 = sequential). Proposals are evaluated on worker
-	// stripes against the frozen sweep state and then validated and applied
-	// sequentially in object order, so labels are bit-identical for every
-	// value. The GOMAXPROCS default drops to sequential below
-	// localSearchMinParallel objects; an explicit Workers > 1 is always
-	// honored.
-	Workers int
 	// RefreshEvery rebuilds a cluster's affinity column exactly after this
 	// many incremental delta updates, bounding float drift. Zero means the
 	// package default (DefaultLocalSearchRefresh); the column a move assigns
@@ -35,14 +21,13 @@ type LocalSearchOptions struct {
 	// drift for free.
 	RefreshEvery int
 	// Recorder, when non-nil, receives the localsearch.* counters (sweeps,
-	// accepted moves, early convergence, delta updates, column refreshes,
-	// parallel proposals), the localsearch.clusters /
-	// localsearch.improvement gauges updated at every sweep boundary, and
-	// the localsearch.{cost,moves,refreshes} convergence series with one
-	// point per sweep (cost additionally gets a step-0 point for the
-	// starting clustering, anchored by a one-time O(n²) scan); the wall_ns
-	// deltas between cost points are the sweep times. Nil records nothing
-	// and costs nothing.
+	// accepted moves, early convergence, delta updates, column refreshes),
+	// the localsearch.clusters / localsearch.improvement gauges updated at
+	// every sweep boundary, and the localsearch.{cost,moves,refreshes}
+	// convergence series with one point per sweep (cost additionally gets a
+	// step-0 point for the starting clustering, anchored by a one-time
+	// O(n²) scan); the wall_ns deltas between cost points are the sweep
+	// times. Nil records nothing and costs nothing.
 	Recorder *obs.Recorder
 	// Progress, when non-nil, receives one throttled event per sweep: Done
 	// is the sweep number, Total the pass cap, Moves the accepted moves so
@@ -65,10 +50,9 @@ const DefaultLocalSearchPasses = 100
 // from the distance oracle (see LocalSearchOptions.RefreshEvery).
 const DefaultLocalSearchRefresh = 256
 
-// localSearchMinParallel is the object count below which the default worker
-// resolution stays sequential: the proposal phase is O(n·k) float reads per
-// sweep, and goroutine overhead dominates under it.
-const localSearchMinParallel = 256
+// lsEpsilon is the minimum cost improvement a move must make to be
+// accepted, guarding against non-termination from floating-point noise.
+const lsEpsilon = 1e-9
 
 // LocalSearch runs the LOCALSEARCH algorithm of Section 4: repeatedly sweep
 // the objects and move each one to the cluster (or to a fresh singleton)
@@ -102,10 +86,6 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 	if maxPasses <= 0 {
 		maxPasses = DefaultLocalSearchPasses
 	}
-	eps := opts.Epsilon
-	if eps <= 0 {
-		eps = 1e-9
-	}
 	refreshEvery := opts.RefreshEvery
 	if refreshEvery <= 0 {
 		refreshEvery = DefaultLocalSearchRefresh
@@ -118,24 +98,7 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 		labels = partition.Singletons(n)
 	}
 
-	ker := newLSKernel(inst, labels, eps, refreshEvery)
-
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if n < localSearchMinParallel {
-			workers = 1
-		}
-	}
-	if workers > n {
-		workers = n
-	}
-	var props []int
-	var gains []float64
-	if workers > 1 {
-		props = make([]int, n)
-		gains = make([]float64, n)
-	}
+	ker := newLSKernel(inst, labels, refreshEvery)
 
 	// Per-sweep observability: live gauges and convergence series,
 	// refreshed at sweep boundaries so a /metrics scrape mid-run shows the
@@ -165,12 +128,7 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 	converged := false
 	for pass := 0; pass < maxPasses; pass++ {
 		sweeps++
-		var improved bool
-		if workers > 1 {
-			improved = ker.sweepParallel(props, gains, workers, opts.onMove)
-		} else {
-			improved = ker.sweepSequential(opts.onMove)
-		}
+		improved := ker.sweep(opts.onMove)
 		if rec != nil {
 			rec.SetGauge("localsearch.clusters", float64(len(ker.live)))
 			rec.SetGauge("localsearch.improvement", ker.improvement)
@@ -178,9 +136,8 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 			movesSeries.Append(sweeps, float64(ker.moves))
 			refreshSeries.Append(sweeps, float64(ker.refreshes))
 			// Refresh-guard narrative: one event per sweep that tripped the
-			// staleness guard. The cadence is a worker-count-independent
-			// property of the move sequence, so event content is
-			// deterministic at a fixed seed.
+			// staleness guard. The cadence is a property of the move
+			// sequence, so event content is deterministic at a fixed seed.
 			if d := ker.refreshes - prevRefreshes; d > 0 {
 				rec.Event("localsearch.refresh", "sweep", sweeps, "refreshes", d)
 				prevRefreshes = ker.refreshes
@@ -200,7 +157,6 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 		rec.Add("localsearch.moves", ker.moves)
 		rec.Add("localsearch.delta_updates", ker.deltaUpdates)
 		rec.Add("localsearch.refreshes", ker.refreshes)
-		rec.Add("localsearch.proposals", ker.proposals)
 		if converged {
 			rec.Add("localsearch.converged_early", 1)
 		}

@@ -58,7 +58,7 @@ func genProblem(t *testing.T, seed int64, n, m int, missFrac float64, weights in
 
 // TestLocalSearchIncrementalEquivalence drives the incremental LOCALSEARCH
 // kernel against the reference sweep on full Problems — non-uniform weights
-// and both missing-label modes — across worker counts. With dyadic weights
+// and both missing-label modes. With dyadic weights
 // summing to a power of two every distance is an exact float, so the labels
 // must match bit-for-bit; the arbitrary-weight and average-mode cases use
 // fixed seeds (deterministic, no engineered ties) and check cost agreement
@@ -96,16 +96,14 @@ func TestLocalSearchIncrementalEquivalence(t *testing.T) {
 	for _, tc := range cases {
 		var inst corrclust.Instance = tc.p
 		want := corrclust.LocalSearchOracle(inst, corrclust.LocalSearchOptions{})
-		for _, workers := range []int{1, 2, 0} {
-			got := corrclust.LocalSearch(inst, corrclust.LocalSearchOptions{Workers: workers})
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s workers=%d: incremental %v != reference %v", tc.name, workers, got, want)
-				continue
-			}
-			gc, wc := corrclust.Cost(inst, got), corrclust.Cost(inst, want)
-			if math.Abs(gc-wc) > 1e-9 {
-				t.Errorf("%s workers=%d: cost %v vs reference %v", tc.name, workers, gc, wc)
-			}
+		got := corrclust.LocalSearch(inst, corrclust.LocalSearchOptions{})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: incremental %v != reference %v", tc.name, got, want)
+			continue
+		}
+		gc, wc := corrclust.Cost(inst, got), corrclust.Cost(inst, want)
+		if math.Abs(gc-wc) > 1e-9 {
+			t.Errorf("%s: cost %v vs reference %v", tc.name, gc, wc)
 		}
 	}
 }

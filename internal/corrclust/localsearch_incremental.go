@@ -84,13 +84,11 @@ type lsKernel struct {
 	solo       []int       // growing mode: sole member of an unmaterialized singleton slot, -1 otherwise
 	away       []float64   // away[v] = (n-1) - Σ_u X_vu
 
-	eps          float64
 	refreshEvery int
 
 	moves        int64
 	deltaUpdates int64
 	refreshes    int64
-	proposals    int64
 	improvement  float64 // cumulative accepted objective improvement
 }
 
@@ -112,7 +110,7 @@ func tableWidthFor(n int) int {
 // readRow is readRowInto against the kernel's own buffer, memoized on the
 // last object gathered: an evaluation followed by the move's column updates
 // reads v's row once, not twice. Rows never change, so the cache needs no
-// invalidation. Sequential callers only.
+// invalidation.
 func (k *lsKernel) readRow(v int) []float64 {
 	if k.rowFor != v {
 		k.readRowInto(v, k.rowBuf)
@@ -125,7 +123,7 @@ func (k *lsKernel) readRow(v int) []float64 {
 // labels in O(n). No distances are read here: the sweep modes read rows on
 // demand, and the affinity table completes lazily at the first sweep
 // boundary where the cluster count has collapsed under tableWidth.
-func newLSKernel(inst Instance, labels partition.Labels, eps float64, refreshEvery int) *lsKernel {
+func newLSKernel(inst Instance, labels partition.Labels, refreshEvery int) *lsKernel {
 	n := inst.N()
 	slots := labels.K()
 	k := &lsKernel{
@@ -141,7 +139,6 @@ func newLSKernel(inst Instance, labels partition.Labels, eps float64, refreshEve
 		solo:         make([]int, slots),
 		away:         make([]float64, n),
 		tableWidth:   tableWidthFor(n),
-		eps:          eps,
 		refreshEvery: refreshEvery,
 	}
 	for _, c := range labels {
@@ -246,18 +243,18 @@ func (k *lsKernel) evaluate(v int) (int, float64, bool) {
 			best, bestCost = c, d
 		}
 	}
-	if bestCost >= curCost-k.eps || best == cur {
+	if bestCost >= curCost-lsEpsilon || best == cur {
 		return -1, 0, false
 	}
 	return best, curCost - bestCost, true
 }
 
-// evaluateGrowing is the growing-mode evaluation: v's contiguous row is in
-// hand, an unmaterialized singleton {u}'s affinity is row[u], a
+// evaluateGrowing is the growing-mode evaluation: v's contiguous row is
+// read anyway, so an unmaterialized singleton {u}'s affinity is row[u], a
 // materialized cluster's comes from its column, and the away identity falls
-// out of the row sum (recorded for the later table completion — distinct
-// objects write distinct away slots, so parallel stripes do not race).
-func (k *lsKernel) evaluateGrowing(v int, row []float64) (int, float64, bool) {
+// out of the row sum (recorded for the later table completion).
+func (k *lsKernel) evaluateGrowing(v int) (int, float64, bool) {
+	row := k.readRow(v)
 	var s float64
 	for _, x := range row {
 		s += x
@@ -286,21 +283,24 @@ func (k *lsKernel) evaluateGrowing(v int, row []float64) (int, float64, bool) {
 			best, bestCost = c, d
 		}
 	}
-	if bestCost >= curCost-k.eps || best == cur {
+	if bestCost >= curCost-lsEpsilon || best == cur {
 		return -1, 0, false
 	}
 	return best, curCost - bestCost, true
 }
 
 // evaluateRebuild is the rebuild-mode evaluation: M(v,·) is accumulated from
-// the already-gathered row into the caller's per-slot scratch (the reference
-// sweep's inner loop, value for value), so it needs no maintained table.
-// Safe for concurrent use with distinct buffers against a frozen kernel.
-func (k *lsKernel) evaluateRebuild(v int, row, m []float64) (int, float64, bool) {
+// v's row into the per-slot scratch mBuf (the reference sweep's inner loop,
+// value for value), so it needs no maintained table.
+func (k *lsKernel) evaluateRebuild(v int) (int, float64, bool) {
+	if cap(k.mBuf) < len(k.size) {
+		k.mBuf = make([]float64, len(k.size))
+	}
+	m := k.mBuf[:len(k.size)]
 	for i := range m {
 		m[i] = 0
 	}
-	for u, x := range row {
+	for u, x := range k.readRow(v) {
 		if u != v {
 			m[k.labels[u]] += x
 		}
@@ -329,31 +329,10 @@ func (k *lsKernel) evaluateRebuild(v int, row, m []float64) (int, float64, bool)
 			best, bestCost = i, d
 		}
 	}
-	if bestCost >= curCost-k.eps || best == cur {
+	if bestCost >= curCost-lsEpsilon || best == cur {
 		return -1, 0, false
 	}
 	return best, curCost - bestCost, true
-}
-
-// evalSeq evaluates v in whichever mode the kernel is in, using the kernel's
-// own scratch buffers (sequential callers only).
-func (k *lsKernel) evalSeq(v int) (int, float64, bool) {
-	if k.tableBuilt {
-		return k.evaluate(v)
-	}
-	if k.growing {
-		return k.evaluateGrowing(v, k.readRow(v))
-	}
-	return k.evaluateRebuild(v, k.readRow(v), k.scratchM())
-}
-
-// scratchM returns the rebuild-mode affinity scratch sized to the current
-// slot count.
-func (k *lsKernel) scratchM() []float64 {
-	if cap(k.mBuf) < len(k.size) {
-		k.mBuf = make([]float64, len(k.size))
-	}
-	return k.mBuf[:len(k.size)]
 }
 
 // apply moves v to target (-1 = fresh singleton), maintaining sizes, the
@@ -494,14 +473,24 @@ func (k *lsKernel) insertLive(c int) {
 	k.live[i] = c
 }
 
-// sweepSequential is one Gauss–Seidel pass: every object is evaluated
-// against the up-to-date state and improving moves apply immediately. It
-// reports whether any move was applied.
-func (k *lsKernel) sweepSequential(onMove func(v, from, to int)) bool {
+// sweep is one Gauss–Seidel pass: every object is evaluated against the
+// up-to-date state, in whichever mode the kernel is in, and improving moves
+// apply immediately. It reports whether any move was applied.
+func (k *lsKernel) sweep(onMove func(v, from, to int)) bool {
 	k.maybeBuildTable()
 	improved := false
 	for v := 0; v < k.n; v++ {
-		target, gain, ok := k.evalSeq(v)
+		var target int
+		var gain float64
+		var ok bool
+		switch {
+		case k.tableBuilt:
+			target, gain, ok = k.evaluate(v)
+		case k.growing:
+			target, gain, ok = k.evaluateGrowing(v)
+		default:
+			target, gain, ok = k.evaluateRebuild(v)
+		}
 		if !ok {
 			continue
 		}

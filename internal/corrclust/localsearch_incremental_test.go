@@ -1,9 +1,9 @@
 package corrclust
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"clusteragg/internal/obs"
@@ -34,9 +34,22 @@ func equalLabelSlices(a, b partition.Labels) bool {
 // TestLocalSearchIncrementalMatchesReferenceExact: on exact-arithmetic
 // (dyadic) instances the incremental kernel must reproduce the reference
 // sweep's labels identically — from singletons and from a random Init — and
-// the costs must agree to 1e-9.
+// the costs must agree to 1e-9. The random trials stay under tableWidthFor's
+// floor of 64 objects, so they start in table or rebuild mode; the
+// singleton starts at n = 90 and 300 run growing mode first.
 func TestLocalSearchIncrementalMatchesReferenceExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
+	check := func(name string, inst *Matrix, init partition.Labels) {
+		t.Helper()
+		want := localSearchReference(inst, LocalSearchOptions{Init: init})
+		got := LocalSearch(inst, LocalSearchOptions{Init: init})
+		if !equalLabelSlices(got, want) {
+			t.Fatalf("%s: incremental %v != reference %v", name, got, want)
+		}
+		if gc, wc := Cost(inst, got), Cost(inst, want); math.Abs(gc-wc) > 1e-9 {
+			t.Fatalf("%s: incremental cost %v, reference cost %v", name, gc, wc)
+		}
+	}
 	for trial := 0; trial < 25; trial++ {
 		m := []int{1, 2, 4, 8, 16}[rng.Intn(5)]
 		n := 2 + rng.Intn(60)
@@ -48,14 +61,11 @@ func TestLocalSearchIncrementalMatchesReferenceExact(t *testing.T) {
 				init[i] = rng.Intn(4)
 			}
 		}
-		want := localSearchReference(inst, LocalSearchOptions{Init: init})
-		got := LocalSearch(inst, LocalSearchOptions{Init: init})
-		if !equalLabelSlices(got, want) {
-			t.Fatalf("trial %d (m=%d n=%d): incremental %v != reference %v", trial, m, n, got, want)
-		}
-		if gc, wc := Cost(inst, got), Cost(inst, want); math.Abs(gc-wc) > 1e-9 {
-			t.Fatalf("trial %d: incremental cost %v, reference cost %v", trial, gc, wc)
-		}
+		check(fmt.Sprintf("trial %d (m=%d n=%d)", trial, m, n), inst, init)
+	}
+	grow := rand.New(rand.NewSource(43))
+	for _, n := range []int{2, 37, 90, 300} {
+		check(fmt.Sprintf("singletons n=%d", n), dyadicInstance(t, grow, 4, n, 1+grow.Intn(4)), nil)
 	}
 }
 
@@ -77,31 +87,6 @@ func TestLocalSearchIncrementalMatchesReferenceContinuous(t *testing.T) {
 	}
 }
 
-// TestLocalSearchWorkersIdentical: every worker count — sequential, 2, and
-// GOMAXPROCS — must produce bit-identical labels, on instances both below
-// and above the parallel threshold. The propose/validate pass re-evaluates
-// against the live state from the first applied move on, which makes it
-// float-for-float equal to the sequential sweep.
-func TestLocalSearchWorkersIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(43))
-	sizes := []int{2, 37, 90, 300} // 300 crosses localSearchMinParallel
-	for _, n := range sizes {
-		inst := dyadicInstance(t, rng, 4, n, 1+rng.Intn(4))
-		want := LocalSearch(inst, LocalSearchOptions{Workers: 1})
-		for _, workers := range []int{0, 2, 3, runtime.GOMAXPROCS(0), 2 * runtime.GOMAXPROCS(0)} {
-			got := LocalSearch(inst, LocalSearchOptions{Workers: workers})
-			if !equalLabelSlices(got, want) {
-				t.Fatalf("n=%d workers=%d: %v != sequential %v", n, workers, got, want)
-			}
-		}
-		// And the parallel path agrees with the reference on exact instances.
-		ref := localSearchReference(inst, LocalSearchOptions{})
-		if !equalLabelSlices(want, ref) {
-			t.Fatalf("n=%d: incremental %v != reference %v", n, want, ref)
-		}
-	}
-}
-
 // TestLocalSearchMoveCostMonotonic: replaying the kernel's move stream must
 // show a strictly improving objective — each applied move lowers the true
 // cost (recomputed from scratch) by more than zero, so the per-move cost is
@@ -115,30 +100,27 @@ func TestLocalSearchMoveCostMonotonic(t *testing.T) {
 		{"continuous", randomMatrix(48, 301)},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 3} {
-			labels := partition.Singletons(tc.inst.N())
-			prev := Cost(tc.inst, labels)
-			moveCount := 0
-			opts := LocalSearchOptions{
-				Workers: workers,
-				onMove: func(v, from, to int) {
-					labels[v] = to
-					c := Cost(tc.inst, labels)
-					if c > prev+1e-9 {
-						t.Fatalf("%s workers=%d move %d (obj %d: %d->%d): cost rose %v -> %v",
-							tc.name, workers, moveCount, v, from, to, prev, c)
-					}
-					prev = c
-					moveCount++
-				},
-			}
-			got := LocalSearch(tc.inst, opts)
-			if moveCount == 0 {
-				t.Fatalf("%s workers=%d: no moves observed", tc.name, workers)
-			}
-			if gc := Cost(tc.inst, got); math.Abs(gc-prev) > 1e-9 {
-				t.Fatalf("%s workers=%d: replayed cost %v != final cost %v", tc.name, workers, prev, gc)
-			}
+		labels := partition.Singletons(tc.inst.N())
+		prev := Cost(tc.inst, labels)
+		moveCount := 0
+		opts := LocalSearchOptions{
+			onMove: func(v, from, to int) {
+				labels[v] = to
+				c := Cost(tc.inst, labels)
+				if c > prev+1e-9 {
+					t.Fatalf("%s move %d (obj %d: %d->%d): cost rose %v -> %v",
+						tc.name, moveCount, v, from, to, prev, c)
+				}
+				prev = c
+				moveCount++
+			},
+		}
+		got := LocalSearch(tc.inst, opts)
+		if moveCount == 0 {
+			t.Fatalf("%s: no moves observed", tc.name)
+		}
+		if gc := Cost(tc.inst, got); math.Abs(gc-prev) > 1e-9 {
+			t.Fatalf("%s: replayed cost %v != final cost %v", tc.name, prev, gc)
 		}
 	}
 }
@@ -163,10 +145,8 @@ func TestLocalSearchRefreshGuard(t *testing.T) {
 	}
 }
 
-// TestLocalSearchIncrementalCounters pins the counter relationships: every
-// move costs 2(n−1) delta updates, proposals appear only on the parallel
-// path (n proposals per sweep), and the default sequential small-n run
-// registers proposals at zero.
+// TestLocalSearchIncrementalCounters pins the counter relationship: every
+// table-mode move costs 2(n−1) delta updates.
 func TestLocalSearchIncrementalCounters(t *testing.T) {
 	inst := dyadicInstance(t, rand.New(rand.NewSource(53)), 4, 50, 3)
 	n := inst.N()
@@ -176,16 +156,6 @@ func TestLocalSearchIncrementalCounters(t *testing.T) {
 	c := rec.Counters()
 	if want := c["localsearch.moves"] * int64(2*(n-1)); c["localsearch.delta_updates"] != want {
 		t.Errorf("delta_updates = %d, want moves*2(n-1) = %d", c["localsearch.delta_updates"], want)
-	}
-	if c["localsearch.proposals"] != 0 {
-		t.Errorf("sequential run: proposals = %d, want 0", c["localsearch.proposals"])
-	}
-
-	recP := obs.New()
-	LocalSearch(inst, LocalSearchOptions{Workers: 2, Recorder: recP})
-	cp := recP.Counters()
-	if want := cp["localsearch.sweeps"] * int64(n); cp["localsearch.proposals"] != want {
-		t.Errorf("parallel run: proposals = %d, want sweeps*n = %d", cp["localsearch.proposals"], want)
 	}
 }
 
@@ -213,16 +183,15 @@ func TestLocalSearchReferenceStillLocalOptimum(t *testing.T) {
 }
 
 // FuzzLocalSearchIncremental drives the incremental kernel against the
-// reference sweep on fuzzer-chosen exact (dyadic) instances and worker
-// counts: identical labels, costs within 1e-9.
+// reference sweep on fuzzer-chosen exact (dyadic) instances: identical
+// labels, costs within 1e-9.
 func FuzzLocalSearchIncremental(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(2), uint8(1))
-	f.Add(int64(2), uint8(40), uint8(0), uint8(2))
-	f.Add(int64(3), uint8(25), uint8(3), uint8(0))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mExp, workersRaw uint8) {
+	f.Add(int64(1), uint8(10), uint8(2))
+	f.Add(int64(2), uint8(40), uint8(0))
+	f.Add(int64(3), uint8(25), uint8(3))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mExp uint8) {
 		n := 1 + int(nRaw)%64
 		m := 1 << (int(mExp) % 5) // 1, 2, 4, 8, 16 clusterings: dyadic distances
-		workers := int(workersRaw) % 5
 		rng := rand.New(rand.NewSource(seed))
 		inst := dyadicInstance(t, rng, m, n, 1+rng.Intn(5))
 		var init partition.Labels
@@ -233,9 +202,9 @@ func FuzzLocalSearchIncremental(f *testing.F) {
 			}
 		}
 		want := localSearchReference(inst, LocalSearchOptions{Init: init})
-		got := LocalSearch(inst, LocalSearchOptions{Init: init, Workers: workers})
+		got := LocalSearch(inst, LocalSearchOptions{Init: init})
 		if !equalLabelSlices(got, want) {
-			t.Fatalf("n=%d m=%d workers=%d: incremental %v != reference %v", n, m, workers, got, want)
+			t.Fatalf("n=%d m=%d: incremental %v != reference %v", n, m, got, want)
 		}
 		if gc, wc := Cost(inst, got), Cost(inst, want); math.Abs(gc-wc) > 1e-9 {
 			t.Fatalf("costs differ: %v vs %v", gc, wc)

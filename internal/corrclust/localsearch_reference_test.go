@@ -8,7 +8,9 @@ import "clusteragg/internal/partition"
 // ascending-slot iteration, strict-< tie-breaks, same epsilon guard), only
 // with per-evaluation instead of delta-maintained float accumulation, and is
 // the oracle the incremental kernel's equivalence tests and benchmarks run
-// against. opts.Workers, opts.RefreshEvery, and the move hook are ignored.
+// against. It reads opts.Init and opts.MaxPasses, records only the sweeps,
+// moves and early-convergence counters on opts.Recorder, and ignores
+// opts.RefreshEvery, opts.Progress and the move hook.
 func localSearchReference(inst Instance, opts LocalSearchOptions) partition.Labels {
 	n := inst.N()
 	if n == 0 {
@@ -17,10 +19,6 @@ func localSearchReference(inst Instance, opts LocalSearchOptions) partition.Labe
 	maxPasses := opts.MaxPasses
 	if maxPasses <= 0 {
 		maxPasses = DefaultLocalSearchPasses
-	}
-	eps := opts.Epsilon
-	if eps <= 0 {
-		eps = 1e-9
 	}
 
 	var labels partition.Labels
@@ -91,7 +89,7 @@ func localSearchReference(inst Instance, opts LocalSearchOptions) partition.Labe
 					bestCluster, bestCost = i, d
 				}
 			}
-			if bestCost >= curCost-eps || bestCluster == cur {
+			if bestCost >= curCost-lsEpsilon || bestCluster == cur {
 				continue
 			}
 			// Apply the move.
