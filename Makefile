@@ -94,12 +94,12 @@ bench-short:
 bench-mem:
 	$(GO) test -run 'Alloc' -count=1 ./internal/core/ ./internal/corrclust/ ./internal/dataset/ ./internal/obs/
 
-# The ingest suite: sequential vs chunked-parallel CSV reader throughput
-# (internal/dataset, full benchtime with -benchmem) plus one smoke pass of
-# the end-to-end CSV→labels facade benchmarks (the "ingest" artifact and
-# the streamed AggregateCSV path). Part of `make check`.
+# The ingest suite: CSV reader throughput on one chunk parsed in place and
+# with a handoff to the chunk parsers (internal/dataset, full benchtime with
+# -benchmem) plus one smoke pass of the end-to-end CSV→labels facade
+# benchmarks (the "ingest" artifact and AggregateCSV). Part of `make check`.
 bench-ingest:
-	$(GO) test -run xxx -bench 'BenchmarkReadCSV$$|BenchmarkReadCSVParallel$$' -benchmem ./internal/dataset/
+	$(GO) test -run xxx -bench 'BenchmarkReadCSV$$' -benchmem ./internal/dataset/
 	$(GO) test -run xxx -bench 'BenchmarkIngestThroughput$$|BenchmarkAggregateCSV$$' -benchtime 1x -benchmem .
 
 # The observability cost sheet: the BenchmarkObsOverhead suite prices the
@@ -137,9 +137,9 @@ fuzz-kernel:
 fuzz-widths:
 	$(GO) test -run FuzzLabelKernelWidths -fuzz FuzzLabelKernelWidths -fuzztime 30s ./internal/core/
 
-# Fuzz the chunked parallel CSV reader against the sequential one: tables
-# (ids, order, missing cells) and errors must be identical at every worker
-# count.
+# Fuzz a forced handoff to the chunk parsers against the one-pass parse:
+# tables (ids, order, missing cells) and errors must be identical at every
+# parser count and chunk size.
 fuzz-ingest:
 	$(GO) test -run FuzzReadCSVParallelEquiv -fuzz FuzzReadCSVParallelEquiv -fuzztime 30s ./internal/dataset/
 
@@ -161,9 +161,9 @@ experiments-full:
 # against its full-Cost reference, AGGLOMERATIVE's cached-neighbor loop
 # against its lazy-heap reference, SAMPLING's twin-memoized assignment
 # against the probing reference, and AggregateCSV from raw bytes (a defined
-# error or the same valid labeling at every Workers/IngestWorkers setting).
+# error or the table reference's valid labeling at every Workers setting).
 fuzz:
-	$(GO) test -run FuzzReadCSV -fuzz FuzzReadCSV -fuzztime 30s ./internal/dataset/
+	$(GO) test -run '^FuzzReadCSV$$' -fuzz '^FuzzReadCSV$$' -fuzztime 30s ./internal/dataset/
 	$(GO) test -run FuzzNormalize -fuzz FuzzNormalize -fuzztime 30s ./internal/partition/
 	$(GO) test -run FuzzDistance -fuzz FuzzDistance -fuzztime 30s ./internal/partition/
 	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/

@@ -239,11 +239,10 @@ func BenchmarkMissingValueSweep(b *testing.B) {
 }
 
 // BenchmarkIngestThroughput runs the "ingest" artifact: CSV bytes →
-// aggregate labels in the three ingest modes (sequential one-pass reader,
-// chunked parallel reader, streamed into the packed label block), with
-// the runner verifying the modes agree label for label. Metrics: per-mode
-// MB/s. On a single-core machine the parallel modes mostly measure
-// coordination overhead — see docs/PERFORMANCE.md's Ingest section.
+// aggregate labels in the two ingest modes (through a Table, and streamed
+// into the packed label block), with the runner verifying the modes agree
+// label for label. Metrics: per-mode MB/s — see docs/PERFORMANCE.md's
+// Ingest section.
 func BenchmarkIngestThroughput(b *testing.B) {
 	cfg := benchCfg()
 	cfg.IngestRows = 20_000
@@ -255,45 +254,31 @@ func BenchmarkIngestThroughput(b *testing.B) {
 		if i == 0 {
 			b.Log("\n" + res.String())
 			mb := float64(res.Bytes) / (1 << 20)
-			b.ReportMetric(mb/res.Seq.Seconds(), "seq-MB/s")
-			b.ReportMetric(mb/res.Parallel.Seconds(), "parallel-MB/s")
+			b.ReportMetric(mb/res.Seq.Seconds(), "table-MB/s")
 			b.ReportMetric(mb/res.Streamed.Seconds(), "streamed-MB/s")
 		}
 	}
 }
 
 // BenchmarkAggregateCSV measures the public facade end to end — CSV bytes
-// in, labels plus objective out — sequential vs streamed ingest. Labels are
-// identical across modes (pinned by TestAggregateCSVPipelinedEquiv), so the
-// delta is pure ingest.
+// in, rows streamed into the packed block, labels plus objective out.
 func BenchmarkAggregateCSV(b *testing.B) {
 	data := pipelineCSV(8000)
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"sequential", 0},
-		{"streamed", 8},
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			b.SetBytes(int64(len(data)))
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				res, err := clusteragg.AggregateCSV(strings.NewReader(data), clusteragg.CSVOptions{
-					HasHeader:     true,
-					ClassColumn:   "class",
-					Method:        clusteragg.MethodFurthest,
-					SampleSize:    400,
-					IngestWorkers: bc.workers,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if res.Rows != 8000 {
-					b.Fatalf("rows = %d", res.Rows)
-				}
-			}
+	b.SetBytes(int64(len(data)))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		res, err := clusteragg.AggregateCSV(strings.NewReader(data), clusteragg.CSVOptions{
+			HasHeader:   true,
+			ClassColumn: "class",
+			Method:      clusteragg.MethodFurthest,
+			SampleSize:  400,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Rows != 8000 {
+			b.Fatalf("rows = %d", res.Rows)
+		}
 	}
 }
 

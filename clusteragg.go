@@ -149,14 +149,6 @@ type CSVOptions struct {
 	// SampleSeed seeds the SAMPLING randomness (0 = seed 1, matching
 	// SamplingOptions.Rand's default). Ignored outside SAMPLING.
 	SampleSeed int64
-	// IngestWorkers switches ingest to the parallel chunked CSV reader
-	// with this many concurrent chunk parsers (0 = the sequential one-pass
-	// reader, 1 = a single chunked parser; negative values are rejected
-	// with ErrNegativeOption). The parsed table is bit-identical at every
-	// setting. When SAMPLING is active, the parsed rows additionally stream
-	// straight into the width-packed label block instead of a materialized
-	// table — still bit-identical to reading everything first.
-	IngestWorkers int
 }
 
 // ErrNegativeOption is returned, wrapped with the offending field, when a
@@ -184,53 +176,31 @@ type CSVResult struct {
 // AggregateCSV clusters categorical CSV data end to end: every categorical
 // attribute becomes an input clustering (the Section 2 reduction) and the
 // aggregate is computed with the chosen method. Numeric columns are ignored;
-// "?" and empty cells are missing values.
+// "?" and empty cells are missing values. Parsed rows stream straight into
+// the width-packed label block, so no table and no per-attribute []int
+// clusterings ever materialize; the labels are those of reading the whole
+// table first. The span tree gains a pipeline span holding the ingest lane,
+// the aggregation (or sample) span, and the objective evaluation.
 func AggregateCSV(r io.Reader, opts CSVOptions) (*CSVResult, error) {
 	if opts.SampleSize < 0 {
 		return nil, fmt.Errorf("%w: SampleSize %d", ErrNegativeOption, opts.SampleSize)
 	}
-	if opts.IngestWorkers < 0 {
-		return nil, fmt.Errorf("%w: IngestWorkers %d", ErrNegativeOption, opts.IngestWorkers)
-	}
-	sampling := opts.SampleSize > 0
-	if opts.IngestWorkers > 0 && sampling {
-		return aggregateCSVStreamed(r, opts)
-	}
-	dopts := dataset.CSVOptions{
+	rec := opts.Options.Recorder
+	pipe := rec.Start("pipeline")
+	defer pipe.End()
+	sink := &csvFeedSink{tp: rec.Series("ingest.throughput"), start: time.Now()}
+	ingest := pipe.StartChild("ingest")
+	st, err := dataset.ReadCSVStream(r, dataset.CSVOptions{
 		HasHeader:   opts.HasHeader,
 		ClassColumn: opts.ClassColumn,
-		Workers:     opts.IngestWorkers,
-	}
-	var t *dataset.Table
-	var err error
-	if opts.IngestWorkers > 0 {
-		t, err = dataset.ReadCSVParallel(r, dopts)
-	} else {
-		t, err = dataset.ReadCSV(r, dopts)
-	}
+	}, sink)
+	ingest.End()
 	if err != nil {
 		return nil, err
 	}
-	cats := t.CategoricalColumns()
-	if len(cats) == 0 {
-		return nil, fmt.Errorf("clusteragg: dataset: table %q has no categorical columns", t.Name)
-	}
-	rec := opts.Options.Recorder
-	rec.Add("ingest.rows", int64(t.N()))
-	rec.Add("ingest.bytes", t.BytesRead)
-	// Stream each attribute's labels into the width-packed block so the
-	// per-attribute []int clusterings are transient, not resident.
-	b := core.NewPackedColumns(t.N(), len(cats))
-	for _, c := range cats {
-		labels, err := c.Clustering()
-		if err != nil {
-			return nil, err
-		}
-		if err := b.AppendColumn(labels); err != nil {
-			return nil, err
-		}
-	}
-	pc, err := b.Build()
+	rec.Add("ingest.rows", int64(st.Rows))
+	rec.Add("ingest.bytes", st.Bytes)
+	pc, err := sink.b.Build()
 	if err != nil {
 		return nil, err
 	}
@@ -239,7 +209,7 @@ func AggregateCSV(r io.Reader, opts CSVOptions) (*CSVResult, error) {
 		return nil, err
 	}
 	var labels Labels
-	if sampling {
+	if opts.SampleSize > 0 {
 		labels, err = problem.Sample(opts.Method, opts.Options, core.SamplingOptions{
 			SampleSize: opts.SampleSize,
 			Rand:       sampleRand(opts.SampleSeed),
@@ -250,18 +220,15 @@ func AggregateCSV(r io.Reader, opts CSVOptions) (*CSVResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &CSVResult{
+	return &CSVResult{
 		Labels:       labels,
+		Class:        sink.class,
 		Disagreement: problem.Disagreement(labels),
 		LowerBound:   problem.LowerBound(),
 		Attributes:   problem.M(),
-		Rows:         t.N(),
-		BytesRead:    t.BytesRead,
-	}
-	if t.Class != nil {
-		res.Class = t.Class
-	}
-	return res, nil
+		Rows:         st.Rows,
+		BytesRead:    st.Bytes,
+	}, nil
 }
 
 // sampleRand maps the CSVOptions seed to the SAMPLING randomness source,
@@ -274,12 +241,12 @@ func sampleRand(seed int64) *rand.Rand {
 	return rand.New(rand.NewSource(seed))
 }
 
-// csvFeedSink packs the chunked CSV reader's row stream straight into a
-// row-mode PackedBuilder: Schema sizes the builder off the settled
-// categorical columns, Rows appends each merged batch (the raw per-column
-// value ids — first-occurrence interning makes them identical to
-// Column.Clustering()'s normalized labels) and accumulates the class
-// column. It also keeps the ingest-throughput series fed.
+// csvFeedSink packs the CSV reader's row stream straight into a row-mode
+// PackedBuilder: Schema sizes the builder off the settled categorical
+// columns, Rows appends each batch (the raw per-column value ids —
+// first-occurrence interning makes them identical to Column.Clustering()'s
+// normalized labels) and accumulates the class column. It also keeps the
+// ingest-throughput series fed.
 type csvFeedSink struct {
 	b     *core.PackedBuilder
 	class Labels
@@ -290,7 +257,7 @@ type csvFeedSink struct {
 
 func (s *csvFeedSink) Schema(cats []string, hasClass bool) error {
 	if len(cats) == 0 {
-		return fmt.Errorf("clusteragg: dataset: table %q has no categorical columns", "")
+		return errors.New("clusteragg: csv input has no categorical columns")
 	}
 	s.b = core.NewPackedBuilder(len(cats))
 	return nil
@@ -309,57 +276,4 @@ func (s *csvFeedSink) Rows(lo, hi int, cats [][]int, class []int) error {
 		s.tp.Append(int64(hi), float64(hi)/sec)
 	}
 	return nil
-}
-
-// aggregateCSVStreamed is the SAMPLING path under parallel ingest: the
-// chunked reader streams merged rows into the packed label block, so no
-// Table and no per-attribute []int clusterings ever materialize, then the
-// packed problem is sampled. Labels are bit-identical to the
-// read-everything-first path at every IngestWorkers / Workers setting; the
-// span tree gains a pipeline span holding the ingest lane, the sample span,
-// and the objective evaluation.
-func aggregateCSVStreamed(r io.Reader, opts CSVOptions) (*CSVResult, error) {
-	rec := opts.Options.Recorder
-	pipe := rec.Start("pipeline")
-	defer pipe.End()
-	sink := &csvFeedSink{tp: rec.Series("ingest.throughput"), start: time.Now()}
-	ingest := pipe.StartChild("ingest")
-	st, err := dataset.ReadCSVStream(r, dataset.CSVOptions{
-		HasHeader:   opts.HasHeader,
-		ClassColumn: opts.ClassColumn,
-		Workers:     opts.IngestWorkers,
-	}, sink)
-	ingest.End()
-	if err != nil {
-		return nil, err
-	}
-	rec.Add("ingest.rows", int64(st.Rows))
-	rec.Add("ingest.bytes", st.Bytes)
-	pc, err := sink.b.Build()
-	if err != nil {
-		return nil, err
-	}
-	problem, err := core.NewProblemPacked(pc, core.ProblemOptions{})
-	if err != nil {
-		return nil, err
-	}
-	labels, err := problem.Sample(opts.Method, opts.Options, core.SamplingOptions{
-		SampleSize: opts.SampleSize,
-		Rand:       sampleRand(opts.SampleSeed),
-	})
-	if err != nil {
-		return nil, err
-	}
-	res := &CSVResult{
-		Labels:       labels,
-		Disagreement: problem.Disagreement(labels),
-		LowerBound:   problem.LowerBound(),
-		Attributes:   problem.M(),
-		Rows:         st.Rows,
-		BytesRead:    st.Bytes,
-	}
-	if len(sink.class) > 0 {
-		res.Class = sink.class
-	}
-	return res, nil
 }

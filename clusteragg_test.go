@@ -142,11 +142,10 @@ var degenerateCSV = []struct {
 
 // TestAggregateCSVDegenerateInputs pins the facade's contract on
 // degenerate inputs: each yields a defined error or a valid labeling —
-// never a panic. CSV inputs run exact and sampled, each at IngestWorkers
-// 0 (sequential reader) and 2 (chunked reader; streamed into the packed
-// block when sampling), and every ingest mode must give the same error
-// text or the same labels. The NewProblem cases run every method and
-// SAMPLING on the problem when it is accepted.
+// never a panic. CSV inputs run exact and sampled, and each must give the
+// same error text or the same labels and costs as the table reference
+// (referenceCSV). The NewProblem cases run every method and SAMPLING on
+// the problem when it is accepted.
 func TestAggregateCSVDegenerateInputs(t *testing.T) {
 	noPanic := func(t *testing.T, f func()) {
 		t.Helper()
@@ -160,35 +159,32 @@ func TestAggregateCSVDegenerateInputs(t *testing.T) {
 	for _, tc := range degenerateCSV {
 		for _, sampleSize := range []int{0, 2} {
 			t.Run(fmt.Sprintf("csv/%s/sample=%d", tc.name, sampleSize), func(t *testing.T) {
-				var outcomes []string
-				for _, ingest := range []int{0, 2} {
-					var res *clusteragg.CSVResult
-					var err error
-					noPanic(t, func() {
-						res, err = clusteragg.AggregateCSV(strings.NewReader(tc.csv), clusteragg.CSVOptions{
-							HasHeader: true, Method: clusteragg.MethodFurthest,
-							SampleSize: sampleSize, IngestWorkers: ingest,
-						})
-					})
-					if tc.wantErr != "" {
-						if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
-							t.Fatalf("IngestWorkers=%d: error %v, want one containing %q", ingest, err, tc.wantErr)
-						}
-						outcomes = append(outcomes, err.Error())
-						continue
-					}
-					if err != nil {
-						t.Fatalf("IngestWorkers=%d: %v", ingest, err)
-					}
-					if res.Rows != tc.rows {
-						t.Fatalf("IngestWorkers=%d: %d rows, want %d", ingest, res.Rows, tc.rows)
-					}
-					validLabeling(t, res.Labels, tc.rows)
-					outcomes = append(outcomes, fmt.Sprint(res.Labels, res.Disagreement, res.LowerBound))
+				opts := clusteragg.CSVOptions{
+					HasHeader: true, Method: clusteragg.MethodFurthest, SampleSize: sampleSize,
 				}
-				if outcomes[0] != outcomes[1] {
-					t.Fatalf("ingest modes differ: %q vs %q", outcomes[0], outcomes[1])
+				var res *clusteragg.CSVResult
+				var err error
+				noPanic(t, func() {
+					res, err = clusteragg.AggregateCSV(strings.NewReader(tc.csv), opts)
+				})
+				want, wantErr := referenceCSV(tc.csv, opts)
+				if tc.wantErr != "" {
+					if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+						t.Fatalf("error %v, want one containing %q", err, tc.wantErr)
+					}
+					if wantErr == nil || err.Error() != wantErr.Error() {
+						t.Fatalf("error %q, reference %v", err, wantErr)
+					}
+					return
 				}
+				if err != nil || wantErr != nil {
+					t.Fatalf("error %v, reference %v", err, wantErr)
+				}
+				if res.Rows != tc.rows {
+					t.Fatalf("%d rows, want %d", res.Rows, tc.rows)
+				}
+				validLabeling(t, res.Labels, tc.rows)
+				sameResult(t, "reference", res, want)
 			})
 		}
 	}
@@ -238,11 +234,10 @@ func TestAggregateCSVDegenerateInputs(t *testing.T) {
 }
 
 // FuzzAggregateCSV feeds arbitrary bytes to AggregateCSV, exact and
-// sampled, at Workers 1 and 2 and IngestWorkers 0 (sequential reader) and
-// 2 (chunked reader; streamed into the packed block when sampling). It
-// must never panic, and every setting must return the same defined error
-// or the same valid normalized labeling: the worker counts and the ingest
-// mode are not allowed to steer the result.
+// sampled, at Workers 1 and 2. It must never panic, and every setting must
+// return the table reference's defined error or its valid normalized
+// labeling (referenceCSV at Workers 1): neither the worker count nor
+// streaming the rows is allowed to steer the result.
 func FuzzAggregateCSV(f *testing.F) {
 	for _, tc := range degenerateCSV {
 		f.Add([]byte(tc.csv), true)
@@ -254,28 +249,23 @@ func FuzzAggregateCSV(f *testing.F) {
 			// Up to ~1 000 rows: the exact run materializes an n² matrix.
 			t.Skip("input too large for one fuzz iteration")
 		}
+		outcome := func(res *clusteragg.CSVResult, err error) string {
+			if err != nil {
+				return "error: " + err.Error()
+			}
+			validLabeling(t, res.Labels, res.Rows)
+			return fmt.Sprint(res.Labels)
+		}
 		for _, sampleSize := range []int{0, 2} {
-			var want string
+			opts := clusteragg.CSVOptions{
+				HasHeader: header, Method: clusteragg.MethodFurthest, SampleSize: sampleSize,
+				Options: clusteragg.AggregateOptions{Workers: 1},
+			}
+			want := outcome(referenceCSV(string(data), opts))
 			for _, workers := range []int{1, 2} {
-				for _, ingest := range []int{0, 2} {
-					res, err := clusteragg.AggregateCSV(bytes.NewReader(data), clusteragg.CSVOptions{
-						HasHeader: header, Method: clusteragg.MethodFurthest,
-						Options:    clusteragg.AggregateOptions{Workers: workers},
-						SampleSize: sampleSize, IngestWorkers: ingest,
-					})
-					var got string
-					if err != nil {
-						got = "error: " + err.Error()
-					} else {
-						validLabeling(t, res.Labels, res.Rows)
-						got = fmt.Sprint(res.Labels)
-					}
-					if workers == 1 && ingest == 0 {
-						want = got
-					} else if got != want {
-						t.Fatalf("sample=%d Workers=%d IngestWorkers=%d: %q, want %q as at Workers=1 IngestWorkers=0",
-							sampleSize, workers, ingest, got, want)
-					}
+				opts.Options.Workers = workers
+				if got := outcome(clusteragg.AggregateCSV(bytes.NewReader(data), opts)); got != want {
+					t.Fatalf("sample=%d Workers=%d: %q, want the reference's %q", sampleSize, workers, got, want)
 				}
 			}
 		}

@@ -24,19 +24,19 @@ func ingestCSV(rows int) string {
 	return b.String()
 }
 
-// TestRunPipelinedIngestEquiv: -ingest-workers must not change any
-// deterministic report field — result shape, costs, or the sampling and
-// ingest counters — whether ingest is sequential or streamed into the
-// packed label block.
+// TestRunPipelinedIngestEquiv: a sampled run streams its rows through
+// AggregateCSV unless -describe asks for the table, and the two paths must
+// agree on every deterministic report field — result shape, costs, and the
+// sampling and ingest counters.
 func TestRunPipelinedIngestEquiv(t *testing.T) {
 	csv := ingestCSV(300)
 	path := writeCSV(t, csv)
-	report := func(ingest int) obs.RunReport {
+	report := func(describe bool) obs.RunReport {
 		cfg := base()
 		cfg.header = true
 		cfg.class = "class"
 		cfg.sample = 25
-		cfg.ingestWorkers = ingest
+		cfg.describe = describe
 		cfg.report = filepath.Join(t.TempDir(), "rep.json")
 		if err := run(path, cfg); err != nil {
 			t.Fatal(err)
@@ -51,54 +51,50 @@ func TestRunPipelinedIngestEquiv(t *testing.T) {
 		}
 		return rep
 	}
-	want := report(0)
+	want := report(true)
 	if want.Counters["ingest.rows"] != 300 || want.Counters["ingest.bytes"] != int64(len(csv)) {
-		t.Fatalf("sequential ingest counters = %d rows / %d bytes, want 300 / %d",
+		t.Fatalf("table ingest counters = %d rows / %d bytes, want 300 / %d",
 			want.Counters["ingest.rows"], want.Counters["ingest.bytes"], len(csv))
 	}
 	if want.Counters["sample.size"] != 25 {
 		t.Fatalf("sample.size = %d, want 25", want.Counters["sample.size"])
 	}
-	for _, workers := range []int{1, 2} {
-		got := report(workers)
-		if got.N != want.N || got.M != want.M || got.Clusters != want.Clusters ||
-			got.Cost != want.Cost || got.LowerBound != want.LowerBound {
-			t.Errorf("ingest-workers=%d: report head {n:%d m:%d k:%d cost:%v lb:%v}, want {n:%d m:%d k:%d cost:%v lb:%v}",
-				workers, got.N, got.M, got.Clusters, got.Cost, got.LowerBound,
-				want.N, want.M, want.Clusters, want.Cost, want.LowerBound)
-		}
-		for _, name := range []string{"ingest.rows", "ingest.bytes", "sample.size", "sample.assigned", "sample.fresh_singletons"} {
-			if got.Counters[name] != want.Counters[name] {
-				t.Errorf("ingest-workers=%d: counter %s = %d, want %d", workers, name, got.Counters[name], want.Counters[name])
-			}
+	got := report(false)
+	if got.N != want.N || got.M != want.M || got.Clusters != want.Clusters ||
+		got.Cost != want.Cost || got.LowerBound != want.LowerBound {
+		t.Errorf("streamed: report head {n:%d m:%d k:%d cost:%v lb:%v}, want {n:%d m:%d k:%d cost:%v lb:%v}",
+			got.N, got.M, got.Clusters, got.Cost, got.LowerBound,
+			want.N, want.M, want.Clusters, want.Cost, want.LowerBound)
+	}
+	for _, name := range []string{"ingest.rows", "ingest.bytes", "sample.size", "sample.assigned", "sample.fresh_singletons"} {
+		if got.Counters[name] != want.Counters[name] {
+			t.Errorf("streamed: counter %s = %d, want %d", name, got.Counters[name], want.Counters[name])
 		}
 	}
 }
 
 // TestRunPipelinedDescribeFallsBack: -describe needs the materialized
-// table, so it must take the drain-then-compute path even with
-// -ingest-workers set — and still work.
+// table, so a sampled run with it must read the table instead of
+// streaming — and still work.
 func TestRunPipelinedDescribeFallsBack(t *testing.T) {
 	path := writeCSV(t, ingestCSV(150))
 	cfg := base()
 	cfg.header = true
 	cfg.class = "class"
 	cfg.sample = 20
-	cfg.ingestWorkers = 2
 	cfg.describe = true
 	if err := run(path, cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestRunParallelIngestExact: -ingest-workers on the exact (non-sampling)
-// path parses with the chunked reader into the classic pipeline.
+// TestRunParallelIngestExact: an exact (non-sampling) run reads the table
+// and clusters it.
 func TestRunParallelIngestExact(t *testing.T) {
 	path := writeCSV(t, ingestCSV(50))
 	cfg := base()
 	cfg.header = true
 	cfg.class = "class"
-	cfg.ingestWorkers = 3
 	cfg.summary = true
 	if err := run(path, cfg); err != nil {
 		t.Fatal(err)

@@ -32,11 +32,6 @@
 //	-workers N     cap worker goroutines for the parallel stages
 //	               (0 = GOMAXPROCS, 1 = sequential; results are identical
 //	               for every value)
-//	-ingest-workers N
-//	               parse the CSV with N concurrent chunk parsers
-//	               (0 = sequential reader; negative is an error); with
-//	               -sample, parsed rows stream straight into the packed
-//	               label block — results are identical for every value
 //	-summary       print cluster sizes instead of per-row assignments
 //	-describe      print each cluster's dominant attribute values
 //	-trace         print a span tree and algorithm counters on stderr
@@ -80,26 +75,25 @@ import (
 
 // cliConfig carries the parsed flags.
 type cliConfig struct {
-	method        string
-	alpha         float64
-	k             int
-	refine        bool
-	header        bool
-	class         string
-	sample        int
-	seed          int64
-	workers       int
-	ingestWorkers int
-	summary       bool
-	describe      bool
-	trace         bool
-	report        string
-	tracefile     string
-	progress      bool
-	listen        string
-	logFormat     string
-	cpuprofile    string
-	memprofile    string
+	method     string
+	alpha      float64
+	k          int
+	refine     bool
+	header     bool
+	class      string
+	sample     int
+	seed       int64
+	workers    int
+	summary    bool
+	describe   bool
+	trace      bool
+	report     string
+	tracefile  string
+	progress   bool
+	listen     string
+	logFormat  string
+	cpuprofile string
+	memprofile string
 
 	// traceOut receives the -trace output, progressOut the -progress
 	// ticker, and logOut the -log stream; nil means os.Stderr. Tests
@@ -131,7 +125,6 @@ func main() {
 	flag.IntVar(&cfg.sample, "sample", 0, "SAMPLING sample size (0 = exact algorithm)")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for sampling and randomized methods")
 	flag.IntVar(&cfg.workers, "workers", 0, "worker goroutines for parallel stages (0 = GOMAXPROCS, 1 = sequential)")
-	flag.IntVar(&cfg.ingestWorkers, "ingest-workers", 0, "concurrent CSV chunk parsers (0 = sequential reader); with -sample, streams rows straight into the packed label block")
 	flag.BoolVar(&cfg.summary, "summary", false, "print cluster sizes instead of assignments")
 	flag.BoolVar(&cfg.describe, "describe", false, "print each cluster's dominant attribute values")
 	flag.BoolVar(&cfg.trace, "trace", false, "print a span tree and algorithm counters on stderr")
@@ -157,9 +150,6 @@ func main() {
 func run(path string, cfg cliConfig) error {
 	if cfg.sample < 0 {
 		return fmt.Errorf("-sample %d: %w", cfg.sample, clusteragg.ErrNegativeOption)
-	}
-	if cfg.ingestWorkers < 0 {
-		return fmt.Errorf("-ingest-workers %d: %w", cfg.ingestWorkers, clusteragg.ErrNegativeOption)
 	}
 	if cfg.cpuprofile != "" {
 		f, err := os.Create(cfg.cpuprofile)
@@ -279,18 +269,17 @@ func run(path string, cfg cliConfig) error {
 	var disagreement, lowerBound float64
 	sampling := cfg.sample > 0
 	rec.Event("run.start", "method", cfg.method, "sampling", sampling, "workers", cfg.workers)
-	if cfg.ingestWorkers > 0 && sampling && !cfg.describe {
-		// Streamed ingest: the chunked parallel reader packs rows straight
-		// into the label block, so no table materializes. -describe is
-		// excluded — it needs the table.
+	if sampling && !cfg.describe {
+		// Streamed ingest: the reader packs rows straight into the label
+		// block, so no table materializes. -describe is excluded — it
+		// needs the table.
 		res, err := clusteragg.AggregateCSV(in, clusteragg.CSVOptions{
-			HasHeader:     cfg.header,
-			ClassColumn:   cfg.class,
-			Method:        method,
-			Options:       opts,
-			SampleSize:    cfg.sample,
-			SampleSeed:    cfg.seed,
-			IngestWorkers: cfg.ingestWorkers,
+			HasHeader:   cfg.header,
+			ClassColumn: cfg.class,
+			Method:      method,
+			Options:     opts,
+			SampleSize:  cfg.sample,
+			SampleSeed:  cfg.seed,
 		})
 		if err != nil {
 			return err
@@ -300,17 +289,11 @@ func run(path string, cfg cliConfig) error {
 		disagreement, lowerBound = res.Disagreement, res.LowerBound
 	} else {
 		loadSpan := rec.Start("load")
-		dopts := dataset.CSVOptions{
+		tab, err = dataset.ReadCSV(in, dataset.CSVOptions{
 			Name:        path,
 			HasHeader:   cfg.header,
 			ClassColumn: cfg.class,
-			Workers:     cfg.ingestWorkers,
-		}
-		if cfg.ingestWorkers > 0 {
-			tab, err = dataset.ReadCSVParallel(in, dopts)
-		} else {
-			tab, err = dataset.ReadCSV(in, dopts)
-		}
+		})
 		if err != nil {
 			return err
 		}

@@ -130,19 +130,12 @@ func TestRunErrors(t *testing.T) {
 	if err := run(numeric, ncfg); err == nil {
 		t.Error("numeric-only table accepted")
 	}
-	// Negative counts are usage errors, not silent fallbacks to the exact
-	// algorithm or the sequential reader.
-	for _, mod := range []func(*cliConfig){
-		func(c *cliConfig) { c.sample = -5 },
-		func(c *cliConfig) { c.ingestWorkers = -3 },
-		func(c *cliConfig) { c.sample = 10; c.ingestWorkers = -3 },
-	} {
-		ncfg := base()
-		mod(&ncfg)
-		if err := run(path, ncfg); !errors.Is(err, clusteragg.ErrNegativeOption) {
-			t.Errorf("sample %d / ingest-workers %d: error %v, want ErrNegativeOption",
-				ncfg.sample, ncfg.ingestWorkers, err)
-		}
+	// A negative sample size is a usage error, not a silent fallback to
+	// the exact algorithm.
+	scfg := base()
+	scfg.sample = -5
+	if err := run(path, scfg); !errors.Is(err, clusteragg.ErrNegativeOption) {
+		t.Errorf("sample -5: error %v, want ErrNegativeOption", err)
 	}
 }
 

@@ -11,11 +11,10 @@
 // together; the "ensembles" (related-work consensus methods) and "missing"
 // (missing-value robustness) artifacts extend the paper's own evaluation —
 // see EXPERIMENTS.md. The "ingest" artifact measures CSV → labels end to
-// end in three ingest modes (sequential, chunked parallel, and streamed
-// straight into the packed label block) and verifies they produce
-// identical labels. The "huge" artifact is the SAMPLING scaling ladder
-// (200k → 1M → 2M → 5M → 10M synthetic objects) plus a 1M-row
-// CSV-on-disk end-to-end rung; it is
+// end in two ingest modes (through a Table, and streamed straight into the
+// packed label block) and verifies they produce identical labels. The
+// "huge" artifact is the SAMPLING scaling ladder (200k → 1M → 2M → 5M →
+// 10M synthetic objects) plus a 1M-row CSV-on-disk end-to-end rung; it is
 // deliberately NOT part of "all" — run it explicitly or via
 // `make bench-huge`, and diff its report against BENCH_huge.json.
 //
@@ -446,7 +445,6 @@ func runArtifact(artifact string, cfg experiments.Config, plot, asJSON bool, rep
 			"clusters":         float64(res.Clusters),
 			"rand_index":       res.Rand,
 			"seq_seconds":      res.Seq.Seconds(),
-			"parallel_seconds": res.Parallel.Seconds(),
 			"streamed_seconds": res.Streamed.Seconds(),
 		}
 		if res.Streamed > 0 {

@@ -27,11 +27,12 @@
 // scaling benchmarks) plus the planted group as the class column, ready
 // for `clusteragg -header -class class -sample 500`.
 //
-// The consuming side is symmetric: clusteragg streams the CSV through
-// dataset.ReadCSV's interning reader and packs each attribute straight
-// into the width-packed label arena (core.NewPackedColumns), so a
-// gendata-produced 10M-row file is clustered without the []int label
-// slices ever materializing — see docs/PERFORMANCE.md's memory budget.
+// The consuming side is symmetric: a sampled clusteragg run streams the
+// CSV through dataset.ReadCSVStream, which packs each batch of parsed rows
+// straight into the width-packed label arena (core.NewPackedBuilder), so a
+// gendata-produced 10M-row file is clustered without a table or the []int
+// label slices ever materializing — see docs/PERFORMANCE.md's memory
+// budget.
 package main
 
 import (

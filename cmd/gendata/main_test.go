@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"slices"
 	"strings"
 	"testing"
 
@@ -183,8 +182,8 @@ func TestStreamPlantedChunkedDeterministic(t *testing.T) {
 }
 
 // TestStreamPlantedChunkedRoundTrip: the chunked stream must carry the same
-// schema and planted structure as the sequential one and survive both the
-// sequential and the parallel CSV reader identically.
+// schema and planted structure as the sequential one and read back through
+// the CSV reader.
 func TestStreamPlantedChunkedRoundTrip(t *testing.T) {
 	withChunkRows(t, 128)
 	cfg := genConfig{name: "planted", seed: 3, rows: 700, attrs: 5, k: 4, noise: 0.1, missing: 0.05, workers: 4}
@@ -197,14 +196,8 @@ func TestStreamPlantedChunkedRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	popts := opts
-	popts.Workers = 3
-	ptab, err := dataset.ReadCSVParallel(bytes.NewReader(buf.Bytes()), popts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tab.N() != 700 || ptab.N() != 700 {
-		t.Errorf("N = %d (sequential) / %d (parallel), want 700", tab.N(), ptab.N())
+	if tab.N() != 700 {
+		t.Errorf("N = %d, want 700", tab.N())
 	}
 	if got := len(tab.CategoricalColumns()); got != 5 {
 		t.Errorf("categorical columns = %d, want 5", got)
@@ -215,18 +208,8 @@ func TestStreamPlantedChunkedRoundTrip(t *testing.T) {
 	if tab.MissingTotal() == 0 {
 		t.Error("missing probability 0.05 produced no ? cells")
 	}
-	cs, err := tab.Clusterings()
-	if err != nil {
+	if _, err := tab.Clusterings(); err != nil {
 		t.Fatal(err)
-	}
-	pcs, err := ptab.Clusterings()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for ci := range cs {
-		if !slices.Equal(cs[ci], pcs[ci]) {
-			t.Errorf("column %d: parallel reader diverges from sequential on chunked stream", ci)
-		}
 	}
 }
 

@@ -2,13 +2,14 @@ package dataset
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 // benchCSV builds an in-memory CSV in the shape the loader actually meets:
 // mostly low-cardinality categorical columns with heavily repeated values
-// (the regime the bounded intern table and ReuseRecord target), one numeric
+// (the regime interning and ReuseRecord target), one numeric
 // column, one class column, and a sprinkle of missing tokens.
 func benchCSV(rows int) string {
 	var sb strings.Builder
@@ -26,44 +27,26 @@ func benchCSV(rows int) string {
 	return sb.String()
 }
 
-// BenchmarkReadCSV pins the loader's speed and allocation profile (run with
-// -benchmem): one streamed pass with a reused record buffer and bounded
-// interning should allocate O(columns · distinct values) strings, not
-// O(cells). docs/PERFORMANCE.md records the before/after numbers.
+// BenchmarkReadCSV pins the reader's speed and allocation profile (run
+// with -benchmem) on a 0.7 MB input: one-chunk parses it in place, as
+// ReadCSV does at this size; handoff parses the first 64 KiB in place and
+// hands the rest to the chunk parsers, as ReadCSV does past its first
+// chunk. docs/PERFORMANCE.md records the numbers.
 func BenchmarkReadCSV(b *testing.B) {
 	data := benchCSV(20_000)
-	b.SetBytes(int64(len(data)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		t, err := ReadCSV(strings.NewReader(data), CSVOptions{
-			Name: "bench", HasHeader: true, ClassColumn: "class",
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if t.N() != 20_000 {
-			b.Fatalf("rows = %d", t.N())
-		}
-	}
-}
-
-// BenchmarkReadCSVParallel pins the chunked parallel reader on the same
-// workload as BenchmarkReadCSV, across worker counts. On a single-core
-// machine workers>1 mostly measures the chunking/merge overhead; the
-// interesting comparison is against BenchmarkReadCSV's sequential pass
-// (docs/PERFORMANCE.md's Ingest table).
-func BenchmarkReadCSVParallel(b *testing.B) {
-	data := benchCSV(20_000)
-	for _, workers := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+	opts := CSVOptions{Name: "bench", HasHeader: true, ClassColumn: "class"}
+	for _, bc := range []struct {
+		name           string
+		chunk, parsers int
+	}{
+		{"one-chunk", defaultChunkBytes, 0},
+		{"handoff", 64 << 10, max(2, runtime.GOMAXPROCS(0))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
 			b.SetBytes(int64(len(data)))
 			b.ReportAllocs()
-			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				t, err := ReadCSVParallel(strings.NewReader(data), CSVOptions{
-					Name: "bench", HasHeader: true, ClassColumn: "class", Workers: workers,
-				})
+				t, _, err := readCSV(strings.NewReader(data), opts, nil, bc.chunk, bc.parsers)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -72,6 +55,30 @@ func BenchmarkReadCSVParallel(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestReadCSVOneChunkAllocBytes pins the bytes ReadCSV allocates on an input
+// below one chunk: 6.60 MB a read on benchCSV(20 000), which the bound
+// allows 10% over. Buffering the input, or parsing it through the chunk
+// parsers (local ids, then a remap into the global ones), costs well past
+// that.
+func TestReadCSVOneChunkAllocBytes(t *testing.T) {
+	const runs = 5
+	data := benchCSV(20_000)
+	if len(data) >= defaultChunkBytes {
+		t.Fatalf("input is %d bytes, not below one chunk", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := ReadCSV(strings.NewReader(data), CSVOptions{Name: "pin", HasHeader: true, ClassColumn: "class"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perRead := (after.TotalAlloc - before.TotalAlloc) / runs; perRead > 7_260_000 {
+		t.Errorf("ReadCSV allocates %d bytes a read on %d input bytes; the one-chunk bound is 7 260 000", perRead, len(data))
 	}
 }
 

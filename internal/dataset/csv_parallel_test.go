@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"fmt"
+	"io"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -67,7 +69,7 @@ func tablesEqual(t *testing.T, want, got *Table) {
 
 // equivCSVs is the shared corpus of inputs exercising every reader feature:
 // inference flips, forced kinds, quoting, crlf, blank lines, missing
-// tokens, and the bounded-intern overflow path.
+// tokens, a near-unique id column and a leading byte order mark.
 func equivCSVs() map[string]struct {
 	data string
 	opts CSVOptions
@@ -111,7 +113,7 @@ func equivCSVs() map[string]struct {
 			"\n\nx,1\ny,2\n",
 			CSVOptions{Name: "lb"},
 		},
-		"overflow": {unique(internCap + 1500), CSVOptions{Name: "ov", HasHeader: true, ClassColumn: "class"}},
+		"overflow": {unique(5600), CSVOptions{Name: "ov", HasHeader: true, ClassColumn: "class"}},
 		"lateflip": {lateFlip(2000), CSVOptions{Name: "lf", HasHeader: true, ClassColumn: "class"}},
 		"forced": {
 			benchCSV(1200),
@@ -134,29 +136,42 @@ func equivCSVs() map[string]struct {
 			"a,b\nx,1\ny,2",
 			CSVOptions{Name: "nn", HasHeader: true},
 		},
+		// The class column comes first, right after the byte order mark.
+		"bom": {
+			"\ufeffclass,b\n" + strings.Repeat("c0,x\nc1,y\n", 40),
+			CSVOptions{Name: "bom", HasHeader: true, ClassColumn: "class"},
+		},
 	}
 }
 
-var equivGrid = []struct{ workers, chunk int }{
-	{1, 64}, {2, 64}, {3, 257}, {8, 101}, {2, 4096}, {8, 1 << 20},
+// equivGrid lists the chunkings the reader is checked under: chunk size
+// and chunk parsers after the handoff. Chunks this small force a handoff
+// right after the header or the first few records, and then dozens to
+// hundreds of chunks per input; parsers 0 parses in place throughout,
+// delivering to a sink every chunk.
+var equivGrid = []struct{ parsers, chunk int }{
+	{1, 64}, {2, 64}, {3, 257}, {8, 101}, {2, 4096}, {8, 1 << 20}, {0, 64},
 }
 
-// TestReadCSVParallelEquiv pins ReadCSVParallel to produce bit-identical
-// tables to the sequential reader across worker counts and chunk sizes
-// small enough to force dozens-to-hundreds of chunks per input.
+// onePass reads data without a handoff: the whole input parses in place.
+func onePass(data string, opts CSVOptions) (*Table, error) {
+	tab, _, err := readCSV(strings.NewReader(data), opts, nil, defaultChunkBytes, 0)
+	return tab, err
+}
+
+// TestReadCSVParallelEquiv pins the handed-off read to produce tables
+// bit-identical to the one-pass parse across parser counts and chunk sizes.
 func TestReadCSVParallelEquiv(t *testing.T) {
 	for name, tc := range equivCSVs() {
 		t.Run(name, func(t *testing.T) {
-			want, err := ReadCSV(strings.NewReader(tc.data), tc.opts)
+			want, err := onePass(tc.data, tc.opts)
 			if err != nil {
-				t.Fatalf("sequential: %v", err)
+				t.Fatalf("one pass: %v", err)
 			}
 			for _, g := range equivGrid {
-				opts := tc.opts
-				opts.Workers = g.workers
-				got, _, err := readCSVChunked(strings.NewReader(tc.data), opts, g.chunk, nil)
+				got, _, err := readCSV(strings.NewReader(tc.data), tc.opts, nil, g.chunk, g.parsers)
 				if err != nil {
-					t.Fatalf("workers=%d chunk=%d: %v", g.workers, g.chunk, err)
+					t.Fatalf("parsers=%d chunk=%d: %v", g.parsers, g.chunk, err)
 				}
 				tablesEqual(t, want, got)
 			}
@@ -165,7 +180,7 @@ func TestReadCSVParallelEquiv(t *testing.T) {
 }
 
 // TestReadCSVParallelErrorEquiv pins error equivalence: a malformed row or
-// cell must surface the exact sequential error (message, line numbers, and
+// cell must surface the exact one-pass error (message, line numbers, and
 // which-row/which-column-wins ordering) no matter which chunk it lands in.
 func TestReadCSVParallelErrorEquiv(t *testing.T) {
 	pad := func(rows int) string {
@@ -191,28 +206,34 @@ func TestReadCSVParallelErrorEquiv(t *testing.T) {
 		"class-missing": {"a,b,class\n" + pad(300) + "x,1,?\n" + pad(300), CSVOptions{HasHeader: true, ClassColumn: "class"}},
 		"forced-bad-late": {"a,num,class\n" + pad(800) + "x,notnum,c0\n" + pad(10),
 			CSVOptions{HasHeader: true, ClassColumn: "class", NumericColumns: []string{"num"}}},
-		// Two offending columns: the sequential reader reports the first bad
-		// column in column order, not the first bad row.
+		// Two offending columns: the reader reports the first bad column in
+		// column order, not the first bad row.
 		"column-order-wins": {"num1,num2,class\n1,2,c0\n1,bad2,c0\n" + strings.Repeat("3,4,c1\n", 500) + "bad1,5,c0\n",
 			CSVOptions{HasHeader: true, ClassColumn: "class", NumericColumns: []string{"num1", "num2"}}},
 		// The early-exit class error must also beat a later parse error.
 		"no-class-beats-ragged": {"a,b\nx\n", CSVOptions{HasHeader: true, ClassColumn: "zzz"}},
+		// Line numbers after a handoff that lands inside multi-line records
+		// and blank lines.
+		"ragged-after-quoted": {"a,class,b\n" + strings.Repeat("x,c0,\"two\nlines\"\n\n", 60) + "x,1\n" + pad(40),
+			CSVOptions{HasHeader: true, ClassColumn: "class"}},
+		"bare-quote-crlf": {"a,b,class\r\n" + strings.Repeat("x,\"q\r\nq\",c1\r\n", 50) + "x,b\"q,c0\r\n",
+			CSVOptions{HasHeader: true, ClassColumn: "class"}},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
-			_, wantErr := ReadCSV(strings.NewReader(tc.data), tc.opts)
+			_, wantErr := onePass(tc.data, tc.opts)
 			if wantErr == nil {
-				t.Fatalf("sequential reader accepted the input; broken test case")
+				t.Fatalf("one-pass parse accepted the input; broken test case")
 			}
 			for _, g := range equivGrid {
-				opts := tc.opts
-				opts.Workers = g.workers
-				_, _, err := readCSVChunked(strings.NewReader(tc.data), opts, g.chunk, nil)
-				if err == nil {
-					t.Fatalf("workers=%d chunk=%d: parallel reader accepted input; want %q", g.workers, g.chunk, wantErr)
-				}
-				if err.Error() != wantErr.Error() {
-					t.Fatalf("workers=%d chunk=%d:\n  parallel:   %v\n  sequential: %v", g.workers, g.chunk, err, wantErr)
+				for _, sink := range []CSVSink{nil, &recordingSink{t: t}} {
+					_, _, err := readCSV(strings.NewReader(tc.data), tc.opts, sink, g.chunk, g.parsers)
+					if err == nil {
+						t.Fatalf("parsers=%d chunk=%d: accepted input; want %q", g.parsers, g.chunk, wantErr)
+					}
+					if err.Error() != wantErr.Error() {
+						t.Fatalf("parsers=%d chunk=%d stream=%v:\n  got:      %v\n  one pass: %v", g.parsers, g.chunk, sink != nil, err, wantErr)
+					}
 				}
 			}
 		})
@@ -221,7 +242,7 @@ func TestReadCSVParallelErrorEquiv(t *testing.T) {
 
 // recordingSink accumulates a ReadCSVStream delivery while checking the
 // sink contract: one Schema call before any Rows, contiguous row ranges,
-// and per-call copying (the slices are reused by the merge).
+// and per-call copying (the slices are reused by the reader).
 type recordingSink struct {
 	t        *testing.T
 	schema   int
@@ -267,23 +288,22 @@ func (s *recordingSink) Rows(lo, hi int, cats [][]int, class []int) error {
 }
 
 // TestReadCSVStreamEquiv pins the streaming seam: the concatenation of the
-// delivered batches must equal the sequential table's categorical columns
-// (same ids, same order) and class labels, for every worker/chunk setting.
+// delivered batches must equal the one-pass table's categorical columns
+// (same ids, same order) and class labels, for the one-pass stream and
+// every parser/chunk setting.
 func TestReadCSVStreamEquiv(t *testing.T) {
 	for name, tc := range equivCSVs() {
 		t.Run(name, func(t *testing.T) {
-			want, err := ReadCSV(strings.NewReader(tc.data), tc.opts)
+			want, err := onePass(tc.data, tc.opts)
 			if err != nil {
-				t.Fatalf("sequential: %v", err)
+				t.Fatalf("one pass: %v", err)
 			}
 			cats := want.CategoricalColumns()
-			for _, g := range equivGrid {
-				opts := tc.opts
-				opts.Workers = g.workers
+			for _, g := range append(equivGrid, struct{ parsers, chunk int }{0, defaultChunkBytes}) {
 				sink := &recordingSink{t: t}
-				_, st, err := readCSVChunked(strings.NewReader(tc.data), opts, g.chunk, sink)
+				_, st, err := readCSV(strings.NewReader(tc.data), tc.opts, sink, g.chunk, g.parsers)
 				if err != nil {
-					t.Fatalf("workers=%d chunk=%d: %v", g.workers, g.chunk, err)
+					t.Fatalf("parsers=%d chunk=%d: %v", g.parsers, g.chunk, err)
 				}
 				if st.Rows != want.N() || st.Bytes != want.BytesRead {
 					t.Fatalf("stream rows/bytes %d/%d != %d/%d", st.Rows, st.Bytes, want.N(), want.BytesRead)
@@ -321,20 +341,58 @@ func TestReadCSVStreamEquiv(t *testing.T) {
 	}
 }
 
-// TestReadCSVBytesRead pins the no-extra-pass byte accounting on both
-// readers.
+// TestReadCSVBytesRead pins the no-extra-pass byte accounting with and
+// without a handoff, byte order mark included.
 func TestReadCSVBytesRead(t *testing.T) {
-	data := benchCSV(500)
-	seq, err := ReadCSV(strings.NewReader(data), CSVOptions{HasHeader: true, ClassColumn: "class"})
-	if err != nil {
-		t.Fatal(err)
+	for _, data := range []string{benchCSV(500), "\ufeff" + benchCSV(500)} {
+		seq, err := ReadCSV(strings.NewReader(data), CSVOptions{HasHeader: true, ClassColumn: "class"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		par, _, err := readCSV(strings.NewReader(data), CSVOptions{HasHeader: true, ClassColumn: "class"}, nil, 1000, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if seq.BytesRead != int64(len(data)) || par.BytesRead != int64(len(data)) {
+			t.Fatalf("BytesRead one pass=%d handoff=%d want %d", seq.BytesRead, par.BytesRead, len(data))
+		}
 	}
-	par, err := ReadCSVParallel(strings.NewReader(data), CSVOptions{HasHeader: true, ClassColumn: "class", Workers: 3})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// maxRead records the largest buffer its reader was asked to fill.
+type maxRead struct {
+	r   io.Reader
+	max int
+}
+
+func (m *maxRead) Read(p []byte) (int, error) {
+	m.max = max(m.max, len(p))
+	return m.r.Read(p)
+}
+
+// TestReadCSVHandsOff pins when ReadCSV hands the input to the chunk
+// parsers: past its first chunk and only when more than one goroutine runs
+// at a time. The in-place parse reads through a 4 KiB buffer; the chunker
+// asks for a chunk at a time.
+func TestReadCSVHandsOff(t *testing.T) {
+	data := benchCSV(40_000)
+	if len(data) <= defaultChunkBytes {
+		t.Fatalf("input is %d bytes, not past one chunk", len(data))
 	}
-	if seq.BytesRead != int64(len(data)) || par.BytesRead != int64(len(data)) {
-		t.Fatalf("BytesRead seq=%d par=%d want %d", seq.BytesRead, par.BytesRead, len(data))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		runtime.GOMAXPROCS(procs)
+		r := &maxRead{r: strings.NewReader(data)}
+		tab, err := ReadCSV(r, CSVOptions{HasHeader: true, ClassColumn: "class"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tab.N() != 40_000 {
+			t.Fatalf("GOMAXPROCS %d: %d rows", procs, tab.N())
+		}
+		if handedOff := r.max > 4096; handedOff != (procs > 1) {
+			t.Errorf("GOMAXPROCS %d: largest read %d bytes; handed off = %v", procs, r.max, handedOff)
+		}
 	}
 }
 
@@ -360,21 +418,19 @@ func TestReadCSVClassColumnFailsFast(t *testing.T) {
 	opts := CSVOptions{HasHeader: true, ClassColumn: "nope"}
 	want := `dataset: class column "nope" not found in header [a b]`
 	if _, err := ReadCSV(&failAfterHeader{header: "a,b\n"}, opts); err == nil || err.Error() != want {
-		t.Fatalf("sequential: %v, want %s", err, want)
+		t.Fatalf("one pass: %v, want %s", err, want)
 	}
-	// The chunked reader buffers ahead of the parse, so it sees the read
-	// error; give it the whole (huge) input instead and require the class
-	// error, proving no data-dependent work gated the check.
-	data := "a,b\n" + strings.Repeat("x\n", 10) // ragged rows after the header
-	opts.Workers = 2
-	if _, _, err := readCSVChunked(strings.NewReader(data), opts, 8, nil); err == nil || err.Error() != want {
-		t.Fatalf("parallel: %v, want %s", err, want)
+	// A handoff due right after the header must not start either: the
+	// rows after it are ragged, and the class error still wins.
+	data := "a,b\n" + strings.Repeat("x\n", 10)
+	if _, _, err := readCSV(&failAfterHeader{header: data}, opts, nil, 2, 2); err == nil || err.Error() != want {
+		t.Fatalf("handoff: %v, want %s", err, want)
 	}
 }
 
-// FuzzReadCSVParallelEquiv cross-checks the chunked reader against the
-// sequential one on arbitrary bytes and reader configurations: identical
-// tables (bit-for-bit) or identical error strings, at fuzzer-chosen worker
+// FuzzReadCSVParallelEquiv cross-checks a forced handoff against the
+// one-pass parse on arbitrary bytes and reader configurations: identical
+// tables (bit-for-bit) or identical error strings, at fuzzer-chosen parser
 // counts and chunk sizes.
 func FuzzReadCSVParallelEquiv(f *testing.F) {
 	for _, tc := range equivCSVs() {
@@ -383,7 +439,7 @@ func FuzzReadCSVParallelEquiv(f *testing.F) {
 	f.Add([]byte("a,b\nx,\"1\n2\",\ny,3\n"), uint8(3), uint16(7), uint8(7))
 	f.Add([]byte("\"\n\"\"\n,x\r\n?,"), uint8(8), uint16(1), uint8(0))
 	f.Add([]byte("\n\""), uint8(2), uint16(64), uint8(0)) // bad first record after a blank line
-	f.Fuzz(func(t *testing.T, data []byte, workers uint8, chunk uint16, cfg uint8) {
+	f.Fuzz(func(t *testing.T, data []byte, parsers uint8, chunk uint16, cfg uint8) {
 		opts := CSVOptions{Name: "fz"}
 		opts.HasHeader = cfg&1 != 0
 		if cfg&2 != 0 {
@@ -401,15 +457,14 @@ func FuzzReadCSVParallelEquiv(f *testing.F) {
 		if cfg&32 != 0 {
 			opts.MissingTokens = []string{"?", "", "NA"}
 		}
-		want, wantErr := ReadCSV(strings.NewReader(string(data)), opts)
-		opts.Workers = 1 + int(workers%8)
-		got, _, err := readCSVChunked(strings.NewReader(string(data)), opts, 1+int(chunk%2048), nil)
+		want, wantErr := onePass(string(data), opts)
+		got, _, err := readCSV(strings.NewReader(string(data)), opts, nil, 1+int(chunk%2048), 1+int(parsers%8))
 		if (wantErr == nil) != (err == nil) {
-			t.Fatalf("error mismatch:\n  parallel:   %v\n  sequential: %v", err, wantErr)
+			t.Fatalf("error mismatch:\n  handoff:  %v\n  one pass: %v", err, wantErr)
 		}
 		if wantErr != nil {
 			if err.Error() != wantErr.Error() {
-				t.Fatalf("error text mismatch:\n  parallel:   %v\n  sequential: %v", err, wantErr)
+				t.Fatalf("error text mismatch:\n  handoff:  %v\n  one pass: %v", err, wantErr)
 			}
 			return
 		}

@@ -193,20 +193,29 @@ func (t *Table) Subset(rows []int) *Table {
 	return out
 }
 
-// intern maintains a string-to-id mapping for building categorical columns.
-type intern struct {
-	ids   map[string]int
-	names []string
-}
+// intern maps each distinct string to its first-occurrence id (0, 1, ...).
+// The id-ordered names are built once, by names, when a column is done:
+// most strings a reader interns belong to columns that end numeric.
+type intern map[string]int
 
-func newIntern() *intern { return &intern{ids: make(map[string]int)} }
-
-func (in *intern) id(s string) int {
-	if id, ok := in.ids[s]; ok {
+func (in intern) id(s string) int {
+	if id, ok := in[s]; ok {
 		return id
 	}
-	id := len(in.names)
-	in.ids[s] = id
-	in.names = append(in.names, s)
+	id := len(in)
+	in[s] = id
 	return id
+}
+
+// names returns the interned strings in id order (nil when there are
+// none).
+func (in intern) names() []string {
+	if len(in) == 0 {
+		return nil
+	}
+	out := make([]string, len(in))
+	for s, id := range in {
+		out[id] = s
+	}
+	return out
 }

@@ -73,14 +73,14 @@ type HugeResult struct {
 const hugeCSVRows = 1_000_000
 
 // HugeCSVPoint is the CSV end-to-end row of the huge artifact: a planted
-// CSV written to a temp file, then clustered twice — once through the
-// sequential one-pass reader (read everything, then sample) and once
-// through the streamed chunked reader (8 parsers packing rows straight into
-// the label block). The two runs must produce identical labels; the gated
-// facts are the deterministic ones (rows, bytes, cluster count, Rand index)
-// plus the ratio-budgeted streamed-run allocation.
-// Wall times carry benchdiff-ignored suffixes: on a single-core runner the
-// parallel modes cannot beat sequential, so timing is recorded, not gated.
+// CSV written to a temp file, then clustered twice — once through a Table
+// (read everything, then sample) and once streamed (rows packed straight
+// into the label block as they are parsed). The two runs must produce
+// identical labels; the gated facts are the deterministic ones (rows,
+// bytes, cluster count, Rand index) plus the ratio-budgeted streamed-run
+// allocation. Wall times carry benchdiff-ignored suffixes: they depend on
+// how many chunk parsers the machine runs, so timing is recorded, not
+// gated.
 type HugeCSVPoint struct {
 	N      int
 	Bytes  int64
@@ -185,7 +185,7 @@ func HugeScaling(cfg Config) (*HugeResult, error) {
 		}
 		res.CSV = p
 		if !cfg.Quiet {
-			fmt.Printf("  huge: csv n=%d done in %.2fs sequential / %.2fs streamed (k=%d rand=%.4f alloc=%.1fMB)\n",
+			fmt.Printf("  huge: csv n=%d done in %.2fs table / %.2fs streamed (k=%d rand=%.4f alloc=%.1fMB)\n",
 				p.N, p.SeqDuration.Seconds(), p.StreamDuration.Seconds(), p.KFound, p.Rand,
 				float64(p.AllocBytes)/(1<<20))
 		}
@@ -194,7 +194,7 @@ func HugeScaling(cfg Config) (*HugeResult, error) {
 }
 
 // hugeCSV runs the CSV end-to-end row: stream a planted CSV to a temp file,
-// cluster it through the sequential and the streamed ingest paths, verify
+// cluster it through the Table and the streamed ingest paths, verify
 // the labels agree, and measure the streamed run's allocation. Only the
 // streamed run records into cfg.Recorder, so the artifact's ingest and
 // sample counters describe one streamed pass.
@@ -237,7 +237,7 @@ func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 	var seqLabels partition.Labels
 	p.SeqDuration, err = timeIt(func() error {
 		return runFrom(func(r io.Reader) (e error) {
-			seqLabels, _, e = ingestDrain(r, 0, core.AggregateOptions{Workers: cfg.Workers}, sOpts())
+			seqLabels, _, e = ingestDrain(r, core.AggregateOptions{Workers: cfg.Workers}, sOpts())
 			return e
 		})
 	})
@@ -253,7 +253,7 @@ func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 	var streamBytes int64
 	p.StreamDuration, err = timeIt(func() error {
 		return runFrom(func(r io.Reader) (e error) {
-			streamLabels, class, streamBytes, e = ingestStreamed(r, ingestWorkersN,
+			streamLabels, class, streamBytes, e = ingestStreamed(r,
 				core.AggregateOptions{Workers: cfg.Workers, Recorder: rec}, sOpts())
 			return e
 		})
@@ -266,7 +266,7 @@ func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 	rec.Add("ingest.rows", int64(rows))
 	rec.Add("ingest.bytes", streamBytes)
 	if !slices.Equal(seqLabels, streamLabels) {
-		return nil, fmt.Errorf("huge: csv labels diverge between sequential and streamed ingest")
+		return nil, fmt.Errorf("huge: csv labels diverge between table and streamed ingest")
 	}
 	if streamBytes != p.Bytes {
 		return nil, fmt.Errorf("huge: streamed ingest consumed %d bytes, want %d", streamBytes, p.Bytes)
@@ -290,8 +290,8 @@ func (r *HugeResult) String() string {
 			float64(p.AllocBytes)/(1<<20), p.Rand)
 	}
 	if c := r.CSV; c != nil {
-		fmt.Fprintf(&b, "CSV end-to-end n=%d (%.1f MB): sequential %.2fs, streamed×%d %.2fs, k=%d, alloc=%.1fMB, RI=%.4f\n",
-			c.N, float64(c.Bytes)/(1<<20), c.SeqDuration.Seconds(), ingestWorkersN,
+		fmt.Fprintf(&b, "CSV end-to-end n=%d (%.1f MB): table %.2fs, streamed %.2fs, k=%d, alloc=%.1fMB, RI=%.4f\n",
+			c.N, float64(c.Bytes)/(1<<20), c.SeqDuration.Seconds(),
 			c.StreamDuration.Seconds(), c.KFound, float64(c.AllocBytes)/(1<<20), c.Rand)
 	}
 	return b.String()

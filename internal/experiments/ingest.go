@@ -14,21 +14,18 @@ import (
 	"clusteragg/internal/partition"
 )
 
-// This file is the "ingest" artifact: the parallel chunked CSV reader
-// measured end to end (CSV bytes → aggregate labels) in three modes —
-// sequential one-pass read, chunked parallel read into a Table, and the
-// streamed path where the chunked reader packs rows straight into the label
-// block, so no Table or []int clustering ever materializes. The three modes
-// must produce identical labels (the run errors out otherwise), so the
-// artifact's gated rows are the deterministic facts: row/byte counts, the
-// cluster count, and the Rand index against the planted truth. All wall
-// times carry benchdiff-ignored suffixes (seconds, time_ratio, throughput):
-// they are recorded for the PERFORMANCE.md table, not gated — single-core
-// CI machines cannot hold a parallelism ratio.
-
-// ingestWorkersN is the chunk-parser count of the parallel and streamed
-// modes; the sequential mode is the workers=0 historical reader.
-const ingestWorkersN = 8
+// This file is the "ingest" artifact: the CSV reader measured end to end
+// (CSV bytes → aggregate labels) in two modes — reading a Table, then
+// packing its columns, and the streamed path where the reader packs rows
+// straight into the label block, so no Table or []int clustering ever
+// materializes. Past its first chunk the reader parses on GOMAXPROCS chunk
+// parsers in both modes. The two modes must produce identical labels (the
+// run errors out otherwise), so the artifact's gated rows are the
+// deterministic facts: row/byte counts, the cluster count, and the Rand
+// index against the planted truth. All wall times carry benchdiff-ignored
+// suffixes (seconds, time_ratio, throughput): they are recorded for the
+// PERFORMANCE.md table, not gated — single-core CI machines cannot hold a
+// parallelism ratio.
 
 // ingestSampleSize is the SAMPLING size; explicit so the artifact is
 // deterministic and cheap.
@@ -43,8 +40,9 @@ type IngestResult struct {
 	// Rand is the Rand index of the aggregate against the planted truth
 	// carried by the class column.
 	Rand float64
-	// Per-mode end-to-end wall times (CSV bytes → labels).
-	Seq, Parallel, Streamed time.Duration
+	// Per-mode end-to-end wall times (CSV bytes → labels): Seq reads a
+	// Table first, Streamed packs rows as they are parsed.
+	Seq, Streamed time.Duration
 }
 
 // plantedCSVTo streams the huge recipe as CSV: a header row, then n rows of
@@ -89,18 +87,10 @@ func plantedCSVTo(w io.Writer, n int, seed int64) error {
 	return nil
 }
 
-// ingestDrain is the drain-then-compute path: read the whole CSV (the
-// sequential one-pass reader at workers=0, the chunked parallel reader
-// otherwise), pack the categorical columns, and run SAMPLING.
-func ingestDrain(r io.Reader, workers int, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, partition.Labels, error) {
-	dopts := dataset.CSVOptions{Name: "ingest", HasHeader: true, ClassColumn: "class", Workers: workers}
-	var t *dataset.Table
-	var err error
-	if workers > 0 {
-		t, err = dataset.ReadCSVParallel(r, dopts)
-	} else {
-		t, err = dataset.ReadCSV(r, dopts)
-	}
+// ingestDrain is the drain-then-compute path: read the whole CSV into a
+// Table, pack the categorical columns, and run SAMPLING.
+func ingestDrain(r io.Reader, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, partition.Labels, error) {
+	t, err := dataset.ReadCSV(r, dataset.CSVOptions{Name: "ingest", HasHeader: true, ClassColumn: "class"})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -133,7 +123,7 @@ func samplePacked(pc *core.PackedClusterings, aggOpts core.AggregateOptions, sOp
 	return p.Sample(core.MethodFurthest, aggOpts, sOpts)
 }
 
-// ingestSink packs the chunked reader's row stream straight into a
+// ingestSink packs the reader's row stream straight into a
 // row-mode PackedBuilder (the internal twin of the root facade's sink,
 // without the facade's telemetry trimmings).
 type ingestSink struct {
@@ -153,13 +143,11 @@ func (s *ingestSink) Rows(lo, hi int, cats [][]int, class []int) error {
 	return s.b.AppendRows(cats)
 }
 
-// ingestStreamed is the streamed path: chunk-parsed rows pack straight into
-// the label block, which is then sampled like the drained one.
-func ingestStreamed(r io.Reader, workers int, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, partition.Labels, int64, error) {
+// ingestStreamed is the streamed path: parsed rows pack straight into the
+// label block, which is then sampled like the drained one.
+func ingestStreamed(r io.Reader, aggOpts core.AggregateOptions, sOpts core.SamplingOptions) (partition.Labels, partition.Labels, int64, error) {
 	sink := &ingestSink{}
-	st, err := dataset.ReadCSVStream(r, dataset.CSVOptions{
-		Name: "ingest", HasHeader: true, ClassColumn: "class", Workers: workers,
-	}, sink)
+	st, err := dataset.ReadCSVStream(r, dataset.CSVOptions{Name: "ingest", HasHeader: true, ClassColumn: "class"}, sink)
 	if err != nil {
 		return nil, nil, 0, err
 	}
@@ -171,10 +159,10 @@ func ingestStreamed(r io.Reader, workers int, aggOpts core.AggregateOptions, sOp
 	return labels, sink.class, st.Bytes, err
 }
 
-// IngestThroughput runs the three ingest modes over the same in-memory CSV
+// IngestThroughput runs the two ingest modes over the same in-memory CSV
 // and verifies they agree label for label. Only the streamed run records
 // into cfg.Recorder, so the artifact's counters describe one streamed pass
-// (ingest.rows / ingest.bytes / sample.*), not a triple-counted sum.
+// (ingest.rows / ingest.bytes / sample.*), not a double-counted sum.
 func IngestThroughput(cfg Config) (*IngestResult, error) {
 	n := cfg.ingestRows()
 	var buf bytes.Buffer
@@ -191,17 +179,10 @@ func IngestThroughput(cfg Config) (*IngestResult, error) {
 		return core.SamplingOptions{SampleSize: ingestSampleSize, Rand: rand.New(rand.NewSource(cfg.seed()))}
 	}
 
-	var seqLabels, parLabels, streamLabels, class partition.Labels
+	var seqLabels, streamLabels, class partition.Labels
 	var err error
 	res.Seq, err = timeIt(func() (e error) {
-		seqLabels, class, e = ingestDrain(bytes.NewReader(data), 0, core.AggregateOptions{Workers: cfg.Workers}, sOpts())
-		return e
-	})
-	if err != nil {
-		return nil, err
-	}
-	res.Parallel, err = timeIt(func() (e error) {
-		parLabels, _, e = ingestDrain(bytes.NewReader(data), ingestWorkersN, core.AggregateOptions{Workers: cfg.Workers}, sOpts())
+		seqLabels, class, e = ingestDrain(bytes.NewReader(data), core.AggregateOptions{Workers: cfg.Workers}, sOpts())
 		return e
 	})
 	if err != nil {
@@ -209,7 +190,7 @@ func IngestThroughput(cfg Config) (*IngestResult, error) {
 	}
 	var streamBytes int64
 	res.Streamed, err = timeIt(func() (e error) {
-		streamLabels, _, streamBytes, e = ingestStreamed(bytes.NewReader(data), ingestWorkersN,
+		streamLabels, _, streamBytes, e = ingestStreamed(bytes.NewReader(data),
 			core.AggregateOptions{Workers: cfg.Workers, Recorder: cfg.Recorder}, sOpts())
 		return e
 	})
@@ -219,8 +200,8 @@ func IngestThroughput(cfg Config) (*IngestResult, error) {
 	cfg.Recorder.Add("ingest.rows", int64(n))
 	cfg.Recorder.Add("ingest.bytes", streamBytes)
 
-	if !slices.Equal(seqLabels, parLabels) || !slices.Equal(seqLabels, streamLabels) {
-		return nil, fmt.Errorf("ingest: labels diverge across ingest modes (seq/parallel/streamed)")
+	if !slices.Equal(seqLabels, streamLabels) {
+		return nil, fmt.Errorf("ingest: labels diverge between the table and the streamed ingest")
 	}
 	if streamBytes != res.Bytes {
 		return nil, fmt.Errorf("ingest: streamed path consumed %d bytes, want %d", streamBytes, res.Bytes)
@@ -244,9 +225,8 @@ func (r *IngestResult) String() string {
 		}
 		return float64(r.Bytes) / (1 << 20) / d.Seconds()
 	}
-	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", "sequential", r.Seq.Seconds(), mbps(r.Seq))
-	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", fmt.Sprintf("parallel×%d", ingestWorkersN), r.Parallel.Seconds(), mbps(r.Parallel))
-	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", fmt.Sprintf("streamed×%d", ingestWorkersN), r.Streamed.Seconds(), mbps(r.Streamed))
+	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", "table", r.Seq.Seconds(), mbps(r.Seq))
+	fmt.Fprintf(&b, "%14s %10.3f %10.1f\n", "streamed", r.Streamed.Seconds(), mbps(r.Streamed))
 	fmt.Fprintf(&b, "labels identical across modes; clusters=%d, Rand index vs planted truth=%.4f\n",
 		r.Clusters, r.Rand)
 	return b.String()
