@@ -75,7 +75,7 @@ func AgglomerativeWithOptions(inst Instance, opts AgglomerativeOptions) partitio
 	// the totals.
 	r := newRowReader(inst)
 	for u := 0; u < n; u++ {
-		row := g.row(u)
+		row := g.rows[u]
 		copy(row, r.readTail(u, row))
 	}
 	g.init()
@@ -145,9 +145,11 @@ func AgglomerativeWithOptions(inst Instance, opts AgglomerativeOptions) partitio
 // binary min-heap of the live clusters ordered by (mind, index), so once
 // its top is exact the top's cached pair is the global (avg, a, b) minimum.
 type agglomerator struct {
-	n     int
-	total []float64 // condensed pairwise total inter-cluster weight
-	size  []int     // 0 once the cluster has been merged away
+	n int
+	// rows[a] is a's tail of the pairwise total inter-cluster weight:
+	// rows[a][j] is the (a, a+1+j) total.
+	rows  [][]float64
+	size  []int // 0 once the cluster has been merged away
 	nbr   []int
 	mind  []float64
 	exact []bool
@@ -155,29 +157,49 @@ type agglomerator struct {
 	pos   []int // pos[a]: a's slot in queue
 }
 
+// totalsBlock caps one allocation of the totals, in float64s (1 MiB). The
+// O(n²) totals live in blocks of whole rows, not in one n(n-1)/2 slice. One
+// slice that size needs as many contiguous free heap pages; whether the pages
+// a collection freed are still contiguous when it is allocated depends on what
+// concurrent goroutines (BestOf's other racers) allocated meanwhile, so the
+// heap, and the process's peak resident memory, grew by the whole slice in
+// some runs and not in others.
+const totalsBlock = 1 << 17
+
 func newAgglomerator(n int) *agglomerator {
+	rows := make([][]float64, n)
+	for a := 0; a < n; {
+		end, size := a+1, n-1-a
+		for end < n && size+n-1-end <= totalsBlock {
+			size += n - 1 - end
+			end++
+		}
+		block := make([]float64, size)
+		for ; a < end; a++ {
+			w := n - 1 - a
+			rows[a], block = block[:w:w], block[w:]
+		}
+	}
+	// The four O(n) int arrays share one allocation.
+	ints := make([]int, 4*n)
 	return &agglomerator{
 		n:     n,
-		total: make([]float64, n*(n-1)/2),
-		size:  make([]int, n),
-		nbr:   make([]int, n),
+		rows:  rows,
+		size:  ints[0*n : 1*n : 1*n],
+		nbr:   ints[1*n : 2*n : 2*n],
 		mind:  make([]float64, n),
 		exact: make([]bool, n),
-		queue: make([]int, n),
-		pos:   make([]int, n),
+		queue: ints[2*n : 3*n : 3*n],
+		pos:   ints[3*n : 4*n : 4*n],
 	}
 }
 
-func (g *agglomerator) index(u, v int) int {
+// at returns the total of the pair {u, v}, u != v.
+func (g *agglomerator) at(u, v int) *float64 {
 	if u > v {
 		u, v = v, u
 	}
-	return u*(2*g.n-u-1)/2 + (v - u - 1)
-}
-
-// row returns a's condensed tail: row[j] is the (a, a+1+j) total.
-func (g *agglomerator) row(a int) []float64 {
-	return g.total[g.index(a, a+1):][:g.n-a-1]
+	return &g.rows[u][v-u-1]
 }
 
 // init makes every object a singleton cluster with an exact cache and
@@ -200,7 +222,7 @@ func (g *agglomerator) init() {
 // two singletons the average is the input distance itself (x/1 is exact).
 func (g *agglomerator) rescan(a int) {
 	best, bestAvg := -1, math.Inf(1)
-	for j, t := range g.row(a) {
+	for j, t := range g.rows[a] {
 		c := a + 1 + j
 		if g.size[c] == 0 {
 			continue
@@ -224,11 +246,11 @@ func (g *agglomerator) merge(a, b int) {
 		if g.size[c] == 0 || c == a {
 			continue
 		}
-		ac := g.index(a, c)
-		g.total[ac] += g.total[g.index(b, c)]
+		ac := g.at(a, c)
+		*ac += *g.at(b, c)
 		switch {
 		case c < a:
-			g.updateBelow(c, a, b, g.total[ac]/float64(g.size[a]*g.size[c]))
+			g.updateBelow(c, a, b, *ac/float64(g.size[a]*g.size[c]))
 		case c < b && g.exact[c] && g.nbr[c] == b:
 			// The row minimum vanished; what remains is no smaller.
 			g.exact[c] = false
