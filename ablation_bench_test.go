@@ -1,8 +1,8 @@
 // Ablation benchmarks for the design choices called out in DESIGN.md:
 // the BALLS α parameter (Theorem 1's 1/4 vs the practical 2/5), LOCALSEARCH
 // as a post-processing refinement, lazy vs materialized distance oracles,
-// the two missing-value models, and the extension algorithms (PIVOT,
-// ANNEAL) against the paper's five.
+// the two missing-value models, and the PIVOT extension against the paper's
+// five.
 package clusteragg_test
 
 import (
@@ -171,10 +171,9 @@ func BenchmarkAblationMissingMode(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationExtensions runs the extension algorithms (PIVOT with 10
-// rounds, ANNEAL) against the paper's LOCALSEARCH on the Votes stand-in.
-// Metric: E_D — the extensions should land in the same band at a fraction
-// (PIVOT) or multiple (ANNEAL) of the cost.
+// BenchmarkAblationExtensions runs the extension algorithm (PIVOT with 10
+// rounds) against the paper's LOCALSEARCH on the Votes stand-in. Metric:
+// E_D — PIVOT should land in the same band at a fraction of the cost.
 func BenchmarkAblationExtensions(b *testing.B) {
 	methods := append([]core.Method{core.MethodLocalSearch}, core.ExtensionMethods()...)
 	for _, method := range methods {

@@ -90,8 +90,7 @@ const (
 // Method identifies an aggregation algorithm.
 type Method = core.Method
 
-// The paper's five aggregation algorithms plus the two documented
-// extensions.
+// The paper's five aggregation algorithms plus the PIVOT extension.
 const (
 	MethodBest          = core.MethodBest
 	MethodBalls         = core.MethodBalls
@@ -99,7 +98,6 @@ const (
 	MethodFurthest      = core.MethodFurthest
 	MethodLocalSearch   = core.MethodLocalSearch
 	MethodPivot         = core.MethodPivot
-	MethodAnneal        = core.MethodAnneal
 )
 
 // Methods lists the paper's five aggregation methods in paper order.
@@ -130,7 +128,7 @@ func NewRecorder() *Recorder { return obs.New() }
 // -report schema).
 type RunReport = obs.RunReport
 
-// CSVOptions configures AggregateCSV.
+// CSVOptions configures ReadCSV and AggregateCSV.
 type CSVOptions struct {
 	// HasHeader treats the first record as column names.
 	HasHeader bool
@@ -155,7 +153,8 @@ type CSVOptions struct {
 // CSVOptions count that must be non-negative is negative.
 var ErrNegativeOption = errors.New("clusteragg: negative option")
 
-// CSVResult is the outcome of AggregateCSV.
+// CSVResult is the outcome of AggregateCSV, CSVInput.Aggregate and
+// CSVInput.Evaluate.
 type CSVResult struct {
 	// Labels is the aggregate clustering of the rows.
 	Labels Labels
@@ -173,28 +172,42 @@ type CSVResult struct {
 	BytesRead int64
 }
 
-// AggregateCSV clusters categorical CSV data end to end: every categorical
-// attribute becomes an input clustering (the Section 2 reduction) and the
-// aggregate is computed with the chosen method. Numeric columns are ignored;
-// "?" and empty cells are missing values. Parsed rows stream straight into
-// the width-packed label block, so no table and no per-attribute []int
-// clusterings ever materialize; the labels are those of reading the whole
-// table first. The span tree gains a pipeline span holding the ingest lane,
-// the aggregation (or sample) span, and the objective evaluation.
-func AggregateCSV(r io.Reader, opts CSVOptions) (*CSVResult, error) {
-	if opts.SampleSize < 0 {
-		return nil, fmt.Errorf("%w: SampleSize %d", ErrNegativeOption, opts.SampleSize)
-	}
+// CSVInput is CSV data ingested by ReadCSV as an aggregation problem.
+type CSVInput struct {
+	// Problem has one input clustering per categorical column, labelled
+	// by the column's value ids.
+	Problem *Problem
+	// Class holds the class column's labels when one was designated.
+	Class Labels
+	// Columns names the categorical columns in column order, and
+	// Values[j] maps column j's value ids to their strings.
+	Columns []string
+	Values  [][]string
+	// Rows is the number of data rows read.
+	Rows int
+	// BytesRead is the number of CSV input bytes consumed.
+	BytesRead int64
+
+	rec *Recorder
+}
+
+// ReadCSV ingests categorical CSV data as an aggregation problem: every
+// categorical attribute becomes an input clustering (the Section 2
+// reduction). Numeric columns are ignored; "?" and empty cells are missing
+// values. Parsed rows stream straight into the width-packed label block, so
+// no table and no per-attribute []int clusterings ever materialize; the
+// problem is the one reading the whole table first would give. ReadCSV
+// reads HasHeader, ClassColumn and Options.Recorder, on which it records an
+// ingest span (inside whatever span is open) and the ingest.* counters.
+func ReadCSV(r io.Reader, opts CSVOptions) (*CSVInput, error) {
 	rec := opts.Options.Recorder
-	pipe := rec.Start("pipeline")
-	defer pipe.End()
+	span := rec.Start("ingest")
+	defer span.End()
 	sink := &csvFeedSink{tp: rec.Series("ingest.throughput"), start: time.Now()}
-	ingest := pipe.StartChild("ingest")
 	st, err := dataset.ReadCSVStream(r, dataset.CSVOptions{
 		HasHeader:   opts.HasHeader,
 		ClassColumn: opts.ClassColumn,
 	}, sink)
-	ingest.End()
 	if err != nil {
 		return nil, err
 	}
@@ -208,27 +221,70 @@ func AggregateCSV(r io.Reader, opts CSVOptions) (*CSVResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	return &CSVInput{
+		Problem:   problem,
+		Class:     sink.class,
+		Columns:   st.Cats,
+		Values:    st.Values,
+		Rows:      st.Rows,
+		BytesRead: st.Bytes,
+		rec:       rec,
+	}, nil
+}
+
+// Aggregate computes the aggregate with opts.Method — under SAMPLING when
+// SampleSize is positive, seeded by SampleSeed — and evaluates it.
+func (in *CSVInput) Aggregate(opts CSVOptions) (*CSVResult, error) {
+	if opts.SampleSize < 0 {
+		return nil, fmt.Errorf("%w: SampleSize %d", ErrNegativeOption, opts.SampleSize)
+	}
 	var labels Labels
+	var err error
 	if opts.SampleSize > 0 {
-		labels, err = problem.Sample(opts.Method, opts.Options, core.SamplingOptions{
+		labels, err = in.Problem.Sample(opts.Method, opts.Options, core.SamplingOptions{
 			SampleSize: opts.SampleSize,
 			Rand:       sampleRand(opts.SampleSeed),
 		})
 	} else {
-		labels, err = problem.Aggregate(opts.Method, opts.Options)
+		labels, err = in.Problem.Aggregate(opts.Method, opts.Options)
 	}
 	if err != nil {
 		return nil, err
 	}
+	return in.Evaluate(labels), nil
+}
+
+// Evaluate scores an aggregate of the input's rows, however it was
+// computed: the objective and its lower bound, timed under an objective
+// span on ReadCSV's Recorder.
+func (in *CSVInput) Evaluate(labels Labels) *CSVResult {
+	span := in.rec.Start("objective")
+	defer span.End()
 	return &CSVResult{
 		Labels:       labels,
-		Class:        sink.class,
-		Disagreement: problem.Disagreement(labels),
-		LowerBound:   problem.LowerBound(),
-		Attributes:   problem.M(),
-		Rows:         st.Rows,
-		BytesRead:    st.Bytes,
-	}, nil
+		Class:        in.Class,
+		Disagreement: in.Problem.Disagreement(labels),
+		LowerBound:   in.Problem.LowerBound(),
+		Attributes:   in.Problem.M(),
+		Rows:         in.Rows,
+		BytesRead:    in.BytesRead,
+	}
+}
+
+// AggregateCSV clusters categorical CSV data end to end: ReadCSV, then
+// CSVInput.Aggregate. The span tree gains a pipeline span holding the
+// ingest span, the aggregation (or sample) span, and the objective span.
+func AggregateCSV(r io.Reader, opts CSVOptions) (*CSVResult, error) {
+	if opts.SampleSize < 0 {
+		return nil, fmt.Errorf("%w: SampleSize %d", ErrNegativeOption, opts.SampleSize)
+	}
+	pipe := opts.Options.Recorder.Start("pipeline")
+	defer pipe.End()
+	in, err := ReadCSV(r, opts)
+	if err != nil {
+		return nil, err
+	}
+	return in.Aggregate(opts)
 }
 
 // sampleRand maps the CSVOptions seed to the SAMPLING randomness source,

@@ -75,6 +75,35 @@ func TestAggregateCSV(t *testing.T) {
 	}
 }
 
+// TestReadCSV: the ingest step names the categorical columns and their
+// values, its problem's labels are the value ids, and Evaluate scores any
+// clustering of the rows.
+func TestReadCSV(t *testing.T) {
+	csv := "a,n,b,class\nx,1,p,A\ny,2,?,B\nx,3,q,A\n"
+	in, err := clusteragg.ReadCSV(strings.NewReader(csv), clusteragg.CSVOptions{
+		HasHeader:   true,
+		ClassColumn: "class",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(in.Columns, []string{"a", "b"}) || in.Rows != 3 || in.BytesRead != int64(len(csv)) {
+		t.Errorf("columns %v, rows %d, bytes %d", in.Columns, in.Rows, in.BytesRead)
+	}
+	if !slices.Equal(in.Values[0], []string{"x", "y"}) || !slices.Equal(in.Values[1], []string{"p", "q"}) {
+		t.Errorf("values %v", in.Values)
+	}
+	cs := in.Problem.Clusterings()
+	if !slices.Equal(cs[0], clusteragg.Labels{0, 1, 0}) || !slices.Equal(cs[1], clusteragg.Labels{0, clusteragg.Missing, 1}) {
+		t.Errorf("clusterings %v", cs)
+	}
+	res := in.Evaluate(clusteragg.Labels{0, 1, 0})
+	if !slices.Equal(res.Class, clusteragg.Labels{0, 1, 0}) || res.Rows != 3 || res.Attributes != 2 ||
+		res.Disagreement != in.Problem.Disagreement(res.Labels) {
+		t.Errorf("Evaluate = %+v", res)
+	}
+}
+
 func TestAggregateCSVSampling(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("a\n")

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -24,22 +25,54 @@ func ingestCSV(rows int) string {
 	return b.String()
 }
 
-// TestRunPipelinedIngestEquiv: a sampled run streams its rows through
-// AggregateCSV unless -describe asks for the table, and the two paths must
-// agree on every deterministic report field — result shape, costs, and the
-// sampling and ingest counters.
+// runStdout runs the CLI and returns what it printed on stdout.
+func runStdout(t *testing.T, path string, cfg cliConfig) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	err = run(path, cfg)
+	os.Stdout = stdout
+	w.Close()
+	got := <-out
+	r.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestRunPipelinedIngestEquiv: -describe only adds the profiles, so a
+// sampled run at -seed 0 (which SAMPLING reads as seed 1, as AggregateCSV
+// does) must print the same "#" lines and report the same result and
+// counters with and without it, and the ingest counters must match the
+// input.
 func TestRunPipelinedIngestEquiv(t *testing.T) {
 	csv := ingestCSV(300)
 	path := writeCSV(t, csv)
-	report := func(describe bool) obs.RunReport {
+	runSeed0 := func(describe bool) (string, obs.RunReport) {
 		cfg := base()
+		cfg.method = "furthest"
 		cfg.header = true
 		cfg.class = "class"
 		cfg.sample = 25
+		cfg.seed = 0
+		cfg.summary = true
 		cfg.describe = describe
 		cfg.report = filepath.Join(t.TempDir(), "rep.json")
-		if err := run(path, cfg); err != nil {
-			t.Fatal(err)
+		var heads []string
+		for _, line := range strings.Split(runStdout(t, path, cfg), "\n") {
+			if strings.HasPrefix(line, "#") {
+				heads = append(heads, line)
+			}
 		}
 		data, err := os.ReadFile(cfg.report)
 		if err != nil {
@@ -49,47 +82,35 @@ func TestRunPipelinedIngestEquiv(t *testing.T) {
 		if err := json.Unmarshal(data, &rep); err != nil {
 			t.Fatal(err)
 		}
-		return rep
+		return strings.Join(heads, "\n"), rep
 	}
-	want := report(true)
+	wantOut, want := runSeed0(false)
 	if want.Counters["ingest.rows"] != 300 || want.Counters["ingest.bytes"] != int64(len(csv)) {
-		t.Fatalf("table ingest counters = %d rows / %d bytes, want 300 / %d",
+		t.Fatalf("ingest counters = %d rows / %d bytes, want 300 / %d",
 			want.Counters["ingest.rows"], want.Counters["ingest.bytes"], len(csv))
 	}
 	if want.Counters["sample.size"] != 25 {
 		t.Fatalf("sample.size = %d, want 25", want.Counters["sample.size"])
 	}
-	got := report(false)
+	gotOut, got := runSeed0(true)
+	if gotOut != wantOut {
+		t.Errorf("-describe prints\n%s\nwithout it\n%s", gotOut, wantOut)
+	}
 	if got.N != want.N || got.M != want.M || got.Clusters != want.Clusters ||
 		got.Cost != want.Cost || got.LowerBound != want.LowerBound {
-		t.Errorf("streamed: report head {n:%d m:%d k:%d cost:%v lb:%v}, want {n:%d m:%d k:%d cost:%v lb:%v}",
+		t.Errorf("-describe: report head {n:%d m:%d k:%d cost:%v lb:%v}, want {n:%d m:%d k:%d cost:%v lb:%v}",
 			got.N, got.M, got.Clusters, got.Cost, got.LowerBound,
 			want.N, want.M, want.Clusters, want.Cost, want.LowerBound)
 	}
 	for _, name := range []string{"ingest.rows", "ingest.bytes", "sample.size", "sample.assigned", "sample.fresh_singletons"} {
 		if got.Counters[name] != want.Counters[name] {
-			t.Errorf("streamed: counter %s = %d, want %d", name, got.Counters[name], want.Counters[name])
+			t.Errorf("-describe: counter %s = %d, want %d", name, got.Counters[name], want.Counters[name])
 		}
 	}
 }
 
-// TestRunPipelinedDescribeFallsBack: -describe needs the materialized
-// table, so a sampled run with it must read the table instead of
-// streaming — and still work.
-func TestRunPipelinedDescribeFallsBack(t *testing.T) {
-	path := writeCSV(t, ingestCSV(150))
-	cfg := base()
-	cfg.header = true
-	cfg.class = "class"
-	cfg.sample = 20
-	cfg.describe = true
-	if err := run(path, cfg); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestRunParallelIngestExact: an exact (non-sampling) run reads the table
-// and clusters it.
+// TestRunParallelIngestExact: an exact (non-sampling) run streams its
+// input and clusters it.
 func TestRunParallelIngestExact(t *testing.T) {
 	path := writeCSV(t, ingestCSV(50))
 	cfg := base()

@@ -3,6 +3,12 @@
 // the aggregate minimizing the total pairwise disagreement is computed with
 // one of the paper's algorithms.
 //
+// Every run takes one path: the CSV rows stream into the packed label block
+// through clusteragg.ReadCSV, the method (or SAMPLING) runs on that problem,
+// and the objective is evaluated. The span tree is pipeline{ingest, the
+// method's span, objective}. Runs of at most 4000 rows without -sample
+// materialize the distance matrix first.
+//
 // Usage:
 //
 //	clusteragg [flags] <file.csv>
@@ -17,8 +23,9 @@
 // Flags:
 //
 //	-method NAME   best | balls | agglomerative | furthest | localsearch |
-//	               pivot | anneal | bestof (default agglomerative; bestof
-//	               races the paper's five and keeps the lowest disagreement)
+//	               pivot | bestof (default agglomerative; bestof races the
+//	               paper's five and keeps the lowest disagreement; under
+//	               -sample, bestof runs AGGLOMERATIVE)
 //	-alpha F       BALLS alpha parameter (default 0.4, the value Section 4
 //	               reports to work better in practice; Theorem 1's
 //	               3-approximation bound needs 0.25)
@@ -28,7 +35,8 @@
 //	-class NAME    column holding class labels (reported, not clustered on)
 //	-sample N      use SAMPLING with a sample of N rows (0 = exact;
 //	               negative is an error)
-//	-seed N        random seed for sampling (default 1)
+//	-seed N        random seed for sampling and PIVOT (default 1; SAMPLING
+//	               reads 0 as 1)
 //	-workers N     cap worker goroutines for the parallel stages
 //	               (0 = GOMAXPROCS, 1 = sequential; results are identical
 //	               for every value)
@@ -70,7 +78,6 @@ import (
 	"clusteragg/internal/dataset"
 	"clusteragg/internal/eval"
 	"clusteragg/internal/obs"
-	"clusteragg/internal/partition"
 )
 
 // cliConfig carries the parsed flags.
@@ -116,7 +123,7 @@ func main() {
 		return
 	}
 	var cfg cliConfig
-	flag.StringVar(&cfg.method, "method", "agglomerative", "aggregation method: best|balls|agglomerative|furthest|localsearch|pivot|anneal|bestof")
+	flag.StringVar(&cfg.method, "method", "agglomerative", "aggregation method: best|balls|agglomerative|furthest|localsearch|pivot|bestof (bestof runs agglomerative under -sample)")
 	flag.Float64Var(&cfg.alpha, "alpha", corrclust.RecommendedBallsAlpha, "BALLS alpha: the paper's experimental value 0.4 (Section 4); Theorem 1's 3-approximation bound holds at 0.25")
 	flag.IntVar(&cfg.k, "k", 0, "force this many clusters where supported (0 = parameter-free)")
 	flag.BoolVar(&cfg.refine, "refine", false, "post-process with LOCALSEARCH")
@@ -244,106 +251,64 @@ func run(path string, cfg cliConfig) error {
 	}
 
 	bestOf := strings.EqualFold(cfg.method, "bestof")
-	var method core.Method
-	var err error
+	method := core.MethodAgglomerative // bestof's method under SAMPLING
 	if !bestOf {
+		var err error
 		if method, err = parseMethod(cfg.method); err != nil {
 			return err
 		}
-	} else {
-		method = core.MethodAgglomerative // used under SAMPLING for bestof
 	}
-	opts := core.AggregateOptions{
-		BallsAlpha: core.Alpha(cfg.alpha),
-		K:          cfg.k,
-		Refine:     cfg.refine,
-		Workers:    cfg.workers,
-		Rand:       rand.New(rand.NewSource(cfg.seed)),
-		Recorder:   rec,
-		Progress:   progress,
+	csvOpts := clusteragg.CSVOptions{
+		HasHeader:   cfg.header,
+		ClassColumn: cfg.class,
+		Method:      method,
+		Options: core.AggregateOptions{
+			BallsAlpha: core.Alpha(cfg.alpha),
+			K:          cfg.k,
+			Refine:     cfg.refine,
+			Workers:    cfg.workers,
+			Rand:       rand.New(rand.NewSource(cfg.seed)),
+			Recorder:   rec,
+			Progress:   progress,
+		},
+		SampleSize: cfg.sample,
+		SampleSeed: cfg.seed,
 	}
 	methodName := cfg.method
-	var labels, classLabels partition.Labels
-	var tab *dataset.Table
-	var n, mAttrs int
-	var disagreement, lowerBound float64
 	sampling := cfg.sample > 0
 	rec.Event("run.start", "method", cfg.method, "sampling", sampling, "workers", cfg.workers)
-	if sampling && !cfg.describe {
-		// Streamed ingest: the reader packs rows straight into the label
-		// block, so no table materializes. -describe is excluded — it
-		// needs the table.
-		res, err := clusteragg.AggregateCSV(in, clusteragg.CSVOptions{
-			HasHeader:   cfg.header,
-			ClassColumn: cfg.class,
-			Method:      method,
-			Options:     opts,
-			SampleSize:  cfg.sample,
-			SampleSeed:  cfg.seed,
-		})
-		if err != nil {
-			return err
-		}
-		labels, classLabels = res.Labels, res.Class
-		n, mAttrs = res.Rows, res.Attributes
-		disagreement, lowerBound = res.Disagreement, res.LowerBound
-	} else {
-		loadSpan := rec.Start("load")
-		tab, err = dataset.ReadCSV(in, dataset.CSVOptions{
-			Name:        path,
-			HasHeader:   cfg.header,
-			ClassColumn: cfg.class,
-		})
-		if err != nil {
-			return err
-		}
-		rec.Add("ingest.rows", int64(tab.N()))
-		rec.Add("ingest.bytes", tab.BytesRead)
-		problem, err := packedProblem(tab)
-		loadSpan.End()
-		if err != nil {
-			return err
-		}
-		opts.Materialize = !sampling && tab.N() <= 4000
-
-		switch {
-		case sampling:
-			labels, err = problem.Sample(method, opts, core.SamplingOptions{
-				SampleSize: cfg.sample,
-				Rand:       rand.New(rand.NewSource(cfg.seed)),
-			})
-		case bestOf:
-			var winner core.Method
-			labels, winner, err = problem.BestOf(nil, opts)
-			if err == nil {
-				methodName = "bestof:" + winner.Slug()
-				fmt.Printf("# bestof winner=%s\n", winner)
-			}
-		default:
-			labels, err = problem.Aggregate(method, opts)
-		}
-		if err != nil {
-			return err
-		}
-
-		evalSpan := rec.Start("evaluate")
-		disagreement = problem.Disagreement(labels)
-		lowerBound = problem.LowerBound()
-		evalSpan.End()
-		n, mAttrs, classLabels = tab.N(), problem.M(), tab.Class
+	pipe := rec.Start("pipeline")
+	input, err := clusteragg.ReadCSV(in, csvOpts)
+	if err != nil {
+		return err
 	}
-	if lowerBound > 0 {
-		rec.Series("cost_over_lower_bound").Append(0, disagreement/lowerBound)
+	csvOpts.Options.Materialize = !sampling && input.Rows <= 4000
+	var res *clusteragg.CSVResult
+	if bestOf && !sampling {
+		labels, winner, err := input.Problem.BestOf(nil, csvOpts.Options)
+		if err != nil {
+			return err
+		}
+		methodName = "bestof:" + winner.Slug()
+		fmt.Printf("# bestof winner=%s\n", winner)
+		res = input.Evaluate(labels)
+	} else if res, err = input.Aggregate(csvOpts); err != nil {
+		return err
 	}
-	rec.Event("run.done", "n", n, "m", mAttrs, "clusters", labels.K(), "cost", disagreement)
+	pipe.End()
+	labels := res.Labels
+	if res.LowerBound > 0 {
+		rec.Series("cost_over_lower_bound").Append(0, res.Disagreement/res.LowerBound)
+	}
+	rec.Event("run.done", "n", res.Rows, "m", res.Attributes, "clusters", labels.K(), "cost", res.Disagreement)
 	// Final polls, so the report's and /metrics' runtime.* and peak-heap
 	// gauges are fresh.
 	tracker.Sample()
 	sampler.Sample()
 	fmt.Printf("# n=%d attributes=%d clusters=%d disagreement=%.0f lower-bound=%.0f\n",
-		n, mAttrs, labels.K(), disagreement, lowerBound)
-	if classLabels != nil {
-		ec, err := eval.ClassificationError(labels, classLabels)
+		res.Rows, res.Attributes, labels.K(), res.Disagreement, res.LowerBound)
+	if res.Class != nil {
+		ec, err := eval.ClassificationError(labels, res.Class)
 		if err != nil {
 			return err
 		}
@@ -371,12 +336,12 @@ func run(path string, cfg cliConfig) error {
 	}
 	if cfg.report != "" {
 		rep := obs.RunReport{
-			N:          n,
-			M:          mAttrs,
+			N:          res.Rows,
+			M:          res.Attributes,
 			Method:     methodName,
 			Clusters:   labels.K(),
-			Cost:       disagreement,
-			LowerBound: lowerBound,
+			Cost:       res.Disagreement,
+			LowerBound: res.LowerBound,
 			Workers:    core.EffectiveWorkers(cfg.workers),
 			WallNS:     int64(time.Since(start)),
 			Alloc:      tracker.Finish(),
@@ -398,6 +363,12 @@ func run(path string, cfg cliConfig) error {
 		}
 	}
 	if cfg.describe {
+		tab := &dataset.Table{}
+		for j, col := range input.Problem.Clusterings() {
+			tab.Cols = append(tab.Cols, &dataset.Column{
+				Name: input.Columns[j], Kind: dataset.Categorical, Values: col, Names: input.Values[j],
+			})
+		}
 		profiles, err := dataset.Describe(tab, labels)
 		if err != nil {
 			return err
@@ -421,33 +392,6 @@ func run(path string, cfg cliConfig) error {
 	return nil
 }
 
-// packedProblem builds the aggregation problem straight from the table's
-// categorical columns through the width-packed column builder: each
-// attribute's labels stream into the packed arena one column at a time, so
-// the per-attribute []int clusterings are garbage as soon as they are
-// appended instead of staying resident for the whole run.
-func packedProblem(tab *dataset.Table) (*core.Problem, error) {
-	cats := tab.CategoricalColumns()
-	if len(cats) == 0 {
-		return nil, fmt.Errorf("dataset: table %q has no categorical columns", tab.Name)
-	}
-	b := core.NewPackedColumns(tab.N(), len(cats))
-	for _, c := range cats {
-		labels, err := c.Clustering()
-		if err != nil {
-			return nil, err
-		}
-		if err := b.AppendColumn(labels); err != nil {
-			return nil, err
-		}
-	}
-	pc, err := b.Build()
-	if err != nil {
-		return nil, err
-	}
-	return core.NewProblemPacked(pc, core.ProblemOptions{})
-}
-
 func parseMethod(name string) (core.Method, error) {
 	switch strings.ToLower(name) {
 	case "best":
@@ -462,8 +406,6 @@ func parseMethod(name string) (core.Method, error) {
 		return core.MethodLocalSearch, nil
 	case "pivot":
 		return core.MethodPivot, nil
-	case "anneal":
-		return core.MethodAnneal, nil
 	default:
 		return 0, fmt.Errorf("unknown method %q", name)
 	}

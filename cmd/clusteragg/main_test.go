@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"clusteragg"
@@ -22,7 +23,7 @@ func TestParseMethod(t *testing.T) {
 		{"furthest", core.MethodFurthest, true},
 		{"localsearch", core.MethodLocalSearch, true},
 		{"pivot", core.MethodPivot, true},
-		{"anneal", core.MethodAnneal, true},
+		{"anneal", 0, false},
 		{"nope", 0, false},
 		{"", 0, false},
 	}
@@ -91,26 +92,43 @@ func TestRunWithSampling(t *testing.T) {
 	}
 }
 
+// TestRunDescribe: -describe profiles each cluster by the value names the
+// stream read, exact and sampled.
 func TestRunDescribe(t *testing.T) {
 	path := writeCSV(t, "a,b\nx,p\nx,p\ny,q\ny,q\n")
 	cfg := base()
 	cfg.header = true
 	cfg.describe = true
-	if err := run(path, cfg); err != nil {
-		t.Fatal(err)
+	out := runStdout(t, path, cfg)
+	for _, want := range []string{
+		"cluster 0: size=2 a=x(100%) b=p(100%)\n",
+		"cluster 1: size=2 a=y(100%) b=q(100%)\n",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+	cfg.class = "class"
+	cfg.sample = 20
+	out = runStdout(t, writeCSV(t, ingestCSV(150)), cfg)
+	if !strings.Contains(out, "cluster 0: size=") {
+		t.Errorf("sampled run has no profiles:\n%s", out)
 	}
 }
 
 func TestRunExtensionMethods(t *testing.T) {
 	path := writeCSV(t, "a\nx\nx\ny\ny\n")
-	for _, method := range []string{"pivot", "anneal"} {
-		cfg := base()
-		cfg.method = method
-		cfg.header = true
-		cfg.summary = true
-		if err := run(path, cfg); err != nil {
-			t.Fatalf("%s: %v", method, err)
-		}
+	cfg := base()
+	cfg.method = "pivot"
+	cfg.header = true
+	cfg.summary = true
+	if err := run(path, cfg); err != nil {
+		t.Fatalf("pivot: %v", err)
+	}
+	// ANNEAL is retired: its name is no longer a method.
+	cfg.method = "anneal"
+	if err := run(path, cfg); err == nil || !strings.Contains(err.Error(), "unknown method") {
+		t.Errorf("anneal: error %v, want unknown method", err)
 	}
 }
 

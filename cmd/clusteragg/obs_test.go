@@ -53,10 +53,11 @@ func TestRunTraceOutput(t *testing.T) {
 	out := buf.String()
 	for _, want := range []string{
 		"spans (wall clock):",
-		"load",
+		"pipeline",
+		"ingest",
 		"bestof",
 		"materialize",
-		"evaluate",
+		"objective",
 		"counters:",
 		".dist_probes",
 	} {
@@ -330,7 +331,7 @@ func TestRunTraceFile(t *testing.T) {
 	if !names["M:process_name"] {
 		t.Error("tracefile has no process_name metadata event")
 	}
-	for _, span := range []string{"load", "bestof", "evaluate"} {
+	for _, span := range []string{"pipeline", "ingest", "bestof", "objective"} {
 		if !names["X:"+span] {
 			t.Errorf("tracefile missing span %q", span)
 		}

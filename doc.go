@@ -29,6 +29,7 @@
 // and EXPERIMENTS.md.
 //
 // The root package itself is the public facade (clusteragg.go): NewProblem,
-// the Method constants, AggregateCSV, and the Labels/Distance primitives,
-// all re-exported from internal/ so downstream modules need one import.
+// the Method constants, ReadCSV and AggregateCSV, and the Labels/Distance
+// primitives, all re-exported from internal/ so downstream modules need one
+// import.
 package clusteragg

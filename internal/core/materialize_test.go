@@ -317,7 +317,7 @@ func TestAggregateMaterializeEquivalence(t *testing.T) {
 	for ci, tc := range cases {
 		rng := rand.New(rand.NewSource(int64(ci)))
 		p := genProblem(t, 300+int64(ci), 240, 1+ci%6, tc.missFrac, tc.weights, tc.mode, tc.missingP)
-		gathered := permPrefix(rng, p.N(), 50)
+		gathered := permPrefix(rng, p.N(), 70)
 		sort.Ints(gathered)
 		sub := p.subProblem(gathered)
 		mx := sub.Matrix()

@@ -33,10 +33,6 @@ const (
 	// MethodPivot is the randomized pivot extension (see corrclust.Pivot);
 	// not one of the paper's five algorithms.
 	MethodPivot
-	// MethodAnneal is the simulated-annealing extension in the style of
-	// Filkov and Skiena (see corrclust.Anneal); not one of the paper's five
-	// algorithms.
-	MethodAnneal
 )
 
 // String returns the paper's name for the method.
@@ -54,8 +50,6 @@ func (m Method) String() string {
 		return "LocalSearch"
 	case MethodPivot:
 		return "Pivot"
-	case MethodAnneal:
-		return "Anneal"
 	default:
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
@@ -70,7 +64,7 @@ func Methods() []Method {
 // ExtensionMethods lists the aggregation methods implemented beyond the
 // paper's five (see their doc comments for provenance).
 func ExtensionMethods() []Method {
-	return []Method{MethodPivot, MethodAnneal}
+	return []Method{MethodPivot}
 }
 
 // Slug returns the lowercase identifier used for the method in counter
@@ -112,9 +106,9 @@ type AggregateOptions struct {
 	// goroutine, so the per-method stages do not start workers of their
 	// own. Results are identical for every value.
 	Workers int
-	// Rand supplies randomness to the randomized methods (MethodPivot,
-	// MethodAnneal). Nil means a deterministic source seeded with 1. The
-	// paper's five methods are deterministic and ignore it.
+	// Rand supplies randomness to the randomized MethodPivot. Nil means a
+	// deterministic source seeded with 1. The paper's five methods are
+	// deterministic and ignore it.
 	Rand *rand.Rand
 	// PivotRounds is the number of independent pivot orders MethodPivot
 	// tries, keeping the best (zero means 10).
@@ -222,8 +216,6 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 			rounds = 10
 		}
 		labels = corrclust.PivotWithOptions(algInst, corrclust.PivotOptions{Rounds: rounds, Rand: opts.Rand, Recorder: rec})
-	case MethodAnneal:
-		labels = corrclust.Anneal(algInst, corrclust.AnnealOptions{Rand: opts.Rand, Recorder: rec})
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", method)
 	}
@@ -252,9 +244,9 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 // methods are the parallelism, and FURTHEST's parallel reads inside a
 // racer would only compete with the other racers for the same cores. The
 // outcome does not depend on scheduling: the winner is selected by cost
-// with ties broken in method order, and the randomized extension methods
-// each draw an independent deterministic seed, in method order, from
-// opts.Rand before the race starts. Every worker count returns the same (labels, method).
+// with ties broken in method order, and each PIVOT entry draws an
+// independent deterministic seed, in method order, from opts.Rand before
+// the race starts. Every worker count returns the same (labels, method).
 func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Labels, Method, error) {
 	if len(methods) == 0 {
 		methods = Methods()
@@ -274,13 +266,13 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 		inst = k
 	}
 
-	// Pre-draw one rand per randomized method so concurrent methods never
+	// Pre-draw one rand per PIVOT entry so concurrent methods never
 	// share a stream; drawing in method order keeps the seeds independent
 	// of scheduling and worker count.
 	rngs := make([]*rand.Rand, len(methods))
 	var base *rand.Rand
 	for i, method := range methods {
-		if method == MethodPivot || method == MethodAnneal {
+		if method == MethodPivot {
 			if base == nil {
 				base = opts.Rand
 				if base == nil {

@@ -138,9 +138,6 @@ func viewChecks(t *testing.T, labels partition.Labels) []viewCheck {
 			l, c := furthest(in, FurthestOptions{Workers: 3}, 0)
 			return floats(l, c)
 		}},
-		{"anneal", func(in Instance) []float64 {
-			return floats(Anneal(in, AnnealOptions{Cooling: 0.9, Rand: rand.New(rand.NewSource(3))}))
-		}},
 		{"agglomerative", func(in Instance) []float64 { return floats(Agglomerative(in)) }},
 		{"agglomerative-k4", func(in Instance) []float64 { return floats(AgglomerativeK(in, 4)) }},
 	}

@@ -4,8 +4,6 @@ import (
 	"math"
 	"math/rand"
 	"testing"
-
-	"clusteragg/internal/partition"
 )
 
 func TestPivotValidOutput(t *testing.T) {
@@ -78,71 +76,6 @@ func TestPivotExpectedApproximation(t *testing.T) {
 		}
 		if cost/opt > 5+1e-9 {
 			t.Errorf("trial %d: pivot ratio %v > 5", trial, cost/opt)
-		}
-	}
-}
-
-func TestAnnealValidAndNotWorseThanInit(t *testing.T) {
-	rng := rand.New(rand.NewSource(61))
-	for trial := 0; trial < 10; trial++ {
-		n := 4 + rng.Intn(10)
-		inst := aggInstance(t, randClusterings(rng, 3, n, 3)...)
-		init := make(partition.Labels, n)
-		for i := range init {
-			init[i] = rng.Intn(3)
-		}
-		got := Anneal(inst, AnnealOptions{
-			Init:         init,
-			StartTemp:    0.5,
-			EndTemp:      0.01,
-			Cooling:      0.95,
-			MovesPerTemp: 2 * n,
-			Rand:         rand.New(rand.NewSource(int64(trial))),
-		})
-		checkValidClustering(t, got, n)
-		if Cost(inst, got) > Cost(inst, init)+1e-9 {
-			t.Errorf("trial %d: anneal returned worse than init: %v > %v",
-				trial, Cost(inst, got), Cost(inst, init))
-		}
-	}
-}
-
-func TestAnnealOnFigure2(t *testing.T) {
-	inst := figure2Instance(t)
-	got := Anneal(inst, AnnealOptions{Rand: rand.New(rand.NewSource(3))})
-	if c := Cost(inst, got); math.Abs(c-5.0/3.0) > 1e-9 {
-		t.Errorf("anneal cost %v, want optimum 5/3 (labels %v)", c, got)
-	}
-}
-
-func TestAnnealEmptyAndDefaults(t *testing.T) {
-	if got := Anneal(NewMatrix(0), AnnealOptions{}); len(got) != 0 {
-		t.Errorf("anneal on empty = %v", got)
-	}
-	got := Anneal(NewMatrix(2), AnnealOptions{}) // all defaults, zero matrix
-	checkValidClustering(t, got, 2)
-	if got.K() != 1 {
-		t.Errorf("zero-distance pair should merge: %v", got)
-	}
-}
-
-func TestAnnealIncrementalCostConsistency(t *testing.T) {
-	// The incremental cost bookkeeping must agree with a full recompute:
-	// the returned (best) clustering's cost can be verified directly, and
-	// annealing from singletons on a random instance should match
-	// LocalSearch's neighborhood optimum or better on small instances.
-	rng := rand.New(rand.NewSource(67))
-	for trial := 0; trial < 10; trial++ {
-		n := 5 + rng.Intn(6)
-		inst := aggInstance(t, randClusterings(rng, 2+rng.Intn(4), n, 2)...)
-		got := Anneal(inst, AnnealOptions{Rand: rand.New(rand.NewSource(int64(trial)))})
-		_, opt, err := BruteForce(inst)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if Cost(inst, got) < opt-1e-9 {
-			t.Fatalf("trial %d: anneal cost %v below brute-force optimum %v — bookkeeping bug",
-				trial, Cost(inst, got), opt)
 		}
 	}
 }

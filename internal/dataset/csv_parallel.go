@@ -43,8 +43,11 @@ type CSVStream struct {
 	Rows int
 	// Bytes is the number of input bytes consumed.
 	Bytes int64
-	// Cats names the categorical columns, matching the Schema call.
-	Cats []string
+	// Cats names the categorical columns, matching the Schema call, and
+	// Values[i] maps the ids delivered for the i-th of them to their
+	// strings.
+	Cats   []string
+	Values [][]string
 	// ClassNames maps the class ids delivered to the sink to their strings.
 	ClassNames []string
 }
@@ -340,6 +343,9 @@ func (m *merge) finalizeStream(bytesRead int64) (*CSVStream, error) {
 		return nil, err
 	}
 	st := &CSVStream{Rows: m.rows, Bytes: bytesRead, Cats: m.catNames}
+	for _, ci := range m.catIdx {
+		st.Values = append(st.Values, m.cols[ci].in.names())
+	}
 	if m.sc.classIdx >= 0 {
 		st.ClassNames = m.cols[m.sc.classIdx].in.names()
 	}

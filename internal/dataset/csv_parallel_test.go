@@ -5,6 +5,7 @@ import (
 	"io"
 	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -322,6 +323,9 @@ func TestReadCSVStreamEquiv(t *testing.T) {
 						if sink.ids[i][r] != v {
 							t.Fatalf("cat %q row %d: %d != %d", c.Name, r, sink.ids[i][r], v)
 						}
+					}
+					if !slices.Equal(st.Values[i], c.Names) {
+						t.Fatalf("cat %q value names %q != %q", c.Name, st.Values[i], c.Names)
 					}
 				}
 				if want.Class != nil {

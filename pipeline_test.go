@@ -178,8 +178,8 @@ func TestAggregateCSVParallelIngestExact(t *testing.T) {
 }
 
 // TestAggregateCSVPipelineTelemetry: a run must record ingest counters
-// matching the byte/row ground truth, an ingest lane under the pipeline
-// span (with the sample span beside it when sampling), and an
+// matching the byte/row ground truth, ingest and objective spans under the
+// pipeline span (with the sample span beside them when sampling), and an
 // ingest-throughput series.
 func TestAggregateCSVPipelineTelemetry(t *testing.T) {
 	csv := pipelineCSV(300)
@@ -205,7 +205,7 @@ func TestAggregateCSVPipelineTelemetry(t *testing.T) {
 		if _, ok := rec.AllSeries()["ingest.throughput"]; !ok {
 			t.Errorf("sample=%d: ingest.throughput series missing", sampleSize)
 		}
-		var pipeline, ingest, sample bool
+		var pipeline, ingest, sample, objective bool
 		var walk func(spans []obs.SpanSnapshot, parent string)
 		walk = func(spans []obs.SpanSnapshot, parent string) {
 			for _, s := range spans {
@@ -216,13 +216,16 @@ func TestAggregateCSVPipelineTelemetry(t *testing.T) {
 					ingest = true
 				case s.Name == "sample" && parent == "pipeline":
 					sample = true
+				case s.Name == "objective" && parent == "pipeline":
+					objective = true
 				}
 				walk(s.Children, s.Name)
 			}
 		}
 		walk(rec.Spans(), "")
-		if !pipeline || !ingest || sample != (sampleSize > 0) {
-			t.Errorf("sample=%d: span structure pipeline=%v ingest=%v sample=%v", sampleSize, pipeline, ingest, sample)
+		if !pipeline || !ingest || !objective || sample != (sampleSize > 0) {
+			t.Errorf("sample=%d: span structure pipeline=%v ingest=%v objective=%v sample=%v",
+				sampleSize, pipeline, ingest, objective, sample)
 		}
 	}
 }
