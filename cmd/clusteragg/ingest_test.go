@@ -109,6 +109,20 @@ func TestRunPipelinedIngestEquiv(t *testing.T) {
 	}
 }
 
+// TestRunPipelinedDescribeFallsBack: a sampled run with -describe streams
+// its input like any other run and still prints the cluster profiles.
+func TestRunPipelinedDescribeFallsBack(t *testing.T) {
+	path := writeCSV(t, ingestCSV(150))
+	cfg := base()
+	cfg.header = true
+	cfg.class = "class"
+	cfg.sample = 20
+	cfg.describe = true
+	if out := runStdout(t, path, cfg); !strings.Contains(out, "cluster 0: size=") {
+		t.Errorf("sampled run has no profiles:\n%s", out)
+	}
+}
+
 // TestRunParallelIngestExact: an exact (non-sampling) run streams its
 // input and clusters it.
 func TestRunParallelIngestExact(t *testing.T) {

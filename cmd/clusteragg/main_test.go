@@ -108,12 +108,6 @@ func TestRunDescribe(t *testing.T) {
 			t.Errorf("output lacks %q:\n%s", want, out)
 		}
 	}
-	cfg.class = "class"
-	cfg.sample = 20
-	out = runStdout(t, writeCSV(t, ingestCSV(150)), cfg)
-	if !strings.Contains(out, "cluster 0: size=") {
-		t.Errorf("sampled run has no profiles:\n%s", out)
-	}
 }
 
 func TestRunExtensionMethods(t *testing.T) {
