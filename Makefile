@@ -68,8 +68,8 @@ cover:
 	awk "BEGIN { exit !($$total >= $(OBS_COVER_FLOOR)) }" || \
 		{ echo "cover: internal/obs coverage $$total% is below the $(OBS_COVER_FLOOR)% floor"; exit 1; }
 
-# The distance-kernel suite: block materialization vs the naive build,
-# LOCALSEARCH on matrix rows vs generic calls, the incremental LOCALSEARCH
+# The distance-kernel suite: the matrix build from kernel rows vs the naive
+# build, LOCALSEARCH on matrix rows vs generic calls, the incremental LOCALSEARCH
 # kernel, BestOf racing, and the label-kernel
 # sampling assignment vs the test-only probing reference; then the
 # corrclust algorithms against their test-only oracles (AGGLOMERATIVE vs
@@ -86,8 +86,8 @@ bench-short:
 	$(GO) test -run xxx -bench 'BenchmarkAgglomerative$$|BenchmarkFurthest$$|BenchmarkLocalSearch$$' -benchtime 1x -benchmem ./internal/corrclust/
 
 # The allocation-pin suite: testing.AllocsPerRun assertions that the hot
-# paths (pooled assignment scratch, kernel distance rows, packed label
-# accessors, CSV interning, the AGGLOMERATIVE merge loop) hold their
+# paths (kernel distance rows, the twin memo, packed label accessors, CSV
+# interning, the AGGLOMERATIVE merge loop) hold their
 # zero-/constant-allocation steady state. Part of `make check`; any new
 # per-object or per-merge allocation fails here before it shows up as a
 # benchdiff alloc regression.

@@ -18,30 +18,6 @@ func pinAllocs(t *testing.T, name string, want float64, f func()) {
 	}
 }
 
-// TestAssignScratchAllocs pins the buffer-pooling satellite: the pooled
-// per-worker scratch (pool.go) reaches a zero-allocation steady state, so
-// the assignment hot loops in assignStripe/assignChunk cost no per-stripe
-// garbage once the pool is warm.
-func TestAssignScratchAllocs(t *testing.T) {
-	// Warm the pool past the sizes the loop below requests.
-	bp, _ := getF64(8192)
-	putF64(bp)
-	pinAllocs(t, "pooled f64 scratch", 0, func() {
-		p, s := getF64(4096)
-		s[0] = 1
-		s[4095] = 2
-		putF64(p)
-	})
-	// A growth request re-allocates once, then the bigger buffer is reused.
-	big, _ := getF64(1 << 16)
-	putF64(big)
-	pinAllocs(t, "pooled f64 scratch (grown)", 0, func() {
-		p, s := getF64(1 << 16)
-		s[0] = 1
-		putF64(p)
-	})
-}
-
 // TestKernelDistAllocs pins the kernel's per-pair and per-row distance
 // paths at zero steady-state allocations: Dist, DistRowTo into a caller
 // buffer, and histogram affinities into a caller buffer. These run once
@@ -150,7 +126,7 @@ func sampleBytesPerObject(t *testing.T, recluster bool) float64 {
 			t.Fatal(err)
 		}
 	}
-	run() // warm the kernel cache and the scratch pools
+	run() // warm the kernel cache
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run()

@@ -11,13 +11,15 @@ import "sync"
 // block every Problem holds, aliased zero-copy), per-clustering weights and
 // the coin-model missing contribution premultiplied, and a per-object
 // has-missing flag. Problem.Dist is the kernel's Dist; one-against-many
-// evaluation (DistRowTo) streams two contiguous label blocks per pair, and
-// pairs where neither side has a missing label and the weights are uniform
-// collapse to an integer label-mismatch count (in DistRowTo, a popcount
-// over lane-packed rows). Every loop performs the same float operations in
-// the same order as the textbook per-clustering []int pair loop
-// (premultiplied products round identically to the inline ones), so kernel
-// distances are bit-identical to it — not merely close. The equivalence
+// evaluation (DistRowTo) streams two contiguous label blocks per pair.
+// Under uniform weights a clean pair collapses to an integer label-mismatch
+// count; in DistRowTo, under uniform weights with no missing label or the
+// coin model at p ∈ {0, ½, 1}, every pair is two popcounts over lane-packed
+// rows (separating and missing lanes), read from a table of exact sums.
+// Every loop performs the same float operations in the same order as the
+// textbook per-clustering []int pair loop (premultiplied products round
+// identically to the inline ones), so kernel distances are bit-identical
+// to it — not merely close. The equivalence
 // tests and FuzzLabelKernelEquiv pin that against a test-only copy of the
 // loop.
 //
@@ -114,11 +116,17 @@ type labelKernel struct {
 	average     bool // MissingAverage arithmetic (see Problem.Dist)
 	totalWeight float64
 
-	// rows and sepDist[c] = c / totalWeight serve DistRowTo's clean pairs,
-	// built on the first row read that takes them (rowsOnce).
-	rowsOnce sync.Once
-	rows     *lanes
-	sepDist  []float64
+	// onLanes reports that DistRowTo reads every pair from rows: uniform
+	// weights, and no missing label or the coin model with missHalves
+	// (2(1−p), so p ∈ {0, ½, 1}) an integer. A pair that s lanes separate
+	// and q lanes miss reads halfDist[2s + missHalves·q], halfDist[c] =
+	// (c/2) / totalWeight. rows and halfDist are built on the first row
+	// read (rowsOnce).
+	onLanes    bool
+	missHalves int
+	rowsOnce   sync.Once
+	rows       *lanes
+	halfDist   []float64
 }
 
 // kernel returns the problem's labelKernel at the stored (minimum) width,
@@ -229,49 +237,71 @@ func pairDist[W labelWord](lk *labelKernel, bu, bv []W, miss bool) float64 {
 func (lk *labelKernel) DistRowTo(v int, targets []int, dst []float64) {
 	switch lk.width {
 	case width8:
-		distRowTo(lk, lk.lab8, true, v, targets, dst)
+		distRowTo(lk, lk.lab8, v, targets, dst)
 	case width16:
-		distRowTo(lk, lk.lab16, true, v, targets, dst)
+		distRowTo(lk, lk.lab16, v, targets, dst)
 	default:
-		distRowTo(lk, lk.lab32, true, v, targets, dst)
+		distRowTo(lk, lk.lab32, v, targets, dst)
 	}
 }
 
-// distRowTo is the width-specialized DistRowTo loop. With useLanes (not on
-// SAMPLING's n-object assignment) a clean v under uniform weights reads
-// clean partners from lanes: the nonzero lanes of their XOR are pairDist's
-// mismatch count, and sepDist divides it by the same weight, bit-identically.
-func distRowTo[W labelWord](lk *labelKernel, lab []W, useLanes bool, v int, targets []int, dst []float64) {
+// distRowTo is the width-specialized DistRowTo loop. On lanes (onLanes)
+// pairDist adds 1 per separating lane and 1−p per missing one, so its sum
+// is (2s + missHalves·q)/2 exactly, a multiple of ½ below 2⁵³, and
+// halfDist divides it by the same total weight: bit-identical. Every other
+// kernel evaluates pairDist per pair.
+func distRowTo[W labelWord](lk *labelKernel, lab []W, v int, targets []int, dst []float64) {
 	m := lk.m
-	bv := lab[v*m : v*m+m]
-	missV := lk.hasMiss[v]
-	if useLanes && lk.uniform && !missV {
+	if lk.onLanes {
 		lk.rowsOnce.Do(func() {
 			lk.rows = newLanes(m, lk.width, lk.n)
 			for u := 0; u < lk.n; u++ {
 				packRow(lk.rows, u, lab[u*m:u*m+m])
 			}
-			lk.sepDist = make([]float64, m+1)
-			for c := range lk.sepDist {
-				lk.sepDist[c] = float64(c) / lk.totalWeight
+			lk.halfDist = make([]float64, 2*m+1)
+			for c := range lk.halfDist {
+				lk.halfDist[c] = float64(c) / 2 / lk.totalWeight
 			}
 		})
-		lk.rows.sepRowTo(v, targets, lk.sepDist, dst)
-		if lk.anyMiss { // partners with a missing label take the byte loop
-			for j, u := range targets {
-				if lk.hasMiss[u] {
-					dst[j] = pairDist(lk, lab[u*m:u*m+m], bv, true)
-				}
+		// A clean v reads every partner as clean first, without the
+		// missing masks, then rereads those with a missing label.
+		if !lk.hasMiss[v] {
+			lk.rows.sepRowTo(v, targets, lk.halfDist, dst)
+			if !lk.anyMiss {
+				return
 			}
 		}
+		lk.missRowTo(v, targets, dst)
 		return
 	}
+	bv := lab[v*m : v*m+m]
+	missV := lk.hasMiss[v]
 	for j, u := range targets {
 		if u == v {
 			dst[j] = 0
 			continue
 		}
 		dst[j] = pairDist(lk, lab[u*m:u*m+m], bv, missV || lk.hasMiss[u])
+	}
+}
+
+// missRowTo sets dst[j] = halfDist[2s + missHalves·q] for each pair v,
+// targets[j] with a missing label on either side, s and q as lanes.sepMiss
+// counts them, and 0 on the diagonal. Other pairs keep dst[j].
+func (lk *labelKernel) missRowTo(v int, targets []int, dst []float64) {
+	l, half := lk.rows, lk.halfDist
+	words, per := l.words, l.per
+	rv := words[v*per : v*per+per]
+	missV := lk.hasMiss[v]
+	for j, u := range targets {
+		switch {
+		case !missV && !lk.hasMiss[u]:
+		case u == v:
+			dst[j] = 0
+		default:
+			s, q := l.sepMiss(words[u*per:u*per+per], rv)
+			dst[j] = half[2*s+lk.missHalves*q]
+		}
 	}
 }
 

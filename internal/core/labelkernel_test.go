@@ -113,16 +113,38 @@ func checkKernelDist(t *testing.T, name string, lk *labelKernel, ref *refDist, t
 	}
 }
 
+// kernelCase builds the problem over cs and its reference at coin
+// probability p. p = 0 is not expressible through ProblemOptions (0 means
+// ½), so it is set on both before the kernel is first built.
+func kernelCase(t testing.TB, cs []partition.Labels, opts ProblemOptions, p float64) (*Problem, *refDist) {
+	t.Helper()
+	opts.MissingTogether = p
+	prob, err := NewProblem(cs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefDist(cs, opts)
+	prob.missingP, ref.missingP = p, p
+	return prob, ref
+}
+
+// wantLanes reports whether the kernel should read its rows from lanes:
+// uniform weights, and no missing label or the coin model at p ∈ {0, ½, 1}.
+func wantLanes(lk *labelKernel, p float64) bool {
+	return lk.uniform && (!lk.anyMiss || !lk.average && (p == 0 || p == 0.5 || p == 1))
+}
+
 // TestLabelKernelDistBitIdentical: the kernel's Dist and DistRowTo (and
 // Problem.Dist, which delegates to the kernel) must reproduce the reference
 // []int pair loop bit for bit — not approximately — on every pair, at every
 // storage width (with labels scaled into each width's high lane bits), for
 // every m in kernelShapes and every combination of uniform or weighted
-// inputs, missing mode and missing probability. The kernel mirrors the
-// loop's float operations in the loop's order, and its lane path for clean
-// pairs under uniform weights counts the same integer and divides it by
-// the same total weight, so this holds on arbitrary (non-dyadic) instances
-// too.
+// inputs, missing mode and missing probability p ∈ {0, ½, 1, 0.37}. The
+// kernel mirrors the loop's float operations in the loop's order; its lane
+// path (uniform weights, and the coin model at p ∈ {0, ½, 1} or no missing
+// label) counts the separating and missing lanes of every pair, missing
+// labels on either side included, and reads the loop's exact sum from a
+// table, so this holds on arbitrary (non-dyadic) instances too.
 func TestLabelKernelDistBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	for _, m := range kernelShapes {
@@ -130,34 +152,35 @@ func TestLabelKernelDistBitIdentical(t *testing.T) {
 			for _, mode := range []MissingMode{MissingCoin, MissingAverage} {
 				for _, pMiss := range []float64{0, 0.2, 0.6} {
 					for _, scale := range []int{1, 256, 65536} {
-						n := 2 + rng.Intn(40)
-						opts := ProblemOptions{MissingMode: mode}
-						if weighted {
-							w := make([]float64, m)
-							for i := range w {
-								w[i] = 0.25 + rng.Float64()*3
+						for _, p := range []float64{0, 0.5, 1, 0.37} {
+							n := 2 + rng.Intn(40)
+							opts := ProblemOptions{MissingMode: mode}
+							if weighted {
+								w := make([]float64, m)
+								for i := range w {
+									w[i] = 0.25 + rng.Float64()*3
+								}
+								opts.Weights = w
 							}
-							opts.Weights = w
-						}
-						opts.MissingTogether = []float64{0, 0.25, 0.5, 0.37, 0.75}[rng.Intn(5)]
-						cs := randMixedInputs(rng, n, m, pMiss)
-						scaleLabels(cs, scale)
-						p, err := NewProblem(cs, opts)
-						if err != nil {
-							t.Fatal(err)
-						}
-						name := fmt.Sprintf("m=%d weighted=%v mode=%d pMiss=%v scale=%d", m, weighted, mode, pMiss, scale)
-						ref := newRefDist(cs, opts)
-						for u := 0; u < n; u++ {
-							for v := 0; v < n; v++ {
-								if got, want := p.Dist(u, v), ref.Dist(u, v); got != want {
-									t.Fatalf("%s: Problem.Dist(%d,%d) = %v, reference = %v", name, u, v, got, want)
+							cs := randMixedInputs(rng, n, m, pMiss)
+							scaleLabels(cs, scale)
+							prob, ref := kernelCase(t, cs, opts, p)
+							name := fmt.Sprintf("m=%d weighted=%v mode=%d pMiss=%v scale=%d p=%v", m, weighted, mode, pMiss, scale, p)
+							for u := 0; u < n; u++ {
+								for v := 0; v < n; v++ {
+									if got, want := prob.Dist(u, v), ref.Dist(u, v); got != want {
+										t.Fatalf("%s: Problem.Dist(%d,%d) = %v, reference = %v", name, u, v, got, want)
+									}
 								}
 							}
-						}
-						targets := rng.Perm(n)
-						for _, width := range widthsFrom(p) {
-							checkKernelDist(t, fmt.Sprintf("%s width %d", name, width), p.kernelWidth(width), ref, targets)
+							targets := rng.Perm(n)
+							for _, width := range widthsFrom(prob) {
+								lk := prob.kernelWidth(width)
+								if got, want := lk.onLanes, wantLanes(lk, p); got != want {
+									t.Fatalf("%s width %d: onLanes = %v, want %v", name, width, got, want)
+								}
+								checkKernelDist(t, fmt.Sprintf("%s width %d", name, width), lk, ref, targets)
+							}
 						}
 					}
 				}
@@ -519,7 +542,8 @@ func TestSampleAssignCounters(t *testing.T) {
 // reference []int pair loop on fuzzer-chosen instances — every m in
 // kernelShapes, all three storage widths (forced or reached by scaled
 // labels), both missing modes, weighted and uniform, with and without
-// missing labels, arbitrary missing probabilities — requiring bit-for-bit
+// missing labels, p ∈ {0, ½, 1} (the lane path, missing labels included),
+// ¼ and arbitrary missing probabilities — requiring bit-for-bit
 // equality.
 func FuzzLabelKernelEquiv(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint8(2), uint8(0), false)
@@ -530,6 +554,11 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 	f.Add(int64(6), uint8(40), uint8(10), uint8(0), uint8(3), uint8(15), true)
 	f.Add(int64(7), uint8(45), uint8(3), uint8(0), uint8(1), uint8(2), true)
 	f.Add(int64(8), uint8(35), uint8(8), uint8(1), uint8(4), uint8(7), false)
+	// Missing labels on the lane path over multi-word rows: m = 22, 17, 9
+	// at p = ½, 0, 1 and widths 8, 16, 32.
+	f.Add(int64(9), uint8(50), uint8(11), uint8(0), uint8(1), uint8(0), false)
+	f.Add(int64(10), uint8(40), uint8(10), uint8(0), uint8(0), uint8(1), false)
+	f.Add(int64(11), uint8(30), uint8(8), uint8(0), uint8(2), uint8(2), false)
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw, pSel, shape uint8, weighted bool) {
 		n := 2 + int(nRaw)%80
 		m := kernelShapes[int(mRaw)%len(kernelShapes)]
@@ -541,10 +570,7 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 		if modeRaw%2 == 1 {
 			opts.MissingMode = MissingAverage
 		}
-		opts.MissingTogether = []float64{0, 0.25, 0.5, 0.75, rng.Float64()}[pSel%5]
-		if opts.MissingTogether == 0 && pSel%5 == 4 {
-			opts.MissingTogether = 0.5
-		}
+		p := []float64{0, 0.5, 1, 0.25, rng.Float64()}[pSel%5]
 		if weighted {
 			w := make([]float64, m)
 			for i := range w {
@@ -554,12 +580,13 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 		}
 		cs := randMixedInputs(rng, n, m, pMiss)
 		scaleLabels(cs, scale)
-		p, err := NewProblem(cs, opts)
-		if err != nil {
-			t.Fatal(err)
+		prob, ref := kernelCase(t, cs, opts, p)
+		width = max(width, prob.kernel().width)
+		lk := prob.kernelWidth(width)
+		name := fmt.Sprintf("n=%d m=%d width=%d scale=%d mode=%d p=%v", n, m, width, scale, opts.MissingMode, p)
+		if got, want := lk.onLanes, wantLanes(lk, p); got != want {
+			t.Fatalf("%s: onLanes = %v, want %v", name, got, want)
 		}
-		width = max(width, p.kernel().width)
-		name := fmt.Sprintf("n=%d m=%d width=%d scale=%d mode=%d", n, m, width, scale, opts.MissingMode)
-		checkKernelDist(t, name, p.kernelWidth(width), newRefDist(cs, opts), rng.Perm(n))
+		checkKernelDist(t, name, lk, ref, rng.Perm(n))
 	})
 }

@@ -98,7 +98,7 @@ type AggregateOptions struct {
 	// singleton recluster always run on the label kernel.
 	Materialize bool
 	// Workers caps the worker goroutines used by the parallel stages
-	// (cluster-block materialization, BestOf method racing, SAMPLING's
+	// (materialization, BestOf method racing, SAMPLING's
 	// assignment pass, FURTHEST's pair scan and capture reads). LOCALSEARCH,
 	// standalone and as the Refine pass, always sweeps on one goroutine.
 	// Zero means GOMAXPROCS; 1 forces sequential execution. When BestOf
@@ -116,9 +116,9 @@ type AggregateOptions struct {
 	// Recorder, when non-nil, collects spans and counters for the run:
 	// every Dist probe the chosen algorithm makes is counted under
 	// "<method>.dist_probes" (through an obs.CountingInstance wrapper, so
-	// the algorithms' inner loops are untouched), materialization probes
-	// under "materialize.dist_probes", and each algorithm contributes its
-	// own counters (see internal/obs and docs/OBSERVABILITY.md). Nil — the
+	// the algorithms' inner loops are untouched), and each algorithm
+	// contributes its own counters (see internal/obs and
+	// docs/OBSERVABILITY.md). Nil — the
 	// default everywhere — records nothing and changes nothing: results
 	// are always identical with and without a Recorder.
 	Recorder *obs.Recorder

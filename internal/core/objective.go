@@ -322,7 +322,7 @@ func lowerBoundW[W labelWord](lk *labelKernel, lab []W, workers int) float64 {
 	// partial[a] sums the terms of group a's pairs with itself and with
 	// every later group; one worker owns each group.
 	partial := make([]float64, groups)
-	stripes(workers, func(stripe int) {
+	stripes("lowerbound", workers, func(stripe int) {
 		for a := stripe; a < groups; a += workers {
 			ua := int(g.rep[a])
 			ra, ca := lab[ua*m:ua*m+m], int64(g.count[a])
@@ -345,8 +345,9 @@ func lowerBoundW[W labelWord](lk *labelKernel, lab []W, workers int) float64 {
 	return lb
 }
 
-// stripes runs work(0..workers−1), on goroutines when workers > 1.
-func stripes(workers int, work func(stripe int)) {
+// stripes runs work(0..workers−1), on goroutines labeled with phase when
+// workers > 1.
+func stripes(phase string, workers int, work func(stripe int)) {
 	if workers == 1 {
 		work(0)
 		return
@@ -356,7 +357,7 @@ func stripes(workers int, work func(stripe int)) {
 		wg.Add(1)
 		go func(stripe int) {
 			defer wg.Done()
-			obs.Do(obs.ProfLabels{Phase: "lowerbound", Worker: strconv.Itoa(stripe)}, func() { work(stripe) })
+			obs.Do(obs.ProfLabels{Phase: phase, Worker: strconv.Itoa(stripe)}, func() { work(stripe) })
 		}(w)
 	}
 	wg.Wait()
@@ -435,25 +436,44 @@ func (l *lanes) sep(a, b []uint64) int {
 	return c
 }
 
-// sepRowTo sets dst[j] = sep[c], c the lanes where rows v, targets[j] differ.
-func (l *lanes) sepRowTo(v int, targets []int, sep, dst []float64) {
+// sepRowTo sets dst[j] = half[2c], c the lanes where rows v, targets[j]
+// differ. It keeps a one-word loop of its own: the XOR of two words
+// directly, not lanes.sep on one-word slices.
+func (l *lanes) sepRowTo(v int, targets []int, half, dst []float64) {
 	words, per := l.words, l.per
 	if per == 1 {
 		x := words[v]
 		for j, u := range targets {
-			dst[j] = sep[bits.OnesCount64(l.nonzero(words[u]^x))]
+			dst[j] = half[2*bits.OnesCount64(l.nonzero(words[u]^x))]
 		}
 		return
 	}
 	rv := words[v*per : v*per+per]
 	for j, u := range targets {
-		dst[j] = sep[l.sep(words[u*per:u*per+per], rv)]
+		dst[j] = half[2*l.sep(words[u*per:u*per+per], rv)]
 	}
 }
 
 // missing returns the high bit of every all-ones (missing) lane of x.
 func (l *lanes) missing(x uint64) uint64 {
 	return l.high &^ l.nonzero(^x)
+}
+
+// sepMiss counts the lanes of rows a and b that separate the pair, both
+// labels present and different (s), and the lanes missing a label on
+// either row (q).
+func (l *lanes) sepMiss(a, b []uint64) (s, q int) {
+	low, high := l.low, l.high
+	for k, x := range a {
+		// Complemented, a missing lane is zero (see missing): present has
+		// the high bit of every lane with both labels present.
+		x, y := ^x, ^b[k]
+		present := (x&low + low | x) & (y&low + low | y) & high
+		x ^= y
+		s += bits.OnesCount64((x&low + low | x) & present)
+		q += bits.OnesCount64(high &^ present)
+	}
+	return s, q
 }
 
 // histogram counts the object pairs by (s, q), s inputs separating them and
@@ -467,7 +487,7 @@ func (l *lanes) histogram(workers int) []int64 {
 	m, per, groups, clean := l.m, l.per, len(l.count), l.clean
 	words, count, low, high := l.words, l.count, l.low, l.high
 	hists := make([][]int64, workers)
-	stripes(workers, func(stripe int) {
+	stripes("lowerbound", workers, func(stripe int) {
 		hist := make([]int64, (m+1)*(m+1))
 		bySep := make([]int64, m+1) // clean partners of row a, by s
 		for a := stripe; a < groups; a += workers {
@@ -497,13 +517,7 @@ func (l *lanes) histogram(workers int) []int64 {
 				hist[q] += pairs64(ca)
 			}
 			for b := max(a+1, clean); b < groups; b++ {
-				rb := words[b*per : (b+1)*per]
-				s, q := 0, 0
-				for k, x := range ra {
-					mm := l.missing(x) | l.missing(rb[k])
-					q += bits.OnesCount64(mm)
-					s += bits.OnesCount64(l.nonzero(x^rb[k]) &^ mm)
-				}
+				s, q := l.sepMiss(ra, words[b*per:(b+1)*per])
 				hist[s*(m+1)+q] += ca * count[b]
 			}
 		}

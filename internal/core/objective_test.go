@@ -17,7 +17,7 @@ import (
 // widths 8, 16 and 32:
 //   - Disagreement = corrclust.Cost(kernel, ·)·W within 1e-9 relative, and
 //     bit-identical across widths;
-//   - LowerBound = corrclust.LowerBound(kernel)·W within 1e-9 relative;
+//   - LowerBound = refLowerBound(kernel)·W within 1e-9 relative;
 //   - LowerBound ≤ Disagreement, bit for bit when every term is a multiple
 //     of ½ (coin model, uniform weights, p ∈ {0, ½, 1}), within 1e-9
 //     otherwise;
@@ -82,7 +82,7 @@ func FuzzObjectiveExact(f *testing.F) {
 		ref := prob.kernel()
 		tw := prob.totalWeight
 		wantD := tw * corrclust.Cost(ref, cand)
-		wantLB := tw * corrclust.LowerBound(ref)
+		wantLB := tw * refLowerBound(ref)
 		d := prob.Disagreement(cand)
 		if !closeRel(d, wantD) {
 			t.Fatalf("Disagreement = %.17g, scan %.17g (n=%d m=%d p=%v)", d, wantD, n, m, p)

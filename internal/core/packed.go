@@ -406,6 +406,11 @@ func (pc *PackedClusterings) kernelFrom(p *Problem, force int) *labelKernel {
 		lk.w[i] = wi
 		lk.missW[i] = (1 - p.missingP) * wi
 	}
+	// Lane reads are exact when a missing lane adds a whole number of
+	// halves, 1−p ∈ {0, ½, 1} (see labelKernel.onLanes).
+	h := 2 * (1 - p.missingP)
+	lk.missHalves = int(h)
+	lk.onLanes = lk.uniform && (!lk.anyMiss || !lk.average && h == float64(lk.missHalves))
 	if force != 0 && force != pc.width {
 		if force < pc.width {
 			panic("core: forced kernel width below the label bound")

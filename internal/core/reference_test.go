@@ -1,14 +1,16 @@
 package core
 
 import (
+	"math"
+
 	"clusteragg/internal/corrclust"
 	"clusteragg/internal/obs"
 	"clusteragg/internal/partition"
 )
 
 // This file holds the test-only references the production kernels are
-// pinned against: the textbook per-clustering []int pair loop for X_uv, and
-// SAMPLING's probing assignment pass.
+// pinned against: the textbook per-clustering []int pair loop for X_uv,
+// the lower bound's pair scan, and SAMPLING's probing assignment pass.
 
 // refDist is the reference X_uv over the unpacked input clusterings: one
 // branchy pass over the m []int label slices per pair, under the coin model
@@ -90,6 +92,19 @@ func (r *refDist) Dist(u, v int) float64 {
 		}
 	}
 	return x / r.total
+}
+
+// refLowerBound is the lower bound's pair scan: Σ_{u<v} min(X_uv, 1−X_uv)
+// over every object pair of inst.
+func refLowerBound(inst corrclust.Instance) float64 {
+	var lb float64
+	for u := 0; u < inst.N(); u++ {
+		for v := u + 1; v < inst.N(); v++ {
+			x := inst.Dist(u, v)
+			lb += math.Min(x, 1-x)
+		}
+	}
+	return lb
 }
 
 // assignReference is the probing assignment pass, an assignFunc: every

@@ -331,13 +331,10 @@ type assignPass struct {
 // own twin memo, generic over the storage width of lab.
 func assignStripe[W labelWord](a *assignPass, lab []W, stripe, lo, hi int) {
 	n, m, k := a.lk.n, a.lk.m, len(a.members)
-	affPtr, aff := getF64(k)
-	defer putF64(affPtr)
+	aff := make([]float64, k)
 	var buf []float64
 	if a.hist == nil {
-		bufPtr, b := getF64(len(a.flat))
-		defer putF64(bufPtr)
-		buf = b
+		buf = make([]float64, len(a.flat))
 	}
 	memo := newTwinMemo(hi - lo)
 	for bLo := lo; bLo < hi; bLo += assignBatchSize {
@@ -386,7 +383,7 @@ func assignDecide[W labelWord](a *assignPass, lab []W, v int, aff, buf []float64
 	if a.hist != nil {
 		affinitiesW(a.hist, a.lk, lab, v, aff)
 	} else {
-		distRowTo(a.lk, lab, false, v, a.flat, buf)
+		distRowTo(a.lk, lab, v, a.flat, buf)
 		start := 0
 		for ci, end := range a.ends {
 			var s float64

@@ -52,20 +52,6 @@ func Cost(inst Instance, labels partition.Labels) float64 {
 	return cost
 }
 
-// LowerBound returns Σ_{u<v} min(X_uv, 1−X_uv), a lower bound on the cost of
-// every partition: each pair pays at least the cheaper of its two options.
-func LowerBound(inst Instance) float64 {
-	n, r := inst.N(), newRowReader(inst)
-	buf := r.tailBuf()
-	var lb float64
-	for u := 0; u < n; u++ {
-		for _, x := range r.readTail(u, buf) {
-			lb += math.Min(x, 1-x)
-		}
-	}
-	return lb
-}
-
 // Matrix is a dense Instance backed by condensed upper-triangular storage
 // (n(n-1)/2 float64 values). The zero value is unusable; construct with
 // NewMatrix.
@@ -118,8 +104,8 @@ func (m *Matrix) Dist(u, v int) float64 {
 
 // Row returns the contiguous storage of row u's upper-triangular tail:
 // entry j is Dist(u, u+1+j), for j in [0, n-1-u). The slice aliases the
-// matrix, so writes through it update the matrix; bulk kernels (the
-// cluster-block materializer, the algorithms' matrix fast paths) use it to
+// matrix, so writes through it update the matrix; bulk kernels (core's
+// materializer, the algorithms' matrix fast paths) use it to
 // read and write distances without per-pair index arithmetic or interface
 // calls.
 func (m *Matrix) Row(u int) []float64 {

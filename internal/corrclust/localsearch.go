@@ -14,12 +14,6 @@ type LocalSearchOptions struct {
 	// the package default (DefaultLocalSearchPasses). The algorithm always
 	// stops as soon as a pass makes no improving move.
 	MaxPasses int
-	// RefreshEvery rebuilds a cluster's affinity column exactly after this
-	// many incremental delta updates, bounding float drift. Zero means the
-	// package default (DefaultLocalSearchRefresh); the column a move assigns
-	// a fresh singleton to is rebuilt exactly as a side effect, resetting its
-	// drift for free.
-	RefreshEvery int
 	// Recorder, when non-nil, receives the localsearch.* counters (sweeps,
 	// accepted moves, early convergence, delta updates, column refreshes),
 	// the localsearch.clusters / localsearch.improvement gauges updated at
@@ -39,16 +33,20 @@ type LocalSearchOptions struct {
 	// onMove, when non-nil, observes every applied move (object, old
 	// cluster slot, new cluster slot), in application order. Test hook.
 	onMove func(v, from, to int)
+	// refreshEvery, when positive, replaces lsRefreshEvery. Test hook.
+	refreshEvery int
 }
 
 // DefaultLocalSearchPasses bounds the number of passes when the caller does
 // not specify one. Convergence is typically reached much earlier.
 const DefaultLocalSearchPasses = 100
 
-// DefaultLocalSearchRefresh is the default number of incremental delta
-// updates a cluster's affinity column absorbs before it is rebuilt exactly
-// from the distance oracle (see LocalSearchOptions.RefreshEvery).
-const DefaultLocalSearchRefresh = 256
+// lsRefreshEvery is the number of incremental delta updates a cluster's
+// affinity column absorbs before it is rebuilt exactly from the distance
+// oracle, bounding float drift. The column a move assigns a fresh
+// singleton to is rebuilt exactly as a side effect, resetting its drift
+// for free.
+const lsRefreshEvery = 256
 
 // lsEpsilon is the minimum cost improvement a move must make to be
 // accepted, guarding against non-termination from floating-point noise.
@@ -86,9 +84,9 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 	if maxPasses <= 0 {
 		maxPasses = DefaultLocalSearchPasses
 	}
-	refreshEvery := opts.RefreshEvery
+	refreshEvery := opts.refreshEvery
 	if refreshEvery <= 0 {
-		refreshEvery = DefaultLocalSearchRefresh
+		refreshEvery = lsRefreshEvery
 	}
 
 	var labels partition.Labels

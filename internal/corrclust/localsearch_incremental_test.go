@@ -126,19 +126,19 @@ func TestLocalSearchMoveCostMonotonic(t *testing.T) {
 }
 
 // TestLocalSearchRefreshGuard: forcing an exact column rebuild after every
-// delta (RefreshEvery 1) must not change the labels, and the refresh counter
+// delta (refreshEvery 1) must not change the labels, and the refresh counter
 // must show the rebuilds happened.
 func TestLocalSearchRefreshGuard(t *testing.T) {
 	inst := randomMatrix(60, 57)
 	want := LocalSearch(inst, LocalSearchOptions{})
 	rec := obs.New()
-	got := LocalSearch(inst, LocalSearchOptions{RefreshEvery: 1, Recorder: rec})
+	got := LocalSearch(inst, LocalSearchOptions{refreshEvery: 1, Recorder: rec})
 	if !equalLabelSlices(got, want) {
-		t.Fatalf("RefreshEvery=1 labels %v != default %v", got, want)
+		t.Fatalf("refreshEvery=1 labels %v != default %v", got, want)
 	}
 	c := rec.Counters()
 	if c["localsearch.refreshes"] <= 0 {
-		t.Errorf("localsearch.refreshes = %d, want > 0 with RefreshEvery=1", c["localsearch.refreshes"])
+		t.Errorf("localsearch.refreshes = %d, want > 0 with refreshEvery=1", c["localsearch.refreshes"])
 	}
 	if c["localsearch.moves"] <= 0 || c["localsearch.delta_updates"] <= 0 {
 		t.Errorf("moves=%d delta_updates=%d, want both > 0", c["localsearch.moves"], c["localsearch.delta_updates"])

@@ -10,7 +10,7 @@ import "clusteragg/internal/partition"
 // the oracle the incremental kernel's equivalence tests and benchmarks run
 // against. It reads opts.Init and opts.MaxPasses, records only the sweeps,
 // moves and early-convergence counters on opts.Recorder, and ignores
-// opts.RefreshEvery, opts.Progress and the move hook.
+// opts.Progress and the refresh and move hooks.
 func localSearchReference(inst Instance, opts LocalSearchOptions) partition.Labels {
 	n := inst.N()
 	if n == 0 {

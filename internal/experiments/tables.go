@@ -72,7 +72,7 @@ func catTable(t *dataset.Table, cfg Config, rockRuns []rock.Options, limboRuns [
 	// how far each algorithm sits from optimal — the approximation-quality
 	// axis ROADMAP #4 asks for. The lower bound is computed below anyway;
 	// the series costs nothing extra.
-	lbED := float64(problem.M()) * corrclust.LowerBound(matrix)
+	lbED := problem.LowerBound()
 	qualitySeries := rec.Series("cost_over_lower_bound")
 
 	addLabeled := func(name string, labels partition.Labels) error {
@@ -80,7 +80,7 @@ func catTable(t *dataset.Table, cfg Config, rockRuns []rock.Options, limboRuns [
 		if err != nil {
 			return fmt.Errorf("experiments: %s row %s: %w", t.Name, name, err)
 		}
-		ed := float64(problem.M()) * corrclust.Cost(matrix, labels)
+		ed := problem.Disagreement(labels)
 		res.Rows = append(res.Rows, TableRow{
 			Name: name, K: labels.K(), EC: ec, HasEC: true,
 			ED: ed, Labels: labels,
