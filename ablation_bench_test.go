@@ -80,7 +80,7 @@ func BenchmarkAblationBallsOrdering(b *testing.B) {
 					for j := range order {
 						order[j] = j
 					}
-					labels, err = corrclust.BallsWithOrder(m, 0.4, order)
+					labels, err = corrclust.BallsWithOptions(m, corrclust.BallsOptions{Alpha: 0.4, Order: order})
 				}
 				if err != nil {
 					b.Fatal(err)

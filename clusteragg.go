@@ -117,7 +117,7 @@ func Alpha(a float64) *float64 { return core.Alpha(a) }
 type SamplingOptions = core.SamplingOptions
 
 // Recorder collects spans and counters from an instrumented run; attach one
-// via AggregateOptions.Recorder / SamplingOptions.Recorder. See
+// via AggregateOptions.Recorder (Sample records into the same one). See
 // internal/obs and docs/OBSERVABILITY.md.
 type Recorder = obs.Recorder
 

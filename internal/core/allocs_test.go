@@ -121,7 +121,7 @@ func sampleBytesPerObject(t *testing.T, recluster bool) float64 {
 	p := benchProblemPacked(t, n, 6, 32)
 	run := func() {
 		if _, err := p.Sample(MethodFurthest, AggregateOptions{Workers: 1}, SamplingOptions{
-			Rand: rand.New(rand.NewSource(7)), NoSingletonRecluster: !recluster,
+			Rand: rand.New(rand.NewSource(7)), noSingletonRecluster: !recluster,
 		}); err != nil {
 			t.Fatal(err)
 		}

@@ -152,7 +152,7 @@ func BenchmarkSampleAssign(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{
-				Rand: rand.New(rand.NewSource(7)), NoSingletonRecluster: true, assign: assignWith(ref),
+				Rand: rand.New(rand.NewSource(7)), noSingletonRecluster: true, assign: assignWith(ref),
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -160,7 +160,7 @@ func BenchmarkSampleAssign(b *testing.B) {
 	}
 	labels := func(b *testing.B, p *Problem, assign assignFunc) partition.Labels {
 		got, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{
-			Rand: rand.New(rand.NewSource(7)), NoSingletonRecluster: true, assign: assign,
+			Rand: rand.New(rand.NewSource(7)), noSingletonRecluster: true, assign: assign,
 		})
 		if err != nil {
 			b.Fatal(err)

@@ -390,3 +390,60 @@ func TestBestOf(t *testing.T) {
 		t.Error("unknown method accepted")
 	}
 }
+
+// TestBestOfWinnerIsMinimumDisagreement: BestOf returns the racer with the
+// smallest Disagreement, an exact tie goes to the method listed first, and
+// Workers 1 and 2 return the same result, on the kernel and on a matrix.
+func TestBestOfWinnerIsMinimumDisagreement(t *testing.T) {
+	check := func(name string, p *Problem, methods []Method) {
+		t.Helper()
+		want, wantD := -1, 0.0
+		alone := make([]partition.Labels, len(methods))
+		for i, method := range methods {
+			labels, err := p.Aggregate(method, AggregateOptions{Workers: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			alone[i] = labels
+			if d := p.Disagreement(labels); want < 0 || d < wantD {
+				want, wantD = i, d
+			}
+		}
+		for _, materialize := range []bool{false, true} {
+			for _, workers := range []int{1, 2} {
+				labels, winner, err := p.BestOf(methods, AggregateOptions{Workers: workers, Materialize: materialize})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if winner != methods[want] {
+					t.Fatalf("%s materialize=%v workers=%d: winner %v, want %v (D = %v)",
+						name, materialize, workers, winner, methods[want], wantD)
+				}
+				sameLabels(t, name, alone[want], labels)
+			}
+		}
+	}
+	check("noisy", recorderProblem(t, 80, 4, 31), Methods())
+
+	// Unanimous inputs: every method recovers the input clustering, so all
+	// racers tie exactly at D = 0 and the first listed method wins.
+	truth := make(partition.Labels, 30)
+	for i := range truth {
+		truth[i] = i % 3
+	}
+	p, err := NewProblem([]partition.Labels{truth, truth, truth}, ProblemOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, method := range Methods() {
+		labels, err := p.Aggregate(method, AggregateOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := p.Disagreement(labels); d != 0 {
+			t.Fatalf("unanimous inputs: %v has D = %v, want an exact tie at 0", method, d)
+		}
+	}
+	check("tie", p, Methods())
+	check("tie reversed", p, []Method{MethodLocalSearch, MethodFurthest, MethodAgglomerative, MethodBalls, MethodBest})
+}

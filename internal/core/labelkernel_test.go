@@ -232,8 +232,8 @@ func TestFurthestKernelRowPathBitIdentical(t *testing.T) {
 		p := randMixedProblem(t, rng, 20+rng.Intn(120), m, pMiss, ProblemOptions{})
 		k := p.kernel()
 		for _, K := range []int{0, 3} {
-			want, wantCost := corrclust.FurthestK(hideKernel{k}, K)
-			got, gotCost := corrclust.FurthestK(k, K)
+			want, wantCost := corrclust.FurthestWithOptions(hideKernel{k}, corrclust.FurthestOptions{K: K})
+			got, gotCost := corrclust.FurthestWithOptions(k, corrclust.FurthestOptions{K: K})
 			if gotCost != wantCost {
 				t.Fatalf("trial %d K=%d: row-path cost %v, generic %v", trial, K, gotCost, wantCost)
 			}
@@ -419,7 +419,7 @@ func TestSampleKernelCloseContinuous(t *testing.T) {
 		p := randMixedProblem(t, rng, n, m, 0.2, opts)
 
 		got, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
-			SampleSize: s, Rand: rand.New(rand.NewSource(int64(trial))), NoSingletonRecluster: true,
+			SampleSize: s, Rand: rand.New(rand.NewSource(int64(trial))), noSingletonRecluster: true,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -491,11 +491,10 @@ func TestSampleAssignCounters(t *testing.T) {
 
 	run := func(ref bool) map[string]int64 {
 		rec := obs.New()
-		_, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
+		_, err := p.Sample(MethodAgglomerative, AggregateOptions{Recorder: rec}, SamplingOptions{
 			SampleSize: s, Rand: rand.New(rand.NewSource(5)),
-			NoSingletonRecluster: true, // keep one assignment pass, no recursion
+			noSingletonRecluster: true, // keep one assignment pass, no recursion
 			assign:               assignWith(ref),
-			Recorder:             rec,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -524,8 +523,8 @@ func TestSampleAssignCounters(t *testing.T) {
 	// are registered at zero, probes still bulk-charged.
 	pAvg := randMixedProblem(t, rng, 400, 8, 0.2, ProblemOptions{MissingMode: MissingAverage})
 	rec := obs.New()
-	if _, err := pAvg.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
-		SampleSize: s, Rand: rand.New(rand.NewSource(5)), NoSingletonRecluster: true, Recorder: rec,
+	if _, err := pAvg.Sample(MethodAgglomerative, AggregateOptions{Recorder: rec}, SamplingOptions{
+		SampleSize: s, Rand: rand.New(rand.NewSource(5)), noSingletonRecluster: true,
 	}); err != nil {
 		t.Fatal(err)
 	}

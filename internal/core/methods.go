@@ -110,9 +110,6 @@ type AggregateOptions struct {
 	// deterministic source seeded with 1. The paper's five methods are
 	// deterministic and ignore it.
 	Rand *rand.Rand
-	// PivotRounds is the number of independent pivot orders MethodPivot
-	// tries, keeping the best (zero means 10).
-	PivotRounds int
 	// Recorder, when non-nil, collects spans and counters for the run:
 	// every Dist probe the chosen algorithm makes is counted under
 	// "<method>.dist_probes" (through an obs.CountingInstance wrapper, so
@@ -132,6 +129,10 @@ type AggregateOptions struct {
 	// worker count).
 	Progress *obs.Progress
 }
+
+// pivotRounds is the number of independent pivot orders MethodPivot tries,
+// keeping the best.
+const pivotRounds = 10
 
 // counting wraps inst so its Dist probes are counted under name; with a nil
 // recorder it returns inst unchanged (zero overhead).
@@ -211,11 +212,7 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 	case MethodLocalSearch:
 		labels = corrclust.LocalSearch(algInst, corrclust.LocalSearchOptions{Recorder: rec, Progress: opts.Progress})
 	case MethodPivot:
-		rounds := opts.PivotRounds
-		if rounds <= 0 {
-			rounds = 10
-		}
-		labels = corrclust.PivotWithOptions(algInst, corrclust.PivotOptions{Rounds: rounds, Rand: opts.Rand, Recorder: rec})
+		labels = corrclust.PivotWithOptions(algInst, corrclust.PivotOptions{Rounds: pivotRounds, Rand: opts.Rand, Recorder: rec})
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", method)
 	}
@@ -231,20 +228,21 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 }
 
 // BestOf runs every given method (all five paper methods when methods is
-// empty) and returns the clustering with the smallest total disagreement,
-// together with the method that produced it. Since all the algorithms are
-// cheap relative to building the distance matrix, racing them and keeping
-// the best is the natural way to use the framework when solution quality
-// matters more than a few extra O(n²) passes. The matrix is materialized
-// once and shared.
+// empty) and returns the clustering with the smallest total disagreement
+// D(C), together with the method that produced it. Racing the algorithms
+// and keeping the best is the natural way to use the framework when
+// solution quality matters more than a few extra passes. With Materialize
+// the matrix is built once and shared by the racers; otherwise they share
+// the label kernel. Each racer is scored with Disagreement's exact O(n·m)
+// contingency count, not a pair scan.
 //
 // The race runs the methods concurrently over the shared oracle, bounded by
 // opts.Workers (GOMAXPROCS when zero; 1 forces sequential execution). A
 // race on two or more goroutines runs each racer with Workers 1: the
 // methods are the parallelism, and FURTHEST's parallel reads inside a
 // racer would only compete with the other racers for the same cores. The
-// outcome does not depend on scheduling: the winner is selected by cost
-// with ties broken in method order, and each PIVOT entry draws an
+// outcome does not depend on scheduling: the winner is selected by D(C)
+// with exact ties broken in method order, and each PIVOT entry draws an
 // independent deterministic seed, in method order, from opts.Rand before
 // the race starts. Every worker count returns the same (labels, method).
 func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Labels, Method, error) {
@@ -254,16 +252,15 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 	rec := opts.Recorder
 	span := rec.Start("bestof")
 	defer span.End()
-	var inst corrclust.Instance
+	lk := p.kernel() // scores every racer; the shared oracle unless materialized
+	var inst corrclust.Instance = lk
 	if opts.Materialize {
 		ms := rec.Start("materialize")
 		inst = p.materialize(rec, opts.Workers)
 		ms.End()
 		opts.Materialize = false // reuse the shared matrix below
 	} else {
-		k := p.kernel() // shared matrix-free kernel oracle
-		rec.Event("kernel.width", "bytes", k.width, "n", p.n, "m", p.M())
-		inst = k
+		rec.Event("kernel.width", "bytes", lk.width, "n", p.n, "m", p.M())
 	}
 
 	// Pre-draw one rand per PIVOT entry so concurrent methods never
@@ -314,10 +311,7 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 				results[i] = raced{err: err}
 				return
 			}
-			// The per-candidate cost evaluation is part of racing this method,
-			// so its probes are charged to the method's dist_probes counter.
-			cost := corrclust.Cost(counting(inst, rec, method.Slug()+".dist_probes"), labels)
-			results[i] = raced{labels: labels, cost: cost, elapsed: time.Since(start)}
+			results[i] = raced{labels: labels, cost: lk.disagreement(labels), elapsed: time.Since(start)}
 		})
 	}
 
@@ -341,7 +335,7 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 	}
 
 	// Deterministic selection: first error in method order wins; otherwise
-	// the lowest cost, ties broken toward the earlier method.
+	// the lowest D(C), ties broken toward the earlier method.
 	var best partition.Labels
 	var bestMethod Method
 	bestCost := 0.0
@@ -358,7 +352,7 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 	if rec != nil {
 		// Race trajectory, appended in method order after the race so the
 		// points are deterministic regardless of scheduling: each method's
-		// candidate cost (step = method index) and its elapsed race time
+		// D(C) (step = method index) and its elapsed race time
 		// (timing-bearing; the ".seconds" suffix keeps benchdiff away).
 		costSeries := rec.Series("bestof.cost")
 		elapsedSeries := rec.Series("bestof.method.seconds")

@@ -35,16 +35,11 @@ type SamplingOptions struct {
 	// Rand is the randomness source for drawing the sample. Nil means a
 	// deterministic source seeded with 1.
 	Rand *rand.Rand
-	// NoSingletonRecluster disables the post-processing round that gathers
-	// all singleton clusters and aggregates them again (enabled by default,
-	// as in the paper).
-	NoSingletonRecluster bool
-	// Recorder, when non-nil, receives the sampling spans (sample:core,
-	// sample:assign, sample:recluster) and sample.* counters, splitting the
-	// exact-core work from the linear assignment pass. Nil falls back to
-	// the AggregateOptions' Recorder; results never depend on it.
-	Recorder *obs.Recorder
 
+	// noSingletonRecluster disables the post-processing round that gathers
+	// all singleton clusters and aggregates them again (run by default, as
+	// in the paper); the recluster's own recursion through Sample sets it.
+	noSingletonRecluster bool
 	// assign, when non-nil, replaces the assignment pass (assignKernel).
 	// Tests plug in the probing reference to pin the kernel against it.
 	assign assignFunc
@@ -65,11 +60,7 @@ type assignFunc func(p *Problem, rec *obs.Recorder, progress *obs.Progress, labe
 // and rng stream as rand.Perm), and the result is renumbered in place
 // through a table of the sample's and the recluster's clusters (renumber).
 func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts SamplingOptions) (partition.Labels, error) {
-	rec := sOpts.Recorder
-	if rec == nil {
-		rec = aggOpts.Recorder
-	}
-	aggOpts.Recorder = rec // inner aggregations record into the same place
+	rec := aggOpts.Recorder
 	n := p.n
 	s := sOpts.SampleSize
 	if s == 0 {
@@ -154,7 +145,7 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 	assignSpan.End()
 
 	bound := k // labels ≥ k are fresh singletons, one object each
-	if !sOpts.NoSingletonRecluster {
+	if !sOpts.noSingletonRecluster {
 		rs := rec.Start("sample:recluster")
 		var err error
 		bound, err = p.reclusterSingletons(labels, k, method, aggOpts, rng)
@@ -540,7 +531,7 @@ func (p *Problem) reclusterSingletons(labels partition.Labels, k int, method Met
 	sub := p.subProblem(singles)
 	var subLabels partition.Labels
 	if len(singles) > reclusterCap {
-		subLabels, err = sub.Sample(method, aggOpts, SamplingOptions{Rand: rng, NoSingletonRecluster: true})
+		subLabels, err = sub.Sample(method, aggOpts, SamplingOptions{Rand: rng, noSingletonRecluster: true})
 	} else {
 		subLabels, err = sub.Aggregate(method, aggOpts)
 	}

@@ -173,7 +173,7 @@ func TestSampleNoSingletonRecluster(t *testing.T) {
 	labels, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{
 		SampleSize:           30,
 		Rand:                 rand.New(rand.NewSource(23)),
-		NoSingletonRecluster: true,
+		noSingletonRecluster: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -49,20 +49,14 @@ type AgglomerativeOptions struct {
 // and, after the O(n²) distance scan, O(n) work per merge plus one O(n) row
 // scan per repaired cache.
 func Agglomerative(inst Instance) partition.Labels {
-	return AgglomerativeK(inst, 0)
+	return AgglomerativeWithOptions(inst, AgglomerativeOptions{})
 }
 
-// AgglomerativeK is Agglomerative with an optional cluster-count constraint:
-// when k > 0 the algorithm keeps merging the closest pair (even past the 1/2
-// threshold) until exactly k clusters remain, or stops early at k clusters
-// before the threshold is reached. With k = 0 the parameter-free rule of the
-// paper applies.
-func AgglomerativeK(inst Instance, k int) partition.Labels {
-	return AgglomerativeWithOptions(inst, AgglomerativeOptions{K: k})
-}
-
-// AgglomerativeWithOptions is AgglomerativeK with instrumentation: when
-// opts.Recorder is set, the algorithm's queue and merge activity is counted.
+// AgglomerativeWithOptions is Agglomerative with an optional cluster-count
+// constraint (opts.K: keep merging the closest pair, even past the 1/2
+// threshold, until exactly K clusters remain, or stop early at K clusters
+// before the threshold is reached) and instrumentation: when opts.Recorder
+// is set, the algorithm's queue and merge activity is counted.
 func AgglomerativeWithOptions(inst Instance, opts AgglomerativeOptions) partition.Labels {
 	n, k := inst.N(), max(opts.K, 0)
 	if n == 0 {

@@ -244,7 +244,7 @@ func TestAgglomerativeDegenerate(t *testing.T) {
 	}
 	for _, c := range cases {
 		for _, inst := range []Instance{c.inst, opaque{c.inst.(*Matrix)}} {
-			if got := AgglomerativeK(inst, c.k); !equalLabelSlices(got, c.want) {
+			if got := AgglomerativeWithOptions(inst, AgglomerativeOptions{K: c.k}); !equalLabelSlices(got, c.want) {
 				t.Errorf("%s (%T): %v, want %v", c.name, inst, got, c.want)
 			}
 		}
@@ -257,7 +257,7 @@ func TestAgglomerativeDegenerate(t *testing.T) {
 func TestAgglomerativeAllocs(t *testing.T) {
 	mx := tiedMatrix(rand.New(rand.NewSource(3)), 300, 4)
 	for _, k := range []int{0, 1} {
-		if got := testing.AllocsPerRun(5, func() { AgglomerativeK(mx, k) }); got > 10 {
+		if got := testing.AllocsPerRun(5, func() { AgglomerativeWithOptions(mx, AgglomerativeOptions{K: k}) }); got > 10 {
 			t.Errorf("K=%d: %v allocations per run, want at most 10", k, got)
 		}
 	}

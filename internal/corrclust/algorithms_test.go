@@ -157,23 +157,23 @@ func TestAgglomerativeIntraClusterAverage(t *testing.T) {
 func TestAgglomerativeK(t *testing.T) {
 	inst := figure2Instance(t)
 	for k := 1; k <= 6; k++ {
-		labels := AgglomerativeK(inst, k)
+		labels := AgglomerativeWithOptions(inst, AgglomerativeOptions{K: k})
 		checkValidClustering(t, labels, inst.N())
 		if got := labels.K(); got != k {
-			t.Errorf("AgglomerativeK(%d) produced %d clusters (%v)", k, got, labels)
+			t.Errorf("K=%d produced %d clusters (%v)", k, got, labels)
 		}
 	}
-	if got := AgglomerativeK(inst, 100).K(); got != 6 {
-		t.Errorf("AgglomerativeK(k>n) produced %d clusters, want n=6", got)
+	if got := AgglomerativeWithOptions(inst, AgglomerativeOptions{K: 100}).K(); got != 6 {
+		t.Errorf("K>n produced %d clusters, want n=6", got)
 	}
 }
 
 func TestFurthestK(t *testing.T) {
 	inst := figure2Instance(t)
-	labels, cost := FurthestK(inst, 3)
+	labels, cost := FurthestWithOptions(inst, FurthestOptions{K: 3})
 	checkValidClustering(t, labels, inst.N())
 	if got := labels.K(); got != 3 {
-		t.Errorf("FurthestK(3) produced %d clusters", got)
+		t.Errorf("K=3 produced %d clusters", got)
 	}
 	if math.Abs(cost-Cost(inst, labels)) > 1e-9 {
 		t.Errorf("returned cost %v != recomputed %v", cost, Cost(inst, labels))

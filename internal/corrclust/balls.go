@@ -29,14 +29,6 @@ func Balls(inst Instance, alpha float64) (partition.Labels, error) {
 	return BallsWithOptions(inst, BallsOptions{Alpha: alpha})
 }
 
-// BallsWithOrder is Balls with an explicit vertex visiting order, exposed
-// so the ordering heuristic can be ablated (the paper calls the
-// weight-sorted order "a heuristic that we observed to work well in
-// practice"). order must be a permutation of 0..n-1.
-func BallsWithOrder(inst Instance, alpha float64, order []int) (partition.Labels, error) {
-	return BallsWithOptions(inst, BallsOptions{Alpha: alpha, Order: order})
-}
-
 // BallsOptions configures BallsWithOptions.
 type BallsOptions struct {
 	// Alpha is the ball-acceptance threshold, used exactly as given (0 is a
@@ -44,7 +36,9 @@ type BallsOptions struct {
 	// default pass DefaultBallsAlpha explicitly.
 	Alpha float64
 	// Order is the vertex visiting order (a permutation of 0..n-1). Nil
-	// selects the paper's weight-sorted heuristic order.
+	// selects the paper's weight-sorted heuristic order ("a heuristic that
+	// we observed to work well in practice"); an explicit order lets the
+	// heuristic be ablated.
 	Order []int
 	// Recorder, when non-nil, receives the balls.* counters (clusters,
 	// singletons, absorbed ball members, largest ball). Nil records nothing
@@ -52,8 +46,8 @@ type BallsOptions struct {
 	Recorder *obs.Recorder
 }
 
-// BallsWithOptions is the fully-configurable BALLS entry point; Balls and
-// BallsWithOrder are thin wrappers over it.
+// BallsWithOptions is the fully-configurable BALLS entry point; Balls is a
+// thin wrapper over it.
 func BallsWithOptions(inst Instance, opts BallsOptions) (partition.Labels, error) {
 	alpha := opts.Alpha
 	if alpha < 0 || alpha > 0.5 {

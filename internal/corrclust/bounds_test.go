@@ -66,7 +66,7 @@ func TestAgglomerativeDeterministic(t *testing.T) {
 func TestFurthestKEqualsN(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	inst := aggInstance(t, randClusterings(rng, 3, 8, 4)...)
-	labels, _ := FurthestK(inst, 8)
+	labels, _ := FurthestWithOptions(inst, FurthestOptions{K: 8})
 	if len(labels) != 8 {
 		t.Fatalf("%d labels", len(labels))
 	}

@@ -133,13 +133,16 @@ func viewChecks(t *testing.T, labels partition.Labels) []viewCheck {
 			return floats(l)
 		}},
 		{"furthest", func(in Instance) []float64 { return floats(Furthest(in)) }},
-		{"furthest-k3", func(in Instance) []float64 { l, c := FurthestK(in, 3); return floats(l, c) }},
+		{"furthest-k3", func(in Instance) []float64 {
+			l, c := FurthestWithOptions(in, FurthestOptions{K: 3})
+			return floats(l, c)
+		}},
 		{"furthest-parallel", func(in Instance) []float64 {
 			l, c := furthest(in, FurthestOptions{Workers: 3}, 0)
 			return floats(l, c)
 		}},
 		{"agglomerative", func(in Instance) []float64 { return floats(Agglomerative(in)) }},
-		{"agglomerative-k4", func(in Instance) []float64 { return floats(AgglomerativeK(in, 4)) }},
+		{"agglomerative-k4", func(in Instance) []float64 { return floats(AgglomerativeWithOptions(in, AgglomerativeOptions{K: 4})) }},
 	}
 }
 

@@ -16,22 +16,15 @@ import (
 // objective improves; the solution preceding the first cost increase is
 // returned.
 func Furthest(inst Instance) partition.Labels {
-	labels, _ := FurthestK(inst, 0)
+	labels, _ := FurthestWithOptions(inst, FurthestOptions{})
 	return labels
-}
-
-// FurthestK is Furthest with an optional cluster-count constraint: when
-// k > 0 the algorithm runs for exactly k centers (or n if k > n) regardless
-// of cost, mirroring how the paper's algorithms can be forced to a
-// predefined number of clusters. It returns the labels and the cost of the
-// returned solution. With k = 0 the parameter-free stopping rule applies.
-func FurthestK(inst Instance, k int) (partition.Labels, float64) {
-	return FurthestWithOptions(inst, FurthestOptions{K: k})
 }
 
 // FurthestOptions configures FurthestWithOptions.
 type FurthestOptions struct {
-	// K, when positive, forces exactly K centers; zero applies the paper's
+	// K, when positive, forces exactly K centers (or n if K > n)
+	// regardless of cost, mirroring how the paper's algorithms can be
+	// forced to a predefined number of clusters; zero applies the paper's
 	// parameter-free stopping rule.
 	K int
 	// Workers caps the goroutines FURTHEST's two read phases run on: the
@@ -59,7 +52,9 @@ const furthestMinParallel = 1 << 14
 // each worker's scratch is a few kilobytes whatever n is.
 const furthestBlock = 256
 
-// FurthestWithOptions is FurthestK with instrumentation and parallel reads.
+// FurthestWithOptions is Furthest with a cluster-count constraint,
+// instrumentation and parallel reads. It returns the labels and the cost of
+// the returned solution.
 //
 // Both the assignments and the objective are maintained incrementally. Each
 // object tracks its nearest center, and a new center only competes against

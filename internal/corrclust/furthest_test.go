@@ -244,7 +244,7 @@ func FuzzFurthestIncremental(f *testing.F) {
 		}
 		inst := coinInstance(cs)
 		want, wantCost := furthestReference(inst, k)
-		got, gotCost := FurthestK(inst, k)
+		got, gotCost := FurthestWithOptions(inst, FurthestOptions{K: k})
 		if !equalLabelSlices(got, want) || gotCost != wantCost {
 			t.Fatalf("m=%d n=%d K=%d: (%v, %v), reference (%v, %v)", m, n, k, got, gotCost, want, wantCost)
 		}

@@ -24,11 +24,17 @@ import (
 //     an object is O(k) table reads, not O(slots).
 //
 // A table-mode sweep therefore costs O(n·k + moves·n). The kernel picks one
-// of three modes per sweep, by the shape of the current clustering:
+// of three modes per sweep, by the shape of the current clustering, but
+// evaluates objects with one loop (evaluate) in two of them and builds
+// columns with one sum (sumColumns):
 //
 //   - TABLE mode, once the live cluster count has collapsed under
 //     tableWidthFor(n): every column is materialized, evaluation is O(k)
-//     reads of maintained state and touches no distances at all.
+//     reads of maintained state and touches no distances at all. The table
+//     is built in one O(n²) pass that adds each object's row to its
+//     cluster's column and records the away identity from the same row —
+//     the only full-matrix scan the kernel ever makes; refreshColumn is the
+//     same pass restricted to one cluster's members.
 //   - GROWING mode, for the default all-singletons start (where a full
 //     table would be O(n²) memory and stride n columns per evaluation):
 //     evaluation gathers v's contiguous row anyway, and a singleton cluster
@@ -39,12 +45,15 @@ import (
 //     identity is recorded per object as a free side effect of the row sum,
 //     so the switch to TABLE mode at a later sweep boundary only has to
 //     materialize the few surviving singleton columns — there is no
-//     separate O(n²) table-build pass.
+//     separate O(n²) table-build pass. Routing this start through REBUILD
+//     mode instead measured about twice as slow (docs/PERFORMANCE.md).
 //   - REBUILD mode, for an explicit Init with more than tableWidth
 //     multi-member clusters: the reference sweep's per-object M rebuild,
-//     verbatim. Instances whose optimum really has k > n/8 clusters simply
-//     keep the reference behavior — no regression — and drop into TABLE
-//     mode at the first sweep boundary where the count has collapsed.
+//     verbatim (evaluateRebuild). Instances whose optimum really has
+//     k > n/8 clusters simply keep the reference behavior — no regression —
+//     and drop into TABLE mode at the first sweep boundary where the count
+//     has collapsed. Growing a column per cluster of such an Init instead
+//     kept the labels but measured slower, with ~55× the allocation.
 //
 // Decision logic in all modes mirrors the reference sweep exactly
 // (ascending slot order, strict-< tie-breaks, the same epsilon accept
@@ -200,69 +209,35 @@ func (k *lsKernel) maybeBuildTable() {
 			k.cols[c] = make([]float64, k.n)
 		}
 	}
-	for v := 0; v < k.n; v++ {
-		row := k.readRow(v)
-		var s float64
-		for u, x := range row {
-			if u == v {
-				continue
-			}
-			k.cols[k.labels[u]][v] += x
-			s += x
-		}
-		k.away[v] = float64(k.n-1) - s
-	}
+	k.sumColumns(-1)
 	k.tableBuilt = true
 }
 
 // evaluate returns v's best move target (-1 = fresh singleton), the move's
 // objective improvement curCost−bestCost, and whether it improves on the
-// current assignment by more than epsilon. Table mode only: it reads just
-// the maintained state — O(live clusters), no distance access — and mirrors
-// the reference sweep's decision logic: ascending slot order, strict-< best
-// selection, the singleton baseline, the epsilon accept guard. The gain is
-// observational (it feeds the progress events and the
-// localsearch.improvement gauge); accept/reject decisions do not read it,
-// so results are unchanged by its accumulation.
+// current assignment by more than epsilon, in table and growing mode. It
+// mirrors the reference sweep's decision logic: ascending slot order,
+// strict-< best selection, the singleton baseline, the epsilon accept
+// guard. In table mode every live solo is −1, so it reads only the
+// maintained columns — O(live clusters), no distance access. In growing
+// mode v's row is read anyway: an implicit singleton {u}'s affinity is
+// row[u], and the away identity falls out of the row sum (recorded for the
+// later table completion). The gain is observational (it feeds the
+// progress events and the localsearch.improvement gauge); accept/reject
+// decisions do not read it, so results are unchanged by its accumulation.
 func (k *lsKernel) evaluate(v int) (int, float64, bool) {
+	var row []float64
+	if !k.tableBuilt {
+		row = k.readRow(v)
+		var s float64
+		for _, x := range row {
+			s += x
+		}
+		k.away[v] = float64(k.n-1) - s
+	}
 	cur := k.labels[v]
 	away := k.away[v]
 	best, bestCost := -1, away // -1 = fresh singleton, d = totalAway
-	curCost := away
-	for _, c := range k.live {
-		m := k.cols[c][v]
-		sz := k.size[c]
-		if c == cur {
-			sz--
-		}
-		d := m + away - (float64(sz) - m)
-		if c == cur {
-			curCost = d
-		}
-		if d < bestCost {
-			best, bestCost = c, d
-		}
-	}
-	if bestCost >= curCost-lsEpsilon || best == cur {
-		return -1, 0, false
-	}
-	return best, curCost - bestCost, true
-}
-
-// evaluateGrowing is the growing-mode evaluation: v's contiguous row is
-// read anyway, so an unmaterialized singleton {u}'s affinity is row[u], a
-// materialized cluster's comes from its column, and the away identity falls
-// out of the row sum (recorded for the later table completion).
-func (k *lsKernel) evaluateGrowing(v int) (int, float64, bool) {
-	row := k.readRow(v)
-	var s float64
-	for _, x := range row {
-		s += x
-	}
-	away := float64(k.n-1) - s
-	k.away[v] = away
-	cur := k.labels[v]
-	best, bestCost := -1, away
 	curCost := away
 	for _, c := range k.live {
 		var m float64
@@ -444,21 +419,37 @@ func (k *lsKernel) apply(v, target int) {
 // refreshColumn rebuilds cols[c] exactly from the distance oracle,
 // discarding accumulated float drift: one row read per member, ascending.
 func (k *lsKernel) refreshColumn(c int) {
-	col := k.cols[c]
-	for u := range col {
-		col[u] = 0
-	}
-	for w, lw := range k.labels {
-		if lw != c {
+	clear(k.cols[c])
+	k.sumColumns(c)
+	k.dirty[c] = 0
+	k.refreshes++
+}
+
+// sumColumns is the one column build: for each object v in ascending order
+// it adds v's row to its cluster's column, contiguously. With only < 0 it
+// covers every object — the table build, which also records away[v] from
+// the same row — and otherwise only the members of cluster only. Each cell
+// cols[c][u] thus sums X_vu over c's members in ascending order; X is
+// symmetric and the diagonal adds +0, so this equals the per-object sum
+// M(u, C_c) the reference sweep forms from u's own row, bit for bit.
+func (k *lsKernel) sumColumns(only int) {
+	for v, c := range k.labels {
+		if only >= 0 && c != only {
 			continue
 		}
-		row := k.readRow(w)
+		row := k.readRow(v)
+		col := k.cols[c]
 		for u, x := range row {
 			col[u] += x
 		}
+		if only < 0 {
+			var s float64
+			for _, x := range row {
+				s += x
+			}
+			k.away[v] = float64(k.n-1) - s
+		}
 	}
-	k.dirty[c] = 0
-	k.refreshes++
 }
 
 func (k *lsKernel) removeLive(c int) {
@@ -483,12 +474,9 @@ func (k *lsKernel) sweep(onMove func(v, from, to int)) bool {
 		var target int
 		var gain float64
 		var ok bool
-		switch {
-		case k.tableBuilt:
+		if k.tableBuilt || k.growing {
 			target, gain, ok = k.evaluate(v)
-		case k.growing:
-			target, gain, ok = k.evaluateGrowing(v)
-		default:
+		} else {
 			target, gain, ok = k.evaluateRebuild(v)
 		}
 		if !ok {

@@ -31,12 +31,28 @@ func equalLabelSlices(a, b partition.Labels) bool {
 	return true
 }
 
+// wideInit returns a shuffled labeling into pairs: n/2 clusters, more than
+// tableWidthFor(n) once n ≥ 130, so LOCALSEARCH starts in rebuild mode.
+func wideInit(t testing.TB, rng *rand.Rand, inst Instance) partition.Labels {
+	t.Helper()
+	n := inst.N()
+	init := make(partition.Labels, n)
+	for i, v := range rng.Perm(n) {
+		init[v] = i / 2
+	}
+	if k := newLSKernel(inst, init.Normalize(), lsRefreshEvery); k.growing || len(k.live) <= k.tableWidth {
+		t.Fatalf("n=%d: pairs Init does not start in rebuild mode", n)
+	}
+	return init
+}
+
 // TestLocalSearchIncrementalMatchesReferenceExact: on exact-arithmetic
 // (dyadic) instances the incremental kernel must reproduce the reference
-// sweep's labels identically — from singletons and from a random Init — and
-// the costs must agree to 1e-9. The random trials stay under tableWidthFor's
-// floor of 64 objects, so they start in table or rebuild mode; the
-// singleton starts at n = 90 and 300 run growing mode first.
+// sweep's labels identically — from singletons, from a random Init and from
+// a wide Init — and the costs must agree to 1e-9. The random trials stay
+// under tableWidthFor's floor of 64 objects, so they start in table mode;
+// the singleton starts at n = 90 and 300 run growing mode first, and the
+// pairs Inits at n ≥ 130 run rebuild mode first.
 func TestLocalSearchIncrementalMatchesReferenceExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	check := func(name string, inst *Matrix, init partition.Labels) {
@@ -66,6 +82,11 @@ func TestLocalSearchIncrementalMatchesReferenceExact(t *testing.T) {
 	grow := rand.New(rand.NewSource(43))
 	for _, n := range []int{2, 37, 90, 300} {
 		check(fmt.Sprintf("singletons n=%d", n), dyadicInstance(t, grow, 4, n, 1+grow.Intn(4)), nil)
+	}
+	wide := rand.New(rand.NewSource(45))
+	for _, tc := range []struct{ m, n int }{{2, 130}, {8, 131}, {4, 200}, {16, 260}} {
+		inst := dyadicInstance(t, wide, tc.m, tc.n, 2+wide.Intn(6))
+		check(fmt.Sprintf("pairs m=%d n=%d", tc.m, tc.n), inst, wideInit(t, wide, inst))
 	}
 }
 
@@ -184,18 +205,26 @@ func TestLocalSearchReferenceStillLocalOptimum(t *testing.T) {
 
 // FuzzLocalSearchIncremental drives the incremental kernel against the
 // reference sweep on fuzzer-chosen exact (dyadic) instances: identical
-// labels, costs within 1e-9.
+// labels, costs within 1e-9. nRaw ≥ 128 selects a pairs Init at
+// n = 130..193, which starts in rebuild mode.
 func FuzzLocalSearchIncremental(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(2))
 	f.Add(int64(2), uint8(40), uint8(0))
 	f.Add(int64(3), uint8(25), uint8(3))
+	f.Add(int64(4), uint8(200), uint8(2))
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, mExp uint8) {
 		n := 1 + int(nRaw)%64
+		if nRaw >= 128 {
+			n += 129
+		}
 		m := 1 << (int(mExp) % 5) // 1, 2, 4, 8, 16 clusterings: dyadic distances
 		rng := rand.New(rand.NewSource(seed))
 		inst := dyadicInstance(t, rng, m, n, 1+rng.Intn(5))
 		var init partition.Labels
-		if seed%2 == 0 {
+		switch {
+		case nRaw >= 128:
+			init = wideInit(t, rng, inst)
+		case seed%2 == 0:
 			init = make(partition.Labels, n)
 			for i := range init {
 				init[i] = rng.Intn(3)

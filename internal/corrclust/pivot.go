@@ -50,14 +50,6 @@ func Pivot(inst Instance, rng *rand.Rand) partition.Labels {
 	return labels.Normalize()
 }
 
-// PivotBest runs Pivot rounds times with independent pivot orders and
-// returns the lowest-cost clustering — the standard de-randomization-by-
-// repetition that makes the expectation guarantee hold with high
-// probability in practice. rounds < 1 is treated as 1.
-func PivotBest(inst Instance, rounds int, rng *rand.Rand) partition.Labels {
-	return PivotWithOptions(inst, PivotOptions{Rounds: rounds, Rand: rng})
-}
-
 // PivotOptions configures PivotWithOptions.
 type PivotOptions struct {
 	// Rounds is the number of independent pivot orders tried, keeping the
@@ -72,7 +64,10 @@ type PivotOptions struct {
 	Recorder *obs.Recorder
 }
 
-// PivotWithOptions is PivotBest with instrumentation.
+// PivotWithOptions runs Pivot opts.Rounds times with independent pivot
+// orders and returns the lowest-cost clustering — the standard
+// de-randomization-by-repetition that makes the expectation guarantee hold
+// with high probability in practice.
 func PivotWithOptions(inst Instance, opts PivotOptions) partition.Labels {
 	rng := opts.Rand
 	if rng == nil {

@@ -18,7 +18,7 @@ func TestPivotValidOutput(t *testing.T) {
 
 func TestPivotOnFigure2(t *testing.T) {
 	inst := figure2Instance(t)
-	labels := PivotBest(inst, 10, rand.New(rand.NewSource(1)))
+	labels := PivotWithOptions(inst, PivotOptions{Rounds: 10, Rand: rand.New(rand.NewSource(1))})
 	if got := Cost(inst, labels); math.Abs(got-5.0/3.0) > 1e-9 {
 		t.Errorf("pivot cost %v, want optimum 5/3 (labels %v)", got, labels)
 	}
@@ -40,9 +40,9 @@ func TestPivotBestNeverWorseThanSingleRun(t *testing.T) {
 		n := 4 + rng.Intn(10)
 		inst := aggInstance(t, randClusterings(rng, 3, n, 3)...)
 		one := Pivot(inst, rand.New(rand.NewSource(99)))
-		best := PivotBest(inst, 20, rand.New(rand.NewSource(99)))
+		best := PivotWithOptions(inst, PivotOptions{Rounds: 20, Rand: rand.New(rand.NewSource(99))})
 		if Cost(inst, best) > Cost(inst, one)+1e-9 {
-			t.Errorf("trial %d: PivotBest %v worse than first single run %v",
+			t.Errorf("trial %d: best of 20 rounds %v worse than first single run %v",
 				trial, Cost(inst, best), Cost(inst, one))
 		}
 	}
@@ -50,7 +50,7 @@ func TestPivotBestNeverWorseThanSingleRun(t *testing.T) {
 
 func TestPivotBestRoundsFloor(t *testing.T) {
 	inst := figure2Instance(t)
-	labels := PivotBest(inst, 0, nil) // treated as 1 round
+	labels := PivotWithOptions(inst, PivotOptions{}) // treated as 1 round
 	checkValidClustering(t, labels, inst.N())
 }
 
@@ -62,7 +62,7 @@ func TestPivotExpectedApproximation(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 4 + rng.Intn(5)
 		inst := aggInstance(t, randClusterings(rng, 2+rng.Intn(4), n, 1+rng.Intn(4))...)
-		labels := PivotBest(inst, 20, rand.New(rand.NewSource(int64(trial))))
+		labels := PivotWithOptions(inst, PivotOptions{Rounds: 20, Rand: rand.New(rand.NewSource(int64(trial)))})
 		_, opt, err := BruteForce(inst)
 		if err != nil {
 			t.Fatal(err)

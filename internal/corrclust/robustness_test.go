@@ -79,7 +79,7 @@ func TestQuickLocalSearchNeverAboveSingletonsOrSingle(t *testing.T) {
 }
 
 func TestQuickAgglomerativeKMonotone(t *testing.T) {
-	// AgglomerativeK(k) must return exactly min(k, n) clusters for every k.
+	// AGGLOMERATIVE with K = k must return exactly min(k, n) clusters for every k.
 	f := func(seed int64) bool {
 		inst := arbitraryMatrix(seed)
 		n := inst.N()
@@ -88,7 +88,7 @@ func TestQuickAgglomerativeKMonotone(t *testing.T) {
 			if want > n {
 				want = n
 			}
-			if AgglomerativeK(inst, k).K() != want {
+			if AgglomerativeWithOptions(inst, AgglomerativeOptions{K: k}).K() != want {
 				return false
 			}
 		}

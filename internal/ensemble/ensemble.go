@@ -200,5 +200,5 @@ func CSPA(clusterings []partition.Labels, k int) (partition.Labels, error) {
 		return partition.Labels{}, nil
 	}
 	dist := coassociation(clusterings, n)
-	return corrclust.AgglomerativeK(dist, k), nil
+	return corrclust.AgglomerativeWithOptions(dist, corrclust.AgglomerativeOptions{K: k}), nil
 }

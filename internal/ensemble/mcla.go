@@ -54,7 +54,7 @@ func MCLA(clusterings []partition.Labels, k int) (partition.Labels, error) {
 			dist.Set(a, b, 1-jaccardSets(sets[a], sets[b]))
 		}
 	}
-	meta := corrclust.AgglomerativeK(dist, k)
+	meta := corrclust.AgglomerativeWithOptions(dist, corrclust.AgglomerativeOptions{K: k})
 
 	// Per-object association with each meta-cluster: the fraction of the
 	// meta-cluster's constituent clusters containing the object.

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"clusteragg/internal/core"
-	"clusteragg/internal/corrclust"
 	"clusteragg/internal/dataset"
 	"clusteragg/internal/ensemble"
 	"clusteragg/internal/eval"
@@ -76,7 +75,7 @@ func ensembleOn(t *dataset.Table, cfg Config, kGiven int, seed int64) (*Ensemble
 		}
 		res.Rows = append(res.Rows, EnsembleRow{
 			Name: name, K: labels.K(), EC: ec, NeedsK: needsK,
-			ED: float64(problem.M()) * corrclust.Cost(matrix, labels),
+			ED: problem.Disagreement(labels),
 		})
 		return nil
 	}
