@@ -70,7 +70,7 @@ cover:
 
 # The distance-kernel suite: the matrix build from kernel rows vs the naive
 # build, LOCALSEARCH on matrix rows vs generic calls, the incremental LOCALSEARCH
-# kernel, BestOf racing, and the label-kernel
+# kernel, BestOf racing over the label kernel vs the matrix, and the label-kernel
 # sampling assignment vs the test-only probing reference; then the
 # corrclust algorithms against their test-only oracles (AGGLOMERATIVE vs
 # the lazy-heap loop, FURTHEST's reads per run, the incremental LOCALSEARCH
@@ -132,8 +132,9 @@ fuzz-localsearch:
 fuzz-kernel:
 	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/
 
-# Fuzz the width-packed label blocks: uint8/uint16 must be bit-identical to
-# the forced-int32 kernel on the same instance.
+# Fuzz the two label widths: the uint8 block must be bit-identical to its
+# int32 re-encoding (and to a relabeling past the byte range) on the same
+# instance.
 fuzz-widths:
 	$(GO) test -run FuzzLabelKernelWidths -fuzz FuzzLabelKernelWidths -fuzztime 30s ./internal/core/
 
@@ -156,17 +157,20 @@ experiments-full:
 	$(GO) run ./cmd/experiments -full all
 
 # Short fuzzing passes over the CSV loader, partition invariants, the label
-# kernel against the []int pair loop, the contingency-table objective and
-# distinct-row lower bound against the pair scans, incremental FURTHEST
-# against its full-Cost reference, AGGLOMERATIVE's cached-neighbor loop
-# against its lazy-heap reference, SAMPLING's twin-memoized assignment
-# against the probing reference, and AggregateCSV from raw bytes (a defined
-# error or the table reference's valid labeling at every Workers setting).
+# kernel against the []int pair loop at both label widths (uint8 and
+# int32), the materialized matrix against Dist, the contingency-table
+# objective and distinct-row lower bound against the pair scans,
+# incremental FURTHEST against its full-Cost reference, AGGLOMERATIVE's
+# cached-neighbor loop against its lazy-heap reference, SAMPLING's
+# twin-memoized assignment against the probing reference, and AggregateCSV
+# from raw bytes (a defined error or the table reference's valid labeling
+# at every Workers setting).
 fuzz:
 	$(GO) test -run '^FuzzReadCSV$$' -fuzz '^FuzzReadCSV$$' -fuzztime 30s ./internal/dataset/
 	$(GO) test -run FuzzNormalize -fuzz FuzzNormalize -fuzztime 30s ./internal/partition/
 	$(GO) test -run FuzzDistance -fuzz FuzzDistance -fuzztime 30s ./internal/partition/
 	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/
+	$(GO) test -run FuzzMaterialize -fuzz FuzzMaterialize -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzObjectiveExact -fuzz FuzzObjectiveExact -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzFurthestIncremental -fuzz FuzzFurthestIncremental -fuzztime 30s ./internal/corrclust/
 	$(GO) test -run FuzzAgglomerative -fuzz FuzzAgglomerative -fuzztime 30s ./internal/corrclust/

@@ -50,8 +50,8 @@ func NewProblem(clusterings []Labels, opts ProblemOptions) (*Problem, error) {
 }
 
 // PackedClusterings is the width-packed columnar label block: the same m
-// clusterings a []Labels slice would hold, stored row-major at the
-// narrowest integer width the label range needs (1, 2, or 4 bytes). Build
+// clusterings a []Labels slice would hold, stored row-major at one byte
+// per label when every label is below 255 and four bytes otherwise. Build
 // one with NewPackedBuilder or NewPackedColumns and hand it to
 // NewProblemPacked; results are bit-identical to the []Labels constructor.
 type PackedClusterings = core.PackedClusterings

@@ -26,10 +26,9 @@ func pinAllocs(t *testing.T, name string, want float64, f func()) {
 func TestKernelDistAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(977))
 	p := randMixedProblem(t, rng, 512, 4, 0.1, ProblemOptions{MissingTogether: 0.5})
-	lk := p.kernel()
 
 	pinAllocs(t, "Dist", 0, func() {
-		_ = lk.Dist(3, 200)
+		_ = p.Dist(3, 200)
 	})
 
 	targets := make([]int, 64)
@@ -38,14 +37,14 @@ func TestKernelDistAllocs(t *testing.T) {
 	}
 	dst := make([]float64, len(targets))
 	pinAllocs(t, "DistRowTo", 0, func() {
-		lk.DistRowTo(9, targets, dst)
+		p.DistRowTo(9, targets, dst)
 	})
 
 	members := [][]int{targets[:20], targets[20:45], targets[45:]}
-	hist := lk.buildColabelHist(members)
+	hist := p.buildColabelHist(members)
 	aff := make([]float64, len(members))
 	pinAllocs(t, "affinities", 0, func() {
-		hist.affinities(lk, 11, aff)
+		hist.affinities(p, 11, aff)
 	})
 }
 
@@ -58,14 +57,13 @@ func TestAssignMemoAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lk := p.kernel()
-	memo := newTwinMemo(lk.n)
+	memo := newTwinMemo(p.n)
 	v := 0
 	pinAllocs(t, "memo lookup+store", 0, func() {
-		if slot, _, hit := memoFind(&memo, lk.lab8, lk.m, v); !hit {
+		if slot, _, hit := memoFind(&memo, p.lab8, p.m, v); !hit {
 			memo.store(slot, v, int32(v%5)-1)
 		}
-		v = (v + 1) % lk.n
+		v = (v + 1) % p.n
 	})
 }
 
@@ -96,10 +94,9 @@ func TestPackedUnpackAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lk := p.kernel()
 	dst := make(partition.Labels, 256)
 	pinAllocs(t, "column", 0, func() {
-		lk.column(1, dst)
+		p.column(1, dst)
 	})
 }
 

@@ -123,18 +123,33 @@ type hideMatrix struct{ m *corrclust.Matrix }
 func (h hideMatrix) N() int                { return h.m.N() }
 func (h hideMatrix) Dist(u, v int) float64 { return h.m.Dist(u, v) }
 
-// BenchmarkBestOf races the five paper methods over a shared materialized
-// matrix, sequentially and with all CPUs.
+// BenchmarkBestOf races the five paper methods on the shape of the
+// exact-mushrooms workload: a 2,000-row subsample of the Mushrooms stand-in
+// (m = 22, with missing labels). The oracle dimension races them over the
+// label kernel (the Problem itself) or over one materialized matrix, on one
+// worker and on GOMAXPROCS.
 func BenchmarkBestOf(b *testing.B) {
-	p := benchProblem(b, 500, 8, 5)
-	for _, workers := range []int{1, 0} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := p.BestOf(nil, AggregateOptions{Materialize: true, Workers: workers}); err != nil {
-					b.Fatal(err)
+	t := dataset.SyntheticMushrooms(1)
+	idx := rand.New(rand.NewSource(1)).Perm(t.N())[:2000]
+	cols, err := t.Subset(idx).Clusterings()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p, err := NewProblem(cols, ProblemOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, oracle := range []string{"kernel", "matrix"} {
+		for _, workers := range []int{1, 0} {
+			b.Run(fmt.Sprintf("oracle=%s/workers=%d", oracle, workers), func(b *testing.B) {
+				opts := AggregateOptions{Materialize: oracle == "matrix", Workers: workers}
+				for i := 0; i < b.N; i++ {
+					if _, _, err := p.BestOf(nil, opts); err != nil {
+						b.Fatal(err)
+					}
 				}
-			}
-		})
+			})
+		}
 	}
 }
 

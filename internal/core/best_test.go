@@ -11,14 +11,14 @@ import (
 )
 
 // scanBest is BESTCLUSTERING by the O(m·n²) pair scan: every completed
-// input scored by corrclust.Cost on the label kernel, ties to the lower
+// input scored by corrclust.Cost on the Problem itself, ties to the lower
 // index.
 func scanBest(p *Problem) (partition.Labels, int, float64) {
 	bestIdx, bestD := -1, 0.0
 	var best partition.Labels
 	for i, c := range p.Clusterings() {
 		cand := completeMissing(c)
-		d := p.totalWeight * corrclust.Cost(p.kernel(), cand)
+		d := p.totalWeight * corrclust.Cost(p, cand)
 		if bestIdx == -1 || d < bestD {
 			bestIdx, bestD, best = i, d, cand
 		}
@@ -65,7 +65,7 @@ func TestBestClusteringFastMatchesSlow(t *testing.T) {
 				t.Fatalf("trial %d: returned %v but Disagreement of the labels is %v", trial, gotD, prob.Disagreement(gotL))
 			}
 			if gotI != wantI {
-				scanGot := prob.totalWeight * corrclust.Cost(prob.kernel(), completeMissing(prob.Clusterings()[gotI]))
+				scanGot := prob.totalWeight * corrclust.Cost(prob, completeMissing(prob.Clusterings()[gotI]))
 				if !closeRel(scanGot, wantD) {
 					t.Fatalf("trial %d: picked %d (scan %v), scan argmin %d (%v)", trial, gotI, scanGot, wantI, wantD)
 				}

@@ -49,29 +49,52 @@ const (
 )
 
 // Problem is a clustering-aggregation instance: m input clusterings over n
-// objects. It implements corrclust.Instance, so it can be fed directly to
-// any correlation-clustering algorithm. Construct with NewProblem.
+// objects, held as one width-packed label block. It is itself the
+// correlation-clustering instance of Section 3's reduction: it implements
+// corrclust.Instance through Dist and corrclust.RowDistancer through
+// DistRowTo, so it can be fed directly to any correlation-clustering
+// algorithm (labelkernel.go holds the distance loops). Construct with
+// NewProblem or NewProblemPacked. Immutable after construction and safe
+// for concurrent use.
 type Problem struct {
-	n           int
-	missingP    float64
-	missingMode MissingMode
-	weights     []float64 // nil means uniform
-	totalWeight float64
+	// packedBlock is the inputs' label block (see packed.go), held by
+	// value: its slices alias the PackedClusterings the Problem was built
+	// over, and the hot loops read n, m, hasMiss and lab8/lab32 with one
+	// load from p.
+	packedBlock
 
-	// packed holds the inputs as a width-packed label block (see
-	// packed.go), whichever constructor built the Problem. The kernel
-	// aliases it zero-copy; []int views are unpacked lazily into unpacked
-	// for Clusterings only.
-	packed     *PackedClusterings
+	missingP float64
+	// w[i] is clustering i's weight (all 1 under uniform weights); missW[i]
+	// is the premultiplied coin-model missing contribution (1−missingP)·w[i].
+	w, missW    []float64
+	totalWeight float64
+	// uniform reports unit weights: pairs with no missing label take the
+	// integer-count fast path. average selects MissingAverage arithmetic
+	// (see Dist).
+	uniform bool
+	average bool
+
+	// onLanes reports that DistRowTo reads every pair from rows: uniform
+	// weights, and no missing label or the coin model with missHalves
+	// (2(1−missingP), so missingP ∈ {0, ½, 1}) an integer. A pair that s
+	// lanes separate and q lanes miss reads halfDist[2s + missHalves·q],
+	// halfDist[c] = (c/2) / totalWeight. rows and halfDist are built on the
+	// first row read (rowsOnce).
+	onLanes    bool
+	missHalves int
+	rowsOnce   sync.Once
+	rows       *lanes
+	halfDist   []float64
+
+	// unpacked holds the []int views Clusterings returns, unpacked from the
+	// block on its first call.
 	unpackOnce sync.Once
 	unpacked   []partition.Labels
-
-	// kernelOnce caches the auto-width label kernel: every Problem builds it
-	// at most once, so repeated Dist/Disagreement/LowerBound/Sample calls
-	// share one set of premultiplied weights over the packed block.
-	kernelOnce   sync.Once
-	kernelCached *labelKernel
 }
+
+// packedBlock names the PackedClusterings a Problem embeds, so the embedded
+// field stays unexported.
+type packedBlock = PackedClusterings
 
 // ProblemOptions configures NewProblem.
 type ProblemOptions struct {
@@ -115,8 +138,8 @@ func NewProblem(clusterings []partition.Labels, opts ProblemOptions) (*Problem, 
 }
 
 // problemOptionsOf validates the options against m input clusterings and
-// returns a Problem with the option-derived fields (missing model, weights,
-// total weight) set; NewProblemPacked fills in the inputs themselves.
+// returns a Problem holding only the option-derived fields (missing model,
+// weights, total weight); over builds the Problem over a block from it.
 func problemOptionsOf(m int, opts ProblemOptions) (*Problem, error) {
 	p := opts.MissingTogether
 	if p == 0 {
@@ -130,38 +153,54 @@ func problemOptionsOf(m int, opts ProblemOptions) (*Problem, error) {
 	}
 	prob := &Problem{
 		missingP:    p,
-		missingMode: opts.MissingMode,
+		average:     opts.MissingMode == MissingAverage,
+		uniform:     opts.Weights == nil,
+		w:           make([]float64, m),
 		totalWeight: float64(m),
 	}
-	if opts.Weights != nil {
-		if len(opts.Weights) != m {
-			return nil, fmt.Errorf("core: %d weights for %d clusterings", len(opts.Weights), m)
+	if prob.uniform {
+		for i := range prob.w {
+			prob.w[i] = 1
 		}
-		prob.totalWeight = 0
-		for i, w := range opts.Weights {
-			if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-				return nil, fmt.Errorf("core: weight %d is %v, want positive and finite", i, w)
-			}
-			prob.totalWeight += w
-		}
-		prob.weights = append([]float64(nil), opts.Weights...)
+		return prob, nil
 	}
+	if len(opts.Weights) != m {
+		return nil, fmt.Errorf("core: %d weights for %d clusterings", len(opts.Weights), m)
+	}
+	prob.totalWeight = 0
+	for i, w := range opts.Weights {
+		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
+			return nil, fmt.Errorf("core: weight %d is %v, want positive and finite", i, w)
+		}
+		prob.totalWeight += w
+	}
+	copy(prob.w, opts.Weights)
 	return prob, nil
 }
 
-// weight returns the weight of input clustering i.
-func (p *Problem) weight(i int) float64 {
-	if p.weights == nil {
-		return 1
+// over returns a Problem over the block pc under p's options, with the
+// coin-model missing contributions premultiplied (O(m)). NewProblemPacked
+// calls it on the validated options, subProblem on the parent Problem.
+func (p *Problem) over(pc *PackedClusterings) *Problem {
+	q := &Problem{
+		packedBlock: *pc,
+		missingP:    p.missingP,
+		w:           p.w,
+		missW:       make([]float64, pc.m),
+		totalWeight: p.totalWeight,
+		uniform:     p.uniform,
+		average:     p.average,
 	}
-	return p.weights[i]
+	for i, wi := range q.w {
+		q.missW[i] = (1 - q.missingP) * wi
+	}
+	// Lane reads are exact when a missing lane adds a whole number of
+	// halves, 1−missingP ∈ {0, ½, 1} (see onLanes).
+	h := 2 * (1 - q.missingP)
+	q.missHalves = int(h)
+	q.onLanes = q.uniform && (!q.anyMiss || !q.average && h == float64(q.missHalves))
+	return q
 }
-
-// N returns the number of objects.
-func (p *Problem) N() int { return p.n }
-
-// M returns the number of input clusterings.
-func (p *Problem) M() int { return p.packed.m }
 
 // Clusterings returns the input clusterings as []int label views, unpacked
 // from the packed block on the first call and cached on the Problem (m·n
@@ -169,39 +208,13 @@ func (p *Problem) M() int { return p.packed.m }
 // callers must not modify them.
 func (p *Problem) Clusterings() []partition.Labels {
 	p.unpackOnce.Do(func() {
-		lk := p.kernel()
-		p.unpacked = make([]partition.Labels, lk.m)
+		p.unpacked = make([]partition.Labels, p.m)
 		for i := range p.unpacked {
 			p.unpacked[i] = make(partition.Labels, p.n)
-			lk.column(i, p.unpacked[i])
+			p.column(i, p.unpacked[i])
 		}
 	})
 	return p.unpacked
-}
-
-// Dist returns X_uv: the (expected) fraction of input clusterings that place
-// u and v in different clusters. Dist satisfies corrclust.Instance and obeys
-// the triangle inequality under the coin model. Under MissingAverage only
-// clusterings with values on both objects vote, and a pair with no votes at
-// all is maximally uncertain (distance 1/2); those averaged distances need
-// not obey the triangle inequality (different pairs average over different
-// clusterings), so the BALLS guarantee does not formally carry over and the
-// algorithms apply as heuristics.
-func (p *Problem) Dist(u, v int) float64 { return p.kernel().Dist(u, v) }
-
-// Disagreement returns the (expected) total number of unordered-pair
-// disagreements D(C) = Σ_i d_V(C_i, C) between labels and the inputs. This
-// is the objective of Problem 1 on the unordered-pair scale; the paper's
-// ordered-pair figure is exactly twice this value.
-//
-// Under the coin model it costs O(n·m): one contingency-table pass per
-// input over the packed label block (see objective.go), with the
-// missing-label pairs counted per candidate cluster. Under MissingAverage
-// with missing labels present it is an O(n²·m) pair scan over the label
-// kernel. labels must have one entry per object; partition.Missing counts
-// as one more cluster.
-func (p *Problem) Disagreement(labels partition.Labels) float64 {
-	return p.kernel().disagreement(labels)
 }
 
 // LowerBound returns m · Σ_{u<v} min(X_uv, 1−X_uv), a lower bound on the
@@ -210,7 +223,7 @@ func (p *Problem) Disagreement(labels partition.Labels) float64 {
 // rows instead of all object pairs, O(n·m + G²·m), on GOMAXPROCS workers;
 // the result does not depend on the worker count.
 func (p *Problem) LowerBound() float64 {
-	return p.kernel().lowerBound(0)
+	return p.lowerBound(0)
 }
 
 // completeMissing returns labels with every Missing entry replaced by a
@@ -251,14 +264,13 @@ func (p *Problem) BestClustering() (labels partition.Labels, index int, disagree
 func (p *Problem) bestClustering(rec *obs.Recorder) (labels partition.Labels, index int, disagreement float64) {
 	m := p.M()
 	rec.Add("bestclustering.candidates", int64(m))
-	lk := p.kernel()
 	col := make(partition.Labels, p.n)
 	bestIdx, bestD := -1, 0.0
 	var best partition.Labels
 	for i := 0; i < m; i++ {
-		lk.column(i, col)
+		p.column(i, col)
 		cand := completeMissing(col)
-		if d := lk.disagreement(cand); bestIdx == -1 || d < bestD {
+		if d := p.Disagreement(cand); bestIdx == -1 || d < bestD {
 			bestIdx, bestD, best = i, d, cand
 		}
 	}

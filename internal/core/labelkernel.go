@@ -1,17 +1,17 @@
 package core
 
-import "sync"
-
-// This file is the columnar label kernel: the m input clusterings packed
+// This file is the Problem's distance kernel: the m input clusterings packed
 // into one row-major per-object block of labels, so that distance
 // evaluation becomes a tight contiguous label-compare loop instead of a
 // per-pair interface probe through a slice of slices.
 //
-// The kernel stores object v's labels as lab[v*m : v*m+m] (the packed
-// block every Problem holds, aliased zero-copy), per-clustering weights and
+// A Problem is itself the correlation-clustering instance of Section 3's
+// reduction. It holds object v's labels at lab[v*m : v*m+m] (the packed
+// block it was built over, aliased zero-copy), per-clustering weights and
 // the coin-model missing contribution premultiplied, and a per-object
-// has-missing flag. Problem.Dist is the kernel's Dist; one-against-many
-// evaluation (DistRowTo) streams two contiguous label blocks per pair.
+// has-missing flag. Dist evaluates one pair; one-against-many evaluation
+// (DistRowTo, which makes the Problem a corrclust.RowDistancer) streams two
+// contiguous label blocks per pair.
 // Under uniform weights a clean pair collapses to an integer label-mismatch
 // count; in DistRowTo, under uniform weights with no missing label or the
 // coin model at p ∈ {0, ½, 1}, every pair is two popcounts over lane-packed
@@ -23,20 +23,19 @@ import "sync"
 // tests and FuzzLabelKernelEquiv pin that against a test-only copy of the
 // loop.
 //
-// Width packing: labels are stored at the minimum width that fits the
-// kernel's label bound — uint8, uint16, or int32 — selected by PackedBuilder
-// as labels arrive, from the same per-clustering bounds that size the
-// co-label histograms. The working assumption (and the common case by far)
-// is k ≤ 256 clusters per input clustering: then every label block packs
-// to one byte per clustering, quartering the memory traffic of the O(n·m)
-// assignment scan relative to the int32 layout and keeping the
-// per-clustering co-label histograms cache-resident. Missing labels take the width's all-ones
-// sentinel (0xFF / 0xFFFF / −1), one past the largest storable label, so
-// uint8 holds labels 0..254, uint16 labels 0..65534, and int32 everything
-// else. Every inner loop (pairDist, DistRowTo, histogram build and
-// evaluation) is a generic function instantiated per width; the float
-// arithmetic is width-independent, so all three widths produce bit-identical
-// distances (TestLabelKernelWidthsBitIdentical, FuzzLabelKernelWidths).
+// Width packing: labels are stored at one of two widths — uint8 when every
+// label fits below the byte's sentinel, int32 otherwise — selected by
+// PackedBuilder as labels arrive. The working assumption (and the common
+// case by far) is k ≤ 255 clusters per input clustering: then every label
+// block packs to one byte per clustering, quartering the memory traffic of
+// the O(n·m) assignment scan relative to the int32 layout and keeping the
+// per-clustering co-label histograms cache-resident. Missing labels take
+// the width's all-ones sentinel (0xFF / −1), so uint8 holds labels
+// 0..254 and int32 everything else. Every inner loop (pairDist, DistRowTo,
+// histogram build and evaluation) is a generic function instantiated per
+// width; the float arithmetic is width-independent, so both widths produce
+// bit-identical distances (TestLabelKernelWidthsBitIdentical,
+// FuzzLabelKernelWidths).
 //
 // On top of the kernel, SAMPLING's assignment phase (sampling.go) replaces
 // its O(m·s) per-object probing with O(m·k) co-label histograms: for each
@@ -50,14 +49,14 @@ import "sync"
 
 // labelWord is a storage width for packed labels. The missing sentinel is
 // the type's all-ones value (see missingWord), so the usable label range is
-// [0, maxOf(W)−1] for the unsigned widths and all non-negative ints for
-// int32 (whose sentinel −1 matches the historical encoding).
+// 0..254 for uint8 and all non-negative ints for int32 (whose sentinel −1
+// matches the historical encoding).
 type labelWord interface {
-	uint8 | uint16 | int32
+	uint8 | int32
 }
 
 // missingWord returns the width's missing-label sentinel: all bits set
-// (255, 65535, or −1 for int32).
+// (255, or −1 for int32).
 func missingWord[W labelWord]() W {
 	var zero W
 	return zero - 1
@@ -66,106 +65,38 @@ func missingWord[W labelWord]() W {
 // Storage widths in bytes per label.
 const (
 	width8  = 1
-	width16 = 2
 	width32 = 4
 )
 
 // widthFor selects the narrowest width whose sentinel does not collide with
 // a stored label: bound is the exclusive upper bound on present labels.
+// Any label ≥ 255 goes straight to int32.
 func widthFor(bound int32) int {
-	switch {
-	case bound <= 0xFF: // labels ≤ 254, sentinel 255 free
+	if bound <= 0xFF { // labels ≤ 254, sentinel 255 free
 		return width8
-	case bound <= 0xFFFF: // labels ≤ 65534, sentinel 65535 free
-		return width16
-	default:
-		return width32
 	}
+	return width32
 }
 
-// labelKernel is the packed columnar view of a Problem's input clusterings.
-// It implements corrclust.Instance and corrclust.RowDistancer; distances
-// are bit-identical at every storage width. The kernel is immutable after
-// construction (its lanes are built once, on demand) and concurrency-safe.
-type labelKernel struct {
-	n, m int
-	// width is the storage width in bytes per label (width8/width16/width32);
-	// exactly one of lab8/lab16/lab32 is non-nil, holding object v's labels
-	// across the m clusterings at lab[v*m : v*m+m], missing mapped to the
-	// width's sentinel.
-	width int
-	lab8  []uint8
-	lab16 []uint16
-	lab32 []int32
-	// maxLab[i] is the exclusive upper bound on clustering i's present
-	// labels (0 when every label is missing), computed by PackedBuilder and
-	// reused both for width selection and as the co-label histograms'
-	// default label bound (see buildColabelHist).
-	maxLab []int32
-	// w[i] is clustering i's weight (all 1 under uniform weights); missW[i]
-	// is the premultiplied coin-model missing contribution (1−missingP)·w[i].
-	w     []float64
-	missW []float64
-	// hasMiss[v] reports whether any clustering is missing a label on v;
-	// uniform reports unit weights. Pairs where both flags are clean take
-	// the integer-count fast path.
-	hasMiss []bool
-	anyMiss bool
-	uniform bool
-
-	average     bool // MissingAverage arithmetic (see Problem.Dist)
-	totalWeight float64
-
-	// onLanes reports that DistRowTo reads every pair from rows: uniform
-	// weights, and no missing label or the coin model with missHalves
-	// (2(1−p), so p ∈ {0, ½, 1}) an integer. A pair that s lanes separate
-	// and q lanes miss reads halfDist[2s + missHalves·q], halfDist[c] =
-	// (c/2) / totalWeight. rows and halfDist are built on the first row
-	// read (rowsOnce).
-	onLanes    bool
-	missHalves int
-	rowsOnce   sync.Once
-	rows       *lanes
-	halfDist   []float64
-}
-
-// kernel returns the problem's labelKernel at the stored (minimum) width,
-// built at most once per Problem (cached under kernelOnce). It aliases the
-// packed block, so building it costs only the O(m) weight premultiply.
-func (p *Problem) kernel() *labelKernel {
-	p.kernelOnce.Do(func() { p.kernelCached = p.packed.kernelFrom(p, 0) })
-	return p.kernelCached
-}
-
-// kernelWidth is kernel with an explicit width override in bytes (0 = auto
-// minimum, served from the cache). Forcing a width narrower than the label
-// bound allows is rejected by panic; tests use wider-than-minimum kernels
-// to pin the widths bit-identical against each other, and forced builds
-// bypass the cache so they never leak into the auto path.
-func (p *Problem) kernelWidth(force int) *labelKernel {
-	if force == 0 {
-		return p.kernel()
-	}
-	return p.packed.kernelFrom(p, force)
-}
-
-// N returns the number of objects.
-func (lk *labelKernel) N() int { return lk.n }
-
-// Dist returns the distance X_uv (Problem.Dist delegates here).
-func (lk *labelKernel) Dist(u, v int) float64 {
+// Dist returns X_uv: the (expected) fraction of input clusterings that place
+// u and v in different clusters. Dist satisfies corrclust.Instance and obeys
+// the triangle inequality under the coin model. Under MissingAverage only
+// clusterings with values on both objects vote, and a pair with no votes at
+// all is maximally uncertain (distance 1/2); those averaged distances need
+// not obey the triangle inequality (different pairs average over different
+// clusterings), so the BALLS guarantee does not formally carry over and the
+// algorithms apply as heuristics.
+func (p *Problem) Dist(u, v int) float64 {
 	if u == v {
 		return 0
 	}
-	miss := lk.hasMiss[u] || lk.hasMiss[v]
-	m := lk.m
-	switch lk.width {
+	miss := p.hasMiss[u] || p.hasMiss[v]
+	m := p.m
+	switch p.width {
 	case width8:
-		return pairDist(lk, lk.lab8[u*m:u*m+m], lk.lab8[v*m:v*m+m], miss)
-	case width16:
-		return pairDist(lk, lk.lab16[u*m:u*m+m], lk.lab16[v*m:v*m+m], miss)
+		return pairDist(p, p.lab8[u*m:u*m+m], p.lab8[v*m:v*m+m], miss)
 	default:
-		return pairDist(lk, lk.lab32[u*m:u*m+m], lk.lab32[v*m:v*m+m], miss)
+		return pairDist(p, p.lab32[u*m:u*m+m], p.lab32[v*m:v*m+m], miss)
 	}
 }
 
@@ -175,38 +106,38 @@ func (lk *labelKernel) Dist(u, v int) float64 {
 // either loop performs exactly the additions the per-clustering []int pair
 // loop would, in the same order — the width never touches a float, so all
 // widths agree bit for bit.
-func pairDist[W labelWord](lk *labelKernel, bu, bv []W, miss bool) float64 {
+func pairDist[W labelWord](p *Problem, bu, bv []W, miss bool) float64 {
 	if !miss {
 		// No missing labels on either side: both modes reduce to the
 		// weighted separating fraction over the total weight (the average
 		// loop's vote accumulation sums all weights in index order, which is
 		// exactly how problemOptionsOf computes totalWeight).
-		if lk.uniform {
+		if p.uniform {
 			cnt := 0
 			for i, lu := range bu {
 				if lu != bv[i] {
 					cnt++
 				}
 			}
-			return float64(cnt) / lk.totalWeight
+			return float64(cnt) / p.totalWeight
 		}
 		var x float64
 		for i, lu := range bu {
 			if lu != bv[i] {
-				x += lk.w[i]
+				x += p.w[i]
 			}
 		}
-		return x / lk.totalWeight
+		return x / p.totalWeight
 	}
 	sentinel := missingWord[W]()
-	if lk.average {
+	if p.average {
 		var x, votes float64
 		for i, lu := range bu {
 			lv := bv[i]
 			if lu == sentinel || lv == sentinel {
 				continue
 			}
-			w := lk.w[i]
+			w := p.w[i]
 			votes += w
 			if lu != lv {
 				x += w
@@ -222,85 +153,84 @@ func pairDist[W labelWord](lk *labelKernel, bu, bv []W, miss bool) float64 {
 		lv := bv[i]
 		switch {
 		case lu == sentinel || lv == sentinel:
-			x += lk.missW[i]
+			x += p.missW[i]
 		case lu != lv:
-			x += lk.w[i]
+			x += p.w[i]
 		}
 	}
-	return x / lk.totalWeight
+	return x / p.totalWeight
 }
 
 // DistRowTo evaluates v against many targets in one call:
 // dst[j] = Dist(v, targets[j]), including zeros for diagonal hits. It
-// satisfies corrclust.RowDistancer; dst must have len(targets) capacity.
-// Safe for concurrent use with distinct dst buffers.
-func (lk *labelKernel) DistRowTo(v int, targets []int, dst []float64) {
-	switch lk.width {
+// makes the Problem a corrclust.RowDistancer, so the algorithms read whole
+// rows in one call; dst must have len(targets) capacity. Safe for
+// concurrent use with distinct dst buffers.
+func (p *Problem) DistRowTo(v int, targets []int, dst []float64) {
+	switch p.width {
 	case width8:
-		distRowTo(lk, lk.lab8, v, targets, dst)
-	case width16:
-		distRowTo(lk, lk.lab16, v, targets, dst)
+		distRowTo(p, p.lab8, v, targets, dst)
 	default:
-		distRowTo(lk, lk.lab32, v, targets, dst)
+		distRowTo(p, p.lab32, v, targets, dst)
 	}
 }
 
 // distRowTo is the width-specialized DistRowTo loop. On lanes (onLanes)
-// pairDist adds 1 per separating lane and 1−p per missing one, so its sum
-// is (2s + missHalves·q)/2 exactly, a multiple of ½ below 2⁵³, and
+// pairDist adds 1 per separating lane and 1−missingP per missing one, so
+// its sum is (2s + missHalves·q)/2 exactly, a multiple of ½ below 2⁵³, and
 // halfDist divides it by the same total weight: bit-identical. Every other
-// kernel evaluates pairDist per pair.
-func distRowTo[W labelWord](lk *labelKernel, lab []W, v int, targets []int, dst []float64) {
-	m := lk.m
-	if lk.onLanes {
-		lk.rowsOnce.Do(func() {
-			lk.rows = newLanes(m, lk.width, lk.n)
-			for u := 0; u < lk.n; u++ {
-				packRow(lk.rows, u, lab[u*m:u*m+m])
+// problem evaluates pairDist per pair.
+func distRowTo[W labelWord](p *Problem, lab []W, v int, targets []int, dst []float64) {
+	m := p.m
+	if p.onLanes {
+		p.rowsOnce.Do(func() {
+			p.rows = newLanes(m, p.width, p.n)
+			for u := 0; u < p.n; u++ {
+				packRow(p.rows, u, lab[u*m:u*m+m])
 			}
-			lk.halfDist = make([]float64, 2*m+1)
-			for c := range lk.halfDist {
-				lk.halfDist[c] = float64(c) / 2 / lk.totalWeight
+			p.halfDist = make([]float64, 2*m+1)
+			for c := range p.halfDist {
+				p.halfDist[c] = float64(c) / 2 / p.totalWeight
 			}
 		})
 		// A clean v reads every partner as clean first, without the
 		// missing masks, then rereads those with a missing label.
-		if !lk.hasMiss[v] {
-			lk.rows.sepRowTo(v, targets, lk.halfDist, dst)
-			if !lk.anyMiss {
+		if !p.hasMiss[v] {
+			p.rows.sepRowTo(v, targets, p.halfDist, dst)
+			if !p.anyMiss {
 				return
 			}
 		}
-		lk.missRowTo(v, targets, dst)
+		p.missRowTo(v, targets, dst)
 		return
 	}
 	bv := lab[v*m : v*m+m]
-	missV := lk.hasMiss[v]
+	missV := p.hasMiss[v]
 	for j, u := range targets {
 		if u == v {
 			dst[j] = 0
 			continue
 		}
-		dst[j] = pairDist(lk, lab[u*m:u*m+m], bv, missV || lk.hasMiss[u])
+		dst[j] = pairDist(p, lab[u*m:u*m+m], bv, missV || p.hasMiss[u])
 	}
 }
 
 // missRowTo sets dst[j] = halfDist[2s + missHalves·q] for each pair v,
 // targets[j] with a missing label on either side, s and q as lanes.sepMiss
 // counts them, and 0 on the diagonal. Other pairs keep dst[j].
-func (lk *labelKernel) missRowTo(v int, targets []int, dst []float64) {
-	l, half := lk.rows, lk.halfDist
+func (p *Problem) missRowTo(v int, targets []int, dst []float64) {
+	l, half := p.rows, p.halfDist
 	words, per := l.words, l.per
 	rv := words[v*per : v*per+per]
-	missV := lk.hasMiss[v]
+	missV := p.hasMiss[v]
 	for j, u := range targets {
 		switch {
-		case !missV && !lk.hasMiss[u]:
+		case !missV && !p.hasMiss[u]:
 		case u == v:
 			dst[j] = 0
 		default:
 			s, q := l.sepMiss(words[u*per:u*per+per], rv)
-			dst[j] = half[2*s+lk.missHalves*q]
+			dst[j] = half[2*s+p.missHalves*q]
 		}
 	}
 }
@@ -308,7 +238,7 @@ func (lk *labelKernel) missRowTo(v int, targets []int, dst []float64) {
 // histBoundCap bounds the per-clustering label range the co-label
 // histograms size themselves by without rescanning the sample: when a
 // clustering's global label bound (maxLab, from the packing) is
-// at most this, the histogram reuses it directly — under the k ≤ 256
+// at most this, the histogram reuses it directly — under the k ≤ 255
 // assumption that is every clustering, and the cnt rows stay
 // cache-resident. A wider clustering (e.g. an all-singletons input) falls
 // back to one row-major scan over the sample members for the tight
@@ -346,7 +276,7 @@ type colabelHist struct {
 	sizes []int // |C_c| for each sample cluster
 	// Per input clustering i: labBound[i] bounds the labels with term rows
 	// (labels ≥ labBound[i] have no sample member carrying them and take
-	// the base row as is — the kernel's global bound by default, the
+	// the base row as is — the packed block's global bound by default, the
 	// sample-observed bound for clusterings wider than histBoundCap),
 	// term[i][ℓ*k+c] = base[i][c] − w_i·cnt_i[ℓ][c], the whole contribution
 	// of a present label ℓ, and base[i][c] and missAll[i][c] as derived
@@ -366,20 +296,18 @@ type colabelHist struct {
 // members. A label no member carries has the term row base − w·0, which
 // is base, so the larger default bound changes no arithmetic and the paths
 // stay bit-identical.
-func (lk *labelKernel) buildColabelHist(members [][]int) *colabelHist {
-	switch lk.width {
+func (p *Problem) buildColabelHist(members [][]int) *colabelHist {
+	switch p.width {
 	case width8:
-		return buildColabelHistW(lk, lk.lab8, members)
-	case width16:
-		return buildColabelHistW(lk, lk.lab16, members)
+		return buildColabelHistW(p, p.lab8, members)
 	default:
-		return buildColabelHistW(lk, lk.lab32, members)
+		return buildColabelHistW(p, p.lab32, members)
 	}
 }
 
 // buildColabelHistW is the width-specialized histogram build.
-func buildColabelHistW[W labelWord](lk *labelKernel, lab []W, members [][]int) *colabelHist {
-	k, m := len(members), lk.m
+func buildColabelHistW[W labelWord](p *Problem, lab []W, members [][]int) *colabelHist {
+	k, m := len(members), p.m
 	h := &colabelHist{
 		k:        k,
 		sizes:    make([]int, k),
@@ -391,13 +319,13 @@ func buildColabelHistW[W labelWord](lk *labelKernel, lab []W, members [][]int) *
 	for c, mem := range members {
 		h.sizes[c] = len(mem)
 	}
-	// Label bounds: reuse the kernel's global per-clustering bound where it
+	// Label bounds: reuse the packed block's global per-clustering bound where it
 	// keeps the histogram cache-resident; rescan the sample (one row-major
 	// pass over the members for all remaining clusterings at once) only for
 	// wider clusterings.
 	sentinel := missingWord[W]()
 	needScan := false
-	for i, b := range lk.maxLab {
+	for i, b := range p.maxLab {
 		if b <= histBoundCap {
 			h.labBound[i] = b
 		} else {
@@ -410,7 +338,7 @@ func buildColabelHistW[W labelWord](lk *labelKernel, lab []W, members [][]int) *
 			for _, u := range mem {
 				bu := lab[u*m : u*m+m]
 				for i := range h.labBound {
-					if lk.maxLab[i] <= histBoundCap {
+					if p.maxLab[i] <= histBoundCap {
 						continue
 					}
 					if l := bu[i]; l != sentinel && int32(l) >= h.labBound[i] {
@@ -445,7 +373,7 @@ func buildColabelHistW[W labelWord](lk *labelKernel, lab []W, members [][]int) *
 		}
 	}
 	for i := 0; i < m; i++ {
-		w, missW := lk.w[i], lk.missW[i]
+		w, missW := p.w[i], p.missW[i]
 		base := make([]float64, k)
 		missAll := make([]float64, k)
 		for c := range base {
@@ -471,23 +399,21 @@ func buildColabelHistW[W labelWord](lk *labelKernel, lab []W, members [][]int) *
 
 // affinities fills dst[c] = M(v, C_c) = Σ_{u∈C_c} X_vu for every sample
 // cluster in one O(m·k) pass over v's label block. dst must have length k.
-func (h *colabelHist) affinities(lk *labelKernel, v int, dst []float64) {
-	switch lk.width {
+func (h *colabelHist) affinities(p *Problem, v int, dst []float64) {
+	switch p.width {
 	case width8:
-		affinitiesW(h, lk, lk.lab8, v, dst)
-	case width16:
-		affinitiesW(h, lk, lk.lab16, v, dst)
+		affinitiesW(h, p, p.lab8, v, dst)
 	default:
-		affinitiesW(h, lk, lk.lab32, v, dst)
+		affinitiesW(h, p, p.lab32, v, dst)
 	}
 }
 
 // affinitiesW is the width-specialized affinity evaluation.
-func affinitiesW[W labelWord](h *colabelHist, lk *labelKernel, lab []W, v int, dst []float64) {
+func affinitiesW[W labelWord](h *colabelHist, p *Problem, lab []W, v int, dst []float64) {
 	for c := range dst {
 		dst[c] = 0
 	}
-	m := lk.m
+	m := p.m
 	bv := lab[v*m : v*m+m]
 	sentinel := missingWord[W]()
 	k := h.k
@@ -509,6 +435,6 @@ func affinitiesW[W labelWord](h *colabelHist, lk *labelKernel, lab []W, v int, d
 		}
 	}
 	for c := range dst {
-		dst[c] /= lk.totalWeight
+		dst[c] /= p.totalWeight
 	}
 }

@@ -64,9 +64,9 @@ func dyadicWeights(m int) []float64 {
 var kernelShapes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 22}
 
 // scaleLabels multiplies every present label by scale in place: 256 moves
-// the labels into the high byte of a 16-bit lane, 65536 into the upper
-// half of a 32-bit one, so the packed width grows and labels differ only
-// in the lane bits the narrower width lacks.
+// the labels into the second byte of a 32-bit lane, 65536 into its upper
+// half, so the packed width grows and labels differ only in the lane bits
+// the one-byte width lacks.
 func scaleLabels(cs []partition.Labels, scale int) {
 	for _, c := range cs {
 		for j, l := range c {
@@ -77,21 +77,19 @@ func scaleLabels(cs []partition.Labels, scale int) {
 	}
 }
 
-// widthsFrom returns the storage widths at or above the problem's own.
-func widthsFrom(p *Problem) []int {
-	all := []int{width8, width16, width32}
-	for i, w := range all {
-		if w == p.kernel().width {
-			return all[i:]
-		}
+// atEveryWidth returns p and, when p packs to one byte, its int32
+// re-encoding.
+func atEveryWidth(p *Problem) []*Problem {
+	if p.width == width32 {
+		return []*Problem{p}
 	}
-	panic("unknown width")
+	return []*Problem{p, widened(p)}
 }
 
 // checkKernelDist requires the kernel's Dist and DistRowTo to reproduce the
 // reference []int pair loop bit for bit on every pair; DistRowTo runs on a
 // shuffled target list with the diagonal included.
-func checkKernelDist(t *testing.T, name string, lk *labelKernel, ref *refDist, targets []int) {
+func checkKernelDist(t *testing.T, name string, lk *Problem, ref *refDist, targets []int) {
 	t.Helper()
 	n := lk.N()
 	if n != ref.N() {
@@ -115,7 +113,7 @@ func checkKernelDist(t *testing.T, name string, lk *labelKernel, ref *refDist, t
 
 // kernelCase builds the problem over cs and its reference at coin
 // probability p. p = 0 is not expressible through ProblemOptions (0 means
-// ½), so it is set on both before the kernel is first built.
+// ½), so it is set on both after they are built (withMissingP).
 func kernelCase(t testing.TB, cs []partition.Labels, opts ProblemOptions, p float64) (*Problem, *refDist) {
 	t.Helper()
 	opts.MissingTogether = p
@@ -124,22 +122,22 @@ func kernelCase(t testing.TB, cs []partition.Labels, opts ProblemOptions, p floa
 		t.Fatal(err)
 	}
 	ref := newRefDist(cs, opts)
-	prob.missingP, ref.missingP = p, p
-	return prob, ref
+	ref.missingP = p
+	return withMissingP(prob, p), ref
 }
 
 // wantLanes reports whether the kernel should read its rows from lanes:
 // uniform weights, and no missing label or the coin model at p ∈ {0, ½, 1}.
-func wantLanes(lk *labelKernel, p float64) bool {
+func wantLanes(lk *Problem, p float64) bool {
 	return lk.uniform && (!lk.anyMiss || !lk.average && (p == 0 || p == 0.5 || p == 1))
 }
 
-// TestLabelKernelDistBitIdentical: the kernel's Dist and DistRowTo (and
-// Problem.Dist, which delegates to the kernel) must reproduce the reference
-// []int pair loop bit for bit — not approximately — on every pair, at every
-// storage width (with labels scaled into each width's high lane bits), for
-// every m in kernelShapes and every combination of uniform or weighted
-// inputs, missing mode and missing probability p ∈ {0, ½, 1, 0.37}. The
+// TestLabelKernelDistBitIdentical: the Problem's Dist and DistRowTo must
+// reproduce the reference []int pair loop bit for bit — not approximately
+// — on every pair, at both storage widths (with labels scaled into the
+// int32 lane's high bits), for every m in kernelShapes and every
+// combination of uniform or weighted inputs, missing mode and missing
+// probability p ∈ {0, ½, 1, 0.37}. The
 // kernel mirrors the loop's float operations in the loop's order; its lane
 // path (uniform weights, and the coin model at p ∈ {0, ½, 1} or no missing
 // label) counts the separating and missing lanes of every pair, missing
@@ -174,12 +172,11 @@ func TestLabelKernelDistBitIdentical(t *testing.T) {
 								}
 							}
 							targets := rng.Perm(n)
-							for _, width := range widthsFrom(prob) {
-								lk := prob.kernelWidth(width)
+							for _, lk := range atEveryWidth(prob) {
 								if got, want := lk.onLanes, wantLanes(lk, p); got != want {
-									t.Fatalf("%s width %d: onLanes = %v, want %v", name, width, got, want)
+									t.Fatalf("%s width %d: onLanes = %v, want %v", name, lk.width, got, want)
 								}
-								checkKernelDist(t, fmt.Sprintf("%s width %d", name, width), lk, ref, targets)
+								checkKernelDist(t, fmt.Sprintf("%s width %d", name, lk.width), lk, ref, targets)
 							}
 						}
 					}
@@ -200,7 +197,7 @@ func TestKernelLanesConcurrentBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lk, ref := p.kernel(), newRefDist(cs, ProblemOptions{})
+	lk, ref := p, newRefDist(cs, ProblemOptions{})
 	targets := rng.Perm(lk.N())
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -230,7 +227,7 @@ func TestFurthestKernelRowPathBitIdentical(t *testing.T) {
 		m := []int{1, 3, 4, 6}[trial%4]
 		pMiss := []float64{0, 0.2}[trial/4%2]
 		p := randMixedProblem(t, rng, 20+rng.Intn(120), m, pMiss, ProblemOptions{})
-		k := p.kernel()
+		k := p
 		for _, K := range []int{0, 3} {
 			want, wantCost := corrclust.FurthestWithOptions(hideKernel{k}, corrclust.FurthestOptions{K: K})
 			got, gotCost := corrclust.FurthestWithOptions(k, corrclust.FurthestOptions{K: K})
@@ -246,9 +243,9 @@ func TestFurthestKernelRowPathBitIdentical(t *testing.T) {
 	}
 }
 
-// hideKernel exposes the label kernel through Dist only, so corrclust takes
+// hideKernel exposes the Problem through Dist only, so corrclust takes
 // its generic per-pair paths.
-type hideKernel struct{ k *labelKernel }
+type hideKernel struct{ k *Problem }
 
 func (h hideKernel) N() int                { return h.k.N() }
 func (h hideKernel) Dist(u, v int) float64 { return h.k.Dist(u, v) }
@@ -284,7 +281,7 @@ func TestColabelHistAffinities(t *testing.T) {
 		}
 		n := 10 + rng.Intn(60)
 		p := randMixedProblem(t, rng, n, m, 0.3, opts)
-		lk := p.kernel()
+		lk := p
 
 		// A random "sample clustering" over a random subset of the objects.
 		k := 1 + rng.Intn(4)
@@ -539,7 +536,7 @@ func TestSampleAssignCounters(t *testing.T) {
 
 // FuzzLabelKernelEquiv drives the kernel's DistRowTo and Dist against the
 // reference []int pair loop on fuzzer-chosen instances — every m in
-// kernelShapes, all three storage widths (forced or reached by scaled
+// kernelShapes, both storage widths (re-encoded or reached by scaled
 // labels), both missing modes, weighted and uniform, with and without
 // missing labels, p ∈ {0, ½, 1} (the lane path, missing labels included),
 // ¼ and arbitrary missing probabilities — requiring bit-for-bit
@@ -554,14 +551,14 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 	f.Add(int64(7), uint8(45), uint8(3), uint8(0), uint8(1), uint8(2), true)
 	f.Add(int64(8), uint8(35), uint8(8), uint8(1), uint8(4), uint8(7), false)
 	// Missing labels on the lane path over multi-word rows: m = 22, 17, 9
-	// at p = ½, 0, 1 and widths 8, 16, 32.
+	// at p = ½, 0, 1 and widths 8, 32, 32.
 	f.Add(int64(9), uint8(50), uint8(11), uint8(0), uint8(1), uint8(0), false)
 	f.Add(int64(10), uint8(40), uint8(10), uint8(0), uint8(0), uint8(1), false)
 	f.Add(int64(11), uint8(30), uint8(8), uint8(0), uint8(2), uint8(2), false)
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw, pSel, shape uint8, weighted bool) {
 		n := 2 + int(nRaw)%80
 		m := kernelShapes[int(mRaw)%len(kernelShapes)]
-		width := []int{width8, width16, width32}[shape%3]
+		wide := shape%3 != 0 // int32 re-encoding on two shapes of three
 		pMiss := []float64{0.3, 0}[shape/3%2]
 		scale := []int{1, 256, 65536}[shape/6%3]
 		rng := rand.New(rand.NewSource(seed))
@@ -580,9 +577,11 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 		cs := randMixedInputs(rng, n, m, pMiss)
 		scaleLabels(cs, scale)
 		prob, ref := kernelCase(t, cs, opts, p)
-		width = max(width, prob.kernel().width)
-		lk := prob.kernelWidth(width)
-		name := fmt.Sprintf("n=%d m=%d width=%d scale=%d mode=%d p=%v", n, m, width, scale, opts.MissingMode, p)
+		lk := prob
+		if wide {
+			lk = widened(prob)
+		}
+		name := fmt.Sprintf("n=%d m=%d width=%d scale=%d mode=%d p=%v", n, m, lk.width, scale, opts.MissingMode, p)
 		if got, want := lk.onLanes, wantLanes(lk, p); got != want {
 			t.Fatalf("%s: onLanes = %v, want %v", name, got, want)
 		}

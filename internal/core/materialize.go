@@ -7,10 +7,10 @@ import (
 	"clusteragg/internal/obs"
 )
 
-// This file caches the label kernel's distances in a dense matrix: row u's
+// This file caches the Problem's distances in a dense matrix: row u's
 // tail X_{u,u+1..n−1} is one DistRowTo read, so the matrix holds Dist bit
 // for bit under every option. Under uniform weights and the coin model at
-// p ∈ {0, ½, 1} (or with no missing label) the read is the kernel's lane
+// p ∈ {0, ½, 1} (or with no missing label) the read is the lane
 // path, a few words per pair; every other setting reads each pair through
 // pairDist.
 //
@@ -54,14 +54,13 @@ func (p *Problem) materialize(rec *obs.Recorder, workers int) *corrclust.Matrix 
 	rec.Add("materialize.cells", int64(n)*int64(n-1)/2)
 	rec.Add("materialize.workers", int64(workers))
 
-	lk := p.kernel()
 	objects := make([]int, n)
 	for v := range objects {
 		objects[v] = v
 	}
 	stripes("materialize", workers, func(stripe int) {
 		for u := stripe; u < n; u += workers {
-			lk.DistRowTo(u, objects[u+1:], mx.Row(u))
+			p.DistRowTo(u, objects[u+1:], mx.Row(u))
 		}
 	})
 	return mx

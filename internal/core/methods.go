@@ -6,7 +6,7 @@ import (
 	"runtime"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 	"time"
 
 	"clusteragg/internal/corrclust"
@@ -169,13 +169,11 @@ func (p *Problem) Aggregate(method Method, opts AggregateOptions) (labels partit
 			inst = p.materialize(rec, opts.Workers)
 			ms.End()
 		} else {
-			// Matrix-free runs probe the columnar label kernel directly
-			// (Problem.Dist is the same kernel behind one more call), with
-			// bulk row gathers where the algorithm's inner loop supports
-			// them (see corrclust.RowDistancer).
-			k := p.kernel()
-			rec.Event("kernel.width", "bytes", k.width, "n", p.n, "m", p.M())
-			inst = k
+			// Matrix-free runs probe the Problem's label block directly,
+			// with bulk row gathers where the algorithm's inner loop
+			// supports them (see corrclust.RowDistancer).
+			rec.Event("kernel.width", "bytes", p.width, "n", p.n, "m", p.m)
+			inst = p
 		}
 		labels, err = p.aggregateOn(inst, method, opts, nil)
 	})
@@ -252,15 +250,14 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 	rec := opts.Recorder
 	span := rec.Start("bestof")
 	defer span.End()
-	lk := p.kernel() // scores every racer; the shared oracle unless materialized
-	var inst corrclust.Instance = lk
+	var inst corrclust.Instance = p // the shared oracle unless materialized
 	if opts.Materialize {
 		ms := rec.Start("materialize")
 		inst = p.materialize(rec, opts.Workers)
 		ms.End()
 		opts.Materialize = false // reuse the shared matrix below
 	} else {
-		rec.Event("kernel.width", "bytes", lk.width, "n", p.n, "m", p.M())
+		rec.Event("kernel.width", "bytes", p.width, "n", p.n, "m", p.m)
 	}
 
 	// Pre-draw one rand per PIVOT entry so concurrent methods never
@@ -311,28 +308,18 @@ func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Lab
 				results[i] = raced{err: err}
 				return
 			}
-			results[i] = raced{labels: labels, cost: lk.disagreement(labels), elapsed: time.Since(start)}
+			results[i] = raced{labels: labels, cost: p.Disagreement(labels), elapsed: time.Since(start)}
 		})
 	}
 
-	if workers <= 1 {
-		for i, method := range methods {
-			run(i, method)
+	// Each worker takes the next method in order as it frees up, so a slow
+	// racer never holds back the methods queued behind it.
+	var next atomic.Int64
+	stripes("bestof", workers, func(int) {
+		for i := int(next.Add(1) - 1); i < len(methods); i = int(next.Add(1) - 1) {
+			run(i, methods[i])
 		}
-	} else {
-		sem := make(chan struct{}, workers)
-		var wg sync.WaitGroup
-		for i, method := range methods {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int, method Method) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				run(i, method)
-			}(i, method)
-		}
-		wg.Wait()
-	}
+	})
 
 	// Deterministic selection: first error in method order wins; otherwise
 	// the lowest D(C), ties broken toward the earlier method.

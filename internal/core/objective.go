@@ -49,22 +49,30 @@ import (
 // FuzzObjectiveExact pins both against the pair scans in corrclust at
 // every storage width.
 
-// disagreement returns D(labels) on the unordered-pair scale. Any int is a
-// candidate label; partition.Missing scores as one more cluster, as in the
-// pair scan.
-func (lk *labelKernel) disagreement(labels partition.Labels) float64 {
-	if len(labels) != lk.n {
-		panic("core: Disagreement: " + strconv.Itoa(len(labels)) + " labels for " + strconv.Itoa(lk.n) + " objects")
+// Disagreement returns the (expected) total number of unordered-pair
+// disagreements D(C) = Σ_i d_V(C_i, C) between labels and the inputs. This
+// is the objective of Problem 1 on the unordered-pair scale; the paper's
+// ordered-pair figure is exactly twice this value.
+//
+// Under the coin model it costs O(n·m): one contingency-table pass per
+// input over the packed label block (see the file comment), with the
+// missing-label pairs counted per candidate cluster. Under MissingAverage
+// with missing labels present it is an O(n²·m) pair scan over the label
+// block. labels must have one entry per object; partition.Missing counts
+// as one more cluster.
+func (p *Problem) Disagreement(labels partition.Labels) float64 {
+	if len(labels) != p.n {
+		panic("core: Disagreement: " + strconv.Itoa(len(labels)) + " labels for " + strconv.Itoa(p.n) + " objects")
 	}
-	if lk.average && lk.anyMiss {
-		return lk.totalWeight * corrclust.Cost(lk, labels)
+	if p.average && p.anyMiss {
+		return p.totalWeight * corrclust.Cost(p, labels)
 	}
 	order, start := clusterOrder(labels)
 	var together int64 // pairs the candidate co-clusters
 	for b := 0; b+1 < len(start); b++ {
 		together += pairs64(int64(start[b+1] - start[b]))
 	}
-	all := pairs64(int64(lk.n))
+	all := pairs64(int64(p.n))
 
 	var sc contingencyScratch
 	var col partition.Labels
@@ -72,24 +80,22 @@ func (lk *labelKernel) disagreement(labels partition.Labels) float64 {
 
 	var intSum, togetherMiss, apartMiss int64 // uniform weights
 	var weighted float64
-	for i := 0; i < lk.m; i++ {
+	for i := 0; i < p.m; i++ {
 		var t contingencyCounts
-		if bound := int(lk.maxLab[i]); bound <= 2*lk.n {
+		if bound := int(p.maxLab[i]); bound <= 2*p.n {
 			sc.grow(bound)
-			switch lk.width {
+			switch p.width {
 			case width8:
-				t = contingencyColumn(lk.lab8, lk.m, i, order, start, &sc)
-			case width16:
-				t = contingencyColumn(lk.lab16, lk.m, i, order, start, &sc)
+				t = contingencyColumn(p.lab8, p.m, i, order, start, &sc)
 			default:
-				t = contingencyColumn(lk.lab32, lk.m, i, order, start, &sc)
+				t = contingencyColumn(p.lab32, p.m, i, order, start, &sc)
 			}
 		} else {
 			// Labels spread far wider than n are renumbered densely first.
 			if ids == nil {
-				col, ids = make(partition.Labels, lk.n), make([]int32, lk.n)
+				col, ids = make(partition.Labels, p.n), make([]int32, p.n)
 			}
-			lk.column(i, col)
+			p.column(i, col)
 			k := 0
 			for v, l := range col.Normalize() {
 				ids[v] = int32(l) // partition.Missing stays −1, the int32 sentinel
@@ -100,19 +106,19 @@ func (lk *labelKernel) disagreement(labels partition.Labels) float64 {
 		mirkin := t.sumA + t.sumB - 2*t.sumAB
 		missPairs := all - pairs64(t.present)
 		mt := together - t.sumB // missing pairs the candidate co-clusters
-		if lk.uniform {
+		if p.uniform {
 			intSum += mirkin
 			togetherMiss += mt
 			apartMiss += missPairs - mt
 			continue
 		}
-		w, missW := lk.w[i], lk.missW[i]
+		w, missW := p.w[i], p.missW[i]
 		weighted += w*float64(mirkin) + missW*float64(mt) + (w-missW)*float64(missPairs-mt)
 	}
-	if !lk.uniform {
+	if !p.uniform {
 		return weighted
 	}
-	missW := lk.missW[0]
+	missW := p.missW[0]
 	return float64(intSum) + missW*float64(togetherMiss) + (1-missW)*float64(apartMiss)
 }
 
@@ -206,14 +212,12 @@ func contingencyColumn[W labelWord](col []W, stride, off int, order, start []int
 
 // column writes input clustering i's labels into dst (len n), missing
 // entries as partition.Missing.
-func (lk *labelKernel) column(i int, dst partition.Labels) {
-	switch lk.width {
+func (p *Problem) column(i int, dst partition.Labels) {
+	switch p.width {
 	case width8:
-		unpackColumn(lk.lab8, i, lk.m, dst)
-	case width16:
-		unpackColumn(lk.lab16, i, lk.m, dst)
+		unpackColumn(p.lab8, i, p.m, dst)
 	default:
-		unpackColumn(lk.lab32, i, lk.m, dst)
+		unpackColumn(p.lab32, i, p.m, dst)
 	}
 }
 
@@ -227,18 +231,16 @@ const histMaxM = 127
 // lowerBound returns W·Σ_{u<v} min(X_uv, 1−X_uv) over distinct label rows,
 // striped over workers goroutines (0 = GOMAXPROCS). The result is the same
 // for every worker count.
-func (lk *labelKernel) lowerBound(workers int) float64 {
-	switch lk.width {
+func (p *Problem) lowerBound(workers int) float64 {
+	switch p.width {
 	case width8:
-		return lowerBoundW(lk, lk.lab8, workers)
-	case width16:
-		return lowerBoundW(lk, lk.lab16, workers)
+		return lowerBoundW(p, p.lab8, workers)
 	default:
-		return lowerBoundW(lk, lk.lab32, workers)
+		return lowerBoundW(p, p.lab32, workers)
 	}
 }
 
-// rowGroups is the kernel's objects grouped by identical label row, in
+// rowGroups is the problem's objects grouped by identical label row, in
 // order of first appearance: group g is the row of object rep[g], carried
 // by count[g] objects.
 type rowGroups struct {
@@ -247,8 +249,8 @@ type rowGroups struct {
 
 // groupRows groups the label rows with an open-addressing hash table over
 // the packed block, read in place.
-func groupRows[W labelWord](lk *labelKernel, lab []W) rowGroups {
-	n, m := lk.n, lk.m
+func groupRows[W labelWord](p *Problem, lab []W) rowGroups {
+	n, m := p.n, p.m
 	size := 1
 	for size < 2*n {
 		size <<= 1
@@ -295,20 +297,20 @@ func equalRows[W labelWord](a, b []W) bool {
 }
 
 // lowerBoundW is the width-specialized lower bound.
-func lowerBoundW[W labelWord](lk *labelKernel, lab []W, workers int) float64 {
-	if lk.n < 2 {
+func lowerBoundW[W labelWord](p *Problem, lab []W, workers int) float64 {
+	if p.n < 2 {
 		return 0
 	}
-	g := groupRows(lk, lab)
+	g := groupRows(p, lab)
 	groups := len(g.count)
 	workers = min(EffectiveWorkers(workers), groups)
-	m := lk.m
-	average := lk.average && lk.anyMiss
+	m := p.m
+	average := p.average && p.anyMiss
 
-	if lk.uniform && !average && m <= histMaxM {
-		hist := laneRows(lk, lab, g).histogram(workers)
+	if p.uniform && !average && m <= histMaxM {
+		hist := laneRows(p, lab, g).histogram(workers)
 		// A pair's term on the W = m scale is min(x, m−x), x = s + (1−p)·q.
-		tw, missW := float64(m), lk.missW[0]
+		tw, missW := float64(m), p.missW[0]
 		var lb float64
 		for c, cnt := range hist {
 			if cnt != 0 {
@@ -327,13 +329,13 @@ func lowerBoundW[W labelWord](lk *labelKernel, lab []W, workers int) float64 {
 			ua := int(g.rep[a])
 			ra, ca := lab[ua*m:ua*m+m], int64(g.count[a])
 			var sum float64
-			if lk.hasMiss[ua] {
-				sum = float64(pairs64(ca)) * pairTerm(lk, ra, ra, average)
+			if p.hasMiss[ua] {
+				sum = float64(pairs64(ca)) * pairTerm(p, ra, ra, average)
 			}
 			for b := a + 1; b < groups; b++ {
 				ub := int(g.rep[b])
-				miss := lk.hasMiss[ua] || lk.hasMiss[ub]
-				sum += float64(ca*int64(g.count[b])) * pairTerm(lk, ra, lab[ub*m:ub*m+m], average && miss)
+				miss := p.hasMiss[ua] || p.hasMiss[ub]
+				sum += float64(ca*int64(g.count[b])) * pairTerm(p, ra, lab[ub*m:ub*m+m], average && miss)
 			}
 			partial[a] = sum
 		}
@@ -364,7 +366,7 @@ func stripes(phase string, workers int, work func(stripe int)) {
 }
 
 // lanes holds label rows packed into 64-bit words, one label per lane of
-// the storage width (8 lanes of 8 bits, 4 of 16 or 2 of 32), so one pair of
+// the storage width (8 lanes of 8 bits or 2 of 32), so one pair of
 // rows compares a word at a time. Unused lanes of a row's last word are
 // zero in every row: equal and never all-ones, they count neither as a
 // separation nor as a missing label. The missing sentinel is the all-ones
@@ -402,17 +404,17 @@ func packRow[W labelWord](l *lanes, g int, row []W) {
 	}
 }
 
-// laneRows packs the distinct rows of g, read from the kernel's label block
+// laneRows packs the distinct rows of g, read from the problem's label block
 // lab, clean rows first.
-func laneRows[W labelWord](lk *labelKernel, lab []W, g rowGroups) *lanes {
-	l := newLanes(lk.m, lk.width, len(g.count))
+func laneRows[W labelWord](p *Problem, lab []W, g rowGroups) *lanes {
+	l := newLanes(p.m, p.width, len(g.count))
 	l.count = make([]int64, 0, len(g.count))
 	for _, missing := range []bool{false, true} {
 		for src, r := range g.rep {
-			if lk.hasMiss[r] != missing {
+			if p.hasMiss[r] != missing {
 				continue
 			}
-			packRow(l, len(l.count), lab[int(r)*lk.m:][:lk.m])
+			packRow(l, len(l.count), lab[int(r)*p.m:][:p.m])
 			l.count = append(l.count, int64(g.count[src]))
 		}
 		if !missing {
@@ -533,11 +535,11 @@ func (l *lanes) histogram(workers int) []int64 {
 
 // pairTerm returns W·min(X, 1−X) for two label rows: under the coin model
 // from the unnormalized separating weight x, as min(x, W−x); under
-// MissingAverage (average set) through the kernel's own pair distance.
-func pairTerm[W labelWord](lk *labelKernel, a, b []W, average bool) float64 {
-	tw := lk.totalWeight
+// MissingAverage (average set) through pairDist.
+func pairTerm[W labelWord](p *Problem, a, b []W, average bool) float64 {
+	tw := p.totalWeight
 	if average {
-		x := pairDist(lk, a, b, true)
+		x := pairDist(p, a, b, true)
 		return tw * math.Min(x, 1-x)
 	}
 	sentinel := missingWord[W]()
@@ -546,9 +548,9 @@ func pairTerm[W labelWord](lk *labelKernel, a, b []W, average bool) float64 {
 		lb := b[i]
 		switch {
 		case la == sentinel || lb == sentinel:
-			x += lk.missW[i]
+			x += p.missW[i]
 		case la != lb:
-			x += lk.w[i]
+			x += p.w[i]
 		}
 	}
 	return math.Min(x, tw-x)

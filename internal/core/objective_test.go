@@ -48,16 +48,15 @@ func FuzzObjectiveExact(f *testing.F) {
 			}
 		}
 		prob := randMixedProblem(t, rng, n, m, missing, opts)
-		// Native widths 8, 16 and 32: spread the labels past 255 or 65535.
+		// Native widths 8 and 32: spread the labels past 255 or 65535.
 		if factor := []int{1, 300, 70000}[widthRaw%3]; factor > 1 {
 			prob = widenLabels(t, prob, factor)
 		}
 		if packed {
 			prob = packedTwin(t, prob, widthRaw%2 == 0)
 		}
-		// p = 0 is not expressible through ProblemOptions (0 means ½), so
-		// it is set before the kernel is first built.
-		prob.missingP = p
+		// p = 0 is not expressible through ProblemOptions (0 means ½).
+		prob = withMissingP(prob, p)
 
 		var cand partition.Labels
 		switch candRaw % 3 {
@@ -79,7 +78,7 @@ func FuzzObjectiveExact(f *testing.F) {
 			}
 		}
 
-		ref := prob.kernel()
+		ref := prob
 		tw := prob.totalWeight
 		wantD := tw * corrclust.Cost(ref, cand)
 		wantLB := tw * refLowerBound(ref)
@@ -105,16 +104,13 @@ func FuzzObjectiveExact(f *testing.F) {
 			t.Fatalf("LowerBound %.17g above Disagreement %.17g (dyadic %v)", lb1, d, dyadic)
 		}
 
-		for _, width := range []int{width16, width32} {
-			if width < ref.width {
-				continue
-			}
-			lk := prob.kernelWidth(width)
-			if got := lk.disagreement(cand); got != d {
-				t.Fatalf("width-%d Disagreement %.17g, width-%d %.17g", width, got, ref.width, d)
+		if prob.width == width8 {
+			lk := widened(prob)
+			if got := lk.Disagreement(cand); got != d {
+				t.Fatalf("width-4 Disagreement %.17g, width-1 %.17g", got, d)
 			}
 			if got := lk.lowerBound(3); got != lb1 {
-				t.Fatalf("width-%d LowerBound %.17g, width-%d %.17g", width, got, ref.width, lb1)
+				t.Fatalf("width-4 LowerBound %.17g, width-1 %.17g", got, lb1)
 			}
 		}
 	})

@@ -8,36 +8,39 @@ import (
 )
 
 // This file is the Problem's input storage: clusterings stream into the
-// width-packed row-major label block the label kernel uses (labelkernel.go
-// — uint8/uint16/int32, the width's all-ones missing sentinel). Every
-// Problem holds its inputs this way — NewProblem packs its []int
+// width-packed row-major label block the distance loops read
+// (labelkernel.go — uint8 or int32, the width's all-ones missing sentinel).
+// Every Problem holds its inputs this way — NewProblem packs its []int
 // clusterings through the column-mode builder — so no path materializes
 // []int labels except Clusterings(). At m=6 clusterings of ≤255 labels,
-// that is 6 bytes per object instead of 48, and the kernel is a zero-copy
-// alias of the block.
+// that is 6 bytes per object instead of 48, and the Problem aliases the
+// block without copying it.
 //
 // SAMPLING's subproblems (gather) copy the selected rows into one fresh
 // arena at the parent's width. They share the parent's per-clustering
 // label bounds — a looser bound only adds co-label term rows for labels no
 // sample member carries, each equal to the base row, which change no float
-// arithmetic (see buildColabelHistW), so gathered kernels stay
-// bit-identical to kernels built from a tight rescan.
+// arithmetic (see buildColabelHistW), so gathered problems stay
+// bit-identical to problems built from a tight rescan.
 
-// PackedClusterings is m input clusterings over n objects in the label
-// kernel's storage format: object v's labels live at lab[v*m : v*m+m] at
-// the narrowest width that fits, missing entries mapped to the width's
-// sentinel. Build one with NewPackedBuilder (row streaming) or
+// PackedClusterings is m input clusterings over n objects in the Problem's
+// storage format: object v's labels live at lab[v*m : v*m+m], one byte per
+// label when every label is below 255 and four bytes otherwise, missing
+// entries mapped to the width's sentinel. Build one with NewPackedBuilder (row streaming) or
 // NewPackedColumns (column-at-a-time), then wrap it with NewProblemPacked.
 // Immutable after Build and safe for concurrent use.
 type PackedClusterings struct {
-	n, m  int
-	width int // bytes per label: width8, width16, or width32
+	n, m int
+	// width is the storage width in bytes per label (width8 or width32);
+	// exactly one of lab8/lab32 holds the labels.
+	width int
 	lab8  []uint8
-	lab16 []uint16
 	lab32 []int32
 	// maxLab[i] is the exclusive upper bound on clustering i's present
-	// labels; hasMiss[v] reports a missing label anywhere on object v;
-	// anyMiss aggregates hasMiss. Same semantics as labelKernel's fields.
+	// labels (0 when every label is missing), used both for width
+	// selection and as the co-label histograms' default label bound (see
+	// buildColabelHist); hasMiss[v] reports a missing label anywhere on
+	// object v; anyMiss aggregates hasMiss.
 	maxLab  []int32
 	hasMiss []bool
 	anyMiss bool
@@ -66,7 +69,6 @@ type PackedBuilder struct {
 
 	width   int
 	lab8    []uint8
-	lab16   []uint16
 	lab32   []int32
 	maxLab  []int32
 	hasMiss []bool
@@ -133,8 +135,6 @@ func (b *PackedBuilder) AppendRow(row []int) error {
 		switch b.width {
 		case width8:
 			b.lab8 = append(b.lab8, packWord[uint8](l))
-		case width16:
-			b.lab16 = append(b.lab16, packWord[uint16](l))
 		default:
 			b.lab32 = append(b.lab32, packWord[int32](l))
 		}
@@ -224,8 +224,6 @@ func (b *PackedBuilder) storeColumn(col []int, ci int) (bound int32, miss bool, 
 	switch b.width {
 	case width8:
 		return storeColumnAt(b.lab8, col, ci, b.m)
-	case width16:
-		return storeColumnAt(b.lab16, col, ci, b.m)
 	default:
 		return storeColumnAt(b.lab32, col, ci, b.m)
 	}
@@ -266,7 +264,7 @@ func (b *PackedBuilder) Build() (*PackedClusterings, error) {
 	b.built = true
 	return &PackedClusterings{
 		n: b.n, m: b.m, width: b.width,
-		lab8: b.lab8, lab16: b.lab16, lab32: b.lab32,
+		lab8: b.lab8, lab32: b.lab32,
 		maxLab: b.maxLab, hasMiss: b.hasMiss, anyMiss: b.anyMiss,
 	}, nil
 }
@@ -299,14 +297,7 @@ func (b *PackedBuilder) widen(to int) {
 	if to <= b.width {
 		return
 	}
-	switch {
-	case b.width == width8 && to == width16:
-		b.lab16, b.lab8 = widenWords[uint8, uint16](b.lab8), nil
-	case b.width == width8 && to == width32:
-		b.lab32, b.lab8 = widenWords[uint8, int32](b.lab8), nil
-	default: // width16 -> width32
-		b.lab32, b.lab16 = widenWords[uint16, int32](b.lab16), nil
-	}
+	b.lab32, b.lab8 = widenWords[uint8, int32](b.lab8), nil
 	b.width = to
 }
 
@@ -347,8 +338,6 @@ func (pc *PackedClusterings) gather(idx []int) *PackedClusterings {
 	switch pc.width {
 	case width8:
 		g.lab8 = gatherRows(pc.lab8, idx, m)
-	case width16:
-		g.lab16 = gatherRows(pc.lab16, idx, m)
 	default:
 		g.lab32 = gatherRows(pc.lab32, idx, m)
 	}
@@ -383,64 +372,18 @@ func unpackColumn[W labelWord](lab []W, i, m int, dst partition.Labels) {
 	}
 }
 
-// kernelFrom aliases the packed block as a labelKernel for p — zero-copy at
-// the stored width; a forced wider width re-encodes (tests pin widths
-// against each other through this path).
-func (pc *PackedClusterings) kernelFrom(p *Problem, force int) *labelKernel {
-	m := pc.m
-	lk := &labelKernel{
-		n: pc.n, m: m,
-		width: pc.width,
-		lab8:  pc.lab8, lab16: pc.lab16, lab32: pc.lab32,
-		maxLab:      pc.maxLab,
-		w:           make([]float64, m),
-		missW:       make([]float64, m),
-		hasMiss:     pc.hasMiss,
-		anyMiss:     pc.anyMiss,
-		uniform:     p.weights == nil,
-		average:     p.missingMode == MissingAverage,
-		totalWeight: p.totalWeight,
-	}
-	for i := 0; i < m; i++ {
-		wi := p.weight(i)
-		lk.w[i] = wi
-		lk.missW[i] = (1 - p.missingP) * wi
-	}
-	// Lane reads are exact when a missing lane adds a whole number of
-	// halves, 1−p ∈ {0, ½, 1} (see labelKernel.onLanes).
-	h := 2 * (1 - p.missingP)
-	lk.missHalves = int(h)
-	lk.onLanes = lk.uniform && (!lk.anyMiss || !lk.average && h == float64(lk.missHalves))
-	if force != 0 && force != pc.width {
-		if force < pc.width {
-			panic("core: forced kernel width below the label bound")
-		}
-		lk.width = force
-		switch {
-		case pc.width == width8 && force == width16:
-			lk.lab8, lk.lab16 = nil, widenWords[uint8, uint16](pc.lab8)
-		case pc.width == width8 && force == width32:
-			lk.lab8, lk.lab32 = nil, widenWords[uint8, int32](pc.lab8)
-		default: // width16 -> width32
-			lk.lab16, lk.lab32 = nil, widenWords[uint16, int32](pc.lab16)
-		}
-	}
-	return lk
-}
-
 // NewProblemPacked builds an aggregation problem directly over a packed
-// label block; the Problem keeps pc as its only input storage (NewProblem
-// ends here too, after packing its []int clusterings), and the kernel
-// aliases the block without copying.
+// label block (NewProblem ends here too, after packing its []int
+// clusterings). The Problem aliases pc's labels and metadata without
+// copying them, as its only input storage, and premultiplies the O(m)
+// per-clustering weights once.
 func NewProblemPacked(pc *PackedClusterings, opts ProblemOptions) (*Problem, error) {
 	if pc == nil || pc.m == 0 {
 		return nil, ErrNoClusterings
 	}
-	p, err := problemOptionsOf(pc.m, opts)
+	o, err := problemOptionsOf(pc.m, opts)
 	if err != nil {
 		return nil, err
 	}
-	p.n = pc.n
-	p.packed = pc
-	return p, nil
+	return o.over(pc), nil
 }

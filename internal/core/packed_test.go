@@ -17,12 +17,7 @@ import (
 // sees.
 func packedTwin(t testing.TB, p *Problem, colMode bool) *Problem {
 	t.Helper()
-	opts := ProblemOptions{
-		Weights:         p.weights,
-		MissingMode:     p.missingMode,
-		MissingTogether: p.missingP,
-	}
-	return packedFrom(t, p.Clusterings(), opts, colMode)
+	return packedFrom(t, p.Clusterings(), optionsOf(p), colMode)
 }
 
 // packedFrom builds a Problem over cs through NewProblemPacked, via the
@@ -149,18 +144,20 @@ func TestPackedProblemEquivalence(t *testing.T) {
 	}
 }
 
-// TestPackedBuilderWidening pins the in-place width promotion: labels
-// crossing the uint8/uint16 sentinel boundaries widen the storage without
+// TestPackedBuilderWidening pins the in-place width promotion: a label
+// crossing the uint8 sentinel widens the storage to int32 without
 // corrupting earlier rows, including the boundary cases 254 (still uint8)
-// and 255 (collides with the uint8 sentinel, forces uint16).
+// and 255 (collides with the uint8 sentinel, forces int32). A promoting
+// label reached mid-stream in AppendRows batches yields a problem equal to
+// the one-byte build of the relabeled inputs.
 func TestPackedBuilderWidening(t *testing.T) {
 	cases := []struct {
 		labels []int
 		want   int
 	}{
 		{[]int{0, 254, partition.Missing}, width8},
-		{[]int{0, 255, partition.Missing}, width16},
-		{[]int{0, 65534, partition.Missing}, width16},
+		{[]int{0, 255, partition.Missing}, width32},
+		{[]int{0, 65534, partition.Missing}, width32},
 		{[]int{0, 65535, partition.Missing}, width32},
 		{[]int{0, 1 << 20, partition.Missing}, width32},
 	}
@@ -209,26 +206,30 @@ func TestPackedBuilderWidening(t *testing.T) {
 			t.Errorf("column widen: col0[%d] = %d, want %d", i, col0[i], want)
 		}
 	}
+	for _, big := range []int{255, 65534} {
+		checkPromotion(t, big, false)
+	}
 }
 
 // TestAppendColumnWidensMidColumn: a column whose labels outgrow the
 // width partway through restarts at the wider width, so the labels stored
 // before the widening label, the labels after it, and every column
 // appended earlier all read back, with the column's bound and missing
-// flags; a second widening in a later column does the same again.
+// flags; a later column with labels past the byte range stores at int32
+// from the start.
 func TestAppendColumnWidensMidColumn(t *testing.T) {
 	M := partition.Missing
 	cols := [][]int{
 		{3, M, 254, 0, 1, 2, M},
-		{0, 1, M, 300, 4, 5, 6},       // uint8 -> uint16 at index 3
-		{7, 8, 9, 65534, M, 70000, 1}, // uint16 -> int32 at index 5
+		{0, 1, M, 300, 4, 5, 6},       // uint8 -> int32 at index 3
+		{7, 8, 9, 65534, M, 70000, 1}, // int32 throughout
 	}
 	b := NewPackedColumns(len(cols[0]), len(cols))
 	for ci, col := range cols {
 		if err := b.AppendColumn(col); err != nil {
 			t.Fatal(err)
 		}
-		if want := []int{width8, width16, width32}[ci]; b.width != want {
+		if want := []int{width8, width32, width32}[ci]; b.width != want {
 			t.Fatalf("after column %d: width %d, want %d", ci, b.width, want)
 		}
 	}
@@ -307,7 +308,7 @@ func TestAppendColumnMissingFlags(t *testing.T) {
 		cols[0][v] = v % 7 // complete
 		cols[1][v] = v % 3 // complete
 		cols[2][v] = M     // all missing
-		cols[3][v] = v % 5 // partly missing, and promotes to uint16
+		cols[3][v] = v % 5 // partly missing, and promotes to int32
 		if v%6 == 0 {
 			cols[3][v] = M
 		}
@@ -360,8 +361,8 @@ func TestAppendColumnMissingFlags(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pc.width != width16 {
-		t.Errorf("width %d, want %d after the promotion", pc.width, width16)
+	if pc.width != width32 {
+		t.Errorf("width %d, want %d after the promotion", pc.width, width32)
 	}
 }
 
@@ -505,8 +506,8 @@ func TestPackedGatherEquivalence(t *testing.T) {
 			}
 		}
 	}
-	if got.packed.anyMiss != anyMiss {
-		t.Errorf("gathered anyMiss = %v, want %v", got.packed.anyMiss, anyMiss)
+	if got.anyMiss != anyMiss {
+		t.Errorf("gathered anyMiss = %v, want %v", got.anyMiss, anyMiss)
 	}
 
 	// anyMiss is recomputed over the gathered rows, never inherited: a
@@ -531,55 +532,32 @@ func TestPackedGatherEquivalence(t *testing.T) {
 	}
 }
 
-// TestKernelCacheIdentity pins the kernel cache: the auto-width kernel is
-// built once per Problem and shared, forced-width kernels bypass the cache,
-// and the kernel aliases the Problem's packed block.
+// TestKernelCacheIdentity pins the zero-copy build: a Problem aliases the
+// label block and its bound/missing metadata instead of copying them.
 func TestKernelCacheIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(461))
-	p := randMixedProblem(t, rng, 100, 3, 0.1, ProblemOptions{MissingTogether: 0.5})
-	if p.kernel() != p.kernel() {
-		t.Error("kernel() rebuilt instead of serving the cache")
-	}
-	if p.kernelWidth(0) != p.kernel() {
-		t.Error("kernelWidth(0) bypassed the cache")
-	}
-	forced := p.kernelWidth(width32)
-	if forced == p.kernel() {
-		t.Error("forced-width kernel leaked into the cache")
-	}
-	if forced.width != width32 || p.kernel().width != width8 {
-		t.Errorf("widths: forced %d (want %d), cached %d (want %d)",
-			forced.width, width32, p.kernel().width, width8)
-	}
-
-	lk := p.kernel()
-	if &lk.lab8[0] != &p.packed.lab8[0] {
-		t.Error("kernel copied the label block instead of aliasing")
-	}
-	if &lk.maxLab[0] != &p.packed.maxLab[0] || &lk.hasMiss[0] != &p.packed.hasMiss[0] {
-		t.Error("kernel copied bound/missing metadata instead of aliasing")
-	}
-	f16 := p.kernelWidth(width16)
-	if f16.lab16 == nil || f16.width != width16 {
-		t.Errorf("forced width16 on a packed problem: width %d, lab16 nil=%v", f16.width, f16.lab16 == nil)
-	}
-	// Forcing below the packed width panics.
-	wideB := NewPackedColumns(2, 1)
-	if err := wideB.AppendColumn([]int{0, 300}); err != nil {
-		t.Fatal(err)
-	}
-	widePC, err := wideB.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	widePP, err := NewProblemPacked(widePC, ProblemOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("forcing width8 below a packed width16 block did not panic")
+	cs := randMixedInputs(rng, 100, 3, 0.1)
+	b := NewPackedColumns(100, 3)
+	for _, c := range cs {
+		if err := b.AppendColumn(c); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	widePP.kernelWidth(width8)
+	}
+	pc, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewProblemPacked(pc, ProblemOptions{MissingTogether: 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.width != width8 {
+		t.Fatalf("width %d, want %d", p.width, width8)
+	}
+	if &p.lab8[0] != &pc.lab8[0] {
+		t.Error("problem copied the label block instead of aliasing")
+	}
+	if &p.maxLab[0] != &pc.maxLab[0] || &p.hasMiss[0] != &pc.hasMiss[0] {
+		t.Error("problem copied bound/missing metadata instead of aliasing")
+	}
 }

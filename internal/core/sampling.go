@@ -5,8 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -238,15 +236,14 @@ func renumber(labels partition.Labels, bound int) {
 // Total = n).
 func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels partition.Labels, members [][]int, workers int) (assigned, fresh int64) {
 	n, k := p.n, len(members)
-	lk := p.kernel()
 	rec.Add("sample.assign.kernel_cols", int64(n))
 
-	a := &assignPass{lk: lk, labels: labels, members: members, progress: progress}
+	a := &assignPass{p: p, labels: labels, members: members, progress: progress}
 	sampleSize := 0
 	for _, mem := range members {
 		sampleSize += len(mem)
 	}
-	if lk.average && lk.anyMiss {
+	if p.average && p.anyMiss {
 		a.flat = make([]int, 0, sampleSize)
 		a.ends = make([]int, 0, k)
 		for _, mem := range members {
@@ -255,47 +252,23 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 		}
 		rec.Add("sample.assign.hist_builds", 0)
 	} else {
-		a.hist = lk.buildColabelHist(members)
-		rec.Add("sample.assign.hist_builds", int64(lk.m))
+		a.hist = p.buildColabelHist(members)
+		rec.Add("sample.assign.hist_builds", int64(p.m))
 	}
 	rec.Add("sample.assign.dist_probes", int64(n-sampleSize)*int64(sampleSize))
 	a.tpSeries = rec.Series("sample.assign.throughput")
 
 	a.counts = make([][2]int64, workers) // assigned, fresh per stripe
-	assignChunk := func(stripe, lo, hi int) {
-		switch lk.width {
+	chunk := (n + workers - 1) / workers
+	stripes("sample:assign", workers, func(stripe int) {
+		lo, hi := min(stripe*chunk, n), min((stripe+1)*chunk, n)
+		switch p.width {
 		case width8:
-			assignStripe(a, lk.lab8, stripe, lo, hi)
-		case width16:
-			assignStripe(a, lk.lab16, stripe, lo, hi)
+			assignStripe(a, p.lab8, stripe, lo, hi)
 		default:
-			assignStripe(a, lk.lab32, stripe, lo, hi)
+			assignStripe(a, p.lab32, stripe, lo, hi)
 		}
-	}
-	if workers <= 1 {
-		assignChunk(0, 0, n)
-	} else {
-		chunk := (n + workers - 1) / workers
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			lo := w * chunk
-			hi := lo + chunk
-			if hi > n {
-				hi = n
-			}
-			if lo >= hi {
-				break
-			}
-			wg.Add(1)
-			go func(stripe, lo, hi int) {
-				defer wg.Done()
-				obs.Do(obs.ProfLabels{Phase: "sample:assign", Worker: strconv.Itoa(stripe)}, func() {
-					assignChunk(stripe, lo, hi)
-				})
-			}(w, lo, hi)
-		}
-		wg.Wait()
-	}
+	})
 	for _, c := range a.counts {
 		assigned += c[0]
 		fresh += c[1]
@@ -307,7 +280,7 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 // Exactly one of hist (histogram route) and flat/ends (row route: sample
 // members flattened in cluster order, per-cluster segment ends) is set.
 type assignPass struct {
-	lk         *labelKernel
+	p          *Problem
 	labels     partition.Labels
 	members    [][]int
 	hist       *colabelHist
@@ -321,7 +294,7 @@ type assignPass struct {
 // assignStripe assigns the unsampled objects in [lo, hi) with the stripe's
 // own twin memo, generic over the storage width of lab.
 func assignStripe[W labelWord](a *assignPass, lab []W, stripe, lo, hi int) {
-	n, m, k := a.lk.n, a.lk.m, len(a.members)
+	n, m, k := a.p.n, a.p.m, len(a.members)
 	aff := make([]float64, k)
 	var buf []float64
 	if a.hist == nil {
@@ -372,9 +345,9 @@ func assignStripe[W labelWord](a *assignPass, lab []W, stripe, lo, hi int) {
 // scratch.
 func assignDecide[W labelWord](a *assignPass, lab []W, v int, aff, buf []float64) int32 {
 	if a.hist != nil {
-		affinitiesW(a.hist, a.lk, lab, v, aff)
+		affinitiesW(a.hist, a.p, lab, v, aff)
 	} else {
-		distRowTo(a.lk, lab, v, a.flat, buf)
+		distRowTo(a.p, lab, v, a.flat, buf)
 		start := 0
 		for ci, end := range a.ends {
 			var s float64
@@ -480,14 +453,7 @@ func autoSampleSize(n int) int {
 // gathering the selected label rows into one fresh arena at the parent's
 // width.
 func (p *Problem) subProblem(idx []int) *Problem {
-	return &Problem{
-		n:           len(idx),
-		missingP:    p.missingP,
-		missingMode: p.missingMode,
-		weights:     p.weights,
-		totalWeight: p.totalWeight,
-		packed:      p.packed.gather(idx),
-	}
+	return p.over(p.gather(idx))
 }
 
 // reclusterSingletons gathers every object currently in a singleton cluster

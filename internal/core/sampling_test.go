@@ -409,14 +409,11 @@ func TestSampleWorkersIdentical(t *testing.T) {
 
 // distinctRows returns the number of distinct label rows of p.
 func distinctRows(p *Problem) int {
-	lk := p.kernel()
-	switch lk.width {
+	switch p.width {
 	case width8:
-		return len(groupRows(lk, lk.lab8).count)
-	case width16:
-		return len(groupRows(lk, lk.lab16).count)
+		return len(groupRows(p, p.lab8).count)
 	default:
-		return len(groupRows(lk, lk.lab32).count)
+		return len(groupRows(p, p.lab32).count)
 	}
 }
 
@@ -457,7 +454,7 @@ func TestSampleAssignMemoMatchesReference(t *testing.T) {
 			if tc.memoCap != 0 && rows <= tc.memoCap/2 {
 				t.Fatalf("%d distinct rows fit the %d-slot memo", rows, tc.memoCap)
 			}
-			if lk := p.kernel(); (lk.average && lk.anyMiss) != (tc.opts.MissingMode == MissingAverage) {
+			if (p.average && p.anyMiss) != (tc.opts.MissingMode == MissingAverage) {
 				t.Fatalf("instance does not take the %s route", tc.name)
 			}
 			sample := func(workers int, ref bool) partition.Labels {

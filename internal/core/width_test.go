@@ -1,18 +1,51 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"clusteragg/internal/partition"
 )
 
+// optionsOf returns the ProblemOptions p was built with.
+func optionsOf(p *Problem) ProblemOptions {
+	opts := ProblemOptions{MissingTogether: p.missingP}
+	if !p.uniform {
+		opts.Weights = p.w
+	}
+	if p.average {
+		opts.MissingMode = MissingAverage
+	}
+	return opts
+}
+
+// widened returns p over its label block re-encoded at int32, under p's
+// options: a wider-than-minimum packing of the same instance, which the
+// bit-identity tests pin against the one-byte block. A block already at
+// int32 is shared as is.
+func widened(p *Problem) *Problem {
+	pc := p.packedBlock
+	if pc.width == width8 {
+		pc.width, pc.lab8, pc.lab32 = width32, nil, widenWords[uint8, int32](pc.lab8)
+	}
+	return p.over(&pc)
+}
+
+// withMissingP returns p over the same block at coin probability x. x = 0
+// is not expressible through ProblemOptions (0 means ½), so tests set it
+// here, where the missing contributions are premultiplied.
+func withMissingP(p *Problem, x float64) *Problem {
+	o := &Problem{missingP: x, w: p.w, totalWeight: p.totalWeight, uniform: p.uniform, average: p.average}
+	return o.over(&p.packedBlock)
+}
+
 // widenLabels rebuilds p with every present label multiplied by factor: an
 // injective relabeling, so the partition structure — and therefore every
 // distance and every aggregation result — is unchanged, while the label
-// bound grows past the uint8/uint16 sentinel thresholds and forces the
-// kernel onto a wider packing (and, past histBoundCap, onto the
-// sample-observed histogram bound rescan).
+// bound grows past the uint8 sentinel and forces the int32 packing (and,
+// past histBoundCap, the sample-observed histogram bound rescan).
 func widenLabels(t testing.TB, p *Problem, factor int) *Problem {
 	t.Helper()
 	cs := make([]partition.Labels, p.M())
@@ -27,20 +60,17 @@ func widenLabels(t testing.TB, p *Problem, factor int) *Problem {
 		}
 		cs[i] = wc
 	}
-	opts := ProblemOptions{
-		Weights:         p.weights,
-		MissingMode:     p.missingMode,
-		MissingTogether: p.missingP,
-	}
-	wp, err := NewProblem(cs, opts)
+	wp, err := NewProblem(cs, optionsOf(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return wp
 }
 
-// TestKernelWidthSelection pins the build-time width choice: the narrowest
-// width whose all-ones sentinel stays clear of every stored label.
+// TestKernelWidthSelection pins the build-time width choice: one byte while
+// the byte's all-ones sentinel stays clear of every stored label, int32
+// from label 255 on. A promoting label reached mid-column (AppendColumn)
+// yields a problem equal to the one-byte build of the relabeled inputs.
 func TestKernelWidthSelection(t *testing.T) {
 	mk := func(maxLabel int) *Problem {
 		p, err := NewProblem([]partition.Labels{{0, maxLabel}}, ProblemOptions{})
@@ -54,30 +84,85 @@ func TestKernelWidthSelection(t *testing.T) {
 	}{
 		{1, width8},
 		{254, width8},  // bound 255: sentinel 255 still free
-		{255, width16}, // bound 256: label 255 would collide with the sentinel
-		{65534, width16},
+		{255, width32}, // bound 256: label 255 would collide with the sentinel
+		{65534, width32},
 		{65535, width32},
 		{70000, width32},
 	}
 	for _, c := range cases {
-		if lk := mk(c.maxLabel).kernel(); lk.width != c.want {
-			t.Errorf("max label %d: width %d, want %d", c.maxLabel, lk.width, c.want)
+		if p := mk(c.maxLabel); p.width != c.want {
+			t.Errorf("max label %d: width %d, want %d", c.maxLabel, p.width, c.want)
 		}
 	}
-	// Forcing a width below the label bound is a programming error.
-	defer func() {
-		if recover() == nil {
-			t.Error("kernelWidth(width8) on a 16-bit instance did not panic")
-		}
-	}()
-	mk(300).kernelWidth(width8)
+	for _, big := range []int{255, 65534} {
+		checkPromotion(t, big, true)
+	}
 }
 
-// TestLabelKernelWidthsBitIdentical: all three storage widths must produce
+// checkPromotion builds an instance whose clustering 2 carries the label
+// big at object n/2, through the column builder (the label arrives
+// mid-column) or the row builder (mid-stream, in AppendRows batches). The
+// problem must pack to int32 and equal, bit for bit, the one-byte build of
+// the same inputs with big relabeled to 5, a label the clustering does not
+// otherwise use: Dist, DistRowTo, Disagreement, LowerBound and Sample
+// labels, on the histogram route (coin model) and the row route
+// (MissingAverage with missing labels).
+func checkPromotion(t *testing.T, big int, colMode bool) {
+	t.Helper()
+	for oi, opts := range []ProblemOptions{{}, {MissingMode: MissingAverage, Weights: dyadicWeights(4)}} {
+		name := fmt.Sprintf("label %d colMode=%v opts %d", big, colMode, oi)
+		rng := rand.New(rand.NewSource(int64(big + oi)))
+		const n, m = 120, 4
+		cs := randMixedInputs(rng, n, m, 0.2)
+		cs[2][n/2] = 5
+		narrow := packedFrom(t, cs, opts, colMode)
+		cs[2][n/2] = big
+		wide := packedFrom(t, cs, opts, colMode)
+		if narrow.width != width8 || wide.width != width32 {
+			t.Fatalf("%s: widths %d and %d, want %d and %d", name, narrow.width, wide.width, width8, width32)
+		}
+		targets := rng.Perm(n)
+		want, got := make([]float64, n), make([]float64, n)
+		for v := 0; v < n; v++ {
+			for u := 0; u < n; u++ {
+				if g, w := wide.Dist(v, u), narrow.Dist(v, u); g != w {
+					t.Fatalf("%s: Dist(%d,%d) = %v, one-byte %v", name, v, u, g, w)
+				}
+			}
+			narrow.DistRowTo(v, targets, want)
+			wide.DistRowTo(v, targets, got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s: DistRowTo(%d) = %v, one-byte %v", name, v, got, want)
+			}
+		}
+		for _, cand := range []partition.Labels{completeMissing(cs[2]), randMixedInputs(rng, n, 1, 0)[0]} {
+			if g, w := wide.Disagreement(cand), narrow.Disagreement(cand); g != w {
+				t.Fatalf("%s: Disagreement %v, one-byte %v", name, g, w)
+			}
+		}
+		if g, w := wide.LowerBound(), narrow.LowerBound(); g != w {
+			t.Fatalf("%s: LowerBound %v, one-byte %v", name, g, w)
+		}
+		sample := func(p *Problem) partition.Labels {
+			labels, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
+				SampleSize: 30, Rand: rand.New(rand.NewSource(7)),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return labels
+		}
+		if g, w := sample(wide), sample(narrow); !slices.Equal(g, w) {
+			t.Fatalf("%s: Sample labels %v, one-byte %v", name, g, w)
+		}
+	}
+}
+
+// TestLabelKernelWidthsBitIdentical: both storage widths must produce
 // bit-identical distances and histogram affinities — the packed loops never
-// let the width touch a float. Each trial compares the auto (uint8) kernel
-// against forced uint16 and int32 kernels on Dist, DistRowTo, and the
-// co-label histogram path, across both missing modes and weights.
+// let the width touch a float. Each trial compares the auto (uint8) problem
+// against its int32 re-encoding on Dist, DistRowTo, and the co-label
+// histogram path, across both missing modes and weights.
 func TestLabelKernelWidthsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	for trial := 0; trial < 30; trial++ {
@@ -95,31 +180,26 @@ func TestLabelKernelWidthsBitIdentical(t *testing.T) {
 			opts.MissingMode = MissingAverage
 		}
 		opts.MissingTogether = []float64{0.25, 0.5, 0.37}[trial%3]
-		p := randMixedProblem(t, rng, n, m, 0.3, opts)
-
-		base := p.kernelWidth(0)
+		base := randMixedProblem(t, rng, n, m, 0.3, opts)
 		if base.width != width8 {
 			t.Fatalf("trial %d: auto width %d, want uint8 for labels < 5", trial, base.width)
 		}
-		wide16 := p.kernelWidth(width16)
-		wide32 := p.kernelWidth(width32)
+		wide := widened(base)
 
 		targets := rng.Perm(n)
 		want := make([]float64, n)
 		got := make([]float64, n)
 		for v := 0; v < n; v++ {
 			base.DistRowTo(v, targets, want)
-			for _, lk := range []*labelKernel{wide16, wide32} {
-				lk.DistRowTo(v, targets, got)
-				for j := range got {
-					if got[j] != want[j] {
-						t.Fatalf("trial %d: width-%d DistRowTo(%d)[->%d] = %v, width-1 = %v",
-							trial, lk.width, v, targets[j], got[j], want[j])
-					}
+			wide.DistRowTo(v, targets, got)
+			for j := range got {
+				if got[j] != want[j] {
+					t.Fatalf("trial %d: width-4 DistRowTo(%d)[->%d] = %v, width-1 = %v",
+						trial, v, targets[j], got[j], want[j])
 				}
-				if d := lk.Dist(v, targets[0]); d != base.Dist(v, targets[0]) {
-					t.Fatalf("trial %d: width-%d Dist diverges", trial, lk.width)
-				}
+			}
+			if d := wide.Dist(v, targets[0]); d != base.Dist(v, targets[0]) {
+				t.Fatalf("trial %d: width-4 Dist diverges", trial)
 			}
 		}
 
@@ -146,16 +226,14 @@ func TestLabelKernelWidthsBitIdentical(t *testing.T) {
 		wantM := make([]float64, k)
 		gotM := make([]float64, k)
 		baseHist := base.buildColabelHist(members)
-		for _, lk := range []*labelKernel{wide16, wide32} {
-			hist := lk.buildColabelHist(members)
-			for v := 1; v < n; v += 2 {
-				baseHist.affinities(base, v, wantM)
-				hist.affinities(lk, v, gotM)
-				for c := range gotM {
-					if gotM[c] != wantM[c] {
-						t.Fatalf("trial %d: width-%d M(%d,C%d) = %v, width-1 = %v",
-							trial, lk.width, v, c, gotM[c], wantM[c])
-					}
+		hist := wide.buildColabelHist(members)
+		for v := 1; v < n; v += 2 {
+			baseHist.affinities(base, v, wantM)
+			hist.affinities(wide, v, gotM)
+			for c := range gotM {
+				if gotM[c] != wantM[c] {
+					t.Fatalf("trial %d: width-4 M(%d,C%d) = %v, width-1 = %v",
+						trial, v, c, gotM[c], wantM[c])
 				}
 			}
 		}
@@ -163,9 +241,9 @@ func TestLabelKernelWidthsBitIdentical(t *testing.T) {
 }
 
 // TestLabelKernelWideLabelsBitIdentical: instances whose labels genuinely
-// need the wider widths (auto-selected uint16 and int32, the latter past
-// histBoundCap so the histograms rescan the sample for their bound) must
-// still agree bit for bit with the int32 kernel and with Problem.Dist, and
+// need int32 (past 255, and past histBoundCap so the histograms rescan the
+// sample for their bound) must agree bit for bit with the one-byte problem
+// over the unscaled labels, on Dist and the histogram affinities:
 // relabeling must not change distances at all.
 func TestLabelKernelWideLabelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(409))
@@ -177,32 +255,22 @@ func TestLabelKernelWideLabelsBitIdentical(t *testing.T) {
 			opts.MissingMode = MissingAverage
 		}
 		p := randMixedProblem(t, rng, 30+rng.Intn(40), m, 0.25, opts)
-		factor := []int{300, 70000}[trial%2] // past uint8 / past uint16+histBoundCap
+		factor := []int{300, 70000}[trial%2] // past uint8 / past histBoundCap
 		wp := widenLabels(t, p, factor)
 
-		lk := wp.kernel()
-		wantWidth := []int{width16, width32}[trial%2]
-		if lk.width != wantWidth {
-			t.Fatalf("trial %d: factor %d auto width %d, want %d", trial, factor, lk.width, wantWidth)
+		if wp.width != width32 {
+			t.Fatalf("trial %d: factor %d auto width %d, want %d", trial, factor, wp.width, width32)
 		}
-		lk32 := wp.kernelWidth(width32)
 		n := wp.N()
 		for v := 0; v < n; v++ {
 			for u := 0; u < n; u++ {
-				want := wp.Dist(v, u)
-				if got := lk.Dist(v, u); got != want {
-					t.Fatalf("trial %d: packed Dist(%d,%d) = %v, Problem.Dist = %v", trial, v, u, got, want)
-				}
-				if got := lk32.Dist(v, u); got != want {
-					t.Fatalf("trial %d: int32 Dist(%d,%d) = %v, Problem.Dist = %v", trial, v, u, got, want)
-				}
-				if want != p.Dist(v, u) {
-					t.Fatalf("trial %d: relabeling changed Dist(%d,%d)", trial, v, u)
+				if got, want := wp.Dist(v, u), p.Dist(v, u); got != want {
+					t.Fatalf("trial %d: wide Dist(%d,%d) = %v, one-byte %v", trial, v, u, got, want)
 				}
 			}
 		}
 
-		if lk.average && lk.anyMiss {
+		if wp.average && wp.anyMiss {
 			continue
 		}
 		k := 2 + rng.Intn(3)
@@ -212,25 +280,25 @@ func TestLabelKernelWideLabelsBitIdentical(t *testing.T) {
 				members[v/2%k] = append(members[v/2%k], v)
 			}
 		}
-		histW := lk.buildColabelHist(members)
-		hist32 := lk32.buildColabelHist(members)
+		histW := wp.buildColabelHist(members)
+		hist8 := p.buildColabelHist(members)
 		gotM := make([]float64, k)
 		wantM := make([]float64, k)
 		for v := 1; v < n; v += 2 {
-			histW.affinities(lk, v, gotM)
-			hist32.affinities(lk32, v, wantM)
+			histW.affinities(wp, v, gotM)
+			hist8.affinities(p, v, wantM)
 			for c := range gotM {
 				if gotM[c] != wantM[c] {
-					t.Fatalf("trial %d: wide-label width-%d M(%d,C%d) = %v, int32 = %v",
-						trial, lk.width, v, c, gotM[c], wantM[c])
+					t.Fatalf("trial %d: wide-label M(%d,C%d) = %v, one-byte %v",
+						trial, v, c, gotM[c], wantM[c])
 				}
 			}
 		}
 	}
 }
 
-// FuzzLabelKernelWidths drives the packed uint8/uint16 kernels against the
-// int32 kernel on fuzzer-chosen instances — both missing modes, weights,
+// FuzzLabelKernelWidths drives the one-byte problem against its int32
+// re-encoding on fuzzer-chosen instances — both missing modes, weights,
 // optional wide relabeling — requiring bit-for-bit equality on DistRowTo
 // and the histogram affinities.
 func FuzzLabelKernelWidths(f *testing.F) {
@@ -253,14 +321,10 @@ func FuzzLabelKernelWidths(f *testing.F) {
 			}
 			opts.Weights = w
 		}
-		p := randMixedProblem(t, rng, n, m, 0.3, opts)
+		packed := randMixedProblem(t, rng, n, m, 0.3, opts)
+		ref := widened(packed)
 		if widen {
-			p = widenLabels(t, p, 300)
-		}
-		ref := p.kernelWidth(width32)
-		packed := p.kernel()
-		if packed.width == width32 {
-			return // nothing narrower to compare
+			ref = widenLabels(t, packed, 300)
 		}
 
 		targets := rng.Perm(n)
@@ -271,8 +335,8 @@ func FuzzLabelKernelWidths(f *testing.F) {
 			packed.DistRowTo(v, targets, got)
 			for j := range got {
 				if got[j] != want[j] {
-					t.Fatalf("width-%d DistRowTo(%d)[->%d] = %v, int32 = %v (n=%d m=%d mode=%d)",
-						packed.width, v, targets[j], got[j], want[j], n, m, opts.MissingMode)
+					t.Fatalf("width-1 DistRowTo(%d)[->%d] = %v, int32 = %v (n=%d m=%d mode=%d)",
+						v, targets[j], got[j], want[j], n, m, opts.MissingMode)
 				}
 			}
 		}
@@ -299,7 +363,7 @@ func FuzzLabelKernelWidths(f *testing.F) {
 			packedHist.affinities(packed, v, gotM)
 			for c := range gotM {
 				if gotM[c] != wantM[c] {
-					t.Fatalf("width-%d M(%d,C%d) = %v, int32 = %v", packed.width, v, c, gotM[c], wantM[c])
+					t.Fatalf("width-1 M(%d,C%d) = %v, int32 = %v", v, c, gotM[c], wantM[c])
 				}
 			}
 		}

@@ -150,6 +150,16 @@ func furthest(inst Instance, opts FurthestOptions, minParallel int) (partition.L
 	from := make([]int32, n)
 	members := newMemberLists(n)
 
+	// capture writes the cost terms of captured object moved[i] (see
+	// capturedTerms) to terms[i], reading through worker w's scratch of sc.
+	// addCenter sets terms and sc each round; capture itself is made once,
+	// so a round on one worker allocates nothing.
+	var terms []float64
+	var sc []furthestScratch
+	capture := func(w, i int) {
+		terms[i] = sc[w].capturedTerms(rows, members, moved, from, i)
+	}
+
 	// addCenter promotes c to center of a new cluster, moves every object
 	// strictly nearer to c than to its current center (ties keep the
 	// earliest center, matching a full cheapest-center rescan), and returns
@@ -173,19 +183,11 @@ func furthest(inst Instance, opts FurthestOptions, minParallel int) (partition.L
 			}
 		}
 		reads := members.snapshot(moved, from) + len(moved)*(len(moved)-1)/2
+		sc, terms = spreadOver(reads), centerRow[:len(moved)]
+		spread(len(sc), len(moved), capture)
 		var delta float64
-		if sc := spreadOver(reads); len(sc) > 1 {
-			terms := centerRow[:len(moved)]
-			spread(len(sc), len(moved), func(w, i int) {
-				terms[i] = sc[w].capturedTerms(rows, members, moved, from, i)
-			})
-			for _, s := range terms {
-				delta += s
-			}
-		} else {
-			for i := range moved {
-				delta += scratch[0].capturedTerms(rows, members, moved, from, i)
-			}
+		for _, s := range terms {
+			delta += s
 		}
 		return delta
 	}
@@ -273,22 +275,24 @@ func (sc *furthestScratch) addJoined(rows rowReader, v int, joined []int, s floa
 
 // spread runs body(w, i) for every i in [0, count), worker w taking the
 // interleaved stripe i ≡ w (mod workers) on a goroutine of its own; the
-// calling goroutine is worker 0.
+// calling goroutine is worker 0, so one worker runs the whole loop inline.
 func spread(workers, count int, body func(w, i int)) {
-	var wg sync.WaitGroup
-	for w := 1; w < workers && w < count; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := w; i < count; i += workers {
-				body(w, i)
-			}
-		}(w)
+	if workers > 1 { // declared here, wg is allocated only when workers start
+		var wg sync.WaitGroup
+		defer wg.Wait()
+		for w := 1; w < workers && w < count; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := w; i < count; i += workers {
+					body(w, i)
+				}
+			}(w)
+		}
 	}
 	for i := 0; i < count; i += workers {
 		body(0, i)
 	}
-	wg.Wait()
 }
 
 // memberLists keeps each cluster's members as an intrusive doubly-linked
@@ -375,19 +379,12 @@ func (l *memberLists) rest(c int) []int {
 // furthestPair returns the pair of objects with the largest distance,
 // breaking ties toward smaller indices, and Σ_{u<v} X_uv, the cost of the
 // single cluster: the sum of the row-tail sums Σ_{v>u} X_uv, added in row
-// order. With more than one worker's scratch, the rows are dealt to the
-// workers in interleaved stripes; each keeps its stripe's furthest pair
-// under the same tie rule and writes its row sums to rowSums, so the pair
-// and the sum are those of the one-goroutine scan, bit for bit.
+// order. The rows are dealt to one worker per scratch in interleaved
+// stripes; each keeps its stripe's furthest pair under the same tie rule
+// and writes its row sums to rowSums, which are then added in row order,
+// so the pair and the sum do not depend on the worker count, bit for bit.
 func furthestPair(r rowReader, scratch []furthestScratch, rowSums []float64) (u0, v0 int, sum float64) {
 	n := r.inst.N()
-	if len(scratch) == 1 {
-		best := furthestRow{d: -1}
-		for u := 0; u < n; u++ {
-			sum += best.scan(r, u, scratch[0].dist)
-		}
-		return best.u, best.v, sum
-	}
 	stripes := make([]furthestRow, len(scratch))
 	for w := range stripes {
 		stripes[w].d = -1
