@@ -71,18 +71,20 @@ cover:
 # The distance-kernel suite: the matrix build from kernel rows vs the naive
 # build, LOCALSEARCH on matrix rows vs generic calls, the incremental LOCALSEARCH
 # kernel, BestOf racing over the label kernel vs the matrix, and the label-kernel
-# sampling assignment vs the test-only probing reference; then the
+# sampling assignment vs the test-only probing reference, and the objective
+# and its lower bound (Census, and the planted recipe whose clean row pairs
+# the lower bound counts by input subset); then the
 # corrclust algorithms against their test-only oracles (AGGLOMERATIVE vs
 # the lazy-heap loop, FURTHEST's reads per run, the incremental LOCALSEARCH
 # kernel vs the reference sweep). See docs/PERFORMANCE.md for how to read
 # the numbers.
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$' -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$|BenchmarkObjective$$' -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkAgglomerative$$|BenchmarkFurthest$$|BenchmarkLocalSearch$$' -benchmem ./internal/corrclust/
 
 # One iteration of both suites, as a fast correctness smoke test.
 bench-short:
-	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$' -benchtime 1x -benchmem ./internal/core/
+	$(GO) test -run xxx -bench 'BenchmarkMaterialize$$|BenchmarkLocalSearchMatrix$$|BenchmarkLocalSearchIncremental$$|BenchmarkBestOf$$|BenchmarkSampleAssign$$|BenchmarkSampleLarge$$|BenchmarkObjective$$' -benchtime 1x -benchmem ./internal/core/
 	$(GO) test -run xxx -bench 'BenchmarkAgglomerative$$|BenchmarkFurthest$$|BenchmarkLocalSearch$$' -benchtime 1x -benchmem ./internal/corrclust/
 
 # The allocation-pin suite: testing.AllocsPerRun assertions that the hot
@@ -159,8 +161,8 @@ experiments-full:
 # Short fuzzing passes over the CSV loader, partition invariants, the label
 # kernel against the []int pair loop at both label widths (uint8 and
 # int32), the materialized matrix against Dist, the contingency-table
-# objective and distinct-row lower bound against the pair scans,
-# incremental FURTHEST against its full-Cost reference, AGGLOMERATIVE's
+# objective and distinct-row lower bound against the pair scans, the lower
+# bound's subset counting against its pair sweep, incremental FURTHEST against its full-Cost reference, AGGLOMERATIVE's
 # cached-neighbor loop against its lazy-heap reference, SAMPLING's
 # twin-memoized assignment against the probing reference, and AggregateCSV
 # from raw bytes (a defined error or the table reference's valid labeling
@@ -172,6 +174,7 @@ fuzz:
 	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzMaterialize -fuzz FuzzMaterialize -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzObjectiveExact -fuzz FuzzObjectiveExact -fuzztime 30s ./internal/core/
+	$(GO) test -run FuzzLowerBoundCounting -fuzz FuzzLowerBoundCounting -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzFurthestIncremental -fuzz FuzzFurthestIncremental -fuzztime 30s ./internal/corrclust/
 	$(GO) test -run FuzzAgglomerative -fuzz FuzzAgglomerative -fuzztime 30s ./internal/corrclust/
 	$(GO) test -run FuzzSampleAssignMemo -fuzz FuzzSampleAssignMemo -fuzztime 30s ./internal/core/

@@ -161,7 +161,11 @@ type CSVResult struct {
 	// Class holds the class column's labels when one was designated.
 	Class Labels
 	// Disagreement and LowerBound are the objective value and its trivial
-	// lower bound (unordered-pair scale).
+	// lower bound (unordered-pair scale), from Problem.Disagreement and
+	// Problem.LowerBound. LowerBound counts the pairs of complete rows by
+	// attribute subset, O(2^m·G) over the G distinct rows, when a cost
+	// model puts that below their O(G²) sweep; either way the value is the
+	// same.
 	Disagreement float64
 	LowerBound   float64
 	// Attributes is the number of categorical attributes used.

@@ -467,6 +467,10 @@ func runArtifact(artifact string, cfg experiments.Config, plot, asJSON bool, rep
 			m[prefix+"seconds"] = p.Duration.Seconds()
 			m[prefix+"clusters"] = float64(p.KFound)
 			m[prefix+"rand_index"] = p.Rand
+			m[prefix+"disagreement"] = p.Disagreement
+			m[prefix+"lower_bound"] = p.LowerBound
+			m[prefix+"objective_ratio"] = p.Disagreement / p.LowerBound
+			m[prefix+"objective_seconds"] = p.ObjectiveDuration.Seconds()
 			// Ratio-gated by benchdiff (the *alloc_bytes suffix), not
 			// exact-compared: allocation totals drift run to run.
 			m[prefix+"alloc_bytes"] = float64(p.AllocBytes)

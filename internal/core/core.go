@@ -219,9 +219,13 @@ func (p *Problem) Clusterings() []partition.Labels {
 
 // LowerBound returns m · Σ_{u<v} min(X_uv, 1−X_uv), a lower bound on the
 // disagreement of every possible clustering (the "Lower bound" rows of
-// Tables 2 and 3). It sweeps the G(G+1)/2 pairs of the G distinct label
-// rows instead of all object pairs, O(n·m + G²·m), on GOMAXPROCS workers;
-// the result does not depend on the worker count.
+// Tables 2 and 3). It works over the G distinct label rows instead of the
+// objects, on GOMAXPROCS workers, and the result does not depend on the
+// worker count. Under uniform weights and the coin model, the pairs of
+// rows without a missing label are counted by input subset in O(2^m·G)
+// when a cost model puts that below the O(G²) sweep of those pairs (when
+// 6·2^m < G); every other pair is swept, O(n·m + G²·m) in all. Both paths
+// give the same bits.
 func (p *Problem) LowerBound() float64 {
 	return p.lowerBound(0)
 }

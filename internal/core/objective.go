@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"clusteragg/internal/corrclust"
 	"clusteragg/internal/obs"
@@ -31,23 +32,34 @@ import (
 // labels present it keeps the O(n²·m) pair scan.
 //
 // LowerBound. X_uv depends only on the label rows of u and v, so objects
-// with identical rows are interchangeable: the bound sweeps the G·(G+1)/2
-// pairs of distinct rows, each weighted by c_g·c_h (or C(c_g,2) within a
-// group), instead of the n(n−1)/2 object pairs. Under the coin model with
-// uniform weights a pair's term depends only on (s, q), the number of inputs that separate
-// it and the number missing a label on it, so the sweep fills an integer
-// histogram over (s, q) and applies min(x, m−x) once per cell at the end.
-// Integer histograms merge in any order, so the sweep is striped over
-// GOMAXPROCS workers and stays bit-identical at every worker count. With
-// weights or under MissingAverage, each group's partial sum is computed by
-// one worker and the partials are reduced in group order, which is again
+// with identical rows are interchangeable: the bound works over the G
+// distinct rows, each carried by c_g objects, instead of the n objects.
+// Under the coin model with uniform weights a pair's term depends only on
+// (s, q), the number of inputs that separate it and the number missing a
+// label on it, so the bound fills an integer histogram over (s, q) and
+// applies min(x, m−x) once per cell at the end. Pairs with a row missing a
+// label are swept: each of those G·(G+1)/2 row pairs weighs c_g·c_h (or
+// C(c_g,2) within a row). Pairs of clean rows (q = 0) take one of two
+// paths, chosen by a cost model (countCheaper):
+//   - the sweep, G_clean²/2 row comparisons a word of lanes at a time;
+//   - subset counting, at most 2^m·G_clean row merges: for every subset A
+//     of the inputs, the pairs that agree on all of A are Σ C(c,2) over the
+//     classes of the rows projected on A, and a superset Möbius transform
+//     turns "agree on at least A" into "agree on exactly A", s = m − |A|.
+//
+// Both fill the histogram with the same integers. Integer histograms merge
+// in any order, so the work is split over GOMAXPROCS workers and stays
+// bit-identical at every worker count. With weights or under
+// MissingAverage, each group's partial sum is computed by one worker and
+// the partials are reduced in group order, which is again
 // worker-independent.
 //
 // Exactness. Under the coin model with uniform weights and p ∈ {0, ½, 1}
 // every term is a multiple of ½, so both values are exact in float64
 // (below 2⁵³) and LowerBound ≤ Disagreement holds bit for bit.
 // FuzzObjectiveExact pins both against the pair scans in corrclust at
-// every storage width.
+// every storage width, and FuzzLowerBoundCounting pins the counted
+// histogram to the swept one, cell for cell.
 
 // Disagreement returns the (expected) total number of unordered-pair
 // disagreements D(C) = Σ_i d_V(C_i, C) between labels and the inputs. This
@@ -308,7 +320,8 @@ func lowerBoundW[W labelWord](p *Problem, lab []W, workers int) float64 {
 	average := p.average && p.anyMiss
 
 	if p.uniform && !average && m <= histMaxM {
-		hist := laneRows(p, lab, g).histogram(workers)
+		l := laneRows(p, lab, g)
+		hist := l.histogram(workers, l.countCheaper())
 		// A pair's term on the W = m scale is min(x, m−x), x = s + (1−p)·q.
 		tw, missW := float64(m), p.missW[0]
 		var lb float64
@@ -483,9 +496,11 @@ func (l *lanes) sepMiss(a, b []uint64) (s, q int) {
 // histograms of their own over interleaved rows and the integer sums merge
 // in any order, so the result does not depend on the worker count.
 //
-// Pairs of clean rows have q = 0; they take a loop without missing masks
-// that tallies one row's partners by s before weighting them by its count.
-func (l *lanes) histogram(workers int) []int64 {
+// Pairs of clean rows have q = 0. With bySubset set they are counted by
+// input subset (countClean); otherwise they take a loop without missing
+// masks that tallies one row's partners by s before weighting them by its
+// count. Both fill the same cells with the same integers.
+func (l *lanes) histogram(workers int, bySubset bool) []int64 {
 	m, per, groups, clean := l.m, l.per, len(l.count), l.clean
 	words, count, low, high := l.words, l.count, l.low, l.high
 	hists := make([][]int64, workers)
@@ -494,7 +509,15 @@ func (l *lanes) histogram(workers int) []int64 {
 		bySep := make([]int64, m+1) // clean partners of row a, by s
 		for a := stripe; a < groups; a += workers {
 			ra, ca := words[a*per:(a+1)*per], count[a]
-			if a < clean {
+			switch {
+			case a >= clean:
+				q := 0
+				for _, x := range ra {
+					q += bits.OnesCount64(l.missing(x))
+				}
+				hist[q] += pairs64(ca)
+			case bySubset: // countClean adds these pairs below
+			default:
 				clear(bySep)
 				partners := count[a+1 : clean]
 				if per == 1 {
@@ -511,12 +534,6 @@ func (l *lanes) histogram(workers int) []int64 {
 				for s, c := range bySep {
 					hist[s*(m+1)] += ca * c
 				}
-			} else {
-				q := 0
-				for _, x := range ra {
-					q += bits.OnesCount64(l.missing(x))
-				}
-				hist[q] += pairs64(ca)
 			}
 			for b := max(a+1, clean); b < groups; b++ {
 				s, q := l.sepMiss(ra, words[b*per:(b+1)*per])
@@ -530,7 +547,202 @@ func (l *lanes) histogram(workers int) []int64 {
 			hists[0][c] += cnt
 		}
 	}
+	if bySubset {
+		l.countClean(workers, hists[0])
+	}
 	return hists[0]
+}
+
+// countCost is the cost model's c. countClean merges at most 2^m·G rows
+// for the G clean distinct rows, hashing and comparing each a word at a
+// time; the sweep compares G²/2 row pairs, a word at a time too. Counting
+// is cheaper when c·2^m·G·per < G²/2·per, that is when 2c·2^m < G, c being
+// the cost of one row merge against one row comparison, per word. Timing
+// histogram with and without counting on one worker of a 2-vCPU Intel
+// Xeon gave c = 3.6 on the Census stand-in (m = 8, G = 6 713, one word a
+// row), 3.2 on the huge recipe at 200 000 rows (m = 6, G = 27 631), and
+// 1.9–2.5 at 2, 4 or 5 words a row (m = 10, or the Census rows at 32-bit
+// lanes).
+const countCost = 3
+
+// countCheaper reports whether countClean undercuts the sweep of the clean
+// row pairs by the cost model above. No row count reaches 6·2^40, and the
+// bound keeps the shift in range.
+func (l *lanes) countCheaper() bool {
+	return l.m < 40 && uint64(2*countCost)<<l.m < uint64(l.clean)
+}
+
+// countClean adds the pairs of distinct clean rows to hist[s*(m+1)] by
+// column subset. For every subset A of the m columns, agree[A] first counts
+// the pairs of clean objects that agree on every column of A: Σ C(c, 2)
+// over the classes of the rows projected on A, a projection being the lane
+// words ANDed with A's mask. A superset Möbius transform then leaves in
+// agree[A] the pairs whose agreement set is exactly A, which the inputs
+// outside A separate. Pairs of identical rows agree on all m columns; the
+// sweep never counts them, and their cell, the full set, is skipped. Every
+// intermediate value is a pair count in [0, C(n,2)], so nothing overflows.
+func (l *lanes) countClean(workers int, hist []int64) {
+	m, full := l.m, 1<<l.m-1
+	agree := make([]int64, 1<<m)
+	for _, c := range l.count[:l.clean] {
+		agree[full] += pairs64(c)
+	}
+	all := make([]uint64, l.per)
+	for j := 0; j < m; j++ {
+		k, lane := l.laneMask(j)
+		all[k] |= lane
+	}
+	// The subsets without column j but with every column before it form
+	// the subtree below dropping j, 2^(m−1−j) subsets; up to m workers,
+	// each with its own O(G) walk, take the next subtree, largest first,
+	// as they free up. Every agree[A] is written by one subtree.
+	var next atomic.Int64
+	stripes("lowerbound", min(workers, m), func(int) {
+		w := newSubsetWalk(l, agree)
+		for j := int(next.Add(1) - 1); j < m; j = int(next.Add(1) - 1) {
+			w.drop(0, full, j, l.clean, all)
+		}
+	})
+	for i := 0; i < m; i++ {
+		bit := 1 << i
+		for a := range agree {
+			if a&bit == 0 {
+				agree[a] -= agree[a|bit]
+			}
+		}
+	}
+	for a, c := range agree[:full] {
+		hist[(m-bits.OnesCount(uint(a)))*(m+1)] += c
+	}
+}
+
+// class is one class of a projection: the rows it merges share row rep's
+// projection, and count objects carry them.
+type class struct{ rep, count int32 }
+
+// subsetWalk visits column subsets depth first, dropping one column per
+// level in increasing column order, so every subset but the full set is
+// reached once, from the subset with one more column. Its classes merge
+// the parent's in place: the subset at depth d owns cls[:n_d], its
+// survivors first, and the classes it merged away stay behind them, at
+// positions no deeper subset touches, until the parent's counts are given
+// back. One walk per worker; its scratch is O(G), whatever the depth.
+type subsetWalk struct {
+	l     *lanes
+	agree []int64
+	cls   []class  // the classes of the current subset first
+	into  []int32  // for a class merged away at position i, the rep it merged into
+	pos   []int32  // pos[rep] is the position of class rep in cls
+	slots []int32  // open-addressing table: position + 1; 0 is empty
+	mask  []uint64 // the lane mask at each depth, per words each
+}
+
+func newSubsetWalk(l *lanes, agree []int64) *subsetWalk {
+	w := &subsetWalk{
+		l:     l,
+		agree: agree,
+		cls:   make([]class, l.clean),
+		into:  make([]int32, l.clean),
+		pos:   make([]int32, l.clean),
+		slots: make([]int32, 2<<bits.Len(uint(l.clean))),
+		mask:  make([]uint64, l.m*l.per),
+	}
+	for g := range w.cls {
+		w.cls[g] = class{rep: int32(g), count: int32(l.count[g])}
+		w.pos[g] = int32(g)
+	}
+	return w
+}
+
+// drop visits subset a without column j, at depth d+1, from a's n classes
+// and lane mask, then the subsets below it that drop later columns, and
+// leaves a's classes as it found them, up to their order.
+func (w *subsetWalk) drop(d, a, j, n int, parentMask []uint64) {
+	l := w.l
+	mask := w.mask[d*l.per : (d+1)*l.per]
+	copy(mask, parentMask)
+	k, lane := l.laneMask(j)
+	mask[k] &^= lane
+	keep, pairs := w.merge(n, mask)
+	a &^= 1 << j
+	w.agree[a] = pairs
+	for i := j + 1; i < l.m; i++ {
+		w.drop(d+1, a, i, keep, mask)
+	}
+	for i := keep; i < n; i++ {
+		w.cls[w.pos[w.into[i]]].count -= w.cls[i].count
+	}
+}
+
+// laneMask returns the word and the bits of column j's lane.
+func (l *lanes) laneMask(j int) (int, uint64) {
+	perWord := 64 / l.bits
+	return j / perWord, (uint64(1)<<l.bits - 1) << (l.bits * (j % perWord))
+}
+
+// hashMul is the 64-bit golden-ratio multiplier of Fibonacci hashing. The
+// table indexes by the product's top bits: the lanes of a short row sit in
+// the low bytes of its word, and low bits of a product depend only on low
+// bits of the key.
+const hashMul = 0x9E3779B97F4A7C15
+
+// merge groups cls[:n] by their rows' projection under mask: it moves one
+// survivor per group to the front, adds the others' counts to it, and
+// returns the number of survivors with Σ C(c, 2) over the groups,
+// accumulated as C(a+b, 2) = C(a, 2) + C(b, 2) + a·b on every merge. The
+// table has at least 2n slots; only that prefix is used and cleared.
+func (w *subsetWalk) merge(n int, mask []uint64) (keep int, pairs int64) {
+	words, per, cls := w.l.words, w.l.per, w.cls
+	used := bits.Len(uint(n)) + 1
+	shift, wrap := 64-used, uint64(1)<<used-1
+	slots := w.slots[:wrap+1]
+	m0 := mask[0]
+	for i, c := range cls[:n] {
+		// p is c's group's slot, or the empty slot that starts it. One
+		// word a row compares the masked words themselves.
+		var p uint64
+		if per == 1 {
+			key := words[c.rep] & m0
+			for p = key * hashMul >> shift; slots[p] != 0 && words[cls[slots[p]-1].rep]&m0 != key; p = (p + 1) & wrap {
+			}
+		} else {
+			row := words[int(c.rep)*per:][:per]
+			var h uint64
+			for k, x := range row {
+				h = (h ^ x&mask[k]) * hashMul
+			}
+			for p = h >> shift; slots[p] != 0 && !sameUnder(words[int(cls[slots[p]-1].rep)*per:][:per], row, mask); p = (p + 1) & wrap {
+			}
+		}
+		if s := slots[p]; s != 0 {
+			o := &cls[s-1]
+			pairs += int64(o.count) * int64(c.count)
+			o.count += c.count
+			w.into[i] = o.rep
+		} else {
+			// cls[keep] was merged away (or is c): swap it behind.
+			// pos follows every class moved, merged away or not: each is a
+			// class of the parent subset, which finds it through pos when
+			// it gives its own counts back.
+			slots[p] = int32(keep) + 1
+			cls[i], cls[keep], w.into[i] = cls[keep], c, w.into[keep]
+			w.pos[cls[i].rep], w.pos[c.rep] = int32(i), int32(keep)
+			keep++
+		}
+		pairs += pairs64(int64(c.count))
+	}
+	clear(slots)
+	return keep, pairs
+}
+
+// sameUnder reports whether rows a and b agree on every lane of mask.
+func sameUnder(a, b, mask []uint64) bool {
+	for k, x := range a {
+		if (x^b[k])&mask[k] != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // pairTerm returns W·min(X, 1−X) for two label rows: under the coin model

@@ -4,17 +4,19 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"clusteragg/internal/corrclust"
+	"clusteragg/internal/dataset"
 	"clusteragg/internal/partition"
 )
 
 // FuzzObjectiveExact pins the contingency-table Disagreement and the
 // distinct-row LowerBound to the O(n²) pair scans in corrclust, across
 // both missing modes, p ∈ {0, 0.3, ½, 1}, uniform and random weights,
-// problems from NewProblem and from either builder mode, and kernels at
-// widths 8, 16 and 32:
+// problems from NewProblem and from either builder mode, and label blocks
+// at widths 8 and 32:
 //   - Disagreement = corrclust.Cost(kernel, ·)·W within 1e-9 relative, and
 //     bit-identical across widths;
 //   - LowerBound = refLowerBound(kernel)·W within 1e-9 relative;
@@ -212,4 +214,101 @@ func TestDisagreementLengthMismatch(t *testing.T) {
 			prob.Disagreement(labels)
 		}()
 	}
+}
+
+// problemLanes packs p's distinct label rows as LowerBound does.
+func problemLanes(p *Problem) *lanes {
+	if p.width == width8 {
+		return laneRows(p, p.lab8, groupRows(p, p.lab8))
+	}
+	return laneRows(p, p.lab32, groupRows(p, p.lab32))
+}
+
+// FuzzLowerBoundCounting pins LowerBound's subset counting of the clean
+// row pairs to the pair sweep: the (s, q) histogram with the clean pairs
+// counted equals the swept one cell for cell, at widths 8 and 32 (several
+// words per row once m exceeds a word's lanes), with and without rows
+// missing a label, at 1, 2 and 4 workers.
+func FuzzLowerBoundCounting(f *testing.F) {
+	f.Add(int64(1), uint8(60), uint8(5), uint8(0), uint8(4), false)
+	f.Add(int64(2), uint8(120), uint8(11), uint8(2), uint8(3), true)
+	f.Add(int64(3), uint8(90), uint8(9), uint8(1), uint8(2), false)
+	f.Add(int64(4), uint8(200), uint8(3), uint8(3), uint8(2), true)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, missRaw, labRaw uint8, wide bool) {
+		n := 2 + int(nRaw)%199
+		m := 1 + int(mRaw)%12
+		labels := 1 + int(labRaw)%5
+		missing := []float64{0, 0, 0.02, 0.2}[missRaw%4]
+		rng := rand.New(rand.NewSource(seed))
+		cs := make([]partition.Labels, m)
+		for i := range cs {
+			cs[i] = make(partition.Labels, n)
+			for v := range cs[i] {
+				if rng.Float64() < missing {
+					cs[i][v] = partition.Missing
+				} else {
+					cs[i][v] = rng.Intn(labels)
+				}
+			}
+		}
+		prob, err := NewProblem(cs, ProblemOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wide {
+			prob = widened(prob)
+		}
+		l := problemLanes(prob)
+		want := l.histogram(1, false)
+		for _, workers := range []int{1, 2, 4} {
+			for _, bySubset := range []bool{false, true} {
+				got := l.histogram(workers, bySubset)
+				if !slices.Equal(got, want) {
+					t.Fatalf("workers=%d bySubset=%v (m=%d width=%d per=%d clean=%d of %d rows):\n got %v\nwant %v",
+						workers, bySubset, m, prob.width, l.per, l.clean, len(l.count), got, want)
+				}
+			}
+		}
+	})
+}
+
+// TestLowerBoundPathChoice pins where the cost model sends the clean row
+// pairs on the shapes the benchmarks run: the huge ladder's recipe (m = 6,
+// its smallest rung) and the Census stand-in (m = 8, 16 000 rows) count;
+// the 2 000-row Mushrooms shape (m = 22) sweeps.
+func TestLowerBoundPathChoice(t *testing.T) {
+	census, err := dataset.SyntheticCensus(1, 16000).Clusterings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab := dataset.SyntheticMushrooms(1)
+	mushrooms, err := tab.Subset(rand.New(rand.NewSource(1)).Perm(tab.N())[:2000]).Clusterings()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		p     *Problem
+		count bool
+	}{
+		{"huge recipe n=200000", benchProblemPacked(t, 200_000, 6, 32), true},
+		{"census n=16000", mustProblem(t, census), true},
+		{"mushrooms n=2000", mustProblem(t, mushrooms), false},
+	} {
+		l := problemLanes(c.p)
+		if got := l.countCheaper(); got != c.count {
+			t.Errorf("%s (m=%d, %d clean of %d distinct rows): counting chosen %v, want %v",
+				c.name, c.p.m, l.clean, len(l.count), got, c.count)
+		}
+	}
+}
+
+// mustProblem builds the problem over cs with default options.
+func mustProblem(t *testing.T, cs []partition.Labels) *Problem {
+	t.Helper()
+	p, err := NewProblem(cs, ProblemOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }

@@ -334,10 +334,11 @@ func TestAutoSampleSize(t *testing.T) {
 // returned clustering must be bit-identical for every worker count — on
 // instances with missing values and non-uniform weights, under both missing
 // modes and both assignment paths. Each instance is also rebuilt with its
-// labels injectively widened past the uint8 and uint16 packings: the kernel
-// width changes no distance, so the clustering must not change either. The
-// duplicate-heavy family makes most rows twins, so the twin memo must also
-// hash and compare rows consistently at every width.
+// labels injectively widened past the uint8 packing (×300 and ×70000, both
+// packed at int32): the kernel width changes no distance, so the
+// clustering must not change either. The duplicate-heavy family makes most
+// rows twins, so the twin memo must also hash and compare rows consistently
+// at every width.
 func TestSampleWorkersIdentical(t *testing.T) {
 	for _, fam := range []struct {
 		seed       int64

@@ -330,6 +330,29 @@ func TestIngestThroughput(t *testing.T) {
 	}
 }
 
+// TestHugeObjective: every rung of the huge ladder reports the objective
+// of its result and the lower bound, with 0 < LowerBound ≤ Disagreement,
+// timed apart from the rung's Duration.
+func TestHugeObjective(t *testing.T) {
+	cfg := fastCfg()
+	cfg.HugeSizes = []int{3000, 6000}
+	res, err := HugeScaling(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range res.Points {
+		if !(p.LowerBound > 0 && p.LowerBound <= p.Disagreement) {
+			t.Errorf("n=%d: lower bound %v, disagreement %v", p.N, p.LowerBound, p.Disagreement)
+		}
+		if p.ObjectiveDuration <= 0 {
+			t.Errorf("n=%d: objective not timed", p.N)
+		}
+	}
+	if !strings.Contains(res.String(), "D/LB") {
+		t.Error("String output missing the objective columns")
+	}
+}
+
 func TestHugeCSVPoint(t *testing.T) {
 	cfg := fastCfg()
 	cfg.HugeSizes = []int{5000}

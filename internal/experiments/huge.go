@@ -24,10 +24,13 @@ import (
 // sizes) are exact, the Rand-index quality metrics are toleranced, and
 // total wall time is ratio-budgeted.
 //
-// Nothing in the sweep may touch an O(n²) path: quality is measured as the
-// Rand index against the planted truth (contingency-table based, O(n)),
-// never by LowerBound, whose sweep is quadratic in the number of distinct
-// label rows.
+// Nothing in the sweep may touch an O(n²) path. Quality is measured twice
+// on every rung: as the Rand index against the planted truth
+// (contingency-table based, O(n)), and as the paper's objective D(C)
+// against LowerBound. Disagreement is O(n·m); on this recipe (m = 6
+// inputs, no missing labels) LowerBound counts the distinct-row pairs by
+// input subset in O(2^m·G) instead of sweeping them in O(G²), a choice
+// core's TestLowerBoundPathChoice pins for the recipe's smallest rung.
 
 // DefaultHugeSizes is the "huge" artifact's object-count ladder — the
 // measured n-scaling table in docs/PERFORMANCE.md comes from exactly this
@@ -48,8 +51,16 @@ type HugePoint struct {
 	KFound int
 	// Rand is the Rand index against the planted truth — the O(n) quality
 	// proxy.
-	Rand     float64
-	Duration time.Duration
+	Rand float64
+	// Disagreement is the result's objective D(C) and LowerBound the
+	// trivial lower bound on every clustering's D (unordered-pair scale);
+	// D/LB bounds how far the result is from the optimum.
+	Disagreement, LowerBound float64
+	// ObjectiveDuration times Disagreement and LowerBound together. It is
+	// not part of Duration, which times the sampling run and the Rand
+	// index alone.
+	ObjectiveDuration time.Duration
+	Duration          time.Duration
 	// PerObject is the end-to-end time per object; flat values across the
 	// ladder are the linearity claim.
 	PerObject time.Duration
@@ -151,8 +162,9 @@ func HugeScaling(cfg Config) (*HugeResult, error) {
 			return nil, err
 		}
 		p := HugePoint{N: n}
-		p.Duration, err = timeIt(func() error {
-			labels, err := problem.Sample(core.MethodFurthest,
+		var labels partition.Labels
+		p.Duration, err = timeIt(func() (err error) {
+			labels, err = problem.Sample(core.MethodFurthest,
 				core.AggregateOptions{Workers: cfg.Workers, Recorder: cfg.Recorder},
 				core.SamplingOptions{Rand: rand.New(rand.NewSource(cfg.seed()))})
 			if err != nil {
@@ -168,10 +180,15 @@ func HugeScaling(cfg Config) (*HugeResult, error) {
 		p.PerObject = p.Duration / time.Duration(n)
 		runtime.ReadMemStats(&ms)
 		p.AllocBytes = ms.TotalAlloc - allocStart
+		start := time.Now()
+		p.Disagreement = problem.Disagreement(labels)
+		p.LowerBound = problem.LowerBound()
+		p.ObjectiveDuration = time.Since(start)
 		res.Points = append(res.Points, p)
 		if !cfg.Quiet {
-			fmt.Printf("  huge: n=%d done in %.2fs (k=%d rand=%.4f alloc=%.1fMB)\n",
-				n, p.Duration.Seconds(), p.KFound, p.Rand, float64(p.AllocBytes)/(1<<20))
+			fmt.Printf("  huge: n=%d done in %.2fs (k=%d rand=%.4f alloc=%.1fMB), objective in %.2fs (D/LB=%.4f)\n",
+				n, p.Duration.Seconds(), p.KFound, p.Rand, float64(p.AllocBytes)/(1<<20),
+				p.ObjectiveDuration.Seconds(), p.Disagreement/p.LowerBound)
 		}
 	}
 	csvRows := cfg.HugeCSVRows
@@ -282,12 +299,13 @@ func hugeCSV(cfg Config, rows int) (*HugeCSVPoint, error) {
 func (r *HugeResult) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Huge — SAMPLING scaling, m=%d inputs, packed label kernel\n", r.M)
-	fmt.Fprintf(&b, "%12s %8s %10s %14s %10s %8s\n",
-		"n", "k", "time(s)", "ns-per-object", "alloc(MB)", "RI")
+	fmt.Fprintf(&b, "%12s %8s %10s %14s %10s %8s %16s %16s %8s %8s\n",
+		"n", "k", "time(s)", "ns-per-object", "alloc(MB)", "RI", "D", "LB", "D/LB", "obj(s)")
 	for _, p := range r.Points {
-		fmt.Fprintf(&b, "%12d %8d %10.2f %14d %10.1f %8.4f\n",
+		fmt.Fprintf(&b, "%12d %8d %10.2f %14d %10.1f %8.4f %16.0f %16.0f %8.4f %8.2f\n",
 			p.N, p.KFound, p.Duration.Seconds(), p.PerObject.Nanoseconds(),
-			float64(p.AllocBytes)/(1<<20), p.Rand)
+			float64(p.AllocBytes)/(1<<20), p.Rand, p.Disagreement, p.LowerBound,
+			p.Disagreement/p.LowerBound, p.ObjectiveDuration.Seconds())
 	}
 	if c := r.CSV; c != nil {
 		fmt.Fprintf(&b, "CSV end-to-end n=%d (%.1f MB): table %.2fs, streamed %.2fs, k=%d, alloc=%.1fMB, RI=%.4f\n",
