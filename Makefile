@@ -130,7 +130,10 @@ fuzz-localsearch:
 	$(GO) test -run FuzzLocalSearchIncremental -fuzz FuzzLocalSearchIncremental -fuzztime 30s ./internal/corrclust/
 
 # Fuzz the columnar label kernel's DistRowTo and Dist against the test-only
-# []int pair loop (refDist in internal/core/reference_test.go).
+# []int pair loop (refDist in internal/core/reference_test.go): bit for bit
+# under MissingAverage and at p ∈ {0, ¼, ½, ¾, 1}, within 1e-12 relative at
+# an arbitrary p (where the loop's float sum depends on the input order);
+# DistRowTo equals Dist bit for bit at every p.
 fuzz-kernel:
 	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/
 
@@ -159,22 +162,27 @@ experiments-full:
 	$(GO) run ./cmd/experiments -full all
 
 # Short fuzzing passes over the CSV loader, partition invariants, the label
-# kernel against the []int pair loop at both label widths (uint8 and
-# int32), the materialized matrix against Dist, the contingency-table
-# objective and distinct-row lower bound against the pair scans, the lower
-# bound's subset counting against its pair sweep, incremental FURTHEST against its full-Cost reference, AGGLOMERATIVE's
-# cached-neighbor loop against its lazy-heap reference, SAMPLING's
-# twin-memoized assignment against the probing reference, and AggregateCSV
-# from raw bytes (a defined error or the table reference's valid labeling
-# at every Workers setting).
+# kernel against the []int pair loop (bit for bit under MissingAverage and
+# at p ∈ {0, ¼, ½, ¾, 1}, within 1e-12 relative elsewhere), the uint8
+# block against its int32 re-encoding (bit for bit), the materialized
+# matrix against Dist (bit for bit), the contingency-table objective and
+# distinct-row lower bound against the pair scans, the lower bound's
+# subset counting against its pair sweep, the incremental LOCALSEARCH
+# kernel against its reference sweep, incremental FURTHEST against its
+# full-Cost reference, AGGLOMERATIVE's cached-neighbor loop against its
+# lazy-heap reference, SAMPLING's twin-memoized assignment against the
+# probing reference, and AggregateCSV from raw bytes (a defined error or
+# the table reference's valid labeling at every Workers setting).
 fuzz:
 	$(GO) test -run '^FuzzReadCSV$$' -fuzz '^FuzzReadCSV$$' -fuzztime 30s ./internal/dataset/
 	$(GO) test -run FuzzNormalize -fuzz FuzzNormalize -fuzztime 30s ./internal/partition/
 	$(GO) test -run FuzzDistance -fuzz FuzzDistance -fuzztime 30s ./internal/partition/
 	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/
+	$(GO) test -run FuzzLabelKernelWidths -fuzz FuzzLabelKernelWidths -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzMaterialize -fuzz FuzzMaterialize -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzObjectiveExact -fuzz FuzzObjectiveExact -fuzztime 30s ./internal/core/
 	$(GO) test -run FuzzLowerBoundCounting -fuzz FuzzLowerBoundCounting -fuzztime 30s ./internal/core/
+	$(GO) test -run FuzzLocalSearchIncremental -fuzz FuzzLocalSearchIncremental -fuzztime 30s ./internal/corrclust/
 	$(GO) test -run FuzzFurthestIncremental -fuzz FuzzFurthestIncremental -fuzztime 30s ./internal/corrclust/
 	$(GO) test -run FuzzAgglomerative -fuzz FuzzAgglomerative -fuzztime 30s ./internal/corrclust/
 	$(GO) test -run FuzzSampleAssignMemo -fuzz FuzzSampleAssignMemo -fuzztime 30s ./internal/core/

@@ -39,7 +39,7 @@ func RandIndex(a, b Labels) (float64, error) { return partition.RandIndex(a, b) 
 // Problem is a clustering-aggregation instance over m input clusterings.
 type Problem = core.Problem
 
-// ProblemOptions configures NewProblem (missing-value model, weights).
+// ProblemOptions configures NewProblem (the missing-value model).
 type ProblemOptions = core.ProblemOptions
 
 // NewProblem validates the input clusterings and builds an aggregation

@@ -18,7 +18,7 @@ func scanBest(p *Problem) (partition.Labels, int, float64) {
 	var best partition.Labels
 	for i, c := range p.Clusterings() {
 		cand := completeMissing(c)
-		d := p.totalWeight * corrclust.Cost(p, cand)
+		d := float64(p.M()) * corrclust.Cost(p, cand)
 		if bestIdx == -1 || d < bestD {
 			bestIdx, bestD, best = i, d, cand
 		}
@@ -33,8 +33,9 @@ func closeRel(a, b float64) bool {
 
 // TestBestClusteringFastMatchesSlow: BESTCLUSTERING's (labels, index,
 // disagreement) through the contingency-table objective equals the argmin
-// by the O(m·n²) pair scan, with and without missing values, weighted and
-// uniform, on problems from NewProblem and from either builder mode. The
+// by the O(m·n²) pair scan, with and without missing values, at p = ½ and
+// 0.3 and under MissingAverage, on problems from NewProblem and from
+// either builder mode. The
 // index may differ only between candidates the scan scores equal within
 // float tolerance.
 func TestBestClusteringFastMatchesSlow(t *testing.T) {
@@ -45,14 +46,10 @@ func TestBestClusteringFastMatchesSlow(t *testing.T) {
 		missing := []float64{0, 0.15, 0.4}[trial%3]
 		var opts ProblemOptions
 		if trial%2 == 1 {
-			w := make([]float64, m)
-			for i := range w {
-				w[i] = 0.5 + rng.Float64()*3
-			}
-			opts.Weights = w
+			opts.MissingTogether = 0.3
 		}
 		if trial%5 == 4 {
-			opts.MissingTogether = 0.3
+			opts.MissingMode = MissingAverage
 		}
 		p := randMixedProblem(t, rng, n, m, missing, opts)
 		for _, prob := range []*Problem{p, packedTwin(t, p, trial%4 < 2)} {
@@ -65,7 +62,7 @@ func TestBestClusteringFastMatchesSlow(t *testing.T) {
 				t.Fatalf("trial %d: returned %v but Disagreement of the labels is %v", trial, gotD, prob.Disagreement(gotL))
 			}
 			if gotI != wantI {
-				scanGot := prob.totalWeight * corrclust.Cost(prob, completeMissing(prob.Clusterings()[gotI]))
+				scanGot := float64(prob.M()) * corrclust.Cost(prob, completeMissing(prob.Clusterings()[gotI]))
 				if !closeRel(scanGot, wantD) {
 					t.Fatalf("trial %d: picked %d (scan %v), scan argmin %d (%v)", trial, gotI, scanGot, wantI, wantD)
 				}
@@ -128,7 +125,7 @@ func BenchmarkBestClustering(b *testing.B) {
 
 // TestBestClusteringWorkersIdentical: Aggregate(MethodBest) returns the
 // scan-based argmin's labels at every Workers count, with and without
-// missing values, weighted and uniform.
+// missing values, at p = ½ and 0.3.
 func TestBestClusteringWorkersIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 8; trial++ {
@@ -136,11 +133,7 @@ func TestBestClusteringWorkersIdentical(t *testing.T) {
 		m := 8 + rng.Intn(8)
 		var opts ProblemOptions
 		if trial%2 == 1 {
-			w := make([]float64, m)
-			for i := range w {
-				w[i] = 0.5 + rng.Float64()*3
-			}
-			opts.Weights = w
+			opts.MissingTogether = 0.3
 		}
 		p := randMixedProblem(t, rng, n, m, []float64{0, 0.2}[trial/2%2], opts)
 		wantL, wantI, wantD := scanBest(p)

@@ -18,7 +18,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync"
 
 	"clusteragg/internal/obs"
@@ -64,27 +63,18 @@ type Problem struct {
 	packedBlock
 
 	missingP float64
-	// w[i] is clustering i's weight (all 1 under uniform weights); missW[i]
-	// is the premultiplied coin-model missing contribution (1−missingP)·w[i].
-	w, missW    []float64
-	totalWeight float64
-	// uniform reports unit weights: pairs with no missing label take the
-	// integer-count fast path. average selects MissingAverage arithmetic
-	// (see Dist).
-	uniform bool
+	// average selects MissingAverage (see x).
 	average bool
+	// xs memoizes x by (s, q), q-major: xs[q*(m+1)+s] = x(s, q), so a pair
+	// with no missing label reads one of the first m+1 cells. It is built
+	// once in problemOptionsOf and shared with every Problem over derives
+	// from this one; nil when m > histMaxM, where x is evaluated per pair.
+	xs []float64
 
-	// onLanes reports that DistRowTo reads every pair from rows: uniform
-	// weights, and no missing label or the coin model with missHalves
-	// (2(1−missingP), so missingP ∈ {0, ½, 1}) an integer. A pair that s
-	// lanes separate and q lanes miss reads halfDist[2s + missHalves·q],
-	// halfDist[c] = (c/2) / totalWeight. rows and halfDist are built on the
+	// rows holds every object's label row packed into lanes, built on the
 	// first row read (rowsOnce).
-	onLanes    bool
-	missHalves int
-	rowsOnce   sync.Once
-	rows       *lanes
-	halfDist   []float64
+	rowsOnce sync.Once
+	rows     *lanes
 
 	// unpacked holds the []int views Clusterings returns, unpacked from the
 	// block on its first call.
@@ -105,11 +95,6 @@ type ProblemOptions struct {
 	// MissingMode selects the missing-value strategy (MissingCoin, the
 	// paper's adopted model, is the zero value).
 	MissingMode MissingMode
-	// Weights assigns a positive importance to each input clustering; the
-	// objective becomes Σ w_i·d_V(C_i, C) and X_uv the weighted separating
-	// fraction. Nil means uniform weights (the paper's formulation). When
-	// set, the length must match the number of clusterings.
-	Weights []float64
 }
 
 // ErrNoClusterings is returned when a Problem is constructed without inputs.
@@ -138,8 +123,8 @@ func NewProblem(clusterings []partition.Labels, opts ProblemOptions) (*Problem, 
 }
 
 // problemOptionsOf validates the options against m input clusterings and
-// returns a Problem holding only the option-derived fields (missing model,
-// weights, total weight); over builds the Problem over a block from it.
+// returns a Problem holding only m and the option-derived fields (missing
+// model, distance table); over builds the Problem over a block from it.
 func problemOptionsOf(m int, opts ProblemOptions) (*Problem, error) {
 	p := opts.MissingTogether
 	if p == 0 {
@@ -152,54 +137,19 @@ func problemOptionsOf(m int, opts ProblemOptions) (*Problem, error) {
 		return nil, fmt.Errorf("core: unknown MissingMode %d", opts.MissingMode)
 	}
 	prob := &Problem{
+		packedBlock: packedBlock{m: m},
 		missingP:    p,
 		average:     opts.MissingMode == MissingAverage,
-		uniform:     opts.Weights == nil,
-		w:           make([]float64, m),
-		totalWeight: float64(m),
 	}
-	if prob.uniform {
-		for i := range prob.w {
-			prob.w[i] = 1
-		}
-		return prob, nil
-	}
-	if len(opts.Weights) != m {
-		return nil, fmt.Errorf("core: %d weights for %d clusterings", len(opts.Weights), m)
-	}
-	prob.totalWeight = 0
-	for i, w := range opts.Weights {
-		if w <= 0 || math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("core: weight %d is %v, want positive and finite", i, w)
-		}
-		prob.totalWeight += w
-	}
-	copy(prob.w, opts.Weights)
+	prob.xs = prob.distTable()
 	return prob, nil
 }
 
-// over returns a Problem over the block pc under p's options, with the
-// coin-model missing contributions premultiplied (O(m)). NewProblemPacked
-// calls it on the validated options, subProblem on the parent Problem.
+// over returns a Problem over the block pc, with m inputs, under p's
+// options and distance table. NewProblemPacked calls it on the validated
+// options, subProblem on the parent Problem.
 func (p *Problem) over(pc *PackedClusterings) *Problem {
-	q := &Problem{
-		packedBlock: *pc,
-		missingP:    p.missingP,
-		w:           p.w,
-		missW:       make([]float64, pc.m),
-		totalWeight: p.totalWeight,
-		uniform:     p.uniform,
-		average:     p.average,
-	}
-	for i, wi := range q.w {
-		q.missW[i] = (1 - q.missingP) * wi
-	}
-	// Lane reads are exact when a missing lane adds a whole number of
-	// halves, 1−missingP ∈ {0, ½, 1} (see onLanes).
-	h := 2 * (1 - q.missingP)
-	q.missHalves = int(h)
-	q.onLanes = q.uniform && (!q.anyMiss || !q.average && h == float64(q.missHalves))
-	return q
+	return &Problem{packedBlock: *pc, missingP: p.missingP, average: p.average, xs: p.xs}
 }
 
 // Clusterings returns the input clusterings as []int label views, unpacked
@@ -221,11 +171,10 @@ func (p *Problem) Clusterings() []partition.Labels {
 // disagreement of every possible clustering (the "Lower bound" rows of
 // Tables 2 and 3). It works over the G distinct label rows instead of the
 // objects, on GOMAXPROCS workers, and the result does not depend on the
-// worker count. Under uniform weights and the coin model, the pairs of
-// rows without a missing label are counted by input subset in O(2^m·G)
-// when a cost model puts that below the O(G²) sweep of those pairs (when
-// 6·2^m < G); every other pair is swept, O(n·m + G²·m) in all. Both paths
-// give the same bits.
+// worker count. The pairs of rows without a missing label are counted by
+// input subset in O(2^m·G) when a cost model puts that below the O(G²)
+// sweep of those pairs (when 6·2^m < G); every other pair is swept,
+// O(n·m + G²·m) in all. Both paths give the same bits.
 func (p *Problem) LowerBound() float64 {
 	return p.lowerBound(0)
 }
@@ -257,8 +206,8 @@ func completeMissing(labels partition.Labels) partition.Labels {
 // the optimal aggregation.
 //
 // Each candidate is scored by Disagreement, so under the coin model — with
-// or without missing values, weighted or not — the whole search costs
-// O(m²·n) contingency-table passes. Ties go to the lower index.
+// or without missing values — the whole search costs O(m²·n)
+// contingency-table passes. Ties go to the lower index.
 func (p *Problem) BestClustering() (labels partition.Labels, index int, disagreement float64) {
 	return p.bestClustering(nil)
 }

@@ -7,21 +7,20 @@ package core
 //
 // A Problem is itself the correlation-clustering instance of Section 3's
 // reduction. It holds object v's labels at lab[v*m : v*m+m] (the packed
-// block it was built over, aliased zero-copy), per-clustering weights and
-// the coin-model missing contribution premultiplied, and a per-object
-// has-missing flag. Dist evaluates one pair; one-against-many evaluation
-// (DistRowTo, which makes the Problem a corrclust.RowDistancer) streams two
-// contiguous label blocks per pair.
-// Under uniform weights a clean pair collapses to an integer label-mismatch
-// count; in DistRowTo, under uniform weights with no missing label or the
-// coin model at p ∈ {0, ½, 1}, every pair is two popcounts over lane-packed
-// rows (separating and missing lanes), read from a table of exact sums.
-// Every loop performs the same float operations in the same order as the
-// textbook per-clustering []int pair loop (premultiplied products round
-// identically to the inline ones), so kernel distances are bit-identical
-// to it — not merely close. The equivalence
-// tests and FuzzLabelKernelEquiv pin that against a test-only copy of the
-// loop.
+// block it was built over, aliased zero-copy) and a per-object has-missing
+// flag. A pair's distance depends only on two integers: s, the inputs that
+// separate it (both labels present and different), and q, the inputs
+// missing a label on it. x(s, q) is the only place the formula lives, and
+// a table memoizes it. Dist counts (s, q) in one integer label loop;
+// DistRowTo (which makes the Problem a corrclust.RowDistancer) counts them
+// with popcounts over lane-packed rows, a clean pair with one mask; both
+// read the table. Readers differ only in how they count, never in
+// arithmetic, so Dist, DistRowTo and the matrix agree bit for bit. Against
+// the textbook per-clustering []int pair loop (a test-only reference) they
+// are bit-identical under MissingAverage and wherever 1−p is a multiple of
+// ¼; elsewhere the loop's float sum depends on the order of the inputs and
+// the two agree to rounding. The equivalence tests and
+// FuzzLabelKernelEquiv pin both.
 //
 // Width packing: labels are stored at one of two widths — uint8 when every
 // label fits below the byte's sentinel, int32 otherwise — selected by
@@ -31,11 +30,11 @@ package core
 // the O(n·m) assignment scan relative to the int32 layout and keeping the
 // per-clustering co-label histograms cache-resident. Missing labels take
 // the width's all-ones sentinel (0xFF / −1), so uint8 holds labels
-// 0..254 and int32 everything else. Every inner loop (pairDist, DistRowTo,
-// histogram build and evaluation) is a generic function instantiated per
-// width; the float arithmetic is width-independent, so both widths produce
-// bit-identical distances (TestLabelKernelWidthsBitIdentical,
-// FuzzLabelKernelWidths).
+// 0..254 and int32 everything else. Every inner loop (Dist, the lane
+// packing, histogram build and evaluation) is a generic function
+// instantiated per width; the float arithmetic is width-independent, so
+// both widths produce bit-identical distances
+// (TestLabelKernelWidthsBitIdentical, FuzzLabelKernelWidths).
 //
 // On top of the kernel, SAMPLING's assignment phase (sampling.go) replaces
 // its O(m·s) per-object probing with O(m·k) co-label histograms: for each
@@ -78,6 +77,53 @@ func widthFor(bound int32) int {
 	return width32
 }
 
+// x returns X_uv for a pair of objects that s inputs separate (both labels
+// present and different) and q miss a label on (either label missing):
+// (s + (1−p)·q)/m under the coin model, s/(m−q) under MissingAverage, and
+// ½ under MissingAverage when no input votes (q = m). It is the only place
+// the distance formula lives: every reader counts (s, q) on integers and
+// reads x through the table (xs) or, above histMaxM, calls it.
+func (p *Problem) x(s, q int) float64 {
+	if !p.average {
+		return p.coinSum(s, q) / float64(p.m)
+	}
+	if q == p.m {
+		return 0.5
+	}
+	return float64(s) / float64(p.m-q)
+}
+
+// coinSum is the coin model's s + (1−p)·q, that is m·X_uv before the
+// division rounds it. The explicit conversion keeps the product from fusing
+// into the addition, so the table and the bound see one value.
+func (p *Problem) coinSum(s, q int) float64 {
+	return float64(s) + float64((1-p.missingP)*float64(q))
+}
+
+// distTable returns x memoized q-major, cell q*(m+1)+s for s + q ≤ m, or
+// nil when m > histMaxM. The cells with s + q > m are never read.
+func (p *Problem) distTable() []float64 {
+	m := p.m
+	if m > histMaxM {
+		return nil
+	}
+	xs := make([]float64, (m+1)*(m+1))
+	for q := 0; q <= m; q++ {
+		for s := 0; s+q <= m; s++ {
+			xs[q*(m+1)+s] = p.x(s, q)
+		}
+	}
+	return xs
+}
+
+// dist reads x(s, q) from the table, or evaluates it above histMaxM.
+func (p *Problem) dist(s, q int) float64 {
+	if p.xs == nil {
+		return p.x(s, q)
+	}
+	return p.xs[q*(p.m+1)+s]
+}
+
 // Dist returns X_uv: the (expected) fraction of input clusterings that place
 // u and v in different clusters. Dist satisfies corrclust.Instance and obeys
 // the triangle inequality under the coin model. Under MissingAverage only
@@ -90,75 +136,28 @@ func (p *Problem) Dist(u, v int) float64 {
 	if u == v {
 		return 0
 	}
-	miss := p.hasMiss[u] || p.hasMiss[v]
 	m := p.m
 	switch p.width {
 	case width8:
-		return pairDist(p, p.lab8[u*m:u*m+m], p.lab8[v*m:v*m+m], miss)
+		return p.dist(countSepMiss(p.lab8[u*m:u*m+m], p.lab8[v*m:v*m+m]))
 	default:
-		return pairDist(p, p.lab32[u*m:u*m+m], p.lab32[v*m:v*m+m], miss)
+		return p.dist(countSepMiss(p.lab32[u*m:u*m+m], p.lab32[v*m:v*m+m]))
 	}
 }
 
-// pairDist evaluates one pair from its label blocks, generic over the
-// storage width. miss gates the missing-label arithmetic: clean pairs take
-// label-compare-only loops (an integer count under uniform weights), and
-// either loop performs exactly the additions the per-clustering []int pair
-// loop would, in the same order — the width never touches a float, so all
-// widths agree bit for bit.
-func pairDist[W labelWord](p *Problem, bu, bv []W, miss bool) float64 {
-	if !miss {
-		// No missing labels on either side: both modes reduce to the
-		// weighted separating fraction over the total weight (the average
-		// loop's vote accumulation sums all weights in index order, which is
-		// exactly how problemOptionsOf computes totalWeight).
-		if p.uniform {
-			cnt := 0
-			for i, lu := range bu {
-				if lu != bv[i] {
-					cnt++
-				}
-			}
-			return float64(cnt) / p.totalWeight
-		}
-		var x float64
-		for i, lu := range bu {
-			if lu != bv[i] {
-				x += p.w[i]
-			}
-		}
-		return x / p.totalWeight
-	}
+// countSepMiss counts the inputs that separate a pair (s) and those
+// missing a label on it (q) from the pair's label blocks.
+func countSepMiss[W labelWord](bu, bv []W) (s, q int) {
 	sentinel := missingWord[W]()
-	if p.average {
-		var x, votes float64
-		for i, lu := range bu {
-			lv := bv[i]
-			if lu == sentinel || lv == sentinel {
-				continue
-			}
-			w := p.w[i]
-			votes += w
-			if lu != lv {
-				x += w
-			}
-		}
-		if votes == 0 {
-			return 0.5
-		}
-		return x / votes
-	}
-	var x float64
 	for i, lu := range bu {
-		lv := bv[i]
-		switch {
+		switch lv := bv[i]; {
 		case lu == sentinel || lv == sentinel:
-			x += p.missW[i]
+			q++
 		case lu != lv:
-			x += p.w[i]
+			s++
 		}
 	}
-	return x / p.totalWeight
+	return s, q
 }
 
 // DistRowTo evaluates v against many targets in one call:
@@ -166,71 +165,54 @@ func pairDist[W labelWord](p *Problem, bu, bv []W, miss bool) float64 {
 // makes the Problem a corrclust.RowDistancer, so the algorithms read whole
 // rows in one call; dst must have len(targets) capacity. Safe for
 // concurrent use with distinct dst buffers.
+//
+// Every pair is read from lane-packed rows. A clean v reads every partner
+// as clean first, one popcount of separating lanes and a read of the
+// table's first m+1 cells, then rereads the partners with a missing label
+// (missRowTo).
 func (p *Problem) DistRowTo(v int, targets []int, dst []float64) {
-	switch p.width {
-	case width8:
-		distRowTo(p, p.lab8, v, targets, dst)
-	default:
-		distRowTo(p, p.lab32, v, targets, dst)
+	l := p.laneBlock()
+	if p.xs != nil && !p.hasMiss[v] {
+		l.sepRowTo(v, targets, p.xs, dst)
+		if !p.anyMiss {
+			return
+		}
 	}
+	p.missRowTo(l, v, targets, dst)
 }
 
-// distRowTo is the width-specialized DistRowTo loop. On lanes (onLanes)
-// pairDist adds 1 per separating lane and 1−missingP per missing one, so
-// its sum is (2s + missHalves·q)/2 exactly, a multiple of ½ below 2⁵³, and
-// halfDist divides it by the same total weight: bit-identical. Every other
-// problem evaluates pairDist per pair.
-func distRowTo[W labelWord](p *Problem, lab []W, v int, targets []int, dst []float64) {
-	m := p.m
-	if p.onLanes {
-		p.rowsOnce.Do(func() {
-			p.rows = newLanes(m, p.width, p.n)
-			for u := 0; u < p.n; u++ {
-				packRow(p.rows, u, lab[u*m:u*m+m])
-			}
-			p.halfDist = make([]float64, 2*m+1)
-			for c := range p.halfDist {
-				p.halfDist[c] = float64(c) / 2 / p.totalWeight
-			}
-		})
-		// A clean v reads every partner as clean first, without the
-		// missing masks, then rereads those with a missing label.
-		if !p.hasMiss[v] {
-			p.rows.sepRowTo(v, targets, p.halfDist, dst)
-			if !p.anyMiss {
-				return
+// laneBlock returns every object's label row packed into lanes, packing
+// them on the first call.
+func (p *Problem) laneBlock() *lanes {
+	p.rowsOnce.Do(func() {
+		p.rows = newLanes(p.m, p.width, p.n)
+		for u := 0; u < p.n; u++ {
+			switch p.width {
+			case width8:
+				packRow(p.rows, u, p.lab8[u*p.m:][:p.m])
+			default:
+				packRow(p.rows, u, p.lab32[u*p.m:][:p.m])
 			}
 		}
-		p.missRowTo(v, targets, dst)
-		return
-	}
-	bv := lab[v*m : v*m+m]
-	missV := p.hasMiss[v]
-	for j, u := range targets {
-		if u == v {
-			dst[j] = 0
-			continue
-		}
-		dst[j] = pairDist(p, lab[u*m:u*m+m], bv, missV || p.hasMiss[u])
-	}
+	})
+	return p.rows
 }
 
-// missRowTo sets dst[j] = halfDist[2s + missHalves·q] for each pair v,
-// targets[j] with a missing label on either side, s and q as lanes.sepMiss
-// counts them, and 0 on the diagonal. Other pairs keep dst[j].
-func (p *Problem) missRowTo(v int, targets []int, dst []float64) {
-	l, half := p.rows, p.halfDist
+// missRowTo sets dst[j] = dist(s, q) for each pair v, targets[j] with a
+// missing label on either side, s and q as lanes.sepMiss counts them, and
+// 0 on the diagonal. Other pairs keep dst[j], except above histMaxM, where
+// sepRowTo has no table to read and missRowTo sets every pair.
+func (p *Problem) missRowTo(l *lanes, v int, targets []int, dst []float64) {
 	words, per := l.words, l.per
 	rv := words[v*per : v*per+per]
-	missV := p.hasMiss[v]
+	cleanRead := p.xs != nil && !p.hasMiss[v]
 	for j, u := range targets {
 		switch {
-		case !missV && !p.hasMiss[u]:
+		case cleanRead && !p.hasMiss[u]:
 		case u == v:
 			dst[j] = 0
 		default:
-			s, q := l.sepMiss(words[u*per:u*per+per], rv)
-			dst[j] = half[2*s+p.missHalves*q]
+			dst[j] = p.dist(l.sepMiss(words[u*per:u*per+per], rv))
 		}
 	}
 }
@@ -250,25 +232,23 @@ const histBoundCap = 1024
 // the input clusterings: everything needed to evaluate M(v, C_c) for all k
 // sample clusters in one O(m·k) pass over v's label block.
 //
-// For input clustering i with weight w_i and missing contribution
-// missW_i = (1−p)·w_i, a sample cluster C_c splits into pres_i[c] members
-// with a label in clustering i and miss_i[c] = |C_c| − pres_i[c] members
-// without one. An object v with present label ℓ contributes to M(v, C_c)
+// For input clustering i, a sample cluster C_c splits into pres_i[c]
+// members with a label in clustering i and miss_i[c] = |C_c| − pres_i[c]
+// members without one. An object v with present label ℓ contributes to
+// m·M(v, C_c)
 //
-//	w_i·(pres_i[c] − cnt_i[ℓ][c]) + missW_i·miss_i[c]
-//	  = base[i][c] − w_i·cnt_i[ℓ][c],
+//	(pres_i[c] − cnt_i[ℓ][c]) + (1−p)·miss_i[c] = base[i][c] − cnt_i[ℓ][c],
 //
 // where cnt_i[ℓ][c] counts C_c's members carrying label ℓ in clustering i;
-// an object missing in clustering i contributes missW_i·|C_c| = missAll[i][c].
-// Summing the per-clustering contributions and dividing once by the total
-// weight yields M(v, C_c) — the same per-clustering terms Problem.Dist
-// sums per pair, associated per clustering instead of per member, so the
-// histogram path is bit-identical to the probing path exactly where float
-// addition on those terms is exact (dyadic instances; see
-// docs/PERFORMANCE.md) and within float drift otherwise.
+// an object missing in clustering i contributes (1−p)·|C_c| = missAll[i][c].
+// Summing the per-clustering contributions and dividing once by m yields
+// M(v, C_c) — the pairs' (s, q) counts summed per clustering instead of per
+// member, so the histogram path is bit-identical to the probing path
+// exactly where float addition on those terms is exact (dyadic instances;
+// see docs/PERFORMANCE.md) and within float drift otherwise.
 //
 // The histograms do not apply under MissingAverage with missing labels
-// present: there each pair divides by its own vote weight, which does not
+// present: there each pair divides by its own vote count, which does not
 // decompose per clustering. That regime keeps the kernel's row path
 // (assignViaRows), which is bit-identical to probing unconditionally.
 type colabelHist struct {
@@ -278,7 +258,7 @@ type colabelHist struct {
 	// (labels ≥ labBound[i] have no sample member carrying them and take
 	// the base row as is — the packed block's global bound by default, the
 	// sample-observed bound for clusterings wider than histBoundCap),
-	// term[i][ℓ*k+c] = base[i][c] − w_i·cnt_i[ℓ][c], the whole contribution
+	// term[i][ℓ*k+c] = base[i][c] − cnt_i[ℓ][c], the whole contribution
 	// of a present label ℓ, and base[i][c] and missAll[i][c] as derived
 	// above.
 	labBound []int32
@@ -293,7 +273,7 @@ type colabelHist struct {
 // bound. The bound comes for free from the packed block (maxLab) for
 // clusterings within histBoundCap; wider ones are tightened
 // to the sample-observed bound by one extra row-major pass over the
-// members. A label no member carries has the term row base − w·0, which
+// members. A label no member carries has the term row base − 0, which
 // is base, so the larger default bound changes no arithmetic and the paths
 // stay bit-identical.
 func (p *Problem) buildColabelHist(members [][]int) *colabelHist {
@@ -372,23 +352,21 @@ func buildColabelHistW[W labelWord](p *Problem, lab []W, members [][]int) *colab
 			}
 		}
 	}
+	missP := 1 - p.missingP
 	for i := 0; i < m; i++ {
-		w, missW := p.w[i], p.missW[i]
 		base := make([]float64, k)
 		missAll := make([]float64, k)
 		for c := range base {
 			pres := h.sizes[c] - miss[i*k+c]
-			base[c] = w*float64(pres) + missW*float64(miss[i*k+c])
-			missAll[c] = missW * float64(h.sizes[c])
+			base[c] = float64(pres) + missP*float64(miss[i*k+c])
+			missAll[c] = missP * float64(h.sizes[c])
 		}
-		// term = base − w·count. The explicit conversion rounds the
-		// product on its own, so no fused multiply-subtract can change a
-		// term: each is the per-clustering term derived above, to the bit.
+		// term = base − count, the counts already in place.
 		term := h.term[i]
 		for off := 0; off < len(term); off += k {
 			row := term[off : off+k]
 			for c, cnt := range row {
-				row[c] = base[c] - float64(w*cnt)
+				row[c] = base[c] - cnt
 			}
 		}
 		h.base[i] = base
@@ -435,6 +413,6 @@ func affinitiesW[W labelWord](h *colabelHist, p *Problem, lab []W, v int, dst []
 		}
 	}
 	for c := range dst {
-		dst[c] /= p.totalWeight
+		dst[c] /= float64(p.m)
 	}
 }

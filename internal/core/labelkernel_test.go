@@ -41,23 +41,6 @@ func randMixedInputs(rng *rand.Rand, n, m int, pMiss float64) []partition.Labels
 	return cs
 }
 
-// dyadicWeights returns canned weight vectors whose entries are multiples
-// of 1/2 and whose total is a power of two, so aggregation distances stay
-// exact dyadic rationals; nil entries mean uniform weights (use with a
-// power-of-two m).
-func dyadicWeights(m int) []float64 {
-	switch m {
-	case 2:
-		return []float64{0.5, 1.5}
-	case 4:
-		return []float64{1, 0.5, 1.5, 1}
-	case 8:
-		return []float64{1, 1, 1, 1, 0.5, 1.5, 0.5, 1.5}
-	default:
-		return nil
-	}
-}
-
 // kernelShapes are the clustering counts the kernel equivalence tests
 // cover: every m up to 9, and m = 16, 17, 22, whose rows span two or more
 // 64-bit lane words at every width (and 22 is the Mushrooms width).
@@ -86,26 +69,38 @@ func atEveryWidth(p *Problem) []*Problem {
 	return []*Problem{p, widened(p)}
 }
 
-// checkKernelDist requires the kernel's Dist and DistRowTo to reproduce the
-// reference []int pair loop bit for bit on every pair; DistRowTo runs on a
-// shuffled target list with the diagonal included.
+// closeDist reports whether got reproduces the reference want: bit for bit
+// when exact, within 1e-12 relative otherwise.
+func closeDist(got, want float64, exact bool) bool {
+	if exact {
+		return got == want
+	}
+	return math.Abs(got-want) <= 1e-12*math.Abs(want)
+}
+
+// checkKernelDist requires the kernel's Dist to reproduce the reference
+// []int pair loop on every pair, bit for bit where ref.refExact() and
+// within 1e-12 relative elsewhere, and DistRowTo to equal Dist bit for bit
+// at every p; DistRowTo runs on a shuffled target list with the diagonal
+// included.
 func checkKernelDist(t *testing.T, name string, lk *Problem, ref *refDist, targets []int) {
 	t.Helper()
 	n := lk.N()
 	if n != ref.N() {
 		t.Fatalf("%s: kernel N %d, want %d", name, n, ref.N())
 	}
+	exact := ref.refExact()
 	dst := make([]float64, len(targets))
 	for v := 0; v < n; v++ {
 		for u := 0; u < n; u++ {
-			if got, want := lk.Dist(v, u), ref.Dist(v, u); got != want {
-				t.Fatalf("%s: Dist(%d,%d) = %v, reference = %v", name, v, u, got, want)
+			if got, want := lk.Dist(v, u), ref.Dist(v, u); !closeDist(got, want, exact) {
+				t.Fatalf("%s: Dist(%d,%d) = %v, reference = %v (exact %v)", name, v, u, got, want, exact)
 			}
 		}
 		lk.DistRowTo(v, targets, dst)
 		for j, u := range targets {
-			if want := ref.Dist(v, u); dst[j] != want {
-				t.Fatalf("%s: DistRowTo(%d)[->%d] = %v, reference = %v", name, v, u, dst[j], want)
+			if want := lk.Dist(v, u); dst[j] != want {
+				t.Fatalf("%s: DistRowTo(%d)[->%d] = %v, Dist = %v", name, v, u, dst[j], want)
 			}
 		}
 	}
@@ -126,57 +121,38 @@ func kernelCase(t testing.TB, cs []partition.Labels, opts ProblemOptions, p floa
 	return withMissingP(prob, p), ref
 }
 
-// wantLanes reports whether the kernel should read its rows from lanes:
-// uniform weights, and no missing label or the coin model at p ∈ {0, ½, 1}.
-func wantLanes(lk *Problem, p float64) bool {
-	return lk.uniform && (!lk.anyMiss || !lk.average && (p == 0 || p == 0.5 || p == 1))
-}
-
 // TestLabelKernelDistBitIdentical: the Problem's Dist and DistRowTo must
-// reproduce the reference []int pair loop bit for bit — not approximately
-// — on every pair, at both storage widths (with labels scaled into the
-// int32 lane's high bits), for every m in kernelShapes and every
-// combination of uniform or weighted inputs, missing mode and missing
-// probability p ∈ {0, ½, 1, 0.37}. The
-// kernel mirrors the loop's float operations in the loop's order; its lane
-// path (uniform weights, and the coin model at p ∈ {0, ½, 1} or no missing
-// label) counts the separating and missing lanes of every pair, missing
-// labels on either side included, and reads the loop's exact sum from a
-// table, so this holds on arbitrary (non-dyadic) instances too.
+// reproduce the reference []int pair loop on every pair, at both storage
+// widths (with labels scaled into the int32 lane's high bits), for every m
+// in kernelShapes, both missing modes and missing probabilities
+// p ∈ {0, ¼, ½, ¾, 1, 0.37}. Both count (s, q) and read x(s, q), so they
+// are bit-identical to the loop under MissingAverage and at every p whose
+// 1−p is a multiple of ¼, where every partial sum of the loop is exact;
+// at p = 0.37 the loop's sum depends on the order of the inputs, and the
+// kernel must agree within 1e-12 relative. DistRowTo equals Dist, and the
+// int32 re-encoding the one-byte block, bit for bit at every p.
 func TestLabelKernelDistBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	for _, m := range kernelShapes {
-		for _, weighted := range []bool{false, true} {
-			for _, mode := range []MissingMode{MissingCoin, MissingAverage} {
-				for _, pMiss := range []float64{0, 0.2, 0.6} {
-					for _, scale := range []int{1, 256, 65536} {
-						for _, p := range []float64{0, 0.5, 1, 0.37} {
-							n := 2 + rng.Intn(40)
-							opts := ProblemOptions{MissingMode: mode}
-							if weighted {
-								w := make([]float64, m)
-								for i := range w {
-									w[i] = 0.25 + rng.Float64()*3
-								}
-								opts.Weights = w
-							}
-							cs := randMixedInputs(rng, n, m, pMiss)
-							scaleLabels(cs, scale)
-							prob, ref := kernelCase(t, cs, opts, p)
-							name := fmt.Sprintf("m=%d weighted=%v mode=%d pMiss=%v scale=%d p=%v", m, weighted, mode, pMiss, scale, p)
+		for _, mode := range []MissingMode{MissingCoin, MissingAverage} {
+			for _, pMiss := range []float64{0, 0.2, 0.6} {
+				for _, scale := range []int{1, 256, 65536} {
+					for _, p := range []float64{0, 0.25, 0.5, 0.75, 1, 0.37} {
+						n := 2 + rng.Intn(40)
+						cs := randMixedInputs(rng, n, m, pMiss)
+						scaleLabels(cs, scale)
+						prob, ref := kernelCase(t, cs, ProblemOptions{MissingMode: mode}, p)
+						name := fmt.Sprintf("m=%d mode=%d pMiss=%v scale=%d p=%v", m, mode, pMiss, scale, p)
+						targets := rng.Perm(n)
+						for _, lk := range atEveryWidth(prob) {
+							name := fmt.Sprintf("%s width %d", name, lk.width)
+							checkKernelDist(t, name, lk, ref, targets)
 							for u := 0; u < n; u++ {
 								for v := 0; v < n; v++ {
-									if got, want := prob.Dist(u, v), ref.Dist(u, v); got != want {
-										t.Fatalf("%s: Problem.Dist(%d,%d) = %v, reference = %v", name, u, v, got, want)
+									if got, want := lk.Dist(u, v), prob.Dist(u, v); got != want {
+										t.Fatalf("%s: Dist(%d,%d) = %v, one-byte %v", name, u, v, got, want)
 									}
 								}
-							}
-							targets := rng.Perm(n)
-							for _, lk := range atEveryWidth(prob) {
-								if got, want := lk.onLanes, wantLanes(lk, p); got != want {
-									t.Fatalf("%s width %d: onLanes = %v, want %v", name, lk.width, got, want)
-								}
-								checkKernelDist(t, fmt.Sprintf("%s width %d", name, lk.width), lk, ref, targets)
 							}
 						}
 					}
@@ -251,8 +227,9 @@ func (h hideKernel) N() int                { return h.k.N() }
 func (h hideKernel) Dist(u, v int) float64 { return h.k.Dist(u, v) }
 
 // TestColabelHistAffinities: the histogram evaluation of M(v, C_c) must
-// match the probing sum Σ_{u∈C_c} Dist(v,u) — exactly on dyadic instances,
-// to float-drift tolerance otherwise.
+// match the probing sum Σ_{u∈C_c} Dist(v,u) — exactly on dyadic instances
+// (m a power of two, 1−p a multiple of ¼), to float-drift tolerance
+// otherwise (m ∈ {3, 5, 6} at p = 0.3, or any m ≤ 9 at a random p).
 func TestColabelHistAffinities(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
 	for trial := 0; trial < 40; trial++ {
@@ -262,21 +239,14 @@ func TestColabelHistAffinities(t *testing.T) {
 		if dyadic {
 			m = []int{1, 2, 4, 8, 16}[rng.Intn(5)]
 			opts.MissingTogether = []float64{0.25, 0.5, 0.75}[trial%3]
-			if w := dyadicWeights(m); rng.Intn(2) == 0 && w != nil {
-				opts.Weights = w
-			}
+		} else if trial%4 == 1 {
+			m = []int{3, 5, 6}[rng.Intn(3)]
+			opts.MissingTogether = 0.3
 		} else {
 			m = 1 + rng.Intn(9)
 			opts.MissingTogether = rng.Float64()
 			if opts.MissingTogether == 0 {
 				opts.MissingTogether = 0.5
-			}
-			if rng.Intn(2) == 0 {
-				w := make([]float64, m)
-				for i := range w {
-					w[i] = 0.25 + rng.Float64()*3
-				}
-				opts.Weights = w
 			}
 		}
 		n := 10 + rng.Intn(60)
@@ -321,17 +291,17 @@ func TestColabelHistAffinities(t *testing.T) {
 }
 
 // TestSampleKernelMatchesReferenceDyadic: on exact-arithmetic instances
-// (power-of-two total weight, dyadic missing probabilities — with missing
-// values, dyadic weights, both uniform and weighted) the histogram
-// assignment must reproduce the probing assignment's clustering bit for
-// bit, singleton recluster included.
+// (a power-of-two m, dyadic missing probabilities, with missing values) the
+// histogram assignment must reproduce the probing assignment's clustering
+// bit for bit, singleton recluster included; every other trial runs
+// MissingAverage, whose row route must match it too.
 func TestSampleKernelMatchesReferenceDyadic(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	for trial := 0; trial < 20; trial++ {
 		m := []int{1, 2, 4, 8, 16}[rng.Intn(5)]
 		opts := ProblemOptions{MissingTogether: []float64{0.25, 0.5, 0.75}[trial%3]}
-		if w := dyadicWeights(m); trial%2 == 1 && w != nil {
-			opts.Weights = w
+		if trial%2 == 1 {
+			opts.MissingMode = MissingAverage
 		}
 		n := 150 + rng.Intn(200)
 		p := randMixedProblem(t, rng, n, m, 0.25, opts)
@@ -360,19 +330,14 @@ func TestSampleKernelMatchesReferenceDyadic(t *testing.T) {
 
 // TestSampleKernelMatchesReferenceAverageMissing: under MissingAverage with
 // missing values the kernel keeps per-pair row evaluation (per-pair vote
-// denominators do not decompose into histograms), which mirrors the probing
-// arithmetic exactly — so labels must match bit for bit even with arbitrary
-// non-dyadic weights.
+// denominators do not decompose into histograms), which reads the same
+// distances as probing — so labels must match bit for bit at any m.
 func TestSampleKernelMatchesReferenceAverageMissing(t *testing.T) {
 	rng := rand.New(rand.NewSource(313))
 	for trial := 0; trial < 10; trial++ {
 		m := 2 + rng.Intn(7)
-		w := make([]float64, m)
-		for i := range w {
-			w[i] = 0.25 + rng.Float64()*3
-		}
 		p := randMixedProblem(t, rng, 200+rng.Intn(100), m, 0.3,
-			ProblemOptions{MissingMode: MissingAverage, Weights: w})
+			ProblemOptions{MissingMode: MissingAverage})
 		want, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{
 			SampleSize: 40, Rand: rand.New(rand.NewSource(int64(trial))), assign: assignReference,
 		})
@@ -393,8 +358,8 @@ func TestSampleKernelMatchesReferenceAverageMissing(t *testing.T) {
 	}
 }
 
-// TestSampleKernelCloseContinuous: on non-dyadic instances (odd m, random
-// weights) the histogram association drifts from the probing sums by ulps,
+// TestSampleKernelCloseContinuous: on non-dyadic instances (odd m, and
+// p = 0.3 on every other trial) the histogram association drifts from the probing sums by ulps,
 // so a tie between two assignment options can break differently than under
 // probing — but the cluster the kernel picks for each object must still
 // cost within 1e-9 of the probing optimum d(v, C_i). The recluster pass is
@@ -405,11 +370,7 @@ func TestSampleKernelCloseContinuous(t *testing.T) {
 		m := []int{3, 5, 7, 9}[rng.Intn(4)]
 		var opts ProblemOptions
 		if trial%2 == 1 {
-			w := make([]float64, m)
-			for i := range w {
-				w[i] = 0.25 + rng.Float64()*3
-			}
-			opts.Weights = w
+			opts.MissingTogether = 0.3
 		}
 		n := 250
 		const s = 50
@@ -537,25 +498,25 @@ func TestSampleAssignCounters(t *testing.T) {
 // FuzzLabelKernelEquiv drives the kernel's DistRowTo and Dist against the
 // reference []int pair loop on fuzzer-chosen instances — every m in
 // kernelShapes, both storage widths (re-encoded or reached by scaled
-// labels), both missing modes, weighted and uniform, with and without
-// missing labels, p ∈ {0, ½, 1} (the lane path, missing labels included),
-// ¼ and arbitrary missing probabilities — requiring bit-for-bit
-// equality.
+// labels), both missing modes, with and without missing labels,
+// p ∈ {0, ¼, ½, ¾, 1} and an arbitrary missing probability — requiring
+// bit-for-bit equality under MissingAverage and at the five dyadic p, and
+// agreement within 1e-12 relative at the arbitrary p (see checkKernelDist).
 func FuzzLabelKernelEquiv(f *testing.F) {
-	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint8(2), uint8(0), false)
-	f.Add(int64(2), uint8(50), uint8(7), uint8(1), uint8(0), uint8(1), true)
-	f.Add(int64(3), uint8(5), uint8(1), uint8(0), uint8(4), uint8(2), false)
-	f.Add(int64(4), uint8(60), uint8(11), uint8(0), uint8(1), uint8(5), false)
-	f.Add(int64(5), uint8(30), uint8(9), uint8(1), uint8(2), uint8(9), false)
-	f.Add(int64(6), uint8(40), uint8(10), uint8(0), uint8(3), uint8(15), true)
-	f.Add(int64(7), uint8(45), uint8(3), uint8(0), uint8(1), uint8(2), true)
-	f.Add(int64(8), uint8(35), uint8(8), uint8(1), uint8(4), uint8(7), false)
-	// Missing labels on the lane path over multi-word rows: m = 22, 17, 9
-	// at p = ½, 0, 1 and widths 8, 32, 32.
-	f.Add(int64(9), uint8(50), uint8(11), uint8(0), uint8(1), uint8(0), false)
-	f.Add(int64(10), uint8(40), uint8(10), uint8(0), uint8(0), uint8(1), false)
-	f.Add(int64(11), uint8(30), uint8(8), uint8(0), uint8(2), uint8(2), false)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw, pSel, shape uint8, weighted bool) {
+	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint8(2), uint8(0))
+	f.Add(int64(2), uint8(50), uint8(7), uint8(1), uint8(0), uint8(1))
+	f.Add(int64(3), uint8(5), uint8(1), uint8(0), uint8(4), uint8(2))
+	f.Add(int64(4), uint8(60), uint8(11), uint8(0), uint8(1), uint8(5))
+	f.Add(int64(5), uint8(30), uint8(9), uint8(1), uint8(2), uint8(9))
+	f.Add(int64(6), uint8(40), uint8(10), uint8(0), uint8(3), uint8(15))
+	f.Add(int64(7), uint8(45), uint8(3), uint8(0), uint8(5), uint8(2))
+	f.Add(int64(8), uint8(35), uint8(8), uint8(1), uint8(4), uint8(7))
+	// Missing labels over multi-word rows: m = 22, 17, 9 at p = ½, 0, 1
+	// and widths 8, 32, 32.
+	f.Add(int64(9), uint8(50), uint8(11), uint8(0), uint8(1), uint8(0))
+	f.Add(int64(10), uint8(40), uint8(10), uint8(0), uint8(0), uint8(1))
+	f.Add(int64(11), uint8(30), uint8(8), uint8(0), uint8(2), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw, pSel, shape uint8) {
 		n := 2 + int(nRaw)%80
 		m := kernelShapes[int(mRaw)%len(kernelShapes)]
 		wide := shape%3 != 0 // int32 re-encoding on two shapes of three
@@ -566,14 +527,7 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 		if modeRaw%2 == 1 {
 			opts.MissingMode = MissingAverage
 		}
-		p := []float64{0, 0.5, 1, 0.25, rng.Float64()}[pSel%5]
-		if weighted {
-			w := make([]float64, m)
-			for i := range w {
-				w[i] = 0.25 + rng.Float64()*4
-			}
-			opts.Weights = w
-		}
+		p := []float64{0, 0.5, 1, 0.25, 0.75, rng.Float64()}[pSel%6]
 		cs := randMixedInputs(rng, n, m, pMiss)
 		scaleLabels(cs, scale)
 		prob, ref := kernelCase(t, cs, opts, p)
@@ -582,9 +536,6 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 			lk = widened(prob)
 		}
 		name := fmt.Sprintf("n=%d m=%d width=%d scale=%d mode=%d p=%v", n, m, lk.width, scale, opts.MissingMode, p)
-		if got, want := lk.onLanes, wantLanes(lk, p); got != want {
-			t.Fatalf("%s: onLanes = %v, want %v", name, got, want)
-		}
 		checkKernelDist(t, name, lk, ref, rng.Perm(n))
 	})
 }

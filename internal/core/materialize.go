@@ -8,11 +8,9 @@ import (
 )
 
 // This file caches the Problem's distances in a dense matrix: row u's
-// tail X_{u,u+1..n−1} is one DistRowTo read, so the matrix holds Dist bit
-// for bit under every option. Under uniform weights and the coin model at
-// p ∈ {0, ½, 1} (or with no missing label) the read is the lane
-// path, a few words per pair; every other setting reads each pair through
-// pairDist.
+// tail X_{u,u+1..n−1} is one DistRowTo read, a few lane words per pair and
+// a read of the distance table, so the matrix holds Dist bit for bit under
+// every option.
 //
 // Work is split across row-stripe workers: worker w owns rows u ≡ w (mod
 // workers), which interleaves long and short row tails. Each row is read

@@ -12,9 +12,9 @@ import (
 )
 
 // genProblem builds a seeded random problem over genInputs.
-func genProblem(t testing.TB, seed int64, n, m int, missFrac float64, weights int, mode MissingMode, missingP float64) *Problem {
+func genProblem(t testing.TB, seed int64, n, m int, missFrac float64, mode MissingMode, missingP float64) *Problem {
 	t.Helper()
-	p, err := NewProblem(genInputs(seed, n, m, missFrac, weights, mode, missingP))
+	p, err := NewProblem(genInputs(seed, n, m, missFrac, mode, missingP))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,10 +22,8 @@ func genProblem(t testing.TB, seed int64, n, m int, missFrac float64, weights in
 }
 
 // genInputs draws seeded random clusterings and their options. missFrac > 0
-// injects missing labels; weights selects uniform (0), dyadic (1: multiples
-// of 1/4), or arbitrary float (2) clustering weights; missingP 0 means the
-// default 1/2.
-func genInputs(seed int64, n, m int, missFrac float64, weights int, mode MissingMode, missingP float64) ([]partition.Labels, ProblemOptions) {
+// injects missing labels; missingP 0 means the default 1/2.
+func genInputs(seed int64, n, m int, missFrac float64, mode MissingMode, missingP float64) ([]partition.Labels, ProblemOptions) {
 	rng := rand.New(rand.NewSource(seed))
 	cs := make([]partition.Labels, m)
 	for i := range cs {
@@ -40,22 +38,7 @@ func genInputs(seed int64, n, m int, missFrac float64, weights int, mode Missing
 		}
 		cs[i] = c
 	}
-	opts := ProblemOptions{MissingMode: mode, MissingTogether: missingP}
-	switch weights {
-	case 1: // dyadic: exact in float64
-		w := make([]float64, m)
-		for i := range w {
-			w[i] = 0.25 * float64(1+rng.Intn(8))
-		}
-		opts.Weights = w
-	case 2:
-		w := make([]float64, m)
-		for i := range w {
-			w[i] = 0.1 + rng.Float64()
-		}
-		opts.Weights = w
-	}
-	return cs, opts
+	return cs, ProblemOptions{MissingMode: mode, MissingTogether: missingP}
 }
 
 // compareMatrices requires every cell of got to equal p.Dist bit for bit.
@@ -73,50 +56,46 @@ func compareMatrices(t *testing.T, name string, p *Problem, got *corrclust.Matri
 
 // TestMaterializeMatchesNaive: the matrix caches the kernel's rows, so every
 // cell is the naive per-pair probe Dist bit for bit under every option:
-// uniform, dyadic and arbitrary weights, both missing modes, and missing
-// probabilities on the lane path (½, 1) and off it (¼, 0.3).
+// both missing modes and missing probabilities 0.3, ¼, ½, ¾ and 1.
 func TestMaterializeMatchesNaive(t *testing.T) {
 	cases := []struct {
 		name     string
 		missFrac float64
-		weights  int
 		mode     MissingMode
 		missingP float64
 	}{
-		{"complete/uniform", 0, 0, MissingCoin, 0},
-		{"complete/dyadic-weights", 0, 1, MissingCoin, 0},
-		{"complete/average", 0, 0, MissingAverage, 0},
-		{"missing/coin-half", 0.2, 0, MissingCoin, 0},
-		{"missing/coin-one", 0.2, 0, MissingCoin, 1},
-		{"missing/coin-quarter", 0.2, 0, MissingCoin, 0.25},
-		{"missing/coin-0.3", 0.2, 0, MissingCoin, 0.3},
-		{"missing/coin-dyadic-weights", 0.2, 1, MissingCoin, 0},
-		{"missing/coin-arbitrary-weights-0.3", 0.2, 2, MissingCoin, 0.3},
-		{"missing/average", 0.2, 0, MissingAverage, 0},
-		{"missing/average-dyadic-weights", 0.2, 1, MissingAverage, 0},
-		{"missing/average-arbitrary-weights", 0.2, 2, MissingAverage, 0},
-		{"missing/heavy-average", 0.6, 0, MissingAverage, 0},
-		{"missing/all-missing-row", 0.95, 0, MissingAverage, 0},
+		{"complete/uniform", 0, MissingCoin, 0},
+		{"complete/average", 0, MissingAverage, 0},
+		{"missing/coin-half", 0.2, MissingCoin, 0},
+		{"missing/coin-one", 0.2, MissingCoin, 1},
+		{"missing/coin-quarter", 0.2, MissingCoin, 0.25},
+		{"missing/coin-three-quarters", 0.2, MissingCoin, 0.75},
+		{"missing/coin-0.3", 0.2, MissingCoin, 0.3},
+		{"missing/heavy-coin-0.3", 0.6, MissingCoin, 0.3},
+		{"missing/average", 0.2, MissingAverage, 0},
+		{"missing/heavy-average", 0.6, MissingAverage, 0},
+		{"missing/all-missing-row", 0.95, MissingAverage, 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(0); seed < 8; seed++ {
-				p := genProblem(t, 100+seed, 3+int(seed)*7, 1+int(seed%5), tc.missFrac, tc.weights, tc.mode, tc.missingP)
+				p := genProblem(t, 100+seed, 3+int(seed)*7, 1+int(seed%5), tc.missFrac, tc.mode, tc.missingP)
 				compareMatrices(t, tc.name, p, p.Matrix())
 			}
 		})
 	}
 }
 
-// TestMaterializeArbitraryWeights: arbitrary float weights, p = 0.3 and
-// MissingAverage take pairDist per pair, and the matrix still holds Dist
-// bit for bit.
-func TestMaterializeArbitraryWeights(t *testing.T) {
+// TestMaterializeNonDyadic: at m ∈ {3, 5, 6}, where no distance is a
+// dyadic fraction, under p = 0.3 and MissingAverage, the matrix still holds
+// Dist bit for bit.
+func TestMaterializeNonDyadic(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		for _, mode := range []MissingMode{MissingCoin, MissingAverage} {
 			for _, missingP := range []float64{0, 0.3} {
-				p := genProblem(t, 200+seed, 40, 6, 0.2, 2, mode, missingP)
-				compareMatrices(t, "arbitrary-weights", p, p.Matrix())
+				m := []int{3, 5, 6}[seed%3]
+				p := genProblem(t, 200+seed, 40, m, 0.2, mode, missingP)
+				compareMatrices(t, "non-dyadic", p, p.Matrix())
 			}
 		}
 	}
@@ -126,7 +105,7 @@ func TestMaterializeArbitraryWeights(t *testing.T) {
 // partitions, not on how their clusters happen to be numbered.
 func TestMaterializeLabelPermutationInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	cs, opts := genInputs(7, 50, 4, 0.15, 0, MissingCoin, 0)
+	cs, opts := genInputs(7, 50, 4, 0.15, MissingCoin, 0)
 	p, err := NewProblem(cs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -172,7 +151,7 @@ func TestMaterializeLabelPermutationInvariance(t *testing.T) {
 // actually engages.
 func TestMaterializeWorkersBitIdentical(t *testing.T) {
 	for _, mode := range []MissingMode{MissingCoin, MissingAverage} {
-		p := genProblem(t, 3, 300, 5, 0.2, 2, mode, 0)
+		p := genProblem(t, 3, 300, 5, 0.2, mode, 0.3)
 		seq := p.MatrixWorkers(1)
 		for _, workers := range []int{2, 3, 8} {
 			par := p.MatrixWorkers(workers)
@@ -188,23 +167,22 @@ func TestMaterializeWorkersBitIdentical(t *testing.T) {
 }
 
 // FuzzMaterialize drives the matrix against Dist on fuzzer-chosen shapes,
-// weights and missing probabilities: bit-identical everywhere.
+// missing modes and missing probabilities: bit-identical everywhere.
 func FuzzMaterialize(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(3), uint8(0), uint8(0), false)
 	f.Add(int64(2), uint8(30), uint8(5), uint8(60), uint8(1), true)
 	f.Add(int64(3), uint8(17), uint8(1), uint8(255), uint8(2), false)
 	f.Add(int64(4), uint8(40), uint8(12), uint8(50), uint8(6), false)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, missRaw, weightsRaw uint8, avg bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, missRaw, pRaw uint8, avg bool) {
 		n := 2 + int(nRaw)%60
 		m := 1 + int(mRaw)%12
 		missFrac := float64(missRaw) / 255
-		weights := int(weightsRaw) % 3
-		missingP := []float64{0, 1, 0.3}[int(weightsRaw)/3%3]
+		missingP := []float64{0, 1, 0.3, 0.25, 0.75}[int(pRaw)%5]
 		mode := MissingCoin
 		if avg {
 			mode = MissingAverage
 		}
-		p := genProblem(t, seed, n, m, missFrac, weights, mode, missingP)
+		p := genProblem(t, seed, n, m, missFrac, mode, missingP)
 		compareMatrices(t, "fuzz", p, p.Matrix())
 	})
 }
@@ -291,21 +269,20 @@ func TestAggregateMaterializeEquivalence(t *testing.T) {
 	cases := []struct {
 		name     string
 		missFrac float64
-		weights  int
 		mode     MissingMode
 		missingP float64
 	}{
-		{"complete/uniform", 0, 0, MissingCoin, 0},
-		{"complete/dyadic-weights", 0, 1, MissingCoin, 0},
-		{"missing/coin-half", 0.2, 0, MissingCoin, 0},
-		{"missing/coin-quarter-dyadic-weights", 0.2, 1, MissingCoin, 0.25},
-		{"missing/average", 0.2, 0, MissingAverage, 0},
-		{"missing/arbitrary-weights", 0.2, 2, MissingCoin, 0},
-		{"complete/arbitrary-weights", 0, 2, MissingAverage, 0},
+		{"complete/uniform", 0, MissingCoin, 0},
+		{"complete/average", 0, MissingAverage, 0},
+		{"missing/coin-half", 0.2, MissingCoin, 0},
+		{"missing/coin-quarter", 0.2, MissingCoin, 0.25},
+		{"missing/average", 0.2, MissingAverage, 0},
+		{"missing/coin-0.3", 0.2, MissingCoin, 0.3},
+		{"missing/coin-three-quarters", 0.2, MissingCoin, 0.75},
 	}
 	for ci, tc := range cases {
 		rng := rand.New(rand.NewSource(int64(ci)))
-		p := genProblem(t, 300+int64(ci), 240, 1+ci%6, tc.missFrac, tc.weights, tc.mode, tc.missingP)
+		p := genProblem(t, 300+int64(ci), 240, 1+ci%6, tc.missFrac, tc.mode, tc.missingP)
 		gathered := permPrefix(rng, p.N(), 70)
 		sort.Ints(gathered)
 		sub := p.subProblem(gathered)

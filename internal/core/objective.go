@@ -16,31 +16,31 @@ import (
 // This file evaluates the objective and its lower bound on the label
 // kernel without a pair scan.
 //
-// Disagreement. The objective D(C) = Σ_i w_i·d_V(C_i, C) decomposes per
-// input over a contingency table. Pairs with both labels present in C_i
+// Disagreement. The objective D(C) = Σ_i d_V(C_i, C) decomposes per input
+// over a contingency table. Pairs with both labels present in C_i
 // contribute the Mirkin distance restricted to C_i's present objects O_i,
 //
 //	Σ_a C(|a|,2) + Σ_b C(|b ∩ O_i|,2) − 2·Σ_ab C(n_ab,2),
 //
 // over input clusters a and candidate clusters b. Under the coin model a
-// pair with a missing endpoint costs (1−p)·w_i when C co-clusters it and
-// p·w_i when C separates it; how many of those pairs C co-clusters is
+// pair with a missing endpoint costs 1−p when C co-clusters it and p when
+// C separates it; how many of those pairs C co-clusters is
 // Σ_b C(|b|,2) − Σ_b C(|b ∩ O_i|,2). Every count is an integer, so the
 // whole objective costs one O(n) pass per input after a counting sort of
 // the objects by candidate cluster: O(n·m). MissingAverage divides each
-// pair by its own vote weight, which does not decompose; with missing
+// pair by its own vote count, which does not decompose; with missing
 // labels present it keeps the O(n²·m) pair scan.
 //
 // LowerBound. X_uv depends only on the label rows of u and v, so objects
 // with identical rows are interchangeable: the bound works over the G
-// distinct rows, each carried by c_g objects, instead of the n objects.
-// Under the coin model with uniform weights a pair's term depends only on
-// (s, q), the number of inputs that separate it and the number missing a
-// label on it, so the bound fills an integer histogram over (s, q) and
-// applies min(x, m−x) once per cell at the end. Pairs with a row missing a
-// label are swept: each of those G·(G+1)/2 row pairs weighs c_g·c_h (or
-// C(c_g,2) within a row). Pairs of clean rows (q = 0) take one of two
-// paths, chosen by a cost model (countCheaper):
+// distinct rows, each carried by c_g objects, instead of the n objects. A
+// pair's term depends only on (s, q), the number of inputs that separate
+// it and the number missing a label on it, so for m ≤ histMaxM the bound
+// fills an integer histogram over (s, q), in the distance table's
+// q-major layout, and applies the term once per cell at the end. Pairs
+// with a row missing a label are swept: each of those G·(G+1)/2 row pairs
+// weighs c_g·c_h (or C(c_g,2) within a row). Pairs of clean rows (q = 0)
+// take one of two paths, chosen by a cost model (countCheaper):
 //   - the sweep, G_clean²/2 row comparisons a word of lanes at a time;
 //   - subset counting, at most 2^m·G_clean row merges: for every subset A
 //     of the inputs, the pairs that agree on all of A are Σ C(c,2) over the
@@ -49,17 +49,16 @@ import (
 //
 // Both fill the histogram with the same integers. Integer histograms merge
 // in any order, so the work is split over GOMAXPROCS workers and stays
-// bit-identical at every worker count. With weights or under
-// MissingAverage, each group's partial sum is computed by one worker and
-// the partials are reduced in group order, which is again
-// worker-independent.
+// bit-identical at every worker count. Above histMaxM every row pair is
+// swept, each group's partial sum computed by one worker and the partials
+// reduced in group order, which is again worker-independent.
 //
-// Exactness. Under the coin model with uniform weights and p ∈ {0, ½, 1}
-// every term is a multiple of ½, so both values are exact in float64
-// (below 2⁵³) and LowerBound ≤ Disagreement holds bit for bit.
-// FuzzObjectiveExact pins both against the pair scans in corrclust at
-// every storage width, and FuzzLowerBoundCounting pins the counted
-// histogram to the swept one, cell for cell.
+// Exactness. Under the coin model at p ∈ {0, ½, 1} every term is a
+// multiple of ½, so both values are exact in float64 (below 2⁵³) and
+// LowerBound ≤ Disagreement holds bit for bit. FuzzObjectiveExact pins
+// both against the pair scans in corrclust at every storage width, and
+// FuzzLowerBoundCounting pins the counted histogram to the swept one, cell
+// for cell.
 
 // Disagreement returns the (expected) total number of unordered-pair
 // disagreements D(C) = Σ_i d_V(C_i, C) between labels and the inputs. This
@@ -77,7 +76,7 @@ func (p *Problem) Disagreement(labels partition.Labels) float64 {
 		panic("core: Disagreement: " + strconv.Itoa(len(labels)) + " labels for " + strconv.Itoa(p.n) + " objects")
 	}
 	if p.average && p.anyMiss {
-		return p.totalWeight * corrclust.Cost(p, labels)
+		return float64(p.m) * corrclust.Cost(p, labels)
 	}
 	order, start := clusterOrder(labels)
 	var together int64 // pairs the candidate co-clusters
@@ -90,8 +89,7 @@ func (p *Problem) Disagreement(labels partition.Labels) float64 {
 	var col partition.Labels
 	var ids []int32
 
-	var intSum, togetherMiss, apartMiss int64 // uniform weights
-	var weighted float64
+	var intSum, togetherMiss, apartMiss int64
 	for i := 0; i < p.m; i++ {
 		var t contingencyCounts
 		if bound := int(p.maxLab[i]); bound <= 2*p.n {
@@ -118,20 +116,12 @@ func (p *Problem) Disagreement(labels partition.Labels) float64 {
 		mirkin := t.sumA + t.sumB - 2*t.sumAB
 		missPairs := all - pairs64(t.present)
 		mt := together - t.sumB // missing pairs the candidate co-clusters
-		if p.uniform {
-			intSum += mirkin
-			togetherMiss += mt
-			apartMiss += missPairs - mt
-			continue
-		}
-		w, missW := p.w[i], p.missW[i]
-		weighted += w*float64(mirkin) + missW*float64(mt) + (w-missW)*float64(missPairs-mt)
+		intSum += mirkin
+		togetherMiss += mt
+		apartMiss += missPairs - mt
 	}
-	if !p.uniform {
-		return weighted
-	}
-	missW := p.missW[0]
-	return float64(intSum) + missW*float64(togetherMiss) + (1-missW)*float64(apartMiss)
+	missP := 1 - p.missingP
+	return float64(intSum) + missP*float64(togetherMiss) + (1-missP)*float64(apartMiss)
 }
 
 // clusterOrder counting-sorts the objects by label: the members of the b-th
@@ -236,11 +226,13 @@ func (p *Problem) column(i int, dst partition.Labels) {
 // pairs64 is C(x, 2).
 func pairs64(x int64) int64 { return x * (x - 1) / 2 }
 
-// histMaxM caps the (s, q) histogram at (histMaxM+1)² cells per worker;
-// uniform coin-model problems with more inputs take the partial-sum path.
+// histMaxM caps the distance table and the (s, q) histogram at
+// (histMaxM+1)² cells (the histogram once per worker). A problem with more
+// inputs builds neither: Dist and DistRowTo evaluate x per pair and the
+// lower bound sweeps every row pair.
 const histMaxM = 127
 
-// lowerBound returns W·Σ_{u<v} min(X_uv, 1−X_uv) over distinct label rows,
+// lowerBound returns m·Σ_{u<v} min(X_uv, 1−X_uv) over distinct label rows,
 // striped over workers goroutines (0 = GOMAXPROCS). The result is the same
 // for every worker count.
 func (p *Problem) lowerBound(workers int) float64 {
@@ -316,19 +308,13 @@ func lowerBoundW[W labelWord](p *Problem, lab []W, workers int) float64 {
 	g := groupRows(p, lab)
 	groups := len(g.count)
 	workers = min(EffectiveWorkers(workers), groups)
-	m := p.m
-	average := p.average && p.anyMiss
-
-	if p.uniform && !average && m <= histMaxM {
-		l := laneRows(p, lab, g)
-		hist := l.histogram(workers, l.countCheaper())
-		// A pair's term on the W = m scale is min(x, m−x), x = s + (1−p)·q.
-		tw, missW := float64(m), p.missW[0]
-		var lb float64
-		for c, cnt := range hist {
+	l := laneRows(p, lab, g)
+	var lb float64
+	if p.xs != nil {
+		m := p.m
+		for c, cnt := range l.histogram(workers, l.countCheaper()) {
 			if cnt != 0 {
-				x := float64(c/(m+1)) + missW*float64(c%(m+1))
-				lb += float64(cnt) * math.Min(x, tw-x)
+				lb += float64(cnt) * p.term(c%(m+1), c/(m+1))
 			}
 		}
 		return lb
@@ -339,25 +325,34 @@ func lowerBoundW[W labelWord](p *Problem, lab []W, workers int) float64 {
 	partial := make([]float64, groups)
 	stripes("lowerbound", workers, func(stripe int) {
 		for a := stripe; a < groups; a += workers {
-			ua := int(g.rep[a])
-			ra, ca := lab[ua*m:ua*m+m], int64(g.count[a])
+			ra, ca := l.row(a), l.count[a]
 			var sum float64
-			if p.hasMiss[ua] {
-				sum = float64(pairs64(ca)) * pairTerm(p, ra, ra, average)
+			if a >= l.clean {
+				sum = float64(pairs64(ca)) * p.term(l.sepMiss(ra, ra))
 			}
 			for b := a + 1; b < groups; b++ {
-				ub := int(g.rep[b])
-				miss := p.hasMiss[ua] || p.hasMiss[ub]
-				sum += float64(ca*int64(g.count[b])) * pairTerm(p, ra, lab[ub*m:ub*m+m], average && miss)
+				sum += float64(ca*l.count[b]) * p.term(l.sepMiss(ra, l.row(b)))
 			}
 			partial[a] = sum
 		}
 	})
-	var lb float64
 	for _, s := range partial {
 		lb += s
 	}
 	return lb
+}
+
+// term returns m·min(X, 1−X) for a pair that s inputs separate and q miss
+// a label on: LowerBound's term on Disagreement's scale. Under the coin
+// model, and for every clean pair, it is min(y, m−y) with y = coinSum(s, q):
+// m·x(s, q) would round where y is exact (fl(fl(1/49)·49) ≠ 1).
+func (p *Problem) term(s, q int) float64 {
+	if p.average && q > 0 {
+		x := p.x(s, q)
+		return float64(p.m) * math.Min(x, 1-x)
+	}
+	y := p.coinSum(s, q)
+	return math.Min(y, float64(p.m)-y)
 }
 
 // stripes runs work(0..workers−1), on goroutines labeled with phase when
@@ -393,6 +388,11 @@ type lanes struct {
 	bits  int    // bits per lane
 	low   uint64 // the low bits of every lane (0x7F7F…)
 	high  uint64 // the high bit of every lane (0x8080…)
+}
+
+// row returns row g's words.
+func (l *lanes) row(g int) []uint64 {
+	return l.words[g*l.per : (g+1)*l.per]
 }
 
 // newLanes returns zeroed lanes for rows rows of m labels of width bytes.
@@ -451,21 +451,21 @@ func (l *lanes) sep(a, b []uint64) int {
 	return c
 }
 
-// sepRowTo sets dst[j] = half[2c], c the lanes where rows v, targets[j]
-// differ. It keeps a one-word loop of its own: the XOR of two words
-// directly, not lanes.sep on one-word slices.
-func (l *lanes) sepRowTo(v int, targets []int, half, dst []float64) {
+// sepRowTo sets dst[j] = xs[s], s the lanes where rows v, targets[j]
+// differ: the distance table's clean cells. It keeps a one-word loop of its
+// own: the XOR of two words directly, not lanes.sep on one-word slices.
+func (l *lanes) sepRowTo(v int, targets []int, xs, dst []float64) {
 	words, per := l.words, l.per
 	if per == 1 {
 		x := words[v]
 		for j, u := range targets {
-			dst[j] = half[2*bits.OnesCount64(l.nonzero(words[u]^x))]
+			dst[j] = xs[bits.OnesCount64(l.nonzero(words[u]^x))]
 		}
 		return
 	}
 	rv := words[v*per : v*per+per]
 	for j, u := range targets {
-		dst[j] = half[2*l.sep(words[u*per:u*per+per], rv)]
+		dst[j] = xs[l.sep(words[u*per:u*per+per], rv)]
 	}
 }
 
@@ -492,7 +492,8 @@ func (l *lanes) sepMiss(a, b []uint64) (s, q int) {
 }
 
 // histogram counts the object pairs by (s, q), s inputs separating them and
-// q missing a label on either object, at hist[s*(m+1)+q]. Workers fill
+// q missing a label on either object, at hist[q*(m+1)+s], the distance
+// table's layout. Workers fill
 // histograms of their own over interleaved rows and the integer sums merge
 // in any order, so the result does not depend on the worker count.
 //
@@ -515,7 +516,7 @@ func (l *lanes) histogram(workers int, bySubset bool) []int64 {
 				for _, x := range ra {
 					q += bits.OnesCount64(l.missing(x))
 				}
-				hist[q] += pairs64(ca)
+				hist[q*(m+1)] += pairs64(ca)
 			case bySubset: // countClean adds these pairs below
 			default:
 				clear(bySep)
@@ -532,12 +533,12 @@ func (l *lanes) histogram(workers int, bySubset bool) []int64 {
 					}
 				}
 				for s, c := range bySep {
-					hist[s*(m+1)] += ca * c
+					hist[s] += ca * c
 				}
 			}
 			for b := max(a+1, clean); b < groups; b++ {
 				s, q := l.sepMiss(ra, words[b*per:(b+1)*per])
-				hist[s*(m+1)+q] += ca * count[b]
+				hist[q*(m+1)+s] += ca * count[b]
 			}
 		}
 		hists[stripe] = hist
@@ -572,7 +573,7 @@ func (l *lanes) countCheaper() bool {
 	return l.m < 40 && uint64(2*countCost)<<l.m < uint64(l.clean)
 }
 
-// countClean adds the pairs of distinct clean rows to hist[s*(m+1)] by
+// countClean adds the pairs of distinct clean rows to hist[s] by
 // column subset. For every subset A of the m columns, agree[A] first counts
 // the pairs of clean objects that agree on every column of A: Σ C(c, 2)
 // over the classes of the rows projected on A, a projection being the lane
@@ -612,7 +613,7 @@ func (l *lanes) countClean(workers int, hist []int64) {
 		}
 	}
 	for a, c := range agree[:full] {
-		hist[(m-bits.OnesCount(uint(a)))*(m+1)] += c
+		hist[m-bits.OnesCount(uint(a))] += c
 	}
 }
 
@@ -743,27 +744,4 @@ func sameUnder(a, b, mask []uint64) bool {
 		}
 	}
 	return true
-}
-
-// pairTerm returns W·min(X, 1−X) for two label rows: under the coin model
-// from the unnormalized separating weight x, as min(x, W−x); under
-// MissingAverage (average set) through pairDist.
-func pairTerm[W labelWord](p *Problem, a, b []W, average bool) float64 {
-	tw := p.totalWeight
-	if average {
-		x := pairDist(p, a, b, true)
-		return tw * math.Min(x, 1-x)
-	}
-	sentinel := missingWord[W]()
-	var x float64
-	for i, la := range a {
-		lb := b[i]
-		switch {
-		case la == sentinel || lb == sentinel:
-			x += p.missW[i]
-		case la != lb:
-			x += p.w[i]
-		}
-	}
-	return math.Min(x, tw-x)
 }

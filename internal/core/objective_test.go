@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -14,15 +15,14 @@ import (
 
 // FuzzObjectiveExact pins the contingency-table Disagreement and the
 // distinct-row LowerBound to the O(n²) pair scans in corrclust, across
-// both missing modes, p ∈ {0, 0.3, ½, 1}, uniform and random weights,
-// problems from NewProblem and from either builder mode, and label blocks
-// at widths 8 and 32:
-//   - Disagreement = corrclust.Cost(kernel, ·)·W within 1e-9 relative, and
+// both missing modes, p ∈ {0, 0.3, ½, 1} (offDyadic: p = 0.3 at
+// m ∈ {3, 5, 6}), problems from NewProblem and from either builder mode,
+// and label blocks at widths 8 and 32:
+//   - Disagreement = corrclust.Cost(kernel, ·)·m within 1e-9 relative, and
 //     bit-identical across widths;
-//   - LowerBound = refLowerBound(kernel)·W within 1e-9 relative;
+//   - LowerBound = refLowerBound(kernel)·m within 1e-9 relative;
 //   - LowerBound ≤ Disagreement, bit for bit when every term is a multiple
-//     of ½ (coin model, uniform weights, p ∈ {0, ½, 1}), within 1e-9
-//     otherwise;
+//     of ½ (coin model, p ∈ {0, ½, 1}), within 1e-9 otherwise;
 //   - LowerBound is bit-identical at GOMAXPROCS 1 and 4.
 //
 // Candidate labels include partition.Missing (one more cluster, as in the
@@ -32,22 +32,19 @@ func FuzzObjectiveExact(f *testing.F) {
 	f.Add(int64(2), uint8(40), uint8(5), uint8(5), uint8(1), true, false, true, uint8(1), uint8(1))
 	f.Add(int64(3), uint8(7), uint8(1), uint8(4), uint8(0), false, true, false, uint8(2), uint8(2))
 	f.Add(int64(4), uint8(33), uint8(6), uint8(0), uint8(3), true, true, true, uint8(4), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, missRaw, pRaw uint8, weighted, average, packed bool, widthRaw, candRaw uint8) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, missRaw, pRaw uint8, offDyadic, average, packed bool, widthRaw, candRaw uint8) {
 		n := int(nRaw) % 41
 		m := 1 + int(mRaw)%6
 		missing := float64(missRaw%6) / 10
 		p := []float64{0, 0.3, 0.5, 1}[pRaw%4]
+		if offDyadic {
+			m, p = []int{3, 5, 6}[mRaw%3], 0.3
+		}
 		rng := rand.New(rand.NewSource(seed))
 
 		var opts ProblemOptions
 		if average {
 			opts.MissingMode = MissingAverage
-		}
-		if weighted {
-			opts.Weights = make([]float64, m)
-			for i := range opts.Weights {
-				opts.Weights[i] = 0.25 + rng.Float64()*4
-			}
 		}
 		prob := randMixedProblem(t, rng, n, m, missing, opts)
 		// Native widths 8 and 32: spread the labels past 255 or 65535.
@@ -81,7 +78,7 @@ func FuzzObjectiveExact(f *testing.F) {
 		}
 
 		ref := prob
-		tw := prob.totalWeight
+		tw := float64(prob.M())
 		wantD := tw * corrclust.Cost(ref, cand)
 		wantLB := tw * refLowerBound(ref)
 		d := prob.Disagreement(cand)
@@ -101,7 +98,7 @@ func FuzzObjectiveExact(f *testing.F) {
 			t.Fatalf("LowerBound = %.17g, scan %.17g (n=%d m=%d p=%v)", lb1, wantLB, n, m, p)
 		}
 
-		dyadic := !weighted && (p == 0 || p == 0.5 || p == 1) && !(average && ref.anyMiss)
+		dyadic := (p == 0 || p == 0.5 || p == 1) && !(average && ref.anyMiss)
 		if dyadic && lb1 > d || lb1 > d && !closeRel(lb1, d) {
 			t.Fatalf("LowerBound %.17g above Disagreement %.17g (dyadic %v)", lb1, d, dyadic)
 		}
@@ -311,4 +308,74 @@ func mustProblem(t *testing.T, cs []partition.Labels) *Problem {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// TestPastHistMaxM covers the other side of histMaxM: at m = 130 no
+// distance table or (s, q) histogram is built, so Dist and DistRowTo
+// evaluate x per pair and LowerBound sweeps every pair of distinct rows.
+// At both widths, with clean rows, rows missing labels and repeated rows
+// of both kinds, under both missing modes: Dist and DistRowTo match the
+// reference pair loop and LowerBound the reference scan within 1e-9
+// relative, DistRowTo equals Dist, LowerBound does not depend on the
+// worker count, and LowerBound ≤ Disagreement.
+func TestPastHistMaxM(t *testing.T) {
+	const m, n, protos = 130, 60, 40
+	rng := rand.New(rand.NewSource(503))
+	for _, mode := range []MissingMode{MissingCoin, MissingAverage} {
+		cs := make([]partition.Labels, m)
+		for i := range cs {
+			cs[i] = make(partition.Labels, n)
+			for v := 0; v < protos; v++ {
+				if v%2 == 1 && rng.Float64() < 0.1 {
+					cs[i][v] = partition.Missing
+				} else {
+					cs[i][v] = rng.Intn(3)
+				}
+			}
+			for v := protos; v < n; v++ {
+				cs[i][v] = cs[i][v-protos]
+			}
+		}
+		opts := ProblemOptions{MissingMode: mode}
+		prob, err := NewProblem(cs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if prob.xs != nil {
+			t.Fatalf("m = %d > histMaxM built a distance table", m)
+		}
+		ref := newRefDist(cs, opts)
+		wantLB := float64(m) * refLowerBound(ref)
+		cands := []partition.Labels{completeMissing(cs[0]), randMixedInputs(rng, n, 1, 0)[0]}
+		targets := rng.Perm(n)
+		dst := make([]float64, n)
+		for _, lk := range atEveryWidth(prob) {
+			name := fmt.Sprintf("mode=%d width=%d", mode, lk.width)
+			for v := 0; v < n; v++ {
+				for u := 0; u < n; u++ {
+					if got, want := lk.Dist(v, u), ref.Dist(v, u); !closeRel(got, want) {
+						t.Fatalf("%s: Dist(%d,%d) = %v, reference %v", name, v, u, got, want)
+					}
+				}
+				lk.DistRowTo(v, targets, dst)
+				for j, u := range targets {
+					if want := lk.Dist(v, u); dst[j] != want {
+						t.Fatalf("%s: DistRowTo(%d)[->%d] = %v, Dist %v", name, v, u, dst[j], want)
+					}
+				}
+			}
+			lb := lk.lowerBound(1)
+			if got := lk.lowerBound(3); got != lb {
+				t.Fatalf("%s: LowerBound %.17g on 3 workers, %.17g on 1", name, got, lb)
+			}
+			if !closeRel(lb, wantLB) {
+				t.Fatalf("%s: LowerBound %.17g, reference %.17g", name, lb, wantLB)
+			}
+			for _, cand := range cands {
+				if d := lk.Disagreement(cand); lb > d && !closeRel(lb, d) {
+					t.Fatalf("%s: LowerBound %.17g above Disagreement %.17g", name, lb, d)
+				}
+			}
+		}
+	}
 }

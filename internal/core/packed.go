@@ -375,8 +375,8 @@ func unpackColumn[W labelWord](lab []W, i, m int, dst partition.Labels) {
 // NewProblemPacked builds an aggregation problem directly over a packed
 // label block (NewProblem ends here too, after packing its []int
 // clusterings). The Problem aliases pc's labels and metadata without
-// copying them, as its only input storage, and premultiplies the O(m)
-// per-clustering weights once.
+// copying them, as its only input storage, and builds the O(m²) distance
+// table its subproblems share.
 func NewProblemPacked(pc *PackedClusterings, opts ProblemOptions) (*Problem, error) {
 	if pc == nil || pc.m == 0 {
 		return nil, ErrNoClusterings

@@ -14,48 +14,39 @@ import (
 
 // refDist is the reference X_uv over the unpacked input clusterings: one
 // branchy pass over the m []int label slices per pair, under the coin model
-// or MissingAverage, uniform or weighted. It implements corrclust.Instance.
-// The label kernel performs the same float operations in the same order, so
-// the two must agree bit for bit.
+// or MissingAverage, adding each input's contribution in input order. It
+// implements corrclust.Instance. The kernel counts (s, q) instead, so the
+// two agree bit for bit under MissingAverage and wherever 1−p is a multiple
+// of ¼ (every partial sum is exact); elsewhere the loop's sum depends on
+// the order of the inputs and they agree to rounding (see refExact).
 type refDist struct {
 	cs       []partition.Labels
 	missingP float64
 	average  bool
-	weights  []float64 // nil means uniform
-	total    float64
 }
 
-// newRefDist resolves opts the way NewProblem documents them (MissingTogether
-// 0 means 1/2; the total weight is m, or the weights summed in index order)
-// over the caller's own label slices.
+// newRefDist resolves opts the way NewProblem documents them
+// (MissingTogether 0 means 1/2) over the caller's own label slices.
 func newRefDist(cs []partition.Labels, opts ProblemOptions) *refDist {
 	r := &refDist{
 		cs:       cs,
 		missingP: opts.MissingTogether,
 		average:  opts.MissingMode == MissingAverage,
-		weights:  opts.Weights,
-		total:    float64(len(cs)),
 	}
 	if r.missingP == 0 {
 		r.missingP = DefaultMissingTogether
 	}
-	if r.weights != nil {
-		r.total = 0
-		for _, w := range r.weights {
-			r.total += w
-		}
-	}
 	return r
 }
 
-func (r *refDist) N() int { return len(r.cs[0]) }
-
-func (r *refDist) weight(i int) float64 {
-	if r.weights == nil {
-		return 1
-	}
-	return r.weights[i]
+// refExact reports whether the kernel must reproduce r bit for bit: under
+// MissingAverage, and under the coin model when 1−p is a multiple of ¼.
+func (r *refDist) refExact() bool {
+	h := 4 * (1 - r.missingP)
+	return r.average || h == math.Trunc(h)
 }
+
+func (r *refDist) N() int { return len(r.cs[0]) }
 
 func (r *refDist) Dist(u, v int) float64 {
 	if u == v {
@@ -65,15 +56,14 @@ func (r *refDist) Dist(u, v int) float64 {
 		// Only clusterings with values on both objects vote; a pair with no
 		// votes at all is maximally uncertain.
 		var x, votes float64
-		for i, c := range r.cs {
+		for _, c := range r.cs {
 			lu, lv := c[u], c[v]
 			if lu == partition.Missing || lv == partition.Missing {
 				continue
 			}
-			w := r.weight(i)
-			votes += w
+			votes++
 			if lu != lv {
-				x += w
+				x++
 			}
 		}
 		if votes == 0 {
@@ -82,16 +72,16 @@ func (r *refDist) Dist(u, v int) float64 {
 		return x / votes
 	}
 	var x float64
-	for i, c := range r.cs {
+	for _, c := range r.cs {
 		lu, lv := c[u], c[v]
 		switch {
 		case lu == partition.Missing || lv == partition.Missing:
-			x += (1 - r.missingP) * r.weight(i)
+			x += 1 - r.missingP
 		case lu != lv:
-			x += r.weight(i)
+			x++
 		}
 	}
-	return x / r.total
+	return x / float64(len(r.cs))
 }
 
 // refLowerBound is the lower bound's pair scan: Σ_{u<v} min(X_uv, 1−X_uv)

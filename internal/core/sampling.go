@@ -347,7 +347,7 @@ func assignDecide[W labelWord](a *assignPass, lab []W, v int, aff, buf []float64
 	if a.hist != nil {
 		affinitiesW(a.hist, a.p, lab, v, aff)
 	} else {
-		distRowTo(a.p, lab, v, a.flat, buf)
+		a.p.DistRowTo(v, a.flat, buf)
 		start := 0
 		for ci, end := range a.ends {
 			var s float64

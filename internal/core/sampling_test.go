@@ -332,8 +332,8 @@ func TestAutoSampleSize(t *testing.T) {
 // TestSampleWorkersIdentical: the assignment phase stripes objects across
 // workers, but every object's decision is independent of scheduling, so the
 // returned clustering must be bit-identical for every worker count — on
-// instances with missing values and non-uniform weights, under both missing
-// modes and both assignment paths. Each instance is also rebuilt with its
+// instances with missing values and non-dyadic missing probabilities, under
+// both missing modes and both assignment paths. Each instance is also rebuilt with its
 // labels injectively widened past the uint8 packing (×300 and ×70000, both
 // packed at int32): the kernel width changes no distance, so the
 // clustering must not change either. The duplicate-heavy family makes most
@@ -365,11 +365,6 @@ func TestSampleWorkersIdentical(t *testing.T) {
 			if trial%2 == 1 {
 				opts.MissingMode = MissingAverage
 			}
-			w := make([]float64, m)
-			for i := range w {
-				w[i] = 0.25 + rng.Float64()*3
-			}
-			opts.Weights = w
 			var p *Problem
 			if fam.twins {
 				var err error
@@ -422,8 +417,8 @@ func distinctRows(p *Problem) int {
 // for every object with an already-decided label row, so on a
 // duplicate-heavy instance the kernel pass must still reproduce the
 // probing reference bit for bit at every worker count — on the histogram
-// route (coin model, dyadic weights) and on the row route (MissingAverage
-// with missing values). The "full" cases shrink the memo below the
+// route (coin model at p = ¾, exact at m = 4) and on the row route
+// (MissingAverage with missing values). The "full" cases shrink the memo below the
 // instance's distinct-row count, so the stripes stop inserting and
 // evaluate the remaining rows without it.
 func TestSampleAssignMemoMatchesReference(t *testing.T) {
@@ -432,10 +427,10 @@ func TestSampleAssignMemoMatchesReference(t *testing.T) {
 		opts    ProblemOptions
 		memoCap int // 0 keeps assignMemoCap
 	}{
-		{name: "histogram", opts: ProblemOptions{Weights: dyadicWeights(4)}},
-		{name: "row", opts: ProblemOptions{MissingMode: MissingAverage, Weights: dyadicWeights(4)}},
-		{name: "histogram/full", opts: ProblemOptions{Weights: dyadicWeights(4)}, memoCap: 16},
-		{name: "row/full", opts: ProblemOptions{MissingMode: MissingAverage, Weights: dyadicWeights(4)}, memoCap: 16},
+		{name: "histogram", opts: ProblemOptions{MissingTogether: 0.75}},
+		{name: "row", opts: ProblemOptions{MissingMode: MissingAverage}},
+		{name: "histogram/full", opts: ProblemOptions{MissingTogether: 0.75}, memoCap: 16},
+		{name: "row/full", opts: ProblemOptions{MissingMode: MissingAverage}, memoCap: 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.memoCap != 0 {
@@ -479,8 +474,8 @@ func TestSampleAssignMemoMatchesReference(t *testing.T) {
 
 // FuzzSampleAssignMemo decodes a small instance with forced twin rows from
 // the fuzzer's bytes — up to 8 prototype rows over m ∈ {1, 2, 4} inputs
-// (uniform or dyadic weights, the coin model at a dyadic p or
-// MissingAverage), copied onto every object — and asserts that SAMPLING's
+// (the coin model at a dyadic p or MissingAverage), copied onto every
+// object — and asserts that SAMPLING's
 // memoized kernel pass labels it exactly as the probing reference does.
 // One bit of the header shrinks the memo to 4 slots, so the
 // stop-inserting path is fuzzed too.
@@ -494,9 +489,6 @@ func FuzzSampleAssignMemo(f *testing.F) {
 		}
 		m := []int{1, 2, 4}[data[0]%3]
 		var opts ProblemOptions
-		if data[1]&1 == 1 {
-			opts.Weights = dyadicWeights(m)
-		}
 		if mode := (data[1] >> 1) % 5; mode == 4 {
 			opts.MissingMode = MissingAverage
 		} else {

@@ -12,9 +12,6 @@ import (
 // optionsOf returns the ProblemOptions p was built with.
 func optionsOf(p *Problem) ProblemOptions {
 	opts := ProblemOptions{MissingTogether: p.missingP}
-	if !p.uniform {
-		opts.Weights = p.w
-	}
 	if p.average {
 		opts.MissingMode = MissingAverage
 	}
@@ -35,9 +32,10 @@ func widened(p *Problem) *Problem {
 
 // withMissingP returns p over the same block at coin probability x. x = 0
 // is not expressible through ProblemOptions (0 means ½), so tests set it
-// here, where the missing contributions are premultiplied.
+// here, where the distance table is built.
 func withMissingP(p *Problem, x float64) *Problem {
-	o := &Problem{missingP: x, w: p.w, totalWeight: p.totalWeight, uniform: p.uniform, average: p.average}
+	o := &Problem{packedBlock: packedBlock{m: p.m}, missingP: x, average: p.average}
+	o.xs = o.distTable()
 	return o.over(&p.packedBlock)
 }
 
@@ -109,7 +107,7 @@ func TestKernelWidthSelection(t *testing.T) {
 // (MissingAverage with missing labels).
 func checkPromotion(t *testing.T, big int, colMode bool) {
 	t.Helper()
-	for oi, opts := range []ProblemOptions{{}, {MissingMode: MissingAverage, Weights: dyadicWeights(4)}} {
+	for oi, opts := range []ProblemOptions{{}, {MissingMode: MissingAverage}} {
 		name := fmt.Sprintf("label %d colMode=%v opts %d", big, colMode, oi)
 		rng := rand.New(rand.NewSource(int64(big + oi)))
 		const n, m = 120, 4
@@ -162,24 +160,21 @@ func checkPromotion(t *testing.T, big int, colMode bool) {
 // bit-identical distances and histogram affinities — the packed loops never
 // let the width touch a float. Each trial compares the auto (uint8) problem
 // against its int32 re-encoding on Dist, DistRowTo, and the co-label
-// histogram path, across both missing modes and weights.
+// histogram path, across both missing modes and p ∈ {¼, ½, 0.37, 0.3}
+// (m ∈ {3, 5, 6} at 0.3).
 func TestLabelKernelWidthsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	for trial := 0; trial < 30; trial++ {
 		n := 20 + rng.Intn(60)
 		m := 1 + rng.Intn(8)
 		var opts ProblemOptions
-		if trial%3 == 1 {
-			w := make([]float64, m)
-			for i := range w {
-				w[i] = 0.25 + rng.Float64()*3
-			}
-			opts.Weights = w
-		}
 		if trial%2 == 1 {
 			opts.MissingMode = MissingAverage
 		}
-		opts.MissingTogether = []float64{0.25, 0.5, 0.37}[trial%3]
+		opts.MissingTogether = []float64{0.25, 0.5, 0.37, 0.3}[trial%4]
+		if trial%4 == 3 {
+			m = []int{3, 5, 6}[trial%3]
+		}
 		base := randMixedProblem(t, rng, n, m, 0.3, opts)
 		if base.width != width8 {
 			t.Fatalf("trial %d: auto width %d, want uint8 for labels < 5", trial, base.width)
@@ -298,14 +293,14 @@ func TestLabelKernelWideLabelsBitIdentical(t *testing.T) {
 }
 
 // FuzzLabelKernelWidths drives the one-byte problem against its int32
-// re-encoding on fuzzer-chosen instances — both missing modes, weights,
-// optional wide relabeling — requiring bit-for-bit equality on DistRowTo
-// and the histogram affinities.
+// re-encoding on fuzzer-chosen instances — both missing modes, dyadic p or
+// p = 0.3 (offDyadic), optional wide relabeling — requiring bit-for-bit
+// equality on DistRowTo and the histogram affinities.
 func FuzzLabelKernelWidths(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(4), uint8(0), false, false)
 	f.Add(int64(2), uint8(50), uint8(7), uint8(1), true, false)
 	f.Add(int64(3), uint8(9), uint8(2), uint8(2), false, true)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw uint8, weighted, widen bool) {
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw uint8, offDyadic, widen bool) {
 		n := 2 + int(nRaw)%60
 		m := 1 + int(mRaw)%8
 		rng := rand.New(rand.NewSource(seed))
@@ -314,12 +309,8 @@ func FuzzLabelKernelWidths(f *testing.F) {
 			opts.MissingMode = MissingAverage
 		}
 		opts.MissingTogether = []float64{0.25, 0.5, 0.75}[modeRaw%3]
-		if weighted {
-			w := make([]float64, m)
-			for i := range w {
-				w[i] = 0.25 + rng.Float64()*4
-			}
-			opts.Weights = w
+		if offDyadic {
+			opts.MissingTogether = 0.3
 		}
 		packed := randMixedProblem(t, rng, n, m, 0.3, opts)
 		ref := widened(packed)

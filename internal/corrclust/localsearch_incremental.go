@@ -59,7 +59,7 @@ import (
 // (ascending slot order, strict-< tie-breaks, the same epsilon accept
 // guard, the same free-slot recycling), so on instances whose distance
 // arithmetic is exact — dyadic values, e.g. aggregation over 2^i
-// clusterings or dyadic weights — the kernel's floats equal the reference's
+// clusterings — the kernel's floats equal the reference's
 // reals and the labels are identical. On arbitrary floats the maintained
 // columns accumulate drift of a few ulps per delta; the epsilon guard
 // absorbs it at accept/reject decisions and refreshColumn rebuilds a column
