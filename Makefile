@@ -16,14 +16,20 @@ test:
 vet:
 	$(GO) vet ./...
 
-# Static hygiene: go vet plus a repo-wide gofmt check (fails listing any
-# file that gofmt would rewrite).
+# Static hygiene: go vet, a repo-wide gofmt check (fails listing any file
+# that gofmt would rewrite), and the dependency diet: no command links
+# net/http, since every observation leaves through the run report and an
+# HTTP endpoint alone doubles the binaries.
 lint: vet
 	@fmt=$$(gofmt -l .); \
 	if [ -n "$$fmt" ]; then \
 		echo "lint: gofmt needed on:"; echo "$$fmt"; exit 1; \
 	fi; \
 	echo "lint: gofmt clean"
+	@if $(GO) list -deps ./cmd/... | grep -qx 'net/http'; then \
+		echo "lint: ./cmd/... links net/http"; exit 1; \
+	fi; \
+	echo "lint: ./cmd/... links no net/http"
 
 race: test-race
 

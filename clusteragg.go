@@ -150,8 +150,9 @@ type CSVOptions struct {
 }
 
 // ErrNegativeOption is returned, wrapped with the offending field, when a
-// CSVOptions count that must be non-negative is negative.
-var ErrNegativeOption = errors.New("clusteragg: negative option")
+// count that must be non-negative is negative: CSVOptions.SampleSize or
+// AggregateOptions.K.
+var ErrNegativeOption = core.ErrNegativeOption
 
 // CSVResult is the outcome of AggregateCSV, CSVInput.Aggregate and
 // CSVInput.Evaluate.

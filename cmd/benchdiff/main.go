@@ -74,9 +74,8 @@ import (
 
 // defaultIgnore matches the counter/metric names whose values depend on the
 // machine (worker count, timing, GC pacing) rather than on the algorithms.
-// The live peak-heap gauge is here because peak heap rides GC timing; the
-// alloc *section* (total bytes) is gated separately by -alloc-ratio.
-const defaultIgnore = `\.workers$|seconds$|time_ratio$|linearity_ratio$|throughput$|^alloc\.peak_heap_bytes$|^runtime\.`
+// The alloc section (total bytes) is gated separately by -alloc-ratio.
+const defaultIgnore = `\.workers$|seconds$|time_ratio$|linearity_ratio$|throughput$|^runtime\.`
 
 // defaultWallRatio is deliberately generous: the baseline may come from a
 // different machine, and wall time is the one compared axis that legitimately

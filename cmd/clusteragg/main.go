@@ -30,6 +30,7 @@
 //	               reports to work better in practice; Theorem 1's
 //	               3-approximation bound needs 0.25)
 //	-k N           force N clusters where the method supports it
+//	               (negative is an error)
 //	-refine        post-process with LOCALSEARCH
 //	-header        treat the first CSV record as column names
 //	-class NAME    column holding class labels (reported, not clustered on)
@@ -48,12 +49,9 @@
 //	-tracefile F   write the span tree as Chrome trace_event JSON ("-" =
 //	               stdout); load in Perfetto or chrome://tracing
 //	-progress      print throttled progress events on stderr while running
-//	-listen ADDR   serve /metrics (Prometheus text), /series, /logs, and
-//	               /debug/pprof on ADDR (e.g. ":9090") for the duration of
-//	               the run
 //	-log FORMAT    stream the structured event log to stderr as "text" or
 //	               "json" lines (slog format); the retained tail also lands
-//	               in the -report events section and on /logs
+//	               in the -report events section
 //	-cpuprofile F  write a pprof CPU profile of the run; spans and worker
 //	               goroutines carry phase/method/worker pprof labels, so
 //	               `go tool pprof -tagfocus phase=materialize` slices it
@@ -97,7 +95,6 @@ type cliConfig struct {
 	report     string
 	tracefile  string
 	progress   bool
-	listen     string
 	logFormat  string
 	cpuprofile string
 	memprofile string
@@ -108,10 +105,6 @@ type cliConfig struct {
 	traceOut    io.Writer
 	progressOut io.Writer
 	logOut      io.Writer
-	// onServe, when non-nil, is called with the -listen server's bound
-	// address after the aggregation finishes but while the server is still
-	// up, so tests can scrape /metrics from a live run.
-	onServe func(addr string)
 }
 
 func main() {
@@ -138,7 +131,6 @@ func main() {
 	flag.StringVar(&cfg.report, "report", "", "write a JSON run report to this file (\"-\" = stdout)")
 	flag.StringVar(&cfg.tracefile, "tracefile", "", "write a Chrome trace_event JSON trace to this file (\"-\" = stdout)")
 	flag.BoolVar(&cfg.progress, "progress", false, "print throttled progress events on stderr")
-	flag.StringVar(&cfg.listen, "listen", "", "serve /metrics, /series, /logs, and /debug/pprof on this address during the run")
 	flag.StringVar(&cfg.logFormat, "log", "", "stream the structured event log to stderr as \"text\" or \"json\" lines")
 	flag.StringVar(&cfg.cpuprofile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	flag.StringVar(&cfg.memprofile, "memprofile", "", "write a pprof heap profile to this file")
@@ -158,6 +150,9 @@ func run(path string, cfg cliConfig) error {
 	if cfg.sample < 0 {
 		return fmt.Errorf("-sample %d: %w", cfg.sample, clusteragg.ErrNegativeOption)
 	}
+	if cfg.k < 0 {
+		return fmt.Errorf("-k %d: %w", cfg.k, clusteragg.ErrNegativeOption)
+	}
 	if cfg.cpuprofile != "" {
 		f, err := os.Create(cfg.cpuprofile)
 		if err != nil {
@@ -171,7 +166,7 @@ func run(path string, cfg cliConfig) error {
 	}
 
 	var rec *obs.Recorder
-	if cfg.trace || cfg.report != "" || cfg.tracefile != "" || cfg.listen != "" || cfg.logFormat != "" {
+	if cfg.trace || cfg.report != "" || cfg.tracefile != "" || cfg.logFormat != "" {
 		rec = obs.New()
 	}
 	if cfg.logFormat != "" {
@@ -191,39 +186,19 @@ func run(path string, cfg cliConfig) error {
 		rec.Events().Attach(h)
 	}
 	// CPU attribution: phase/method/worker pprof labels cost a few allocs
-	// per span, so they stay off unless something will consume them — a
-	// -cpuprofile, or the live /debug/pprof endpoints under -listen.
-	if cfg.cpuprofile != "" || cfg.listen != "" {
+	// per span, so they stay off unless a -cpuprofile will consume them.
+	if cfg.cpuprofile != "" {
 		obs.EnableProfileLabels(true)
 		defer obs.EnableProfileLabels(false)
 	}
-	var srv *obs.MetricsServer
-	if cfg.listen != "" {
-		var err error
-		srv, err = obs.Serve(cfg.listen, rec)
-		if err != nil {
-			return fmt.Errorf("listen: %w", err)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "# metrics: http://%s/metrics\n", srv.Addr())
-	}
 	// Allocation telemetry: TotalAlloc/Mallocs deltas over the whole run,
-	// with the peak heap sampled from the progress ticker, at the end of
-	// the run, and — under -listen — from a background ticker, so the
-	// alloc.peak_heap_bytes gauge on /metrics stays current.
-	tracker := obs.StartAllocTracker(rec.Gauge("alloc.peak_heap_bytes"))
+	// with the peak heap sampled from the progress ticker and at the end of
+	// the run.
+	tracker := obs.StartAllocTracker()
 	// Runtime telemetry (nil and free when rec is): goroutines, heap, GC
-	// cycles, total CPU, polled from runtime/metrics. It piggybacks on the
-	// progress tick like the alloc tracker; under -listen the same
-	// background ticker keeps the runtime.* gauges on /metrics live between
-	// progress events.
+	// cycles, total CPU, polled from runtime/metrics on the same ticks as
+	// the alloc tracker.
 	sampler := obs.NewRuntimeSampler(rec)
-	if cfg.listen != "" {
-		stopSampling := make(chan struct{})
-		tracker.SampleEvery(250*time.Millisecond, stopSampling)
-		sampler.SampleEvery(250*time.Millisecond, stopSampling)
-		defer close(stopSampling)
-	}
 	var progress *obs.Progress
 	if cfg.progress {
 		w := cfg.progressOut
@@ -301,8 +276,8 @@ func run(path string, cfg cliConfig) error {
 		rec.Series("cost_over_lower_bound").Append(0, res.Disagreement/res.LowerBound)
 	}
 	rec.Event("run.done", "n", res.Rows, "m", res.Attributes, "clusters", labels.K(), "cost", res.Disagreement)
-	// Final polls, so the report's and /metrics' runtime.* and peak-heap
-	// gauges are fresh.
+	// Final polls, so the report's runtime.* gauges and peak heap are
+	// fresh.
 	tracker.Sample()
 	sampler.Sample()
 	fmt.Printf("# n=%d attributes=%d clusters=%d disagreement=%.0f lower-bound=%.0f\n",
@@ -313,10 +288,6 @@ func run(path string, cfg cliConfig) error {
 			return err
 		}
 		fmt.Printf("# classification-error=%.1f%%\n", 100*ec)
-	}
-
-	if cfg.onServe != nil && srv != nil {
-		cfg.onServe(srv.Addr())
 	}
 
 	if cfg.trace {

@@ -149,6 +149,13 @@ func TestRunErrors(t *testing.T) {
 	if err := run(path, scfg); !errors.Is(err, clusteragg.ErrNegativeOption) {
 		t.Errorf("sample -5: error %v, want ErrNegativeOption", err)
 	}
+	// A negative K is rejected too: FURTHEST would skip its stopping rule
+	// and AGGLOMERATIVE would read it as 0.
+	kcfg := base()
+	kcfg.k = -1
+	if err := run(path, kcfg); !errors.Is(err, clusteragg.ErrNegativeOption) {
+		t.Errorf("k -1: error %v, want ErrNegativeOption", err)
+	}
 }
 
 func TestRunBestOf(t *testing.T) {

@@ -3,14 +3,10 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
@@ -178,28 +174,13 @@ func TestRunReportSchema(t *testing.T) {
 			t.Errorf("cost_over_lower_bound = %g, want >= 1", v)
 		}
 	}
-	// Schema v4 additions: allocation telemetry with its live peak gauge.
+	// Schema v4 additions: allocation telemetry.
 	if rep.Alloc == nil {
 		t.Fatal("alloc section missing from report")
 	}
 	if rep.Alloc.Bytes == 0 || rep.Alloc.Mallocs == 0 || rep.Alloc.PeakHeapBytes == 0 {
 		t.Errorf("alloc section not populated: %+v", rep.Alloc)
 	}
-	if g, ok := rep.Gauges["alloc.peak_heap_bytes"]; !ok || g <= 0 {
-		t.Errorf("gauge alloc.peak_heap_bytes = %v (present=%v), want > 0", g, ok)
-	}
-}
-
-// listenCSV is large enough that the run's heap ends several MB above the
-// heap it started from: 60 000 rows of four planted attributes.
-func listenCSV(t *testing.T) string {
-	t.Helper()
-	var b strings.Builder
-	b.WriteString("a,b,c,d\n")
-	for i := 0; i < 60000; i++ {
-		fmt.Fprintf(&b, "x%d,y%d,z%d,w%d\n", i%3, i%5, (i/3)%4, i%7)
-	}
-	return writeCSV(t, b.String())
 }
 
 // hasSpan reports whether a span named name occurs anywhere in the forest.
@@ -212,70 +193,52 @@ func hasSpan(spans []obs.SpanSnapshot, name string) bool {
 	return false
 }
 
-// TestRunListenServesMetrics is the acceptance criterion for the exposition
-// endpoint: during a -listen run, GET /metrics returns Prometheus text with
-// the run's live counters and gauges, and the peak-heap gauge is current —
-// sampled through the run, not frozen at the heap the run started from.
-func TestRunListenServesMetrics(t *testing.T) {
-	path := listenCSV(t)
-	cfg := base()
-	cfg.method = "localsearch"
-	cfg.sample = 300
-	cfg.header = true
-	cfg.summary = true
-	cfg.listen = "127.0.0.1:0"
-	var body string
-	cfg.onServe = func(addr string) {
-		resp, err := http.Get("http://" + addr + "/metrics")
-		if err != nil {
-			t.Fatalf("GET /metrics: %v", err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/metrics status %d", resp.StatusCode)
-		}
-		raw, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body = string(raw)
+// TestRunStdoutIgnoresInstrumentation pins the CLI's observation contract:
+// instrumentation never steers, so stdout is byte-identical with and
+// without any sink attached, for exact and sampled runs, and at every
+// -workers value (each run is compared with the bare one-worker run).
+func TestRunStdoutIgnoresInstrumentation(t *testing.T) {
+	path := writeCSV(t, ingestCSV(600))
+	dir := t.TempDir()
+	sinks := []struct {
+		name   string
+		attach func(cfg *cliConfig)
+	}{
+		{"trace", func(cfg *cliConfig) { cfg.trace, cfg.traceOut = true, io.Discard }},
+		{"report", func(cfg *cliConfig) { cfg.report = filepath.Join(dir, "report.json") }},
+		{"tracefile", func(cfg *cliConfig) { cfg.tracefile = filepath.Join(dir, "trace.json") }},
+		{"progress", func(cfg *cliConfig) { cfg.progress, cfg.progressOut = true, io.Discard }},
+		{"log", func(cfg *cliConfig) { cfg.logFormat, cfg.logOut = "json", io.Discard }},
+		{"cpuprofile", func(cfg *cliConfig) { cfg.cpuprofile = filepath.Join(dir, "cpu.pprof") }},
 	}
-	runtime.GC() // start the run from this test's own small live heap
-	if err := run(path, cfg); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"# TYPE clusteragg_localsearch_sweeps_total counter",
-		"# TYPE clusteragg_localsearch_clusters gauge",
-		"# TYPE clusteragg_alloc_peak_heap_bytes gauge",
-		"# TYPE clusteragg_runtime_heap_bytes gauge",
-	} {
-		if !strings.Contains(body, want) {
-			t.Errorf("/metrics missing %q:\n%s", want, body)
-		}
-	}
-	peak := promValue(t, body, "clusteragg_alloc_peak_heap_bytes")
-	heap := promValue(t, body, "clusteragg_runtime_heap_bytes")
-	if peak < heap/2 {
-		t.Errorf("alloc.peak_heap_bytes = %.0f is below half the current heap %.0f: the peak is stale", peak, heap)
-	}
-}
-
-// promValue returns the sample value of an unlabeled metric in Prometheus
-// text.
-func promValue(t *testing.T, body, name string) float64 {
-	t.Helper()
-	for _, line := range strings.Split(body, "\n") {
-		if v, ok := strings.CutPrefix(line, name+" "); ok {
-			f, err := strconv.ParseFloat(v, 64)
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
+	for _, mode := range []struct {
+		name   string
+		method string
+		sample int
+	}{{"exact", "bestof", 0}, {"sample", "agglomerative", 120}} {
+		cfg := base()
+		cfg.method = mode.method
+		cfg.sample = mode.sample
+		cfg.header = true
+		cfg.class = "class"
+		cfg.workers = 1
+		want := runStdout(t, path, cfg)
+		for _, workers := range []int{1, 4} {
+			cfg.workers = workers
+			all := cfg
+			for _, sink := range sinks {
+				one := cfg
+				sink.attach(&one)
+				sink.attach(&all)
+				if got := runStdout(t, path, one); got != want {
+					t.Errorf("%s workers=%d -%s: stdout differs from the bare run:\n%s\nwant:\n%s", mode.name, workers, sink.name, got, want)
+				}
 			}
-			return f
+			if got := runStdout(t, path, all); got != want {
+				t.Errorf("%s workers=%d, every sink: stdout differs from the bare run:\n%s\nwant:\n%s", mode.name, workers, got, want)
+			}
 		}
 	}
-	t.Fatalf("/metrics has no sample for %s:\n%s", name, body)
-	return 0
 }
 
 // TestRunProgressOutput checks the -progress ticker: at least the guaranteed

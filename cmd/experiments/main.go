@@ -36,11 +36,6 @@
 //	-progress      print throttled per-artifact progress on stderr
 //	-log FORMAT    mirror each artifact's structured events to stderr as
 //	               they happen ("text" or "json", via log/slog)
-//	-listen ADDR   serve /metrics (Prometheus text), /series, /logs, and
-//	               /debug/pprof on ADDR; the scrape follows the artifact
-//	               currently running, and CPU profiles taken from
-//	               /debug/pprof carry phase/artifact/worker labels (pprof
-//	               -tagfocus)
 package main
 
 import (
@@ -70,7 +65,6 @@ func main() {
 		tracefile = flag.String("tracefile", "", "write a Chrome trace_event JSON trace to this file, one process per artifact (\"-\" = stdout)")
 		progress  = flag.Bool("progress", false, "print throttled per-artifact progress on stderr")
 		logFormat = flag.String("log", "", "mirror structured events to stderr as \"text\" or \"json\"")
-		listen    = flag.String("listen", "", "serve /metrics, /series, /logs, and /debug/pprof on this address during the run")
 	)
 	flag.Usage = func() {
 		fmt.Fprintf(os.Stderr, "usage: experiments [flags] <fig3|fig4|table1|table2|table3|census|fig5left|fig5middle|fig5right|ensembles|missing|ingest|huge|all>\n")
@@ -97,20 +91,6 @@ func main() {
 		enabled:      *report != "",
 		collectTrace: *tracefile != "",
 		logFormat:    *logFormat,
-	}
-	if *listen != "" {
-		srv, err := obs.Serve(*listen, nil)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: listen: %v\n", err)
-			os.Exit(1)
-		}
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "# metrics: http://%s/metrics\n", srv.Addr())
-		rep.server = srv
-		// Profiles scraped from /debug/pprof should attribute CPU to the
-		// artifact and phase currently running.
-		obs.EnableProfileLabels(true)
-		defer obs.EnableProfileLabels(false)
 	}
 	if *progress {
 		rep.progress = obs.NewProgress(func(e obs.ProgressEvent) {
@@ -142,16 +122,12 @@ func main() {
 }
 
 // reporter accumulates per-artifact observability: RunReports when -report
-// is set, trace processes when -tracefile is set, and the live recorder the
-// -listen server scrapes. A fresh Recorder per artifact keeps each
-// artifact's counters and spans separable; the metrics server is rebound to
-// the new recorder at every begin, so a scrape always follows the artifact
-// currently running.
+// is set and trace processes when -tracefile is set. A fresh Recorder per
+// artifact keeps each artifact's counters and spans separable.
 type reporter struct {
 	enabled      bool   // -report: accumulate RunReports
 	collectTrace bool   // -tracefile: accumulate TraceProcesses
 	logFormat    string // -log: mirror events to stderr ("text" or "json")
-	server       *obs.MetricsServer
 	progress     *obs.Progress
 	reports      []obs.RunReport
 	traces       []obs.TraceProcess
@@ -159,7 +135,7 @@ type reporter struct {
 
 // collect reports whether any consumer needs a per-artifact Recorder.
 func (r *reporter) collect() bool {
-	return r.enabled || r.collectTrace || r.server != nil || r.logFormat != ""
+	return r.enabled || r.collectTrace || r.logFormat != ""
 }
 
 // begin attaches a fresh Recorder to cfg and returns a done func that
@@ -171,7 +147,6 @@ func (r *reporter) begin(artifact string, cfg experiments.Config) (experiments.C
 	}
 	rec := obs.New()
 	cfg.Recorder = rec
-	r.server.SetRecorder(rec)
 	if r.logFormat != "" {
 		var h slog.Handler
 		if r.logFormat == "json" {
@@ -188,7 +163,7 @@ func (r *reporter) begin(artifact string, cfg experiments.Config) (experiments.C
 	// ratio-gated by benchdiff. The runtime sampler rides the same stop
 	// channel; the synchronous Sample() guarantees runtime.* gauges exist
 	// even for artifacts that finish inside one sampling interval.
-	tracker := obs.StartAllocTracker(nil)
+	tracker := obs.StartAllocTracker()
 	sampler := obs.NewRuntimeSampler(rec)
 	sampler.Sample()
 	stopSampling := make(chan struct{})
@@ -218,18 +193,8 @@ func (r *reporter) begin(artifact string, cfg experiments.Config) (experiments.C
 	}
 }
 
-// run labels the goroutine for CPU attribution (profiles taken while an
-// artifact runs resolve to artifact=<name> under pprof -tagfocus) and
-// delegates to runArtifact. The "all" driver recurses through run, so each
-// sub-artifact re-labels itself.
-func run(artifact string, cfg experiments.Config, plot, asJSON bool, rep *reporter) (err error) {
-	obs.Do(obs.ProfLabels{Phase: "artifact", Artifact: artifact}, func() {
-		err = runArtifact(artifact, cfg, plot, asJSON, rep)
-	})
-	return err
-}
-
-func runArtifact(artifact string, cfg experiments.Config, plot, asJSON bool, rep *reporter) error {
+// run regenerates one artifact; the "all" driver recurses through it.
+func run(artifact string, cfg experiments.Config, plot, asJSON bool, rep *reporter) error {
 	emit := func(v any) error {
 		if asJSON {
 			enc := json.NewEncoder(os.Stdout)

@@ -1,13 +1,9 @@
 package main
 
 import (
-	"io"
-	"net/http"
-	"strings"
 	"testing"
 
 	"clusteragg/internal/experiments"
-	"clusteragg/internal/obs"
 )
 
 func tinyCfg() experiments.Config {
@@ -71,34 +67,6 @@ func TestRunCollectsTraces(t *testing.T) {
 	}
 	if len(rep.reports) != 0 {
 		t.Errorf("reports accumulated without -report: %d", len(rep.reports))
-	}
-}
-
-// TestRunRebindsServer checks -listen collection alone: each artifact gets a
-// fresh recorder and the metrics server follows it.
-func TestRunRebindsServer(t *testing.T) {
-	srv, err := obs.Serve("127.0.0.1:0", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	rep := &reporter{server: srv}
-	if err := run("fig4", tinyCfg(), false, false, rep); err != nil {
-		t.Fatal(err)
-	}
-	// The server was bound to no recorder; a scrape that serves the
-	// artifact's counters reads through the recorder the run bound.
-	resp, err := http.Get("http://" + srv.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(body), "clusteragg_agglomerative_dist_probes_total") {
-		t.Errorf("server not rebound to the artifact's recorder; /metrics:\n%s", body)
 	}
 }
 

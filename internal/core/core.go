@@ -100,6 +100,11 @@ type ProblemOptions struct {
 // ErrNoClusterings is returned when a Problem is constructed without inputs.
 var ErrNoClusterings = errors.New("core: no input clusterings")
 
+// ErrNegativeOption is returned, wrapped with the offending field, when a
+// count that must be non-negative is negative: AggregateOptions.K or a
+// SAMPLING sample size.
+var ErrNegativeOption = errors.New("clusteragg: negative option")
+
 // NewProblem validates the inputs and builds an aggregation problem. All
 // clusterings must have the same length and contain only valid labels
 // (non-negative and below math.MaxInt32, or partition.Missing). The labels

@@ -85,7 +85,8 @@ type AggregateOptions struct {
 	BallsAlpha *float64
 	// K, when positive, asks the method to produce exactly K clusters where
 	// the method supports it (MethodAgglomerative, MethodFurthest). The
-	// other methods remain parameter-free and ignore K.
+	// other methods remain parameter-free and ignore K. A negative K is
+	// rejected with ErrNegativeOption.
 	K int
 	// Refine applies a LOCALSEARCH post-processing pass to the method's
 	// output (Section 4 suggests LOCALSEARCH "can be used ... as a
@@ -153,12 +154,23 @@ func EffectiveWorkers(w int) int {
 	return w
 }
 
+// check rejects the option values no method can honor.
+func (o AggregateOptions) check() error {
+	if o.K < 0 {
+		return fmt.Errorf("%w: K %d", ErrNegativeOption, o.K)
+	}
+	return nil
+}
+
 // Aggregate runs the chosen aggregation method on the problem and returns
 // the aggregate clustering with normalized labels. The whole run carries
 // phase/method pprof labels (obs.Do) when profile labels are enabled, so a
 // -cpuprofile slices by method with `go tool pprof -tagfocus`; worker
 // goroutines spawned inside inherit them.
 func (p *Problem) Aggregate(method Method, opts AggregateOptions) (labels partition.Labels, err error) {
+	if err := opts.check(); err != nil {
+		return nil, err
+	}
 	obs.Do(obs.ProfLabels{Phase: "aggregate", Method: method.Slug()}, func() {
 		rec := opts.Recorder
 		span := rec.Start("aggregate:" + method.Slug())
@@ -244,6 +256,9 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 // independent deterministic seed, in method order, from opts.Rand before
 // the race starts. Every worker count returns the same (labels, method).
 func (p *Problem) BestOf(methods []Method, opts AggregateOptions) (partition.Labels, Method, error) {
+	if err := opts.check(); err != nil {
+		return nil, 0, err
+	}
 	if len(methods) == 0 {
 		methods = Methods()
 	}

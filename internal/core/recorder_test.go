@@ -231,14 +231,15 @@ func TestProgressSampleEquivalence(t *testing.T) {
 // TestConcurrentMetricWrites drives the parallel assignment and local-search
 // paths with Workers=8 while a second goroutine continuously snapshots the
 // registry, so `go test -race` covers concurrent gauge and series writes
-// against scrapes (the situation a live -listen server creates).
+// against snapshots: the registry promises a consistent read at any time,
+// not only after the run.
 func TestConcurrentMetricWrites(t *testing.T) {
 	p := recorderProblem(t, 600, 4, 29)
 	rec := obs.New()
 	done := make(chan struct{})
-	scraped := make(chan struct{})
+	snapped := make(chan struct{})
 	go func() {
-		defer close(scraped)
+		defer close(snapped)
 		for {
 			select {
 			case <-done:
@@ -256,7 +257,7 @@ func TestConcurrentMetricWrites(t *testing.T) {
 		AggregateOptions{Workers: 8, Recorder: rec, Progress: prog},
 		SamplingOptions{SampleSize: 80, Rand: rand.New(rand.NewSource(6))})
 	close(done)
-	<-scraped
+	<-snapped
 	if err != nil {
 		t.Fatal(err)
 	}

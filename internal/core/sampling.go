@@ -65,7 +65,10 @@ func (p *Problem) Sample(method Method, aggOpts AggregateOptions, sOpts Sampling
 		s = autoSampleSize(n)
 	}
 	if s < 0 {
-		return nil, fmt.Errorf("core: negative sample size %d", s)
+		return nil, fmt.Errorf("%w: SampleSize %d", ErrNegativeOption, s)
+	}
+	if err := aggOpts.check(); err != nil {
+		return nil, err
 	}
 	if s >= n {
 		return p.Aggregate(method, aggOpts)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"slices"
 	"strings"
@@ -140,8 +141,27 @@ func TestSampleSizeLargerThanNFallsBack(t *testing.T) {
 
 func TestSampleNegativeSize(t *testing.T) {
 	p := figure1Problem(t)
-	if _, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{SampleSize: -1}); err == nil {
-		t.Error("negative sample size accepted")
+	if _, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{SampleSize: -1}); !errors.Is(err, ErrNegativeOption) {
+		t.Errorf("negative sample size: error %v, want ErrNegativeOption", err)
+	}
+}
+
+// TestNegativeKRejected: every entry point that takes AggregateOptions
+// rejects K < 0, which FURTHEST and AGGLOMERATIVE would otherwise read two
+// different ways.
+func TestNegativeKRejected(t *testing.T) {
+	p := figure1Problem(t)
+	opts := AggregateOptions{K: -3}
+	for _, m := range []Method{MethodAgglomerative, MethodFurthest} {
+		if _, err := p.Aggregate(m, opts); !errors.Is(err, ErrNegativeOption) {
+			t.Errorf("Aggregate %v: error %v, want ErrNegativeOption", m, err)
+		}
+		if _, err := p.Sample(m, opts, SamplingOptions{SampleSize: 2}); !errors.Is(err, ErrNegativeOption) {
+			t.Errorf("Sample %v: error %v, want ErrNegativeOption", m, err)
+		}
+	}
+	if _, _, err := p.BestOf(nil, opts); !errors.Is(err, ErrNegativeOption) {
+		t.Errorf("BestOf: error %v, want ErrNegativeOption", err)
 	}
 }
 

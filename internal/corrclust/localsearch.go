@@ -98,10 +98,10 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 
 	ker := newLSKernel(inst, labels, refreshEvery)
 
-	// Per-sweep observability: live gauges and convergence series,
-	// refreshed at sweep boundaries so a /metrics scrape mid-run shows the
-	// collapsing cluster count and the accumulated improvement, and the
-	// cost series' wall_ns deltas give the sweep times. All of it is
+	// Per-sweep observability: gauges and convergence series, refreshed
+	// at sweep boundaries so the report shows the collapsing cluster count
+	// and the accumulated improvement, and the cost series' wall_ns deltas
+	// give the sweep times. All of it is
 	// observational and guarded on rec/Progress, so an uninstrumented run
 	// pays only nil checks.
 	rec := opts.Recorder

@@ -12,7 +12,7 @@ import (
 // the peak live heap observed while it ran. Total allocated bytes is the
 // number the allocation-diet work optimizes and cmd/benchdiff gates — it
 // is deterministic for a deterministic run, unlike RSS or live-heap
-// snapshots, so it diffs cleanly across PRs; the peak heap gauge rides
+// snapshots, so it diffs cleanly across PRs; the peak live heap rides
 // along as the operational "how big a machine do I need" signal.
 
 // AllocStats is the alloc section of a RunReport (schema_version ≥ 4):
@@ -43,20 +43,16 @@ type AllocTracker struct {
 	startTotal   uint64
 	startMallocs uint64
 	peakHeap     atomic.Uint64
-	gauge        *Gauge
 }
 
 // StartAllocTracker snapshots the current allocation cumulative counters
-// and begins peak-heap tracking. gauge, when non-nil, receives the peak
-// live heap in bytes on every sample (the CLIs bind it to the
-// "alloc.peak_heap_bytes" gauge so /metrics exposes it live).
-func StartAllocTracker(gauge *Gauge) *AllocTracker {
+// and begins peak-heap tracking.
+func StartAllocTracker() *AllocTracker {
 	var ms runtime.MemStats
 	runtime.ReadMemStats(&ms)
 	t := &AllocTracker{
 		startTotal:   ms.TotalAlloc,
 		startMallocs: ms.Mallocs,
-		gauge:        gauge,
 	}
 	t.observeHeap(ms.HeapAlloc)
 	return t
@@ -83,9 +79,6 @@ func (t *AllocTracker) observeHeap(heap uint64) {
 		if t.peakHeap.CompareAndSwap(cur, heap) {
 			break
 		}
-	}
-	if t.gauge != nil {
-		t.gauge.Set(float64(t.peakHeap.Load()))
 	}
 }
 

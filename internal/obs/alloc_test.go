@@ -7,7 +7,7 @@ import (
 )
 
 func TestAllocTrackerMeasures(t *testing.T) {
-	tr := StartAllocTracker(nil)
+	tr := StartAllocTracker()
 	sink := make([][]byte, 64)
 	for i := range sink {
 		sink[i] = make([]byte, 64<<10)
@@ -38,22 +38,8 @@ func TestAllocTrackerNilSafe(t *testing.T) {
 	}
 }
 
-func TestAllocTrackerGauge(t *testing.T) {
-	rec := New()
-	g := rec.Gauge("alloc.peak_heap_bytes")
-	tr := StartAllocTracker(g)
-	tr.Sample()
-	tr.Finish()
-	if g.Value() <= 0 {
-		t.Errorf("gauge = %v, want the positive peak heap", g.Value())
-	}
-	if g.Value() != float64(tr.peakHeap.Load()) {
-		t.Errorf("gauge %v != tracked peak %d", g.Value(), tr.peakHeap.Load())
-	}
-}
-
 func TestAllocTrackerPeakMonotone(t *testing.T) {
-	tr := StartAllocTracker(nil)
+	tr := StartAllocTracker()
 	tr.observeHeap(100)
 	tr.observeHeap(50) // lower observation must not regress the peak
 	if got := tr.peakHeap.Load(); got < 100 {
@@ -66,7 +52,7 @@ func TestAllocTrackerPeakMonotone(t *testing.T) {
 var ballastSink []byte
 
 func TestAllocTrackerSampleEvery(t *testing.T) {
-	tr := StartAllocTracker(nil)
+	tr := StartAllocTracker()
 	stop := make(chan struct{})
 	tr.SampleEvery(time.Millisecond, stop)
 	ballastSink = make([]byte, 8<<20)

@@ -18,12 +18,11 @@ import (
 // gate it; the wall-clock timestamp rides along for operators and is never
 // compared. The ring can tee every event to an attached slog.Handler, which
 // is how the CLIs' -log flag streams text or JSON lines to stderr while the
-// ring keeps the tail for the report's events section and the /logs
-// endpoint.
+// ring keeps the tail for the report's events section.
 
 // DefaultEventsCap bounds the event ring, like DefaultSeriesCap bounds a
 // series: a long run keeps the most recent events (plus the total count),
-// so the report and the /logs scrape stay a bounded read.
+// so the report's events section stays a bounded read.
 const DefaultEventsCap = 256
 
 // Event is one structured log entry. Attrs is deterministic run metadata
@@ -42,8 +41,8 @@ type Event struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 }
 
-// EventsSnapshot is the events section of a RunReport (schema_version ≥ 5)
-// and the /logs payload: the retained tail plus the total emitted count.
+// EventsSnapshot is the events section of a RunReport (schema_version ≥ 5):
+// the retained tail plus the total emitted count.
 type EventsSnapshot struct {
 	// Count is the total number of events emitted, including any that the
 	// ring has since dropped.
@@ -57,8 +56,8 @@ type EventsSnapshot struct {
 // EventLog is a fixed-capacity ring of Events, safe for concurrent use. A
 // nil *EventLog ignores every call, like the rest of the package. Emission
 // is mutex-serialized — events are phase-cadence, not per-object, so the
-// lock is never on a hot path — and snapshots copy the ring, so a /logs
-// scrape mid-run never observes a half-written entry.
+// lock is never on a hot path — and snapshots copy the ring, so a snapshot
+// taken mid-run never observes a half-written entry.
 type EventLog struct {
 	mu   sync.Mutex
 	ring []Event

@@ -9,8 +9,8 @@ import (
 // beside the monotonic Counter. Both share the same design rules —
 // stdlib-only, lock-free atomic writes, nil-receiver no-ops — so the hot
 // paths of instrumented algorithms pay one nil check when recording is
-// disabled and one atomic op when it is enabled. The HTTP exposition
-// (serve.go) and the RunReport (report.go) snapshot gauges through Gauges.
+// disabled and one atomic op when it is enabled. The RunReport (report.go)
+// snapshots gauges through Gauges.
 
 // Gauge is a settable float64 metric, safe for concurrent use. Unlike a
 // Counter it can go down (current cluster count, objects in flight). A nil

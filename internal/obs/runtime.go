@@ -12,14 +12,14 @@ import (
 // This file is the Go-runtime side of the run telemetry: a RuntimeSampler
 // polls runtime/metrics — heap occupancy, live objects, GC cycles,
 // goroutine count, total CPU — into the package's ordinary gauge and series
-// primitives, so runtime health rides the same exposition paths (/metrics,
-// /series, reports, traces) as the algorithm counters and a cost regression
-// can be told apart from a heap or GC one. Every runtime.* name is machine-
+// primitives, so runtime health rides the same reports and traces as the
+// algorithm counters and a cost regression can be told apart from a heap or
+// GC one. Every runtime.* name is machine-
 // and GC-pacing-dependent, so cmd/benchdiff ignores the whole prefix by
 // default.
 //
 // It also hosts the per-phase CPU attribution switch: Do wraps a function
-// in runtime/pprof labels (phase/method/artifact/worker) when profiling
+// in runtime/pprof labels (phase/method/worker) when profiling
 // labels are enabled, so -cpuprofile output slices by algorithm phase with
 // `go tool pprof -tagfocus`. Labels are observational by construction —
 // pprof.Do only annotates profiling samples — and the recorder-equivalence
@@ -27,7 +27,7 @@ import (
 // switch on or off at every worker count.
 
 // Runtime gauge/series names registered by a RuntimeSampler. GC pause and
-// scheduler timing are not sampled: /debug/pprof/trace records them whole.
+// scheduler latency are not recorded.
 const (
 	runtimeGoroutines  = "runtime.goroutines"
 	runtimeHeapBytes   = "runtime.heap_bytes"
@@ -53,7 +53,7 @@ const (
 // background ticker. A nil sampler ignores every call and costs one nil
 // check, so a run without a recorder pays nothing.
 type RuntimeSampler struct {
-	mu      sync.Mutex       // serializes Sample: ticker + progress tick + scrape may race
+	mu      sync.Mutex       // serializes Sample: ticker, progress tick and final poll may race
 	samples []metrics.Sample // reused across Sample calls
 
 	goroutines  *Gauge
@@ -159,7 +159,7 @@ func (s *RuntimeSampler) SampleEvery(interval time.Duration, stop <-chan struct{
 // profLabelsOn is the global CPU-attribution switch. Off (the default),
 // Do is one atomic load plus the call — no label allocation, no goroutine
 // label swap — so instrumented spawn sites cost nothing in ordinary runs.
-// The CLIs enable it for -cpuprofile and -listen runs.
+// The clusteragg CLI enables it for -cpuprofile runs.
 var profLabelsOn atomic.Bool
 
 // EnableProfileLabels turns per-phase pprof labeling on or off.
@@ -173,8 +173,6 @@ type ProfLabels struct {
 	Phase string
 	// Method is the aggregation method slug for method-scoped work.
 	Method string
-	// Artifact is the experiments artifact name.
-	Artifact string
 	// Worker identifies the worker goroutine within a parallel stage
 	// (usually the stripe index as a string).
 	Worker string
@@ -182,15 +180,12 @@ type ProfLabels struct {
 
 // labelSet builds the pprof label set; only called with labeling enabled.
 func (l ProfLabels) labelSet() pprof.LabelSet {
-	kv := make([]string, 0, 8)
+	kv := make([]string, 0, 6)
 	if l.Phase != "" {
 		kv = append(kv, "phase", l.Phase)
 	}
 	if l.Method != "" {
 		kv = append(kv, "method", l.Method)
-	}
-	if l.Artifact != "" {
-		kv = append(kv, "artifact", l.Artifact)
 	}
 	if l.Worker != "" {
 		kv = append(kv, "worker", l.Worker)

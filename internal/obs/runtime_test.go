@@ -13,8 +13,8 @@ import (
 
 // TestRuntimeSampler is the acceptance test for the runtime/metrics poller:
 // one Sample populates every runtime.* gauge, repeated samples extend the
-// convergence series, and concurrent callers (ticker + progress tick +
-// scrape) serialize without racing. Run with -race.
+// convergence series, and concurrent callers (ticker, progress tick and
+// final poll) serialize without racing. Run with -race.
 func TestRuntimeSampler(t *testing.T) {
 	rec := New()
 	s := NewRuntimeSampler(rec)

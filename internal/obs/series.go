@@ -97,8 +97,7 @@ type SeriesSnapshot struct {
 }
 
 // Snapshot copies the series' retained points. Safe concurrently with
-// Append — scraping a live run (the /series endpoint) never blocks writers
-// beyond the copy.
+// Append: a snapshot of a live run never blocks writers beyond the copy.
 func (s *Series) Snapshot() SeriesSnapshot {
 	if s == nil {
 		return SeriesSnapshot{}

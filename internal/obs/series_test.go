@@ -129,7 +129,7 @@ func TestSeriesNilAndEmpty(t *testing.T) {
 	}
 }
 
-// TestSeriesConcurrentAppendAndSnapshot exercises the scrape-while-writing
+// TestSeriesConcurrentAppendAndSnapshot exercises the snapshot-while-writing
 // contract under the race detector: appends from several goroutines while
 // snapshots are taken concurrently.
 func TestSeriesConcurrentAppendAndSnapshot(t *testing.T) {

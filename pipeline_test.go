@@ -250,13 +250,17 @@ func TestAggregateCSVPipelinedErrors(t *testing.T) {
 	}
 }
 
-// TestAggregateCSVNegativeOptions: a negative sample size is rejected with
-// ErrNegativeOption instead of silently selecting the exact aggregation.
+// TestAggregateCSVNegativeOptions: a negative sample size or K is rejected
+// with ErrNegativeOption instead of silently selecting the exact aggregation
+// or a method-specific reading of K.
 func TestAggregateCSVNegativeOptions(t *testing.T) {
 	csv := pipelineCSV(40)
 	for _, opts := range []clusteragg.CSVOptions{
 		{HasHeader: true, SampleSize: -5},
 		{HasHeader: true, SampleSize: -5, Method: clusteragg.MethodFurthest},
+		{HasHeader: true, Method: clusteragg.MethodFurthest, Options: clusteragg.AggregateOptions{K: -3}},
+		{HasHeader: true, Method: clusteragg.MethodAgglomerative, Options: clusteragg.AggregateOptions{K: -3}},
+		{HasHeader: true, SampleSize: 10, Method: clusteragg.MethodFurthest, Options: clusteragg.AggregateOptions{K: -3}},
 	} {
 		_, err := clusteragg.AggregateCSV(strings.NewReader(csv), opts)
 		if !errors.Is(err, clusteragg.ErrNegativeOption) {
