@@ -42,9 +42,10 @@ func TestKernelDistAllocs(t *testing.T) {
 
 	members := [][]int{targets[:20], targets[20:45], targets[45:]}
 	hist := p.buildColabelHist(members)
+	sizes := clusterSizes(members)
 	aff := make([]float64, len(members))
 	pinAllocs(t, "affinities", 0, func() {
-		hist.affinities(p, 11, aff)
+		_ = affinitiesW(hist, p.lab8, 11, sizes, aff)
 	})
 }
 

@@ -156,17 +156,19 @@ func BenchmarkBestOf(b *testing.B) {
 // BenchmarkSampleAssign isolates the assignment phase: the histogram
 // kernel computes all k affinities in O(m·k) per object, versus O(m·s)
 // Dist probes per object on the reference path. The top-level pair runs
-// at n=20_000, m=16; the planted pair runs the huge-ladder recipe (m=6
+// at n=20_000, m=16; the planted runs use the huge-ladder recipe (m=6
 // noisy copies of 32 groups) at n=50_000, where most label rows repeat and
-// the twin memo decides each distinct row once per stripe. Both
+// the twin memo decides each distinct row once per stripe. The planted
+// kernel runs on one stripe (workers=1) and on GOMAXPROCS stripes
+// (workers=0), a pair that shows how the pass scales across stripes. All
 // sub-benchmarks disable the singleton recluster so only assignment is
 // timed beyond the (identical) sample aggregation, and each instance pins
 // the kernel's labels once outside the timed loops.
 func BenchmarkSampleAssign(b *testing.B) {
-	bench := func(b *testing.B, p *Problem, ref bool) {
+	bench := func(b *testing.B, p *Problem, ref bool, workers int) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := p.Sample(MethodBalls, AggregateOptions{}, SamplingOptions{
+			if _, err := p.Sample(MethodBalls, AggregateOptions{Workers: workers}, SamplingOptions{
 				Rand: rand.New(rand.NewSource(7)), noSingletonRecluster: true, assign: assignWith(ref),
 			}); err != nil {
 				b.Fatal(err)
@@ -193,8 +195,8 @@ func BenchmarkSampleAssign(b *testing.B) {
 	// m=16 with uniform weights is dyadic, so the kernel must agree with
 	// the probing reference bit for bit.
 	p := benchProblem(b, 20_000, 16, 7)
-	b.Run("kernel", func(b *testing.B) { bench(b, p, false) })
-	b.Run("reference", func(b *testing.B) { bench(b, p, true) })
+	b.Run("kernel", func(b *testing.B) { bench(b, p, false, 0) })
+	b.Run("reference", func(b *testing.B) { bench(b, p, true, 0) })
 	same(b, labels(b, p, nil), labels(b, p, assignReference))
 
 	// m=6 is not dyadic: the histogram's integer sums and the reference's
@@ -203,8 +205,9 @@ func BenchmarkSampleAssign(b *testing.B) {
 	// labels are pinned against the kernel with its twin memo shut off —
 	// a one-slot table never inserts, so every row is evaluated.
 	planted := benchProblemPacked(b, 50_000, 6, 32)
-	b.Run("planted/kernel", func(b *testing.B) { bench(b, planted, false) })
-	b.Run("planted/reference", func(b *testing.B) { bench(b, planted, true) })
+	b.Run("planted/workers=1", func(b *testing.B) { bench(b, planted, false, 1) })
+	b.Run("planted/workers=0", func(b *testing.B) { bench(b, planted, false, 0) })
+	b.Run("planted/reference", func(b *testing.B) { bench(b, planted, true, 0) })
 	got := labels(b, planted, nil)
 	defer func(c int) { assignMemoCap = c }(assignMemoCap)
 	assignMemoCap = 1

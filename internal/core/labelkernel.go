@@ -250,10 +250,10 @@ const histBoundCap = 1024
 // The histograms do not apply under MissingAverage with missing labels
 // present: there each pair divides by its own vote count, which does not
 // decompose per clustering. That regime keeps the kernel's row path
-// (assignViaRows), which is bit-identical to probing unconditionally.
+// (assignDecide's DistRowTo route), which is bit-identical to probing
+// unconditionally.
 type colabelHist struct {
-	k     int
-	sizes []int // |C_c| for each sample cluster
+	k int
 	// Per input clustering i: labBound[i] bounds the labels with term rows
 	// (labels ≥ labBound[i] have no sample member carrying them and take
 	// the base row as is — the packed block's global bound by default, the
@@ -290,14 +290,10 @@ func buildColabelHistW[W labelWord](p *Problem, lab []W, members [][]int) *colab
 	k, m := len(members), p.m
 	h := &colabelHist{
 		k:        k,
-		sizes:    make([]int, k),
 		labBound: make([]int32, m),
 		term:     make([][]float64, m),
 		base:     make([][]float64, m),
 		missAll:  make([][]float64, m),
-	}
-	for c, mem := range members {
-		h.sizes[c] = len(mem)
 	}
 	// Label bounds: reuse the packed block's global per-clustering bound where it
 	// keeps the histogram cache-resident; rescan the sample (one row-major
@@ -356,10 +352,10 @@ func buildColabelHistW[W labelWord](p *Problem, lab []W, members [][]int) *colab
 	for i := 0; i < m; i++ {
 		base := make([]float64, k)
 		missAll := make([]float64, k)
-		for c := range base {
-			pres := h.sizes[c] - miss[i*k+c]
+		for c, mem := range members {
+			pres := len(mem) - miss[i*k+c]
 			base[c] = float64(pres) + missP*float64(miss[i*k+c])
-			missAll[c] = missP * float64(h.sizes[c])
+			missAll[c] = missP * float64(len(mem))
 		}
 		// term = base − count, the counts already in place.
 		term := h.term[i]
@@ -375,44 +371,124 @@ func buildColabelHistW[W labelWord](p *Problem, lab []W, members [][]int) *colab
 	return h
 }
 
-// affinities fills dst[c] = M(v, C_c) = Σ_{u∈C_c} X_vu for every sample
-// cluster in one O(m·k) pass over v's label block. dst must have length k.
-func (h *colabelHist) affinities(p *Problem, v int, dst []float64) {
-	switch p.width {
-	case width8:
-		affinitiesW(h, p, p.lab8, v, dst)
-	default:
-		affinitiesW(h, p, p.lab32, v, dst)
+// affBlock is the most rows one pass of affinitiesW adds per cluster.
+const affBlock = 8
+
+// affinitiesW fills dst[c] = M(v, C_c) = Σ_{u∈C_c} X_vu for every sample
+// cluster in one O(m·k) pass over v's label block, and returns
+// totalAway = Σ_c (sizes[c] − dst[c]) summed in c order; dst and sizes
+// have length k.
+//
+// It first picks clustering i's row for v — term[i][ℓ·k:], base[i] or
+// missAll[i] — then adds up to affBlock rows per pass over the k
+// clusters, dst[c] = r0[c] + r1[c] + …; past the first pass dst itself is
+// the leading row, and the last pass divides by m and tallies totalAway.
+// Go adds left to right, so each dst[c] takes the additions of the
+// clustering-by-clustering loop (affinitiesReference in the tests:
+// dst[c] = 0, then dst[c] += row_i[c] per clustering, then dst[c] /= m)
+// in the same order. The leading 0 + is dropped: no row holds −0 (base
+// and missAll entries are sums and products of non-negative values, term
+// entries differences x − y with x ≥ y, all +0 when zero), so 0 + r0[c]
+// is r0[c] and the result is bit-identical.
+func affinitiesW[W labelWord](h *colabelHist, lab []W, v int, sizes, dst []float64) (totalAway float64) {
+	m, k := len(h.term), h.k
+	bv := lab[v*m : v*m+m]
+	sentinel := missingWord[W]()
+	var rows [affBlock][]float64
+	w := 0
+	for i, lv := range bv {
+		if w == affBlock { // a full pass with rows still to come
+			sumRows8(dst, &rows)
+			rows[0], w = dst, 1
+		}
+		switch {
+		case lv == sentinel:
+			rows[w] = h.missAll[i]
+		case int32(lv) >= h.labBound[i]:
+			rows[w] = h.base[i]
+		default:
+			rows[w] = h.term[i][int(lv)*k : int(lv+1)*k]
+		}
+		w++
+	}
+	return foldRows(dst, rows[:w], sizes, float64(m))
+}
+
+// sumRows8 sets dst[c] = r[0][c] + … + r[7][c]; r[0] may be dst.
+func sumRows8(dst []float64, r *[affBlock][]float64) {
+	n := len(dst)
+	r0, r1, r2, r3 := r[0][:n], r[1][:n], r[2][:n], r[3][:n]
+	r4, r5, r6, r7 := r[4][:n], r[5][:n], r[6][:n], r[7][:n]
+	for c := range dst {
+		dst[c] = r0[c] + r1[c] + r2[c] + r3[c] + r4[c] + r5[c] + r6[c] + r7[c]
 	}
 }
 
-// affinitiesW is the width-specialized affinity evaluation.
-func affinitiesW[W labelWord](h *colabelHist, p *Problem, lab []W, v int, dst []float64) {
-	for c := range dst {
-		dst[c] = 0
-	}
-	m := p.m
-	bv := lab[v*m : v*m+m]
-	sentinel := missingWord[W]()
-	k := h.k
-	for i, lv := range bv {
-		if lv == sentinel {
-			for c, ma := range h.missAll[i] {
-				dst[c] += ma
-			}
-			continue
+// foldRows is the last pass: dst[c] = (r[0][c] + … + r[len(r)−1][c]) / fm
+// for 1 ≤ len(r) ≤ affBlock, r[0] possibly dst, and it returns
+// Σ_c (sizes[c] − dst[c]) in c order.
+func foldRows(dst []float64, r [][]float64, sizes []float64, fm float64) (totalAway float64) {
+	n := len(dst)
+	sizes = sizes[:n]
+	switch len(r) {
+	case 1:
+		r0 := r[0][:n]
+		for c := range dst {
+			x := r0[c] / fm
+			dst[c] = x
+			totalAway += sizes[c] - x
 		}
-		if int32(lv) >= h.labBound[i] {
-			for c, b := range h.base[i] {
-				dst[c] += b
-			}
-			continue
+	case 2:
+		r0, r1 := r[0][:n], r[1][:n]
+		for c := range dst {
+			x := (r0[c] + r1[c]) / fm
+			dst[c] = x
+			totalAway += sizes[c] - x
 		}
-		for c, t := range h.term[i][int(lv)*k : int(lv+1)*k] {
-			dst[c] += t
+	case 3:
+		r0, r1, r2 := r[0][:n], r[1][:n], r[2][:n]
+		for c := range dst {
+			x := (r0[c] + r1[c] + r2[c]) / fm
+			dst[c] = x
+			totalAway += sizes[c] - x
+		}
+	case 4:
+		r0, r1, r2, r3 := r[0][:n], r[1][:n], r[2][:n], r[3][:n]
+		for c := range dst {
+			x := (r0[c] + r1[c] + r2[c] + r3[c]) / fm
+			dst[c] = x
+			totalAway += sizes[c] - x
+		}
+	case 5:
+		r0, r1, r2, r3, r4 := r[0][:n], r[1][:n], r[2][:n], r[3][:n], r[4][:n]
+		for c := range dst {
+			x := (r0[c] + r1[c] + r2[c] + r3[c] + r4[c]) / fm
+			dst[c] = x
+			totalAway += sizes[c] - x
+		}
+	case 6:
+		r0, r1, r2, r3, r4, r5 := r[0][:n], r[1][:n], r[2][:n], r[3][:n], r[4][:n], r[5][:n]
+		for c := range dst {
+			x := (r0[c] + r1[c] + r2[c] + r3[c] + r4[c] + r5[c]) / fm
+			dst[c] = x
+			totalAway += sizes[c] - x
+		}
+	case 7:
+		r0, r1, r2, r3 := r[0][:n], r[1][:n], r[2][:n], r[3][:n]
+		r4, r5, r6 := r[4][:n], r[5][:n], r[6][:n]
+		for c := range dst {
+			x := (r0[c] + r1[c] + r2[c] + r3[c] + r4[c] + r5[c] + r6[c]) / fm
+			dst[c] = x
+			totalAway += sizes[c] - x
+		}
+	case 8:
+		r0, r1, r2, r3 := r[0][:n], r[1][:n], r[2][:n], r[3][:n]
+		r4, r5, r6, r7 := r[4][:n], r[5][:n], r[6][:n], r[7][:n]
+		for c := range dst {
+			x := (r0[c] + r1[c] + r2[c] + r3[c] + r4[c] + r5[c] + r6[c] + r7[c]) / fm
+			dst[c] = x
+			totalAway += sizes[c] - x
 		}
 	}
-	for c := range dst {
-		dst[c] /= float64(p.m)
-	}
+	return totalAway
 }

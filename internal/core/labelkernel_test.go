@@ -226,32 +226,71 @@ type hideKernel struct{ k *Problem }
 func (h hideKernel) N() int                { return h.k.N() }
 func (h hideKernel) Dist(u, v int) float64 { return h.k.Dist(u, v) }
 
-// TestColabelHistAffinities: the histogram evaluation of M(v, C_c) must
-// match the probing sum Σ_{u∈C_c} Dist(v,u) — exactly on dyadic instances
-// (m a power of two, 1−p a multiple of ¼), to float-drift tolerance
-// otherwise (m ∈ {3, 5, 6} at p = 0.3, or any m ≤ 9 at a random p).
+// affinities runs the production affinity pass (affinitiesW at p's width)
+// for object v: dst[c] = M(v, C_c), returning Σ_c (sizes[c] − dst[c]).
+func (h *colabelHist) affinities(p *Problem, v int, sizes, dst []float64) float64 {
+	switch p.width {
+	case width8:
+		return affinitiesW(h, p.lab8, v, sizes, dst)
+	default:
+		return affinitiesW(h, p.lab32, v, sizes, dst)
+	}
+}
+
+// clusterSizes returns |C_c| per cluster as the assignment pass holds them.
+func clusterSizes(members [][]int) []float64 {
+	sizes := make([]float64, len(members))
+	for c, mem := range members {
+		sizes[c] = float64(len(mem))
+	}
+	return sizes
+}
+
+// TestColabelHistAffinities: the blocked histogram pass must equal the
+// clustering-by-clustering loop (affinitiesReference) bit for bit on every
+// trial, and its totalAway the c-order sum over that loop's affinities.
+// m runs 1..17, so every last-pass width 1..8 and one or two full passes
+// before it run. Against the probing sum Σ_{u∈C_c} Dist(v,u) it must
+// agree exactly on dyadic instances (m a power of two, 1−p a multiple of
+// ¼) and to float-drift tolerance otherwise. The families: dyadic p,
+// p = 0.3, a random p, and MissingAverage without missing labels (the one
+// MissingAverage regime the histograms serve), all but the last with 30%
+// missing labels; every third trial relabels one clustering past
+// histBoundCap, so its histogram takes the sample-observed bound at int32.
 func TestColabelHistAffinities(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
-	for trial := 0; trial < 40; trial++ {
-		dyadic := trial%2 == 0
-		var m int
+	for trial := 0; trial < 4*17*2; trial++ {
+		m := 1 + trial%17
+		pMiss := 0.3
 		var opts ProblemOptions
-		if dyadic {
-			m = []int{1, 2, 4, 8, 16}[rng.Intn(5)]
-			opts.MissingTogether = []float64{0.25, 0.5, 0.75}[trial%3]
-		} else if trial%4 == 1 {
-			m = []int{3, 5, 6}[rng.Intn(3)]
+		switch trial / 17 % 4 {
+		case 0:
+			opts.MissingTogether = []float64{0.25, 0.5, 0.75}[rng.Intn(3)]
+		case 1:
 			opts.MissingTogether = 0.3
-		} else {
-			m = 1 + rng.Intn(9)
+		case 2:
 			opts.MissingTogether = rng.Float64()
 			if opts.MissingTogether == 0 {
 				opts.MissingTogether = 0.5
 			}
+		case 3:
+			opts.MissingMode = MissingAverage
+			pMiss = 0
 		}
 		n := 10 + rng.Intn(60)
-		p := randMixedProblem(t, rng, n, m, 0.3, opts)
-		lk := p
+		cs := randMixedInputs(rng, n, m, pMiss)
+		if trial%3 == 0 {
+			for j, l := range cs[0] {
+				if l != partition.Missing {
+					cs[0][j] = l * 2000 // past histBoundCap and the byte
+				}
+			}
+		}
+		p, err := NewProblem(cs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		exact := m&(m-1) == 0 && newRefDist(cs, opts).refExact()
 
 		// A random "sample clustering" over a random subset of the objects.
 		k := 1 + rng.Intn(4)
@@ -269,22 +308,34 @@ func TestColabelHistAffinities(t *testing.T) {
 		if hasEmpty {
 			continue // Sample never produces empty clusters
 		}
-		hist := lk.buildColabelHist(members)
+		hist := p.buildColabelHist(members)
+		sizes := clusterSizes(members)
 		got := make([]float64, k)
+		ref := make([]float64, k)
 		for v := 1; v < n; v += 2 {
-			hist.affinities(lk, v, got)
+			totalAway := hist.affinities(p, v, sizes, got)
+			affinitiesReference(hist, p, v, ref)
+			var refAway float64
 			for c, mem := range members {
+				if got[c] != ref[c] {
+					t.Fatalf("trial %d (m=%d, p=%v): M(%d,C%d) = %v, clustering loop %v",
+						trial, m, p.missingP, v, c, got[c], ref[c])
+				}
+				refAway += sizes[c] - ref[c]
 				var want float64
 				for _, u := range mem {
 					want += p.Dist(v, u)
 				}
-				if dyadic {
+				if exact {
 					if got[c] != want {
 						t.Fatalf("trial %d (dyadic): M(%d,C%d) = %v, probing %v", trial, v, c, got[c], want)
 					}
 				} else if math.Abs(got[c]-want) > 1e-9 {
 					t.Fatalf("trial %d: M(%d,C%d) = %v, probing %v", trial, v, c, got[c], want)
 				}
+			}
+			if totalAway != refAway {
+				t.Fatalf("trial %d: totalAway %v, clustering loop %v", trial, totalAway, refAway)
 			}
 		}
 	}

@@ -10,7 +10,8 @@ import (
 
 // This file holds the test-only references the production kernels are
 // pinned against: the textbook per-clustering []int pair loop for X_uv,
-// the lower bound's pair scan, and SAMPLING's probing assignment pass.
+// the lower bound's pair scan, SAMPLING's probing assignment pass and the
+// clustering-by-clustering histogram affinity loop.
 
 // refDist is the reference X_uv over the unpacked input clusterings: one
 // branchy pass over the m []int label slices per pair, under the coin model
@@ -145,4 +146,47 @@ func assignWith(ref bool) assignFunc {
 		return assignReference
 	}
 	return nil
+}
+
+// affinitiesReference is the clustering-by-clustering histogram affinity
+// loop: dst[c] = 0, one dst[c] += row pass per input clustering, then one
+// dst[c] /= m pass. The blocked affinitiesW makes the same additions in the
+// same order, so the two agree bit for bit at every p and width.
+func affinitiesReference(h *colabelHist, p *Problem, v int, dst []float64) {
+	switch p.width {
+	case width8:
+		affinitiesReferenceW(h, p, p.lab8, v, dst)
+	default:
+		affinitiesReferenceW(h, p, p.lab32, v, dst)
+	}
+}
+
+func affinitiesReferenceW[W labelWord](h *colabelHist, p *Problem, lab []W, v int, dst []float64) {
+	for c := range dst {
+		dst[c] = 0
+	}
+	m := p.m
+	bv := lab[v*m : v*m+m]
+	sentinel := missingWord[W]()
+	k := h.k
+	for i, lv := range bv {
+		if lv == sentinel {
+			for c, ma := range h.missAll[i] {
+				dst[c] += ma
+			}
+			continue
+		}
+		if int32(lv) >= h.labBound[i] {
+			for c, b := range h.base[i] {
+				dst[c] += b
+			}
+			continue
+		}
+		for c, t := range h.term[i][int(lv)*k : int(lv+1)*k] {
+			dst[c] += t
+		}
+	}
+	for c := range dst {
+		dst[c] /= float64(p.m)
+	}
 }

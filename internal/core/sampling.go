@@ -241,9 +241,10 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 	n, k := p.n, len(members)
 	rec.Add("sample.assign.kernel_cols", int64(n))
 
-	a := &assignPass{p: p, labels: labels, members: members, progress: progress}
+	a := &assignPass{p: p, labels: labels, sizes: make([]float64, k), progress: progress}
 	sampleSize := 0
-	for _, mem := range members {
+	for c, mem := range members {
+		a.sizes[c] = float64(len(mem))
 		sampleSize += len(mem)
 	}
 	if p.average && p.anyMiss {
@@ -282,10 +283,13 @@ func (p *Problem) assignKernel(rec *obs.Recorder, progress *obs.Progress, labels
 // assignPass is the state one assignKernel call shares across its stripes.
 // Exactly one of hist (histogram route) and flat/ends (row route: sample
 // members flattened in cluster order, per-cluster segment ends) is set.
+// Each stripe tallies in locals and writes its counts entry once, at its
+// end: the entries share a cache line, which per-object increments would
+// bounce between the stripes' cores.
 type assignPass struct {
 	p          *Problem
 	labels     partition.Labels
-	members    [][]int
+	sizes      []float64 // |C_c| per sample cluster
 	hist       *colabelHist
 	flat, ends []int
 	counts     [][2]int64 // assigned, fresh per stripe
@@ -297,13 +301,14 @@ type assignPass struct {
 // assignStripe assigns the unsampled objects in [lo, hi) with the stripe's
 // own twin memo, generic over the storage width of lab.
 func assignStripe[W labelWord](a *assignPass, lab []W, stripe, lo, hi int) {
-	n, m, k := a.p.n, a.p.m, len(a.members)
+	n, m, k := a.p.n, a.p.m, len(a.sizes)
 	aff := make([]float64, k)
 	var buf []float64
 	if a.hist == nil {
 		buf = make([]float64, len(a.flat))
 	}
 	memo := newTwinMemo(hi - lo)
+	var assigned, fresh int64
 	for bLo := lo; bLo < hi; bLo += assignBatchSize {
 		bHi := min(bLo+assignBatchSize, hi)
 		var batchStart time.Time
@@ -321,10 +326,10 @@ func assignStripe[W labelWord](a *assignPass, lab []W, stripe, lo, hi int) {
 			}
 			if c < 0 {
 				a.labels[v] = k + v
-				a.counts[stripe][1]++
+				fresh++
 			} else {
 				a.labels[v] = int(c)
-				a.counts[stripe][0]++
+				assigned++
 			}
 		}
 		d := a.done.Add(int64(bHi - bLo))
@@ -339,16 +344,19 @@ func assignStripe[W labelWord](a *assignPass, lab []W, stripe, lo, hi int) {
 			Stage: "sample:assign", Done: d, Total: int64(n),
 		})
 	}
+	a.counts[stripe] = [2]int64{assigned, fresh}
 }
 
 // assignDecide evaluates object v against the sample clusters: it returns
 // the cluster minimizing d(v, C_i) = M(v,C_i) + Σ_{j≠i}(|C_j| − M(v,C_j)),
 // or −1 when a fresh singleton (cost Σ_j (|C_j| − M(v,C_j))) is strictly
 // cheaper. aff (length k) and, on the row route, buf (length s) are
-// scratch.
+// scratch. The histogram route sums totalAway inside its last affinity
+// pass, so one pass over aff and the hoisted sizes decides.
 func assignDecide[W labelWord](a *assignPass, lab []W, v int, aff, buf []float64) int32 {
+	var totalAway float64
 	if a.hist != nil {
-		affinitiesW(a.hist, a.p, lab, v, aff)
+		totalAway = affinitiesW(a.hist, lab, v, a.sizes, aff)
 	} else {
 		a.p.DistRowTo(v, a.flat, buf)
 		start := 0
@@ -358,16 +366,13 @@ func assignDecide[W labelWord](a *assignPass, lab []W, v int, aff, buf []float64
 				s += x
 			}
 			aff[ci] = s
+			totalAway += a.sizes[ci] - s
 			start = end
 		}
 	}
-	var totalAway float64
-	for ci := range a.members {
-		totalAway += float64(len(a.members[ci])) - aff[ci]
-	}
 	best, bestCost := int32(-1), totalAway // -1 = fresh singleton
-	for ci := range a.members {
-		d := aff[ci] + totalAway - (float64(len(a.members[ci])) - aff[ci])
+	for ci, size := range a.sizes {
+		d := aff[ci] + totalAway - (size - aff[ci])
 		if d < bestCost {
 			best, bestCost = int32(ci), d
 		}

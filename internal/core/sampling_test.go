@@ -358,7 +358,8 @@ func TestAutoSampleSize(t *testing.T) {
 // packed at int32): the kernel width changes no distance, so the
 // clustering must not change either. The duplicate-heavy family makes most
 // rows twins, so the twin memo must also hash and compare rows consistently
-// at every width.
+// at every width. The stripes' tallies, the sample.assigned and
+// sample.fresh_singletons counters, must agree at every worker count too.
 func TestSampleWorkersIdentical(t *testing.T) {
 	for _, fam := range []struct {
 		seed       int64
@@ -394,26 +395,39 @@ func TestSampleWorkersIdentical(t *testing.T) {
 			} else {
 				p = randMixedProblem(t, rng, 300+rng.Intn(200), m, fam.missRate, opts)
 			}
-			sample := func(p *Problem, workers int, ref bool) partition.Labels {
-				labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers}, SamplingOptions{
+			// sample returns the labels and the assignment's tallies,
+			// sample.assigned and sample.fresh_singletons.
+			sample := func(p *Problem, workers int, ref bool) (partition.Labels, [2]int64) {
+				rec := obs.New()
+				labels, err := p.Sample(MethodAgglomerative, AggregateOptions{Workers: workers, Recorder: rec}, SamplingOptions{
 					SampleSize: fam.sampleSize, Rand: rand.New(rand.NewSource(int64(trial))), assign: assignWith(ref),
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return labels
+				c := rec.Counters()
+				return labels, [2]int64{c["sample.assigned"], c["sample.fresh_singletons"]}
 			}
 
 			for _, ref := range []bool{false, true} {
-				base := sample(p, 0, ref)
+				base, baseCounts := sample(p, 0, ref)
+				if baseCounts[0]+baseCounts[1] != int64(p.n-fam.sampleSize) {
+					t.Fatalf("seed %d trial %d (ref=%v): assigned+fresh = %v, want the %d unsampled objects",
+						fam.seed, trial, ref, baseCounts, p.n-fam.sampleSize)
+				}
 				for _, workers := range []int{1, 2, 3, 8} {
-					if !slices.Equal(sample(p, workers, ref), base) {
+					got, counts := sample(p, workers, ref)
+					if !slices.Equal(got, base) {
 						t.Fatalf("seed %d trial %d (ref=%v): Workers=%d diverges from Workers=0",
 							fam.seed, trial, ref, workers)
 					}
+					if counts != baseCounts {
+						t.Fatalf("seed %d trial %d (ref=%v): Workers=%d counts (assigned, fresh) %v, Workers=0 %v",
+							fam.seed, trial, ref, workers, counts, baseCounts)
+					}
 				}
 				for _, factor := range []int{300, 70000} {
-					if !slices.Equal(sample(widenLabels(t, p, factor), 0, ref), base) {
+					if got, _ := sample(widenLabels(t, p, factor), 0, ref); !slices.Equal(got, base) {
 						t.Fatalf("seed %d trial %d (ref=%v): labels widened by %d diverge",
 							fam.seed, trial, ref, factor)
 					}

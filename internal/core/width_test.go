@@ -222,9 +222,10 @@ func TestLabelKernelWidthsBitIdentical(t *testing.T) {
 		gotM := make([]float64, k)
 		baseHist := base.buildColabelHist(members)
 		hist := wide.buildColabelHist(members)
+		sizes := clusterSizes(members)
 		for v := 1; v < n; v += 2 {
-			baseHist.affinities(base, v, wantM)
-			hist.affinities(wide, v, gotM)
+			baseHist.affinities(base, v, sizes, wantM)
+			hist.affinities(wide, v, sizes, gotM)
 			for c := range gotM {
 				if gotM[c] != wantM[c] {
 					t.Fatalf("trial %d: width-4 M(%d,C%d) = %v, width-1 = %v",
@@ -279,9 +280,10 @@ func TestLabelKernelWideLabelsBitIdentical(t *testing.T) {
 		hist8 := p.buildColabelHist(members)
 		gotM := make([]float64, k)
 		wantM := make([]float64, k)
+		sizes := clusterSizes(members)
 		for v := 1; v < n; v += 2 {
-			histW.affinities(wp, v, gotM)
-			hist8.affinities(p, v, wantM)
+			histW.affinities(wp, v, sizes, gotM)
+			hist8.affinities(p, v, sizes, wantM)
 			for c := range gotM {
 				if gotM[c] != wantM[c] {
 					t.Fatalf("trial %d: wide-label M(%d,C%d) = %v, one-byte %v",
@@ -349,9 +351,10 @@ func FuzzLabelKernelWidths(f *testing.F) {
 		packedHist := packed.buildColabelHist(members)
 		wantM := make([]float64, k)
 		gotM := make([]float64, k)
+		sizes := clusterSizes(members)
 		for v := 0; v < n; v++ {
-			refHist.affinities(ref, v, wantM)
-			packedHist.affinities(packed, v, gotM)
+			refHist.affinities(ref, v, sizes, wantM)
+			packedHist.affinities(packed, v, sizes, gotM)
 			for c := range gotM {
 				if gotM[c] != wantM[c] {
 					t.Fatalf("width-1 M(%d,C%d) = %v, int32 = %v", v, c, gotM[c], wantM[c])
