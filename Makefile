@@ -137,9 +137,8 @@ fuzz-localsearch:
 
 # Fuzz the columnar label kernel's DistRowTo and Dist against the test-only
 # []int pair loop (refDist in internal/core/reference_test.go): bit for bit
-# under MissingAverage and at p ∈ {0, ¼, ½, ¾, 1}, within 1e-12 relative at
-# an arbitrary p (where the loop's float sum depends on the input order);
-# DistRowTo equals Dist bit for bit at every p.
+# in both missing modes, at every m in the kernel shapes and past the
+# distance table (m > 127); DistRowTo equals Dist bit for bit.
 fuzz-kernel:
 	$(GO) test -run FuzzLabelKernelEquiv -fuzz FuzzLabelKernelEquiv -fuzztime 30s ./internal/core/
 
@@ -168,8 +167,8 @@ experiments-full:
 	$(GO) run ./cmd/experiments -full all
 
 # Short fuzzing passes over the CSV loader, partition invariants, the label
-# kernel against the []int pair loop (bit for bit under MissingAverage and
-# at p ∈ {0, ¼, ½, ¾, 1}, within 1e-12 relative elsewhere), the uint8
+# kernel against the []int pair loop (bit for bit in both missing modes),
+# the uint8
 # block against its int32 re-encoding (bit for bit), the materialized
 # matrix against Dist (bit for bit), the contingency-table objective and
 # distinct-row lower bound against the pair scans, the lower bound's

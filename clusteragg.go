@@ -150,8 +150,8 @@ type CSVOptions struct {
 }
 
 // ErrNegativeOption is returned, wrapped with the offending field, when a
-// count that must be non-negative is negative: CSVOptions.SampleSize or
-// AggregateOptions.K.
+// count that must be non-negative is negative: CSVOptions.SampleSize,
+// AggregateOptions.K or AggregateOptions.Workers.
 var ErrNegativeOption = core.ErrNegativeOption
 
 // CSVResult is the outcome of AggregateCSV, CSVInput.Aggregate and

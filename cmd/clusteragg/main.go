@@ -153,6 +153,9 @@ func run(path string, cfg cliConfig) error {
 	if cfg.k < 0 {
 		return fmt.Errorf("-k %d: %w", cfg.k, clusteragg.ErrNegativeOption)
 	}
+	if cfg.workers < 0 {
+		return fmt.Errorf("-workers %d: %w", cfg.workers, clusteragg.ErrNegativeOption)
+	}
 	if cfg.cpuprofile != "" {
 		f, err := os.Create(cfg.cpuprofile)
 		if err != nil {

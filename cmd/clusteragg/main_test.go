@@ -1,8 +1,10 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -155,6 +157,37 @@ func TestRunErrors(t *testing.T) {
 	kcfg.k = -1
 	if err := run(path, kcfg); !errors.Is(err, clusteragg.ErrNegativeOption) {
 		t.Errorf("k -1: error %v, want ErrNegativeOption", err)
+	}
+	// So is a negative worker count, which would otherwise run on
+	// GOMAXPROCS.
+	wcfg := base()
+	wcfg.workers = -3
+	if err := run(path, wcfg); !errors.Is(err, clusteragg.ErrNegativeOption) {
+		t.Errorf("workers -3: error %v, want ErrNegativeOption", err)
+	}
+}
+
+// TestMainNegativeWorkersExits runs the command itself (this test binary
+// re-executed as main) with -workers -3: it must exit 1 and name the
+// negative option on stderr.
+func TestMainNegativeWorkersExits(t *testing.T) {
+	if os.Getenv("CLUSTERAGG_RUN_MAIN") == "1" {
+		os.Args = []string{"clusteragg", "-workers", "-3", os.Getenv("CLUSTERAGG_INPUT")}
+		main()
+		return
+	}
+	path := writeCSV(t, "a\nx\ny\n")
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMainNegativeWorkersExits$")
+	cmd.Env = append(os.Environ(), "CLUSTERAGG_RUN_MAIN=1", "CLUSTERAGG_INPUT="+path)
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("clusteragg -workers -3: %v, want exit status 1", err)
+	}
+	if want := "clusteragg: -workers -3: clusteragg: negative option"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q, want it to contain %q", stderr.String(), want)
 	}
 }
 

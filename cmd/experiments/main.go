@@ -195,6 +195,9 @@ func (r *reporter) begin(artifact string, cfg experiments.Config) (experiments.C
 
 // run regenerates one artifact; the "all" driver recurses through it.
 func run(artifact string, cfg experiments.Config, plot, asJSON bool, rep *reporter) error {
+	if cfg.Workers < 0 {
+		return fmt.Errorf("-workers %d: %w", cfg.Workers, core.ErrNegativeOption)
+	}
 	emit := func(v any) error {
 		if asJSON {
 			enc := json.NewEncoder(os.Stdout)

@@ -1,6 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
 	"testing"
 
 	"clusteragg/internal/experiments"
@@ -21,6 +26,29 @@ func tinyCfg() experiments.Config {
 func TestRunUnknownArtifact(t *testing.T) {
 	if err := run("nope", tinyCfg(), false, false, &reporter{}); err == nil {
 		t.Error("unknown artifact accepted")
+	}
+}
+
+// TestMainNegativeWorkersExits runs the command itself (this test binary
+// re-executed as main) with -workers -3: it must exit 1 and name the
+// negative option on stderr.
+func TestMainNegativeWorkersExits(t *testing.T) {
+	if os.Getenv("EXPERIMENTS_RUN_MAIN") == "1" {
+		os.Args = []string{"experiments", "-workers", "-3", "table1"}
+		main()
+		return
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestMainNegativeWorkersExits$")
+	cmd.Env = append(os.Environ(), "EXPERIMENTS_RUN_MAIN=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("experiments -workers -3: %v, want exit status 1", err)
+	}
+	if want := "experiments: -workers -3: clusteragg: negative option"; !strings.Contains(stderr.String(), want) {
+		t.Errorf("stderr %q, want it to contain %q", stderr.String(), want)
 	}
 }
 

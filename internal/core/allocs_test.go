@@ -25,7 +25,7 @@ func pinAllocs(t *testing.T, name string, want float64, f func()) {
 // with n.
 func TestKernelDistAllocs(t *testing.T) {
 	rng := rand.New(rand.NewSource(977))
-	p := randMixedProblem(t, rng, 512, 4, 0.1, ProblemOptions{MissingTogether: 0.5})
+	p := randMixedProblem(t, rng, 512, 4, 0.1, ProblemOptions{})
 
 	pinAllocs(t, "Dist", 0, func() {
 		_ = p.Dist(3, 200)

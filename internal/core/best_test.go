@@ -33,8 +33,8 @@ func closeRel(a, b float64) bool {
 
 // TestBestClusteringFastMatchesSlow: BESTCLUSTERING's (labels, index,
 // disagreement) through the contingency-table objective equals the argmin
-// by the O(m·n²) pair scan, with and without missing values, at p = ½ and
-// 0.3 and under MissingAverage, on problems from NewProblem and from
+// by the O(m·n²) pair scan, with and without missing values, under both
+// missing modes, at m from 2 to 7 and on problems from NewProblem and from
 // either builder mode. The
 // index may differ only between candidates the scan scores equal within
 // float tolerance.
@@ -45,9 +45,6 @@ func TestBestClusteringFastMatchesSlow(t *testing.T) {
 		m := 2 + rng.Intn(6)
 		missing := []float64{0, 0.15, 0.4}[trial%3]
 		var opts ProblemOptions
-		if trial%2 == 1 {
-			opts.MissingTogether = 0.3
-		}
 		if trial%5 == 4 {
 			opts.MissingMode = MissingAverage
 		}
@@ -125,17 +122,13 @@ func BenchmarkBestClustering(b *testing.B) {
 
 // TestBestClusteringWorkersIdentical: Aggregate(MethodBest) returns the
 // scan-based argmin's labels at every Workers count, with and without
-// missing values, at p = ½ and 0.3.
+// missing values, at m from 8 to 15.
 func TestBestClusteringWorkersIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
 	for trial := 0; trial < 8; trial++ {
 		n := 50 + rng.Intn(100)
 		m := 8 + rng.Intn(8)
-		var opts ProblemOptions
-		if trial%2 == 1 {
-			opts.MissingTogether = 0.3
-		}
-		p := randMixedProblem(t, rng, n, m, []float64{0, 0.2}[trial/2%2], opts)
+		p := randMixedProblem(t, rng, n, m, []float64{0, 0.2}[trial/2%2], ProblemOptions{})
 		wantL, wantI, wantD := scanBest(p)
 		gotL, gotI, gotD := p.BestClustering()
 		if gotI != wantI || !closeRel(gotD, wantD) || !slices.Equal(gotL, wantL) {

@@ -11,8 +11,9 @@
 //
 // Missing values (label partition.Missing in an input clustering) follow the
 // paper's coin model: an attribute missing a value on a pair reports
-// "together" with probability p (MissingTogether, default 1/2), so it
-// contributes 1−p to X_uv and all costs are expectations.
+// "together" with probability ½, so it contributes ½ to X_uv and all costs
+// are expectations. Every term of a coin-model objective is then a multiple
+// of ½, exact in float64.
 package core
 
 import (
@@ -24,8 +25,9 @@ import (
 	"clusteragg/internal/partition"
 )
 
-// DefaultMissingTogether is the default probability p with which a
-// clustering carrying a missing value reports a pair as co-clustered.
+// DefaultMissingTogether is the coin model's only probability p: a
+// clustering carrying a missing value reports a pair as co-clustered with
+// probability ½.
 const DefaultMissingTogether = 0.5
 
 // MissingMode selects how input clusterings with missing labels contribute
@@ -35,8 +37,8 @@ type MissingMode int
 
 const (
 	// MissingCoin is the paper's adopted approach: a clustering with a
-	// missing value on a pair reports "together" with probability p
-	// (MissingTogether) and costs become expectations.
+	// missing value on a pair reports "together" with probability ½
+	// (DefaultMissingTogether) and costs become expectations.
 	MissingCoin MissingMode = iota
 	// MissingAverage is the paper's alternative: "an attribute that
 	// contains a missing value in some tuple does not have any information
@@ -62,7 +64,6 @@ type Problem struct {
 	// load from p.
 	packedBlock
 
-	missingP float64
 	// average selects MissingAverage (see x).
 	average bool
 	// xs memoizes x by (s, q), q-major: xs[q*(m+1)+s] = x(s, q), so a pair
@@ -88,10 +89,6 @@ type packedBlock = PackedClusterings
 
 // ProblemOptions configures NewProblem.
 type ProblemOptions struct {
-	// MissingTogether is the coin-model probability p that a clustering with
-	// a missing value reports a pair as co-clustered. Zero means the default
-	// of 1/2; values must lie in [0,1]. Only meaningful with MissingCoin.
-	MissingTogether float64
 	// MissingMode selects the missing-value strategy (MissingCoin, the
 	// paper's adopted model, is the zero value).
 	MissingMode MissingMode
@@ -101,8 +98,8 @@ type ProblemOptions struct {
 var ErrNoClusterings = errors.New("core: no input clusterings")
 
 // ErrNegativeOption is returned, wrapped with the offending field, when a
-// count that must be non-negative is negative: AggregateOptions.K or a
-// SAMPLING sample size.
+// count that must be non-negative is negative: AggregateOptions.K,
+// AggregateOptions.Workers or a SAMPLING sample size.
 var ErrNegativeOption = errors.New("clusteragg: negative option")
 
 // NewProblem validates the inputs and builds an aggregation problem. All
@@ -131,19 +128,11 @@ func NewProblem(clusterings []partition.Labels, opts ProblemOptions) (*Problem, 
 // returns a Problem holding only m and the option-derived fields (missing
 // model, distance table); over builds the Problem over a block from it.
 func problemOptionsOf(m int, opts ProblemOptions) (*Problem, error) {
-	p := opts.MissingTogether
-	if p == 0 {
-		p = DefaultMissingTogether
-	}
-	if p < 0 || p > 1 {
-		return nil, fmt.Errorf("core: MissingTogether %v outside [0,1]", p)
-	}
 	if opts.MissingMode != MissingCoin && opts.MissingMode != MissingAverage {
 		return nil, fmt.Errorf("core: unknown MissingMode %d", opts.MissingMode)
 	}
 	prob := &Problem{
 		packedBlock: packedBlock{m: m},
-		missingP:    p,
 		average:     opts.MissingMode == MissingAverage,
 	}
 	prob.xs = prob.distTable()
@@ -154,7 +143,7 @@ func problemOptionsOf(m int, opts ProblemOptions) (*Problem, error) {
 // options and distance table. NewProblemPacked calls it on the validated
 // options, subProblem on the parent Problem.
 func (p *Problem) over(pc *PackedClusterings) *Problem {
-	return &Problem{packedBlock: *pc, missingP: p.missingP, average: p.average, xs: p.xs}
+	return &Problem{packedBlock: *pc, average: p.average, xs: p.xs}
 }
 
 // Clusterings returns the input clusterings as []int label views, unpacked

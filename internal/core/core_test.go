@@ -41,9 +41,6 @@ func TestNewProblemValidation(t *testing.T) {
 		!strings.Contains(err.Error(), fmt.Sprintf("clustering 1: label %d", math.MaxInt32)) {
 		t.Errorf("label MaxInt32: %v", err)
 	}
-	if _, err := NewProblem([]partition.Labels{{0, 1}}, ProblemOptions{MissingTogether: 1.5}); err == nil {
-		t.Error("out-of-range MissingTogether accepted")
-	}
 	p, err := NewProblem([]partition.Labels{{0, 1, 0}}, ProblemOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -179,16 +176,14 @@ func TestDisagreementEqualsSumOfDistances(t *testing.T) {
 
 func TestMissingValueCoinModel(t *testing.T) {
 	// One clustering with a missing value: the pair (0,1) has expected
-	// separation 1-p.
-	for _, p := range []float64{0.25, 0.5, 0.75} {
-		prob, err := NewProblem([]partition.Labels{{0, partition.Missing}},
-			ProblemOptions{MissingTogether: p})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got, want := prob.Dist(0, 1), 1-p; math.Abs(got-want) > 1e-12 {
-			t.Errorf("p=%v: Dist = %v, want %v", p, got, want)
-		}
+	// separation 1 − DefaultMissingTogether = ½, exactly.
+	prob, err := NewProblem([]partition.Labels{{0, partition.Missing}},
+		ProblemOptions{MissingMode: MissingCoin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := prob.Dist(0, 1), 1-DefaultMissingTogether; got != want {
+		t.Errorf("Dist = %v, want %v", got, want)
 	}
 }
 

@@ -28,13 +28,13 @@ func ExampleProblem_Aggregate() {
 }
 
 // X_uv is the fraction of input clusterings separating the pair; the
-// missing-value coin model contributes 1−p for inputs with no opinion.
+// missing-value coin model contributes ½ for inputs with no opinion.
 func ExampleProblem_Dist() {
 	problem, err := core.NewProblem([]partition.Labels{
 		{0, 0},
 		{0, 1},
 		{0, partition.Missing},
-	}, core.ProblemOptions{}) // default p = 1/2
+	}, core.ProblemOptions{}) // the coin model: p = 1/2
 	if err != nil {
 		log.Fatal(err)
 	}

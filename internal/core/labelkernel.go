@@ -15,12 +15,11 @@ package core
 // DistRowTo (which makes the Problem a corrclust.RowDistancer) counts them
 // with popcounts over lane-packed rows, a clean pair with one mask; both
 // read the table. Readers differ only in how they count, never in
-// arithmetic, so Dist, DistRowTo and the matrix agree bit for bit. Against
-// the textbook per-clustering []int pair loop (a test-only reference) they
-// are bit-identical under MissingAverage and wherever 1−p is a multiple of
-// ¼; elsewhere the loop's float sum depends on the order of the inputs and
-// the two agree to rounding. The equivalence tests and
-// FuzzLabelKernelEquiv pin both.
+// arithmetic, so Dist, DistRowTo and the matrix agree bit for bit. They
+// are bit-identical to the textbook per-clustering []int pair loop too (a
+// test-only reference), in both missing modes and at every m: each of its
+// partial sums is a multiple of ½, exact in float64. The equivalence tests
+// and FuzzLabelKernelEquiv pin both.
 //
 // Width packing: labels are stored at one of two widths — uint8 when every
 // label fits below the byte's sentinel, int32 otherwise — selected by
@@ -79,13 +78,13 @@ func widthFor(bound int32) int {
 
 // x returns X_uv for a pair of objects that s inputs separate (both labels
 // present and different) and q miss a label on (either label missing):
-// (s + (1−p)·q)/m under the coin model, s/(m−q) under MissingAverage, and
+// (s + q/2)/m under the coin model, s/(m−q) under MissingAverage, and
 // ½ under MissingAverage when no input votes (q = m). It is the only place
 // the distance formula lives: every reader counts (s, q) on integers and
 // reads x through the table (xs) or, above histMaxM, calls it.
 func (p *Problem) x(s, q int) float64 {
 	if !p.average {
-		return p.coinSum(s, q) / float64(p.m)
+		return coinSum(s, q) / float64(p.m)
 	}
 	if q == p.m {
 		return 0.5
@@ -93,11 +92,10 @@ func (p *Problem) x(s, q int) float64 {
 	return float64(s) / float64(p.m-q)
 }
 
-// coinSum is the coin model's s + (1−p)·q, that is m·X_uv before the
-// division rounds it. The explicit conversion keeps the product from fusing
-// into the addition, so the table and the bound see one value.
-func (p *Problem) coinSum(s, q int) float64 {
-	return float64(s) + float64((1-p.missingP)*float64(q))
+// coinSum is the coin model's s + q/2, that is m·X_uv before the division
+// rounds it; it is exact.
+func coinSum(s, q int) float64 {
+	return float64(s) + float64(q)/2
 }
 
 // distTable returns x memoized q-major, cell q*(m+1)+s for s + q ≤ m, or
@@ -237,15 +235,16 @@ const histBoundCap = 1024
 // members without one. An object v with present label ℓ contributes to
 // m·M(v, C_c)
 //
-//	(pres_i[c] − cnt_i[ℓ][c]) + (1−p)·miss_i[c] = base[i][c] − cnt_i[ℓ][c],
+//	(pres_i[c] − cnt_i[ℓ][c]) + miss_i[c]/2 = base[i][c] − cnt_i[ℓ][c],
 //
 // where cnt_i[ℓ][c] counts C_c's members carrying label ℓ in clustering i;
-// an object missing in clustering i contributes (1−p)·|C_c| = missAll[i][c].
+// an object missing in clustering i contributes |C_c|/2 = missAll[i][c].
 // Summing the per-clustering contributions and dividing once by m yields
 // M(v, C_c) — the pairs' (s, q) counts summed per clustering instead of per
-// member, so the histogram path is bit-identical to the probing path
-// exactly where float addition on those terms is exact (dyadic instances;
-// see docs/PERFORMANCE.md) and within float drift otherwise.
+// member. Every sum before the division is a multiple of ½ and exact, so
+// the histogram path is bit-identical to the probing path wherever the
+// probing sum of the divided distances is exact too (a power-of-two m; see
+// docs/PERFORMANCE.md) and within float drift otherwise.
 //
 // The histograms do not apply under MissingAverage with missing labels
 // present: there each pair divides by its own vote count, which does not
@@ -348,14 +347,13 @@ func buildColabelHistW[W labelWord](p *Problem, lab []W, members [][]int) *colab
 			}
 		}
 	}
-	missP := 1 - p.missingP
 	for i := 0; i < m; i++ {
 		base := make([]float64, k)
 		missAll := make([]float64, k)
 		for c, mem := range members {
 			pres := len(mem) - miss[i*k+c]
-			base[c] = float64(pres) + missP*float64(miss[i*k+c])
-			missAll[c] = missP * float64(len(mem))
+			base[c] = float64(pres) + float64(miss[i*k+c])/2
+			missAll[c] = float64(len(mem)) / 2
 		}
 		// term = base − count, the counts already in place.
 		term := h.term[i]

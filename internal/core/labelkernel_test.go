@@ -69,32 +69,20 @@ func atEveryWidth(p *Problem) []*Problem {
 	return []*Problem{p, widened(p)}
 }
 
-// closeDist reports whether got reproduces the reference want: bit for bit
-// when exact, within 1e-12 relative otherwise.
-func closeDist(got, want float64, exact bool) bool {
-	if exact {
-		return got == want
-	}
-	return math.Abs(got-want) <= 1e-12*math.Abs(want)
-}
-
 // checkKernelDist requires the kernel's Dist to reproduce the reference
-// []int pair loop on every pair, bit for bit where ref.refExact() and
-// within 1e-12 relative elsewhere, and DistRowTo to equal Dist bit for bit
-// at every p; DistRowTo runs on a shuffled target list with the diagonal
-// included.
+// []int pair loop on every pair, and DistRowTo to equal Dist, bit for bit;
+// DistRowTo runs on a shuffled target list with the diagonal included.
 func checkKernelDist(t *testing.T, name string, lk *Problem, ref *refDist, targets []int) {
 	t.Helper()
 	n := lk.N()
 	if n != ref.N() {
 		t.Fatalf("%s: kernel N %d, want %d", name, n, ref.N())
 	}
-	exact := ref.refExact()
 	dst := make([]float64, len(targets))
 	for v := 0; v < n; v++ {
 		for u := 0; u < n; u++ {
-			if got, want := lk.Dist(v, u), ref.Dist(v, u); !closeDist(got, want, exact) {
-				t.Fatalf("%s: Dist(%d,%d) = %v, reference = %v (exact %v)", name, v, u, got, want, exact)
+			if got, want := lk.Dist(v, u), ref.Dist(v, u); got != want {
+				t.Fatalf("%s: Dist(%d,%d) = %v, reference = %v", name, v, u, got, want)
 			}
 		}
 		lk.DistRowTo(v, targets, dst)
@@ -106,52 +94,42 @@ func checkKernelDist(t *testing.T, name string, lk *Problem, ref *refDist, targe
 	}
 }
 
-// kernelCase builds the problem over cs and its reference at coin
-// probability p. p = 0 is not expressible through ProblemOptions (0 means
-// ½), so it is set on both after they are built (withMissingP).
-func kernelCase(t testing.TB, cs []partition.Labels, opts ProblemOptions, p float64) (*Problem, *refDist) {
+// kernelCase builds the problem over cs and its reference.
+func kernelCase(t testing.TB, cs []partition.Labels, opts ProblemOptions) (*Problem, *refDist) {
 	t.Helper()
-	opts.MissingTogether = p
 	prob, err := NewProblem(cs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := newRefDist(cs, opts)
-	ref.missingP = p
-	return withMissingP(prob, p), ref
+	return prob, newRefDist(cs, opts)
 }
 
 // TestLabelKernelDistBitIdentical: the Problem's Dist and DistRowTo must
-// reproduce the reference []int pair loop on every pair, at both storage
-// widths (with labels scaled into the int32 lane's high bits), for every m
-// in kernelShapes, both missing modes and missing probabilities
-// p ∈ {0, ¼, ½, ¾, 1, 0.37}. Both count (s, q) and read x(s, q), so they
-// are bit-identical to the loop under MissingAverage and at every p whose
-// 1−p is a multiple of ¼, where every partial sum of the loop is exact;
-// at p = 0.37 the loop's sum depends on the order of the inputs, and the
-// kernel must agree within 1e-12 relative. DistRowTo equals Dist, and the
-// int32 re-encoding the one-byte block, bit for bit at every p.
+// reproduce the reference []int pair loop on every pair, bit for bit, at
+// both storage widths (with labels scaled into the int32 lane's high
+// bits), for every m in kernelShapes and both missing modes. Both count
+// (s, q) and read x(s, q), and every partial sum of the loop is a multiple
+// of ½, so no order of the inputs rounds. DistRowTo equals Dist, and the
+// int32 re-encoding the one-byte block, bit for bit.
 func TestLabelKernelDistBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(301))
 	for _, m := range kernelShapes {
 		for _, mode := range []MissingMode{MissingCoin, MissingAverage} {
 			for _, pMiss := range []float64{0, 0.2, 0.6} {
 				for _, scale := range []int{1, 256, 65536} {
-					for _, p := range []float64{0, 0.25, 0.5, 0.75, 1, 0.37} {
-						n := 2 + rng.Intn(40)
-						cs := randMixedInputs(rng, n, m, pMiss)
-						scaleLabels(cs, scale)
-						prob, ref := kernelCase(t, cs, ProblemOptions{MissingMode: mode}, p)
-						name := fmt.Sprintf("m=%d mode=%d pMiss=%v scale=%d p=%v", m, mode, pMiss, scale, p)
-						targets := rng.Perm(n)
-						for _, lk := range atEveryWidth(prob) {
-							name := fmt.Sprintf("%s width %d", name, lk.width)
-							checkKernelDist(t, name, lk, ref, targets)
-							for u := 0; u < n; u++ {
-								for v := 0; v < n; v++ {
-									if got, want := lk.Dist(u, v), prob.Dist(u, v); got != want {
-										t.Fatalf("%s: Dist(%d,%d) = %v, one-byte %v", name, u, v, got, want)
-									}
+					n := 2 + rng.Intn(40)
+					cs := randMixedInputs(rng, n, m, pMiss)
+					scaleLabels(cs, scale)
+					prob, ref := kernelCase(t, cs, ProblemOptions{MissingMode: mode})
+					name := fmt.Sprintf("m=%d mode=%d pMiss=%v scale=%d", m, mode, pMiss, scale)
+					targets := rng.Perm(n)
+					for _, lk := range atEveryWidth(prob) {
+						name := fmt.Sprintf("%s width %d", name, lk.width)
+						checkKernelDist(t, name, lk, ref, targets)
+						for u := 0; u < n; u++ {
+							for v := 0; v < n; v++ {
+								if got, want := lk.Dist(u, v), prob.Dist(u, v); got != want {
+									t.Fatalf("%s: Dist(%d,%d) = %v, one-byte %v", name, u, v, got, want)
 								}
 							}
 						}
@@ -251,29 +229,19 @@ func clusterSizes(members [][]int) []float64 {
 // trial, and its totalAway the c-order sum over that loop's affinities.
 // m runs 1..17, so every last-pass width 1..8 and one or two full passes
 // before it run. Against the probing sum Σ_{u∈C_c} Dist(v,u) it must
-// agree exactly on dyadic instances (m a power of two, 1−p a multiple of
-// ¼) and to float-drift tolerance otherwise. The families: dyadic p,
-// p = 0.3, a random p, and MissingAverage without missing labels (the one
-// MissingAverage regime the histograms serve), all but the last with 30%
-// missing labels; every third trial relabels one clustering past
-// histBoundCap, so its histogram takes the sample-observed bound at int32.
+// agree exactly when m is a power of two (every distance is then dyadic)
+// and to float-drift tolerance otherwise. The families: the coin model
+// with 30% missing labels, and MissingAverage without missing labels (the
+// one MissingAverage regime the histograms serve); every third trial
+// relabels one clustering past histBoundCap, so its histogram takes the
+// sample-observed bound at int32.
 func TestColabelHistAffinities(t *testing.T) {
 	rng := rand.New(rand.NewSource(307))
 	for trial := 0; trial < 4*17*2; trial++ {
 		m := 1 + trial%17
 		pMiss := 0.3
 		var opts ProblemOptions
-		switch trial / 17 % 4 {
-		case 0:
-			opts.MissingTogether = []float64{0.25, 0.5, 0.75}[rng.Intn(3)]
-		case 1:
-			opts.MissingTogether = 0.3
-		case 2:
-			opts.MissingTogether = rng.Float64()
-			if opts.MissingTogether == 0 {
-				opts.MissingTogether = 0.5
-			}
-		case 3:
+		if trial/17%2 == 1 {
 			opts.MissingMode = MissingAverage
 			pMiss = 0
 		}
@@ -290,7 +258,7 @@ func TestColabelHistAffinities(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		exact := m&(m-1) == 0 && newRefDist(cs, opts).refExact()
+		exact := m&(m-1) == 0
 
 		// A random "sample clustering" over a random subset of the objects.
 		k := 1 + rng.Intn(4)
@@ -318,8 +286,8 @@ func TestColabelHistAffinities(t *testing.T) {
 			var refAway float64
 			for c, mem := range members {
 				if got[c] != ref[c] {
-					t.Fatalf("trial %d (m=%d, p=%v): M(%d,C%d) = %v, clustering loop %v",
-						trial, m, p.missingP, v, c, got[c], ref[c])
+					t.Fatalf("trial %d (m=%d): M(%d,C%d) = %v, clustering loop %v",
+						trial, m, v, c, got[c], ref[c])
 				}
 				refAway += sizes[c] - ref[c]
 				var want float64
@@ -342,7 +310,7 @@ func TestColabelHistAffinities(t *testing.T) {
 }
 
 // TestSampleKernelMatchesReferenceDyadic: on exact-arithmetic instances
-// (a power-of-two m, dyadic missing probabilities, with missing values) the
+// (a power-of-two m, with missing values) the
 // histogram assignment must reproduce the probing assignment's clustering
 // bit for bit, singleton recluster included; every other trial runs
 // MissingAverage, whose row route must match it too.
@@ -350,7 +318,7 @@ func TestSampleKernelMatchesReferenceDyadic(t *testing.T) {
 	rng := rand.New(rand.NewSource(311))
 	for trial := 0; trial < 20; trial++ {
 		m := []int{1, 2, 4, 8, 16}[rng.Intn(5)]
-		opts := ProblemOptions{MissingTogether: []float64{0.25, 0.5, 0.75}[trial%3]}
+		var opts ProblemOptions
 		if trial%2 == 1 {
 			opts.MissingMode = MissingAverage
 		}
@@ -409,8 +377,8 @@ func TestSampleKernelMatchesReferenceAverageMissing(t *testing.T) {
 	}
 }
 
-// TestSampleKernelCloseContinuous: on non-dyadic instances (odd m, and
-// p = 0.3 on every other trial) the histogram association drifts from the probing sums by ulps,
+// TestSampleKernelCloseContinuous: on non-dyadic instances (odd m) the
+// histogram association drifts from the probing sums by ulps,
 // so a tie between two assignment options can break differently than under
 // probing — but the cluster the kernel picks for each object must still
 // cost within 1e-9 of the probing optimum d(v, C_i). The recluster pass is
@@ -419,13 +387,9 @@ func TestSampleKernelCloseContinuous(t *testing.T) {
 	rng := rand.New(rand.NewSource(317))
 	for trial := 0; trial < 10; trial++ {
 		m := []int{3, 5, 7, 9}[rng.Intn(4)]
-		var opts ProblemOptions
-		if trial%2 == 1 {
-			opts.MissingTogether = 0.3
-		}
 		n := 250
 		const s = 50
-		p := randMixedProblem(t, rng, n, m, 0.2, opts)
+		p := randMixedProblem(t, rng, n, m, 0.2, ProblemOptions{})
 
 		got, err := p.Sample(MethodAgglomerative, AggregateOptions{}, SamplingOptions{
 			SampleSize: s, Rand: rand.New(rand.NewSource(int64(trial))), noSingletonRecluster: true,
@@ -548,11 +512,10 @@ func TestSampleAssignCounters(t *testing.T) {
 
 // FuzzLabelKernelEquiv drives the kernel's DistRowTo and Dist against the
 // reference []int pair loop on fuzzer-chosen instances — every m in
-// kernelShapes, both storage widths (re-encoded or reached by scaled
-// labels), both missing modes, with and without missing labels,
-// p ∈ {0, ¼, ½, ¾, 1} and an arbitrary missing probability — requiring
-// bit-for-bit equality under MissingAverage and at the five dyadic p, and
-// agreement within 1e-12 relative at the arbitrary p (see checkKernelDist).
+// kernelShapes and m = 128..131 past histMaxM (one input in five), both
+// storage widths (re-encoded or reached by scaled labels), both missing
+// modes, with and without missing labels — requiring bit-for-bit equality
+// everywhere (see checkKernelDist).
 func FuzzLabelKernelEquiv(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(4), uint8(0), uint8(2), uint8(0))
 	f.Add(int64(2), uint8(50), uint8(7), uint8(1), uint8(0), uint8(1))
@@ -562,14 +525,19 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 	f.Add(int64(6), uint8(40), uint8(10), uint8(0), uint8(3), uint8(15))
 	f.Add(int64(7), uint8(45), uint8(3), uint8(0), uint8(5), uint8(2))
 	f.Add(int64(8), uint8(35), uint8(8), uint8(1), uint8(4), uint8(7))
-	// Missing labels over multi-word rows: m = 22, 17, 9 at p = ½, 0, 1
-	// and widths 8, 32, 32.
+	// Missing labels over multi-word rows: m = 22, 17, 9 at widths 8, 32,
+	// 32, and m = 130 at both modes.
 	f.Add(int64(9), uint8(50), uint8(11), uint8(0), uint8(1), uint8(0))
 	f.Add(int64(10), uint8(40), uint8(10), uint8(0), uint8(0), uint8(1))
 	f.Add(int64(11), uint8(30), uint8(8), uint8(0), uint8(2), uint8(2))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw, pSel, shape uint8) {
+	f.Add(int64(12), uint8(30), uint8(2), uint8(0), uint8(4), uint8(0))
+	f.Add(int64(13), uint8(25), uint8(2), uint8(1), uint8(9), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw, mSel, shape uint8) {
 		n := 2 + int(nRaw)%80
 		m := kernelShapes[int(mRaw)%len(kernelShapes)]
+		if mSel%5 == 4 {
+			m = histMaxM + 1 + int(mRaw)%4
+		}
 		wide := shape%3 != 0 // int32 re-encoding on two shapes of three
 		pMiss := []float64{0.3, 0}[shape/3%2]
 		scale := []int{1, 256, 65536}[shape/6%3]
@@ -578,15 +546,14 @@ func FuzzLabelKernelEquiv(f *testing.F) {
 		if modeRaw%2 == 1 {
 			opts.MissingMode = MissingAverage
 		}
-		p := []float64{0, 0.5, 1, 0.25, 0.75, rng.Float64()}[pSel%6]
 		cs := randMixedInputs(rng, n, m, pMiss)
 		scaleLabels(cs, scale)
-		prob, ref := kernelCase(t, cs, opts, p)
+		prob, ref := kernelCase(t, cs, opts)
 		lk := prob
 		if wide {
 			lk = widened(prob)
 		}
-		name := fmt.Sprintf("n=%d m=%d width=%d scale=%d mode=%d p=%v", n, m, lk.width, scale, opts.MissingMode, p)
+		name := fmt.Sprintf("n=%d m=%d width=%d scale=%d mode=%d", n, m, lk.width, scale, opts.MissingMode)
 		checkKernelDist(t, name, lk, ref, rng.Perm(n))
 	})
 }

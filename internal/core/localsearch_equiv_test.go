@@ -13,7 +13,7 @@ func equalLabels(a, b partition.Labels) bool { return reflect.DeepEqual(a, b) }
 // Aggregate level: MethodLocalSearch (and Refine, which reuses the kernel)
 // returns identical labels for every AggregateOptions.Workers value.
 func TestAggregateLocalSearchWorkersIdentical(t *testing.T) {
-	p := genProblem(t, 31, 90, 5, 0.15, MissingAverage, 0)
+	p := genProblem(t, 31, 90, 5, 0.15, MissingAverage)
 	want, err := p.Aggregate(MethodLocalSearch, AggregateOptions{Workers: 1, Materialize: true})
 	if err != nil {
 		t.Fatal(err)

@@ -12,9 +12,9 @@ import (
 )
 
 // genProblem builds a seeded random problem over genInputs.
-func genProblem(t testing.TB, seed int64, n, m int, missFrac float64, mode MissingMode, missingP float64) *Problem {
+func genProblem(t testing.TB, seed int64, n, m int, missFrac float64, mode MissingMode) *Problem {
 	t.Helper()
-	p, err := NewProblem(genInputs(seed, n, m, missFrac, mode, missingP))
+	p, err := NewProblem(genInputs(seed, n, m, missFrac, mode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,8 +22,8 @@ func genProblem(t testing.TB, seed int64, n, m int, missFrac float64, mode Missi
 }
 
 // genInputs draws seeded random clusterings and their options. missFrac > 0
-// injects missing labels; missingP 0 means the default 1/2.
-func genInputs(seed int64, n, m int, missFrac float64, mode MissingMode, missingP float64) ([]partition.Labels, ProblemOptions) {
+// injects missing labels.
+func genInputs(seed int64, n, m int, missFrac float64, mode MissingMode) ([]partition.Labels, ProblemOptions) {
 	rng := rand.New(rand.NewSource(seed))
 	cs := make([]partition.Labels, m)
 	for i := range cs {
@@ -38,7 +38,7 @@ func genInputs(seed int64, n, m int, missFrac float64, mode MissingMode, missing
 		}
 		cs[i] = c
 	}
-	return cs, ProblemOptions{MissingMode: mode, MissingTogether: missingP}
+	return cs, ProblemOptions{MissingMode: mode}
 }
 
 // compareMatrices requires every cell of got to equal p.Dist bit for bit.
@@ -56,47 +56,40 @@ func compareMatrices(t *testing.T, name string, p *Problem, got *corrclust.Matri
 
 // TestMaterializeMatchesNaive: the matrix caches the kernel's rows, so every
 // cell is the naive per-pair probe Dist bit for bit under every option:
-// both missing modes and missing probabilities 0.3, ¼, ½, ¾ and 1.
+// both missing modes, with light and heavy missing labels.
 func TestMaterializeMatchesNaive(t *testing.T) {
 	cases := []struct {
 		name     string
 		missFrac float64
 		mode     MissingMode
-		missingP float64
 	}{
-		{"complete/uniform", 0, MissingCoin, 0},
-		{"complete/average", 0, MissingAverage, 0},
-		{"missing/coin-half", 0.2, MissingCoin, 0},
-		{"missing/coin-one", 0.2, MissingCoin, 1},
-		{"missing/coin-quarter", 0.2, MissingCoin, 0.25},
-		{"missing/coin-three-quarters", 0.2, MissingCoin, 0.75},
-		{"missing/coin-0.3", 0.2, MissingCoin, 0.3},
-		{"missing/heavy-coin-0.3", 0.6, MissingCoin, 0.3},
-		{"missing/average", 0.2, MissingAverage, 0},
-		{"missing/heavy-average", 0.6, MissingAverage, 0},
-		{"missing/all-missing-row", 0.95, MissingAverage, 0},
+		{"complete/uniform", 0, MissingCoin},
+		{"complete/average", 0, MissingAverage},
+		{"missing/coin-half", 0.2, MissingCoin},
+		{"missing/heavy-coin", 0.6, MissingCoin},
+		{"missing/average", 0.2, MissingAverage},
+		{"missing/heavy-average", 0.6, MissingAverage},
+		{"missing/all-missing-row", 0.95, MissingAverage},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := int64(0); seed < 8; seed++ {
-				p := genProblem(t, 100+seed, 3+int(seed)*7, 1+int(seed%5), tc.missFrac, tc.mode, tc.missingP)
+				p := genProblem(t, 100+seed, 3+int(seed)*7, 1+int(seed%5), tc.missFrac, tc.mode)
 				compareMatrices(t, tc.name, p, p.Matrix())
 			}
 		})
 	}
 }
 
-// TestMaterializeNonDyadic: at m ∈ {3, 5, 6}, where no distance is a
-// dyadic fraction, under p = 0.3 and MissingAverage, the matrix still holds
-// Dist bit for bit.
+// TestMaterializeNonDyadic: at m ∈ {3, 5, 6, 7}, where distances are not
+// dyadic fractions, under both missing modes, the matrix still holds Dist
+// bit for bit.
 func TestMaterializeNonDyadic(t *testing.T) {
 	for seed := int64(0); seed < 8; seed++ {
 		for _, mode := range []MissingMode{MissingCoin, MissingAverage} {
-			for _, missingP := range []float64{0, 0.3} {
-				m := []int{3, 5, 6}[seed%3]
-				p := genProblem(t, 200+seed, 40, m, 0.2, mode, missingP)
-				compareMatrices(t, "non-dyadic", p, p.Matrix())
-			}
+			m := []int{3, 5, 6, 7}[seed%4]
+			p := genProblem(t, 200+seed, 40, m, 0.2, mode)
+			compareMatrices(t, "non-dyadic", p, p.Matrix())
 		}
 	}
 }
@@ -105,7 +98,7 @@ func TestMaterializeNonDyadic(t *testing.T) {
 // partitions, not on how their clusters happen to be numbered.
 func TestMaterializeLabelPermutationInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	cs, opts := genInputs(7, 50, 4, 0.15, MissingCoin, 0)
+	cs, opts := genInputs(7, 50, 4, 0.15, MissingCoin)
 	p, err := NewProblem(cs, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +144,7 @@ func TestMaterializeLabelPermutationInvariance(t *testing.T) {
 // actually engages.
 func TestMaterializeWorkersBitIdentical(t *testing.T) {
 	for _, mode := range []MissingMode{MissingCoin, MissingAverage} {
-		p := genProblem(t, 3, 300, 5, 0.2, mode, 0.3)
+		p := genProblem(t, 3, 300, 5, 0.2, mode)
 		seq := p.MatrixWorkers(1)
 		for _, workers := range []int{2, 3, 8} {
 			par := p.MatrixWorkers(workers)
@@ -166,23 +159,26 @@ func TestMaterializeWorkersBitIdentical(t *testing.T) {
 	}
 }
 
-// FuzzMaterialize drives the matrix against Dist on fuzzer-chosen shapes,
-// missing modes and missing probabilities: bit-identical everywhere.
+// FuzzMaterialize drives the matrix against Dist on fuzzer-chosen shapes
+// (m up to 12, or 13 to 24 with wideM) and missing modes: bit-identical
+// everywhere.
 func FuzzMaterialize(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(3), uint8(0), uint8(0), false)
-	f.Add(int64(2), uint8(30), uint8(5), uint8(60), uint8(1), true)
-	f.Add(int64(3), uint8(17), uint8(1), uint8(255), uint8(2), false)
-	f.Add(int64(4), uint8(40), uint8(12), uint8(50), uint8(6), false)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, missRaw, pRaw uint8, avg bool) {
+	f.Add(int64(1), uint8(10), uint8(3), uint8(0), false, false)
+	f.Add(int64(2), uint8(30), uint8(5), uint8(60), false, true)
+	f.Add(int64(3), uint8(17), uint8(1), uint8(255), true, false)
+	f.Add(int64(4), uint8(40), uint8(12), uint8(50), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, missRaw uint8, wideM, avg bool) {
 		n := 2 + int(nRaw)%60
 		m := 1 + int(mRaw)%12
+		if wideM {
+			m += 12
+		}
 		missFrac := float64(missRaw) / 255
-		missingP := []float64{0, 1, 0.3, 0.25, 0.75}[int(pRaw)%5]
 		mode := MissingCoin
 		if avg {
 			mode = MissingAverage
 		}
-		p := genProblem(t, seed, n, m, missFrac, mode, missingP)
+		p := genProblem(t, seed, n, m, missFrac, mode)
 		compareMatrices(t, "fuzz", p, p.Matrix())
 	})
 }
@@ -270,19 +266,18 @@ func TestAggregateMaterializeEquivalence(t *testing.T) {
 		name     string
 		missFrac float64
 		mode     MissingMode
-		missingP float64
 	}{
-		{"complete/uniform", 0, MissingCoin, 0},
-		{"complete/average", 0, MissingAverage, 0},
-		{"missing/coin-half", 0.2, MissingCoin, 0},
-		{"missing/coin-quarter", 0.2, MissingCoin, 0.25},
-		{"missing/average", 0.2, MissingAverage, 0},
-		{"missing/coin-0.3", 0.2, MissingCoin, 0.3},
-		{"missing/coin-three-quarters", 0.2, MissingCoin, 0.75},
+		{"complete/uniform", 0, MissingCoin},
+		{"complete/average", 0, MissingAverage},
+		{"missing/coin-half", 0.2, MissingCoin},
+		{"missing/coin-m4", 0.2, MissingCoin},
+		{"missing/average", 0.2, MissingAverage},
+		{"missing/coin-m6", 0.2, MissingCoin},
+		{"missing/heavy-coin", 0.6, MissingCoin},
 	}
 	for ci, tc := range cases {
 		rng := rand.New(rand.NewSource(int64(ci)))
-		p := genProblem(t, 300+int64(ci), 240, 1+ci%6, tc.missFrac, tc.mode, tc.missingP)
+		p := genProblem(t, 300+int64(ci), 240, 1+ci%6, tc.missFrac, tc.mode)
 		gathered := permPrefix(rng, p.N(), 70)
 		sort.Ints(gathered)
 		sub := p.subProblem(gathered)

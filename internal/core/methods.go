@@ -105,7 +105,8 @@ type AggregateOptions struct {
 	// Zero means GOMAXPROCS; 1 forces sequential execution. When BestOf
 	// races methods on two or more goroutines, each racer runs on one
 	// goroutine, so the per-method stages do not start workers of their
-	// own. Results are identical for every value.
+	// own. Results are identical for every value. A negative Workers is
+	// rejected with ErrNegativeOption.
 	Workers int
 	// Rand supplies randomness to the randomized MethodPivot. Nil means a
 	// deterministic source seeded with 1. The paper's five methods are
@@ -131,10 +132,6 @@ type AggregateOptions struct {
 	Progress *obs.Progress
 }
 
-// pivotRounds is the number of independent pivot orders MethodPivot tries,
-// keeping the best.
-const pivotRounds = 10
-
 // counting wraps inst so its Dist probes are counted under name; with a nil
 // recorder it returns inst unchanged (zero overhead).
 func counting(inst corrclust.Instance, rec *obs.Recorder, name string) corrclust.Instance {
@@ -158,6 +155,9 @@ func EffectiveWorkers(w int) int {
 func (o AggregateOptions) check() error {
 	if o.K < 0 {
 		return fmt.Errorf("%w: K %d", ErrNegativeOption, o.K)
+	}
+	if o.Workers < 0 {
+		return fmt.Errorf("%w: Workers %d", ErrNegativeOption, o.Workers)
 	}
 	return nil
 }
@@ -222,7 +222,7 @@ func (p *Problem) aggregateOn(inst corrclust.Instance, method Method, opts Aggre
 	case MethodLocalSearch:
 		labels = corrclust.LocalSearch(algInst, corrclust.LocalSearchOptions{Recorder: rec, Progress: opts.Progress})
 	case MethodPivot:
-		labels = corrclust.PivotWithOptions(algInst, corrclust.PivotOptions{Rounds: pivotRounds, Rand: opts.Rand, Recorder: rec})
+		labels = corrclust.PivotWithOptions(algInst, corrclust.PivotOptions{Rand: opts.Rand, Recorder: rec})
 	default:
 		return nil, fmt.Errorf("core: unknown method %v", method)
 	}

@@ -23,13 +23,15 @@ import (
 //	Σ_a C(|a|,2) + Σ_b C(|b ∩ O_i|,2) − 2·Σ_ab C(n_ab,2),
 //
 // over input clusters a and candidate clusters b. Under the coin model a
-// pair with a missing endpoint costs 1−p when C co-clusters it and p when
-// C separates it; how many of those pairs C co-clusters is
-// Σ_b C(|b|,2) − Σ_b C(|b ∩ O_i|,2). Every count is an integer, so the
-// whole objective costs one O(n) pass per input after a counting sort of
-// the objects by candidate cluster: O(n·m). MissingAverage divides each
-// pair by its own vote count, which does not decompose; with missing
-// labels present it keeps the O(n²·m) pair scan.
+// pair with a missing endpoint costs ½ whether C co-clusters it or not, so
+// input i adds ½·(C(n,2) − C(|O_i|,2)) for those pairs:
+//
+//	D(C) = Σ_i Mirkin_i + ½·Σ_i (C(n,2) − C(|O_i|,2)).
+//
+// Every count is an integer, so the whole objective costs one O(n) pass per
+// input after a counting sort of the objects by candidate cluster: O(n·m).
+// MissingAverage divides each pair by its own vote count, which does not
+// decompose; with missing labels present it keeps the O(n²·m) pair scan.
 //
 // LowerBound. X_uv depends only on the label rows of u and v, so objects
 // with identical rows are interchangeable: the bound works over the G
@@ -53,12 +55,11 @@ import (
 // swept, each group's partial sum computed by one worker and the partials
 // reduced in group order, which is again worker-independent.
 //
-// Exactness. Under the coin model at p ∈ {0, ½, 1} every term is a
-// multiple of ½, so both values are exact in float64 (below 2⁵³) and
-// LowerBound ≤ Disagreement holds bit for bit. FuzzObjectiveExact pins
-// both against the pair scans in corrclust at every storage width, and
-// FuzzLowerBoundCounting pins the counted histogram to the swept one, cell
-// for cell.
+// Exactness. Under the coin model every term is a multiple of ½, so both
+// values are exact in float64 (below 2⁵²) and LowerBound ≤ Disagreement
+// holds bit for bit. FuzzObjectiveExact pins both against the pair scans
+// in corrclust at every storage width, and FuzzLowerBoundCounting pins the
+// counted histogram to the swept one, cell for cell.
 
 // Disagreement returns the (expected) total number of unordered-pair
 // disagreements D(C) = Σ_i d_V(C_i, C) between labels and the inputs. This
@@ -67,7 +68,7 @@ import (
 //
 // Under the coin model it costs O(n·m): one contingency-table pass per
 // input over the packed label block (see the file comment), with the
-// missing-label pairs counted per candidate cluster. Under MissingAverage
+// missing-label pairs counted per input. Under MissingAverage
 // with missing labels present it is an O(n²·m) pair scan over the label
 // block. labels must have one entry per object; partition.Missing counts
 // as one more cluster.
@@ -79,17 +80,13 @@ func (p *Problem) Disagreement(labels partition.Labels) float64 {
 		return float64(p.m) * corrclust.Cost(p, labels)
 	}
 	order, start := clusterOrder(labels)
-	var together int64 // pairs the candidate co-clusters
-	for b := 0; b+1 < len(start); b++ {
-		together += pairs64(int64(start[b+1] - start[b]))
-	}
 	all := pairs64(int64(p.n))
 
 	var sc contingencyScratch
 	var col partition.Labels
 	var ids []int32
 
-	var intSum, togetherMiss, apartMiss int64
+	var intSum, missPairs int64
 	for i := 0; i < p.m; i++ {
 		var t contingencyCounts
 		if bound := int(p.maxLab[i]); bound <= 2*p.n {
@@ -113,15 +110,10 @@ func (p *Problem) Disagreement(labels partition.Labels) float64 {
 			}
 			t = contingencyColumn(ids, 1, 0, order, start, sc.grow(k))
 		}
-		mirkin := t.sumA + t.sumB - 2*t.sumAB
-		missPairs := all - pairs64(t.present)
-		mt := together - t.sumB // missing pairs the candidate co-clusters
-		intSum += mirkin
-		togetherMiss += mt
-		apartMiss += missPairs - mt
+		intSum += t.sumA + t.sumB - 2*t.sumAB
+		missPairs += all - pairs64(t.present)
 	}
-	missP := 1 - p.missingP
-	return float64(intSum) + missP*float64(togetherMiss) + (1-missP)*float64(apartMiss)
+	return float64(intSum) + float64(missPairs)/2
 }
 
 // clusterOrder counting-sorts the objects by label: the members of the b-th
@@ -351,7 +343,7 @@ func (p *Problem) term(s, q int) float64 {
 		x := p.x(s, q)
 		return float64(p.m) * math.Min(x, 1-x)
 	}
-	y := p.coinSum(s, q)
+	y := coinSum(s, q)
 	return math.Min(y, float64(p.m)-y)
 }
 

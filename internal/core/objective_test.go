@@ -15,31 +15,27 @@ import (
 
 // FuzzObjectiveExact pins the contingency-table Disagreement and the
 // distinct-row LowerBound to the O(n²) pair scans in corrclust, across
-// both missing modes, p ∈ {0, 0.3, ½, 1} (offDyadic: p = 0.3 at
-// m ∈ {3, 5, 6}), problems from NewProblem and from either builder mode,
-// and label blocks at widths 8 and 32:
-//   - Disagreement = corrclust.Cost(kernel, ·)·m within 1e-9 relative, and
-//     bit-identical across widths;
+// both missing modes, m from 1 to 12, problems from NewProblem and from
+// either builder mode, and label blocks at widths 8 and 32:
+//   - Disagreement = corrclust.Cost(kernel, ·)·m within 1e-9 relative (the
+//     scan sums rounded distances), and bit-identical across widths;
 //   - LowerBound = refLowerBound(kernel)·m within 1e-9 relative;
-//   - LowerBound ≤ Disagreement, bit for bit when every term is a multiple
-//     of ½ (coin model, p ∈ {0, ½, 1}), within 1e-9 otherwise;
+//   - LowerBound ≤ Disagreement, bit for bit under the coin model (every
+//     term is a multiple of ½), within 1e-9 under MissingAverage with
+//     missing labels;
 //   - LowerBound is bit-identical at GOMAXPROCS 1 and 4.
 //
 // Candidate labels include partition.Missing (one more cluster, as in the
 // scan) and labels spread far wider than n.
 func FuzzObjectiveExact(f *testing.F) {
-	f.Add(int64(1), uint8(12), uint8(3), uint8(2), uint8(2), false, false, false, uint8(0), uint8(0))
-	f.Add(int64(2), uint8(40), uint8(5), uint8(5), uint8(1), true, false, true, uint8(1), uint8(1))
-	f.Add(int64(3), uint8(7), uint8(1), uint8(4), uint8(0), false, true, false, uint8(2), uint8(2))
-	f.Add(int64(4), uint8(33), uint8(6), uint8(0), uint8(3), true, true, true, uint8(4), uint8(1))
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, missRaw, pRaw uint8, offDyadic, average, packed bool, widthRaw, candRaw uint8) {
+	f.Add(int64(1), uint8(12), uint8(3), uint8(2), false, false, uint8(0), uint8(0))
+	f.Add(int64(2), uint8(40), uint8(5), uint8(5), false, true, uint8(1), uint8(1))
+	f.Add(int64(3), uint8(7), uint8(1), uint8(4), true, false, uint8(2), uint8(2))
+	f.Add(int64(4), uint8(33), uint8(9), uint8(0), true, true, uint8(4), uint8(1))
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, missRaw uint8, average, packed bool, widthRaw, candRaw uint8) {
 		n := int(nRaw) % 41
-		m := 1 + int(mRaw)%6
+		m := 1 + int(mRaw)%12
 		missing := float64(missRaw%6) / 10
-		p := []float64{0, 0.3, 0.5, 1}[pRaw%4]
-		if offDyadic {
-			m, p = []int{3, 5, 6}[mRaw%3], 0.3
-		}
 		rng := rand.New(rand.NewSource(seed))
 
 		var opts ProblemOptions
@@ -54,8 +50,6 @@ func FuzzObjectiveExact(f *testing.F) {
 		if packed {
 			prob = packedTwin(t, prob, widthRaw%2 == 0)
 		}
-		// p = 0 is not expressible through ProblemOptions (0 means ½).
-		prob = withMissingP(prob, p)
 
 		var cand partition.Labels
 		switch candRaw % 3 {
@@ -83,7 +77,7 @@ func FuzzObjectiveExact(f *testing.F) {
 		wantLB := tw * refLowerBound(ref)
 		d := prob.Disagreement(cand)
 		if !closeRel(d, wantD) {
-			t.Fatalf("Disagreement = %.17g, scan %.17g (n=%d m=%d p=%v)", d, wantD, n, m, p)
+			t.Fatalf("Disagreement = %.17g, scan %.17g (n=%d m=%d)", d, wantD, n, m)
 		}
 
 		maxprocs := runtime.GOMAXPROCS(1)
@@ -95,12 +89,12 @@ func FuzzObjectiveExact(f *testing.F) {
 			t.Fatalf("LowerBound %.17g at GOMAXPROCS 1, %.17g at 4", lb1, lb4)
 		}
 		if !closeRel(lb1, wantLB) {
-			t.Fatalf("LowerBound = %.17g, scan %.17g (n=%d m=%d p=%v)", lb1, wantLB, n, m, p)
+			t.Fatalf("LowerBound = %.17g, scan %.17g (n=%d m=%d)", lb1, wantLB, n, m)
 		}
 
-		dyadic := (p == 0 || p == 0.5 || p == 1) && !(average && ref.anyMiss)
-		if dyadic && lb1 > d || lb1 > d && !closeRel(lb1, d) {
-			t.Fatalf("LowerBound %.17g above Disagreement %.17g (dyadic %v)", lb1, d, dyadic)
+		exact := !(average && ref.anyMiss)
+		if exact && lb1 > d || lb1 > d && !closeRel(lb1, d) {
+			t.Fatalf("LowerBound %.17g above Disagreement %.17g (exact %v)", lb1, d, exact)
 		}
 
 		if prob.width == width8 {
@@ -120,10 +114,10 @@ func FuzzObjectiveExact(f *testing.F) {
 //
 // The paper's factor 2(1−1/m) rests on d_V being a metric between input
 // clusterings. Under the coin model an input with missing labels is a
-// fractional relation R_i (a missing pair is "together" with weight p),
+// fractional relation R_i (a missing pair is "together" with weight p = ½),
 // and D(C) = Σ_i ‖R_i − C‖₁. BESTCLUSTERING scores the completion C'_j of
 // R_j, which puts missing objects in singletons at L1 distance
-// δ_j = p·w_j·(pairs with a missing endpoint in input j) from R_j. The
+// δ_j = p·(pairs with a missing endpoint in input j) from R_j. The
 // paper's averaging argument with the L1 triangle inequality then gives
 //
 //	min_j D(C'_j) ≤ 2(1−1/m)·OPT + Σ_j δ_j   (uniform weights),
@@ -138,8 +132,7 @@ func TestBestClusteringApproximationMissing(t *testing.T) {
 	for trial := 0; trial < trials; trial++ {
 		n := 2 + rng.Intn(7)
 		m := 2 + rng.Intn(5)
-		p := []float64{0.5, 0.25, 0.75}[trial%3]
-		prob := randMixedProblem(t, rng, n, m, 0.1+0.4*rng.Float64(), ProblemOptions{MissingTogether: p})
+		prob := randMixedProblem(t, rng, n, m, 0.1+0.4*rng.Float64(), ProblemOptions{})
 		_, _, got := prob.BestClustering()
 		_, optCost, err := corrclust.BruteForce(prob)
 		if err != nil {
@@ -154,12 +147,12 @@ func TestBestClusteringApproximationMissing(t *testing.T) {
 					present++
 				}
 			}
-			slack += p * float64(n*(n-1)/2-present*(present-1)/2)
+			slack += DefaultMissingTogether * float64(n*(n-1)/2-present*(present-1)/2)
 		}
 		factor := 2 * (1 - 1/float64(m))
 		if got > factor*opt+slack+1e-9 {
-			t.Errorf("trial %d: BESTCLUSTERING %v > %v·OPT + %v = %v (OPT %v, n=%d m=%d p=%v)",
-				trial, got, factor, slack, factor*opt+slack, opt, n, m, p)
+			t.Errorf("trial %d: BESTCLUSTERING %v > %v·OPT + %v = %v (OPT %v, n=%d m=%d)",
+				trial, got, factor, slack, factor*opt+slack, opt, n, m)
 		}
 		if opt > 0 {
 			worst = math.Max(worst, got/opt)
@@ -191,6 +184,52 @@ func TestBestClusteringMissingCounterexample(t *testing.T) {
 	}
 	if all := prob.Disagreement(partition.Labels{0, 0, 0}); all != 2 {
 		t.Fatalf("all-together disagreement %v, want 2", all)
+	}
+}
+
+// TestDisagreementMissingPairsConstant pins the coin model's split of the
+// objective: a pair with a missing endpoint costs ½ whatever the candidate
+// does with it, so Disagreement(C) − Σ_i Mirkin_i(C), the Mirkin distance
+// counted over input i's present objects by a pair loop, is the same
+// constant ½·Σ_i (C(n,2) − C(|O_i|,2)) for every candidate C, bit for bit.
+func TestDisagreementMissingPairsConstant(t *testing.T) {
+	rng := rand.New(rand.NewSource(211))
+	for trial := 0; trial < 20; trial++ {
+		n, m := 2+rng.Intn(40), 1+rng.Intn(7)
+		cs := randMixedInputs(rng, n, m, 0.4*rng.Float64())
+		prob, err := NewProblem(cs, ProblemOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var missPairs int
+		for _, c := range cs {
+			present := 0
+			for _, l := range c {
+				if l != partition.Missing {
+					present++
+				}
+			}
+			missPairs += n*(n-1)/2 - present*(present-1)/2
+		}
+		want := float64(missPairs) / 2
+		for k := 0; k < 8; k++ {
+			cand := randMixedInputs(rng, n, 1, 0)[0]
+			var mirkin int
+			for _, c := range cs {
+				for u := 0; u < n; u++ {
+					for v := u + 1; v < n; v++ {
+						if c[u] != partition.Missing && c[v] != partition.Missing &&
+							(c[u] == c[v]) != (cand[u] == cand[v]) {
+							mirkin++
+						}
+					}
+				}
+			}
+			if got := prob.Disagreement(cand) - float64(mirkin); got != want {
+				t.Fatalf("trial %d (n=%d m=%d): Disagreement − ΣMirkin = %v, want %v for every candidate",
+					trial, n, m, got, want)
+			}
+		}
 	}
 }
 
@@ -315,9 +354,10 @@ func mustProblem(t *testing.T, cs []partition.Labels) *Problem {
 // evaluate x per pair and LowerBound sweeps every pair of distinct rows.
 // At both widths, with clean rows, rows missing labels and repeated rows
 // of both kinds, under both missing modes: Dist and DistRowTo match the
-// reference pair loop and LowerBound the reference scan within 1e-9
-// relative, DistRowTo equals Dist, LowerBound does not depend on the
-// worker count, and LowerBound ≤ Disagreement.
+// reference pair loop bit for bit, LowerBound matches the reference scan
+// within 1e-9 relative (the scan sums rounded distances), LowerBound does
+// not depend on the worker count, and LowerBound ≤ Disagreement, bit for
+// bit under the coin model.
 func TestPastHistMaxM(t *testing.T) {
 	const m, n, protos = 130, 60, 40
 	rng := rand.New(rand.NewSource(503))
@@ -348,22 +388,9 @@ func TestPastHistMaxM(t *testing.T) {
 		wantLB := float64(m) * refLowerBound(ref)
 		cands := []partition.Labels{completeMissing(cs[0]), randMixedInputs(rng, n, 1, 0)[0]}
 		targets := rng.Perm(n)
-		dst := make([]float64, n)
 		for _, lk := range atEveryWidth(prob) {
 			name := fmt.Sprintf("mode=%d width=%d", mode, lk.width)
-			for v := 0; v < n; v++ {
-				for u := 0; u < n; u++ {
-					if got, want := lk.Dist(v, u), ref.Dist(v, u); !closeRel(got, want) {
-						t.Fatalf("%s: Dist(%d,%d) = %v, reference %v", name, v, u, got, want)
-					}
-				}
-				lk.DistRowTo(v, targets, dst)
-				for j, u := range targets {
-					if want := lk.Dist(v, u); dst[j] != want {
-						t.Fatalf("%s: DistRowTo(%d)[->%d] = %v, Dist %v", name, v, u, dst[j], want)
-					}
-				}
-			}
+			checkKernelDist(t, name, lk, ref, targets)
 			lb := lk.lowerBound(1)
 			if got := lk.lowerBound(3); got != lb {
 				t.Fatalf("%s: LowerBound %.17g on 3 workers, %.17g on 1", name, got, lb)
@@ -372,7 +399,7 @@ func TestPastHistMaxM(t *testing.T) {
 				t.Fatalf("%s: LowerBound %.17g, reference %.17g", name, lb, wantLB)
 			}
 			for _, cand := range cands {
-				if d := lk.Disagreement(cand); lb > d && !closeRel(lb, d) {
+				if d := lk.Disagreement(cand); lb > d && (mode == MissingCoin || !closeRel(lb, d)) {
 					t.Fatalf("%s: LowerBound %.17g above Disagreement %.17g", name, lb, d)
 				}
 			}

@@ -61,19 +61,14 @@ func packedFrom(t testing.TB, cs []partition.Labels, opts ProblemOptions, colMod
 // distances bit-identical to the reference []int pair loop, the caller's
 // labels back from Clusterings, and identical objective values,
 // aggregation results and sampled labels — across missing modes and
-// missing probabilities ¼, ½ and 0.3 (distances within 1e-12 of the loop
-// at 0.3, see checkKernelDist).
+// m from 2 to 6.
 func TestPackedProblemEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(443))
 	for trial := 0; trial < 8; trial++ {
 		m := 2 + rng.Intn(5)
 		var opts ProblemOptions
-		opts.MissingTogether = []float64{0.25, 0.5}[trial%2]
 		if trial%2 == 1 {
 			opts.MissingMode = MissingAverage
-		}
-		if trial%3 == 2 {
-			opts.MissingTogether = 0.3
 		}
 		pMiss := 0.0
 		if trial%2 == 0 {
@@ -86,7 +81,6 @@ func TestPackedProblemEquivalence(t *testing.T) {
 			t.Fatal(err)
 		}
 		ref := newRefDist(cs, opts)
-		exact := ref.refExact()
 		for _, colMode := range []bool{false, true} {
 			pp := packedFrom(t, cs, opts, colMode)
 			if pp.N() != n || pp.M() != m {
@@ -94,7 +88,7 @@ func TestPackedProblemEquivalence(t *testing.T) {
 			}
 			for v := 0; v < n; v += 7 {
 				for u := 0; u < n; u += 5 {
-					if got, want := pp.Dist(u, v), ref.Dist(u, v); !closeDist(got, want, exact) {
+					if got, want := pp.Dist(u, v), ref.Dist(u, v); got != want {
 						t.Fatalf("trial %d: packed Dist(%d,%d) = %v, reference = %v", trial, u, v, got, want)
 					}
 				}
@@ -459,9 +453,6 @@ func TestPackedBuilderValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewProblemPacked(pc, ProblemOptions{MissingTogether: 2}); err == nil {
-		t.Error("invalid MissingTogether accepted on the packed constructor")
-	}
 	if _, err := NewProblemPacked(pc, ProblemOptions{MissingMode: MissingMode(9)}); err == nil {
 		t.Error("invalid MissingMode accepted on the packed constructor")
 	}
@@ -481,7 +472,7 @@ func (b *PackedBuilder) buildWith(t testing.TB, col []int) (*PackedClusterings, 
 // slices, on an arbitrary index subset.
 func TestPackedGatherEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(457))
-	opts := ProblemOptions{MissingTogether: 0.5}
+	var opts ProblemOptions
 	cs := randMixedInputs(rng, 300, 3, 0.15)
 	pp := packedFrom(t, cs, opts, false)
 	idx := rng.Perm(300)[:80]
@@ -545,7 +536,7 @@ func TestKernelCacheIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewProblemPacked(pc, ProblemOptions{MissingTogether: 0.5})
+	p, err := NewProblemPacked(pc, ProblemOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

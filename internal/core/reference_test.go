@@ -16,35 +16,18 @@ import (
 // refDist is the reference X_uv over the unpacked input clusterings: one
 // branchy pass over the m []int label slices per pair, under the coin model
 // or MissingAverage, adding each input's contribution in input order. It
-// implements corrclust.Instance. The kernel counts (s, q) instead, so the
-// two agree bit for bit under MissingAverage and wherever 1−p is a multiple
-// of ¼ (every partial sum is exact); elsewhere the loop's sum depends on
-// the order of the inputs and they agree to rounding (see refExact).
+// implements corrclust.Instance. The kernel counts (s, q) instead; every
+// partial sum of the loop is a multiple of ½, exact in float64, so the two
+// agree bit for bit in both modes and at every m.
 type refDist struct {
-	cs       []partition.Labels
-	missingP float64
-	average  bool
+	cs      []partition.Labels
+	average bool
 }
 
-// newRefDist resolves opts the way NewProblem documents them
-// (MissingTogether 0 means 1/2) over the caller's own label slices.
+// newRefDist resolves opts the way NewProblem does over the caller's own
+// label slices.
 func newRefDist(cs []partition.Labels, opts ProblemOptions) *refDist {
-	r := &refDist{
-		cs:       cs,
-		missingP: opts.MissingTogether,
-		average:  opts.MissingMode == MissingAverage,
-	}
-	if r.missingP == 0 {
-		r.missingP = DefaultMissingTogether
-	}
-	return r
-}
-
-// refExact reports whether the kernel must reproduce r bit for bit: under
-// MissingAverage, and under the coin model when 1−p is a multiple of ¼.
-func (r *refDist) refExact() bool {
-	h := 4 * (1 - r.missingP)
-	return r.average || h == math.Trunc(h)
+	return &refDist{cs: cs, average: opts.MissingMode == MissingAverage}
 }
 
 func (r *refDist) N() int { return len(r.cs[0]) }
@@ -77,7 +60,7 @@ func (r *refDist) Dist(u, v int) float64 {
 		lu, lv := c[u], c[v]
 		switch {
 		case lu == partition.Missing || lv == partition.Missing:
-			x += 1 - r.missingP
+			x += 0.5
 		case lu != lv:
 			x++
 		}
@@ -151,7 +134,7 @@ func assignWith(ref bool) assignFunc {
 // affinitiesReference is the clustering-by-clustering histogram affinity
 // loop: dst[c] = 0, one dst[c] += row pass per input clustering, then one
 // dst[c] /= m pass. The blocked affinitiesW makes the same additions in the
-// same order, so the two agree bit for bit at every p and width.
+// same order, so the two agree bit for bit at every width.
 func affinitiesReference(h *colabelHist, p *Problem, v int, dst []float64) {
 	switch p.width {
 	case width8:

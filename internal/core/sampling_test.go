@@ -150,8 +150,20 @@ func TestSampleNegativeSize(t *testing.T) {
 // rejects K < 0, which FURTHEST and AGGLOMERATIVE would otherwise read two
 // different ways.
 func TestNegativeKRejected(t *testing.T) {
+	checkNegativeRejected(t, AggregateOptions{K: -3})
+}
+
+// TestNegativeWorkersRejected: a negative Workers is rejected the same way
+// instead of silently running on GOMAXPROCS.
+func TestNegativeWorkersRejected(t *testing.T) {
+	checkNegativeRejected(t, AggregateOptions{Workers: -3})
+}
+
+// checkNegativeRejected requires Aggregate, Sample and BestOf to reject
+// opts with ErrNegativeOption.
+func checkNegativeRejected(t *testing.T, opts AggregateOptions) {
+	t.Helper()
 	p := figure1Problem(t)
-	opts := AggregateOptions{K: -3}
 	for _, m := range []Method{MethodAgglomerative, MethodFurthest} {
 		if _, err := p.Aggregate(m, opts); !errors.Is(err, ErrNegativeOption) {
 			t.Errorf("Aggregate %v: error %v, want ErrNegativeOption", m, err)
@@ -352,8 +364,8 @@ func TestAutoSampleSize(t *testing.T) {
 // TestSampleWorkersIdentical: the assignment phase stripes objects across
 // workers, but every object's decision is independent of scheduling, so the
 // returned clustering must be bit-identical for every worker count — on
-// instances with missing values and non-dyadic missing probabilities, under
-// both missing modes and both assignment paths. Each instance is also rebuilt with its
+// instances with missing values and m from 3 to 8 (non-dyadic distances at
+// most m), under both missing modes and both assignment paths. Each instance is also rebuilt with its
 // labels injectively widened past the uint8 packing (×300 and ×70000, both
 // packed at int32): the kernel width changes no distance, so the
 // clustering must not change either. The duplicate-heavy family makes most
@@ -366,11 +378,10 @@ func TestSampleWorkersIdentical(t *testing.T) {
 		trials     int
 		missRate   float64
 		sampleSize int
-		missingP   float64 // 0: drawn per trial from [0.25, 0.75)
-		twins      bool    // duplicate-heavy rows (twinInputs, k=3, m ≤ 4)
+		twins      bool // duplicate-heavy rows (twinInputs, k=3, m ≤ 4)
 	}{
 		{seed: 127, trials: 6, missRate: 0.25, sampleSize: 60},
-		{seed: 419, trials: 4, missRate: 0.2, sampleSize: 50, missingP: 0.5},
+		{seed: 419, trials: 4, missRate: 0.2, sampleSize: 50},
 		{seed: 421, trials: 4, missRate: 0.1, sampleSize: 50, twins: true},
 	} {
 		rng := rand.New(rand.NewSource(fam.seed))
@@ -379,10 +390,7 @@ func TestSampleWorkersIdentical(t *testing.T) {
 			if fam.twins {
 				m = 2 + m%3
 			}
-			opts := ProblemOptions{MissingTogether: fam.missingP}
-			if opts.MissingTogether == 0 {
-				opts.MissingTogether = 0.25 + 0.5*rng.Float64()
-			}
+			var opts ProblemOptions
 			if trial%2 == 1 {
 				opts.MissingMode = MissingAverage
 			}
@@ -451,7 +459,7 @@ func distinctRows(p *Problem) int {
 // for every object with an already-decided label row, so on a
 // duplicate-heavy instance the kernel pass must still reproduce the
 // probing reference bit for bit at every worker count — on the histogram
-// route (coin model at p = ¾, exact at m = 4) and on the row route
+// route (coin model, exact at m = 4) and on the row route
 // (MissingAverage with missing values). The "full" cases shrink the memo below the
 // instance's distinct-row count, so the stripes stop inserting and
 // evaluate the remaining rows without it.
@@ -461,9 +469,9 @@ func TestSampleAssignMemoMatchesReference(t *testing.T) {
 		opts    ProblemOptions
 		memoCap int // 0 keeps assignMemoCap
 	}{
-		{name: "histogram", opts: ProblemOptions{MissingTogether: 0.75}},
+		{name: "histogram", opts: ProblemOptions{}},
 		{name: "row", opts: ProblemOptions{MissingMode: MissingAverage}},
-		{name: "histogram/full", opts: ProblemOptions{MissingTogether: 0.75}, memoCap: 16},
+		{name: "histogram/full", opts: ProblemOptions{}, memoCap: 16},
 		{name: "row/full", opts: ProblemOptions{MissingMode: MissingAverage}, memoCap: 16},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -507,8 +515,8 @@ func TestSampleAssignMemoMatchesReference(t *testing.T) {
 }
 
 // FuzzSampleAssignMemo decodes a small instance with forced twin rows from
-// the fuzzer's bytes — up to 8 prototype rows over m ∈ {1, 2, 4} inputs
-// (the coin model at a dyadic p or MissingAverage), copied onto every
+// the fuzzer's bytes — up to 8 prototype rows over m ∈ {1, 2, 4, 8} inputs
+// (the coin model or MissingAverage), copied onto every
 // object — and asserts that SAMPLING's
 // memoized kernel pass labels it exactly as the probing reference does.
 // One bit of the header shrinks the memo to 4 slots, so the
@@ -521,12 +529,10 @@ func FuzzSampleAssignMemo(f *testing.F) {
 		if len(data) < 6 {
 			return
 		}
-		m := []int{1, 2, 4}[data[0]%3]
+		m := []int{1, 2, 4, 8}[data[0]%4]
 		var opts ProblemOptions
-		if mode := (data[1] >> 1) % 5; mode == 4 {
+		if data[1]&2 != 0 {
 			opts.MissingMode = MissingAverage
-		} else {
-			opts.MissingTogether = []float64{0.25, 0.5, 0.75, 1}[mode]
 		}
 		workers := int(data[2] % 4)
 		if data[2]&4 != 0 {

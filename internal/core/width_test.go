@@ -11,7 +11,7 @@ import (
 
 // optionsOf returns the ProblemOptions p was built with.
 func optionsOf(p *Problem) ProblemOptions {
-	opts := ProblemOptions{MissingTogether: p.missingP}
+	var opts ProblemOptions
 	if p.average {
 		opts.MissingMode = MissingAverage
 	}
@@ -28,15 +28,6 @@ func widened(p *Problem) *Problem {
 		pc.width, pc.lab8, pc.lab32 = width32, nil, widenWords[uint8, int32](pc.lab8)
 	}
 	return p.over(&pc)
-}
-
-// withMissingP returns p over the same block at coin probability x. x = 0
-// is not expressible through ProblemOptions (0 means ½), so tests set it
-// here, where the distance table is built.
-func withMissingP(p *Problem, x float64) *Problem {
-	o := &Problem{packedBlock: packedBlock{m: p.m}, missingP: x, average: p.average}
-	o.xs = o.distTable()
-	return o.over(&p.packedBlock)
 }
 
 // widenLabels rebuilds p with every present label multiplied by factor: an
@@ -160,8 +151,7 @@ func checkPromotion(t *testing.T, big int, colMode bool) {
 // bit-identical distances and histogram affinities — the packed loops never
 // let the width touch a float. Each trial compares the auto (uint8) problem
 // against its int32 re-encoding on Dist, DistRowTo, and the co-label
-// histogram path, across both missing modes and p ∈ {¼, ½, 0.37, 0.3}
-// (m ∈ {3, 5, 6} at 0.3).
+// histogram path, across both missing modes and m from 1 to 8.
 func TestLabelKernelWidthsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(401))
 	for trial := 0; trial < 30; trial++ {
@@ -170,10 +160,6 @@ func TestLabelKernelWidthsBitIdentical(t *testing.T) {
 		var opts ProblemOptions
 		if trial%2 == 1 {
 			opts.MissingMode = MissingAverage
-		}
-		opts.MissingTogether = []float64{0.25, 0.5, 0.37, 0.3}[trial%4]
-		if trial%4 == 3 {
-			m = []int{3, 5, 6}[trial%3]
 		}
 		base := randMixedProblem(t, rng, n, m, 0.3, opts)
 		if base.width != width8 {
@@ -246,7 +232,6 @@ func TestLabelKernelWideLabelsBitIdentical(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		m := 1 + rng.Intn(6)
 		var opts ProblemOptions
-		opts.MissingTogether = 0.5
 		if trial%2 == 1 {
 			opts.MissingMode = MissingAverage
 		}
@@ -295,24 +280,25 @@ func TestLabelKernelWideLabelsBitIdentical(t *testing.T) {
 }
 
 // FuzzLabelKernelWidths drives the one-byte problem against its int32
-// re-encoding on fuzzer-chosen instances — both missing modes, dyadic p or
-// p = 0.3 (offDyadic), optional wide relabeling — requiring bit-for-bit
-// equality on DistRowTo and the histogram affinities.
+// re-encoding on fuzzer-chosen instances — both missing modes, m from 1 to
+// 8 or, with multiWord set, from 9 to 22 (rows of two or more lane words
+// at int32), optional wide relabeling — requiring bit-for-bit equality on
+// DistRowTo and the histogram affinities.
 func FuzzLabelKernelWidths(f *testing.F) {
 	f.Add(int64(1), uint8(20), uint8(4), uint8(0), false, false)
 	f.Add(int64(2), uint8(50), uint8(7), uint8(1), true, false)
 	f.Add(int64(3), uint8(9), uint8(2), uint8(2), false, true)
-	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw uint8, offDyadic, widen bool) {
+	f.Add(int64(4), uint8(30), uint8(13), uint8(0), true, true)
+	f.Fuzz(func(t *testing.T, seed int64, nRaw, mRaw, modeRaw uint8, multiWord, widen bool) {
 		n := 2 + int(nRaw)%60
 		m := 1 + int(mRaw)%8
+		if multiWord {
+			m = 9 + int(mRaw)%14
+		}
 		rng := rand.New(rand.NewSource(seed))
 		var opts ProblemOptions
 		if modeRaw%2 == 1 {
 			opts.MissingMode = MissingAverage
-		}
-		opts.MissingTogether = []float64{0.25, 0.5, 0.75}[modeRaw%3]
-		if offDyadic {
-			opts.MissingTogether = 0.3
 		}
 		packed := randMixedProblem(t, rng, n, m, 0.3, opts)
 		ref := widened(packed)

@@ -234,7 +234,7 @@ func TestLocalSearchIsLocalOptimum(t *testing.T) {
 
 func TestLocalSearchMaxPasses(t *testing.T) {
 	inst := figure2Instance(t)
-	got := LocalSearch(inst, LocalSearchOptions{MaxPasses: 1})
+	got := LocalSearch(inst, LocalSearchOptions{maxPasses: 1})
 	checkValidClustering(t, got, inst.N())
 }
 

@@ -10,10 +10,6 @@ type LocalSearchOptions struct {
 	// Init is the starting clustering. When nil, every object starts in its
 	// own singleton cluster.
 	Init partition.Labels
-	// MaxPasses caps the number of full passes over the objects. Zero means
-	// the package default (DefaultLocalSearchPasses). The algorithm always
-	// stops as soon as a pass makes no improving move.
-	MaxPasses int
 	// Recorder, when non-nil, receives the localsearch.* counters (sweeps,
 	// accepted moves, early convergence, delta updates, column refreshes),
 	// the localsearch.clusters / localsearch.improvement gauges updated at
@@ -35,10 +31,13 @@ type LocalSearchOptions struct {
 	onMove func(v, from, to int)
 	// refreshEvery, when positive, replaces lsRefreshEvery. Test hook.
 	refreshEvery int
+	// maxPasses, when positive, replaces DefaultLocalSearchPasses. Test hook.
+	maxPasses int
 }
 
-// DefaultLocalSearchPasses bounds the number of passes when the caller does
-// not specify one. Convergence is typically reached much earlier.
+// DefaultLocalSearchPasses bounds the number of full passes over the
+// objects. The algorithm stops as soon as a pass makes no improving move,
+// and convergence is typically reached much earlier.
 const DefaultLocalSearchPasses = 100
 
 // lsRefreshEvery is the number of incremental delta updates a cluster's
@@ -80,7 +79,7 @@ func LocalSearch(inst Instance, opts LocalSearchOptions) partition.Labels {
 	if n == 0 {
 		return partition.Labels{}
 	}
-	maxPasses := opts.MaxPasses
+	maxPasses := opts.maxPasses
 	if maxPasses <= 0 {
 		maxPasses = DefaultLocalSearchPasses
 	}

@@ -12,8 +12,8 @@ import (
 )
 
 // genInputs draws seeded random clusterings and their options. missFrac > 0
-// injects missing labels; missingP 0 means the default 1/2.
-func genInputs(seed int64, n, m int, missFrac float64, mode core.MissingMode, missingP float64) ([]partition.Labels, core.ProblemOptions) {
+// injects missing labels.
+func genInputs(seed int64, n, m int, missFrac float64, mode core.MissingMode) ([]partition.Labels, core.ProblemOptions) {
 	rng := rand.New(rand.NewSource(seed))
 	cs := make([]partition.Labels, m)
 	for i := range cs {
@@ -28,12 +28,12 @@ func genInputs(seed int64, n, m int, missFrac float64, mode core.MissingMode, mi
 		}
 		cs[i] = c
 	}
-	return cs, core.ProblemOptions{MissingMode: mode, MissingTogether: missingP}
+	return cs, core.ProblemOptions{MissingMode: mode}
 }
 
-func genProblem(t *testing.T, seed int64, n, m int, missFrac float64, mode core.MissingMode, missingP float64) *core.Problem {
+func genProblem(t *testing.T, seed int64, n, m int, missFrac float64, mode core.MissingMode) *core.Problem {
 	t.Helper()
-	p, err := core.NewProblem(genInputs(seed, n, m, missFrac, mode, missingP))
+	p, err := core.NewProblem(genInputs(seed, n, m, missFrac, mode))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func genProblem(t *testing.T, seed int64, n, m int, missFrac float64, mode core.
 
 // TestLocalSearchIncrementalEquivalence drives the incremental LOCALSEARCH
 // kernel against the reference sweep on full Problems — both missing-label
-// modes, p = ½ and 0.3, m ∈ {3, 5, 6}. No m is a power of two, so the
+// modes, m ∈ {3, 5, 6, 7}. No m is a power of two, so the
 // distances are not dyadic and the incremental kernel's delta-maintained
 // sums may differ from the reference's by ulps, which its epsilon guard
 // absorbs. The cases use fixed seeds (deterministic, no engineered ties)
@@ -52,12 +52,13 @@ func TestLocalSearchIncrementalEquivalence(t *testing.T) {
 		name string
 		p    *core.Problem
 	}{
-		{"uniform-coin", genProblem(t, 11, 80, 6, 0, core.MissingCoin, 0)},
-		{"uniform-missing-coin", genProblem(t, 12, 80, 6, 0.2, core.MissingCoin, 0)},
-		{"uniform-missing-average", genProblem(t, 13, 80, 6, 0.2, core.MissingAverage, 0)},
-		{"m5-missing-coin-0.3", genProblem(t, 14, 70, 5, 0.1, core.MissingCoin, 0.3)},
-		{"m5-missing-average", genProblem(t, 15, 70, 5, 0.1, core.MissingAverage, 0)},
-		{"m3-missing-coin-0.3", genProblem(t, 16, 60, 3, 0.2, core.MissingCoin, 0.3)},
+		{"uniform-coin", genProblem(t, 11, 80, 6, 0, core.MissingCoin)},
+		{"uniform-missing-coin", genProblem(t, 12, 80, 6, 0.2, core.MissingCoin)},
+		{"uniform-missing-average", genProblem(t, 13, 80, 6, 0.2, core.MissingAverage)},
+		{"m5-missing-coin", genProblem(t, 14, 70, 5, 0.1, core.MissingCoin)},
+		{"m5-missing-average", genProblem(t, 15, 70, 5, 0.1, core.MissingAverage)},
+		{"m3-missing-coin", genProblem(t, 16, 60, 3, 0.2, core.MissingCoin)},
+		{"m7-missing-coin", genProblem(t, 17, 60, 7, 0.2, core.MissingCoin)},
 	}
 
 	for _, tc := range cases {

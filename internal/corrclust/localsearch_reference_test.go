@@ -8,7 +8,7 @@ import "clusteragg/internal/partition"
 // ascending-slot iteration, strict-< tie-breaks, same epsilon guard), only
 // with per-evaluation instead of delta-maintained float accumulation, and is
 // the oracle the incremental kernel's equivalence tests and benchmarks run
-// against. It reads opts.Init and opts.MaxPasses, records only the sweeps,
+// against. It reads opts.Init and opts.maxPasses, records only the sweeps,
 // moves and early-convergence counters on opts.Recorder, and ignores
 // opts.Progress and the refresh and move hooks.
 func localSearchReference(inst Instance, opts LocalSearchOptions) partition.Labels {
@@ -16,7 +16,7 @@ func localSearchReference(inst Instance, opts LocalSearchOptions) partition.Labe
 	if n == 0 {
 		return partition.Labels{}
 	}
-	maxPasses := opts.MaxPasses
+	maxPasses := opts.maxPasses
 	if maxPasses <= 0 {
 		maxPasses = DefaultLocalSearchPasses
 	}

@@ -50,11 +50,12 @@ func Pivot(inst Instance, rng *rand.Rand) partition.Labels {
 	return labels.Normalize()
 }
 
+// pivotRounds is the number of independent pivot orders PivotWithOptions
+// tries, keeping the best.
+const pivotRounds = 10
+
 // PivotOptions configures PivotWithOptions.
 type PivotOptions struct {
-	// Rounds is the number of independent pivot orders tried, keeping the
-	// best; values below 1 mean 1.
-	Rounds int
 	// Rand supplies the pivot orders; nil means a deterministic source
 	// seeded with 1.
 	Rand *rand.Rand
@@ -62,9 +63,12 @@ type PivotOptions struct {
 	// 1-based index of the best round). Nil records nothing and costs
 	// nothing.
 	Recorder *obs.Recorder
+
+	// rounds, when positive, replaces pivotRounds. Test hook.
+	rounds int
 }
 
-// PivotWithOptions runs Pivot opts.Rounds times with independent pivot
+// PivotWithOptions runs Pivot pivotRounds times with independent pivot
 // orders and returns the lowest-cost clustering — the standard
 // de-randomization-by-repetition that makes the expectation guarantee hold
 // with high probability in practice.
@@ -73,9 +77,9 @@ func PivotWithOptions(inst Instance, opts PivotOptions) partition.Labels {
 	if rng == nil {
 		rng = rand.New(rand.NewSource(1))
 	}
-	rounds := opts.Rounds
-	if rounds < 1 {
-		rounds = 1
+	rounds := opts.rounds
+	if rounds <= 0 {
+		rounds = pivotRounds
 	}
 	var best partition.Labels
 	bestCost := 0.0

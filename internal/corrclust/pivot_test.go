@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"clusteragg/internal/obs"
 )
 
 func TestPivotValidOutput(t *testing.T) {
@@ -18,7 +20,7 @@ func TestPivotValidOutput(t *testing.T) {
 
 func TestPivotOnFigure2(t *testing.T) {
 	inst := figure2Instance(t)
-	labels := PivotWithOptions(inst, PivotOptions{Rounds: 10, Rand: rand.New(rand.NewSource(1))})
+	labels := PivotWithOptions(inst, PivotOptions{Rand: rand.New(rand.NewSource(1))})
 	if got := Cost(inst, labels); math.Abs(got-5.0/3.0) > 1e-9 {
 		t.Errorf("pivot cost %v, want optimum 5/3 (labels %v)", got, labels)
 	}
@@ -40,7 +42,7 @@ func TestPivotBestNeverWorseThanSingleRun(t *testing.T) {
 		n := 4 + rng.Intn(10)
 		inst := aggInstance(t, randClusterings(rng, 3, n, 3)...)
 		one := Pivot(inst, rand.New(rand.NewSource(99)))
-		best := PivotWithOptions(inst, PivotOptions{Rounds: 20, Rand: rand.New(rand.NewSource(99))})
+		best := PivotWithOptions(inst, PivotOptions{rounds: 20, Rand: rand.New(rand.NewSource(99))})
 		if Cost(inst, best) > Cost(inst, one)+1e-9 {
 			t.Errorf("trial %d: best of 20 rounds %v worse than first single run %v",
 				trial, Cost(inst, best), Cost(inst, one))
@@ -48,10 +50,16 @@ func TestPivotBestNeverWorseThanSingleRun(t *testing.T) {
 	}
 }
 
+// TestPivotBestRoundsFloor: a rounds hook below 1 falls back to
+// pivotRounds.
 func TestPivotBestRoundsFloor(t *testing.T) {
 	inst := figure2Instance(t)
-	labels := PivotWithOptions(inst, PivotOptions{}) // treated as 1 round
+	rec := obs.New()
+	labels := PivotWithOptions(inst, PivotOptions{rounds: -1, Recorder: rec})
 	checkValidClustering(t, labels, inst.N())
+	if got := rec.Counters()["pivot.rounds"]; got != pivotRounds {
+		t.Errorf("pivot.rounds = %d, want %d", got, pivotRounds)
+	}
 }
 
 func TestPivotExpectedApproximation(t *testing.T) {
@@ -62,7 +70,7 @@ func TestPivotExpectedApproximation(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		n := 4 + rng.Intn(5)
 		inst := aggInstance(t, randClusterings(rng, 2+rng.Intn(4), n, 1+rng.Intn(4))...)
-		labels := PivotWithOptions(inst, PivotOptions{Rounds: 20, Rand: rand.New(rand.NewSource(int64(trial)))})
+		labels := PivotWithOptions(inst, PivotOptions{rounds: 20, Rand: rand.New(rand.NewSource(int64(trial)))})
 		_, opt, err := BruteForce(inst)
 		if err != nil {
 			t.Fatal(err)

@@ -50,7 +50,7 @@ func TestQuickAlgorithmsRobustToArbitraryDistances(t *testing.T) {
 		if !check(Furthest(inst), nil) {
 			return false
 		}
-		if !check(LocalSearch(inst, LocalSearchOptions{MaxPasses: 20}), nil) {
+		if !check(LocalSearch(inst, LocalSearchOptions{maxPasses: 20}), nil) {
 			return false
 		}
 		if !check(Pivot(inst, rng), nil) {
